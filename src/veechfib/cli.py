@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .covers import (
+    DEFAULT_CLOSURE_CAP,
     OrbifoldSignature,
     cover_twisting,
     group_closure_order,
@@ -177,8 +178,14 @@ def _cmd_group_order(args):
     modulus = parse_polynomial(args.modulus)
     field = FiniteFieldSpec(args.p, modulus)
     abar = None
-    if args.alpha:
-        abar = field.element(tuple(int(c) for c in args.alpha.split(",")))
+    if args.alpha is not None:
+        try:
+            coeffs = tuple(int(c) for c in args.alpha.split(","))
+        except ValueError:
+            raise InvalidArgumentError(
+                f"--alpha {args.alpha!r} is not a comma-separated list of integers"
+            ) from None
+        abar = field.element(coeffs)
     spec = theorem_generator_pair(field, abar)
     order = group_closure_order(spec, cap=args.cap)
     _emit({"p": args.p, "modulus": modulus.to_json(), "order": order}, args.format)
@@ -343,13 +350,17 @@ def build_parser():
     cmd.add_argument("--base-twists", default="", help="comma-separated twist counts")
     cmd.add_argument("--roots", default="", help="comma-separated root indices")
 
-    cmd = add("group-order", _cmd_group_order, "brute-force order of the generated matrix group")
+    cmd = add(
+        "group-order",
+        _cmd_group_order,
+        "exact order of the generated matrix group (orbit-stabiliser oracle)",
+    )
     cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--modulus", required=True, help='e.g. "x^2-x-1"')
     cmd.add_argument(
-        "--alpha", default="", help="comma-separated residue coefficients of the shear"
+        "--alpha", help="comma-separated residue coefficients of the shear"
     )
-    cmd.add_argument("--cap", type=int, default=10**7)
+    cmd.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
     cmd = add("tv-build", _cmd_tv_build, "build a flat-surface model")
     cmd.add_argument("--family", required=True, help="polygon-<n>, E7 or E8")

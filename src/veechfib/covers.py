@@ -8,9 +8,10 @@ order 120.  The deck group of the cover is that image modulo its
 center's -I when the Veech group contains -I, whence the degree is
 q(q^2 - 1) or q(q^2 - 1)/2.
 
-group_closure_order provides the desk-scale oracle: an exhaustive
-breadth-first closure of the generated matrix group, usable whenever
-the target order fits under a configurable cap.
+group_closure_order provides the independent oracle: the exact order
+of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
+of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
+fits under a configurable cap.
 
 riemann_hurwitz_cover and cover_twisting are the bookkeeping half:
 cusp counts |G|/k per base cusp, exact multiplicative Euler
@@ -20,7 +21,6 @@ d * (twists) / (root index).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -156,7 +156,7 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force group order oracle
+# Group order oracle
 # ---------------------------------------------------------------------------
 
 
@@ -202,59 +202,126 @@ DEFAULT_CLOSURE_CAP = 10**7
 
 
 def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
-    """Exact order of the generated matrix group by exhaustive closure.
+    """Exact order of the generated matrix group by orbit-stabiliser.
 
-    Elements are packed into integers via base-q digit encoding and
-    multiplied through precomputed field tables, so the search is a
-    plain BFS over ints.  Raises CapExceededError when the closure
-    outgrows cap, or up front when even the ambient group does: the
-    oracle requires |SL(2, q)| = q(q^2 - 1) <= cap.
+    G acts on F_q^2; the orbit-stabiliser theorem gives |G| =
+    |G e1| * |Stab(e1)| (Sims 1970).  The orbit of e1 = (1, 0) is walked
+    breadth-first, keeping for each orbit point v a transversal element
+    u_v = [v | w_v] with u_v e1 = v.  By Schreier's lemma the stabiliser
+    is generated by the elements u_{sv}^-1 s u_v, and since every
+    generator has determinant 1 these all have the form [[1, t], [0, 1]]:
+    Stab(e1) is a subgroup of (F_q, +), elementary abelian, so its order
+    is p^rank where rank is the F_p-dimension of the span of the t.  The
+    walk stops collecting t once that span is all of F_q.
+
+    The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
+    CapExceededError up front otherwise; the generated group lies in
+    SL(2, q), so no search can outgrow an admitted cap.
     """
     field = spec.field
-    q = field.order
+    p, q, n = field.p, field.order, field.degree
     if q * (q * q - 1) > cap:
         raise CapExceededError(
             f"|SL(2,{q})| = {q * (q * q - 1)} exceeds cap = {cap}; "
             "raise the cap to search this field"
         )
     mul, add = _field_tables(field)
+    neg = mul[field.element_index(-field.one)]
     idx = field.element_index
-    gens = [
-        (idx(m[0][0]), idx(m[0][1]), idx(m[1][0]), idx(m[1][1])) for m in spec.generators
-    ]
-    one, zero = 1, 0  # indices: element_index maps 1 -> 1, 0 -> 0
-    identity = (one, zero, zero, one)
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        a, b, c, d = queue.popleft()
-        for e, f, g, h in gens:
-            nxt = (
-                add[mul[a][e]][mul[b][g]],
-                add[mul[a][f]][mul[b][h]],
-                add[mul[c][e]][mul[d][g]],
-                add[mul[c][f]][mul[d][h]],
-            )
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(f"group closure exceeded cap = {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen)
+    # a generator as its four multiplication rows: s (x, y) = (ax + by, cx + dy)
+    gens = [tuple(mul[idx(e)] for e in (a, b, c, d)) for (a, b), (c, d) in spec.generators]
+    # w_v, the second column of u_v, keyed by v = (x, y) as x * q + y;
+    # indices: element_index maps 1 -> 1, 0 -> 0, so e1 is key q
+    second = [None] * (q * q)
+    second[q] = (0, 1)
+    orbit = [(1, 0)]
+    basis = {}  # echelon rows of the t digit vectors, keyed by pivot
+    for x, y in orbit:  # grows while it is walked
+        b, d = second[x * q + y]
+        for ma, mb, mc, md in gens:
+            sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]
+            w = second[sx * q + sy]
+            if w is None:
+                second[sx * q + sy] = (add[ma[b]][mb[d]], add[mc[b]][md[d]])
+                orbit.append((sx, sy))
+            elif len(basis) < n:
+                # t is the top-right entry of u_{sv}^-1 (s u_v)
+                sb, sd = add[ma[b]][mb[d]], add[mc[b]][md[d]]
+                t = add[mul[w[1]][sb]][neg[mul[w[0]][sd]]]
+                if t:
+                    _add_to_span(basis, t, p, n)
+    return len(orbit) * p ** len(basis)
+
+
+def _add_to_span(basis, t, p, n):
+    """Reduce the base-p digits of index t against the echelon rows in
+    basis (each row is zero at the pivots of the rows before it) and
+    keep the remainder as a new row when it is nonzero."""
+    digits = []
+    for _ in range(n):
+        t, r = divmod(t, p)
+        digits.append(r)
+    for k, row in basis.items():
+        c = digits[k]
+        if c:
+            digits = [(a - c * r) % p for a, r in zip(digits, row)]
+    for k, c in enumerate(digits):
+        if c:
+            inv = pow(c, -1, p)
+            basis[k] = [a * inv % p for a in digits]
+            return
 
 
 def _field_tables(field):
-    q = field.order
-    elements = [field.element_from_index(i) for i in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    add = [[0] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(i, q):
-            m = field.element_index(elements[i] * elements[j])
-            s = field.element_index(elements[i] + elements[j])
-            mul[i][j] = mul[j][i] = m
-            add[i][j] = add[j][i] = s
+    """Multiplication and addition tables of F_q on element indices.
+
+    Index i is the residue whose coefficients are the base-p digits of
+    i (FiniteFieldSpec.element_index).  Products come from discrete
+    logarithms to a primitive element, sums from digitwise addition
+    mod p, so the only FFElement products are the q - 1 powers of that
+    element.
+    """
+    p, q = field.p, field.order
+    g = _primitive_element(field)
+    exp = []
+    power = field.one
+    for _ in range(q - 1):
+        exp.append(field.element_index(power))
+        power = power * g
+    log = [0] * q
+    for k, e in enumerate(exp):
+        log[e] = k
+    exp2 = exp + exp
+    logs = log[1:]
+    mul = [[0] * q] + [[0] + [exp2[log[i] + k] for k in logs] for i in range(1, q)]
+    # i = i0 + p * i' adds digitwise: (i0 + j0) mod p + p * (i' + j')
+    low = [[(a + b) % p for b in range(p)] for a in range(p)]
+    add = low
+    while len(add) < q:
+        add = [
+            [p * h + lo for h in add[i // p] for lo in low[i % p]]
+            for i in range(len(add) * p)
+        ]
     return mul, add
+
+
+def _primitive_element(field):
+    """Least-index generator of the multiplicative group of the field."""
+    m = field.order - 1
+    primes, rest, f = [], m, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(
+        g
+        for g in map(field.element_from_index, range(1, field.order))
+        if all(g ** (m // r) != field.one for r in primes)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class InvalidRootDataError(MathematicalInconsistencyError):
 
 
 class CapExceededError(VeechFibError):
-    """A breadth-first group closure outgrew the configured cap."""
+    """A group-order search was refused: |SL(2, q)| exceeds the configured cap."""
 
 
 class InapplicableModelError(InvalidArgumentError):

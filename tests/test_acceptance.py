@@ -15,13 +15,19 @@ from fractions import Fraction
 
 import pytest
 
-from veechfib.covers import group_closure_order, theorem_generator_pair
+from veechfib.covers import (
+    DEFAULT_CLOSURE_CAP,
+    congruence_degree,
+    group_closure_order,
+    theorem_generator_pair,
+)
 from veechfib.errors import InconsistentCoverError
 from veechfib.exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.families import (
     admissible_primes,
     elliptic_family,
+    family_alpha_polynomial,
     polygon_family,
     sporadic_family,
     weierstrass_family,
@@ -151,6 +157,35 @@ def test_c3_polygon_pipeline_matches_tables(n, p):
 
 def test_c3_total_runtime_budget():
     assert sum(_C3_DURATIONS) < 10
+
+
+# Levels where the oracle contradicts congruence_degree's (p, genus) =
+# (3, 2) branch: the congruence parameter's residue does not square to -1
+# in F_9, so the two shears generate all of SL(2, 9).  The octagon is
+# refused by the pipeline above; the decagon row is emitted with the
+# order-120 degree.  (table order, oracle order)
+ORACLE_DISAGREES = {(8, 3): (120, 720), (10, 3): (120, 720)}
+
+
+def _oracle_levels():
+    levels = []
+    for n, p in _criterion3_pairs():
+        _m_alpha, genus = family_alpha_polynomial(f"polygon-{n}")
+        q = p**genus
+        if q * (q * q - 1) <= DEFAULT_CLOSURE_CAP:
+            levels.append((n, p))
+    return levels
+
+
+@pytest.mark.parametrize("n,p", _oracle_levels())
+def test_c2_oracle_matches_congruence_degree(n, p):
+    m_alpha, genus = family_alpha_polynomial(f"polygon-{n}")
+    table = congruence_degree(m_alpha, p, genus, True).group_order
+    oracle = group_closure_order(theorem_generator_pair(FiniteFieldSpec(p, m_alpha)))
+    if (n, p) in ORACLE_DISAGREES:
+        assert (table, oracle) == ORACLE_DISAGREES[(n, p)]
+    else:
+        assert oracle == table
 
 
 # ---------------------------------------------------------------------------

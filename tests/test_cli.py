@@ -1,6 +1,12 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
-from veechfib.cli import main
+from veechfib.cli import build_parser, main
+from veechfib.covers import DEFAULT_CLOSURE_CAP
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +38,36 @@ def test_group_order_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["order"] == 120
+
+
+def test_group_order_malformed_alpha_exit_2(capsys):
+    for alpha in ("a", "1,,2", ""):
+        code, out, err = run_cli(
+            capsys, "group-order", "--p", "3", "--modulus", "x^2-x-1", "--alpha", alpha
+        )
+        assert code == 2, alpha
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
+def test_group_order_cap_default():
+    args = build_parser().parse_args(["group-order", "--p", "3", "--modulus", "x^2+1"])
+    assert args.cap == DEFAULT_CLOSURE_CAP
+
+
+def test_group_order_matches_golden_bytes(capsys):
+    """Replay the recorded group-order requests of the CLI benchmark
+    in-process: same exit code, same stdout bytes."""
+    requests = json.loads(GOLDEN_CLI.read_text())["requests"]
+    replayed = 0
+    for request, golden in requests.items():
+        if not request.startswith("group-order"):
+            continue
+        code, out, _ = run_cli(capsys, *shlex.split(request))
+        assert code == golden["exit"], request
+        assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"], request
+        replayed += 1
+    assert replayed
 
 
 def test_elliptic_command(capsys):

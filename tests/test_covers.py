@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
@@ -22,6 +25,8 @@ from veechfib.errors import (
 )
 from veechfib.exact.finitefield import FiniteFieldSpec
 from veechfib.exact.polynomials import IntPolynomial
+
+from bfs_oracle import bfs_closure_order
 
 GOLDEN_SQUARED = IntPolynomial([1, -3, 1])  # congruence parameter of D = 5
 
@@ -80,6 +85,30 @@ def test_closure_cap():
     with pytest.raises(CapExceededError):
         group_closure_order(theorem_generator_pair(field), cap=100)
     assert DEFAULT_CLOSURE_CAP == 10**7
+
+
+def test_closure_cap_is_the_ambient_order():
+    # every generator has determinant 1, so |G| <= |SL(2, q)|: a cap of
+    # exactly |SL(2, q)| admits the search and one less refuses it up front
+    for p, modulus, abar in ((3, [1, 0, 1], (1, 1)), (5, [1, 1, 0, 1], (0, 1))):
+        field = FiniteFieldSpec(p, IntPolynomial(modulus))
+        pair = theorem_generator_pair(field, field.element(abar))
+        q = field.order
+        ambient = q * (q * q - 1)
+        assert group_closure_order(pair, cap=ambient) == ambient
+        message = (
+            f"|SL(2,{q})| = {ambient} exceeds cap = {ambient - 1}; "
+            "raise the cap to search this field"
+        )
+        with pytest.raises(CapExceededError, match=re.escape(message)):
+            group_closure_order(pair, cap=ambient - 1)
+
+
+def test_closure_characteristic_two():
+    # over F_4 both shears are involutions and generate a dihedral group
+    field = FiniteFieldSpec(2, IntPolynomial([1, 1, 1]))
+    pair = theorem_generator_pair(field)
+    assert group_closure_order(pair) == bfs_closure_order(pair) == 10
 
 
 def test_generator_determinant_checked():
@@ -198,10 +227,72 @@ def test_congruence_degree_accepts_exactly_the_irreducible_levels():
 
 def test_dickson_oracle_sl2_125_exhaustive():
     # the complete desk-scale verification of the degree-3 congruence
-    # image at level 5: all 1953000 matrices enumerated (about 5 s)
+    # image at level 5: the reference BFS enumerates all 1953000 matrices
+    # (about 5 s), and orbit-stabiliser must give the same order
     field = FiniteFieldSpec(5, IntPolynomial([-3, 9, -6, 1]))
     expected = congruence_degree(IntPolynomial([-3, 9, -6, 1]), 5, 3, False)
-    assert group_closure_order(theorem_generator_pair(field)) == expected.group_order
+    pair = theorem_generator_pair(field)
+    assert bfs_closure_order(pair) == expected.group_order
+    assert group_closure_order(pair) == expected.group_order
+
+
+# q -> (p, modulus coefficients, constant term first)
+SMALL_FIELDS = {
+    2: (2, [0, 1]),
+    3: (3, [0, 1]),
+    4: (2, [1, 1, 1]),
+    5: (5, [0, 1]),
+    7: (7, [0, 1]),
+    9: (3, [1, 0, 1]),
+    25: (5, [-2, 0, 1]),
+    27: (3, [1, -1, 0, 1]),
+}
+GENERATOR_KINDS = ("identity", "minus-identity", "upper-shear", "lower-shear", "general")
+
+
+def _generator(field, kind, i, j, k):
+    """A determinant-1 matrix of the given kind; i, j, k pick entries."""
+    one, zero = field.one, field.zero
+    a, b, c = (field.element_from_index(n % field.order) for n in (i, j, k))
+    if kind == "identity":
+        return ((one, zero), (zero, one))
+    if kind == "minus-identity":
+        return ((-one, zero), (zero, -one))
+    if kind == "upper-shear":
+        return ((one, a), (zero, one))
+    if kind == "lower-shear":
+        return ((one, zero), (a, one))
+    if not a.is_zero:
+        return ((a, b), (c, (one + b * c) / a))
+    if b.is_zero:
+        b = one
+    return ((zero, b), (-one / b, c))
+
+
+@given(
+    q=st.sampled_from(sorted(SMALL_FIELDS)),
+    draws=st.lists(
+        st.tuples(
+            st.sampled_from(GENERATOR_KINDS),
+            st.integers(0, 26),
+            st.integers(0, 26),
+            st.integers(0, 26),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(q=9, draws=[("identity", 0, 0, 0)])
+@example(q=25, draws=[("minus-identity", 0, 0, 0)])
+@example(q=27, draws=[("upper-shear", 4, 0, 0)])
+@example(q=7, draws=[("general", 2, 3, 4), ("general", 0, 5, 1)])
+@example(q=4, draws=[("lower-shear", 1, 0, 0), ("general", 2, 1, 3), ("minus-identity", 0, 0, 0)])
+@settings(max_examples=100, deadline=None)
+def test_orbit_stabiliser_matches_bfs(q, draws):
+    p, modulus = SMALL_FIELDS[q]
+    field = FiniteFieldSpec(p, IntPolynomial(modulus))
+    spec = MatrixGroupSpec(field, tuple(_generator(field, *draw) for draw in draws))
+    assert group_closure_order(spec) == bfs_closure_order(spec)
 
 
 def test_f9_exception_depends_on_residue():
