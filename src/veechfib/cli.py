@@ -156,18 +156,24 @@ def _cmd_elliptic(args):
     return 0
 
 
+def _int_list(text, flag):
+    """Parse a comma-separated list of integers given to a flag."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{flag} {text!r} is not a comma-separated list of integers"
+        ) from None
+
+
 def _cmd_cover(args):
-    orders = tuple(int(x) for x in args.orbifold_orders.split(",")) if args.orbifold_orders else ()
-    cusp_orders = tuple(int(x) for x in args.cusp_image_orders.split(","))
+    orders = _int_list(args.orbifold_orders, "--orbifold-orders") if args.orbifold_orders else ()
+    cusp_orders = _int_list(args.cusp_image_orders, "--cusp-image-orders")
     sig = OrbifoldSignature(args.base_genus, orders, len(cusp_orders))
     cover = riemann_hurwitz_cover(sig, args.degree, orders, cusp_orders)
     if args.base_twists:
-        twists = tuple(int(x) for x in args.base_twists.split(","))
-        roots = (
-            tuple(int(x) for x in args.roots.split(","))
-            if args.roots
-            else tuple(1 for _ in twists)
-        )
+        twists = _int_list(args.base_twists, "--base-twists")
+        roots = _int_list(args.roots, "--roots") if args.roots else tuple(1 for _ in twists)
         total, per_cusp = cover_twisting(cover.cusps_per_orbit, cusp_orders, twists, roots)
         cover = cover.with_twisting(per_cusp, total)
     _emit(cover.to_json(), args.format)
@@ -179,13 +185,7 @@ def _cmd_group_order(args):
     field = FiniteFieldSpec(args.p, modulus)
     abar = None
     if args.alpha is not None:
-        try:
-            coeffs = tuple(int(c) for c in args.alpha.split(","))
-        except ValueError:
-            raise InvalidArgumentError(
-                f"--alpha {args.alpha!r} is not a comma-separated list of integers"
-            ) from None
-        abar = field.element(coeffs)
+        abar = field.element(_int_list(args.alpha, "--alpha"))
     spec = theorem_generator_pair(field, abar)
     order = group_closure_order(spec, cap=args.cap)
     _emit({"p": args.p, "modulus": modulus.to_json(), "order": order}, args.format)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from ..errors import (
     InvalidArgumentError,
+    MathematicalInconsistencyError,
     MixedModulusError,
     NonIntegralElementError,
 )
@@ -287,31 +288,96 @@ class NumberFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Minimal polynomials and suborder coordinates
+# Power-basis elimination: minimal polynomials and suborder coordinates
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(rows):
-    """In-place Gaussian elimination over Q; returns pivot column list."""
-    pivots = []
-    r = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+class PowerBasis:
+    """The powers 1, alpha, alpha^2, ... of one element, in echelon form.
+
+    Powers are reduced one at a time against the rows kept so far.  Row
+    i holds the reduced ambient coordinates of one power (pivot entry 1)
+    and its expression over 1, alpha, ..., alpha^i; it is reduced against
+    the earlier rows only, so the first k rows span 1, ..., alpha^(k-1).
+    The first power that reduces to zero gives the minimal polynomial of
+    alpha; an element reduced against the same rows gets its coordinates
+    over Q(alpha).  Every answer is verified by rebuilding sum c_j alpha^j.
+    """
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self._powers = []  # ambient coordinates of alpha^j, j < degree
+        self._rows = []  # (pivot column, reduced coordinates, combination)
+        power = alpha.field.one
+        for k in range(alpha.field.degree + 1):
+            residual, coords = self._reduce(power.coeffs, k)
+            if not any(residual):
+                self.degree = k
+                relation = self._verified(power.coeffs, coords)
+                self.rational_minimal_polynomial = tuple(-c for c in relation) + (Fraction(1),)
+                return
+            pivot = next(i for i, x in enumerate(residual) if x)
+            inv = 1 / residual[pivot]
+            combination = [-c * inv for c in coords] + [inv]
+            self._rows.append((pivot, [x * inv for x in residual], combination))
+            self._powers.append(power.coeffs)
+            power = power * alpha
+        raise MathematicalInconsistencyError("no linear dependence found; corrupt field data")
+
+    def _reduce(self, coeffs, count):
+        """Residual of coeffs against the first count rows, and the
+        coordinates over 1, ..., alpha^(count-1) of what was taken off."""
+        vec, coords = list(coeffs), [Fraction(0)] * count
+        for pivot, row, combination in self._rows[:count]:
+            f = vec[pivot]
+            if f:
+                vec = [x - f * y if y else x for x, y in zip(vec, row)]
+                for j, c in enumerate(combination):
+                    coords[j] += f * c
+        return vec, coords
+
+    def _verified(self, coeffs, coords):
+        """coords, once sum_j coords_j alpha^j is checked to equal coeffs."""
+        rebuilt = [0] * len(coeffs)
+        for c, power in zip(coords, self._powers):
+            if c:
+                rebuilt = [r + c * x if x else r for r, x in zip(rebuilt, power)]
+        if rebuilt != list(coeffs):
+            raise MathematicalInconsistencyError("power-basis coordinates fail to verify")
+        return tuple(coords)
+
+    def minimal_polynomial(self):
+        """Monic integer minimal polynomial of alpha.
+
+        Raises NonIntegralElementError (carrying the exact rational
+        coefficients) when alpha is not an algebraic integer.
+        """
+        coeffs = self.rational_minimal_polynomial
+        if all(c.denominator == 1 for c in coeffs):
+            return IntPolynomial([int(c) for c in coeffs])
+        raise NonIntegralElementError(
+            "element is not an algebraic integer; minimal polynomial has "
+            "non-integer coefficients",
+            coeffs,
+        )
+
+    def coordinates(self, elem, count=None):
+        """Coordinates of elem over 1, alpha, ..., alpha^(count-1).
+
+        count defaults to the degree of alpha; powers past the degree get
+        coordinate 0.  Returns a tuple of Fractions, or None when elem
+        lies outside the Q-span of those powers.
+        """
+        if elem.field != self.alpha.field:
+            raise MixedModulusError("alpha and element live in different fields")
+        count = self.degree if count is None else max(count, 0)
+        residual, coords = self._reduce(elem.coeffs, count)
+        return None if any(residual) else self._verified(elem.coeffs, coords)
+
+    def in_order(self, elem, count=None):
+        """Exact membership test for the subring Z[alpha]."""
+        coords = self.coordinates(elem, count)
+        return coords is not None and all(c.denominator == 1 for c in coords)
 
 
 def element_minimal_polynomial(elem):
@@ -322,47 +388,7 @@ def element_minimal_polynomial(elem):
     Raises NonIntegralElementError (carrying the exact rational
     coefficients) when the element is not an algebraic integer.
     """
-    field = elem.field
-    d = field.degree
-    powers = [field.one]
-    for _ in range(d):
-        powers.append(powers[-1] * elem)
-    for k in range(1, d + 1):
-        # Solve elem^k = sum_{j<k} c_j elem^j exactly.
-        matrix = [[powers[j].coeffs[i] for j in range(k)] for i in range(d)]
-        target = [powers[k].coeffs[i] for i in range(d)]
-        sol = _solve_exact(matrix, target)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            if all(c.denominator == 1 for c in coeffs):
-                return IntPolynomial([int(c) for c in coeffs])
-            raise NonIntegralElementError(
-                "element is not an algebraic integer; minimal polynomial has "
-                "non-integer coefficients",
-                coeffs,
-            )
-    raise ArithmeticError("no linear dependence found; corrupt field data")
-
-
-def _solve_exact(matrix, target):
-    """Solve matrix * x = target over Q; None when inconsistent.
-
-    The solution is unique whenever the columns are independent, which
-    holds for power-basis and suborder-basis systems used here.
-    """
-    rows = [list(row) + [t] for row, t in zip(matrix, target)]
-    n_unknowns = len(matrix[0]) if matrix else 0
-    pivots = _row_reduce(rows)
-    if n_unknowns in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    sol = [Fraction(0)] * n_unknowns
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][-1]
-    # verify (guards against underdetermined systems)
-    for row, t in zip(matrix, target):
-        if sum(a * x for a, x in zip(row, sol)) != t:
-            return None
-    return sol
+    return PowerBasis(elem).minimal_polynomial()
 
 
 def coordinates_in_power_basis(elem, alpha, degree):
@@ -371,21 +397,9 @@ def coordinates_in_power_basis(elem, alpha, degree):
     Returns a tuple of Fractions, or None when elem lies outside the
     Q-span (i.e. outside Q(alpha) viewed inside the ambient field).
     """
-    field = elem.field
-    if alpha.field != field:
-        raise MixedModulusError("alpha and element live in different fields")
-    powers = [field.one]
-    for _ in range(degree - 1):
-        powers.append(powers[-1] * alpha)
-    matrix = [[powers[j].coeffs[i] for j in range(degree)] for i in range(field.degree)]
-    target = list(elem.coeffs)
-    sol = _solve_exact(matrix, target)
-    return None if sol is None else tuple(sol)
+    return PowerBasis(alpha).coordinates(elem, degree)
 
 
 def in_order(elem, alpha, degree):
     """Exact membership test for the subring Z[alpha]."""
-    coords = coordinates_in_power_basis(elem, alpha, degree)
-    if coords is None:
-        return False
-    return all(c.denominator == 1 for c in coords)
+    return PowerBasis(alpha).in_order(elem, degree)

@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .exact.finitefield import is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
-from .exact.numberfield import element_minimal_polynomial
+from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
 from .exact.polynomials import rational_to_str
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
@@ -386,8 +386,7 @@ def _lcm_one_ratio(w, h):
 
 def polygon_spec(n):
     model = build_surface(f"polygon-{n}")
-    mu = model.mu
-    m_alpha = element_minimal_polynomial(mu * mu)
+    m_alpha = model.alpha_basis.minimal_polynomial()
     if m_alpha.degree != model.genus:
         raise InvalidArgumentError("trace field degree mismatch against fiber genus")
     if n % 2 == 1:
@@ -412,13 +411,18 @@ def polygon_spec(n):
 
 
 def run_structural_checks(model):
-    basis = holonomy_basis_check(model)
-    return {
-        "staircase_parity": staircase_parity_check(model),
-        "holonomy_basis": isinstance(basis, HolonomyBasis),
-        "cylinder_bounds": cylinder_bound_check(model, len(model.zero_partition)),
-        "core_curve_span": core_curve_span_check(model),
-    }
+    """Level-independent checks, run once per model and kept in its memo;
+    each call returns a fresh dict the caller may extend."""
+    checks = model.memo.get("structural_checks")
+    if checks is None:
+        basis = holonomy_basis_check(model)
+        checks = model.memo["structural_checks"] = {
+            "staircase_parity": staircase_parity_check(model),
+            "holonomy_basis": isinstance(basis, HolonomyBasis),
+            "cylinder_bounds": cylinder_bound_check(model, len(model.zero_partition)),
+            "core_curve_span": core_curve_span_check(model),
+        }
+    return dict(checks)
 
 
 def polygon_family(n, p):
@@ -526,8 +530,7 @@ def sporadic_spec(which):
     if which not in ("E7", "E8"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
     model = build_surface(which)
-    mu = model.mu
-    m_alpha = element_minimal_polynomial(mu * mu)
+    m_alpha = model.alpha_basis.minimal_polynomial()
     orbifold_order = 9 if which == "E7" else 15
     return (
         FamilySpec(

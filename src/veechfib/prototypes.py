@@ -174,13 +174,3 @@ def brute_force_count(d):
                     if g == 1:
                         count += 1
     return count
-
-
-def standard_spin_filter_stub(_proto):
-    """Placeholder spin predicate: accepts everything.
-
-    The spin invariant separating prototype classes for D = 1 mod 8 is
-    not implemented; callers needing it must supply their own predicate
-    computed externally.
-    """
-    return True

@@ -19,13 +19,17 @@ Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
 check (the lifts are NOT reduced modulo the minimal polynomial, which
 matters when the minimal polynomial is not an even polynomial).
+
+Level-independent work runs once per model and stays on it: the power
+basis of alpha = mu^2 (``SurfaceModel.alpha_basis``) and the structural
+checks the family pipelines keep in ``SurfaceModel.memo``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     InapplicableModelError,
@@ -37,7 +41,7 @@ from .errors import (
 )
 from .exact.finitefield import is_irreducible_mod_p, is_prime
 from .exact.linalg import charpoly, rank
-from .exact.numberfield import RealAlgebraicField, in_order
+from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial,
     cos_two_pi_minpoly,
@@ -420,10 +424,17 @@ class SurfaceModel:
     genus: int
     zero_partition: tuple
     core_curves_cross_boundary_once: bool = True
+    # level-independent results of the family pipelines, keyed by name
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def cylinders(self):
         return self.horizontal + self.vertical
+
+    @cached_property
+    def alpha_basis(self):
+        """Echelon power basis of alpha = mu^2, built once per model."""
+        return PowerBasis(self.mu * self.mu)
 
     def verify(self):
         """Exact Q h = mu h on the construction graph; partition sum."""
@@ -507,11 +518,6 @@ def _chebyshev_like(k):
     return _CHEBYSHEV_CACHE[k]
 
 
-def _quotient_path_graph(size):
-    """Intersection graph of the involution quotient of the A(size*2-1) path."""
-    return coxeter_graph("A", size)
-
-
 @lru_cache(maxsize=None)
 def build_surface(family_tag):
     """Build the exact surface model for polygon-n, E7 or E8.
@@ -567,12 +573,12 @@ def _build_polygon(n):
         genus = (param - 1) // 2
         m = (param - 3) // 2
         partition = (m, m)
-        graph = _quotient_path_graph(n // 2)
+        graph = coxeter_graph("A", n // 2)
     else:
         k = param
         genus = 2 ** (k - 2)
         partition = (2 ** (k - 1) - 2,)
-        graph = _quotient_path_graph(n // 2)
+        graph = coxeter_graph("A", n // 2)
     model = SurfaceModel(
         family_tag=f"polygon-{n}",
         graph=graph,
@@ -639,9 +645,10 @@ def _staircase_normalize(mu, by_vertex, blacks, whites):
     """
     if not mu.field.modulus.even_terms_only():
         raise InapplicableModelError("modulus is not even; no canonical parity lift")
-    # smallest height first (exact comparisons), vertex index breaks ties
+    # smallest height first (exact comparisons); the stable sort keeps
+    # vertex order among equal heights
     candidates = sorted(by_vertex)
-    candidates.sort(key=lambda v: _HeightKey(by_vertex[v]))
+    candidates.sort(key=by_vertex.__getitem__)
     for v0 in candidates:
         scale = mu / by_vertex[v0]
         scaled = {v: h * scale for v, h in by_vertex.items()}
@@ -661,21 +668,6 @@ def _staircase_normalize(mu, by_vertex, blacks, whites):
         ):
             return scaled, lifts, set(side_of_v0)
     raise MathematicalInconsistencyError("no staircase normalization found")
-
-
-class _HeightKey:
-    """Total order key for number-field elements via the real embedding."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value < other.value
-
-    def __eq__(self, other):
-        return self.value == other.value
 
 
 def _cross_check_genus(model):
@@ -737,27 +729,23 @@ def holonomy_basis_check(model):
     Horizontal core curves have holonomy (mu*height, 0) and vertical
     ones (0, mu*height); membership in Z[alpha]*(mu^2, 0) + Z[alpha]*
     (0, y*mu) with alpha = mu^2 and y the lowest vertical height is
-    decided exactly by solving for the coordinates over Z[alpha].
+    decided exactly by reducing each coordinate against the model's
+    alpha power basis.  Each basis vector is inverted once per call.
     """
     mu = model.mu
-    alpha = mu * mu
-    from .exact.numberfield import element_minimal_polynomial
-
-    alpha_degree = element_minimal_polynomial(alpha).degree
-    y = min(model.vertical, key=lambda c: _HeightKey(c.height)).height
+    alpha_basis = model.alpha_basis
+    alpha = alpha_basis.alpha
+    y = min(model.vertical, key=lambda c: c.height).height
     basis_h = alpha  # holonomy (mu^2, 0)
     basis_v = y * mu  # holonomy (0, y*mu)
     coords = []
-    for cyl in model.horizontal:
-        coordinate = cyl.circumference / basis_h
-        if not in_order(coordinate, alpha, alpha_degree):
-            return HolonomySpanFailure(cyl.name)
-        coords.append((cyl.name, coordinate))
-    for cyl in model.vertical:
-        coordinate = cyl.circumference / basis_v
-        if not in_order(coordinate, alpha, alpha_degree):
-            return HolonomySpanFailure(cyl.name)
-        coords.append((cyl.name, coordinate))
+    for cylinders, basis in ((model.horizontal, basis_h), (model.vertical, basis_v)):
+        inverse = basis.inverse()
+        for cyl in cylinders:
+            coordinate = cyl.circumference * inverse
+            if not alpha_basis.in_order(coordinate):
+                return HolonomySpanFailure(cyl.name)
+            coords.append((cyl.name, coordinate))
     return HolonomyBasis(
         horizontal_vector=(basis_h, mu.field.zero),
         vertical_vector=(mu.field.zero, basis_v),

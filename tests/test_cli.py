@@ -1,10 +1,12 @@
 import hashlib
 import json
-import shlex
 from pathlib import Path
+
+import pytest
 
 from veechfib.cli import build_parser, main
 from veechfib.covers import DEFAULT_CLOSURE_CAP
+from veechfib.thurston_veech import build_surface
 
 GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json"
 
@@ -55,19 +57,74 @@ def test_group_order_cap_default():
     assert args.cap == DEFAULT_CLOSURE_CAP
 
 
-def test_group_order_matches_golden_bytes(capsys):
-    """Replay the recorded group-order requests of the CLI benchmark
-    in-process: same exit code, same stdout bytes."""
+def _error_type(stderr):
+    """The stderr classes of the golden record: none, argparse usage,
+    the JSON diagnostic's error type, or anything else."""
+    if not stderr.strip():
+        return None
+    if stderr.startswith("usage:"):
+        return "usage"
+    try:
+        return json.loads(stderr)["error"]
+    except (ValueError, KeyError, TypeError):
+        return "unparsed"
+
+
+def test_cli_matches_golden_bytes(capsys):
+    """Replay every recorded request of the CLI benchmark in-process:
+    same exit code, stdout bytes and stderr error type.  The first pass
+    rebuilds every surface model; the second reuses the cached models,
+    so per-model memos carry over from request to request."""
     requests = json.loads(GOLDEN_CLI.read_text())["requests"]
-    replayed = 0
-    for request, golden in requests.items():
-        if not request.startswith("group-order"):
-            continue
-        code, out, _ = run_cli(capsys, *shlex.split(request))
-        assert code == golden["exit"], request
-        assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"], request
-        replayed += 1
-    assert replayed
+    assert len(requests) == 74
+    for cold in (True, False):
+        for request, golden in requests.items():
+            if cold:
+                build_surface.cache_clear()
+            code, out, err = run_cli(capsys, *request.split())
+            where = (request, "cold" if cold else "warm")
+            assert code == golden["exit"], where
+            assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"], where
+            assert _error_type(err) == golden["error"], where
+
+
+_COVER = ("cover", "--orbifold-orders", "2,5", "--cusp-image-orders", "3", "--degree", "60")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        (flag, value)
+        for flag in ("--cusp-image-orders", "--orbifold-orders", "--base-twists", "--roots")
+        for value in ("a", "3,,3", "3,")
+    ]
+    + [("--cusp-image-orders", "")],
+)
+def test_cover_malformed_list_exit_2(capsys, flag, value):
+    argv = list(_COVER)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    if flag == "--roots":
+        argv += ["--base-twists", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"] == (
+        f"{flag} {value!r} is not a comma-separated list of integers"
+    )
+
+
+def test_cover_empty_orbifold_orders_means_none(capsys):
+    code, out, _ = run_cli(
+        capsys, "cover", "--base-genus", "1", "--orbifold-orders", "",
+        "--cusp-image-orders", "2", "--degree", "4",
+    )
+    assert code == 0
+    assert json.loads(out)["degree"] == 4
 
 
 def test_elliptic_command(capsys):

@@ -9,6 +9,7 @@ from veechfib.errors import (
     SpinRequiredError,
     UnsupportedFamilyError,
 )
+from veechfib import families
 from veechfib.families import (
     CurveDataTable,
     ExternalCurveData,
@@ -24,6 +25,7 @@ from veechfib.families import (
     weierstrass_family,
 )
 from veechfib.invariants import kappa_mu, signature
+from veechfib.thurston_veech import build_surface
 
 
 def test_weierstrass_double_pentagon_headline():
@@ -305,3 +307,49 @@ def test_positive_base_genus_members_are_general_type_with_strict_bmy():
         assert result.cover.base_genus >= 1
         assert result.invariants.bmy_strict
         assert result.invariants.kodaira_tag == "minimal-general-type"
+
+
+def test_structural_checks_memo_returns_fresh_dicts():
+    # p = 7 has base genus >= 1 and gains bmy_sufficient; p = 3 has base
+    # genus 0, and the memoised checks must not carry that key over
+    high = polygon_family(5, 7)
+    low = polygon_family(5, 3)
+    assert high.cover.base_genus >= 1 and "bmy_sufficient" in high.checks
+    assert low.cover.base_genus == 0 and "bmy_sufficient" not in low.checks
+    assert high.checks is not low.checks
+    low.checks["staircase_parity"] = "mutated"
+    del low.checks["core_curve_span"]
+    again = polygon_family(5, 3).checks
+    assert again == {
+        "staircase_parity": True,
+        "holonomy_basis": True,
+        "cylinder_bounds": True,
+        "core_curve_span": True,
+    }
+
+
+def test_structural_checks_run_once_per_model(monkeypatch):
+    calls = []
+    original = families.holonomy_basis_check
+
+    def counting(model):
+        calls.append(model.family_tag)
+        return original(model)
+
+    monkeypatch.setattr(families, "holonomy_basis_check", counting)
+    build_surface.cache_clear()
+    outcomes = []
+    for call, levels in (
+        (lambda p: polygon_family(5, p), (3, 7, 11, 13, 17, 19, 23)),
+        (lambda p: sporadic_family("E7", p), (5, 7, 11, 13)),
+    ):
+        for p in levels:
+            try:
+                outcomes.append(call(p).level)
+            except InadmissiblePrimeError:
+                outcomes.append(None)
+    assert None in outcomes and any(outcomes)  # refusals and results both
+    assert calls == ["polygon-5", "E7"]
+    build_surface.cache_clear()
+    polygon_family(5, 3)
+    assert calls == ["polygon-5", "E7", "polygon-5"]

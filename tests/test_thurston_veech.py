@@ -316,6 +316,7 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
     # independent route to the same polynomial.
     from veechfib.exact.numberfield import element_minimal_polynomial
     from veechfib.exact.polynomials import cos_two_pi_minpoly
+    from veechfib.families import polygon_spec, sporadic_spec
 
     def shift_by_minus_two(poly):
         out = IntPolynomial([poly.coefficients[-1]])
@@ -326,9 +327,11 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
 
     for n in (5, 7, 8, 10, 11, 13, 14, 16, 18, 22, 26, 30, 32):
         if n in (18, 30):
-            mu = build_surface("E7" if n == 18 else "E8").mu
+            spec, model = sporadic_spec("E7" if n == 18 else "E8")
         else:
-            mu = build_surface(f"polygon-{n}").mu
+            spec, model = polygon_spec(n)
+        mu = model.mu
         via_matrix = element_minimal_polynomial(mu * mu)
         via_cyclotomic = shift_by_minus_two(cos_two_pi_minpoly(n))
         assert via_matrix == via_cyclotomic, n
+        assert spec.alpha_minimal_polynomial == via_cyclotomic, n
