@@ -64,24 +64,6 @@ _TABLE_COLUMNS = (
 )
 
 
-def _emit_family(result, fmt):
-    if fmt == "csv":
-        row = (
-            result.spec.tag,
-            result.level,
-            result.cover.degree,
-            result.cover.cusp_count,
-            result.cover.base_genus,
-            result.cover.total_twisting,
-            result.invariants.euler,
-            result.invariants.sigma,
-        )
-        print(",".join(_TABLE_COLUMNS))
-        print(",".join(str(x) for x in row))
-    else:
-        _emit(result.to_json(), fmt)
-
-
 def _flatten(payload, prefix=""):
     items = []
     if isinstance(payload, dict):
@@ -131,28 +113,39 @@ def _load_spin_plugin(spec_text):
     return getattr(importlib.import_module(module_name), attr)
 
 
-def _cmd_weierstrass(args):
-    spin = _load_spin_plugin(args.spin_plugin) if args.spin_plugin else None
-    result = weierstrass_family(args.D, args.p, data=_data_table(args), spin_filter=spin)
-    _emit_family(result, args.format)
-    return 0
+# subcommand -> its family evaluation; the lambdas look the family
+# functions up as module globals at call time
+_FAMILY_COMMANDS = {
+    # the spin plugin is loaded before the data CSV is read
+    "weierstrass": lambda args: weierstrass_family(
+        args.D,
+        args.p,
+        spin_filter=_load_spin_plugin(args.spin_plugin) if args.spin_plugin else None,
+        data=_data_table(args),
+    ),
+    "polygon": lambda args: polygon_family(args.n, args.p),
+    "sporadic": lambda args: sporadic_family(args.which, args.p),
+    "elliptic": lambda args: elliptic_family(args.m),
+}
 
 
-def _cmd_polygon(args):
-    result = polygon_family(args.n, args.p)
-    _emit_family(result, args.format)
-    return 0
-
-
-def _cmd_sporadic(args):
-    result = sporadic_family(args.which, args.p)
-    _emit_family(result, args.format)
-    return 0
-
-
-def _cmd_elliptic(args):
-    result = elliptic_family(args.m)
-    _emit_family(result, args.format)
+def _cmd_family(args):
+    result = _FAMILY_COMMANDS[args.command](args)
+    if args.format == "csv":
+        row = (
+            result.spec.tag,
+            result.level,
+            result.cover.degree,
+            result.cover.cusp_count,
+            result.cover.base_genus,
+            result.cover.total_twisting,
+            result.invariants.euler,
+            result.invariants.sigma,
+        )
+        print(",".join(_TABLE_COLUMNS))
+        print(",".join(str(x) for x in row))
+    else:
+        _emit(result.to_json(), args.format)
     return 0
 
 
@@ -170,7 +163,9 @@ def _cmd_cover(args):
     orders = _int_list(args.orbifold_orders, "--orbifold-orders") if args.orbifold_orders else ()
     cusp_orders = _int_list(args.cusp_image_orders, "--cusp-image-orders")
     sig = OrbifoldSignature(args.base_genus, orders, len(cusp_orders))
-    cover = riemann_hurwitz_cover(sig, args.degree, orders, cusp_orders)
+    cover = riemann_hurwitz_cover(
+        sig.euler_characteristic, args.degree, orders, orders, cusp_orders
+    )
     if args.base_twists:
         twists = _int_list(args.base_twists, "--base-twists")
         roots = _int_list(args.roots, "--roots") if args.roots else tuple(1 for _ in twists)
@@ -275,10 +270,8 @@ def _verification_rows():
         return out
 
     def elliptic_triple():
-        return [
-            (elliptic_family(m).invariants.euler, elliptic_family(m).invariants.sigma)
-            for m in (3, 4, 5)
-        ]
+        invariants = [elliptic_family(m).invariants for m in (3, 4, 5)]
+        return [(i.euler, i.sigma) for i in invariants]
 
     return [
         (
@@ -321,7 +314,7 @@ def build_parser():
     cmd = add("prototypes", _cmd_prototypes, "enumerate cusp prototypes for a discriminant")
     cmd.add_argument("--D", type=int, required=True)
 
-    cmd = add("weierstrass", _cmd_weierstrass, "genus-2 eigenform family at a level")
+    cmd = add("weierstrass", _cmd_family, "genus-2 eigenform family at a level")
     cmd.add_argument("--D", type=int, required=True)
     cmd.add_argument("--p", type=int, required=True)
     cmd.add_argument("--data", help="CSV with columns D,chi_num,chi_den,e2")
@@ -331,15 +324,15 @@ def build_parser():
         help="module:function selecting one spin class of prototypes (D = 1 mod 8)",
     )
 
-    cmd = add("polygon", _cmd_polygon, "regular polygon family at a level")
+    cmd = add("polygon", _cmd_family, "regular polygon family at a level")
     cmd.add_argument("--n", type=int, required=True)
     cmd.add_argument("--p", type=int, required=True)
 
-    cmd = add("sporadic", _cmd_sporadic, "E7 or E8 family at a level")
+    cmd = add("sporadic", _cmd_family, "E7 or E8 family at a level")
     cmd.add_argument("--which", choices=("E7", "E8"), required=True)
     cmd.add_argument("--p", type=int, required=True)
 
-    cmd = add("elliptic", _cmd_elliptic, "genus-one series at a level")
+    cmd = add("elliptic", _cmd_family, "genus-one series at a level")
     cmd.add_argument("--m", type=int, required=True)
 
     cmd = add("cover", _cmd_cover, "Riemann-Hurwitz data of a congruence cover")

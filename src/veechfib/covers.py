@@ -14,9 +14,10 @@ of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
 fits under a configurable cap.
 
 riemann_hurwitz_cover and cover_twisting are the bookkeeping half:
-cusp counts |G|/k per base cusp, exact multiplicative Euler
-characteristic for the genus, and T = sum over base cusps of
-d * (twists) / (root index).
+cusp counts |G|/k per base cusp, the genus from the base's orbifold
+Euler characteristic chi_orb by multiplicativity (2 - 2b - |cusps| =
+d * chi_orb, the one place this formula is evaluated), and T = sum
+over base cusps of d * (twists) / (root index).
 """
 
 from __future__ import annotations
@@ -342,22 +343,25 @@ def cusp_image_order(p):
     return p
 
 
-def riemann_hurwitz_cover(signature, degree, orbifold_image_orders, cusp_image_orders):
+def riemann_hurwitz_cover(
+    chi_orb, degree, orbifold_orders, orbifold_image_orders, cusp_image_orders
+):
     """Genus and cusp count of a degree-d cover of a hyperbolic orbifold.
 
-    Each orbifold point must map to an element of its full order (the
-    cover is then an honest surface, unbranched over the cone points in
-    the orbifold sense); each base cusp with image order k contributes
-    d/k cusps.  The genus solves 2 - 2b - |cusps| = d * chi_orb exactly
-    and must come out a nonnegative integer.
+    The base has orbifold Euler characteristic chi_orb, one cusp per
+    entry of cusp_image_orders and (at least) the cone points listed in
+    orbifold_orders.  Each listed orbifold point must map to an element
+    of its full order (the cover is then an honest surface, unbranched
+    over the cone points in the orbifold sense); each base cusp with
+    image order k contributes d/k cusps.  The genus solves
+    2 - 2b - |cusps| = d * chi_orb exactly and must come out a
+    nonnegative integer.
     """
     if degree < 1:
         raise InvalidArgumentError("degree must be positive")
-    if len(orbifold_image_orders) != len(signature.orbifold_orders):
+    if len(orbifold_image_orders) != len(orbifold_orders):
         raise InvalidArgumentError("one image order per orbifold point required")
-    if len(cusp_image_orders) != signature.cusp_count:
-        raise InvalidArgumentError("one image order per cusp required")
-    for full, image in zip(signature.orbifold_orders, orbifold_image_orders):
+    for full, image in zip(orbifold_orders, orbifold_image_orders):
         if image != full:
             raise InconsistentCoverError(
                 f"orbifold point of order {full} has image order {image}; "
@@ -371,7 +375,7 @@ def riemann_hurwitz_cover(signature, degree, orbifold_image_orders, cusp_image_o
             raise InconsistentCoverError(f"cusp image order {k} does not divide {degree}")
         cusps_per_orbit.append(degree // k)
     cusp_count = sum(cusps_per_orbit)
-    chi_cover = degree * signature.euler_characteristic
+    chi_cover = degree * chi_orb
     genus2 = 2 - cusp_count - chi_cover  # = 2b
     if genus2.denominator != 1 or genus2.numerator % 2 != 0 or genus2 < 0:
         raise InconsistentCoverError(

@@ -20,6 +20,7 @@ from .polynomials import (
     RootInterval,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     isolate_largest_real_root,
     minpoly_two_cos,
@@ -40,6 +41,7 @@ __all__ = [
     "coordinates_in_power_basis",
     "cos_two_pi_minpoly",
     "cyclotomic_polynomial",
+    "divisors",
     "element_minimal_polynomial",
     "euler_phi",
     "in_order",

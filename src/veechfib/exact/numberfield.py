@@ -197,11 +197,6 @@ class NumberFieldElement:
         """True when all power-basis coordinates are integers."""
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def rational_value(self):
-        if not self.is_rational:
-            raise InvalidArgumentError("element is not rational")
-        return self.coeffs[0]
-
     # -- real embedding -------------------------------------------------------
 
     def sign(self):

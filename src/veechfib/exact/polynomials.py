@@ -268,12 +268,6 @@ class IntPolynomial:
     def to_qpoly(self):
         return tuple(Fraction(c) for c in self.coefficients)
 
-    @classmethod
-    def from_qpoly(cls, coeffs):
-        if any(Fraction(c).denominator != 1 for c in coeffs):
-            raise InvalidArgumentError("coefficients are not integers")
-        return cls([int(c) for c in coeffs])
-
     def to_json(self):
         """JSON form: array of decimal strings, ascending degree."""
         return [str(c) for c in self.coefficients]
@@ -459,9 +453,6 @@ class RootInterval:
     def is_exact(self):
         return self.lower == self.upper
 
-    def midpoint(self):
-        return (self.lower + self.upper) / 2
-
     def _ensure_chain(self):
         if self._squarefree is None:
             self._squarefree = squarefree_part(self.polynomial).to_qpoly()
@@ -593,6 +584,20 @@ def minpoly_two_cos(n):
     if not isinstance(n, int) or n < 3:
         raise InvalidArgumentError("minpoly_two_cos requires an integer n >= 3")
     return cos_two_pi_minpoly(2 * n)
+
+
+def divisors(n):
+    """Positive divisors of n >= 0 in ascending order, by one scan up to
+    sqrt(n); n = 0 has none."""
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
 
 
 def euler_phi(n):

@@ -13,12 +13,13 @@ Four series are orchestrated end to end:
   * elliptic(m): the genus-one series over principal congruence covers
     of the modular curve.
 
-Every family feeds the same pipeline: admissibility of the level,
-congruence degree, cusp/genus bookkeeping by multiplicative Euler
-characteristic, total twisting, then the closed-form invariants.  The
-polygon and sporadic families are also evaluated through literal
-closed-form tables (genus, cusps, e, sigma as functions of d, n, p) so
-the two code paths can be diffed; see closed_forms_* below.
+Each family builds its spec, checks the level, and finds the cover
+degree and the base's orbifold Euler characteristic; one shared step,
+evaluate, then runs Riemann-Hurwitz, twisting and the characteristic
+numbers for all of them, and the family adds its own checks.  All but
+the elliptic family are also evaluated through literal closed-form
+tables (genus, cusps, e, sigma as functions of d, n, p) so the two code
+paths can be diffed; see closed_forms_* below.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import (
+    CongruenceDegree,
     CoverData,
     OrbifoldSignature,
     congruence_degree,
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .exact.finitefield import is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
-from .exact.polynomials import rational_to_str
+from .exact.polynomials import IntPolynomial, divisors, rational_to_str
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
     enumerate_prototypes,
@@ -112,20 +114,8 @@ def real_quadratic_zeta_minus_one(d):
     total = 0
     for b in range(-math.isqrt(d), math.isqrt(d) + 1):
         if (d - b * b) % 4 == 0 and d - b * b > 0:
-            total += _sigma1((d - b * b) // 4)
+            total += sum(divisors((d - b * b) // 4))
     return Fraction(total, 60)
-
-
-def _sigma1(n):
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i
-            if i != n // i:
-                total += n // i
-        i += 1
-    return total
 
 
 # chi values pinned independently of the zeta formula
@@ -251,6 +241,52 @@ def _jsonable(v):
     return v
 
 
+def evaluate(spec, level, degree_data, chi_orb, checks, cusp_order=None, **options):
+    """Cover, twisting and invariants: the one pipeline every family runs.
+
+    The base has orbifold Euler characteristic chi_orb, the cone points
+    of spec.signature_orbifold (the Weierstrass chi_orb carries its own)
+    and one cusp of image order cusp_order, by default
+    cusp_image_order(level), per entry of spec.base_twists.  options go
+    to assemble_invariants; the result has no closed forms.
+    """
+    sig = spec.signature_orbifold
+    orbifold_orders = sig.orbifold_orders if sig is not None else ()
+    if cusp_order is None:
+        cusp_order = cusp_image_order(level)
+    try:
+        cover = riemann_hurwitz_cover(
+            chi_orb,
+            degree_data.degree,
+            orbifold_orders,
+            orbifold_orders,
+            (cusp_order,) * len(spec.base_twists),
+        )
+    except InconsistentCoverError as exc:
+        branch = ", exceptional branch" if degree_data.exceptional else ""
+        raise InconsistentCoverError(
+            f"{spec.tag} at level {level} (degree {degree_data.degree}{branch}): {exc}"
+        ) from None
+    total_t, per_cusp = cover_twisting(
+        cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
+    )
+    cover = dataclasses.replace(
+        cover, group_label=degree_data.group_label, exceptional=degree_data.exceptional
+    ).with_twisting(per_cusp, total_t)
+    invariants = assemble_invariants(
+        fiber_genus=spec.fiber_genus,
+        base_genus=cover.base_genus,
+        cusp_count=cover.cusp_count,
+        twisting=total_t,
+        zero_partition=spec.zero_partition,
+        b1=2 * cover.base_genus,
+        **options,
+    )
+    return FamilyResult(
+        spec=spec, level=level, cover=cover, invariants=invariants, checks=checks
+    )
+
+
 # ---------------------------------------------------------------------------
 # Weierstrass series
 # ---------------------------------------------------------------------------
@@ -295,47 +331,19 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
     degree_data = congruence_degree(spec.alpha_minimal_polynomial, p, 2, True)
     chi, chi_source = data.chi(d)
     n_orbits = len(protos)
-    order = cusp_image_order(p)
-    cusps_per_orbit = [degree_data.degree // order] * n_orbits
-    cusp_count = sum(cusps_per_orbit)
-    # multiplicative Euler characteristic: 2 - 2b - |cusps| = d * chi
-    genus2 = 2 - cusp_count - degree_data.degree * chi
-    if genus2.denominator != 1 or genus2.numerator % 2 != 0 or genus2 < 0:
-        raise InconsistentCoverError(
-            f"D = {d}, p = {p}: cover genus 2b = {genus2} is not a nonnegative "
-            f"even integer (degree {degree_data.degree}"
-            + (", exceptional branch" if degree_data.exceptional else "")
-            + ")"
-        )
-    base_genus = int(genus2) // 2
-    total_t, per_cusp = cover_twisting(
-        cusps_per_orbit, [order] * n_orbits, spec.base_twists, spec.roots
+    checks = {"chi_source": chi_source, "chi": chi, "prototype_count": n_orbits}
+    result = evaluate(
+        spec,
+        p,
+        degree_data,
+        chi,
+        checks,
+        # the one base-genus-0 member with a proof
+        minimality_proven=d == 5 and p == 3,
     )
-    cover = CoverData(
-        degree=degree_data.degree,
-        base_genus=base_genus,
-        cusp_count=cusp_count,
-        cusps_per_orbit=tuple(cusps_per_orbit),
-        cusp_image_orders=tuple([order] * n_orbits),
-        group_label=degree_data.group_label,
-        exceptional=degree_data.exceptional,
-    ).with_twisting(per_cusp, total_t)
-    minimality = d == 5 and p == 3  # the one base-genus-0 member with a proof
-    invariants = assemble_invariants(
-        fiber_genus=2,
-        base_genus=base_genus,
-        cusp_count=cusp_count,
-        twisting=total_t,
-        zero_partition=(2,),
-        b1=2 * base_genus,
-        minimality_proven=minimality,
-    )
-    checks = {
-        "chi_source": chi_source,
-        "chi": chi,
-        "prototype_count": n_orbits,
-        "bmy_sufficient": bmy_sufficient(2, cusp_count, total_t) if base_genus >= 1 else None,
-    }
+    cover = result.cover
+    bmy = bmy_sufficient(2, cover.cusp_count, cover.total_twisting)
+    checks["bmy_sufficient"] = bmy if cover.base_genus >= 1 else None
     e2 = data.e2(d, n_orbits)
     if 8 < d <= 41 and e2 is not None:
         # genus positivity of the cover for every p >= 3:
@@ -343,12 +351,8 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         lhs = Fraction(n_orbits, 2) + Fraction(e2, 4) - Fraction(n_orbits, 2 * p)
         checks["genus_positivity"] = lhs >= 1
         checks["e2"] = e2
-    return FamilyResult(
-        spec=spec,
-        level=p,
-        cover=cover,
-        invariants=invariants,
-        checks=checks,
+    return dataclasses.replace(
+        result,
         closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, protos),
     )
 
@@ -428,45 +432,37 @@ def run_structural_checks(model):
 def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
     spec, model = polygon_spec(n)
+    return _model_family(
+        spec,
+        model,
+        p,
+        lambda degree: closed_forms_polygon(n, p, degree),
+        minimality_proven=n == 5 and p == 3,
+    )
+
+
+def _model_family(spec, model, p, closed_forms, minimality_proven=False):
+    """The polygon and sporadic pipeline over a built surface model."""
     checks = run_structural_checks(model)
     if not all(checks.values()):
         raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
     degree_data = congruence_degree(
-        spec.alpha_minimal_polynomial, p, spec.fiber_genus, True
+        spec.alpha_minimal_polynomial, p, spec.fiber_genus, spec.contains_minus_identity
     )
-    sig = spec.signature_orbifold
-    order = cusp_image_order(p)
-    cover = riemann_hurwitz_cover(
-        sig, degree_data.degree, sig.orbifold_orders, (order,) * sig.cusp_count
+    result = evaluate(
+        spec,
+        p,
+        degree_data,
+        spec.signature_orbifold.euler_characteristic,
+        checks,
+        minimality_proven=minimality_proven,
     )
-    total_t, per_cusp = cover_twisting(
-        cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
-    )
-    cover = dataclasses.replace(
-        cover, group_label=degree_data.group_label, exceptional=degree_data.exceptional
-    ).with_twisting(per_cusp, total_t)
-    minimality = n == 5 and p == 3
-    invariants = assemble_invariants(
-        fiber_genus=spec.fiber_genus,
-        base_genus=cover.base_genus,
-        cusp_count=cover.cusp_count,
-        twisting=total_t,
-        zero_partition=spec.zero_partition,
-        b1=2 * cover.base_genus,
-        minimality_proven=minimality,
-    )
+    cover = result.cover
     if cover.base_genus >= 1:
         checks["bmy_sufficient"] = bmy_sufficient(
-            spec.fiber_genus, cover.cusp_count, total_t
+            spec.fiber_genus, cover.cusp_count, cover.total_twisting
         )
-    return FamilyResult(
-        spec=spec,
-        level=p,
-        cover=cover,
-        invariants=invariants,
-        checks=checks,
-        closed_forms=closed_forms_polygon(n, p, degree_data.degree),
-    )
+    return dataclasses.replace(result, closed_forms=closed_forms(degree_data.degree))
 
 
 def closed_forms_polygon(n, p, degree):
@@ -550,41 +546,8 @@ def sporadic_spec(which):
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
     spec, model = sporadic_spec(which)
-    checks = run_structural_checks(model)
-    if not all(checks.values()):
-        raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
-    degree_data = congruence_degree(
-        spec.alpha_minimal_polynomial, p, spec.fiber_genus, False
-    )
-    sig = spec.signature_orbifold
-    order = cusp_image_order(p)
-    cover = riemann_hurwitz_cover(
-        sig, degree_data.degree, sig.orbifold_orders, (order, order)
-    )
-    total_t, per_cusp = cover_twisting(
-        cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
-    )
-    cover = dataclasses.replace(
-        cover, group_label=degree_data.group_label, exceptional=degree_data.exceptional
-    ).with_twisting(per_cusp, total_t)
-    invariants = assemble_invariants(
-        fiber_genus=spec.fiber_genus,
-        base_genus=cover.base_genus,
-        cusp_count=cover.cusp_count,
-        twisting=total_t,
-        zero_partition=spec.zero_partition,
-        b1=2 * cover.base_genus,
-    )
-    checks["bmy_sufficient"] = bmy_sufficient(
-        spec.fiber_genus, cover.cusp_count, total_t
-    )
-    return FamilyResult(
-        spec=spec,
-        level=p,
-        cover=cover,
-        invariants=invariants,
-        checks=checks,
-        closed_forms=closed_forms_sporadic(which, p, degree_data.degree),
+    return _model_family(
+        spec, model, p, lambda degree: closed_forms_sporadic(which, p, degree)
     )
 
 
@@ -637,20 +600,6 @@ def elliptic_family(m):
     """Genus-one fibration over the level-m principal congruence cover."""
     degree = principal_congruence_index(m)
     sig = OrbifoldSignature(0, (2, 3), 1)
-    cover = riemann_hurwitz_cover(sig, degree, (2, 3), (m,))
-    total_t, per_cusp = cover_twisting(cover.cusps_per_orbit, (m,), (1,), (1,))
-    cover = dataclasses.replace(cover, group_label=f"PSL(2,Z/{m})").with_twisting(
-        per_cusp, total_t
-    )
-    invariants = assemble_invariants(
-        fiber_genus=1,
-        base_genus=cover.base_genus,
-        cusp_count=cover.cusp_count,
-        twisting=total_t,
-        zero_partition=(),
-        b1=2 * cover.base_genus,
-        elliptic_level=m,
-    )
     spec = FamilySpec(
         tag=f"elliptic-{m}",
         fiber_genus=1,
@@ -663,14 +612,18 @@ def elliptic_family(m):
     )
     smooth_tag = {3: "E(1)", 4: "E(2)", 5: "E(5)"}.get(m)
     checks = {"smooth_4manifold": smooth_tag} if smooth_tag else {}
-    return FamilyResult(
-        spec=spec, level=m, cover=cover, invariants=invariants, checks=checks
+    return evaluate(
+        spec,
+        m,
+        CongruenceDegree(degree, 2 * degree, f"PSL(2,Z/{m})", False),
+        sig.euler_characteristic,
+        checks,
+        cusp_order=m,
+        elliptic_level=m,
     )
 
 
-from .exact.polynomials import IntPolynomial as _IntPolynomial
-
-_X_MINUS_ONE = _IntPolynomial([-1, 1])
+_X_MINUS_ONE = IntPolynomial([-1, 1])
 
 
 # ---------------------------------------------------------------------------

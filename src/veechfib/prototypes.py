@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, InvalidDiscriminantError, SpinRequiredError
-from .exact.polynomials import IntPolynomial
+from .exact.polynomials import IntPolynomial, divisors
 
 
 @dataclass(frozen=True, order=True)
@@ -80,7 +80,7 @@ def enumerate_prototypes(d, spin_filter=None):
         wh = (d - e * e) // 4
         if wh <= 0:
             continue
-        for w in _divisors_of(wh):
+        for w in divisors(wh):
             h = wh // w
             if not h + e < w:
                 continue
@@ -97,18 +97,6 @@ def enumerate_prototypes(d, spin_filter=None):
 
 def _gcd4(w, h, t, e):
     return math.gcd(math.gcd(w, h), math.gcd(t, abs(e)))
-
-
-def _divisors_of(n):
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
 
 
 def prototype_twisting(proto):

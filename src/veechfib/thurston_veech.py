@@ -5,7 +5,9 @@ bipartite graph (black = horizontal core curves, white = vertical ones,
 entries of Q count intersections), solves the eigenvector system
 Q h = mu h exactly in the number field of the dominant eigenvalue, and
 produces a cylinder list in which every cylinder has inverse modulus mu
-(circumference = mu * height).
+(circumference = mu * height).  The eigenvector is found by leaf
+propagation, which resolves every tree; a graph it leaves unresolved
+raises UnsupportedGraphError.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
 E8 diagrams.  For even regular-polygon surfaces the order-2 rotation of
@@ -45,6 +47,7 @@ from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa:
 from .exact.polynomials import (
     IntPolynomial,
     cos_two_pi_minpoly,
+    divisors,
     isolate_largest_real_root,
     squarefree_part,
 )
@@ -196,7 +199,7 @@ def _minimal_polynomial_of_largest_root(cp):
         rest = rest.divmod_monic(IntPolynomial([0, 1]))[0]
     const = rest.coefficients[0] if not rest.is_zero else 0
     if abs(const) <= 10**6 and rest.degree >= 1:
-        for r in sorted(_divisors(abs(const)) | {0}):
+        for r in divisors(abs(const)):
             for root in (r, -r):
                 cand = IntPolynomial([-root, 1])
                 while rest.degree >= 1 and rest.evaluate(root) == 0:
@@ -246,19 +249,6 @@ def _minimal_polynomial_of_largest_root(cp):
     if best is None:
         raise UnsupportedGraphError("adjacency matrix has no real eigenvalue")
     return best
-
-
-def _divisors(n):
-    if n == 0:
-        return set()
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
 
 
 def perron_frobenius(graph):
@@ -315,56 +305,10 @@ def _solve_eigenvector(adj, fld, mu):
             return tuple(heights)
         if not progress:
             break
-    return _solve_eigenvector_dense(adj, fld, mu)
-
-
-def _solve_eigenvector_dense(adj, fld, mu):
-    """Gaussian elimination for (A - mu I) h = 0 with h[0] = 1."""
-    n = len(adj)
-    rows = []
-    for v in range(n):
-        row = [fld.from_rational(adj[v][u]) for u in range(n)]
-        row[v] = row[v] - mu
-        rows.append(row)
-    # substitute h[0] = 1: move column 0 to the right-hand side
-    rhs = [(-rows[v][0]) for v in range(n)]
-    mat = [row[1:] for row in rows]
-    sol = _field_solve(mat, rhs, fld)
-    if sol is None:
-        raise UnsupportedGraphError("eigenvector system is degenerate")
-    return tuple([fld.one] + sol)
-
-
-def _field_solve(mat, rhs, fld):
-    rows = [list(r) + [b] for r, b in zip(mat, rhs)]
-    n_unknowns = len(mat[0]) if mat else 0
-    r = 0
-    pivots = []
-    for c in range(n_unknowns):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < n_unknowns:
-        return None
-    sol = [fld.zero] * n_unknowns
-    for row_i, c in enumerate(pivots):
-        sol[c] = rows[row_i][-1]
-    for row, b in zip(mat, rhs):
-        acc = fld.zero
-        for a, x in zip(row, sol):
-            acc = acc + a * x
-        if acc != b:
-            return None
-    return sol
+    raise UnsupportedGraphError(
+        "leaf propagation cannot solve the eigenvector system; "
+        "only tree diagrams are supported"
+    )
 
 
 def _verify_eigenvector(adj, mu, heights):

@@ -138,19 +138,22 @@ def test_orbifold_signature_validation():
 
 
 def test_riemann_hurwitz_double_pentagon_cover():
-    cover = riemann_hurwitz_cover(OrbifoldSignature(0, (2, 5), 1), 60, (2, 5), (3,))
+    chi_orb = OrbifoldSignature(0, (2, 5), 1).euler_characteristic
+    cover = riemann_hurwitz_cover(chi_orb, 60, (2, 5), (2, 5), (3,))
     assert cover.base_genus == 0
     assert cover.cusp_count == 20
 
 
 def test_riemann_hurwitz_polygon7_cover():
-    cover = riemann_hurwitz_cover(OrbifoldSignature(0, (2, 7), 1), 9828, (2, 7), (3,))
+    chi_orb = OrbifoldSignature(0, (2, 7), 1).euler_characteristic
+    cover = riemann_hurwitz_cover(chi_orb, 9828, (2, 7), (2, 7), (3,))
     assert cover.base_genus == 118
     assert cover.cusp_count == 3276
 
 
 def test_riemann_hurwitz_identity_cover():
-    cover = riemann_hurwitz_cover(OrbifoldSignature(0, (), 3), 1, (), (1, 1, 1))
+    chi_orb = OrbifoldSignature(0, (), 3).euler_characteristic
+    cover = riemann_hurwitz_cover(chi_orb, 1, (), (), (1, 1, 1))
     assert cover.base_genus == 0 and cover.cusp_count == 3
 
 
@@ -160,7 +163,9 @@ def test_riemann_hurwitz_round_trip():
     for degree, cusp_order in ((660, 3), (660, 5)):
         if degree % cusp_order:
             continue
-        cover = riemann_hurwitz_cover(sig, degree, (2, 11), (cusp_order,))
+        cover = riemann_hurwitz_cover(
+            sig.euler_characteristic, degree, (2, 11), (2, 11), (cusp_order,)
+        )
         chi_cover = Fraction(2 - 2 * cover.base_genus - cover.cusp_count)
         assert chi_cover / degree == sig.euler_characteristic
 
@@ -168,14 +173,14 @@ def test_riemann_hurwitz_round_trip():
 def test_riemann_hurwitz_rejects_partial_orbifold_image():
     sig = OrbifoldSignature(0, (2, 5), 1)
     with pytest.raises(InconsistentCoverError):
-        riemann_hurwitz_cover(sig, 60, (2, 1), (3,))
+        riemann_hurwitz_cover(sig.euler_characteristic, 60, (2, 5), (2, 1), (3,))
 
 
 def test_riemann_hurwitz_rejects_non_integral_genus():
     # degree 60 with 2 cusp orbits of order 3 over the octagon orbifold
     sig = OrbifoldSignature(0, (4,), 2)
     with pytest.raises(InconsistentCoverError):
-        riemann_hurwitz_cover(sig, 60, (4,), (3, 3))
+        riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), (4,), (3, 3))
 
 
 def test_cover_twisting_examples():

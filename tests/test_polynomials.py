@@ -8,6 +8,7 @@ from veechfib.exact.polynomials import (
     IntPolynomial,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     isolate_largest_real_root,
     minpoly_two_cos,
@@ -115,3 +116,9 @@ def test_arithmetic_basics():
     assert q == f and r.is_zero
     assert (f * g).try_exact_divide(f) == g
     assert IntPolynomial([1, 1]).try_exact_divide(IntPolynomial([0, 2])) is None
+
+
+def test_divisors_match_brute_force():
+    assert divisors(0) == []
+    for n in range(1, 2001):
+        assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]

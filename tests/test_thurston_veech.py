@@ -1,6 +1,10 @@
 import pytest
 
-from veechfib.errors import InvalidArgumentError, UnsupportedFamilyError
+from veechfib.errors import (
+    InvalidArgumentError,
+    UnsupportedFamilyError,
+    UnsupportedGraphError,
+)
 from veechfib.exact.linalg import charpoly, rank
 from veechfib.exact.numberfield import RealAlgebraicField
 from veechfib.exact.polynomials import IntPolynomial, minpoly_two_cos
@@ -42,6 +46,13 @@ def test_graph_validation():
         BipartiteIntersectionGraph(((1, 0), (0, 1)))  # disconnected
     with pytest.raises(InvalidArgumentError):
         BipartiteIntersectionGraph(((-1,),))
+
+
+def test_perron_frobenius_refuses_graph_leaf_propagation_cannot_solve():
+    # the 4-cycle: two black curves each meeting both white curves once
+    # (dominant eigenvalue 2); no vertex equation ever has one unknown
+    with pytest.raises(UnsupportedGraphError, match="leaf propagation"):
+        perron_frobenius(BipartiteIntersectionGraph(((1, 1), (1, 1))))
 
 
 def test_perron_frobenius_path_two():
