@@ -20,6 +20,7 @@ width.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -589,15 +590,10 @@ def minpoly_two_cos(n):
 def divisors(n):
     """Positive divisors of n >= 0 in ascending order, by one scan up to
     sqrt(n); n = 0 has none."""
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    if n < 1:
+        return []
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def euler_phi(n):

@@ -53,6 +53,7 @@ from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept b
 from .exact.polynomials import IntPolynomial, divisors, rational_to_str
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
+    check_enumerable,
     enumerate_prototypes,
     prototype_twisting,
     standard_parameters,
@@ -292,45 +293,47 @@ def evaluate(spec, level, degree_data, chi_orb, checks, cusp_order=None, **optio
 # ---------------------------------------------------------------------------
 
 
-def weierstrass_spec(d, spin_filter=None):
-    protos = enumerate_prototypes(d, spin_filter)
+def weierstrass_alpha_polynomial(d):
+    """m_alpha of discriminant D from its standard parameters."""
     w, e = standard_parameters(d)
     m_alpha = weierstrass_alpha(w, e)
     # discriminant identity: disc(m_alpha) = e^2 + 4w = D
     b, c = m_alpha.coefficients[1], m_alpha.coefficients[0]
     if b * b - 4 * c != d:
         raise InvalidArgumentError("trace-field polynomial discriminant mismatch")
-    return (
-        FamilySpec(
-            tag=f"weierstrass-{d}",
-            fiber_genus=2,
-            zero_partition=(2,),
-            alpha_minimal_polynomial=m_alpha,
-            contains_minus_identity=True,
-            signature_orbifold=None,
-            base_twists=tuple(prototype_twisting(p) for p in protos),
-            roots=tuple(1 for _ in protos),
-        ),
-        protos,
-    )
+    return m_alpha
 
 
 def weierstrass_family(d, p, data=None, spin_filter=None):
-    """Full pipeline for the discriminant-D eigenform at level p."""
+    """Full pipeline for the discriminant-D eigenform at level p; every
+    refusal comes before the prototypes are enumerated (order of the
+    checks: see veechfib.prototypes)."""
     data = data if data is not None else CurveDataTable()
-    spec, protos = weierstrass_spec(d, spin_filter)
+    check_enumerable(d, spin_filter)
+    m_alpha = weierstrass_alpha_polynomial(d)
     if p != 2 and d % p != 0:
         nonresidue = is_quadratic_nonresidue(d, p)
-        irreducible = is_irreducible_mod_p(spec.alpha_minimal_polynomial, p)
+        irreducible = is_irreducible_mod_p(m_alpha, p)
         if nonresidue != irreducible:
             raise InvalidArgumentError("residue test disagrees with irreducibility")
         if not nonresidue:
             raise InadmissiblePrimeError(
                 f"D = {d} is a quadratic residue mod {p}; level inadmissible"
             )
-    degree_data = congruence_degree(spec.alpha_minimal_polynomial, p, 2, True)
+    degree_data = congruence_degree(m_alpha, p, 2, True)
     chi, chi_source = data.chi(d)
+    protos = enumerate_prototypes(d, spin_filter)
     n_orbits = len(protos)
+    spec = FamilySpec(
+        tag=f"weierstrass-{d}",
+        fiber_genus=2,
+        zero_partition=(2,),
+        alpha_minimal_polynomial=m_alpha,
+        contains_minus_identity=True,
+        signature_orbifold=None,
+        base_twists=tuple(map(prototype_twisting, protos)),
+        roots=(1,) * n_orbits,
+    )
     checks = {"chi_source": chi_source, "chi": chi, "prototype_count": n_orbits}
     result = evaluate(
         spec,
@@ -358,12 +361,13 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
 
 
 def closed_forms_weierstrass(d, p, degree, chi, protos):
-    """Tabulated closed forms for the Weierstrass series."""
+    """Tabulated closed forms for the Weierstrass series.
+
+    The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which
+    equals (w + h)/gcd(w, h) = prototype_twisting term by term.
+    """
     n = len(protos)
-    twist_sum = sum(
-        (1 + Fraction(q.h, q.w)) * _lcm_one_ratio(q.w, q.h) for q in protos
-    )
-    total_t = degree * twist_sum
+    total_t = degree * Fraction(sum(map(prototype_twisting, protos)))
     cusps = Fraction(degree, p) * n
     e = -2 * (degree * chi + cusps) + total_t
     sigma = Fraction(-4 * degree, 9) * chi - Fraction(2, 3) * total_t
@@ -375,12 +379,6 @@ def closed_forms_weierstrass(d, p, degree, chi, protos):
         "euler": e,
         "sigma": sigma,
     }
-
-
-def _lcm_one_ratio(w, h):
-    """Least positive integer multiple of both 1 and h/w: the reduced
-    numerator a of w/h = a/b."""
-    return w // math.gcd(w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +633,7 @@ def family_alpha_polynomial(family_tag):
     """Minimal polynomial of the congruence parameter, plus its genus."""
     tag = family_tag.strip()
     if tag.lower().startswith("weierstrass-"):
-        spec, _ = weierstrass_spec(int(tag.split("-", 1)[1]), spin_filter=lambda _p: True)
-        return spec.alpha_minimal_polynomial, spec.fiber_genus
+        return weierstrass_alpha_polynomial(int(tag.split("-", 1)[1])), 2
     if tag.lower().startswith("polygon-"):
         spec, _ = polygon_spec(int(tag.split("-", 1)[1]))
         return spec.alpha_minimal_polynomial, spec.fiber_genus
@@ -675,6 +672,8 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
     Discriminants that are squares, residues mod p, spin-split without
     a filter, or missing curve data are skipped (and reported).
     """
+    if p == 2 or not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not an odd prime")
     data = data if data is not None else CurveDataTable()
     rows = []
     skipped = []

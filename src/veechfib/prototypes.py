@@ -12,22 +12,32 @@ multitwist about that cusp does a twists in the short cylinder and b in
 the long one, where w/h = a/b in lowest terms, for a total twist count
 of a + b.
 
+Prototype is a NamedTuple (w, h, t, e, discriminant): it sorts, hashes
+and prints as that tuple.  enumerate_prototypes checks the conditions
+above as integers on each candidate and calls validate() only to name
+the one that fails.
+
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
 explicit spin filter, since no spin formula is built in.
+
+families.weierstrass_family refuses before it enumerates: it checks the
+discriminant and the spin filter, builds m_alpha from
+standard_parameters, runs the residue test, takes the congruence degree
+and looks up chi(C_D), and only then enumerates.  So a user spin filter
+runs only for D that pass the level and chi tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, InvalidDiscriminantError, SpinRequiredError
 from .exact.polynomials import IntPolynomial, divisors
 
 
-@dataclass(frozen=True, order=True)
-class Prototype:
+class Prototype(NamedTuple):
     w: int
     h: int
     t: int
@@ -35,7 +45,7 @@ class Prototype:
     discriminant: int
 
     def validate(self):
-        w, h, t, e, d = self.w, self.h, self.t, self.e, self.discriminant
+        w, h, t, e, d = self
         if d != e * e + 4 * w * h:
             raise InvalidArgumentError(f"{self}: discriminant mismatch")
         if w <= 0 or h <= 0:
@@ -44,7 +54,7 @@ class Prototype:
             raise InvalidArgumentError(f"{self}: t out of range")
         if not h + e < w:
             raise InvalidArgumentError(f"{self}: requires h + e < w")
-        if _gcd4(w, h, t, e) != 1:
+        if math.gcd(w, h, t, e) != 1:
             raise InvalidArgumentError(f"{self}: not primitive")
         return True
 
@@ -60,6 +70,17 @@ def _check_discriminant(d):
         raise InvalidDiscriminantError(f"D = {d} is a square")
 
 
+def check_enumerable(d, spin_filter):
+    """Raise unless the prototypes of D can be enumerated: D must be a
+    nonsquare discriminant >= 5, and D = 1 mod 8 needs a spin_filter."""
+    _check_discriminant(d)
+    if d % 8 == 1 and spin_filter is None:
+        raise SpinRequiredError(
+            f"D = {d} = 1 mod 8: prototypes split into two spin classes; "
+            "pass a spin_filter selecting one"
+        )
+
+
 def enumerate_prototypes(d, spin_filter=None):
     """All prototypes of discriminant D, sorted lexicographically.
 
@@ -67,36 +88,34 @@ def enumerate_prototypes(d, spin_filter=None):
     receives each candidate Prototype and keeps the spin class of
     interest.
     """
-    _check_discriminant(d)
-    if d % 8 == 1 and spin_filter is None:
-        raise SpinRequiredError(
-            f"D = {d} = 1 mod 8: prototypes split into two spin classes; "
-            "pass a spin_filter selecting one"
-        )
+    check_enumerable(d, spin_filter)
+    gcd = math.gcd
     out = []
-    for e in range(-math.isqrt(d), math.isqrt(d) + 1):
-        if (d - e * e) % 4 != 0:
-            continue
-        wh = (d - e * e) // 4
-        if wh <= 0:
+    r = math.isqrt(d)
+    for e in range(-r, r + 1):
+        wh, rem = divmod(d - e * e, 4)  # wh >= 1: D is not a square
+        if rem:
             continue
         for w in divisors(wh):
             h = wh // w
             if not h + e < w:
                 continue
-            for t in range(math.gcd(w, h)):
-                if _gcd4(w, h, t, e) != 1:
+            g = gcd(w, h)
+            ge = gcd(g, e)
+            # the prototype conditions as integers; validate() names the
+            # one that fails
+            valid = d == e * e + 4 * w * h and w > 0 and h > 0 and h + e < w
+            for t in range(g):
+                if gcd(ge, t) != 1:
                     continue
                 proto = Prototype(w, h, t, e, d)
-                proto.validate()
+                if not (valid and 0 <= t < g):
+                    proto.validate()
                 out.append(proto)
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
-    return sorted(out)
-
-
-def _gcd4(w, h, t, e):
-    return math.gcd(math.gcd(w, h), math.gcd(t, abs(e)))
+    out.sort()
+    return out
 
 
 def prototype_twisting(proto):

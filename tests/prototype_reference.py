@@ -1,0 +1,82 @@
+"""The dataclass prototype enumerator: the reference for enumerate_prototypes.
+
+This is the enumerator the library used before Prototype became a
+NamedTuple: a frozen, ordered dataclass, a validate() call on every
+prototype, gcd(w, h, t, e) recomputed for every t, and a sort through
+the dataclass comparison.  It shares only the discriminant check and
+the divisor list with veechfib.prototypes, and only serves tests.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from veechfib.errors import InvalidArgumentError, SpinRequiredError
+from veechfib.exact.polynomials import divisors
+from veechfib.prototypes import _check_discriminant
+
+
+@dataclass(frozen=True, order=True)
+class Prototype:
+    w: int
+    h: int
+    t: int
+    e: int
+    discriminant: int
+
+    def validate(self):
+        w, h, t, e, d = self.w, self.h, self.t, self.e, self.discriminant
+        if d != e * e + 4 * w * h:
+            raise InvalidArgumentError(f"{self}: discriminant mismatch")
+        if w <= 0 or h <= 0:
+            raise InvalidArgumentError(f"{self}: w and h must be positive")
+        if not (0 <= t < math.gcd(w, h)):
+            raise InvalidArgumentError(f"{self}: t out of range")
+        if not h + e < w:
+            raise InvalidArgumentError(f"{self}: requires h + e < w")
+        if _gcd4(w, h, t, e) != 1:
+            raise InvalidArgumentError(f"{self}: not primitive")
+        return True
+
+    def as_tuple(self):
+        return (self.w, self.h, self.t, self.e)
+
+
+def enumerate_prototypes(d, spin_filter=None):
+    """All prototypes of discriminant D, sorted lexicographically.
+
+    For D = 1 mod 8 a spin_filter predicate must be supplied; it
+    receives each candidate Prototype and keeps the spin class of
+    interest.
+    """
+    _check_discriminant(d)
+    if d % 8 == 1 and spin_filter is None:
+        raise SpinRequiredError(
+            f"D = {d} = 1 mod 8: prototypes split into two spin classes; "
+            "pass a spin_filter selecting one"
+        )
+    out = []
+    for e in range(-math.isqrt(d), math.isqrt(d) + 1):
+        if (d - e * e) % 4 != 0:
+            continue
+        wh = (d - e * e) // 4
+        if wh <= 0:
+            continue
+        for w in divisors(wh):
+            h = wh // w
+            if not h + e < w:
+                continue
+            for t in range(math.gcd(w, h)):
+                if _gcd4(w, h, t, e) != 1:
+                    continue
+                proto = Prototype(w, h, t, e, d)
+                proto.validate()
+                out.append(proto)
+    if spin_filter is not None:
+        out = [p for p in out if spin_filter(p)]
+    return sorted(out)
+
+
+def _gcd4(w, h, t, e):
+    return math.gcd(math.gcd(w, h), math.gcd(t, abs(e)))

@@ -203,6 +203,24 @@ def test_scatter_command(capsys):
     assert "5,116,16," in out
 
 
+@pytest.mark.parametrize(
+    "p, d_min, d_max",
+    [
+        ("9", "16", "17"),  # no D in range reaches a residue test
+        ("2", "30", "5"),  # empty range
+        ("9", "5", "30"),
+        ("0", "5", "30"),  # must not reach d % p
+    ],
+)
+def test_scatter_rejects_a_bad_level_exit_2(capsys, p, d_min, d_max):
+    code, out, err = run_cli(capsys, "scatter", "--p", p, "--min-D", d_min, "--max-D", d_max)
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"] == f"{p} is not an odd prime"
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

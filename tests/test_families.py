@@ -5,6 +5,7 @@ import pytest
 from veechfib.errors import (
     InadmissiblePrimeError,
     InconsistentCoverError,
+    InvalidDiscriminantError,
     MissingCurveDataError,
     SpinRequiredError,
     UnsupportedFamilyError,
@@ -17,6 +18,7 @@ from veechfib.families import (
     chern_scatter,
     chern_scatter_csv,
     elliptic_family,
+    family_alpha_polynomial,
     is_fundamental_discriminant,
     polygon_family,
     principal_congruence_index,
@@ -25,6 +27,7 @@ from veechfib.families import (
     weierstrass_family,
 )
 from veechfib.invariants import kappa_mu, signature
+from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.thurston_veech import build_surface
 
 
@@ -89,6 +92,57 @@ def test_weierstrass_level3_octagon_surfaces_inconsistency():
 def test_weierstrass_spin_discriminant_needs_filter():
     with pytest.raises(SpinRequiredError):
         weierstrass_family(17, 3)
+
+
+@pytest.mark.parametrize(
+    "d_disc, p, error",
+    [
+        # a residue (96 = 1 mod 5) or a ramified level (5 | 45) is refused
+        # before the missing curve data of these non-fundamental D
+        (96, 5, InadmissiblePrimeError),
+        (45, 5, InadmissiblePrimeError),
+        (45, 7, MissingCurveDataError),
+        (32, 5, MissingCurveDataError),
+        # the spin filter is asked for before the level is looked at
+        (33, 3, SpinRequiredError),
+        (41, 5, SpinRequiredError),
+        (4, 3, InvalidDiscriminantError),
+    ],
+)
+def test_weierstrass_error_precedence(d_disc, p, error):
+    with pytest.raises(error):
+        weierstrass_family(d_disc, p)
+
+
+def test_weierstrass_spin_filter_runs_only_after_level_and_chi():
+    calls = []
+
+    def keep_all(proto):
+        calls.append(proto)
+        return True
+
+    with pytest.raises(InadmissiblePrimeError):
+        weierstrass_family(17, 13, spin_filter=keep_all)  # 17 = 2^2 mod 13
+    with pytest.raises(MissingCurveDataError):
+        weierstrass_family(17, 5, spin_filter=keep_all)
+    assert calls == []
+    data = CurveDataTable([ExternalCurveData(17, Fraction(-3, 2))])
+    result = weierstrass_family(17, 5, data=data, spin_filter=keep_all)
+    assert len(calls) == result.checks["prototype_count"] == 6
+
+
+def test_weierstrass_alpha_polynomial_needs_no_spin_filter():
+    for d_disc in (5, 8, 13, 17, 33, 41, 1000):
+        w, e = standard_parameters(d_disc)
+        assert family_alpha_polynomial(f"weierstrass-{d_disc}") == (
+            weierstrass_alpha(w, e),
+            2,
+        )
+    with pytest.raises(InvalidDiscriminantError):
+        family_alpha_polynomial("weierstrass-9")
+    assert admissible_primes("weierstrass-17", 20) == [
+        (3, True), (5, False), (7, False), (11, False)
+    ]
 
 
 def test_weierstrass_genus_positivity_check():

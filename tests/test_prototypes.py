@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veechfib.errors import InvalidDiscriminantError, SpinRequiredError
+import prototype_reference as reference
+from veechfib.errors import InvalidArgumentError, InvalidDiscriminantError, SpinRequiredError
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.prototypes import (
     Prototype,
@@ -103,3 +105,73 @@ def test_csv_emitter():
         "8,1,1,0,-2,2",
         "8,2,1,0,0,3",
     ]
+
+
+def _discriminants(limit=3000):
+    return [d for d in range(5, limit) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+
+
+def _selective(proto):
+    # keeps part of each D's prototypes, from several fields at once
+    return (proto.w + 2 * proto.t - proto.e) % 3 != 0
+
+
+def test_enumeration_matches_dataclass_reference():
+    for d in _discriminants():
+        filters = (None,) if d % 8 != 1 else (lambda _p: True, _selective)
+        for spin_filter in filters:
+            got = [p.as_tuple() for p in enumerate_prototypes(d, spin_filter)]
+            want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
+            assert got == want, (d, spin_filter)
+
+
+def test_spin_filter_sees_every_candidate_prototype():
+    seen, seen_reference = [], []
+    kept = enumerate_prototypes(41, lambda p: seen.append(p) or _selective(p))
+    reference.enumerate_prototypes(41, lambda p: seen_reference.append(p) or True)
+    assert all(isinstance(p, Prototype) for p in seen)
+    assert sorted(p.as_tuple() for p in seen) == sorted(p.as_tuple() for p in seen_reference)
+    assert 0 < len(kept) < len(seen)
+
+
+def test_prototype_repr_order_and_fields_unchanged():
+    proto = Prototype(1, 1, 0, -1, 5)
+    assert repr(proto) == "Prototype(w=1, h=1, t=0, e=-1, discriminant=5)"
+    assert repr(proto) == repr(reference.Prototype(1, 1, 0, -1, 5))
+    assert Prototype._fields == ("w", "h", "t", "e", "discriminant")
+    assert proto.as_tuple() == (1, 1, 0, -1)
+    fields = [(3, 1, 0, 1, 13), (1, 3, 0, -3, 21), (3, 1, 0, -3, 21), (2, 2, 1, 0, 16),
+              (2, 2, 0, 1, 17), (1, 1, 0, -1, 5), (3, 1, 0, -1, 13), (2, 2, 1, -1, 17)]
+    got = [p.as_tuple() for p in sorted(Prototype(*f) for f in fields)]
+    want = [p.as_tuple() for p in sorted(reference.Prototype(*f) for f in fields)]
+    assert got == want
+    with pytest.raises(AttributeError):
+        proto.w = 2
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ((1, 1, 0, -1, 6), "discriminant mismatch"),
+        ((0, 2, 0, 1, 1), "w and h must be positive"),
+        ((2, 2, 2, 0, 16), "t out of range"),
+        ((1, 1, 0, 1, 5), "requires h + e < w"),
+        ((4, 2, 0, 0, 32), "not primitive"),
+    ],
+)
+def test_validate_messages_unchanged(fields, reason):
+    messages = []
+    for cls in (Prototype, reference.Prototype):
+        with pytest.raises(InvalidArgumentError) as excinfo:
+            cls(*fields).validate()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1] == f"{Prototype(*fields)!r}: {reason}"
+
+
+def test_table_twist_sum_equals_prototype_twisting_sum():
+    # the closed form's sum of (1 + h/w) * w/gcd(w, h), in Fractions,
+    # against the integer sum the pipeline uses
+    for d in _discriminants():
+        protos = enumerate_prototypes(d, (lambda _p: True) if d % 8 == 1 else None)
+        table = sum((1 + Fraction(q.h, q.w)) * (q.w // math.gcd(q.w, q.h)) for q in protos)
+        assert table == sum(map(prototype_twisting, protos)), d

@@ -44,3 +44,29 @@ def test_tracer_installs_every_span_site_and_restores_it():
         cls.__dict__[method] is original
         for (cls, method), original in zip(methods, before_methods)
     )
+
+
+def test_tracer_records_one_enumeration_per_scatter_row():
+    """The eigenform-scatter per-layer metrics read the enumerate_prototypes
+    span: it must fire once for each row D of a scatter, inside that D's
+    weierstrass_family span, and count the prototypes of that D."""
+    from veechfib import families
+    from veechfib.prototypes import enumerate_prototypes
+
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rows, skipped = families.chern_scatter(5, 60, 5)
+    finally:
+        t.uninstall()
+    assert rows and skipped
+    names = [span[1] for span in t.spans]
+    enumerations = [span for span in t.spans if span[1] == "prototypes.enumerate_prototypes"]
+    assert len(enumerations) == len(rows)
+    assert all(names[span[4]] == "families.weierstrass_family" for span in enumerations)
+    assert t.counts["prototypes.enumerate_prototypes.yielded"] == sum(
+        len(enumerate_prototypes(d)) for d, *_ in rows
+    )
+    stats = tracer.summarize(t.spans)
+    assert stats["prototypes.enumerate_prototypes"][0] == len(rows)
