@@ -33,7 +33,7 @@ from .errors import (
     InvalidRootDataError,
 )
 from .exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
-from .exact.polynomials import IntPolynomial, rational_to_str
+from .exact.polynomials import IntPolynomial, prime_factors, rational_to_str
 
 
 @dataclass(frozen=True)
@@ -309,15 +309,7 @@ def _field_tables(field):
 def _primitive_element(field):
     """Least-index generator of the multiplicative group of the field."""
     m = field.order - 1
-    primes, rest, f = [], m, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
+    primes = prime_factors(m)
     return next(
         g
         for g in map(field.element_from_index, range(1, field.order))

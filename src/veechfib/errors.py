@@ -25,7 +25,12 @@ class UnsupportedFamilyError(InvalidArgumentError):
 
 
 class UnsupportedGraphError(VeechFibError):
-    """The Perron-Frobenius data of a graph cannot be certified exactly."""
+    """Leaf propagation cannot solve the eigenvector system of a graph.
+
+    mu = 2cos(pi/h) comes from the cyclotomic formula and a strictly
+    positive exact eigenvector certifies it; only leaf propagation can
+    refuse a graph.
+    """
 
 
 class InvalidDiscriminantError(InvalidArgumentError):

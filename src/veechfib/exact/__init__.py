@@ -25,6 +25,7 @@ from .polynomials import (
     isolate_largest_real_root,
     minpoly_two_cos,
     parse_polynomial,
+    prime_factors,
     rational_from_str,
     rational_to_str,
     squarefree_part,
@@ -51,6 +52,7 @@ __all__ = [
     "isolate_largest_real_root",
     "minpoly_two_cos",
     "parse_polynomial",
+    "prime_factors",
     "rational_from_str",
     "rational_to_str",
     "squarefree_part",

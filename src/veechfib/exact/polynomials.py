@@ -596,16 +596,24 @@ def divisors(n):
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
+def prime_factors(n):
+    """Distinct primes of n in ascending order, by trial division up to
+    sqrt(n); n < 2 has none."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n):
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
+    for p in prime_factors(n):
+        out -= out // p
     return out

@@ -50,7 +50,7 @@ from .errors import (
 )
 from .exact.finitefield import is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
-from .exact.polynomials import IntPolynomial, divisors, rational_to_str
+from .exact.polynomials import IntPolynomial, divisors, prime_factors, rational_to_str
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
     check_enumerable,
@@ -311,7 +311,9 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
     data = data if data is not None else CurveDataTable()
     check_enumerable(d, spin_filter)
     m_alpha = weierstrass_alpha_polynomial(d)
-    if p != 2 and d % p != 0:
+    if p == 2 or not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not an odd prime")
+    if d % p != 0:
         nonresidue = is_quadratic_nonresidue(d, p)
         irreducible = is_irreducible_mod_p(m_alpha, p)
         if nonresidue != irreducible:
@@ -581,16 +583,8 @@ def principal_congruence_index(m):
     if m < 3:
         raise InvalidArgumentError("level must be >= 3")
     idx = m**3
-    mm = m
-    p = 2
-    while p * p <= mm:
-        if mm % p == 0:
-            idx = idx // (p * p) * (p * p - 1)
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        idx = idx // (mm * mm) * (mm * mm - 1)
+    for p in prime_factors(m):
+        idx = idx // (p * p) * (p * p - 1)
     return idx // 2
 
 

@@ -5,9 +5,14 @@ bipartite graph (black = horizontal core curves, white = vertical ones,
 entries of Q count intersections), solves the eigenvector system
 Q h = mu h exactly in the number field of the dominant eigenvalue, and
 produces a cylinder list in which every cylinder has inverse modulus mu
-(circumference = mu * height).  The eigenvector is found by leaf
-propagation, which resolves every tree; a graph it leaves unresolved
-raises UnsupportedGraphError.
+(circumference = mu * height).
+
+The dominant eigenvalue is never searched for: mu = 2cos(pi/h) comes
+from the cyclotomic formula for the diagram's Coxeter number h (n for
+the n-gon, 18 for E7, 30 for E8), and a strictly positive exact
+eigenvector certifies it (see perron_frobenius).  The eigenvector is
+found by leaf propagation, which resolves every tree; a graph it leaves
+unresolved raises UnsupportedGraphError, the only refusal of a graph.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
 E8 diagrams.  For even regular-polygon surfaces the order-2 rotation of
@@ -32,25 +37,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
-    NoRealRootError,
     UnsupportedFamilyError,
     UnsupportedGraphError,
 )
-from .exact.finitefield import is_irreducible_mod_p, is_prime
-from .exact.linalg import charpoly, rank
+from .exact.finitefield import is_irreducible_mod_p, is_prime  # noqa: F401  (kept bound)
+from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa: F401  (kept bound)
-from .exact.polynomials import (
-    IntPolynomial,
-    cos_two_pi_minpoly,
-    divisors,
-    isolate_largest_real_root,
-    squarefree_part,
-)
+from .exact.polynomials import IntPolynomial, cos_two_pi_minpoly, isolate_largest_real_root
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -119,14 +118,28 @@ class BipartiteIntersectionGraph:
         return [list(row) for row in self.intersections]
 
 
-_E7_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4))
-_E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
+class _Diagram(NamedTuple):
+    """An exceptional diagram and the surface it builds."""
+
+    vertices: int
+    edges: tuple  # Bourbaki numbering
+    coxeter_number: int
+    genus: int
+    zero_partition: tuple
 
 
-def _diagram_graph(n_vertices, edges):
-    """Two-color a simply laced diagram; vertex 1 is black."""
+_SPORADIC = {
+    "E7": _Diagram(7, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)), 18, 3, (1, 3)),
+    "E8": _Diagram(8, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)), 30, 4, (6,)),
+}
+
+
+def _diagram_graph(which):
+    """Two-color the diagram E7 or E8; vertex 1 is black."""
+    diagram = _SPORADIC[which]
+    edges = diagram.edges
     color = {1: 0}
-    adj = {v: [] for v in range(1, n_vertices + 1)}
+    adj = {v: [] for v in range(1, diagram.vertices + 1)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
@@ -166,10 +179,8 @@ def coxeter_graph(family, size=None):
                 if abs(b - w) == 1:
                     q[i][j] = 1
         return BipartiteIntersectionGraph(q)
-    if family == "E7":
-        return _diagram_graph(7, _E7_EDGES)[0]
-    if family == "E8":
-        return _diagram_graph(8, _E8_EDGES)[0]
+    if family in _SPORADIC:
+        return _diagram_graph(family)[0]
     raise UnsupportedFamilyError(f"unknown Coxeter family: {family!r}")
 
 
@@ -177,93 +188,30 @@ def coxeter_graph(family, size=None):
 # Perron-Frobenius data
 # ---------------------------------------------------------------------------
 
-_COS_CANDIDATE_LIMIT = 200
-_CERTIFY_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-
-def _minimal_polynomial_of_largest_root(cp):
-    """Irreducible factor of cp whose largest real root is cp's largest.
-
-    The factor basis is constructive: linear factors with small rational
-    roots plus the minimal polynomials of 2cos(2*pi/N) (which exhaust
-    the spectra of the simply laced diagrams and their affine cousins).
-    A remainder that resists this basis is accepted whole when some
-    prime certifies it irreducible; otherwise the graph is rejected.
-    """
-    sf = squarefree_part(cp)
-    factors = []
-    rest = sf
-    # linear factors: integer roots of the (monic, squarefree) charpoly
-    if not rest.is_zero and rest.coefficients[0] == 0:
-        factors.append(IntPolynomial([0, 1]))  # squarefree: x divides once
-        rest = rest.divmod_monic(IntPolynomial([0, 1]))[0]
-    const = rest.coefficients[0] if not rest.is_zero else 0
-    if abs(const) <= 10**6 and rest.degree >= 1:
-        for r in divisors(abs(const)):
-            for root in (r, -r):
-                cand = IntPolynomial([-root, 1])
-                while rest.degree >= 1 and rest.evaluate(root) == 0:
-                    q = rest.try_exact_divide(cand)
-                    if q is None:
-                        break
-                    factors.append(cand)
-                    rest = q
-    for n_index in range(3, _COS_CANDIDATE_LIMIT + 1):
-        if rest.degree < 1:
-            break
-        cand = cos_two_pi_minpoly(n_index)
-        if cand.degree > rest.degree:
-            continue
-        q = rest.try_exact_divide(cand)
-        if q is not None:
-            factors.append(cand)
-            rest = q
-    if rest.degree >= 1:
-        if any(
-            rest.leading_coefficient % p != 0 and is_irreducible_mod_p(rest, p)
-            for p in _CERTIFY_PRIMES
-        ):
-            factors.append(rest.primitive_part())
-        else:
-            raise UnsupportedGraphError(
-                "cannot certify the minimal polynomial of the dominant eigenvalue"
-            )
-    # pick the factor owning the globally largest real root
-    best = None
-    for f in factors:
-        try:
-            iv = isolate_largest_real_root(f, Fraction(1, 2**20))
-        except NoRealRootError:
-            continue
-        if best is None:
-            best = (f, iv)
-            continue
-        bf, biv = best
-        while not (iv.lower > biv.upper or biv.lower > iv.upper):
-            iv = iv.refine(iv.width / 4) if not iv.is_exact else iv
-            biv = biv.refine(biv.width / 4) if not biv.is_exact else biv
-            if iv.is_exact and biv.is_exact:
-                break
-        if iv.lower > biv.upper or (iv.is_exact and biv.is_exact and iv.lower > biv.lower):
-            best = (f, iv)
-    if best is None:
-        raise UnsupportedGraphError("adjacency matrix has no real eigenvalue")
-    return best
-
-
-def perron_frobenius(graph):
+def perron_frobenius(graph, coxeter_number):
     """Exact dominant eigendata of the full bipartite adjacency matrix.
 
-    Returns (mu, heights): mu is the largest real eigenvalue as an
-    element of the field defined by its own minimal polynomial, heights
-    is the positive eigenvector normalized to first entry 1, and the
+    mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
+    formula: its field is that of cos_two_pi_minpoly(2h), at the root
+    isolated as the largest.  The eigenvector is then solved by leaf
+    propagation in that field, normalized to first entry 1, and the
     identity adjacency * heights = mu * heights is verified exactly.
+
+    That identity with every height strictly positive is the
+    certificate: the graph is connected, so its adjacency matrix is
+    irreducible and nonnegative, and by Perron-Frobenius a strictly
+    positive eigenvector belongs only to the spectral radius.  A wrong
+    h fails with MathematicalInconsistencyError; only leaf propagation
+    can refuse a graph (UnsupportedGraphError).  h must be an integer
+    >= 3, as every graph with an edge has spectral radius >= 1.
     """
-    adj = graph.adjacency_matrix()
-    cp = charpoly(adj)
-    minpoly, interval = _minimal_polynomial_of_largest_root(cp)
-    fld = RealAlgebraicField(minpoly, interval.refine(Fraction(1, 2**30)))
+    if not isinstance(coxeter_number, int) or coxeter_number < 3:
+        raise InvalidArgumentError("the Coxeter number must be an integer >= 3")
+    modulus = cos_two_pi_minpoly(2 * coxeter_number)
+    fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30)))
     mu = fld.generator
+    adj = graph.adjacency_matrix()
     heights = _solve_eigenvector(adj, fld, mu)
     # normalize first entry to 1
     heights = tuple(h / heights[0] for h in heights)
@@ -429,9 +377,7 @@ def _construction_heights(model):
         order = list(range(1, n, 2)) + list(range(2, n, 2))
         return [by_vertex[k] for k in order]
     # E7/E8: adjacency rows are ordered blacks then whites
-    n_vertices = 7 if tag == "E7" else 8
-    edges = _E7_EDGES if tag == "E7" else _E8_EDGES
-    _, blacks, whites = _diagram_graph(n_vertices, edges)
+    _, blacks, whites = _diagram_graph(tag)
     by_vertex = {int(cyl.name.split("_")[1]): cyl.height for cyl in model.cylinders}
     return [by_vertex[v] for v in blacks + whites]
 
@@ -473,7 +419,7 @@ def build_surface(family_tag):
     tag = family_tag.strip()
     if tag.lower().startswith("polygon-"):
         return _build_polygon(int(tag.split("-", 1)[1]))
-    if tag.upper() in ("E7", "E8"):
+    if tag.upper() in _SPORADIC:
         return _build_sporadic(tag.upper())
     raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
 
@@ -481,7 +427,7 @@ def build_surface(family_tag):
 def _build_polygon(n):
     series, param = _polygon_series(n)
     construction = coxeter_graph("A", n - 1)
-    mu, pf_heights = perron_frobenius(construction)
+    mu, pf_heights = perron_frobenius(construction, n)
     fld = mu.field
     # vertex k (1-based along the path) has height P_{k-1}(mu);
     # construction-graph order is odd vertices then even vertices.
@@ -493,23 +439,10 @@ def _build_polygon(n):
         if by_vertex[k] != expected:
             raise MathematicalInconsistencyError("path eigenvector is not Chebyshev")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
-    cylinders = []
-    for k in kept:
-        lift = _chebyshev_like(k - 1)
-        height = by_vertex[k]
-        direction = HORIZONTAL if k % 2 == 0 else VERTICAL
-        cylinders.append(
-            CylinderDatum(
-                name=f"c_{k}",
-                direction=direction,
-                height=height,
-                circumference=mu * height,
-                twist_count=1,
-                height_lift=lift,
-            )
-        )
-    horizontal = tuple(c for c in cylinders if c.direction == HORIZONTAL)
-    vertical = tuple(c for c in cylinders if c.direction == VERTICAL)
+    rows = [
+        (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], _chebyshev_like(k - 1))
+        for k in kept
+    ]
     if series == "q":
         genus, partition = (param - 1) // 2, ((param - 3),) if param > 3 else ()
         graph = construction
@@ -523,55 +456,35 @@ def _build_polygon(n):
         genus = 2 ** (k - 2)
         partition = (2 ** (k - 1) - 2,)
         graph = coxeter_graph("A", n // 2)
+    return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition)
+
+
+def _build_sporadic(which):
+    diagram = _SPORADIC[which]
+    graph, blacks, whites = _diagram_graph(which)
+    mu, pf_heights = perron_frobenius(graph, diagram.coxeter_number)
+    order = blacks + whites
+    by_vertex = {v: pf_heights[i] for i, v in enumerate(order)}
+    scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)
+    rows = [
+        (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], lifts[v])
+        for v in sorted(by_vertex)
+    ]
+    return _checked_model(which, graph, graph, mu, rows, diagram.genus, diagram.zero_partition)
+
+
+def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
+    """Model with one unit-twist cylinder per (name, direction, height,
+    height lift) row, after the genus cross-check and verify()."""
+    cylinders = [CylinderDatum(name, d, h, mu * h, 1, lift) for name, d, h, lift in rows]
     model = SurfaceModel(
-        family_tag=f"polygon-{n}",
+        family_tag=family_tag,
         graph=graph,
         construction_graph=construction,
         mu=mu,
         heights=tuple(c.height for c in cylinders),
-        horizontal=horizontal,
-        vertical=vertical,
-        genus=genus,
-        zero_partition=partition,
-    )
-    _cross_check_genus(model)
-    model.verify()
-    return model
-
-
-def _build_sporadic(which):
-    n_vertices = 7 if which == "E7" else 8
-    edges = _E7_EDGES if which == "E7" else _E8_EDGES
-    graph, blacks, whites = _diagram_graph(n_vertices, edges)
-    mu, pf_heights = perron_frobenius(graph)
-    fld = mu.field
-    order = blacks + whites
-    by_vertex = {v: pf_heights[i] for i, v in enumerate(order)}
-    scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)
-    cylinders = []
-    for v in sorted(by_vertex):
-        direction = HORIZONTAL if v in horizontal_set else VERTICAL
-        cylinders.append(
-            CylinderDatum(
-                name=f"c_{v}",
-                direction=direction,
-                height=scaled[v],
-                circumference=mu * scaled[v],
-                twist_count=1,
-                height_lift=lifts[v],
-            )
-        )
-    horizontal = tuple(c for c in cylinders if c.direction == HORIZONTAL)
-    vertical = tuple(c for c in cylinders if c.direction == VERTICAL)
-    genus, partition = (3, (1, 3)) if which == "E7" else (4, (6,))
-    model = SurfaceModel(
-        family_tag=which,
-        graph=graph,
-        construction_graph=graph,
-        mu=mu,
-        heights=tuple(c.height for c in cylinders),
-        horizontal=horizontal,
-        vertical=vertical,
+        horizontal=tuple(c for c in cylinders if c.direction == HORIZONTAL),
+        vertical=tuple(c for c in cylinders if c.direction == VERTICAL),
         genus=genus,
         zero_partition=partition,
     )

@@ -236,6 +236,9 @@ def test_invalid_arguments_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "polygon", "--n", "6", "--p", "5")
     assert code == 2
+    code, _, err = run_cli(capsys, "weierstrass", "--D", "5", "--p", "0")
+    assert code == 2
+    assert json.loads(err) == {"error": "InvalidArgumentError", "message": "0 is not an odd prime"}
 
 
 def test_mathematical_inconsistency_exit_1(capsys):

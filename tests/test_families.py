@@ -5,6 +5,7 @@ import pytest
 from veechfib.errors import (
     InadmissiblePrimeError,
     InconsistentCoverError,
+    InvalidArgumentError,
     InvalidDiscriminantError,
     MissingCurveDataError,
     SpinRequiredError,
@@ -107,6 +108,15 @@ def test_weierstrass_spin_discriminant_needs_filter():
         (33, 3, SpinRequiredError),
         (41, 5, SpinRequiredError),
         (4, 3, InvalidDiscriminantError),
+        # a level that is not an odd prime is refused before d % p,
+        # after the discriminant and spin checks
+        (5, 0, InvalidArgumentError),
+        (5, 1, InvalidArgumentError),
+        (5, 2, InvalidArgumentError),
+        (5, -3, InvalidArgumentError),
+        (5, 9, InvalidArgumentError),
+        (4, 0, InvalidDiscriminantError),
+        (41, 0, SpinRequiredError),
     ],
 )
 def test_weierstrass_error_precedence(d_disc, p, error):

@@ -13,6 +13,7 @@ from veechfib.exact.polynomials import (
     isolate_largest_real_root,
     minpoly_two_cos,
     parse_polynomial,
+    prime_factors,
     rational_from_str,
     rational_to_str,
     squarefree_part,
@@ -120,5 +121,7 @@ def test_arithmetic_basics():
 
 def test_divisors_match_brute_force():
     assert divisors(0) == []
+    assert prime_factors(0) == prime_factors(1) == []
     for n in range(1, 2001):
         assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+        assert prime_factors(n) == [k for k in divisors(n) if len(divisors(k)) == 2]

@@ -2,12 +2,20 @@ import pytest
 
 from veechfib.errors import (
     InvalidArgumentError,
+    MathematicalInconsistencyError,
     UnsupportedFamilyError,
     UnsupportedGraphError,
 )
 from veechfib.exact.linalg import charpoly, rank
 from veechfib.exact.numberfield import RealAlgebraicField
-from veechfib.exact.polynomials import IntPolynomial, minpoly_two_cos
+from veechfib.exact.polynomials import (
+    IntPolynomial,
+    cauchy_root_bound,
+    count_roots_in,
+    minpoly_two_cos,
+    squarefree_part,
+    sturm_chain,
+)
 from veechfib.thurston_veech import (
     HORIZONTAL,
     VERTICAL,
@@ -52,18 +60,45 @@ def test_perron_frobenius_refuses_graph_leaf_propagation_cannot_solve():
     # the 4-cycle: two black curves each meeting both white curves once
     # (dominant eigenvalue 2); no vertex equation ever has one unknown
     with pytest.raises(UnsupportedGraphError, match="leaf propagation"):
-        perron_frobenius(BipartiteIntersectionGraph(((1, 1), (1, 1))))
+        perron_frobenius(BipartiteIntersectionGraph(((1, 1), (1, 1))), 4)
+
+
+def test_perron_frobenius_refuses_a_wrong_coxeter_number():
+    # mu = 2cos(pi/3) = 1 is an eigenvalue of A5, but not the dominant
+    # one: its eigenvector changes sign, so the certificate fails
+    with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
+        perron_frobenius(coxeter_graph("A", 5), 3)
+    # mu = 2cos(pi/6) = sqrt(3) is no eigenvalue of A4 at all
+    with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
+        perron_frobenius(coxeter_graph("A", 4), 6)
+    # a graph with an edge has spectral radius >= 1, so h >= 3
+    with pytest.raises(InvalidArgumentError):
+        perron_frobenius(coxeter_graph("A", 2), 2)
+
+
+@pytest.mark.parametrize("tag", [f"polygon-{n}" for n in SUPPORTED_N] + ["E7", "E8"])
+def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
+    # independent of the Perron-Frobenius certificate: the field modulus
+    # divides the characteristic polynomial of the construction graph,
+    # and above the field's root interval the charpoly has one distinct
+    # real root, so mu is the largest eigenvalue
+    model = build_surface(tag)
+    cp = charpoly(model.construction_graph.adjacency_matrix())
+    assert cp.try_exact_divide(model.mu.field.modulus) is not None
+    sf = squarefree_part(cp)
+    root = model.mu.field.root
+    assert count_roots_in(sturm_chain(sf.to_qpoly()), root.lower, cauchy_root_bound(sf)) == 1
 
 
 def test_perron_frobenius_path_two():
-    mu, heights = perron_frobenius(coxeter_graph("A", 2))
+    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3)
     assert mu.field.modulus == IntPolynomial([-1, 1])
     assert mu == 1
     assert [h == mu.field.one for h in heights] == [True, True]
 
 
 def test_perron_frobenius_path_four():
-    mu, heights = perron_frobenius(coxeter_graph("A", 4))
+    mu, heights = perron_frobenius(coxeter_graph("A", 4), 5)
     assert mu.field.modulus == IntPolynomial([-1, -1, 1])
     one = mu.field.one
     # construction order is blacks {1,3} then whites {2,4}: heights (1, mu, mu, 1)
@@ -71,14 +106,16 @@ def test_perron_frobenius_path_four():
 
 
 def test_perron_frobenius_e7_eigenvalue():
-    mu, _ = perron_frobenius(coxeter_graph("E7"))
+    mu, _ = perron_frobenius(coxeter_graph("E7"), 18)
     assert mu.field.modulus == minpoly_two_cos(18)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
-    mu, heights = perron_frobenius(coxeter_graph("A", n - 1))
+    graph = coxeter_graph("A", n - 1)
+    mu, heights = perron_frobenius(graph, n)
     assert mu.field.modulus == minpoly_two_cos(n)
+    assert charpoly(graph.adjacency_matrix()).try_exact_divide(mu.field.modulus) is not None
     assert all(h.sign() > 0 for h in heights)
 
 
@@ -287,7 +324,7 @@ def test_charpoly_against_permutation_expansion():
 
 def test_path_heights_are_symmetric():
     for n in (5, 9, 12):
-        _, heights = perron_frobenius(coxeter_graph("A", n))
+        _, heights = perron_frobenius(coxeter_graph("A", n), n + 1)
         # adjacency order: odd vertices ascending, then even vertices
         order = list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))
         by_vertex = {v: h for v, h in zip(order, heights)}

@@ -70,3 +70,28 @@ def test_tracer_records_one_enumeration_per_scatter_row():
     )
     stats = tracer.summarize(t.spans)
     assert stats["prototypes.enumerate_prototypes"][0] == len(rows)
+
+
+def test_tracer_sees_one_root_isolation_and_no_charpoly_per_model_build():
+    """The polygon-levels per-layer metrics read exact.isolate_largest_real_root
+    and exact.charpoly: a model build isolates mu once, from its Coxeter
+    number, inside perron_frobenius, and never expands a characteristic
+    polynomial."""
+    from veechfib import thurston_veech
+
+    tracer = _load_tracer()
+    thurston_veech.build_surface.cache_clear()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for tag in ("polygon-7", "polygon-16", "E8"):
+            thurston_veech.build_surface(tag)
+    finally:
+        t.uninstall()
+    names = [span[1] for span in t.spans]
+    isolations = [span for span in t.spans if span[1] == "exact.isolate_largest_real_root"]
+    assert len(isolations) == 3
+    assert all(names[span[4]] == "thurston_veech.perron_frobenius" for span in isolations)
+    assert len({span[4] for span in isolations}) == 3
+    assert names.count("thurston_veech.perron_frobenius") == 3
+    assert "exact.charpoly" not in names
