@@ -16,10 +16,15 @@ Four series are orchestrated end to end:
 Each family builds its spec, checks the level, and finds the cover
 degree and the base's orbifold Euler characteristic; one shared step,
 evaluate, then runs Riemann-Hurwitz, twisting and the characteristic
-numbers for all of them, and the family adds its own checks.  All but
-the elliptic family are also evaluated through literal closed-form
-tables (genus, cusps, e, sigma as functions of d, n, p) so the two code
-paths can be diffed; see closed_forms_* below.
+numbers for all of them, and the family adds its own checks.  One
+builder, model_spec, gives the polygon and E7 / E8 specs: each Veech
+group is fixed by the Coxeter number h (Veech 1989; Leininger 2004),
+Delta(2, h, oo) for odd h and Delta(h/2, oo, oo) for even h.  The
+level test needs only alpha = 2 + 2cos(2pi/h), so admissible_primes
+builds no model.  All but the elliptic family are also evaluated
+through literal closed-form tables (genus, cusps, e, sigma as
+functions of d, n, p) so the two code paths can be diffed; see
+closed_forms_* below.
 """
 
 from __future__ import annotations
@@ -50,7 +55,9 @@ from .errors import (
 )
 from .exact.finitefield import is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
-from .exact.polynomials import IntPolynomial, divisors, prime_factors, rational_to_str
+from .exact.polynomials import (
+    IntPolynomial, cos_two_pi_minpoly, divisors, prime_factors, rational_to_str, translate
+)
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
     check_enumerable,
@@ -66,6 +73,7 @@ from .thurston_veech import (
     holonomy_basis_check,
     HolonomyBasis,
     staircase_parity_check,
+    surface_tag,
 )
 
 
@@ -95,12 +103,7 @@ def is_fundamental_discriminant(d):
 
 
 def _squarefree(n):
-    i = 2
-    while i * i <= n:
-        if n % (i * i) == 0:
-            return False
-        i += 1
-    return True
+    return all(n % (p * p) for p in prime_factors(n))
 
 
 def real_quadratic_zeta_minus_one(d):
@@ -140,16 +143,21 @@ class CurveDataTable:
 
     @classmethod
     def from_csv(cls, path):
+        """Rows of a CSV with columns D, chi_num, chi_den and optional e2;
+        a file that cannot be read or parsed raises InvalidArgumentError."""
         rows = []
-        with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(
-                    ExternalCurveData(
-                        discriminant=int(rec["D"]),
-                        chi=Fraction(int(rec["chi_num"]), int(rec["chi_den"])),
-                        e2=int(rec["e2"]) if rec.get("e2") not in (None, "", "-") else None,
+        try:
+            with open(path, newline="") as fh:
+                for rec in csv.DictReader(fh):
+                    rows.append(
+                        ExternalCurveData(
+                            discriminant=int(rec["D"]),
+                            chi=Fraction(int(rec["chi_num"]), int(rec["chi_den"])),
+                            e2=int(rec["e2"]) if rec.get("e2") not in (None, "", "-") else None,
+                        )
                     )
-                )
+        except (OSError, csv.Error, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidArgumentError(f"bad curve data file {str(path)!r}: {exc!r}") from None
         return cls(rows)
 
     def chi(self, d):
@@ -388,30 +396,31 @@ def closed_forms_weierstrass(d, p, degree, chi, protos):
 # ---------------------------------------------------------------------------
 
 
-def polygon_spec(n):
-    model = build_surface(f"polygon-{n}")
+def model_spec(tag):
+    """Spec and cached model of the polygon-n, E7 or E8 surface: the base
+    and its cusps follow from the Coxeter number h (see the module
+    docstring), m_alpha is read from the model."""
+    tag, h = surface_tag(tag)
+    model = build_surface(tag)
     m_alpha = model.alpha_basis.minimal_polynomial()
     if m_alpha.degree != model.genus:
         raise InvalidArgumentError("trace field degree mismatch against fiber genus")
-    if n % 2 == 1:
-        signature_orbifold = OrbifoldSignature(0, (2, n), 1)
-        base_twists = (len(model.horizontal),)
+    if h % 2:
+        signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
     else:
-        signature_orbifold = OrbifoldSignature(0, (n // 2,), 2)
+        signature = OrbifoldSignature(0, (h // 2,), 2)
         base_twists = (len(model.horizontal), len(model.vertical))
-    return (
-        FamilySpec(
-            tag=f"polygon-{n}",
-            fiber_genus=model.genus,
-            zero_partition=model.zero_partition,
-            alpha_minimal_polynomial=m_alpha,
-            contains_minus_identity=True,
-            signature_orbifold=signature_orbifold,
-            base_twists=base_twists,
-            roots=tuple(1 for _ in base_twists),
-        ),
-        model,
+    spec = FamilySpec(
+        tag=tag,
+        fiber_genus=model.genus,
+        zero_partition=model.zero_partition,
+        alpha_minimal_polynomial=m_alpha,
+        contains_minus_identity=tag.startswith("polygon-"),
+        signature_orbifold=signature,
+        base_twists=base_twists,
+        roots=(1,) * len(base_twists),
     )
+    return spec, model
 
 
 def run_structural_checks(model):
@@ -431,18 +440,17 @@ def run_structural_checks(model):
 
 def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
-    spec, model = polygon_spec(n)
     return _model_family(
-        spec,
-        model,
+        f"polygon-{n}",
         p,
         lambda degree: closed_forms_polygon(n, p, degree),
         minimality_proven=n == 5 and p == 3,
     )
 
 
-def _model_family(spec, model, p, closed_forms, minimality_proven=False):
-    """The polygon and sporadic pipeline over a built surface model."""
+def _model_family(tag, p, closed_forms, minimality_proven=False):
+    """The polygon and sporadic pipeline over the tag's surface model."""
+    spec, model = model_spec(tag)
     checks = run_structural_checks(model)
     if not all(checks.values()):
         raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
@@ -521,34 +529,12 @@ def closed_forms_polygon(n, p, degree):
 # ---------------------------------------------------------------------------
 
 
-def sporadic_spec(which):
-    which = which.upper()
-    if which not in ("E7", "E8"):
-        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
-    model = build_surface(which)
-    m_alpha = model.alpha_basis.minimal_polynomial()
-    orbifold_order = 9 if which == "E7" else 15
-    return (
-        FamilySpec(
-            tag=which,
-            fiber_genus=model.genus,
-            zero_partition=model.zero_partition,
-            alpha_minimal_polynomial=m_alpha,
-            contains_minus_identity=False,
-            signature_orbifold=OrbifoldSignature(0, (orbifold_order,), 2),
-            base_twists=(len(model.horizontal), len(model.vertical)),
-            roots=(1, 1),
-        ),
-        model,
-    )
-
-
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
-    spec, model = sporadic_spec(which)
-    return _model_family(
-        spec, model, p, lambda degree: closed_forms_sporadic(which, p, degree)
-    )
+    tag, _ = surface_tag(which)
+    if tag.startswith("polygon-"):
+        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
+    return _model_family(tag, p, lambda degree: closed_forms_sporadic(tag, p, degree))
 
 
 def closed_forms_sporadic(which, p, degree):
@@ -624,17 +610,21 @@ _X_MINUS_ONE = IntPolynomial([-1, 1])
 
 
 def family_alpha_polynomial(family_tag):
-    """Minimal polynomial of the congruence parameter, plus its genus."""
-    tag = family_tag.strip()
-    if tag.lower().startswith("weierstrass-"):
-        return weierstrass_alpha_polynomial(int(tag.split("-", 1)[1])), 2
-    if tag.lower().startswith("polygon-"):
-        spec, _ = polygon_spec(int(tag.split("-", 1)[1]))
-        return spec.alpha_minimal_polynomial, spec.fiber_genus
-    if tag.upper() in ("E7", "E8"):
-        spec, _ = sporadic_spec(tag)
-        return spec.alpha_minimal_polynomial, spec.fiber_genus
-    raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+    """Minimal polynomial of the congruence parameter, plus its genus.
+
+    A surface of Coxeter number h has alpha = 2 + 2cos(2pi/h): m_alpha
+    is that of 2cos(2pi/h) at x - 2, of degree the genus, with no model.
+    """
+    prefix, _, number = family_tag.strip().partition("-")
+    if prefix.lower() == "weierstrass":
+        try:
+            d = int(number)
+        except ValueError:
+            raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
+        return weierstrass_alpha_polynomial(d), 2
+    _, h = surface_tag(family_tag)
+    m_alpha = translate(cos_two_pi_minpoly(h), -2)
+    return m_alpha, m_alpha.degree
 
 
 def admissible_primes(family_tag, bound):
@@ -664,7 +654,8 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
     """(c2, c1^2) per admissible nonsquare discriminant in [d_min, d_max].
 
     Discriminants that are squares, residues mod p, spin-split without
-    a filter, or missing curve data are skipped (and reported).
+    a filter, missing curve data, or whose cover genus is not an integer
+    (inconsistent-cover, D = 8 at p = 3) are skipped (and reported).
     """
     if p == 2 or not is_prime(p):
         raise InvalidArgumentError(f"{p} is not an odd prime")
@@ -689,6 +680,9 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
             result = weierstrass_family(d, p, data=data, spin_filter=spin_filter)
         except MissingCurveDataError:
             skipped.append((d, "missing-curve-data"))
+            continue
+        except InconsistentCoverError:
+            skipped.append((d, "inconsistent-cover"))
             continue
         except InadmissiblePrimeError:
             skipped.append((d, "residue"))

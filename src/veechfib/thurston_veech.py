@@ -15,12 +15,14 @@ found by leaf propagation, which resolves every tree; a graph it leaves
 unresolved raises UnsupportedGraphError, the only refusal of a graph.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
-E8 diagrams.  For even regular-polygon surfaces the order-2 rotation of
-the path diagram is quotiented combinatorially on the cylinder list:
-one cylinder is kept per swapped pair, the middle cylinder is kept as
-is.  Cylinder counts, genus and the zero partition of each supported
-family are fixed data, cross-checked against the rank of the quotient
-intersection matrix.
+E8 diagrams.  surface_tag parses a family tag once, into its canonical
+form and Coxeter number h.  The n-gon has genus phi(n)/2 and zero
+partition (g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7 and E8
+carry theirs in one table.  For even n the order-2 rotation of the path
+diagram is quotiented combinatorially on the cylinder list (one
+cylinder kept per swapped pair, the middle one as is), with quotient
+graph A(n/2).  Genus and partition are cross-checked against the rank
+of the quotient intersection matrix.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -49,7 +51,9 @@ from .errors import (
 from .exact.finitefield import is_irreducible_mod_p, is_prime  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa: F401  (kept bound)
-from .exact.polynomials import IntPolynomial, cos_two_pi_minpoly, isolate_largest_real_root
+from .exact.polynomials import (
+    IntPolynomial, cos_two_pi_minpoly, euler_phi, isolate_largest_real_root
+)
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -363,37 +367,16 @@ class SurfaceModel:
 
 def _construction_heights(model):
     """Heights indexed by construction-graph vertex, staircase scale."""
-    tag = model.family_tag
-    if tag.startswith("polygon-"):
-        n = int(tag.split("-")[1])
-        by_vertex = {}
-        for cyl in model.cylinders:
-            k = int(cyl.name.split("_")[1])
-            by_vertex[k] = cyl.height
-        if n % 2 == 0:
-            for k in range(n // 2 + 1, n):
-                by_vertex[k] = by_vertex[n - k]
-        # construction graph vertex order: blacks (odd k) then whites (even k)
-        order = list(range(1, n, 2)) + list(range(2, n, 2))
-        return [by_vertex[k] for k in order]
-    # E7/E8: adjacency rows are ordered blacks then whites
-    _, blacks, whites = _diagram_graph(tag)
+    tag, n = surface_tag(model.family_tag)
     by_vertex = {int(cyl.name.split("_")[1]): cyl.height for cyl in model.cylinders}
-    return [by_vertex[v] for v in blacks + whites]
-
-
-def _polygon_series(n):
-    """Classify n as ('q', q), ('2q', q) or ('2^k', k); else reject."""
-    if n % 2 == 1 and n > 3 and is_prime(n):
-        return ("q", n)
-    if n % 2 == 0 and (n // 2) > 3 and is_prime(n // 2):
-        return ("2q", n // 2)
-    if n >= 8 and n & (n - 1) == 0:
-        return ("2^k", n.bit_length() - 1)
-    raise UnsupportedFamilyError(
-        f"regular {n}-gon is not in the supported series: n must be an odd prime q > 3, "
-        f"twice such a prime, or a power of two >= 8"
-    )
+    if tag in _SPORADIC:
+        # adjacency rows are ordered blacks then whites
+        _, blacks, whites = _diagram_graph(tag)
+        return [by_vertex[v] for v in blacks + whites]
+    # an even n-gon keeps c_1..c_{n/2}, and c_k has the height of c_{n-k};
+    # construction graph vertex order: blacks (odd k) then whites (even k)
+    order = list(range(1, n, 2)) + list(range(2, n, 2))
+    return [by_vertex[k if k in by_vertex else n - k] for k in order]
 
 
 _CHEBYSHEV_CACHE = [IntPolynomial([1]), IntPolynomial([0, 1])]
@@ -408,6 +391,30 @@ def _chebyshev_like(k):
     return _CHEBYSHEV_CACHE[k]
 
 
+def surface_tag(family_tag):
+    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
+    18) or E8 (h = 30), E7/E8 in any case.  The n-gon is supported when
+    q = n (odd n) or n/2 (even n) is a prime > 3, or when n >= 8 is a
+    power of two; other tags raise UnsupportedFamilyError."""
+    tag = family_tag.strip()
+    if tag.upper() in _SPORADIC:
+        return tag.upper(), _SPORADIC[tag.upper()].coxeter_number
+    prefix, _, number = tag.partition("-")
+    try:
+        n = int(number)
+    except ValueError:
+        n = None
+    if prefix.lower() != "polygon" or n is None:
+        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+    q = n if n % 2 else n // 2
+    if not (q > 3 and is_prime(q) or n >= 8 and n & (n - 1) == 0):
+        raise UnsupportedFamilyError(
+            f"regular {n}-gon is not in the supported series: n must be an odd prime q > 3, "
+            f"twice such a prime, or a power of two >= 8"
+        )
+    return f"polygon-{n}", n
+
+
 @lru_cache(maxsize=None)
 def build_surface(family_tag):
     """Build the exact surface model for polygon-n, E7 or E8.
@@ -416,16 +423,11 @@ def build_surface(family_tag):
     mu (the staircase normalization); horizontal cylinders are the ones
     whose height lifts are odd polynomials in mu.
     """
-    tag = family_tag.strip()
-    if tag.lower().startswith("polygon-"):
-        return _build_polygon(int(tag.split("-", 1)[1]))
-    if tag.upper() in _SPORADIC:
-        return _build_sporadic(tag.upper())
-    raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+    tag, h = surface_tag(family_tag)
+    return _build_sporadic(tag) if tag in _SPORADIC else _build_polygon(h)
 
 
 def _build_polygon(n):
-    series, param = _polygon_series(n)
     construction = coxeter_graph("A", n - 1)
     mu, pf_heights = perron_frobenius(construction, n)
     fld = mu.field
@@ -443,19 +445,9 @@ def _build_polygon(n):
         (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], _chebyshev_like(k - 1))
         for k in kept
     ]
-    if series == "q":
-        genus, partition = (param - 1) // 2, ((param - 3),) if param > 3 else ()
-        graph = construction
-    elif series == "2q":
-        genus = (param - 1) // 2
-        m = (param - 3) // 2
-        partition = (m, m)
-        graph = coxeter_graph("A", n // 2)
-    else:
-        k = param
-        genus = 2 ** (k - 2)
-        partition = (2 ** (k - 1) - 2,)
-        graph = coxeter_graph("A", n // 2)
+    genus = euler_phi(n) // 2
+    partition = (genus - 1, genus - 1) if n % 4 == 2 else (2 * genus - 2,)
+    graph = construction if n % 2 == 1 else coxeter_graph("A", n // 2)
     return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition)
 
 

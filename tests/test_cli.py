@@ -241,6 +241,63 @@ def test_invalid_arguments_exit_2(capsys):
     assert json.loads(err) == {"error": "InvalidArgumentError", "message": "0 is not an odd prime"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "--family", "polygon-x", "--bound", "20"),
+        ("primes", "--family", "polygon-1.5", "--bound", "9"),
+        ("primes", "--family", "weierstrass-x", "--bound", "20"),
+        ("tv-build", "--family", "polygon-x"),
+        ("tv-build", "--family", "polygon-"),
+    ],
+)
+def test_malformed_family_tag_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "UnsupportedFamilyError",
+        "message": f"unknown family tag: {argv[2]!r}",
+    }
+
+
+# the error from_csv meets -> the bad data file that raises it (None: no file)
+_BAD_DATA = {
+    "FileNotFoundError": None,
+    "IsADirectoryError": "directory",
+    "KeyError": "D,chi_den,e2\n5,10,1\n",
+    "ValueError": "D,chi_num,chi_den,e2\n5,x,10,1\n",
+    "ZeroDivisionError": "D,chi_num,chi_den,e2\n5,-3,0,1\n",
+    "TypeError": "D,chi_num,chi_den\n5,-3\n",  # a short row
+    "Error": "D,chi_num,chi_den\n" + "5" * 200000 + ",-3,10\n",  # csv field size limit
+}
+
+
+@pytest.mark.parametrize("cause", list(_BAD_DATA))
+def test_bad_data_file_exit_2(tmp_path, capsys, cause):
+    content = _BAD_DATA[cause]
+    path = tmp_path / "curves.csv"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--data", str(path))
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"].startswith(f"bad curve data file {str(path)!r}: {cause}(")
+
+
+def test_scatter_skips_an_inconsistent_cover(capsys):
+    code, out, err = run_cli(
+        capsys, "scatter", "--p", "3", "--min-D", "5", "--max-D", "10", "--verbose-skips"
+    )
+    assert code == 0
+    assert out.splitlines()[3:] == ["5,116,16,0.137931034482"]
+    assert err.splitlines() == ["# skipped D=8: inconsistent-cover"]
+
+
 def test_mathematical_inconsistency_exit_1(capsys):
     code, _, err = run_cli(capsys, "weierstrass", "--D", "8", "--p", "3")
     assert code == 1

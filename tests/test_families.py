@@ -233,6 +233,14 @@ def test_sporadic_constants():
             assert forms["twisting"] == result.cover.total_twisting
 
 
+def test_sporadic_family_takes_only_e7_and_e8_in_any_case():
+    assert sporadic_family(" e8 ", 7).to_json() == sporadic_family("E8", 7).to_json()
+    with pytest.raises(UnsupportedFamilyError, match="must be E7 or E8, not 'polygon-5'"):
+        sporadic_family("polygon-5", 3)
+    with pytest.raises(UnsupportedFamilyError, match="unknown family tag: 'E6'"):
+        sporadic_family("E6", 3)
+
+
 def test_sporadic_e7_level5():
     result = sporadic_family("E7", 5)
     d = result.cover.degree

@@ -125,3 +125,12 @@ def test_divisors_match_brute_force():
     for n in range(1, 2001):
         assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
         assert prime_factors(n) == [k for k in divisors(n) if len(divisors(k)) == 2]
+    # d = 0, 1 mod 4 is fundamental when no square f^2 > 1 leaves a
+    # discriminant d / f^2 = 0, 1 mod 4
+    from veechfib.families import is_fundamental_discriminant
+
+    for d in range(1, 3000):
+        brute = d % 4 in (0, 1) and not any(
+            d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 1) for f in range(2, math.isqrt(d) + 1)
+        )
+        assert is_fundamental_discriminant(d) == brute, d

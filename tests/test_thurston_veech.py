@@ -31,6 +31,7 @@ from veechfib.thurston_veech import (
     holonomy_basis_check,
     perron_frobenius,
     staircase_parity_check,
+    surface_tag,
 )
 
 SUPPORTED_N = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10, 14, 22, 26, 34, 38, 8, 16, 32)
@@ -158,6 +159,19 @@ def test_build_surface_e7():
 def test_unsupported_polygon_rejected(bad_n):
     with pytest.raises(UnsupportedFamilyError):
         build_surface(f"polygon-{bad_n}")
+
+
+def test_surface_tag_is_canonical_with_the_coxeter_number():
+    assert surface_tag(" e7 ") == ("E7", 18)
+    assert surface_tag("E8") == ("E8", 30)
+    assert surface_tag("Polygon-05") == ("polygon-5", 5)
+    assert surface_tag("polygon-64") == ("polygon-64", 64)
+    for tag in ("polygon-x", "polygon-1.5", "polygon-", "polygon5", "E9", "weierstrass-5"):
+        with pytest.raises(UnsupportedFamilyError, match="unknown family tag"):
+            surface_tag(tag)
+    for n in (-5, 0, 3, 6, 9, 12, 4):
+        with pytest.raises(UnsupportedFamilyError, match="not in the supported series"):
+            surface_tag(f"polygon-{n}")
 
 
 def test_model_invariants_exact():
@@ -362,9 +376,10 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
     # alpha = 4cos(pi/n)^2 = 2 + 2cos(2pi/n), so its minimal polynomial is
     # the minimal polynomial of 2cos(2pi/n) composed with x - 2: an
     # independent route to the same polynomial.
+    from veechfib.covers import OrbifoldSignature
     from veechfib.exact.numberfield import element_minimal_polynomial
     from veechfib.exact.polynomials import cos_two_pi_minpoly
-    from veechfib.families import polygon_spec, sporadic_spec
+    from veechfib.families import family_alpha_polynomial, model_spec
 
     def shift_by_minus_two(poly):
         out = IntPolynomial([poly.coefficients[-1]])
@@ -373,13 +388,18 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
             out = out * x_minus_2 + IntPolynomial([c])
         return out
 
-    for n in (5, 7, 8, 10, 11, 13, 14, 16, 18, 22, 26, 30, 32):
-        if n in (18, 30):
-            spec, model = sporadic_spec("E7" if n == 18 else "E8")
-        else:
-            spec, model = polygon_spec(n)
+    # literal base signatures, independent of model_spec's Coxeter-number rule
+    signatures = {"E7": OrbifoldSignature(0, (9,), 2), "E8": OrbifoldSignature(0, (15,), 2)}
+    for n in SUPPORTED_N:
+        signatures[f"polygon-{n}"] = (
+            OrbifoldSignature(0, (2, n), 1) if n % 2 else OrbifoldSignature(0, (n // 2,), 2)
+        )
+    for tag, h in [(f"polygon-{n}", n) for n in SUPPORTED_N] + [("E7", 18), ("E8", 30)]:
+        spec, model = model_spec(tag)
         mu = model.mu
         via_matrix = element_minimal_polynomial(mu * mu)
-        via_cyclotomic = shift_by_minus_two(cos_two_pi_minpoly(n))
-        assert via_matrix == via_cyclotomic, n
-        assert spec.alpha_minimal_polynomial == via_cyclotomic, n
+        via_cyclotomic = shift_by_minus_two(cos_two_pi_minpoly(h))
+        assert via_matrix == via_cyclotomic, tag
+        assert spec.alpha_minimal_polynomial == via_cyclotomic, tag
+        assert family_alpha_polynomial(tag) == (via_matrix, model.genus), tag
+        assert spec.signature_orbifold == signatures[tag], tag

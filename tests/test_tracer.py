@@ -95,3 +95,24 @@ def test_tracer_sees_one_root_isolation_and_no_charpoly_per_model_build():
     assert len({span[4] for span in isolations}) == 3
     assert names.count("thurston_veech.perron_frobenius") == 3
     assert "exact.charpoly" not in names
+
+
+def test_admissible_primes_builds_no_model():
+    """The primes command reads m_alpha from the Coxeter number: no
+    thurston_veech.build_surface span, and no model enters the cache."""
+    from veechfib import families, thurston_veech
+
+    tracer = _load_tracer()
+    build_surface = thurston_veech.build_surface
+    build_surface.cache_clear()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for tag in ("polygon-37", "polygon-64", "E7", "E8"):
+            assert families.admissible_primes(tag, 50)
+    finally:
+        t.uninstall()
+    names = [span[1] for span in t.spans]
+    assert names.count("families.admissible_primes") == 4
+    assert "thurston_veech.build_surface" not in names
+    assert build_surface.cache_info().misses == 0
