@@ -104,13 +104,20 @@ def _cmd_prototypes(args):
 
 
 def _load_spin_plugin(spec_text):
-    """Import a user-supplied spin predicate given as 'module:function'."""
+    """Import a user-supplied spin predicate given as 'module:function'; an
+    import failure or a missing or non-callable attribute is invalid input."""
     import importlib
 
     module_name, _, attr = spec_text.partition(":")
     if not module_name or not attr:
         raise InvalidArgumentError("spin plugin must be given as module:function")
-    return getattr(importlib.import_module(module_name), attr)
+    try:
+        predicate = getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {exc!r}") from None
+    if not callable(predicate):
+        raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {attr!r} is not callable")
+    return predicate
 
 
 # subcommand -> its family evaluation; the lambdas look the family

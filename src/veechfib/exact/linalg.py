@@ -1,9 +1,8 @@
 """Exact integer/rational matrix helpers: charpoly and rank.
 
-Characteristic polynomials of adjacency matrices are computed by a
-division-free tree recursion when the graph is a (weighted) forest,
-falling back to the Berkowitz algorithm for general integer matrices.
-All arithmetic is integer or Fraction; results are exact.
+Characteristic polynomials are computed by the division-free Berkowitz
+algorithm alone, for any square integer matrix.  All arithmetic is
+integer or Fraction; results are exact.
 """
 
 from __future__ import annotations
@@ -14,85 +13,11 @@ from .polynomials import IntPolynomial
 
 
 def charpoly(matrix):
-    """det(x*I - M) for a square integer matrix M, as an IntPolynomial."""
+    """det(x*I - M) for a square integer matrix M, as an IntPolynomial,
+    by the division-free Berkowitz algorithm."""
     n = len(matrix)
     if n == 0:
         return IntPolynomial([1])
-    tree = _tree_structure(matrix)
-    if tree is not None:
-        return _charpoly_tree(matrix, tree)
-    return _charpoly_berkowitz(matrix)
-
-
-def _tree_structure(matrix):
-    """Rooted forest orientation of the symmetric support, or None."""
-    n = len(matrix)
-    for i in range(n):
-        if matrix[i][i] != 0:
-            return None
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
-                return None
-    edges = sum(1 for i in range(n) for j in range(i + 1, n) if matrix[i][j] != 0)
-    parent = [None] * n
-    seen = [False] * n
-    order = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in range(n):
-                if matrix[v][u] != 0 and not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    stack.append(u)
-    components = sum(1 for p in range(n) if parent[p] is None)
-    if edges != n - components:
-        return None  # has a cycle
-    return parent, order
-
-
-def _charpoly_tree(matrix, tree):
-    # A_v = charpoly of subtree at v; B_v = charpoly of subtree minus v.
-    # A_v = x * prod(A_c) - sum_c w_c^2 * B_c * prod(A_c' != c).
-    parent, order = tree
-    n = len(matrix)
-    children = [[] for _ in range(n)]
-    for v, p in enumerate(parent):
-        if p is not None:
-            children[p].append(v)
-    x = IntPolynomial([0, 1])
-    a_poly = [None] * n
-    b_poly = [None] * n
-    for v in reversed(order):
-        kids = children[v]
-        prod_all = IntPolynomial([1])
-        for c in kids:
-            prod_all = prod_all * a_poly[c]
-        acc = x * prod_all
-        for c in kids:
-            rest = IntPolynomial([1])
-            for c2 in kids:
-                if c2 != c:
-                    rest = rest * a_poly[c2]
-            w = matrix[v][c]
-            acc = acc - (w * w) * (b_poly[c] * rest)
-        a_poly[v] = acc
-        b_poly[v] = prod_all
-    out = IntPolynomial([1])
-    for v in range(n):
-        if parent[v] is None:
-            out = out * a_poly[v]
-    return out
-
-
-def _charpoly_berkowitz(matrix):
-    """Division-free characteristic polynomial (Berkowitz)."""
-    n = len(matrix)
     # vector of coefficients of det(xI - M), highest degree first
     coeffs = [1, -matrix[0][0]]
     for i in range(1, n):

@@ -24,7 +24,6 @@ from .polynomials import (
     IntPolynomial,
     isolate_largest_real_root,
     qdivmod,
-    qeval,
     qeval_interval,
     qmul,
     qstrip,
@@ -158,7 +157,7 @@ class NumberFieldElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, 1) / self.field.from_rational(other)
+            return self * Fraction(1, other)
         self._check(other)
         return self * other.inverse()
 
@@ -199,6 +198,19 @@ class NumberFieldElement:
 
     # -- real embedding -------------------------------------------------------
 
+    def _enclosure(self, done):
+        """Rational bounds (lo, hi) on the value, by interval Horner over
+        the field's root interval; the root is refined by width/4 until
+        done(lo, hi) holds or the root is exact (then lo == hi)."""
+        poly = qstrip(self.coeffs)
+        root = self.field.root
+        for _ in range(400):
+            lo, hi = qeval_interval(poly, root.lower, root.upper)
+            if root.is_exact or done(lo, hi):
+                return lo, hi
+            root = self.field._refine_root(root.width / 4)
+        raise ArithmeticError("root enclosure did not converge")
+
     def sign(self):
         """Sign of the element under the field's distinguished embedding."""
         if self.is_zero:
@@ -206,19 +218,8 @@ class NumberFieldElement:
         if self.is_rational:
             c = self.coeffs[0]
             return 1 if c > 0 else -1
-        poly = qstrip(self.coeffs)
-        root = self.field.root
-        for _ in range(400):
-            if root.is_exact:
-                v = qeval(poly, root.lower)
-                return 0 if v == 0 else (1 if v > 0 else -1)
-            lo, hi = qeval_interval(poly, root.lower, root.upper)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            root = self.field._refine_root(root.width / 4)
-        raise ArithmeticError("sign determination did not converge")
+        lo, hi = self._enclosure(lambda lo, hi: lo > 0 or hi < 0)
+        return 1 if lo > 0 else (-1 if hi < 0 else 0)
 
     def __lt__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,23 +242,13 @@ class NumberFieldElement:
     def isolating_interval(self, width):
         """Rational interval of at most the given width containing the value."""
         width = Fraction(width)
-        poly = qstrip(self.coeffs)
-        root = self.field.root
-        while True:
-            lo, hi = qeval_interval(poly, root.lower, root.upper)
-            if hi - lo <= width:
-                return lo, hi
-            root = self.field._refine_root(root.width / 4)
+        return self._enclosure(lambda lo, hi: hi - lo <= width)
 
     def __float__(self):
         lo, hi = self.isolating_interval(Fraction(1, 10**17))
         return float((lo + hi) / 2)
 
     # -- lifts ----------------------------------------------------------------
-
-    def lift(self):
-        """Canonical residue representative as Fraction tuple (ascending)."""
-        return qstrip(self.coeffs)
 
     def integer_lift(self):
         """Canonical residue as IntPolynomial; requires integral coordinates."""

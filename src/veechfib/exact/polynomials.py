@@ -13,9 +13,10 @@ polynomial``, the palindromic descent producing the minimal polynomial
 of ``2*cos(2*pi/N)``, and ``minpoly_two_cos`` for ``2*cos(pi/n)``.  All
 of it is exact integer arithmetic; no floating point enters anywhere.
 
-Real roots are isolated with Sturm chains over ``Fraction`` and
-returned as ``RootInterval`` values that can be refined to any rational
-width.
+Real roots are isolated with Sturm chains over ``Fraction``: the chain
+counts roots while the search interval shrinks to one root.  The result
+is a ``RootInterval``, refined to any rational width by the sign of the
+squarefree part at each midpoint; refinement evaluates no Sturm chain.
 """
 
 from __future__ import annotations
@@ -241,12 +242,7 @@ class IntPolynomial:
         return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
 
     def content(self):
-        from math import gcd
-
-        g = 0
-        for c in self.coefficients:
-            g = gcd(g, abs(c))
-        return g
+        return math.gcd(*self.coefficients)
 
     def primitive_part(self):
         """Content removed, leading coefficient made positive."""
@@ -351,21 +347,16 @@ def rational_from_str(text):
 # ---------------------------------------------------------------------------
 
 
+def _primitive(q):
+    """Primitive integer multiple, positive lead, of a nonzero Fraction tuple."""
+    den = math.lcm(*(c.denominator for c in q))
+    return IntPolynomial([int(c * den) for c in q]).primitive_part()
+
+
 def int_gcd_poly(f, g):
     """Primitive positive gcd of two integer polynomials."""
     h = qgcd(f.to_qpoly(), g.to_qpoly())
-    if not h:
-        return IntPolynomial()
-    den = 1
-    for c in h:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    return IntPolynomial([int(c * den) for c in h]).primitive_part()
-
-
-def _gcd_int(a, b):
-    from math import gcd
-
-    return gcd(a, b)
+    return _primitive(h) if h else IntPolynomial()
 
 
 def squarefree_part(f):
@@ -375,11 +366,7 @@ def squarefree_part(f):
     g = int_gcd_poly(f, f.derivative())
     if g.degree <= 0:
         return f.primitive_part()
-    q, _ = qdivmod(f.to_qpoly(), g.to_qpoly())
-    den = 1
-    for c in q:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
-    return IntPolynomial([int(c * den) for c in q]).primitive_part()
+    return _primitive(qdivmod(f.to_qpoly(), g.to_qpoly())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +417,21 @@ DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
 class RootInterval:
     """Rational interval [lower, upper] isolating one real root of polynomial.
 
-    ``refine(width)`` returns a narrower RootInterval for the same root;
-    a collapsed interval (lower == upper) marks an exactly known rational
+    ``refine(width)`` returns a narrower RootInterval for the same root,
+    bisecting by the sign of the squarefree part (no Sturm chain); a
+    collapsed interval (lower == upper) marks an exactly known rational
     root.
     """
 
-    __slots__ = ("polynomial", "lower", "upper", "_squarefree", "_chain")
+    __slots__ = ("polynomial", "lower", "upper", "_squarefree")
 
-    def __init__(self, polynomial, lower, upper, _squarefree=None, _chain=None):
+    def __init__(self, polynomial, lower, upper, _squarefree=None):
         self.polynomial = polynomial
         self.lower = Fraction(lower)
         self.upper = Fraction(upper)
         if self.lower > self.upper:
             raise InvalidArgumentError("interval endpoints out of order")
         self._squarefree = _squarefree
-        self._chain = _chain
 
     @property
     def width(self):
@@ -454,32 +441,33 @@ class RootInterval:
     def is_exact(self):
         return self.lower == self.upper
 
-    def _ensure_chain(self):
-        if self._squarefree is None:
-            self._squarefree = squarefree_part(self.polynomial).to_qpoly()
-        if self._chain is None:
-            self._chain = sturm_chain(self._squarefree)
-        return self._squarefree, self._chain
-
     def refine(self, width):
-        """Shrink the interval below the requested rational width."""
+        """Shrink the interval below the requested rational width; each
+        step keeps the half across which the squarefree part changes
+        sign, and a zero at a midpoint or at upper is the root, exactly."""
         width = Fraction(width)
         if width <= 0:
             raise InvalidArgumentError("width must be positive")
         if self.is_exact or self.width <= width:
             return self
-        sf, chain = self._ensure_chain()
+        if self._squarefree is None:
+            self._squarefree = squarefree_part(self.polynomial).to_qpoly()
+        sf = self._squarefree
         lo, hi = self.lower, self.upper
+        upper_value = qeval(sf, hi)
+        if upper_value == 0:
+            return RootInterval(self.polynomial, hi, hi, sf)
+        upper_positive = upper_value > 0
         while hi - lo > width:
             mid = (lo + hi) / 2
-            if qeval(sf, mid) == 0:
+            value = qeval(sf, mid)
+            if value == 0:
                 lo = hi = mid
-                break
-            if count_roots_in(chain, mid, hi) >= 1:
-                lo = mid
-            else:
+            elif (value > 0) == upper_positive:
                 hi = mid
-        return RootInterval(self.polynomial, lo, hi, sf, chain)
+            else:
+                lo = mid
+        return RootInterval(self.polynomial, lo, hi, sf)
 
     def contains(self, x):
         return self.lower <= Fraction(x) <= self.upper
@@ -498,9 +486,10 @@ class RootInterval:
 def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
     """Isolate the largest real root of f in a rational interval.
 
-    Raises NoRealRootError when f has no real root.  The result interval
-    contains exactly the largest root and has width at most ``width``
-    (or is an exact rational point).
+    Raises NoRealRootError when f has no real root.  A Sturm chain counts
+    roots only while the interval shrinks to one; the result contains
+    exactly the largest root and has width at most ``width`` (or is an
+    exact rational point).
     """
     if isinstance(f, (tuple, list)):
         f = IntPolynomial(f)
@@ -522,13 +511,13 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
         if qeval(sf, mid) == 0:
             # mid is a root; the largest lies in [mid, hi].
             if count_roots_in(chain, mid, hi) == 0:
-                return RootInterval(f, mid, mid, sf, chain)
+                return RootInterval(f, mid, mid, sf)
             lo = mid
         elif count_roots_in(chain, mid, hi) >= 1:
             lo = mid
         else:
             hi = mid
-    return RootInterval(f, lo, hi, sf, chain).refine(width)
+    return RootInterval(f, lo, hi, sf).refine(width)
 
 
 # ---------------------------------------------------------------------------

@@ -103,16 +103,20 @@ def is_fundamental_discriminant(d):
 
 
 def _squarefree(n):
+    n = abs(n)
     return all(n % (p * p) for p in prime_factors(n))
 
 
 def real_quadratic_zeta_minus_one(d):
-    """zeta_K(-1) for K of fundamental discriminant d, as a Fraction.
+    """zeta_K(-1) for K real quadratic of fundamental discriminant d >= 5,
+    as a Fraction.
 
     Classical divisor-sum evaluation:
         zeta_K(-1) = (1/60) * sum over b = d mod 2, b^2 < d
                      of sigma_1((d - b^2)/4).
     """
+    if d < 5:
+        raise InvalidArgumentError(f"{d} is not the discriminant of a real quadratic field")
     if not is_fundamental_discriminant(d):
         raise InvalidArgumentError(f"{d} is not a fundamental discriminant")
     total = 0

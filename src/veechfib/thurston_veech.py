@@ -199,8 +199,8 @@ def perron_frobenius(graph, coxeter_number):
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
     formula: its field is that of cos_two_pi_minpoly(2h), at the root
     isolated as the largest.  The eigenvector is then solved by leaf
-    propagation in that field, normalized to first entry 1, and the
-    identity adjacency * heights = mu * heights is verified exactly.
+    propagation in that field from first entry 1, and the identity
+    adjacency * heights = mu * heights is verified exactly.
 
     That identity with every height strictly positive is the
     certificate: the graph is connected, so its adjacency matrix is
@@ -217,8 +217,6 @@ def perron_frobenius(graph, coxeter_number):
     mu = fld.generator
     adj = graph.adjacency_matrix()
     heights = _solve_eigenvector(adj, fld, mu)
-    # normalize first entry to 1
-    heights = tuple(h / heights[0] for h in heights)
     _verify_eigenvector(adj, mu, heights)
     for h in heights:
         if h.sign() <= 0:
@@ -244,7 +242,7 @@ def _solve_eigenvector(adj, fld, mu):
                     if w != u:
                         acc = acc - adj[v][w] * heights[w]
                 if adj[v][u] != 1:
-                    acc = acc / fld.from_rational(adj[v][u])
+                    acc = acc / adj[v][u]
                 heights[u] = acc
                 progress = True
             elif heights[v] is None and not unknown:

@@ -1,0 +1,74 @@
+"""Sturm-count root refinement: the reference for RootInterval.refine.
+
+This is the refinement the library used before it bisected by sign
+changes: every step evaluates the whole Sturm chain at the midpoint and
+at the upper end, and keeps (mid, hi] while it still counts a root.  The
+isolation around it is the library's shrink loop, unchanged, so the two
+routes differ only in how they refine.  Endpoints are returned as
+(lower, upper) Fraction pairs; this only serves tests.
+"""
+
+from fractions import Fraction
+
+from veechfib.errors import InvalidArgumentError, NoRealRootError
+from veechfib.exact.polynomials import (
+    DEFAULT_ROOT_WIDTH,
+    IntPolynomial,
+    cauchy_root_bound,
+    count_roots_in,
+    qeval,
+    squarefree_part,
+    sturm_chain,
+)
+
+
+def refine(polynomial, lower, upper, width):
+    """(lower, upper) narrowed below width around the root the interval
+    isolates, by Sturm counts on (mid, upper]."""
+    lower, upper, width = Fraction(lower), Fraction(upper), Fraction(width)
+    if width <= 0:
+        raise InvalidArgumentError("width must be positive")
+    if lower == upper or upper - lower <= width:
+        return lower, upper
+    sf = squarefree_part(polynomial).to_qpoly()
+    chain = sturm_chain(sf)
+    lo, hi = lower, upper
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if qeval(sf, mid) == 0:
+            lo = hi = mid
+            break
+        if count_roots_in(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
+    """(lower, upper) around the largest real root of f, refined by
+    Sturm counts."""
+    if isinstance(f, (tuple, list)):
+        f = IntPolynomial(f)
+    if f.is_zero:
+        raise InvalidArgumentError("zero polynomial has no distinguished root")
+    if f.degree == 0:
+        raise NoRealRootError(f"{f} has no real root")
+    sf_poly = squarefree_part(f)
+    sf = sf_poly.to_qpoly()
+    chain = sturm_chain(sf)
+    bound = cauchy_root_bound(sf_poly)
+    lo, hi = -bound, bound
+    if count_roots_in(chain, lo, hi) == 0:
+        raise NoRealRootError(f"{f} has no real root")
+    while count_roots_in(chain, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        if qeval(sf, mid) == 0:
+            if count_roots_in(chain, mid, hi) == 0:
+                return mid, mid
+            lo = mid
+        elif count_roots_in(chain, mid, hi) >= 1:
+            lo = mid
+        else:
+            hi = mid
+    return refine(f, lo, hi, width)

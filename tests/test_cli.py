@@ -349,6 +349,36 @@ def test_spin_plugin_hook(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "MissingCurveDataError"
 
 
+@pytest.mark.parametrize(
+    "plugin, cause",
+    [
+        ("nonexistent_mod:f", "ModuleNotFoundError("),
+        ("os:nonexistent", "AttributeError("),
+        ("os:sep", "'sep' is not callable"),
+    ],
+)
+def test_bad_spin_plugin_exit_2(tmp_path, capsys, plugin, cause):
+    # the plugin is loaded before the (missing) data file is read
+    missing = tmp_path / "missing.csv"
+    code, out, err = run_cli(
+        capsys,
+        "weierstrass",
+        "--D",
+        "17",
+        "--p",
+        "3",
+        "--spin-plugin",
+        plugin,
+        "--data",
+        str(missing),
+    )
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"].startswith(f"bad spin plugin {plugin!r}: {cause}")
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "weierstrass", "--D", "13", "--p", "5")
     _, second, _ = run_cli(capsys, "weierstrass", "--D", "13", "--p", "5")

@@ -295,6 +295,12 @@ def test_zeta_values():
     assert real_quadratic_zeta_minus_one(13) == Fraction(1, 6)
     assert is_fundamental_discriminant(12)
     assert not is_fundamental_discriminant(20)
+    # negative d: -4 and -3 are fundamental, -36 = -4 * 9 is not
+    assert is_fundamental_discriminant(-4) and is_fundamental_discriminant(-3)
+    assert not is_fundamental_discriminant(-36)
+    for d in (-36, -4, -3, 0, 1):
+        with pytest.raises(InvalidArgumentError, match="real quadratic field"):
+            real_quadratic_zeta_minus_one(d)
 
 
 def test_curve_data_table_sources():

@@ -79,6 +79,14 @@ def test_field_inverse_and_division(golden_field):
     mu = golden_field.generator
     assert mu * mu.inverse() == golden_field.one
     assert (mu**3 / mu) == mu**2
+    # a rational divisor scales the coordinates; the inverse agrees
+    x = mu**2 + 3
+    for r in (2, -7, Fraction(2, 3), Fraction(-5, 4)):
+        assert x / r == x * golden_field.from_rational(r).inverse()
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        x / Fraction(0)
 
 
 def test_mixed_modulus_rejected(golden_field):

@@ -2,10 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import root_refine_reference as reference
 from veechfib.errors import InvalidArgumentError, NoRealRootError
+from veechfib.exact import polynomials
 from veechfib.exact.polynomials import (
     IntPolynomial,
+    RootInterval,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
     divisors,
@@ -129,8 +134,106 @@ def test_divisors_match_brute_force():
     # discriminant d / f^2 = 0, 1 mod 4
     from veechfib.families import is_fundamental_discriminant
 
-    for d in range(1, 3000):
+    for d in [*range(-2999, 0), *range(1, 3000)]:
         brute = d % 4 in (0, 1) and not any(
-            d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 1) for f in range(2, math.isqrt(d) + 1)
+            d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 1)
+            for f in range(2, math.isqrt(abs(d)) + 1)
         )
         assert is_fundamental_discriminant(d) == brute, d
+
+
+_WIDTHS = (Fraction(1, 2**30), Fraction(1, 10**25))
+
+
+def _bounds(interval):
+    return interval.lower, interval.upper
+
+
+@pytest.mark.parametrize("h", range(3, 71))
+def test_refinement_matches_sturm_reference_on_cos_minpolys(h):
+    # the isolation at the coarser width is compared whole; the finer
+    # width continues the same bisection from there
+    f = cos_two_pi_minpoly(2 * h)
+    coarse, fine = _WIDTHS
+    interval = isolate_largest_real_root(f, coarse)
+    assert _bounds(interval) == reference.isolate_largest_real_root(f, coarse)
+    expected = reference.refine(f, interval.lower, interval.upper, fine)
+    assert _bounds(interval.refine(fine)) == expected
+
+
+_ROOTS = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=4),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+# x^2 + bx + c with a discriminant that is not a rational square
+_QUADRATICS = st.one_of(
+    st.none(),
+    st.tuples(st.integers(-6, 6), st.integers(-9, 9)).filter(
+        lambda bc: bc[0] ** 2 - 4 * bc[1] < 0
+        or math.isqrt(bc[0] ** 2 - 4 * bc[1]) ** 2 != bc[0] ** 2 - 4 * bc[1]
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=_ROOTS, quadratic=_QUADRATICS)
+def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadratic):
+    f = IntPolynomial([1])
+    for r in roots:
+        f = f * IntPolynomial([-r.numerator, r.denominator])
+    if quadratic is not None:
+        f = f * IntPolynomial([quadratic[1], quadratic[0], 1])
+    for width in _WIDTHS:
+        interval = isolate_largest_real_root(f, width)
+        assert _bounds(interval) == reference.isolate_largest_real_root(f, width)
+    start = isolate_largest_real_root(f, Fraction(1, 4))
+    for width in _WIDTHS:
+        expected = reference.refine(f, start.lower, start.upper, width)
+        assert _bounds(start.refine(width)) == expected
+        # built directly, the interval computes its squarefree part itself
+        direct = RootInterval(f, start.lower, start.upper)
+        assert _bounds(direct.refine(width)) == expected
+
+
+def test_refinement_midpoint_on_a_rational_root():
+    # roots 0 and 3/4; (0, 1] isolates 3/4, and the second midpoint is 3/4
+    f = IntPolynomial([0, 1]) * IntPolynomial([-3, 4])
+    refined = RootInterval(f, 0, 1).refine(Fraction(1, 2**30))
+    assert refined.is_exact and refined.lower == Fraction(3, 4)
+    assert _bounds(refined) == reference.refine(f, 0, 1, Fraction(1, 2**30))
+
+
+def test_refinement_of_an_interval_whose_upper_end_is_the_root():
+    # roots -1, 1, 2; (3/2, 2] isolates 2 at its upper end.  The Sturm
+    # count on (mid, 2] keeps finding it, so the reference closes in on 2
+    # from below; refinement by signs returns it exactly.
+    f = IntPolynomial([-2, 1]) * IntPolynomial([-1, 0, 1])
+    refined = RootInterval(f, Fraction(3, 2), 2).refine(Fraction(1, 2**30))
+    assert refined.is_exact and refined.lower == 2
+    lo, hi = reference.refine(f, Fraction(3, 2), 2, Fraction(1, 2**30))
+    assert hi == 2 and hi - lo <= Fraction(1, 2**30)
+
+
+def test_no_sturm_chain_after_isolation(monkeypatch):
+    from veechfib.thurston_veech import build_surface
+
+    calls = []
+    original = polynomials.sign_variations
+
+    def counted(chain, x):
+        calls.append(x)
+        return original(chain, x)
+
+    monkeypatch.setattr(polynomials, "sign_variations", counted)
+    isolate_largest_real_root(cos_two_pi_minpoly(118))
+    assert calls
+    build_surface.cache_clear()
+    model = build_surface("polygon-59")
+    calls.clear()
+    model.mu.field.root.refine(Fraction(1, 10**40))
+    mu = model.mu
+    elements = [mu**k - (k + 1) for k in range(1, 11)] + [k - mu for k in range(1, 11)]
+    assert len({e.sign() for e in elements}) == 2
+    assert calls == []

@@ -283,14 +283,6 @@ def test_parity_check_uses_unreduced_lifts():
     assert heights["c_4"] == model.mu.field.one
 
 
-def test_charpoly_tree_vs_berkowitz():
-    from veechfib.exact.linalg import _charpoly_berkowitz
-
-    for size in (2, 3, 5, 8):
-        adj = coxeter_graph("A", size).adjacency_matrix()
-        assert charpoly(adj) == _charpoly_berkowitz(adj)
-
-
 def _charpoly_permanent_oracle(matrix):
     # det(xI - M) by brute-force permutation expansion over Z[x]
     import itertools
@@ -326,6 +318,7 @@ def test_charpoly_against_permutation_expansion():
     import random
 
     rng = random.Random(11)
+    matrices = []
     for _ in range(12):
         n = rng.randrange(2, 6)
         m = [[0] * n for _ in range(n)]
@@ -333,6 +326,11 @@ def test_charpoly_against_permutation_expansion():
             for j in range(i + 1, n):
                 w = rng.randrange(0, 3)
                 m[i][j] = m[j][i] = w
+        matrices.append(m)
+    # trees: the paths A2-A6 and E7, a 7-vertex tree with a branch point
+    matrices += [coxeter_graph("A", n).adjacency_matrix() for n in range(2, 7)]
+    matrices.append(coxeter_graph("E7").adjacency_matrix())
+    for m in matrices:
         assert charpoly(m) == _charpoly_permanent_oracle(m), m
 
 
