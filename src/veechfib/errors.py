@@ -20,6 +20,21 @@ class NoRealRootError(VeechFibError):
     """Root isolation was asked for a polynomial without real roots."""
 
 
+class DivisionByZeroError(VeechFibError, ZeroDivisionError):
+    """Exact division by zero: by the zero polynomial, or the inverse of
+    zero in a number ring or a finite field."""
+
+
+class ZeroDivisorError(DivisionByZeroError):
+    """A nonzero element shares a factor with a reducible modulus, so it
+    has no inverse."""
+
+
+class EnclosureDivergenceError(VeechFibError, ArithmeticError):
+    """Interval evaluation of a number-ring element never separated its
+    value from zero, as for a zero divisor of a reducible modulus."""
+
+
 class UnsupportedFamilyError(InvalidArgumentError):
     """A family tag outside the supported series was requested."""
 

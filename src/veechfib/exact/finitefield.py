@@ -9,7 +9,7 @@ ever needed, so no factorization is performed.
 
 from __future__ import annotations
 
-from ..errors import InvalidArgumentError
+from ..errors import DivisionByZeroError, InvalidArgumentError
 from .polynomials import IntPolynomial
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,7 +66,7 @@ def pmul(f, g, p):
 
 def pmod(f, g, p):
     if not g:
-        raise ZeroDivisionError("polynomial division by zero mod p")
+        raise DivisionByZeroError("polynomial division by zero mod p")
     f = list(f)
     inv = pow(g[-1], p - 2, p)
     while len(f) >= len(g):
@@ -265,7 +265,7 @@ class FFElement:
 
     def inverse(self):
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
+            raise DivisionByZeroError("inverse of zero")
         return self ** (self.spec.order - 2)
 
     def __truediv__(self, other):

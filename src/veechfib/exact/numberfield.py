@@ -6,6 +6,11 @@ element an exact sign (refine until the interval evaluation of its
 residue excludes zero), so elements can be compared, sorted and checked
 for positivity without floating point.
 
+Elements hold Fraction coordinates in the power basis, but products,
+reductions and interval evaluations run on integer numerators over a
+common denominator: since m is monic, each x^k mod m is integral, and
+the field keeps one table of them for reducing products.
+
 Elements always carry their field.  Mixed-field arithmetic raises
 MixedModulusError; nothing is ever coerced.
 """
@@ -15,20 +20,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import (
+    DivisionByZeroError,
+    EnclosureDivergenceError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     MixedModulusError,
     NonIntegralElementError,
+    ZeroDivisorError,
 )
 from .polynomials import (
     IntPolynomial,
     isolate_largest_real_root,
     qdivmod,
-    qeval_interval,
     qmul,
     qstrip,
     qsub,
     rational_to_str,
+    scaled_integers,
 )
 
 
@@ -37,7 +45,7 @@ class RealAlgebraicField:
 
     The modulus must be monic with integer coefficients and irreducible
     over Q in all intended uses (it is taken on faith here; division by
-    a zero divisor of a reducible modulus raises ZeroDivisionError).
+    a zero divisor of a reducible modulus raises ZeroDivisorError).
     """
 
     def __init__(self, modulus, root=None):
@@ -48,6 +56,8 @@ class RealAlgebraicField:
         self.modulus = modulus
         self.degree = modulus.degree
         self._modulus_q = modulus.to_qpoly()
+        # x^(degree + k) mod modulus for k = 0, 1, ...; grown on demand
+        self._reductions = (tuple(-c for c in modulus.coefficients[:-1]),)
         if root is None:
             root = isolate_largest_real_root(modulus)
         self.root = root
@@ -66,10 +76,36 @@ class RealAlgebraicField:
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > self.degree:
-            reduced = qdivmod(qstrip(coeffs), self._modulus_q)[1]
-            coeffs = list(reduced)
+            return self._reduced(*scaled_integers(coeffs))
         coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return NumberFieldElement(self, tuple(coeffs[: self.degree]))
+        return NumberFieldElement(self, tuple(coeffs))
+
+    def _reduced(self, nums, den):
+        """The element sum_k nums[k] x^k / den, reduced by the table of
+        x^k mod modulus."""
+        n = self.degree
+        rows = self._reductions
+        if len(nums) - n > len(rows):
+            rows = self._grow_reductions(len(nums) - n)
+        out = list(nums[:n]) + [0] * (n - len(nums))
+        for c, row in zip(nums[n:], rows):
+            if c:
+                out = [o + c * r for o, r in zip(out, row)]
+        if den == 1:
+            return NumberFieldElement(self, tuple(map(Fraction, out)))
+        return NumberFieldElement(self, tuple(Fraction(c, den) for c in out))
+
+    def _grow_reductions(self, count):
+        """At least count table rows; x * row, reduced once more, gives
+        the next row.  The longer table replaces the old one whole."""
+        rows = list(self._reductions)
+        first = rows[0]
+        while len(rows) < count:
+            last = rows[-1]
+            top = last[-1]
+            rows.append((top * first[0],) + tuple(a + top * b for a, b in zip(last, first[1:])))
+        self._reductions = tuple(rows)
+        return self._reductions
 
     def from_rational(self, x):
         return self.element([Fraction(x)])
@@ -132,17 +168,25 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.field, tuple(a * Fraction(other) for a in self.coeffs))
+            return NumberFieldElement(self.field, tuple(a * other for a in self.coeffs))
         self._check(other)
-        prod = qmul(qstrip(self.coeffs), qstrip(other.coeffs))
-        return self.field.element(prod)
+        a, da = scaled_integers(self.coeffs)
+        b, db = scaled_integers(other.coeffs)
+        while b and not b[-1]:
+            b.pop()
+        prod = [0] * (len(a) + len(b) - 1) if b else []
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return self.field._reduced(prod, da * db)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
+            raise DivisionByZeroError("inverse of zero")
         # Bezout: s*self + t*modulus = gcd; gcd must be a nonzero constant.
         r0, r1 = self.field._modulus_q, qstrip(self.coeffs)
         s0, s1 = (), (Fraction(1),)
@@ -151,7 +195,7 @@ class NumberFieldElement:
             r0, r1 = r1, r
             s0, s1 = s1, qsub(s0, qmul(q, s1))
         if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor (reducible modulus?)")
+            raise ZeroDivisorError("element is a zero divisor (reducible modulus?)")
         inv = tuple(c / r0[0] for c in s0)
         return self.field.element(inv)
 
@@ -201,15 +245,32 @@ class NumberFieldElement:
     def _enclosure(self, done):
         """Rational bounds (lo, hi) on the value, by interval Horner over
         the field's root interval; the root is refined by width/4 until
-        done(lo, hi) holds or the root is exact (then lo == hi)."""
-        poly = qstrip(self.coeffs)
+        done(lo, hi) holds or the root is exact (then lo == hi).
+
+        Horner runs on the integer numerators over the common
+        denominator D of the coordinates and e of the interval: after k
+        steps the bounds are integers over D e^(k-1), one positive
+        denominator, so every min and max is the one Fraction Horner
+        takes, and the bounds are the same rationals.
+        """
+        nums, den = scaled_integers(qstrip(self.coeffs))
+        if not nums:
+            return Fraction(0), Fraction(0)
         root = self.field.root
         for _ in range(400):
-            lo, hi = qeval_interval(poly, root.lower, root.upper)
+            (p, q), e = scaled_integers((root.lower, root.upper))
+            alo = ahi = 0
+            scale = 1
+            for c in reversed(nums):
+                products = (alo * p, alo * q, ahi * p, ahi * q)
+                alo, ahi = min(products) + c * scale, max(products) + c * scale
+                scale *= e
+            bound_den = den * scale // e
+            lo, hi = Fraction(alo, bound_den), Fraction(ahi, bound_den)
             if root.is_exact or done(lo, hi):
                 return lo, hi
             root = self.field._refine_root(root.width / 4)
-        raise ArithmeticError("root enclosure did not converge")
+        raise EnclosureDivergenceError("root enclosure did not converge")
 
     def sign(self):
         """Sign of the element under the field's distinguished embedding."""

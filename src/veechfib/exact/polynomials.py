@@ -2,21 +2,24 @@
 
 Integer polynomials are immutable ``IntPolynomial`` values holding a
 tuple of arbitrary-precision coefficients in ascending degree; the zero
-polynomial is the empty tuple.  Rational-coefficient work (Euclidean
-division, gcds, Sturm chains) runs on plain tuples of ``Fraction``
-through the ``q*`` helpers, mirroring the dense "dup" convention of the
-usual computer-algebra codebases but at the small scale this package
-needs.
+polynomial is the empty tuple.  Rational Euclidean division and gcds
+run on plain tuples of ``Fraction`` through the ``q*`` helpers,
+mirroring the dense "dup" convention of the usual computer-algebra
+codebases but at the small scale this package needs.
 
 The module also hosts the cyclotomic machinery: ``cyclotomic
 polynomial``, the palindromic descent producing the minimal polynomial
 of ``2*cos(2*pi/N)``, and ``minpoly_two_cos`` for ``2*cos(pi/n)``.  All
 of it is exact integer arithmetic; no floating point enters anywhere.
 
-Real roots are isolated with Sturm chains over ``Fraction``: the chain
-counts roots while the search interval shrinks to one root.  The result
-is a ``RootInterval``, refined to any rational width by the sign of the
-squarefree part at each midpoint; refinement evaluates no Sturm chain.
+Real roots are isolated with Sturm chains on integers: every member is
+a positive integer multiple of the usual one, and its sign at a
+rational a/d is the sign of the homogenised value d^n f(a/d), found by
+integer Horner in ``homogeneous_value``.  The chain counts roots while
+the search interval shrinks to one root, one chain evaluation per
+halving.  The result is a ``RootInterval``, refined to any rational
+width by the sign of the squarefree part at each midpoint, through the
+same helper; refinement evaluates no Sturm chain.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import InvalidArgumentError, NoRealRootError
+from ..errors import DivisionByZeroError, InvalidArgumentError, NoRealRootError
 
 # ---------------------------------------------------------------------------
 # Fraction-tuple helpers (ascending degree, trailing zeros stripped)
@@ -69,7 +72,7 @@ def qmul(f, g):
 def qdivmod(f, g):
     """Euclidean division over Q; g must be nonzero."""
     if not g:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise DivisionByZeroError("polynomial division by zero")
     f = list(f)
     q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     glead = Fraction(g[-1])
@@ -82,17 +85,6 @@ def qdivmod(f, g):
         while f and f[-1] == 0:
             f.pop()
     return qstrip(q), qstrip(f)
-
-
-def qeval(f, x):
-    out = Fraction(0)
-    for c in reversed(f):
-        out = out * x + c
-    return out
-
-
-def qderivative(f):
-    return qstrip([i * c for i, c in enumerate(f)][1:])
 
 
 def qmonic(f):
@@ -110,17 +102,32 @@ def qgcd(f, g):
     return qmonic(f)
 
 
-def qeval_interval(f, lo, hi):
-    """Interval evaluation of f over [lo, hi] by Horner with interval ops.
+def scaled_integers(coeffs):
+    """(numerators, denominator): ints or Fractions over their least
+    common denominator, so coeffs[i] == numerators[i] / denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
-    Returns (min, max) rational bounds of the enclosure; exact when the
-    interval is a point.
-    """
-    alo = ahi = Fraction(0)
-    for c in reversed(f):
-        products = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(products) + c, max(products) + c
-    return alo, ahi
+
+def homogeneous_value(coeffs, a, d):
+    """d^n f(a/d) for integer coefficients (ascending, degree n), by
+    integer Horner; its sign is the sign of f(a/d) when d > 0."""
+    value = 0
+    scale = 1
+    for c in reversed(coeffs):
+        value = value * a + c * scale
+        scale *= d
+    return value
+
+
+def qeval(f, x):
+    """Exact value of a rational polynomial at a rational point."""
+    x = Fraction(x)
+    nums, den = scaled_integers(f)
+    value = homogeneous_value(nums, x.numerator, x.denominator)
+    return Fraction(value, den * x.denominator ** max(len(nums) - 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +231,13 @@ class IntPolynomial:
     def try_exact_divide(self, other):
         """Return self / other in Z[x], or None when it does not divide."""
         if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise DivisionByZeroError("polynomial division by zero")
         q, r = qdivmod(self.to_qpoly(), other.to_qpoly())
         if r:
             return None
         if any(c.denominator != 1 for c in q):
             return None
         return IntPolynomial([int(c) for c in q])
-
-    def evaluate(self, x):
-        out = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.coefficients):
-            out = out * x + c
-        return out
 
     def derivative(self):
         return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
@@ -349,8 +350,7 @@ def rational_from_str(text):
 
 def _primitive(q):
     """Primitive integer multiple, positive lead, of a nonzero Fraction tuple."""
-    den = math.lcm(*(c.denominator for c in q))
-    return IntPolynomial([int(c * den) for c in q]).primitive_part()
+    return IntPolynomial(scaled_integers(q)[0]).primitive_part()
 
 
 def int_gcd_poly(f, g):
@@ -374,28 +374,55 @@ def squarefree_part(f):
 # ---------------------------------------------------------------------------
 
 
+def _content_free(coeffs):
+    """Integer coefficients divided by their positive content; every
+    sign is kept."""
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def _pseudo_remainder(f, g):
+    """A positive integer multiple of the remainder of f by g, both
+    integer coefficient sequences."""
+    rem = list(f)
+    scale, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    while len(rem) >= len(g):
+        c = sign * rem[-1]
+        shift = len(rem) - len(g)
+        rem = [scale * r for r in rem]
+        for i, b in enumerate(g):
+            rem[shift + i] -= c * b
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
 def sturm_chain(f):
-    """Sturm chain of a squarefree rational polynomial (Fraction tuples)."""
-    chain = [qstrip(f), qderivative(qstrip(f))]
+    """Sturm chain of a squarefree polynomial, given as an IntPolynomial
+    or as rational coefficients.  Each member is an integer coefficient
+    tuple, a positive multiple of the usual f, f', -rem(f, f'), ..."""
+    coeffs = f.coefficients if isinstance(f, IntPolynomial) else scaled_integers(qstrip(f))[0]
+    first = _content_free(coeffs)
+    chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
     while chain[-1]:
-        rem = qdivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        # Positive rescaling keeps the sign structure and the numbers small.
-        chain.append(qmonic(qneg(rem)) if rem[-1] < 0 else qneg(qmonic(rem)))
+        chain.append(_content_free([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
     return [c for c in chain if c]
 
 
 def sign_variations(chain, x):
-    signs = []
-    for f in chain:
-        v = qeval(f, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
+    """Sign changes along an integer Sturm chain at the rational x,
+    zero values dropped."""
+    x = Fraction(x)
+    a, d = x.numerator, x.denominator
+    count, previous = 0, None
+    for member in chain:
+        value = homogeneous_value(member, a, d)
+        if value:
+            positive = value > 0
+            if previous is not None and positive != previous:
+                count += 1
+            previous = positive
     return count
 
 
@@ -451,16 +478,16 @@ class RootInterval:
         if self.is_exact or self.width <= width:
             return self
         if self._squarefree is None:
-            self._squarefree = squarefree_part(self.polynomial).to_qpoly()
+            self._squarefree = squarefree_part(self.polynomial).coefficients
         sf = self._squarefree
         lo, hi = self.lower, self.upper
-        upper_value = qeval(sf, hi)
+        upper_value = homogeneous_value(sf, hi.numerator, hi.denominator)
         if upper_value == 0:
             return RootInterval(self.polynomial, hi, hi, sf)
         upper_positive = upper_value > 0
         while hi - lo > width:
             mid = (lo + hi) / 2
-            value = qeval(sf, mid)
+            value = homogeneous_value(sf, mid.numerator, mid.denominator)
             if value == 0:
                 lo = hi = mid
             elif (value > 0) == upper_positive:
@@ -498,25 +525,27 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
     if f.degree == 0:
         raise NoRealRootError(f"{f} has no real root")
     sf_poly = squarefree_part(f)
-    sf = sf_poly.to_qpoly()
-    chain = sturm_chain(sf)
-    bound = cauchy_root_bound(sf_poly)
-    lo, hi = -bound, bound
-    total = count_roots_in(chain, lo, hi)
-    if total == 0:
+    sf = sf_poly.coefficients
+    chain = sturm_chain(sf_poly)
+    hi = cauchy_root_bound(sf_poly)
+    lo = -hi
+    var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+    if var_lo == var_hi:
         raise NoRealRootError(f"{f} has no real root")
     # Shrink from the left until exactly one root remains in (lo, hi].
-    while count_roots_in(chain, lo, hi) > 1:
+    # The counts at both ends are kept, so each halving evaluates the
+    # chain once, at the midpoint.
+    while var_lo - var_hi > 1:
         mid = (lo + hi) / 2
-        if qeval(sf, mid) == 0:
-            # mid is a root; the largest lies in [mid, hi].
-            if count_roots_in(chain, mid, hi) == 0:
-                return RootInterval(f, mid, mid, sf)
-            lo = mid
-        elif count_roots_in(chain, mid, hi) >= 1:
-            lo = mid
+        var_mid = sign_variations(chain, mid)
+        if var_mid > var_hi:
+            # (mid, hi] holds a root, so a root at mid is not the largest
+            lo, var_lo = mid, var_mid
+        elif homogeneous_value(sf, mid.numerator, mid.denominator) == 0:
+            # mid is a root and none lies above it
+            return RootInterval(f, mid, mid, sf)
         else:
-            hi = mid
+            hi, var_hi = mid, var_mid
     return RootInterval(f, lo, hi, sf).refine(width)
 
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veechfib.errors import InvalidArgumentError
+from veechfib.errors import DivisionByZeroError, InvalidArgumentError, VeechFibError
 from veechfib.exact.finitefield import (
     FiniteFieldSpec,
     is_irreducible_mod_p,
     is_prime,
     is_quadratic_nonresidue,
+    pmod,
 )
 from veechfib.exact.polynomials import IntPolynomial
 
@@ -86,6 +87,19 @@ def test_field_arithmetic_and_inverse():
             assert elem * elem.inverse() == field.one
     assert field.order == 9
     assert len(list(field.elements())) == 9
+
+
+def test_inverse_of_zero_is_typed():
+    field = FiniteFieldSpec(3, GOLDEN)
+    with pytest.raises(DivisionByZeroError) as err:
+        field.zero.inverse()
+    assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
+
+
+def test_polynomial_remainder_by_zero_is_typed():
+    with pytest.raises(DivisionByZeroError) as err:
+        pmod((1, 2, 1), (), 5)
+    assert isinstance(err.value, ZeroDivisionError)
 
 
 def test_element_index_round_trip():

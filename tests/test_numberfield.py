@@ -1,11 +1,20 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 import power_basis_reference as reference
-from veechfib.errors import MixedModulusError, NonIntegralElementError
+from veechfib.errors import (
+    DivisionByZeroError,
+    EnclosureDivergenceError,
+    MixedModulusError,
+    NonIntegralElementError,
+    VeechFibError,
+    ZeroDivisorError,
+)
 from veechfib.exact.numberfield import (
     PowerBasis,
     RealAlgebraicField,
@@ -13,7 +22,12 @@ from veechfib.exact.numberfield import (
     element_minimal_polynomial,
     in_order,
 )
-from veechfib.exact.polynomials import IntPolynomial, minpoly_two_cos
+from veechfib.exact.polynomials import (
+    IntPolynomial,
+    RootInterval,
+    cos_two_pi_minpoly,
+    minpoly_two_cos,
+)
 
 
 @pytest.fixture
@@ -188,3 +202,120 @@ def test_power_basis_matches_dense_elimination(n, elem_coeffs, elem_den, alpha_c
             reference.coordinates_in_power_basis(elem, alpha, count)
         )
         assert in_order(elem, alpha, count) == reference.in_order(elem, alpha, count)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against their Fraction routes
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_field(h):
+    return RealAlgebraicField(cos_two_pi_minpoly(2 * h))
+
+
+@st.composite
+def _fields(draw):
+    """A field of 2cos(pi/h), h <= 40, with its isolated root, or a
+    random monic modulus with an arbitrary rational interval standing in
+    for the root (products never look at it; enclosures take it as
+    given)."""
+    if draw(st.booleans()):
+        return _cos_field(draw(st.integers(2, 40)))
+    lower = draw(st.integers(1, 8))
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=lower, max_size=lower)) + [1]
+    modulus = IntPolynomial(coeffs)
+    lo = draw(st.fractions(-4, 4, max_denominator=2**20))
+    hi = lo + draw(st.fractions(0, 1, max_denominator=2**20))
+    return RealAlgebraicField(modulus, RootInterval(modulus, lo, hi))
+
+
+def _coordinates(draw, field, count=None):
+    return draw(
+        st.lists(
+            st.fractions(-50, 50, max_denominator=30),
+            min_size=count or field.degree,
+            max_size=count or field.degree,
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_field_product_matches_fraction_long_division(data):
+    field = data.draw(_fields())
+    a = _coordinates(data.draw, field)
+    b = _coordinates(data.draw, field)
+    x, y = field.element(a), field.element(b)
+    expected = fraction_reference.field_product(
+        a, b, field.modulus.coefficients, field.degree
+    )
+    product = x * y
+    assert product.coeffs == expected
+    assert all(type(c) is Fraction for c in product.coeffs)
+    # a longer input is reduced by the same table, grown as needed
+    longer = _coordinates(data.draw, field, 2 * field.degree + 2)
+    reduced = fraction_reference.remainder(longer, field.modulus.coefficients)
+    assert field.element(longer).coeffs == reduced + (Fraction(0),) * (
+        field.degree - len(reduced)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_enclosure_matches_fraction_interval_horner(data):
+    field = data.draw(_fields())
+    elem = field.element(_coordinates(data.draw, field))
+    root = field.root
+    expected = fraction_reference.qeval_interval(
+        fraction_reference.strip(elem.coeffs), root.lower, root.upper
+    )
+    assert elem._enclosure(lambda lo, hi: True) == expected
+
+
+@pytest.mark.parametrize("h", [5, 7, 12, 17, 40])
+def test_enclosure_sequence_matches_fraction_interval_horner(h):
+    # the same bounds at every refinement of the root, and the same float
+    field = RealAlgebraicField(cos_two_pi_minpoly(2 * h))
+    elem = field.generator ** 3 - Fraction(7, 3) * field.generator + Fraction(1, 5)
+    seen = []
+
+    def done(lo, hi):
+        root = field.root
+        assert (lo, hi) == fraction_reference.qeval_interval(
+            fraction_reference.strip(elem.coeffs), root.lower, root.upper
+        )
+        seen.append(hi - lo)
+        return hi - lo <= Fraction(1, 10**30)
+
+    elem._enclosure(done)
+    assert len(seen) > 1
+    lo, hi = fraction_reference.qeval_interval(
+        fraction_reference.strip(elem.coeffs), field.root.lower, field.root.upper
+    )
+    assert float(elem) == float((lo + hi) / 2)
+
+
+def test_inverse_of_zero_is_typed(golden_field):
+    with pytest.raises(DivisionByZeroError) as err:
+        golden_field.zero.inverse()
+    assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
+
+
+def test_zero_divisor_inverse_is_typed():
+    # x^2 - 2 divides the reducible modulus (x^2 - 2)(x - 1)
+    modulus = IntPolynomial([-2, 0, 1]) * IntPolynomial([-1, 1])
+    field = RealAlgebraicField(modulus)
+    with pytest.raises(ZeroDivisorError) as err:
+        field.element([-2, 0, 1]).inverse()
+    assert isinstance(err.value, ZeroDivisionError)
+
+
+def test_enclosure_of_a_hidden_zero_is_typed():
+    # x^2 - 2 vanishes at sqrt(2), the largest root of the reducible
+    # modulus, yet its coordinates are nonzero: no enclosure excludes 0
+    modulus = IntPolynomial([-2, 0, 1]) * IntPolynomial([-1, 1])
+    field = RealAlgebraicField(modulus)
+    with pytest.raises(EnclosureDivergenceError) as err:
+        field.element([-2, 0, 1]).sign()
+    assert isinstance(err.value, ArithmeticError) and isinstance(err.value, VeechFibError)

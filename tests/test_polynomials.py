@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_reference
 import root_refine_reference as reference
-from veechfib.errors import InvalidArgumentError, NoRealRootError
+from veechfib.errors import (
+    DivisionByZeroError,
+    InvalidArgumentError,
+    NoRealRootError,
+    VeechFibError,
+)
 from veechfib.exact import polynomials
 from veechfib.exact.polynomials import (
     IntPolynomial,
@@ -15,13 +21,18 @@ from veechfib.exact.polynomials import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    homogeneous_value,
     isolate_largest_real_root,
     minpoly_two_cos,
     parse_polynomial,
     prime_factors,
+    qdivmod,
+    qeval,
     rational_from_str,
     rational_to_str,
+    scaled_integers,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -237,3 +248,68 @@ def test_no_sturm_chain_after_isolation(monkeypatch):
     elements = [mu**k - (k + 1) for k in range(1, 11)] + [k - mu for k in range(1, 11)]
     assert len({e.sign() for e in elements}) == 2
     assert calls == []
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    # the shrink loop keeps the counts at both ends of its interval, so
+    # no point is evaluated twice
+    calls = []
+    original = polynomials.sign_variations
+
+    def counted(chain, x):
+        calls.append(Fraction(x))
+        return original(chain, x)
+
+    monkeypatch.setattr(polynomials, "sign_variations", counted)
+    for n in (128, 202):
+        calls.clear()
+        isolate_largest_real_root(cos_two_pi_minpoly(n))
+        assert len(calls) > 2
+        assert len(set(calls)) == len(calls)
+
+
+_RATIONALS = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**4)
+_COEFFS = st.lists(st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10**3), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_COEFFS, x=_RATIONALS)
+def test_integer_evaluation_matches_fraction_horner(coeffs, x):
+    expected = fraction_reference.qeval(coeffs, x)
+    assert qeval(coeffs, x) == expected
+    nums, den = scaled_integers(coeffs)
+    assert [Fraction(c, den) for c in nums] == coeffs
+    value = homogeneous_value(nums, x.numerator, x.denominator)
+    assert (value > 0) - (value < 0) == (expected > 0) - (expected < 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(2, 40), x=_RATIONALS)
+def test_sturm_members_keep_their_signs(h, x):
+    # each integer member is a positive multiple of the Fraction chain
+    # f, f', -rem(f, f'), ...; compare signs at a rational point
+    f = cos_two_pi_minpoly(2 * h).to_qpoly()
+    members = [f, tuple(i * c for i, c in enumerate(f))[1:]]
+    while True:
+        rem = qdivmod(members[-2], members[-1])[1]
+        if not rem:
+            break
+        members.append(tuple(-c for c in rem))
+    chain = sturm_chain(f)
+    assert len(chain) == len(members)
+    for member, expected in zip(chain, members):
+        value = homogeneous_value(member, x.numerator, x.denominator)
+        ref = fraction_reference.qeval(expected, x)
+        assert (value > 0) - (value < 0) == (ref > 0) - (ref < 0)
+
+
+def test_polynomial_division_by_zero_is_typed():
+    with pytest.raises(DivisionByZeroError) as err:
+        qdivmod((Fraction(1), Fraction(2)), ())
+    assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
+
+
+def test_exact_divide_by_zero_polynomial_is_typed():
+    with pytest.raises(DivisionByZeroError) as err:
+        IntPolynomial([1, 1]).try_exact_divide(IntPolynomial())
+    assert isinstance(err.value, ZeroDivisionError)
