@@ -26,7 +26,6 @@ from .polynomials import (
     minpoly_two_cos,
     parse_polynomial,
     prime_factors,
-    rational_from_str,
     rational_to_str,
     squarefree_part,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "minpoly_two_cos",
     "parse_polynomial",
     "prime_factors",
-    "rational_from_str",
     "rational_to_str",
     "squarefree_part",
 ]

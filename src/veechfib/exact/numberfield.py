@@ -201,6 +201,8 @@ class NumberFieldElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZeroError("division by zero")
             return self * Fraction(1, other)
         self._check(other)
         return self * other.inverse()

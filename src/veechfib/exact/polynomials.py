@@ -122,14 +122,6 @@ def homogeneous_value(coeffs, a, d):
     return value
 
 
-def qeval(f, x):
-    """Exact value of a rational polynomial at a rational point."""
-    x = Fraction(x)
-    nums, den = scaled_integers(f)
-    value = homogeneous_value(nums, x.numerator, x.denominator)
-    return Fraction(value, den * x.denominator ** max(len(nums) - 1, 0))
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials
 # ---------------------------------------------------------------------------
@@ -270,10 +262,6 @@ class IntPolynomial:
         """JSON form: array of decimal strings, ascending degree."""
         return [str(c) for c in self.coefficients]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([int(c) for c in data])
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -336,11 +324,6 @@ def parse_polynomial(text):
 def rational_to_str(x):
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rational_from_str(text):
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -496,18 +479,8 @@ class RootInterval:
                 lo = mid
         return RootInterval(self.polynomial, lo, hi, sf)
 
-    def contains(self, x):
-        return self.lower <= Fraction(x) <= self.upper
-
     def __repr__(self):
         return f"RootInterval([{self.lower}, {self.upper}], {self.polynomial})"
-
-    def to_json(self):
-        return {
-            "lower": rational_to_str(self.lower),
-            "upper": rational_to_str(self.upper),
-            "polynomial": self.polynomial.to_json(),
-        }
 
 
 def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):

@@ -164,20 +164,3 @@ def prototypes_csv(protos):
         )
     return "\n".join(lines) + "\n"
 
-
-def brute_force_count(d):
-    """Independent quadruple scan used as the enumeration oracle."""
-    count = 0
-    bound = math.isqrt(d) + 1
-    for e in range(-bound, bound + 1):
-        for w in range(1, d + 1):
-            for h in range(1, d // (4 * w) + 2):
-                if e * e + 4 * w * h != d or h + e >= w:
-                    continue
-                for t in range(0, math.gcd(w, h)):
-                    g = 0
-                    for v in (w, h, t, e):
-                        g = math.gcd(g, abs(v))
-                    if g == 1:
-                        count += 1
-    return count

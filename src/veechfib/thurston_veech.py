@@ -21,8 +21,14 @@ partition (g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7 and E8
 carry theirs in one table.  For even n the order-2 rotation of the path
 diagram is quotiented combinatorially on the cylinder list (one
 cylinder kept per swapped pair, the middle one as is), with quotient
-graph A(n/2).  Genus and partition are cross-checked against the rank
-of the quotient intersection matrix.
+graph A(n/2).
+
+Each model fact is proved once, by the build step that makes it:
+perron_frobenius proves Q h = mu h (stored heights are a multiple of
+its vector); _build_polygon checks each n-gon height against its
+Chebyshev lift and, for even n, c_k against c_(n-k); E7/E8 lifts come
+from integer_lift(); _checked_model refuses a model whose genus is not
+rank Q (core_curve_span_check).  There is no separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -283,7 +289,7 @@ class CylinderDatum:
 
     ``height_lift`` is the integer polynomial in mu representing the
     height in the staircase normalization, kept unreduced for the
-    parity check.
+    parity check; the build proves that it embeds to ``height``.
     """
 
     name: str
@@ -330,25 +336,6 @@ class SurfaceModel:
         """Echelon power basis of alpha = mu^2, built once per model."""
         return PowerBasis(self.mu * self.mu)
 
-    def verify(self):
-        """Exact Q h = mu h on the construction graph; partition sum."""
-        adj = self.construction_graph.adjacency_matrix()
-        mu, field_ = self.mu, self.mu.field
-        full = _construction_heights(self)
-        for v in range(len(adj)):
-            acc = field_.zero
-            for u in range(len(adj)):
-                if adj[v][u]:
-                    acc = acc + adj[v][u] * full[u]
-            if acc != mu * full[v]:
-                raise MathematicalInconsistencyError("Q h = mu h fails on the model")
-        if sum(self.zero_partition) != 2 * self.genus - 2:
-            raise MathematicalInconsistencyError("zero partition does not sum to 2g-2")
-        for cyl in self.cylinders:
-            if cyl.circumference != mu * cyl.height:
-                raise MathematicalInconsistencyError("cylinder has inverse modulus != mu")
-        return True
-
     def to_json(self):
         return {
             "family": self.family_tag,
@@ -361,20 +348,6 @@ class SurfaceModel:
             "zero_partition": list(self.zero_partition),
             "core_curves_cross_boundary_once": self.core_curves_cross_boundary_once,
         }
-
-
-def _construction_heights(model):
-    """Heights indexed by construction-graph vertex, staircase scale."""
-    tag, n = surface_tag(model.family_tag)
-    by_vertex = {int(cyl.name.split("_")[1]): cyl.height for cyl in model.cylinders}
-    if tag in _SPORADIC:
-        # adjacency rows are ordered blacks then whites
-        _, blacks, whites = _diagram_graph(tag)
-        return [by_vertex[v] for v in blacks + whites]
-    # an even n-gon keeps c_1..c_{n/2}, and c_k has the height of c_{n-k};
-    # construction graph vertex order: blacks (odd k) then whites (even k)
-    order = list(range(1, n, 2)) + list(range(2, n, 2))
-    return [by_vertex[k if k in by_vertex else n - k] for k in order]
 
 
 _CHEBYSHEV_CACHE = [IntPolynomial([1]), IntPolynomial([0, 1])]
@@ -438,6 +411,8 @@ def _build_polygon(n):
         expected = fld.element(_chebyshev_like(k - 1).to_qpoly())
         if by_vertex[k] != expected:
             raise MathematicalInconsistencyError("path eigenvector is not Chebyshev")
+    if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
+        raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
     rows = [
         (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], _chebyshev_like(k - 1))
@@ -465,7 +440,8 @@ def _build_sporadic(which):
 
 def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
     """Model with one unit-twist cylinder per (name, direction, height,
-    height lift) row, after the genus cross-check and verify()."""
+    height lift) row, circumference mu * height; refused unless the
+    genus is the rank of the intersection matrix."""
     cylinders = [CylinderDatum(name, d, h, mu * h, 1, lift) for name, d, h, lift in rows]
     model = SurfaceModel(
         family_tag=family_tag,
@@ -478,8 +454,8 @@ def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
         genus=genus,
         zero_partition=partition,
     )
-    _cross_check_genus(model)
-    model.verify()
+    if not core_curve_span_check(model):
+        raise MathematicalInconsistencyError(f"genus {genus} != rank of the intersection matrix")
     return model
 
 
@@ -499,15 +475,9 @@ def _staircase_normalize(mu, by_vertex, blacks, whites):
     for v0 in candidates:
         scale = mu / by_vertex[v0]
         scaled = {v: h * scale for v, h in by_vertex.items()}
-        lifts = {}
-        ok = True
-        for v, h in scaled.items():
-            if not h.is_integral_residue:
-                ok = False
-                break
-            lifts[v] = h.integer_lift()
-        if not ok:
+        if not all(h.is_integral_residue for h in scaled.values()):
             continue
+        lifts = {v: h.integer_lift() for v, h in scaled.items()}
         side_of_v0 = blacks if v0 in blacks else whites
         other = whites if v0 in blacks else blacks
         if all(lifts[v].odd_terms_only() for v in side_of_v0) and all(
@@ -515,14 +485,6 @@ def _staircase_normalize(mu, by_vertex, blacks, whites):
         ):
             return scaled, lifts, set(side_of_v0)
     raise MathematicalInconsistencyError("no staircase normalization found")
-
-
-def _cross_check_genus(model):
-    g = rank(model.graph.intersections)
-    if g != model.genus:
-        raise MathematicalInconsistencyError(
-            f"family genus {model.genus} != rank of intersection matrix {g}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +498,10 @@ def staircase_parity_check(model):
     horizontal height equal to mu.
 
     The check runs on the stored polynomial lifts, never on residues
-    reduced modulo the minimal polynomial.
+    reduced modulo the minimal polynomial; the build proves each embeds.
     """
     if not model.horizontal or not model.vertical:
         raise InapplicableModelError("model lacks a horizontal/vertical decomposition")
-    for cyl in model.cylinders:
-        if model.mu.field.element(cyl.height_lift.to_qpoly()) != cyl.height:
-            raise InapplicableModelError(f"stored lift of {cyl.name} is not faithful")
     anchor = IntPolynomial([0, 1])
     if not any(c.height_lift == anchor for c in model.horizontal):
         return False
@@ -608,13 +567,5 @@ def cylinder_bound_check(model, zero_count):
 
 def core_curve_span_check(model):
     """Core curves span homology: the block skew intersection matrix
-    [[0, Q], [-Q^T, 0]] has rank 2*genus."""
-    q = model.graph.intersections
-    b, w = len(q), len(q[0])
-    n = b + w
-    block = [[0] * n for _ in range(n)]
-    for i in range(b):
-        for j in range(w):
-            block[i][b + j] = q[i][j]
-            block[b + j][i] = -q[i][j]
-    return rank(block) == 2 * model.genus
+    [[0, Q], [-Q^T, 0]] has rank 2*genus, that is, Q has rank genus."""
+    return rank(model.graph.intersections) == model.genus

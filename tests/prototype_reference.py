@@ -5,6 +5,9 @@ NamedTuple: a frozen, ordered dataclass, a validate() call on every
 prototype, gcd(w, h, t, e) recomputed for every t, and a sort through
 the dataclass comparison.  It shares only the discriminant check and
 the divisor list with veechfib.prototypes, and only serves tests.
+
+brute_force_count is a second, cruder oracle: it scans every quadruple
+(w, h, t, e) in range and counts the prototypes without building any.
 """
 
 from __future__ import annotations
@@ -80,3 +83,21 @@ def enumerate_prototypes(d, spin_filter=None):
 
 def _gcd4(w, h, t, e):
     return math.gcd(math.gcd(w, h), math.gcd(t, abs(e)))
+
+
+def brute_force_count(d):
+    """Independent quadruple scan: the count enumerate_prototypes must match."""
+    count = 0
+    bound = math.isqrt(d) + 1
+    for e in range(-bound, bound + 1):
+        for w in range(1, d + 1):
+            for h in range(1, d // (4 * w) + 2):
+                if e * e + 4 * w * h != d or h + e >= w:
+                    continue
+                for t in range(0, math.gcd(w, h)):
+                    g = 0
+                    for v in (w, h, t, e):
+                        g = math.gcd(g, abs(v))
+                    if g == 1:
+                        count += 1
+    return count

@@ -10,13 +10,13 @@ routes differ only in how they refine.  Endpoints are returned as
 
 from fractions import Fraction
 
+from fraction_reference import qeval
 from veechfib.errors import InvalidArgumentError, NoRealRootError
 from veechfib.exact.polynomials import (
     DEFAULT_ROOT_WIDTH,
     IntPolynomial,
     cauchy_root_bound,
     count_roots_in,
-    qeval,
     squarefree_part,
     sturm_chain,
 )

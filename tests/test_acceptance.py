@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from prototype_reference import brute_force_count
 from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
     congruence_degree,
@@ -33,7 +34,7 @@ from veechfib.families import (
     weierstrass_family,
 )
 from veechfib.invariants import kappa_mu
-from veechfib.prototypes import brute_force_count, enumerate_prototypes
+from veechfib.prototypes import enumerate_prototypes
 from veechfib.thurston_veech import (
     HolonomyBasis,
     build_surface,

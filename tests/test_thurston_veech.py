@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from veechfib.errors import (
@@ -24,6 +26,7 @@ from veechfib.thurston_veech import (
     HolonomyBasis,
     HolonomySpanFailure,
     SurfaceModel,
+    _checked_model,
     build_surface,
     core_curve_span_check,
     coxeter_graph,
@@ -177,7 +180,6 @@ def test_surface_tag_is_canonical_with_the_coxeter_number():
 def test_model_invariants_exact():
     for tag in ("polygon-5", "polygon-8", "polygon-10", "E7", "E8"):
         model = build_surface(tag)
-        assert model.verify()
         mu = model.mu
         for cyl in model.cylinders:
             assert cyl.circumference == mu * cyl.height
@@ -192,6 +194,41 @@ def test_structural_checks_all_supported_families(tag):
     assert isinstance(holonomy_basis_check(model), HolonomyBasis)
     assert cylinder_bound_check(model, len(model.zero_partition))
     assert core_curve_span_check(model)
+    # the parity check reads the lifts; the build proves each embeds
+    for cyl in model.cylinders:
+        assert model.mu.field.element(cyl.height_lift.to_qpoly()) == cyl.height, cyl.name
+
+
+def _with_horizontal_lifts(model, lifts):
+    """The model with the named horizontal cylinders' lifts replaced;
+    heights are left alone, so a tampered lift no longer embeds."""
+    horizontal = tuple(
+        dataclasses.replace(c, height_lift=lifts[c.name]) if c.name in lifts else c
+        for c in model.horizontal
+    )
+    return dataclasses.replace(model, horizontal=horizontal)
+
+
+def test_parity_check_refuses_tampered_lifts():
+    # polygon-5: horizontal lifts c_2 = mu (the anchor), c_4 = mu^3 - 2mu
+    model = build_surface("polygon-5")
+    assert staircase_parity_check(model)
+    even = _with_horizontal_lifts(model, {"c_4": IntPolynomial([0, 0, 1])})
+    assert staircase_parity_check(even) is False
+    # every horizontal lift stays odd, but none is mu itself
+    no_anchor = _with_horizontal_lifts(model, {"c_2": IntPolynomial([0, 0, 0, 1])})
+    assert all(c.height_lift.odd_terms_only() for c in no_anchor.horizontal)
+    assert staircase_parity_check(no_anchor) is False
+
+
+def test_span_check_refuses_a_genus_above_the_rank():
+    model = build_surface("E7")
+    assert core_curve_span_check(model)
+    genus = model.genus + 1
+    assert core_curve_span_check(dataclasses.replace(model, genus=genus)) is False
+    rows = [(c.name, c.direction, c.height, c.height_lift) for c in model.cylinders]
+    with pytest.raises(MathematicalInconsistencyError, match="rank of the intersection matrix"):
+        _checked_model("E7", model.graph, model.graph, model.mu, rows, genus, model.zero_partition)
 
 
 def test_cylinder_bound_examples():
@@ -335,7 +372,8 @@ def test_charpoly_against_permutation_expansion():
 
 
 def test_path_heights_are_symmetric():
-    for n in (5, 9, 12):
+    # the even n-gons' A(n - 1) included: c_k stands for c_(n-k) there
+    for n in (5, 9, 12) + tuple(n - 1 for n in SUPPORTED_N if n % 2 == 0):
         _, heights = perron_frobenius(coxeter_graph("A", n), n + 1)
         # adjacency order: odd vertices ascending, then even vertices
         order = list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))

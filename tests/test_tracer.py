@@ -116,3 +116,28 @@ def test_admissible_primes_builds_no_model():
     assert names.count("families.admissible_primes") == 4
     assert "thurston_veech.build_surface" not in names
     assert build_surface.cache_info().misses == 0
+
+
+def test_tracer_sees_each_structural_check_once_per_model_under_its_family():
+    """The polygon-levels per-layer metrics read the structural-check
+    spans: a cold family run builds its model and runs each check once,
+    inside the families.*_family span."""
+    from veechfib import families, thurston_veech
+
+    tracer = _load_tracer()
+    thurston_veech.build_surface.cache_clear()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        families.polygon_family(5, 3)
+        families.sporadic_family("E7", 5)
+    finally:
+        t.uninstall()
+    names = [span[1] for span in t.spans]
+    assert names.count("thurston_veech.build_surface") == 2
+    for check in ("staircase_parity_check", "holonomy_basis_check", "core_curve_span_check"):
+        spans = [span for span in t.spans if span[1] == f"thurston_veech.{check}"]
+        assert [names[span[4]] for span in spans] == [
+            "families.polygon_family",
+            "families.sporadic_family",
+        ], check
