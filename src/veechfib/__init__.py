@@ -16,7 +16,6 @@ from .covers import (
     OrbifoldSignature,
     congruence_degree,
     cover_twisting,
-    cusp_image_order,
     group_closure_order,
     riemann_hurwitz_cover,
     theorem_generator_pair,

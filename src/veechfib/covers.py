@@ -322,19 +322,6 @@ def _primitive_element(field):
 # ---------------------------------------------------------------------------
 
 
-def cusp_image_order(p):
-    """Order of a cusp generator in the level-p deck group.
-
-    A nontrivial unipotent U over characteristic p satisfies U^p = I,
-    and the cusp monodromies here act nontrivially mod p, so the order
-    is exactly p.  Families with other cusp behavior can bypass this by
-    passing explicit orders to riemann_hurwitz_cover.
-    """
-    if not is_prime(p) or p < 3:
-        raise InvalidArgumentError(f"p = {p} must be an odd prime")
-    return p
-
-
 def riemann_hurwitz_cover(
     chi_orb, degree, orbifold_orders, orbifold_image_orders, cusp_image_orders
 ):

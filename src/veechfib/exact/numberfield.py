@@ -17,6 +17,7 @@ MixedModulusError; nothing is ever coerced.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import (
@@ -31,10 +32,7 @@ from ..errors import (
 from .polynomials import (
     IntPolynomial,
     isolate_largest_real_root,
-    qdivmod,
-    qmul,
-    qstrip,
-    qsub,
+    pseudo_divmod,
     rational_to_str,
     scaled_integers,
 )
@@ -55,7 +53,6 @@ class RealAlgebraicField:
             raise InvalidArgumentError("modulus must be monic of degree >= 1")
         self.modulus = modulus
         self.degree = modulus.degree
-        self._modulus_q = modulus.to_qpoly()
         # x^(degree + k) mod modulus for k = 0, 1, ...; grown on demand
         self._reductions = (tuple(-c for c in modulus.coefficients[:-1]),)
         if root is None:
@@ -184,20 +181,29 @@ class NumberFieldElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        integer pseudo-remainders.
+
+        With A the integer numerators of the element over their common
+        denominator D, every pair (r, s) keeps s A = r mod the modulus;
+        each step is one pseudo-division of the previous r by the last,
+        and the new pair is divided by its joint content.  At a constant
+        r the inverse is D s / r; a zero remainder before that means a
+        common factor with the modulus.
+        """
         if self.is_zero:
             raise DivisionByZeroError("inverse of zero")
-        # Bezout: s*self + t*modulus = gcd; gcd must be a nonzero constant.
-        r0, r1 = self.field._modulus_q, qstrip(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = qdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, qsub(s0, qmul(q, s1))
-        if len(r0) != 1:
-            raise ZeroDivisorError("element is a zero divisor (reducible modulus?)")
-        inv = tuple(c / r0[0] for c in s0)
-        return self.field.element(inv)
+        nums, den = scaled_integers(self.coeffs)
+        r0, r1 = self.field.modulus.coefficients, IntPolynomial(nums).coefficients
+        s0, s1 = IntPolynomial(), IntPolynomial([1])
+        while len(r1) > 1:
+            q, r, c = pseudo_divmod(r0, r1)
+            if not r:
+                raise ZeroDivisorError("element is a zero divisor (reducible modulus?)")
+            s = (s0 * c - IntPolynomial(q) * s1).coefficients
+            g = math.gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, [x // g for x in r], IntPolynomial([x // g for x in s])
+        return self.field.element([Fraction(den * x, r1[0]) for x in s1.coefficients])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -255,7 +261,9 @@ class NumberFieldElement:
         denominator, so every min and max is the one Fraction Horner
         takes, and the bounds are the same rationals.
         """
-        nums, den = scaled_integers(qstrip(self.coeffs))
+        nums, den = scaled_integers(self.coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
         if not nums:
             return Fraction(0), Fraction(0)
         root = self.field.root
@@ -350,26 +358,23 @@ class PowerBasis:
     the earlier rows only, so the first k rows span 1, ..., alpha^(k-1).
     The first power that reduces to zero gives the minimal polynomial of
     alpha; an element reduced against the same rows gets its coordinates
-    over Q(alpha).  Every answer is verified by rebuilding sum c_j alpha^j.
+    over Q(alpha).
     """
 
     def __init__(self, alpha):
         self.alpha = alpha
-        self._powers = []  # ambient coordinates of alpha^j, j < degree
         self._rows = []  # (pivot column, reduced coordinates, combination)
         power = alpha.field.one
         for k in range(alpha.field.degree + 1):
             residual, coords = self._reduce(power.coeffs, k)
             if not any(residual):
                 self.degree = k
-                relation = self._verified(power.coeffs, coords)
-                self.rational_minimal_polynomial = tuple(-c for c in relation) + (Fraction(1),)
+                self.rational_minimal_polynomial = tuple(-c for c in coords) + (Fraction(1),)
                 return
             pivot = next(i for i, x in enumerate(residual) if x)
             inv = 1 / residual[pivot]
             combination = [-c * inv for c in coords] + [inv]
             self._rows.append((pivot, [x * inv for x in residual], combination))
-            self._powers.append(power.coeffs)
             power = power * alpha
         raise MathematicalInconsistencyError("no linear dependence found; corrupt field data")
 
@@ -384,16 +389,6 @@ class PowerBasis:
                 for j, c in enumerate(combination):
                     coords[j] += f * c
         return vec, coords
-
-    def _verified(self, coeffs, coords):
-        """coords, once sum_j coords_j alpha^j is checked to equal coeffs."""
-        rebuilt = [0] * len(coeffs)
-        for c, power in zip(coords, self._powers):
-            if c:
-                rebuilt = [r + c * x if x else r for r, x in zip(rebuilt, power)]
-        if rebuilt != list(coeffs):
-            raise MathematicalInconsistencyError("power-basis coordinates fail to verify")
-        return tuple(coords)
 
     def minimal_polynomial(self):
         """Monic integer minimal polynomial of alpha.
@@ -421,7 +416,7 @@ class PowerBasis:
             raise MixedModulusError("alpha and element live in different fields")
         count = self.degree if count is None else max(count, 0)
         residual, coords = self._reduce(elem.coeffs, count)
-        return None if any(residual) else self._verified(elem.coeffs, coords)
+        return None if any(residual) else tuple(coords)
 
     def in_order(self, elem, count=None):
         """Exact membership test for the subring Z[alpha]."""

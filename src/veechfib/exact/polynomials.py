@@ -1,11 +1,14 @@
-"""Exact univariate polynomial arithmetic over Z and Q.
+"""Exact univariate polynomial arithmetic over Z.
 
-Integer polynomials are immutable ``IntPolynomial`` values holding a
-tuple of arbitrary-precision coefficients in ascending degree; the zero
-polynomial is the empty tuple.  Rational Euclidean division and gcds
-run on plain tuples of ``Fraction`` through the ``q*`` helpers,
-mirroring the dense "dup" convention of the usual computer-algebra
-codebases but at the small scale this package needs.
+Polynomials are immutable ``IntPolynomial`` values holding a tuple of
+arbitrary-precision coefficients in ascending degree; the zero
+polynomial is the empty tuple.  Nothing here divides in Q[x]: a
+rational polynomial is an integer one up to a positive factor, so gcds,
+squarefree parts and field inverses run on the integer pseudo-division
+``pseudo_divmod`` (c f = q g + r, c a positive integer), with each
+remainder divided by its content (the primitive PRS; Brown 1971).
+Exact division is one integer long division, given up at the first
+step that does not divide.
 
 The module also hosts the cyclotomic machinery: ``cyclotomic
 polynomial``, the palindromic descent producing the minimal polynomial
@@ -32,74 +35,8 @@ from functools import lru_cache
 from ..errors import DivisionByZeroError, InvalidArgumentError, NoRealRootError
 
 # ---------------------------------------------------------------------------
-# Fraction-tuple helpers (ascending degree, trailing zeros stripped)
+# Integer coefficient sequences (ascending degree)
 # ---------------------------------------------------------------------------
-
-
-def qstrip(coeffs):
-    """Drop trailing zero coefficients."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def qadd(f, g):
-    n = max(len(f), len(g))
-    return qstrip([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
-
-
-def qneg(f):
-    return tuple(-c for c in f)
-
-
-def qsub(f, g):
-    return qadd(f, qneg(g))
-
-
-def qmul(f, g):
-    if not f or not g:
-        return ()
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return qstrip(out)
-
-
-def qdivmod(f, g):
-    """Euclidean division over Q; g must be nonzero."""
-    if not g:
-        raise DivisionByZeroError("polynomial division by zero")
-    f = list(f)
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    glead = Fraction(g[-1])
-    while len(f) >= len(g) and qstrip(f):
-        shift = len(f) - len(g)
-        c = Fraction(f[-1]) / glead
-        q[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] -= c * b
-        while f and f[-1] == 0:
-            f.pop()
-    return qstrip(q), qstrip(f)
-
-
-def qmonic(f):
-    if not f:
-        return f
-    lead = f[-1]
-    return tuple(Fraction(c, 1) / lead for c in f)
-
-
-def qgcd(f, g):
-    """Monic gcd over Q via the Euclidean algorithm."""
-    f, g = qstrip(f), qstrip(g)
-    while g:
-        f, g = g, qdivmod(f, g)[1]
-    return qmonic(f)
 
 
 def scaled_integers(coeffs):
@@ -120,6 +57,36 @@ def homogeneous_value(coeffs, a, d):
         value = value * a + c * scale
         scale *= d
     return value
+
+
+def _content_free(coeffs):
+    """Integer coefficients divided by their positive content; every
+    sign is kept."""
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def pseudo_divmod(f, g):
+    """(q, r, c) with c f = q g + r and deg r < deg g, for integer
+    coefficient sequences f and nonzero g; c is a positive integer (a
+    power of |lead g|) and r is stripped of trailing zeros."""
+    rem = list(f)
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    scale, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    c = 1
+    while len(rem) >= len(g):
+        top = sign * rem[-1]
+        shift = len(rem) - len(g)
+        rem = [scale * r for r in rem]
+        quo = [scale * x for x in quo]
+        c *= scale
+        quo[shift] += top
+        for i, b in enumerate(g):
+            rem[shift + i] -= top * b
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return quo, rem, c
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +169,24 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def divmod_monic(self, other):
-        """Euclidean division by a monic divisor; stays in Z[x]."""
-        if not other.is_monic:
-            raise InvalidArgumentError("divisor must be monic for integer division")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        quo = [0] * max(len(rem) - len(div) + 1, 0)
-        while len(rem) >= len(div):
-            c = rem[-1]
-            shift = len(rem) - len(div)
-            quo[shift] = c
-            for i, b in enumerate(div):
-                rem[shift + i] -= c * b
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return IntPolynomial(quo), IntPolynomial(rem)
-
     def try_exact_divide(self, other):
-        """Return self / other in Z[x], or None when it does not divide."""
-        if other.is_zero:
+        """Return self / other in Z[x], or None when it does not divide:
+        integer long division, given up at the first quotient
+        coefficient that is not an integer or at a nonzero remainder."""
+        div = other.coefficients
+        if not div:
             raise DivisionByZeroError("polynomial division by zero")
-        q, r = qdivmod(self.to_qpoly(), other.to_qpoly())
-        if r:
-            return None
-        if any(c.denominator != 1 for c in q):
-            return None
-        return IntPolynomial([int(c) for c in q])
+        rem = list(self.coefficients)
+        quo = [0] * max(len(rem) - len(div) + 1, 0)
+        for shift in range(len(quo) - 1, -1, -1):
+            c, r = divmod(rem[shift + len(div) - 1], div[-1])
+            if r:
+                return None
+            if c:
+                quo[shift] = c
+                for i, b in enumerate(div):
+                    rem[shift + i] -= c * b
+        return None if any(rem) else IntPolynomial(quo)
 
     def derivative(self):
         return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
@@ -254,9 +211,6 @@ class IntPolynomial:
         return all(c == 0 for i, c in enumerate(self.coefficients) if i % 2 == 1)
 
     # -- conversions --------------------------------------------------------
-
-    def to_qpoly(self):
-        return tuple(Fraction(c) for c in self.coefficients)
 
     def to_json(self):
         """JSON form: array of decimal strings, ascending degree."""
@@ -286,35 +240,34 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*\*?\s*(x|y)?(?:\^(\d+))?")
+_TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*\*?\s*(?:(x|y)(?:\^(\d+))?)?")
 
 
 def parse_polynomial(text):
-    """Parse expressions like ``x^2 - x - 1`` into an IntPolynomial."""
+    """Parse expressions like ``x^2 - x - 1`` into an IntPolynomial.
+
+    Every term after the first starts with its sign, and all terms use
+    one variable letter (x or y)."""
     text = text.strip().replace("**", "^")
     if not text:
         raise InvalidArgumentError("empty polynomial string")
+    if "x" in text and "y" in text:
+        raise InvalidArgumentError(f"polynomial mixes variables: {text!r}")
     coeffs = {}
     pos = 0
-    seen = False
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise InvalidArgumentError(f"cannot parse polynomial near: {text[pos:]!r}")
         sign, digits, var, exp = m.groups()
-        if digits is None and var is None:
+        if (digits is None and var is None) or (pos and not sign):
             raise InvalidArgumentError(f"cannot parse polynomial near: {text[pos:]!r}")
         c = int(digits) if digits is not None else 1
         if sign == "-":
             c = -c
         k = 0 if var is None else (int(exp) if exp is not None else 1)
         coeffs[k] = coeffs.get(k, 0) + c
-        seen = True
         pos = m.end()
         while pos < len(text) and text[pos].isspace():
             pos += 1
-    if not seen:
-        raise InvalidArgumentError(f"cannot parse polynomial: {text!r}")
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
@@ -331,25 +284,22 @@ def rational_to_str(x):
 # ---------------------------------------------------------------------------
 
 
-def _primitive(q):
-    """Primitive integer multiple, positive lead, of a nonzero Fraction tuple."""
-    return IntPolynomial(scaled_integers(q)[0]).primitive_part()
-
-
 def int_gcd_poly(f, g):
-    """Primitive positive gcd of two integer polynomials."""
-    h = qgcd(f.to_qpoly(), g.to_qpoly())
-    return _primitive(h) if h else IntPolynomial()
+    """Primitive positive gcd of two integer polynomials, by the
+    primitive PRS: content-free pseudo-remainders."""
+    a, b = f.coefficients, g.coefficients
+    while b:
+        a, b = b, _content_free(pseudo_divmod(a, b)[1])
+    return IntPolynomial(a).primitive_part()
 
 
 def squarefree_part(f):
-    """f with repeated roots stripped; primitive, positive leading term."""
-    if f.is_zero or f.degree == 0:
-        return f.primitive_part() if f.degree == 0 else f
-    g = int_gcd_poly(f, f.derivative())
-    if g.degree <= 0:
+    """f with repeated roots stripped; primitive, positive leading term.
+    The gcd with f' is primitive, so by Gauss's lemma it divides f in
+    Z[x]."""
+    if f.degree <= 0:
         return f.primitive_part()
-    return _primitive(qdivmod(f.to_qpoly(), g.to_qpoly())[0])
+    return f.try_exact_divide(int_gcd_poly(f, f.derivative())).primitive_part()
 
 
 # ---------------------------------------------------------------------------
@@ -357,39 +307,14 @@ def squarefree_part(f):
 # ---------------------------------------------------------------------------
 
 
-def _content_free(coeffs):
-    """Integer coefficients divided by their positive content; every
-    sign is kept."""
-    g = math.gcd(*coeffs)
-    return tuple(c // g for c in coeffs)
-
-
-def _pseudo_remainder(f, g):
-    """A positive integer multiple of the remainder of f by g, both
-    integer coefficient sequences."""
-    rem = list(f)
-    scale, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
-    while len(rem) >= len(g):
-        c = sign * rem[-1]
-        shift = len(rem) - len(g)
-        rem = [scale * r for r in rem]
-        for i, b in enumerate(g):
-            rem[shift + i] -= c * b
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
 def sturm_chain(f):
-    """Sturm chain of a squarefree polynomial, given as an IntPolynomial
-    or as rational coefficients.  Each member is an integer coefficient
-    tuple, a positive multiple of the usual f, f', -rem(f, f'), ..."""
-    coeffs = f.coefficients if isinstance(f, IntPolynomial) else scaled_integers(qstrip(f))[0]
-    first = _content_free(coeffs)
+    """Sturm chain of a squarefree IntPolynomial.  Each member is an
+    integer coefficient tuple, a positive multiple of the usual f, f',
+    -rem(f, f'), ..."""
+    first = _content_free(f.coefficients)
     chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
     while chain[-1]:
-        chain.append(_content_free([-c for c in _pseudo_remainder(chain[-2], chain[-1])]))
+        chain.append(_content_free([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
     return [c for c in chain if c]
 
 
@@ -415,10 +340,10 @@ def count_roots_in(chain, lo, hi):
 
 
 def cauchy_root_bound(f):
-    """B with all real roots of f strictly inside [-B, B]."""
-    coeffs = f.to_qpoly() if isinstance(f, IntPolynomial) else qstrip(f)
-    lead = abs(coeffs[-1])
-    return 1 + max((abs(c) for c in coeffs[:-1]), default=Fraction(0)) / lead
+    """B with all real roots of the IntPolynomial f strictly inside
+    [-B, B]."""
+    coeffs = f.coefficients
+    return 1 + Fraction(max((abs(c) for c in coeffs[:-1]), default=0), abs(coeffs[-1]))
 
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
@@ -536,9 +461,7 @@ def cyclotomic_polynomial(n):
     result = xn_minus_1
     for d in range(1, n):
         if n % d == 0:
-            q, r = result.divmod_monic(cyclotomic_polynomial(d))
-            assert r.is_zero
-            result = q
+            result = result.try_exact_divide(cyclotomic_polynomial(d))
     return result
 
 

@@ -42,7 +42,6 @@ from .covers import (
     OrbifoldSignature,
     congruence_degree,
     cover_twisting,
-    cusp_image_order,
     riemann_hurwitz_cover,
 )
 from .errors import (
@@ -254,26 +253,25 @@ def _jsonable(v):
     return v
 
 
-def evaluate(spec, level, degree_data, chi_orb, checks, cusp_order=None, **options):
+def evaluate(spec, level, degree_data, chi_orb, checks, **options):
     """Cover, twisting and invariants: the one pipeline every family runs.
 
     The base has orbifold Euler characteristic chi_orb, the cone points
     of spec.signature_orbifold (the Weierstrass chi_orb carries its own)
-    and one cusp of image order cusp_order, by default
-    cusp_image_order(level), per entry of spec.base_twists.  options go
-    to assemble_invariants; the result has no closed forms.
+    and one cusp per entry of spec.base_twists, whose image order is
+    the level: a cusp generator is unipotent and nontrivial mod the
+    level, of order p at a prime level p and m in SL(2, Z/m).  options
+    go to assemble_invariants; the result has no closed forms.
     """
     sig = spec.signature_orbifold
     orbifold_orders = sig.orbifold_orders if sig is not None else ()
-    if cusp_order is None:
-        cusp_order = cusp_image_order(level)
     try:
         cover = riemann_hurwitz_cover(
             chi_orb,
             degree_data.degree,
             orbifold_orders,
             orbifold_orders,
-            (cusp_order,) * len(spec.base_twists),
+            (level,) * len(spec.base_twists),
         )
     except InconsistentCoverError as exc:
         branch = ", exceptional branch" if degree_data.exceptional else ""
@@ -600,7 +598,6 @@ def elliptic_family(m):
         CongruenceDegree(degree, 2 * degree, f"PSL(2,Z/{m})", False),
         sig.euler_characteristic,
         checks,
-        cusp_order=m,
         elliptic_level=m,
     )
 

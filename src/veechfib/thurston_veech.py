@@ -408,7 +408,7 @@ def _build_polygon(n):
     by_vertex = {}
     for idx, k in enumerate(order):
         by_vertex[k] = pf_heights[idx]
-        expected = fld.element(_chebyshev_like(k - 1).to_qpoly())
+        expected = fld.element(_chebyshev_like(k - 1).coefficients)
         if by_vertex[k] != expected:
             raise MathematicalInconsistencyError("path eigenvector is not Chebyshev")
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):

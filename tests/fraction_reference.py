@@ -3,9 +3,11 @@ integer kernels in veechfib.exact.
 
 These are the evaluations and products the library ran on ``Fraction``
 before it moved them to integer numerators: Horner at a rational point,
-interval Horner over a rational interval, and a field product as a
-dense product followed by long division by the modulus.  Polynomials
-are tuples of rationals in ascending degree; this only serves tests.
+interval Horner over a rational interval, a field product as a dense
+product followed by long division by the modulus, Euclidean division
+and the monic gcd over Q, and the field inverse by the extended
+Euclidean algorithm over Q.  Polynomials are tuples of rationals in
+ascending degree; this only serves tests.
 """
 
 from fractions import Fraction
@@ -35,25 +37,64 @@ def qeval_interval(f, lo, hi):
     return alo, ahi
 
 
-def remainder(f, g):
-    """Remainder of f by a nonzero g, by long division over Q."""
+def divide(f, g):
+    """(quotient, remainder) of f by a nonzero g, by long division over Q."""
     f = [Fraction(c) for c in strip(f)]
     g = strip(g)
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
     while len(f) >= len(g):
         c = f[-1] / g[-1]
         shift = len(f) - len(g)
+        q[shift] = c
         for i, b in enumerate(g):
             f[shift + i] -= c * b
         f = list(strip(f))
-    return tuple(f)
+    return strip(q), tuple(f)
+
+
+def remainder(f, g):
+    """Remainder of f by a nonzero g, by long division over Q."""
+    return divide(f, g)[1]
+
+
+def subtract(f, g):
+    n = max(len(f), len(g))
+    return strip([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
+
+
+def multiply(f, g):
+    out = [Fraction(0)] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return strip(out)
+
+
+def gcd(f, g):
+    """Monic gcd over Q by the Euclidean algorithm; () when both are 0."""
+    f, g = strip(f), strip(g)
+    while g:
+        f, g = g, remainder(f, g)
+    return tuple(Fraction(c) / f[-1] for c in f)
+
+
+def inverse(coeffs, modulus):
+    """Coordinates of the inverse of coeffs in Q[x]/(modulus), padded to
+    its degree, by the extended Euclidean algorithm over Q; None when
+    coeffs shares a factor with the modulus."""
+    r0, r1 = strip(modulus), strip(coeffs)
+    s0, s1 = (), (Fraction(1),)
+    while r1:
+        q, r = divide(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, subtract(s0, multiply(q, s1))
+    if len(r0) != 1:
+        return None
+    inv = tuple(c / r0[0] for c in s0)
+    return inv + (Fraction(0),) * (len(modulus) - 1 - len(inv))
 
 
 def field_product(a, b, modulus, degree):
     """Coordinates of a * b in Q[x]/(modulus), padded to degree."""
-    a, b = strip(a), strip(b)
-    prod = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    rem = remainder(prod, modulus)
+    rem = remainder(multiply(strip(a), strip(b)), modulus)
     return rem + (Fraction(0),) * (degree - len(rem))

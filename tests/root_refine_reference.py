@@ -30,12 +30,12 @@ def refine(polynomial, lower, upper, width):
         raise InvalidArgumentError("width must be positive")
     if lower == upper or upper - lower <= width:
         return lower, upper
-    sf = squarefree_part(polynomial).to_qpoly()
+    sf = squarefree_part(polynomial)
     chain = sturm_chain(sf)
     lo, hi = lower, upper
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if qeval(sf, mid) == 0:
+        if qeval(sf.coefficients, mid) == 0:
             lo = hi = mid
             break
         if count_roots_in(chain, mid, hi) >= 1:
@@ -55,8 +55,8 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
     if f.degree == 0:
         raise NoRealRootError(f"{f} has no real root")
     sf_poly = squarefree_part(f)
-    sf = sf_poly.to_qpoly()
-    chain = sturm_chain(sf)
+    sf = sf_poly.coefficients
+    chain = sturm_chain(sf_poly)
     bound = cauchy_root_bound(sf_poly)
     lo, hi = -bound, bound
     if count_roots_in(chain, lo, hi) == 0:

@@ -52,6 +52,15 @@ def test_group_order_malformed_alpha_exit_2(capsys):
         assert json.loads(err)["error"] == "InvalidArgumentError"
 
 
+def test_group_order_malformed_modulus_exit_2(capsys):
+    # juxtaposed terms and mixed letters are refused, not read as x^2 + 1
+    for modulus in ("x^2 1", "x^2 + y"):
+        code, out, err = run_cli(capsys, "group-order", "--p", "3", "--modulus", modulus)
+        assert code == 2, modulus
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidArgumentError"
+
+
 def test_group_order_cap_default():
     args = build_parser().parse_args(["group-order", "--p", "3", "--modulus", "x^2+1"])
     assert args.cap == DEFAULT_CLOSURE_CAP

@@ -11,7 +11,6 @@ from veechfib.covers import (
     OrbifoldSignature,
     congruence_degree,
     cover_twisting,
-    cusp_image_order,
     group_closure_order,
     riemann_hurwitz_cover,
     theorem_generator_pair,
@@ -118,14 +117,6 @@ def test_generator_determinant_checked():
             field,
             (((field.one, field.zero), (field.zero, field.zero)),),
         )
-
-
-def test_cusp_image_order():
-    assert cusp_image_order(3) == 3
-    assert cusp_image_order(5) == 5
-    assert cusp_image_order(7) == 7
-    with pytest.raises(InvalidArgumentError):
-        cusp_image_order(4)
 
 
 def test_orbifold_signature_validation():

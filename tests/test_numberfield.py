@@ -296,6 +296,41 @@ def test_enclosure_sequence_matches_fraction_interval_horner(h):
     assert float(elem) == float((lo + hi) / 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(2, 30), data=st.data())
+def test_inverse_matches_fraction_extended_euclid(h, data):
+    field = _cos_field(h)
+    coords = _coordinates(data.draw, field)
+    if not any(coords):
+        coords[0] = Fraction(1, 3)
+    expected = fraction_reference.inverse(coords, field.modulus.coefficients)
+    assert field.element(coords).inverse().coeffs == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inverse_on_reducible_moduli_matches_fraction_extended_euclid(data):
+    # modulus a * b with random monic factors; an element sharing the
+    # factor a is a zero divisor on both routes
+    factors = [
+        IntPolynomial(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) + [1])
+        for n in (1, data.draw(st.integers(1, 3)))
+    ]
+    modulus = factors[0] * factors[1]
+    field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 1))
+    coords = _coordinates(data.draw, field)
+    if data.draw(st.booleans()):
+        coords = list((IntPolynomial([data.draw(st.integers(1, 5))]) * factors[0]).coefficients)
+    if not any(coords):
+        coords[0] = Fraction(1, 3)
+    expected = fraction_reference.inverse(coords, modulus.coefficients)
+    if expected is None:
+        with pytest.raises(ZeroDivisorError):
+            field.element(coords).inverse()
+    else:
+        assert field.element(coords).inverse().coeffs == expected
+
+
 def test_inverse_of_zero_is_typed(golden_field):
     with pytest.raises(DivisionByZeroError) as err:
         golden_field.zero.inverse()

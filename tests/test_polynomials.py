@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
@@ -22,11 +22,11 @@ from veechfib.exact.polynomials import (
     divisors,
     euler_phi,
     homogeneous_value,
+    int_gcd_poly,
     isolate_largest_real_root,
     minpoly_two_cos,
     parse_polynomial,
     prime_factors,
-    qdivmod,
     rational_to_str,
     scaled_integers,
     squarefree_part,
@@ -99,9 +99,13 @@ def test_parse_and_str():
     assert parse_polynomial("x^2-x-1") == IntPolynomial([-1, -1, 1])
     assert parse_polynomial("x^2 - 4x + 2") == IntPolynomial([2, -4, 1])
     assert parse_polynomial("y^3-6y^2+9y-3") == IntPolynomial([-3, 9, -6, 1])
+    assert parse_polynomial("-x^2 + 3*x") == IntPolynomial([0, 3, -1])
     assert str(IntPolynomial([-1, -1, 1])) == "x^2 - x - 1"
-    with pytest.raises(InvalidArgumentError):
-        parse_polynomial("")
+    # every term after the first carries a sign, and one variable letter
+    # serves the whole polynomial
+    for text in ("", "2 3", "x x", "x^2 1", "x^2 + y", "2^3", "x +"):
+        with pytest.raises(InvalidArgumentError):
+            parse_polynomial(text)
 
 
 def test_json_round_trip():
@@ -124,8 +128,6 @@ def test_arithmetic_basics():
     g = IntPolynomial([-1, 1])
     assert f * g == IntPolynomial([-1, -1, 2])
     assert f + g == IntPolynomial([0, 3])
-    q, r = (f * g).divmod_monic(g)
-    assert q == f and r.is_zero
     assert (f * g).try_exact_divide(f) == g
     assert IntPolynomial([1, 1]).try_exact_divide(IntPolynomial([0, 2])) is None
 
@@ -282,10 +284,10 @@ def test_integer_evaluation_matches_fraction_horner(coeffs, x):
 def test_sturm_members_keep_their_signs(h, x):
     # each integer member is a positive multiple of the Fraction chain
     # f, f', -rem(f, f'), ...; compare signs at a rational point
-    f = cos_two_pi_minpoly(2 * h).to_qpoly()
-    members = [f, tuple(i * c for i, c in enumerate(f))[1:]]
+    f = cos_two_pi_minpoly(2 * h)
+    members = [f.coefficients, f.derivative().coefficients]
     while True:
-        rem = qdivmod(members[-2], members[-1])[1]
+        rem = fraction_reference.remainder(members[-2], members[-1])
         if not rem:
             break
         members.append(tuple(-c for c in rem))
@@ -297,13 +299,48 @@ def test_sturm_members_keep_their_signs(h, x):
         assert (value > 0) - (value < 0) == (ref > 0) - (ref < 0)
 
 
-def test_polynomial_division_by_zero_is_typed():
-    with pytest.raises(DivisionByZeroError) as err:
-        qdivmod((Fraction(1), Fraction(2)), ())
-    assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
-
-
 def test_exact_divide_by_zero_polynomial_is_typed():
     with pytest.raises(DivisionByZeroError) as err:
         IntPolynomial([1, 1]).try_exact_divide(IntPolynomial())
-    assert isinstance(err.value, ZeroDivisionError)
+    assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
+
+
+_INT_POLYS = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(IntPolynomial).filter(bool)
+
+
+def _monic(coeffs):
+    return tuple(Fraction(c) / coeffs[-1] for c in coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_INT_POLYS, g=_INT_POLYS)
+def test_gcd_and_squarefree_part_match_fraction_euclid(f, g):
+    # the primitive PRS gives the Fraction gcd up to a rational factor;
+    # f^2 g over its gcd with its derivative is the squarefree part
+    a, b = f * f * g, f * g.derivative()
+    assert _monic(int_gcd_poly(a, b).coefficients) == fraction_reference.gcd(
+        a.coefficients, b.coefficients
+    )
+    sf = squarefree_part(a)
+    assert sf.content() == 1 and sf.leading_coefficient > 0
+    reference_gcd = fraction_reference.gcd(a.coefficients, a.derivative().coefficients)
+    quotient = fraction_reference.divide(a.coefficients, reference_gcd)[0]
+    assert _monic(sf.coefficients) == _monic(quotient)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=_INT_POLYS,
+    g=_INT_POLYS,
+    k=st.integers(1, 4),
+    extra=st.lists(st.integers(-3, 3), max_size=3),
+)
+# 2x^2 + 3x + 1 = (2x + 2)(x + 1/2): exact over Q, not over Z
+@example(f=IntPolynomial([1, 2]), g=IntPolynomial([1, 1]), k=2, extra=[])
+def test_exact_division_matches_fraction_division(f, g, k, extra):
+    # (f g + extra) / (k g) is integral, rational but not integral, or
+    # inexact; only the first has a quotient in Z[x]
+    h, divisor = f * g + IntPolynomial(extra), g * k
+    q, r = fraction_reference.divide(h.coefficients, divisor.coefficients)
+    integral = not r and all(c.denominator == 1 for c in q)
+    assert h.try_exact_divide(divisor) == (IntPolynomial(q) if integral else None)

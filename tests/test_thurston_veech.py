@@ -91,7 +91,7 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     assert cp.try_exact_divide(model.mu.field.modulus) is not None
     sf = squarefree_part(cp)
     root = model.mu.field.root
-    assert count_roots_in(sturm_chain(sf.to_qpoly()), root.lower, cauchy_root_bound(sf)) == 1
+    assert count_roots_in(sturm_chain(sf), root.lower, cauchy_root_bound(sf)) == 1
 
 
 def test_perron_frobenius_path_two():
@@ -196,7 +196,7 @@ def test_structural_checks_all_supported_families(tag):
     assert core_curve_span_check(model)
     # the parity check reads the lifts; the build proves each embeds
     for cyl in model.cylinders:
-        assert model.mu.field.element(cyl.height_lift.to_qpoly()) == cyl.height, cyl.name
+        assert model.mu.field.element(cyl.height_lift.coefficients) == cyl.height, cyl.name
 
 
 def _with_horizontal_lifts(model, lifts):
