@@ -88,7 +88,9 @@ class InvalidRootDataError(MathematicalInconsistencyError):
 
 
 class CapExceededError(VeechFibError):
-    """A group-order search was refused: |SL(2, q)| exceeds the configured cap."""
+    """A request was refused by a size cap: a group-order search whose
+    |SL(2, q)| exceeds the configured cap, or an n-gon model past the
+    largest n that is built."""
 
 
 class InapplicableModelError(InvalidArgumentError):

@@ -1,15 +1,17 @@
-"""Exact integer/rational matrix helpers: charpoly and rank.
+"""Exact integer matrix kernels: charpoly and fraction-free elimination.
 
 Characteristic polynomials are computed by the division-free Berkowitz
-algorithm alone, for any square integer matrix.  All arithmetic is
-integer or Fraction; results are exact.
+algorithm alone, for any square integer matrix.  Everything that
+eliminates (the rank here, the power bases of number-field elements in
+``numberfield``) runs on ``FractionFreeEchelon``: integer rows kept in
+reduced echelon form with one common pivot, where each update divides
+exactly by the previous pivot (Bareiss 1968, Sylvester's identity), so
+no rational number is ever formed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, scaled_integers
 
 
 def charpoly(matrix):
@@ -42,25 +44,59 @@ def charpoly(matrix):
     return IntPolynomial(list(reversed(coeffs)))
 
 
+class FractionFreeEchelon:
+    """Integer rows in reduced echelon form over Q, grown one row at a time.
+
+    Pivots are taken from the first ``pivot_columns`` columns only; any
+    further columns ride along (a caller can record there which
+    combination of its inputs each row is).  Every kept row has the
+    common entry ``pivot`` at its own pivot column and 0 at the other
+    kept rows' pivot columns.  ``pivot`` is the determinant of the kept
+    rows restricted to the pivot columns, and every kept entry is such a
+    minor with one column swapped in (Cramer's rule), so entries stay
+    integers of the size of minors.
+    """
+
+    def __init__(self, pivot_columns):
+        self.pivot_columns = pivot_columns
+        self.rows = []  # (pivot column, integer row)
+        self.pivot = 1
+
+    def reduce(self, vec):
+        """pivot * vec less its parts along the kept rows: an integer row
+        that is 0 at every pivot column, and 0 in all pivot-eligible
+        columns exactly when vec lies in the span of the kept rows."""
+        d = self.pivot
+        out = list(vec) if d == 1 else [d * x for x in vec]
+        for col, row in self.rows:
+            f = vec[col]
+            if f:
+                out = [x - f * y for x, y in zip(out, row)]
+        return out
+
+    def insert(self, vec):
+        """Keep vec when it is independent of the kept rows and return
+        None; otherwise keep nothing and return its reduction, whose
+        pivot-eligible part is 0."""
+        w = self.reduce(vec)
+        col = next((j for j in range(self.pivot_columns) if w[j]), None)
+        if col is None:
+            return w
+        new, old = w[col], self.pivot
+        for i, (c, row) in enumerate(self.rows):
+            f = row[col]
+            if f:
+                self.rows[i] = (c, [(new * x - f * y) // old for x, y in zip(row, w)])
+            elif new != old:
+                self.rows[i] = (c, [new * x // old for x in row])
+        self.rows.append((col, w))
+        self.pivot = new
+        return None
+
+
 def rank(matrix):
-    """Rank over Q of a matrix given as rows of ints or Fractions."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank_count = 0
-    n_cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank_count += 1
-        if r == len(rows):
-            break
-    return rank_count
+    """Rank over Q of a matrix given as rows of ints or Fractions; each
+    row is scaled to integers first, which keeps the rank."""
+    rows = [scaled_integers(row)[0] for row in matrix]
+    echelon = FractionFreeEchelon(len(rows[0]) if rows else 0)
+    return sum(echelon.insert(row) is None for row in rows)

@@ -6,10 +6,15 @@ element an exact sign (refine until the interval evaluation of its
 residue excludes zero), so elements can be compared, sorted and checked
 for positivity without floating point.
 
-Elements hold Fraction coordinates in the power basis, but products,
-reductions and interval evaluations run on integer numerators over a
-common denominator: since m is monic, each x^k mod m is integral, and
-the field keeps one table of them for reducing products.
+An element is one tuple of integer numerators over one positive common
+denominator, in lowest terms, so equal elements have equal data.  Sums,
+scalings, products, reductions, inverses and interval evaluations all
+run on those integers: since m is monic, each x^k mod m is integral,
+and the field keeps one table of them for reducing products.  An
+integral element (denominator 1) never forms a Fraction; ``coeffs``
+builds the Fraction coordinates only when read.  Power bases of an
+element (minimal polynomials, suborder coordinates) are one
+fraction-free elimination of the integer numerators of its powers.
 
 Elements always carry their field.  Mixed-field arithmetic raises
 MixedModulusError; nothing is ever coerced.
@@ -29,6 +34,7 @@ from ..errors import (
     NonIntegralElementError,
     ZeroDivisorError,
 )
+from .linalg import FractionFreeEchelon
 from .polynomials import (
     IntPolynomial,
     isolate_largest_real_root,
@@ -71,26 +77,27 @@ class RealAlgebraicField:
     # -- element constructors -------------------------------------------------
 
     def element(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            return self._reduced(*scaled_integers(coeffs))
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return NumberFieldElement(self, tuple(coeffs))
+        """The element sum_k coeffs[k] x^k for int or Fraction
+        coordinates; coordinates past the degree are reduced."""
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        return self._element(*scaled_integers(coeffs))
 
-    def _reduced(self, nums, den):
-        """The element sum_k nums[k] x^k / den, reduced by the table of
-        x^k mod modulus."""
+    def _element(self, nums, den):
+        """The element sum_k nums[k] x^k / den for integers nums and
+        den > 0, reduced by the table of x^k mod modulus and put in
+        lowest terms."""
         n = self.degree
-        rows = self._reductions
-        if len(nums) - n > len(rows):
-            rows = self._grow_reductions(len(nums) - n)
-        out = list(nums[:n]) + [0] * (n - len(nums))
-        for c, row in zip(nums[n:], rows):
-            if c:
-                out = [o + c * r for o, r in zip(out, row)]
-        if den == 1:
-            return NumberFieldElement(self, tuple(map(Fraction, out)))
-        return NumberFieldElement(self, tuple(Fraction(c, den) for c in out))
+        if len(nums) > n:
+            rows = self._reductions
+            if len(nums) - n > len(rows):
+                rows = self._grow_reductions(len(nums) - n)
+            out = list(nums[:n])
+            for c, row in zip(nums[n:], rows):
+                if c:
+                    out = [o + c * r for o, r in zip(out, row)]
+        else:
+            out = list(nums) + [0] * (n - len(nums))
+        return _lowest(self, out, den)
 
     def _grow_reductions(self, count):
         """At least count table rows; x * row, reduced once more, gives
@@ -105,7 +112,10 @@ class RealAlgebraicField:
         return self._reductions
 
     def from_rational(self, x):
-        return self.element([Fraction(x)])
+        x = x if isinstance(x, int) else Fraction(x)
+        return NumberFieldElement(
+            self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator
+        )
 
     @property
     def zero(self):
@@ -127,14 +137,32 @@ class RealAlgebraicField:
         return self.root
 
 
+def _lowest(field, nums, den):
+    """The element nums / den (den > 0) in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    return NumberFieldElement(field, tuple(nums), den)
+
+
 class NumberFieldElement:
-    """Element of a RealAlgebraicField: residue of degree < deg(modulus)."""
+    """Element of a RealAlgebraicField: the residue sum_k nums[k] x^k / den
+    of degree < deg(modulus), with den > 0 and gcd(den, *nums) == 1."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, nums, den):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """Power-basis coordinates as a tuple of Fractions, built on each
+        read."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     def _check(self, other):
         if not isinstance(other, NumberFieldElement):
@@ -144,16 +172,21 @@ class NumberFieldElement:
                 f"mixed moduli: {self.field.modulus} vs {other.field.modulus}"
             )
 
+    def _scaled(self, p, q):
+        """self * p / q for integers p and q > 0."""
+        return _lowest(self.field, [c * p for c in self.nums], self.den * q)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.from_rational(other)
         self._check(other)
-        return NumberFieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _lowest(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coeffs))
+        return NumberFieldElement(self.field, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,10 +198,10 @@ class NumberFieldElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElement(self.field, tuple(a * other for a in self.coeffs))
+            return self._scaled(other.numerator, other.denominator)
         self._check(other)
-        a, da = scaled_integers(self.coeffs)
-        b, db = scaled_integers(other.coeffs)
+        a = self.nums
+        b = list(other.nums)
         while b and not b[-1]:
             b.pop()
         prod = [0] * (len(a) + len(b) - 1) if b else []
@@ -176,7 +209,7 @@ class NumberFieldElement:
             if x:
                 for j, y in enumerate(b, i):
                     prod[j] += x * y
-        return self.field._reduced(prod, da * db)
+        return self.field._element(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -193,8 +226,7 @@ class NumberFieldElement:
         """
         if self.is_zero:
             raise DivisionByZeroError("inverse of zero")
-        nums, den = scaled_integers(self.coeffs)
-        r0, r1 = self.field.modulus.coefficients, IntPolynomial(nums).coefficients
+        r0, r1 = self.field.modulus.coefficients, IntPolynomial(self.nums).coefficients
         s0, s1 = IntPolynomial(), IntPolynomial([1])
         while len(r1) > 1:
             q, r, c = pseudo_divmod(r0, r1)
@@ -203,13 +235,15 @@ class NumberFieldElement:
             s = (s0 * c - IntPolynomial(q) * s1).coefficients
             g = math.gcd(*r, *s)
             r0, s0, r1, s1 = r1, s1, [x // g for x in r], IntPolynomial([x // g for x in s])
-        return self.field.element([Fraction(den * x, r1[0]) for x in s1.coefficients])
+        sign = 1 if r1[0] > 0 else -1
+        return self.field._element([sign * self.den * x for x in s1.coefficients], abs(r1[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise DivisionByZeroError("division by zero")
-            return self * Fraction(1, other)
+            sign = 1 if other > 0 else -1
+            return self._scaled(sign * other.denominator, abs(other.numerator))
         self._check(other)
         return self * other.inverse()
 
@@ -226,27 +260,36 @@ class NumberFieldElement:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, NumberFieldElement):
+            return other.field == self.field and self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, NumberFieldElement) or other.field != self.field:
-            return False
-        return self.coeffs == other.coeffs
+            return (
+                self.is_rational
+                and self.nums[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return False
 
     def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
+        # a rational element hashes as the rational it equals
+        if not self.is_rational:
+            return hash((self.field.modulus, self.nums, self.den))
+        if self.den == 1:
+            return hash(self.nums[0])
+        return hash(Fraction(self.nums[0], self.den))
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     @property
     def is_integral_residue(self):
         """True when all power-basis coordinates are integers."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     # -- real embedding -------------------------------------------------------
 
@@ -256,12 +299,12 @@ class NumberFieldElement:
         done(lo, hi) holds or the root is exact (then lo == hi).
 
         Horner runs on the integer numerators over the common
-        denominator D of the coordinates and e of the interval: after k
+        denominator D of the element and e of the interval: after k
         steps the bounds are integers over D e^(k-1), one positive
         denominator, so every min and max is the one Fraction Horner
         takes, and the bounds are the same rationals.
         """
-        nums, den = scaled_integers(self.coeffs)
+        nums = list(self.nums)
         while nums and not nums[-1]:
             nums.pop()
         if not nums:
@@ -275,7 +318,7 @@ class NumberFieldElement:
                 products = (alo * p, alo * q, ahi * p, ahi * q)
                 alo, ahi = min(products) + c * scale, max(products) + c * scale
                 scale *= e
-            bound_den = den * scale // e
+            bound_den = self.den * scale // e
             lo, hi = Fraction(alo, bound_den), Fraction(ahi, bound_den)
             if root.is_exact or done(lo, hi):
                 return lo, hi
@@ -284,11 +327,9 @@ class NumberFieldElement:
 
     def sign(self):
         """Sign of the element under the field's distinguished embedding."""
-        if self.is_zero:
-            return 0
         if self.is_rational:
-            c = self.coeffs[0]
-            return 1 if c > 0 else -1
+            c = self.nums[0]
+            return (c > 0) - (c < 0)
         lo, hi = self._enclosure(lambda lo, hi: lo > 0 or hi < 0)
         return 1 if lo > 0 else (-1 if hi < 0 else 0)
 
@@ -325,7 +366,7 @@ class NumberFieldElement:
         """Canonical residue as IntPolynomial; requires integral coordinates."""
         if not self.is_integral_residue:
             raise InvalidArgumentError("element has non-integer coordinates")
-        return IntPolynomial([int(c) for c in self.coeffs])
+        return IntPolynomial(self.nums)
 
     def to_json(self):
         return [rational_to_str(c) for c in self.coeffs]
@@ -350,45 +391,53 @@ class NumberFieldElement:
 
 
 class PowerBasis:
-    """The powers 1, alpha, alpha^2, ... of one element, in echelon form.
+    """The powers 1, alpha, alpha^2, ... of one element, eliminated once.
 
-    Powers are reduced one at a time against the rows kept so far.  Row
-    i holds the reduced ambient coordinates of one power (pivot entry 1)
-    and its expression over 1, alpha, ..., alpha^i; it is reduced against
-    the earlier rows only, so the first k rows span 1, ..., alpha^(k-1).
-    The first power that reduces to zero gives the minimal polynomial of
-    alpha; an element reduced against the same rows gets its coordinates
-    over Q(alpha).
+    Each power alpha^k = v / D (v its integer numerators) enters a
+    FractionFreeEchelon as the row [v | D e_k]: pivots come from the
+    ambient part, and the trailing part records which combination of
+    powers each kept row is, so every row [x | a] keeps x = sum_j a_j
+    alpha^j.  The first power that reduces to zero gives the minimal
+    polynomial of alpha.  An element reduced against the kept rows gets
+    its unique coordinates over 1, ..., alpha^(degree-1) as integers
+    over one denominator, or is found outside Q(alpha).
     """
 
     def __init__(self, alpha):
         self.alpha = alpha
-        self._rows = []  # (pivot column, reduced coordinates, combination)
+        n = alpha.field.degree
+        self._echelon = FractionFreeEchelon(n)
         power = alpha.field.one
-        for k in range(alpha.field.degree + 1):
-            residual, coords = self._reduce(power.coeffs, k)
-            if not any(residual):
+        for k in range(n + 1):
+            row = list(power.nums) + [0] * (n + 1)
+            row[n + k] = power.den
+            reduced = self._echelon.insert(row)
+            if reduced is not None:
+                # 0 = sum_j a_j alpha^j with a_k = pivot * D != 0
+                a = reduced[n : n + k + 1]
                 self.degree = k
-                self.rational_minimal_polynomial = tuple(-c for c in coords) + (Fraction(1),)
+                self.rational_minimal_polynomial = tuple(Fraction(c, a[k]) for c in a)
                 return
-            pivot = next(i for i, x in enumerate(residual) if x)
-            inv = 1 / residual[pivot]
-            combination = [-c * inv for c in coords] + [inv]
-            self._rows.append((pivot, [x * inv for x in residual], combination))
             power = power * alpha
         raise MathematicalInconsistencyError("no linear dependence found; corrupt field data")
 
-    def _reduce(self, coeffs, count):
-        """Residual of coeffs against the first count rows, and the
-        coordinates over 1, ..., alpha^(count-1) of what was taken off."""
-        vec, coords = list(coeffs), [Fraction(0)] * count
-        for pivot, row, combination in self._rows[:count]:
-            f = vec[pivot]
-            if f:
-                vec = [x - f * y if y else x for x, y in zip(vec, row)]
-                for j, c in enumerate(combination):
-                    coords[j] += f * c
-        return vec, coords
+    def _solve(self, elem, count):
+        """(numerators, denominator) of the coordinates of elem over 1,
+        alpha, ..., alpha^(count-1), or None outside their Q-span; count
+        defaults to the degree of alpha."""
+        if elem.field != self.alpha.field:
+            raise MixedModulusError("alpha and element live in different fields")
+        n, d = self._echelon.pivot_columns, self.degree
+        count = d if count is None else max(count, 0)
+        reduced = self._echelon.reduce(list(elem.nums) + [0] * (n + 1))
+        # pivot * elem.nums = -sum_j a_j alpha^j when the ambient part is 0;
+        # the coordinates are unique, so a count below the degree needs
+        # the ones past it to vanish
+        a = reduced[n : n + d]
+        if any(reduced[:n]) or any(a[count:]):
+            return None
+        nums = [-c for c in a[:count]] + [0] * (count - d)
+        return nums, self._echelon.pivot * elem.den
 
     def minimal_polynomial(self):
         """Monic integer minimal polynomial of alpha.
@@ -412,16 +461,16 @@ class PowerBasis:
         coordinate 0.  Returns a tuple of Fractions, or None when elem
         lies outside the Q-span of those powers.
         """
-        if elem.field != self.alpha.field:
-            raise MixedModulusError("alpha and element live in different fields")
-        count = self.degree if count is None else max(count, 0)
-        residual, coords = self._reduce(elem.coeffs, count)
-        return None if any(residual) else tuple(coords)
+        solved = self._solve(elem, count)
+        if solved is None:
+            return None
+        nums, den = solved
+        return tuple(Fraction(c, den) for c in nums)
 
     def in_order(self, elem, count=None):
         """Exact membership test for the subring Z[alpha]."""
-        coords = self.coordinates(elem, count)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        solved = self._solve(elem, count)
+        return solved is not None and all(c % solved[1] == 0 for c in solved[0])
 
 
 def element_minimal_polynomial(elem):

@@ -48,6 +48,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import (
+    CapExceededError,
     InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
@@ -63,6 +64,11 @@ from .exact.polynomials import (
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+
+# Largest n whose n-gon model is built: the construction allocates an
+# (n - 1) x (n - 1) adjacency matrix and works in a field of degree
+# phi(2n)/2, so a larger request is refused before either exists.
+MAX_POLYGON_N = 256
 
 
 class BipartiteIntersectionGraph:
@@ -222,16 +228,19 @@ def perron_frobenius(graph, coxeter_number):
     fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30)))
     mu = fld.generator
     adj = graph.adjacency_matrix()
-    heights = _solve_eigenvector(adj, fld, mu)
-    _verify_eigenvector(adj, mu, heights)
+    edges = [[(u, a) for u, a in enumerate(row) if a] for row in adj]
+    heights = _solve_eigenvector(edges, fld, mu)
+    _verify_eigenvector(edges, mu, heights)
     for h in heights:
         if h.sign() <= 0:
             raise MathematicalInconsistencyError("eigenvector is not strictly positive")
     return mu, heights
 
 
-def _solve_eigenvector(adj, fld, mu):
-    n = len(adj)
+def _solve_eigenvector(edges, fld, mu):
+    """Heights from first entry 1 by leaf propagation; edges[v] lists
+    (neighbour, multiplicity) of vertex v."""
+    n = len(edges)
     heights = [None] * n
     heights[0] = fld.one
     # Propagate: a vertex equation with exactly one unknown pins it down.
@@ -239,22 +248,21 @@ def _solve_eigenvector(adj, fld, mu):
     for _ in range(n):
         progress = False
         for v in range(n):
-            nbrs = [u for u in range(n) if adj[v][u]]
-            unknown = [u for u in nbrs if heights[u] is None]
+            unknown = [(u, a) for u, a in edges[v] if heights[u] is None]
             if heights[v] is not None and len(unknown) == 1:
-                u = unknown[0]
+                u, a = unknown[0]
                 acc = mu * heights[v]
-                for w in nbrs:
+                for w, b in edges[v]:
                     if w != u:
-                        acc = acc - adj[v][w] * heights[w]
-                if adj[v][u] != 1:
-                    acc = acc / adj[v][u]
+                        acc = acc - b * heights[w]
+                if a != 1:
+                    acc = acc / a
                 heights[u] = acc
                 progress = True
             elif heights[v] is None and not unknown:
                 acc = fld.zero
-                for w in nbrs:
-                    acc = acc + adj[v][w] * heights[w]
+                for w, b in edges[v]:
+                    acc = acc + b * heights[w]
                 heights[v] = acc / mu
                 progress = True
         if all(h is not None for h in heights):
@@ -267,13 +275,11 @@ def _solve_eigenvector(adj, fld, mu):
     )
 
 
-def _verify_eigenvector(adj, mu, heights):
-    n = len(adj)
-    for v in range(n):
+def _verify_eigenvector(edges, mu, heights):
+    for v, nbrs in enumerate(edges):
         acc = mu.field.zero
-        for u in range(n):
-            if adj[v][u]:
-                acc = acc + adj[v][u] * heights[u]
+        for u, a in nbrs:
+            acc = acc + a * heights[u]
         if acc != mu * heights[v]:
             raise MathematicalInconsistencyError("Q h = mu h fails exactly")
 
@@ -392,10 +398,17 @@ def build_surface(family_tag):
 
     Heights are normalized so the lowest horizontal cylinder has height
     mu (the staircase normalization); horizontal cylinders are the ones
-    whose height lifts are odd polynomials in mu.
+    whose height lifts are odd polynomials in mu.  An n-gon with n >
+    MAX_POLYGON_N raises CapExceededError before anything is allocated.
     """
     tag, h = surface_tag(family_tag)
-    return _build_sporadic(tag) if tag in _SPORADIC else _build_polygon(h)
+    if tag in _SPORADIC:
+        return _build_sporadic(tag)
+    if h > MAX_POLYGON_N:
+        raise CapExceededError(
+            f"the {h}-gon model exceeds the size cap n <= {MAX_POLYGON_N}"
+        )
+    return _build_polygon(h)
 
 
 def _build_polygon(n):

@@ -5,9 +5,10 @@ These are the evaluations and products the library ran on ``Fraction``
 before it moved them to integer numerators: Horner at a rational point,
 interval Horner over a rational interval, a field product as a dense
 product followed by long division by the modulus, Euclidean division
-and the monic gcd over Q, and the field inverse by the extended
-Euclidean algorithm over Q.  Polynomials are tuples of rationals in
-ascending degree; this only serves tests.
+and the monic gcd over Q, the field inverse by the extended Euclidean
+algorithm over Q, and the matrix rank by Gauss-Jordan elimination over
+Q.  Polynomials are tuples of rationals in ascending degree; this only
+serves tests.
 """
 
 from fractions import Fraction
@@ -98,3 +99,28 @@ def field_product(a, b, modulus, degree):
     """Coordinates of a * b in Q[x]/(modulus), padded to degree."""
     rem = remainder(multiply(strip(a), strip(b)), modulus)
     return rem + (Fraction(0),) * (degree - len(rem))
+
+
+def rank(matrix):
+    """Rank over Q of a matrix given as rows of ints or Fractions, by
+    Gauss-Jordan elimination in Fraction arithmetic."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank_count = 0
+    n_cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        rank_count += 1
+        if r == len(rows):
+            break
+    return rank_count

@@ -315,6 +315,20 @@ def test_mathematical_inconsistency_exit_1(capsys):
     assert "exceptional" in diagnostic["message"]
 
 
+def test_polygon_past_the_size_cap_exit_1(capsys, monkeypatch):
+    from veechfib import thurston_veech
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coxeter_graph reached past the size cap")
+
+    monkeypatch.setattr(thurston_veech, "coxeter_graph", refuse)
+    requests = (("polygon", "--n", "1000003", "--p", "3"), ("tv-build", "--family", "polygon-257"))
+    for argv in requests:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "CapExceededError"
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

@@ -354,3 +354,80 @@ def test_enclosure_of_a_hidden_zero_is_typed():
     with pytest.raises(EnclosureDivergenceError) as err:
         field.element([-2, 0, 1]).sign()
     assert isinstance(err.value, ArithmeticError) and isinstance(err.value, VeechFibError)
+
+
+# ---------------------------------------------------------------------------
+# Element arithmetic on integer numerators against Fraction coordinates
+# ---------------------------------------------------------------------------
+
+
+def _element_coordinates(draw, field):
+    """Coordinates of a zero, rational, integral or general element."""
+    n = field.degree
+    kind = draw(st.sampled_from(("zero", "rational", "integral", "general", "general")))
+    if kind == "zero":
+        return [Fraction(0)] * n
+    coords = _coordinates(draw, field)
+    if kind == "integral":
+        coords = [Fraction(round(c)) for c in coords]
+    if kind == "rational":
+        coords[1:] = [Fraction(0)] * (n - 1)
+    return coords
+
+
+def _reference_sign(coords, field):
+    """Sign by Fraction interval Horner, refining a copy of the root."""
+    f = fraction_reference.strip(coords)
+    root = field.root
+    for _ in range(200):
+        lo, hi = fraction_reference.qeval_interval(f, root.lower, root.upper)
+        if lo > 0 or hi < 0 or lo == hi:
+            return (lo > 0) - (hi < 0)
+        root = root.refine(root.width / 4)
+    raise AssertionError("reference enclosure did not converge")
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.integers(2, 30), data=st.data())
+def test_element_arithmetic_matches_fraction_coordinates(h, data):
+    field = _cos_field(h)
+    n, modulus = field.degree, field.modulus.coefficients
+    a = _element_coordinates(data.draw, field)
+    b = _element_coordinates(data.draw, field)
+    r = data.draw(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)))
+    x, y = field.element(a), field.element(b)
+    shifted = [a[0] + r] + a[1:]
+    assert x.coeffs == tuple(a) and all(type(c) is Fraction for c in x.coeffs)
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (-x).coeffs == tuple(-p for p in a)
+    assert (x + r).coeffs == (r + x).coeffs == tuple(shifted)
+    assert (x - r).coeffs == tuple([a[0] - r] + a[1:])
+    assert (r - x).coeffs == tuple([r - a[0]] + [-p for p in a[1:]])
+    assert (x * y).coeffs == fraction_reference.field_product(a, b, modulus, n)
+    assert (x * r).coeffs == (r * x).coeffs == tuple(p * r for p in a)
+    if r:
+        assert (x / r).coeffs == tuple(p / r for p in a)
+    if any(b):
+        inverse = fraction_reference.inverse(b, modulus)
+        assert (x / y).coeffs == fraction_reference.field_product(a, inverse, modulus, n)
+    # equality against elements, ints and Fractions; equal values hash alike
+    rational = not any(a[1:])
+    routes = ((y, b), (x * 1, a), (field.element(shifted) - r, a), (field.element(a + a), None))
+    for other, coords in routes:
+        if coords is None:
+            coords = fraction_reference.remainder(a + a, modulus)
+            coords += (Fraction(0),) * (n - len(coords))
+        assert (x == other) == (tuple(a) == tuple(coords))
+        if x == other:
+            assert hash(x) == hash(other)
+    assert x != _cos_field(h + 31).element(a)
+    for q in (r, a[0], a[0].numerator):
+        assert (x == q) == (rational and a[0] == q)
+        if x == q:
+            assert hash(x) == hash(q)
+    assert x != "a" and x != 0.5
+    assert x.to_json() == [f"{c.numerator}/{c.denominator}" for c in a]
+    assert x.sign() == _reference_sign(a, field)
+    assert x.is_zero == (not any(a)) and x.is_rational == rational
+    assert x.is_integral_residue == all(c.denominator == 1 for c in a)

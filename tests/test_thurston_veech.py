@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
+from veechfib import thurston_veech
 from veechfib.errors import (
+    CapExceededError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     UnsupportedFamilyError,
@@ -20,6 +22,7 @@ from veechfib.exact.polynomials import (
 )
 from veechfib.thurston_veech import (
     HORIZONTAL,
+    MAX_POLYGON_N,
     VERTICAL,
     BipartiteIntersectionGraph,
     CylinderDatum,
@@ -162,6 +165,31 @@ def test_build_surface_e7():
 def test_unsupported_polygon_rejected(bad_n):
     with pytest.raises(UnsupportedFamilyError):
         build_surface(f"polygon-{bad_n}")
+
+
+class _GraphAllocated(Exception):
+    pass
+
+
+def _refuse_graphs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _GraphAllocated(args)
+
+    monkeypatch.setattr(thurston_veech, "coxeter_graph", refuse)
+
+
+def test_polygon_past_the_size_cap_is_refused_before_its_graph(monkeypatch):
+    # a broken guard reaches coxeter_graph and fails at once instead of
+    # allocating an n x n matrix
+    _refuse_graphs(monkeypatch)
+    assert MAX_POLYGON_N == 256
+    for n in (257, 262, 512, 1000003):
+        with pytest.raises(CapExceededError, match=f"{n}-gon"):
+            build_surface(f"polygon-{n}")
+    # the largest supported n under the cap gets past the guard
+    with pytest.raises(_GraphAllocated):
+        build_surface("polygon-256")
+    assert surface_tag("polygon-1000003") == ("polygon-1000003", 1000003)
 
 
 def test_surface_tag_is_canonical_with_the_coxeter_number():
