@@ -1,16 +1,24 @@
 """Finite field arithmetic F_p[x]/(f) and residue tests mod p.
 
 Polynomials over F_p are tuples of ints in [0, p), ascending degree.
-Irreducibility uses the distinct-degree criterion (f of degree n is
-irreducible iff x^(p^n) = x mod f and gcd(f, x^(p^k) - x) = 1 for all
-k <= n/2), computed with iterated Frobenius maps; only the boolean is
-ever needed, so no factorization is performed.
+Products in F_p[x]/(f) run on one kernel (_QuotientRing): one integer
+product of the packed coefficients, whose top slots are then folded
+down by x^n mod f, each coefficient reduced mod p once.
+
+Irreducibility is Rabin's test (Rabin 1980): f of degree n is
+irreducible iff x^(p^n) = x mod f and gcd(f, x^(p^(n/r)) - x) = 1 for
+each prime r | n, the only gcds taken.  As g(x)^p = sum g_i x^(ip) over
+F_p, each x^(p^k) is one product by the Frobenius (Berlekamp) matrix,
+whose row i is x^(ip) mod f; a return to x before k = n proves f
+reducible.  Only the boolean is needed; nothing is factored.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from ..errors import DivisionByZeroError, InvalidArgumentError
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, prime_factors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,17 +61,6 @@ def preduce(f, p):
     return pstrip([c % p for c in f])
 
 
-def pmul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return pstrip(out)
-
-
 def pmod(f, g, p):
     if not g:
         raise DivisionByZeroError("polynomial division by zero mod p")
@@ -91,19 +88,47 @@ def pgcd(f, g, p):
     return f
 
 
-def ppow_mod(base, e, modpoly, p):
-    out = (1,)
-    base = pmod(base, modpoly, p)
-    while e:
-        if e & 1:
-            out = pmod(pmul(out, base, p), modpoly, p)
-        base = pmod(pmul(base, base, p), modpoly, p)
-        e >>= 1
-    return out
+class _QuotientRing:
+    """F_p[x]/(f), f of degree n made monic; a residue is a length-n list
+    in [0, p).  A product packs the coefficients s bits apart into one
+    integer, s wide enough for a convolution plus a fold."""
+
+    def __init__(self, fbar, p):
+        n, inv = len(fbar) - 1, pow(fbar[-1], -1, p)
+        self.n, self.p, self.s = n, p, (2 * n * (p - 1) ** 2).bit_length()
+        self.low = self.pack([-c * inv % p for c in fbar[:-1]])  # x^n mod f
+
+    def pack(self, coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = out << self.s | c
+        return out
+
+    def fold(self, c, degree):
+        """The residue of a packed polynomial of the given degree: each slot
+        from the top down to x^n is reduced mod p once and folded down by
+        x^n = low, then each of the n low slots is reduced."""
+        n, p, s = self.n, self.p, self.s
+        for k in range(degree, n - 1, -1):
+            c = (c & ((1 << s * k) - 1)) + ((c >> s * k) % p * self.low << s * (k - n))
+        mask = (1 << s) - 1
+        return [(c >> s * i & mask) % p for i in range(n)]
+
+    def mul(self, a, b):
+        return self.fold(self.pack(a) * self.pack(b), 2 * self.n - 2)
+
+    def pow(self, a, e):
+        """a^e for e >= 0 by left-to-right square-and-multiply."""
+        out = a if e else [1] + [0] * (self.n - 1)
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
 
 
 def is_irreducible_mod_p(f, p):
-    """Distinct-degree irreducibility test for f over F_p.
+    """Rabin's irreducibility test for f over F_p.
 
     Requires p prime, f nonconstant, and the leading coefficient of f
     nonzero mod p (a degree drop would silently change the question).
@@ -122,22 +147,21 @@ def is_irreducible_mod_p(f, p):
     n = len(fbar) - 1
     if n == 1:
         return True
-    x = (0, 1)
-    frob = x
-    for k in range(1, n + 1):
-        frob = ppow_mod(frob, p, fbar, p)  # frob = x^(p^k) mod fbar
-        if k <= n // 2:
-            g = pgcd(fbar, psub(frob, x, p), p)
-            if len(g) != 1:
-                return False
-    return psub(frob, x, p) == ()
-
-
-def psub(f, g, p):
-    n = max(len(f), len(g))
-    return pstrip(
-        [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p for i in range(n)]
-    )
+    ring = _QuotientRing(fbar, p)
+    x = [0, 1] + [0] * (n - 2)
+    frob = ring.pow(x, p)  # x^(p^k) mod f, from k = 1
+    rows = [[1] + [0] * (n - 1), frob]
+    while len(rows) < n:
+        rows.append(ring.mul(rows[-1], frob))
+    matrix = [ring.pack(row) for row in rows]  # row i = x^(ip) mod f
+    gcd_steps = {n // r for r in prime_factors(n)}
+    for k in range(1, n):
+        if frob == x:
+            return False  # every factor has degree dividing k < n
+        if k in gcd_steps and len(pgcd(fbar, [frob[0], (frob[1] - 1) % p] + frob[2:], p)) != 1:
+            return False
+        frob = ring.fold(sum(map(mul, frob, matrix)), n - 1)
+    return frob == x
 
 
 def is_quadratic_nonresidue(d, p):
@@ -170,7 +194,8 @@ class FiniteFieldSpec:
         self.modulus = modulus
         self.degree = modulus.degree
         self.order = p**modulus.degree
-        self._modbar = preduce(modulus.coefficients, p)
+        self._ring = _QuotientRing(preduce(modulus.coefficients, p), p)
+        self.zero, self.one = self.element(0), self.element(1)
 
     def __eq__(self, other):
         return (
@@ -186,18 +211,8 @@ class FiniteFieldSpec:
         return f"FiniteFieldSpec(GF({self.p})[x]/({self.modulus}))"
 
     def element(self, coeffs):
-        if isinstance(coeffs, int):
-            coeffs = (coeffs,)
-        reduced = pmod(preduce(coeffs, self.p), self._modbar, self.p)
-        return FFElement(self, reduced + (0,) * (self.degree - len(reduced)))
-
-    @property
-    def zero(self):
-        return self.element(0)
-
-    @property
-    def one(self):
-        return self.element(1)
+        coeffs = [c % self.p for c in ([coeffs] if isinstance(coeffs, int) else coeffs)]
+        return FFElement(self, self._ring.fold(self._ring.pack(coeffs), len(coeffs) - 1))
 
     @property
     def generator(self):
@@ -253,15 +268,13 @@ class FFElement:
     def __mul__(self, other):
         self._check(other)
         spec = self.spec
-        prod = pmod(pmul(pstrip(self.coeffs), pstrip(other.coeffs), spec.p), spec._modbar, spec.p)
-        return FFElement(spec, prod + (0,) * (spec.degree - len(prod)))
+        return FFElement(spec, spec._ring.mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e):
         spec = self.spec
         if e < 0:
             return self.inverse() ** (-e)
-        out = ppow_mod(pstrip(self.coeffs), e, spec._modbar, spec.p)
-        return FFElement(spec, out + (0,) * (spec.degree - len(out)))
+        return FFElement(spec, spec._ring.pow(self.coeffs, e))
 
     def inverse(self):
         if self.is_zero:

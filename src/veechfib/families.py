@@ -67,6 +67,7 @@ from .prototypes import (
 )
 from .thurston_veech import (
     build_surface,
+    capped_surface_tag,
     core_curve_span_check,
     cylinder_bound_check,
     holonomy_basis_check,
@@ -623,7 +624,7 @@ def family_alpha_polynomial(family_tag):
         except ValueError:
             raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
         return weierstrass_alpha_polynomial(d), 2
-    _, h = surface_tag(family_tag)
+    _, h = capped_surface_tag(family_tag)
     m_alpha = translate(cos_two_pi_minpoly(h), -2)
     return m_alpha, m_alpha.degree
 

@@ -392,22 +392,26 @@ def surface_tag(family_tag):
     return f"polygon-{n}", n
 
 
+def capped_surface_tag(family_tag):
+    """surface_tag, refusing an n-gon past MAX_POLYGON_N by CapExceededError."""
+    tag, h = surface_tag(family_tag)
+    if h > MAX_POLYGON_N:
+        raise CapExceededError(f"the {h}-gon model exceeds the size cap n <= {MAX_POLYGON_N}")
+    return tag, h
+
+
 @lru_cache(maxsize=None)
 def build_surface(family_tag):
     """Build the exact surface model for polygon-n, E7 or E8.
 
     Heights are normalized so the lowest horizontal cylinder has height
     mu (the staircase normalization); horizontal cylinders are the ones
-    whose height lifts are odd polynomials in mu.  An n-gon with n >
-    MAX_POLYGON_N raises CapExceededError before anything is allocated.
+    whose height lifts are odd polynomials in mu.  An n-gon past the cap
+    is refused first (capped_surface_tag).
     """
-    tag, h = surface_tag(family_tag)
+    tag, h = capped_surface_tag(family_tag)
     if tag in _SPORADIC:
         return _build_sporadic(tag)
-    if h > MAX_POLYGON_N:
-        raise CapExceededError(
-            f"the {h}-gon model exceeds the size cap n <= {MAX_POLYGON_N}"
-        )
     return _build_polygon(h)
 
 

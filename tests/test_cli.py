@@ -329,6 +329,23 @@ def test_polygon_past_the_size_cap_exit_1(capsys, monkeypatch):
         assert json.loads(err)["error"] == "CapExceededError"
 
 
+def test_primes_past_the_size_cap_exit_1(capsys, monkeypatch):
+    # primes builds no model, but it would expand the degree-phi(n)/2
+    # m_alpha; the cap refuses the tag before that expansion starts
+    from veechfib import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cos_two_pi_minpoly reached past the size cap")
+
+    monkeypatch.setattr(families, "cos_two_pi_minpoly", refuse)
+    for family in ("polygon-1000003", "polygon-257"):
+        code, out, err = run_cli(capsys, "primes", "--family", family, "--bound", "20")
+        assert code == 1 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "CapExceededError"
+        assert "size cap" in diagnostic["message"]
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,8 @@ from veechfib.families import (
 )
 from veechfib.invariants import kappa_mu, signature
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
-from veechfib.thurston_veech import build_surface
+from veechfib.exact.finitefield import is_irreducible_mod_p
+from veechfib.thurston_veech import build_surface, surface_tag
 
 
 def test_weierstrass_double_pentagon_headline():
@@ -288,6 +290,41 @@ def test_admissible_primes_examples():
     e8 = [p for p, _ in admissible_primes("E8", 13)]
     assert len(e8) >= 2
 
+
+
+def _generates_units_mod_sign(p, h):
+    """p is prime to h and its class generates (Z/h)* / {+-1}, the Galois
+    group of Q(cos 2pi/h): the order of p there is phi(h)/2."""
+    if h % p == 0:
+        return False
+    half_phi = sum(1 for k in range(1, h) if math.gcd(k, h) == 1) // 2
+    order, x = 1, p % h
+    while x not in (1, h - 1):
+        x = x * p % h
+        order += 1
+    return order == half_phi
+
+
+def _supported_tags(bound):
+    for n in range(3, bound + 1):
+        try:
+            yield surface_tag(f"polygon-{n}")
+        except UnsupportedFamilyError:
+            pass
+    yield from (("E7", 18), ("E8", 30))
+
+
+def test_admissibility_matches_the_galois_criterion():
+    # m_alpha is irreducible mod p exactly when Frobenius at p generates
+    # the Galois group of the trace field; a route through no polynomial
+    odd_primes = [p for p in range(3, 98, 2) if all(p % r for r in range(3, p, 2))]
+    tags = list(_supported_tags(128))
+    assert len(tags) == 52
+    for tag, h in tags:
+        m_alpha, genus = family_alpha_polynomial(tag)
+        expected = [p for p in odd_primes if _generates_units_mod_sign(p, h)]
+        assert [p for p in odd_primes if is_irreducible_mod_p(m_alpha, p)] == expected, tag
+        assert admissible_primes(tag, 97) == [(p, (p, genus) == (3, 2)) for p in expected], tag
 
 def test_zeta_values():
     assert real_quadratic_zeta_minus_one(5) == Fraction(1, 30)

@@ -1,16 +1,21 @@
 import random
 
+import finitefield_reference
 import pytest
-from hypothesis import given, settings
+from finitefield_reference import pmul
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from veechfib.errors import DivisionByZeroError, InvalidArgumentError, VeechFibError
+from veechfib.exact import finitefield
 from veechfib.exact.finitefield import (
     FiniteFieldSpec,
     is_irreducible_mod_p,
     is_prime,
     is_quadratic_nonresidue,
     pmod,
+    preduce,
+    pstrip,
 )
 from veechfib.exact.polynomials import IntPolynomial
 
@@ -106,3 +111,172 @@ def test_element_index_round_trip():
     field = FiniteFieldSpec(5, IntPolynomial([-2, 0, 1]))
     for idx in range(field.order):
         assert field.element_index(field.element_from_index(idx)) == idx
+
+
+# -- the delayed-reduction kernel against the reference route ----------------
+
+_PRIMES = [p for p in range(2, 102) if is_prime(p)]
+
+
+def _outcome(test, f, p):
+    """(result, None), or (None, (error type, message)) for a refusal."""
+    try:
+        return test(f, p), None
+    except InvalidArgumentError as err:
+        return None, (type(err), str(err))
+
+
+def _kernel(f, p):
+    return _outcome(is_irreducible_mod_p, f, p)
+
+
+def _reference(f, p):
+    return _outcome(finitefield_reference.is_irreducible_mod_p, f, p)
+
+
+def _irreducible(rng, degree, p):
+    """A random monic irreducible of the given degree over F_p, by trial."""
+    while True:
+        g = [rng.randrange(p) for _ in range(degree)] + [1]
+        if finitefield_reference.is_irreducible_mod_p(g, p):
+            return g
+
+
+def _lift(f, p, rng):
+    """Integer coefficients congruent to f mod p, leading one kept unit."""
+    return [c + p * rng.randrange(-3, 4) for c in f[:-1]] + [f[-1] + p * rng.randrange(0, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=24),
+    lead=st.integers(1, 10**6),
+    p=st.sampled_from(_PRIMES),
+)
+def test_irreducibility_matches_the_reference_route(coeffs, lead, p):
+    # degrees 1-24 at every prime p <= 101, p below the degree included
+    f = IntPolynomial(coeffs + [lead])
+    if f.leading_coefficient % p == 0:
+        f = IntPolynomial(coeffs + [lead * p + 1])
+    assert _kernel(f, p) == _reference(f, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from(_PRIMES),
+    shape=st.sampled_from(["square", "frobenius", "equal-degrees", "degrees-1-2-3"]),
+)
+def test_irreducibility_on_pinned_reducible_shapes(seed, p, shape):
+    rng = random.Random(seed)
+    if shape == "square":
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [1]
+        f = pmul(g, g, p)
+    elif shape == "frobenius":
+        # g(x^p), whose derivative vanishes mod p, of degree <= 24
+        assume(p <= 24)
+        d = rng.randint(1, 24 // p)
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        f = [0] * (d * p + 1)
+        for i, c in enumerate(g):
+            f[i * p] = c
+    elif shape == "equal-degrees":
+        # two distinct irreducibles of one degree: x^(p^k) = x at k = n/2
+        # (F_2 has one irreducible quadratic, and at least two of every other degree)
+        d = rng.choice([1, 3, 4] if p == 2 else [1, 2, 3, 4])
+        g = _irreducible(rng, d, p)
+        h = g
+        while h == g:
+            h = _irreducible(rng, d, p)
+        f = pmul(g, h, p)
+    else:
+        # every factor degree divides 6 and their lcm is 6, so only the
+        # gcd at k = 6/2 = 3 can see the factors
+        linear, quadratic, cubic = (_irreducible(rng, d, p) for d in (1, 2, 3))
+        f = pmul(pmul(linear, quadratic, p), cubic, p)
+    f = _lift(f, p, rng)
+    assert _kernel(f, p) == _reference(f, p) == (False, None)
+
+
+def test_irreducibility_refusals_match_the_reference():
+    cases = [
+        (GOLDEN, 6),  # p not prime
+        (GOLDEN, 1),
+        (IntPolynomial([7]), 5),  # constant f
+        (IntPolynomial([1, 1, 3]), 3),  # leading coefficient vanishes mod p
+        (IntPolynomial([2, 0, 0, 10]), 5),
+    ]
+    for f, p in cases:
+        result, refusal = _kernel(f, p)
+        assert result is None and refusal is not None
+        assert refusal == _reference(f, p)[1]
+
+
+def test_irreducibility_builds_the_frobenius_matrix_once(monkeypatch):
+    # x^p by square-and-multiply, then one product per matrix row; every
+    # later x^(p^k) is a matrix-vector product, not a product
+    calls = []
+    original = finitefield._QuotientRing.mul
+
+    def counted(ring, a, b):
+        calls.append(len(a))
+        return original(ring, a, b)
+
+    monkeypatch.setattr(finitefield._QuotientRing, "mul", counted)
+    rng = random.Random(20261018)
+    cases = [(GOLDEN, 3), (IntPolynomial([-1, 6, -5, 1]), 3)]
+    for _ in range(40):
+        n, p = rng.randint(2, 24), rng.choice(_PRIMES)
+        cases.append((IntPolynomial([rng.randrange(p) for _ in range(n)] + [1]), p))
+    for f, p in cases:
+        calls.clear()
+        expected = finitefield_reference.is_irreducible_mod_p(f, p)
+        assert is_irreducible_mod_p(f, p) == expected
+        n = f.degree
+        assert all(length == n for length in calls)
+        assert len(calls) <= n + 2 * (p - 1).bit_length(), (f, p, len(calls))
+
+
+# the nine fields of the closure-oracle benchmark, (p, modulus), q <= 343
+_ORACLE_FIELDS = [
+    (3, (1, 0, 1)),
+    (5, (2, 0, 1)),
+    (3, (1, -1, 0, 1)),
+    (7, (1, 0, 1)),
+    (3, (2, 1, 0, 0, 1)),
+    (11, (1, 0, 1)),
+    (5, (1, 1, 0, 1)),
+    (3, (1, -1, 0, 0, 0, 1)),
+    (7, (2, 0, 0, 1)),
+]
+
+
+def _padded(coeffs, n):
+    return tuple(coeffs) + (0,) * (n - len(coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field_at=st.integers(0, len(_ORACLE_FIELDS) - 1),
+    i=st.integers(0, 342),
+    j=st.integers(0, 342),
+    e=st.integers(2, 10**4),
+    raw=st.lists(st.integers(-10**3, 10**3), max_size=12),
+)
+def test_field_elements_match_the_reference_route(field_at, i, j, e, raw):
+    p, modulus = _ORACLE_FIELDS[field_at]
+    field = FiniteFieldSpec(p, IntPolynomial(modulus))
+    n, q = field.degree, field.order
+    modbar = preduce(modulus, p)
+    x, y = field.element_from_index(i % q), field.element_from_index(j % q)
+    a, b = pstrip(x.coeffs), pstrip(y.coeffs)
+    assert (x * y).coeffs == _padded(pmod(pmul(a, b, p), modbar, p), n)
+    assert field.element(raw).coeffs == _padded(pmod(preduce(raw, p), modbar, p), n)
+    for power in (0, 1, q - 2, e):
+        expected = finitefield_reference.ppow_mod(a, power, modbar, p)
+        assert (x**power).coeffs == _padded(expected, n), power
+    if not x.is_zero:
+        inverse = finitefield_reference.ppow_mod(a, q - 2, modbar, p)
+        assert x.inverse().coeffs == _padded(inverse, n)
+        assert (x**-e).coeffs == _padded(finitefield_reference.ppow_mod(inverse, e, modbar, p), n)
+        assert x * x.inverse() == field.one
