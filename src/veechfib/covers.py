@@ -1,12 +1,13 @@
 """Degrees, cusps, genus and twisting of level-p congruence covers.
 
-The degree comes from the classical generation theorem for SL(2) over a
-finite field: two opposite elementary matrices [[1, a], [0, 1]] and
-[[1, 0], [1, 1]] with a generating the field generate all of
-SL(2, F_q), except over F_9 where they generate a copy of SL(2, 5) of
-order 120.  The deck group of the cover is that image modulo its
-center's -I when the Veech group contains -I, whence the degree is
-q(q^2 - 1) or q(q^2 - 1)/2.
+congruence_degree is the one level decision: it alone admits a level p
+and picks the image of the monodromy there, from the classical
+generation theorem for SL(2) over a finite field: two opposite
+elementary matrices [[1, a], [0, 1]] and [[1, 0], [1, 1]] with a
+generating the field generate all of SL(2, F_q), except over F_9 where
+they generate a copy of SL(2, 5) of order 120.  The deck group of the
+cover is that image modulo its center's -I when the Veech group
+contains -I, whence the degree is q(q^2 - 1) or q(q^2 - 1)/2.
 
 group_closure_order provides the independent oracle: the exact order
 of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
@@ -124,8 +125,9 @@ class CongruenceDegree:
 def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
     """Cover degree for the level-p congruence cover of a trace field.
 
-    alpha_minpoly is the degree-g minimal polynomial of the congruence
-    parameter; it must be irreducible mod p.  The generated image is
+    The one level decision: p must be an odd prime and alpha_minpoly,
+    the degree-g minimal polynomial of the congruence parameter, must be
+    irreducible mod p (else InadmissiblePrimeError).  The image is
     SL(2, p^g), of order p^g (p^2g - 1), except for (p, g) = (3, 2)
     where it is the order-120 copy of SL(2, 5) inside SL(2, 9).  The
     returned degree divides out the center when the Veech group
@@ -134,7 +136,7 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
     if not isinstance(alpha_minpoly, IntPolynomial):
         alpha_minpoly = IntPolynomial(alpha_minpoly)
     if not is_prime(p) or p < 3:
-        raise InvalidArgumentError(f"p = {p} must be an odd prime")
+        raise InvalidArgumentError(f"{p} is not an odd prime")
     if alpha_minpoly.degree != genus:
         raise InvalidArgumentError(
             f"minimal polynomial degree {alpha_minpoly.degree} != genus {genus}"

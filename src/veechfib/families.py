@@ -45,6 +45,7 @@ from .covers import (
     riemann_hurwitz_cover,
 )
 from .errors import (
+    CapExceededError,
     InadmissiblePrimeError,
     InconsistentCoverError,
     InvalidArgumentError,
@@ -52,7 +53,8 @@ from .errors import (
     MissingCurveDataError,
     UnsupportedFamilyError,
 )
-from .exact.finitefield import is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
+from .exact.finitefield import is_prime, is_quadratic_nonresidue
+from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial, cos_two_pi_minpoly, divisors, prime_factors, rational_to_str, translate
@@ -322,18 +324,17 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
     data = data if data is not None else CurveDataTable()
     check_enumerable(d, spin_filter)
     m_alpha = weierstrass_alpha_polynomial(d)
-    if p == 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
-    if d % p != 0:
-        nonresidue = is_quadratic_nonresidue(d, p)
-        irreducible = is_irreducible_mod_p(m_alpha, p)
-        if nonresidue != irreducible:
-            raise InvalidArgumentError("residue test disagrees with irreducibility")
-        if not nonresidue:
-            raise InadmissiblePrimeError(
-                f"D = {d} is a quadratic residue mod {p}; level inadmissible"
-            )
-    degree_data = congruence_degree(m_alpha, p, 2, True)
+    try:
+        degree_data = congruence_degree(m_alpha, p, 2, True)
+    except InadmissiblePrimeError:
+        if d % p == 0:  # ramified: m_alpha has a double root mod p
+            raise
+        degree_data = None
+    # Euler's criterion, an independent second route to an unramified level
+    if d % p and is_quadratic_nonresidue(d, p) != (degree_data is not None):
+        raise InvalidArgumentError("residue test disagrees with irreducibility")
+    if degree_data is None:
+        raise InadmissiblePrimeError(f"D = {d} is a quadratic residue mod {p}; level inadmissible")
     chi, chi_source = data.chi(d)
     protos = enumerate_prototypes(d, spin_filter)
     n_orbits = len(protos)
@@ -406,8 +407,6 @@ def model_spec(tag):
     tag, h = surface_tag(tag)
     model = build_surface(tag)
     m_alpha = model.alpha_basis.minimal_polynomial()
-    if m_alpha.degree != model.genus:
-        raise InvalidArgumentError("trace field degree mismatch against fiber genus")
     if h % 2:
         signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
     else:
@@ -577,8 +576,14 @@ def principal_congruence_index(m):
     return idx // 2
 
 
+# Largest elliptic level: the index factors m by trial division to sqrt(m)
+MAX_ELLIPTIC_M = 10**12
+
+
 def elliptic_family(m):
     """Genus-one fibration over the level-m principal congruence cover."""
+    if m > MAX_ELLIPTIC_M:
+        raise CapExceededError(f"level m = {m} exceeds the size cap m <= {MAX_ELLIPTIC_M}")
     degree = principal_congruence_index(m)
     sig = OrbifoldSignature(0, (2, 3), 1)
     spec = FamilySpec(
@@ -630,25 +635,17 @@ def family_alpha_polynomial(family_tag):
 
 
 def admissible_primes(family_tag, bound):
-    """Odd primes p <= bound passing the irreducibility criterion.
-
-    Returns (p, exceptional) pairs; exceptional marks (p, genus) =
-    (3, 2), where the congruence degree takes the order-120 branch.
-    """
+    """(p, exceptional) for each odd prime p <= bound that congruence_degree
+    admits, with exceptional as congruence_degree reports it."""
     if bound < 3:
         raise InvalidArgumentError("bound must be >= 3")
     m_alpha, genus = family_alpha_polynomial(family_tag)
     out = []
-    for p in range(3, bound + 1, 2):
-        if not is_prime(p):
-            continue
-        if m_alpha.leading_coefficient % p == 0:
-            continue
+    for p in filter(is_prime, range(3, bound + 1, 2)):
         try:
-            if is_irreducible_mod_p(m_alpha, p):
-                out.append((p, (p, genus) == (3, 2)))
-        except InvalidArgumentError:
-            continue
+            out.append((p, congruence_degree(m_alpha, p, genus, True).exceptional))
+        except InadmissiblePrimeError:
+            pass
     return out
 
 

@@ -346,6 +346,20 @@ def test_primes_past_the_size_cap_exit_1(capsys, monkeypatch):
         assert "size cap" in diagnostic["message"]
 
 
+def test_elliptic_past_the_size_cap_exit_1(capsys, monkeypatch):
+    from veechfib import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prime_factors reached past the size cap")
+
+    monkeypatch.setattr(families, "prime_factors", refuse)
+    code, out, err = run_cli(capsys, "elliptic", "--m", "1000000000000000003")
+    assert code == 1 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "CapExceededError"
+    assert "size cap" in diagnostic["message"]
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

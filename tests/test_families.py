@@ -1,9 +1,11 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from veechfib.errors import (
+    CapExceededError,
     InadmissiblePrimeError,
     InconsistentCoverError,
     InvalidArgumentError,
@@ -12,8 +14,9 @@ from veechfib.errors import (
     SpinRequiredError,
     UnsupportedFamilyError,
 )
-from veechfib import families
+from veechfib import covers, families
 from veechfib.families import (
+    MAX_ELLIPTIC_M,
     CurveDataTable,
     ExternalCurveData,
     admissible_primes,
@@ -124,6 +127,45 @@ def test_weierstrass_spin_discriminant_needs_filter():
 def test_weierstrass_error_precedence(d_disc, p, error):
     with pytest.raises(error):
         weierstrass_family(d_disc, p)
+
+
+def test_weierstrass_tests_irreducibility_once(monkeypatch):
+    # congruence_degree is the one irreducibility test on the level;
+    # weierstrass_family adds only Euler's criterion
+    calls = []
+
+    def counting(f, p):
+        calls.append(p)
+        return is_irreducible_mod_p(f, p)
+
+    monkeypatch.setattr(families, "is_irreducible_mod_p", counting)
+    monkeypatch.setattr(covers, "is_irreducible_mod_p", counting)
+    weierstrass_family(13, 5)
+    assert calls == [5]
+    with pytest.raises(InadmissiblePrimeError, match="D = 5 is a quadratic residue mod 11"):
+        weierstrass_family(5, 11)
+    assert calls == [5, 11]
+
+
+@pytest.mark.parametrize("d_disc, p", [(13, 5), (5, 11)])
+def test_weierstrass_compares_the_residue_route(monkeypatch, d_disc, p):
+    # an admitted (13 at 5) and a refused (5 at 11) level: Euler's
+    # criterion answering the other way is reported, not trusted
+    original = families.is_quadratic_nonresidue
+    monkeypatch.setattr(families, "is_quadratic_nonresidue", lambda d, q: not original(d, q))
+    with pytest.raises(InvalidArgumentError, match="^residue test disagrees with irreducibility$"):
+        weierstrass_family(d_disc, p)
+
+
+def test_admissible_primes_reads_exceptional_from_the_level_decision(monkeypatch):
+    original = families.congruence_degree
+
+    def exceptional_at_5(m_alpha, p, genus, contains_minus_i):
+        result = original(m_alpha, p, genus, contains_minus_i)
+        return dataclasses.replace(result, exceptional=True) if p == 5 else result
+
+    monkeypatch.setattr(families, "congruence_degree", exceptional_at_5)
+    assert admissible_primes("polygon-7", 12) == [(3, False), (5, True), (11, False)]
 
 
 def test_weierstrass_spin_filter_runs_only_after_level_and_chi():
@@ -277,6 +319,25 @@ def test_elliptic_cusp_counts():
     assert elliptic_family(5).cover.cusp_count == 12
     assert elliptic_family(6).cover.base_genus == 1
     assert elliptic_family(7).cover.base_genus == 3
+
+
+class _Factored(Exception):
+    pass
+
+
+def test_elliptic_level_past_the_size_cap_is_refused_before_factoring(monkeypatch):
+    # a broken guard reaches prime_factors and fails at once instead of
+    # trial-dividing up to sqrt(m)
+    def refuse(n):
+        raise _Factored(n)
+
+    monkeypatch.setattr(families, "prime_factors", refuse)
+    assert MAX_ELLIPTIC_M == 10**12
+    for m in (10**12 + 1, 10**12 + 39, 1000000000000000003):
+        with pytest.raises(CapExceededError, match="size cap"):
+            elliptic_family(m)
+    with pytest.raises(_Factored):
+        elliptic_family(MAX_ELLIPTIC_M)
 
 
 def test_admissible_primes_examples():

@@ -5,6 +5,7 @@ import pytest
 from veechfib import thurston_veech
 from veechfib.errors import (
     CapExceededError,
+    InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     UnsupportedFamilyError,
@@ -247,6 +248,21 @@ def test_parity_check_refuses_tampered_lifts():
     no_anchor = _with_horizontal_lifts(model, {"c_2": IntPolynomial([0, 0, 0, 1])})
     assert all(c.height_lift.odd_terms_only() for c in no_anchor.horizontal)
     assert staircase_parity_check(no_anchor) is False
+
+
+def test_parity_check_is_inapplicable_without_both_directions():
+    model = build_surface("polygon-5")
+    for direction in ("horizontal", "vertical"):
+        with pytest.raises(InapplicableModelError, match="horizontal/vertical decomposition"):
+            staircase_parity_check(dataclasses.replace(model, **{direction: ()}))
+
+
+def test_staircase_normalization_needs_an_even_modulus():
+    # mu = golden ratio: x^2 - x - 1 has an odd term, so residues are
+    # not parity-faithful lifts
+    mu = RealAlgebraicField(IntPolynomial([-1, -1, 1])).generator
+    with pytest.raises(InapplicableModelError, match="modulus is not even"):
+        thurston_veech._staircase_normalize(mu, {0: mu, 1: mu}, {0}, {1})
 
 
 def test_span_check_refuses_a_genus_above_the_rank():
