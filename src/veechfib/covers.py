@@ -112,15 +112,6 @@ class CongruenceDegree:
     group_label: str
     exceptional: bool
 
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "group_order": self.group_order,
-            "group_label": self.group_label,
-            "exceptional": self.exceptional,
-            "formula": "|SL(2, q)| = q(q^2-1); degree halves when -I is a deck relation",
-        }
-
 
 def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
     """Cover degree for the level-p congruence cover of a trace field.

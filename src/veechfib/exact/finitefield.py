@@ -30,6 +30,8 @@ def is_prime(n):
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite this small has a prime factor <= 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

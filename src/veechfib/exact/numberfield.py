@@ -22,6 +22,7 @@ MixedModulusError; nothing is ever coerced.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -146,6 +147,7 @@ def _lowest(field, nums, den):
     return NumberFieldElement(field, tuple(nums), den)
 
 
+@functools.total_ordering
 class NumberFieldElement:
     """Element of a RealAlgebraicField: the residue sum_k nums[k] x^k / den
     of degree < deg(modulus), with den > 0 and gcd(den, *nums) == 1."""
@@ -338,18 +340,6 @@ class NumberFieldElement:
             other = self.field.from_rational(other)
         self._check(other)
         return (self - other).sign() < 0
-
-    def __le__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        self._check(other)
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
 
     def isolating_interval(self, width):
         """Rational interval of at most the given width containing the value."""

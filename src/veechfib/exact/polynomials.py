@@ -334,11 +334,6 @@ def sign_variations(chain, x):
     return count
 
 
-def count_roots_in(chain, lo, hi):
-    """Number of distinct real roots in the half-open interval (lo, hi]."""
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
-
-
 def cauchy_root_bound(f):
     """B with all real roots of the IntPolynomial f strictly inside
     [-B, B]."""

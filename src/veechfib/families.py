@@ -208,7 +208,6 @@ class FamilySpec:
     signature_orbifold: object  # OrbifoldSignature or None (Weierstrass)
     base_twists: tuple  # twist count of the minimal multitwist per base cusp
     roots: tuple  # root indices k_c per base cusp
-    pi1_criterion: bool = True  # core curves cross the polygon boundary once
 
     def to_json(self):
         return {
@@ -219,7 +218,7 @@ class FamilySpec:
             "contains_minus_identity": self.contains_minus_identity,
             "base_twists": list(self.base_twists),
             "roots": list(self.roots),
-            "pi1_criterion": self.pi1_criterion,
+            "pi1_criterion": True,  # core curves cross the polygon boundary once
         }
 
 
@@ -578,6 +577,8 @@ def principal_congruence_index(m):
 
 # Largest elliptic level: the index factors m by trial division to sqrt(m)
 MAX_ELLIPTIC_M = 10**12
+# Largest primes --bound: admissible_primes runs the level test per odd prime
+MAX_PRIME_BOUND = 10**5
 
 
 def elliptic_family(m):
@@ -639,6 +640,8 @@ def admissible_primes(family_tag, bound):
     admits, with exceptional as congruence_degree reports it."""
     if bound < 3:
         raise InvalidArgumentError("bound must be >= 3")
+    if bound > MAX_PRIME_BOUND:
+        raise CapExceededError(f"bound {bound} exceeds the size cap bound <= {MAX_PRIME_BOUND}")
     m_alpha, genus = family_alpha_polynomial(family_tag)
     out = []
     for p in filter(is_prime, range(3, bound + 1, 2)):

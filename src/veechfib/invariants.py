@@ -260,7 +260,6 @@ def assemble_invariants(
     b1,
     elliptic_level=None,
     minimality_proven=False,
-    pi1_isomorphic_to_base=True,
 ):
     """Build the full invariant record from cover data; all exact.
 
@@ -309,7 +308,7 @@ def assemble_invariants(
         ),
         zero_section_self_intersections=sections,
         intersection_form_parity=parity,
-        pi1_isomorphic_to_base=pi1_isomorphic_to_base,
+        pi1_isomorphic_to_base=True,
     )
     inv.verify_identities()
     return inv

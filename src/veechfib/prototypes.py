@@ -13,9 +13,8 @@ the long one, where w/h = a/b in lowest terms, for a total twist count
 of a + b.
 
 Prototype is a NamedTuple (w, h, t, e, discriminant): it sorts, hashes
-and prints as that tuple.  enumerate_prototypes checks the conditions
-above as integers on each candidate and calls validate() only to name
-the one that fails.
+and prints as that tuple.  enumerate_prototypes meets every condition
+above by construction.
 
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
@@ -102,16 +101,9 @@ def enumerate_prototypes(d, spin_filter=None):
                 continue
             g = gcd(w, h)
             ge = gcd(g, e)
-            # the prototype conditions as integers; validate() names the
-            # one that fails
-            valid = d == e * e + 4 * w * h and w > 0 and h > 0 and h + e < w
             for t in range(g):
-                if gcd(ge, t) != 1:
-                    continue
-                proto = Prototype(w, h, t, e, d)
-                if not (valid and 0 <= t < g):
-                    proto.validate()
-                out.append(proto)
+                if gcd(ge, t) == 1:
+                    out.append(Prototype(w, h, t, e, d))
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
     out.sort()

@@ -150,12 +150,11 @@ _SPORADIC = {
 }
 
 
-def _diagram_graph(which):
-    """Two-color the diagram E7 or E8; vertex 1 is black."""
-    diagram = _SPORADIC[which]
-    edges = diagram.edges
+def _two_coloured(vertices, edges):
+    """Bipartite graph of the tree on 1..vertices with these edges, with
+    its black and white vertex lists: vertex 1 is black."""
     color = {1: 0}
-    adj = {v: [] for v in range(1, diagram.vertices + 1)}
+    adj = {v: [] for v in range(1, vertices + 1)}
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
@@ -187,16 +186,10 @@ def coxeter_graph(family, size=None):
     if family == "A":
         if size is None or size < 2:
             raise InvalidArgumentError("type A needs a path length >= 2")
-        blacks = list(range(1, size + 1, 2))
-        whites = list(range(2, size + 1, 2))
-        q = [[0] * len(whites) for _ in blacks]
-        for i, b in enumerate(blacks):
-            for j, w in enumerate(whites):
-                if abs(b - w) == 1:
-                    q[i][j] = 1
-        return BipartiteIntersectionGraph(q)
+        return _two_coloured(size, [(k, k + 1) for k in range(1, size)])[0]
     if family in _SPORADIC:
-        return _diagram_graph(family)[0]
+        diagram = _SPORADIC[family]
+        return _two_coloured(diagram.vertices, diagram.edges)[0]
     raise UnsupportedFamilyError(f"unknown Coxeter family: {family!r}")
 
 
@@ -329,7 +322,6 @@ class SurfaceModel:
     vertical: tuple
     genus: int
     zero_partition: tuple
-    core_curves_cross_boundary_once: bool = True
     # level-independent results of the family pipelines, keyed by name
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -352,7 +344,7 @@ class SurfaceModel:
             "vertical": [c.to_json() for c in self.vertical],
             "genus": self.genus,
             "zero_partition": list(self.zero_partition),
-            "core_curves_cross_boundary_once": self.core_curves_cross_boundary_once,
+            "core_curves_cross_boundary_once": True,
         }
 
 
@@ -443,7 +435,7 @@ def _build_polygon(n):
 
 def _build_sporadic(which):
     diagram = _SPORADIC[which]
-    graph, blacks, whites = _diagram_graph(which)
+    graph, blacks, whites = _two_coloured(diagram.vertices, diagram.edges)
     mu, pf_heights = perron_frobenius(graph, diagram.coxeter_number)
     order = blacks + whites
     by_vertex = {v: pf_heights[i] for i, v in enumerate(order)}

@@ -16,10 +16,15 @@ from veechfib.exact.polynomials import (
     DEFAULT_ROOT_WIDTH,
     IntPolynomial,
     cauchy_root_bound,
-    count_roots_in,
+    sign_variations,
     squarefree_part,
     sturm_chain,
 )
+
+
+def count_roots_in(chain, lo, hi):
+    """Number of distinct real roots in the half-open interval (lo, hi]."""
+    return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 def refine(polynomial, lower, upper, width):

@@ -346,6 +346,20 @@ def test_primes_past_the_size_cap_exit_1(capsys, monkeypatch):
         assert "size cap" in diagnostic["message"]
 
 
+def test_primes_bound_past_the_size_cap_exit_1(capsys, monkeypatch):
+    from veechfib import families
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("congruence_degree reached past the size cap")
+
+    monkeypatch.setattr(families, "congruence_degree", refuse)
+    code, out, err = run_cli(capsys, "primes", "--family", "polygon-5", "--bound", str(10**12))
+    assert code == 1 and out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "CapExceededError"
+    assert "size cap" in diagnostic["message"]
+
+
 def test_elliptic_past_the_size_cap_exit_1(capsys, monkeypatch):
     from veechfib import families
 

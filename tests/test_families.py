@@ -17,6 +17,7 @@ from veechfib.errors import (
 from veechfib import covers, families
 from veechfib.families import (
     MAX_ELLIPTIC_M,
+    MAX_PRIME_BOUND,
     CurveDataTable,
     ExternalCurveData,
     admissible_primes,
@@ -338,6 +339,27 @@ def test_elliptic_level_past_the_size_cap_is_refused_before_factoring(monkeypatc
             elliptic_family(m)
     with pytest.raises(_Factored):
         elliptic_family(MAX_ELLIPTIC_M)
+
+
+class _LevelTested(Exception):
+    pass
+
+
+def test_prime_bound_past_the_size_cap_is_refused_before_any_level(monkeypatch):
+    # a broken guard reaches the m_alpha expansion or a level test and
+    # fails at once instead of sweeping every odd prime up to the bound
+    def refuse(*args):
+        raise _LevelTested(args)
+
+    monkeypatch.setattr(families, "family_alpha_polynomial", refuse)
+    monkeypatch.setattr(families, "congruence_degree", refuse)
+    assert MAX_PRIME_BOUND == 10**5
+    for family in ("polygon-5", "weierstrass-5", "E8"):
+        for bound in (10**5 + 1, 10**12):
+            with pytest.raises(CapExceededError, match="size cap"):
+                admissible_primes(family, bound)
+        with pytest.raises(_LevelTested):
+            admissible_primes(family, MAX_PRIME_BOUND)
 
 
 def test_admissible_primes_examples():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import finitefield_reference
@@ -25,6 +26,20 @@ GOLDEN = IntPolynomial([-1, -1, 1])
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(97) and is_prime(10**9 + 7)
     assert not is_prime(1) and not is_prime(91) and not is_prime(0)
+    # trial division finds 37^2; 41^2 and 41 * 43 are the first
+    # composites with no factor <= 37, so the fast path stops below them
+    assert not is_prime(37 * 37) and not is_prime(41 * 41) and not is_prime(41 * 43)
+    # a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
 
 
 def test_irreducibility_examples():

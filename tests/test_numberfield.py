@@ -10,6 +10,7 @@ import power_basis_reference as reference
 from veechfib.errors import (
     DivisionByZeroError,
     EnclosureDivergenceError,
+    InvalidArgumentError,
     MixedModulusError,
     NonIntegralElementError,
     VeechFibError,
@@ -107,6 +108,35 @@ def test_mixed_modulus_rejected(golden_field):
     other = RealAlgebraicField(IntPolynomial([-2, 0, 1]))
     with pytest.raises(MixedModulusError):
         golden_field.generator + other.generator
+
+
+def test_every_order_comparison_against_every_operand(golden_field):
+    # mu = 1.618...; each operand below, above and equal to an element
+    mu = golden_field.generator
+    cases = [
+        (mu, 1, 1), (mu, 2, -1), (mu, Fraction(8, 5), 1), (mu, Fraction(13, 8), -1),
+        (mu, mu, 0), (mu, mu - 1, 1), (mu, mu + Fraction(1, 10**9), -1),
+        (golden_field.from_rational(3), 3, 0),
+        (golden_field.from_rational(Fraction(-2, 7)), Fraction(-2, 7), 0),
+    ]
+    for x, y, sign in cases:
+        assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+        # the reflected operators, with y on the left
+        assert (y < x, y <= x, y > x, y >= x) == (sign > 0, sign >= 0, sign < 0, sign <= 0)
+
+
+def test_order_comparison_refuses_foreign_operands(golden_field):
+    mu = golden_field.generator
+    other = RealAlgebraicField(IntPolynomial([-2, 0, 1])).generator
+    for compare in (
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
+    ):
+        with pytest.raises(MixedModulusError):
+            compare(mu, other)
+        with pytest.raises(InvalidArgumentError):
+            compare(mu, "1")
+        with pytest.raises(InvalidArgumentError):
+            compare("1", mu)
 
 
 def test_suborder_membership(golden_field):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from root_refine_reference import count_roots_in
 from veechfib import thurston_veech
 from veechfib.errors import (
     CapExceededError,
@@ -16,7 +17,6 @@ from veechfib.exact.numberfield import RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
     cauchy_root_bound,
-    count_roots_in,
     minpoly_two_cos,
     squarefree_part,
     sturm_chain,
@@ -53,6 +53,17 @@ def test_coxeter_graph_examples():
     assert (e8.black_count, e8.white_count) == (4, 4)
     with pytest.raises(UnsupportedFamilyError):
         coxeter_graph("F4")
+
+
+def test_path_graph_matches_its_closed_form():
+    # black vertex i is path position 2i + 1, white vertex j is 2j + 2;
+    # they meet when adjacent on the path
+    for m in range(2, 256):
+        blacks, whites = range((m + 1) // 2), range(m // 2)
+        expected = tuple(
+            tuple(int(abs((2 * i + 1) - (2 * j + 2)) == 1) for j in whites) for i in blacks
+        )
+        assert coxeter_graph("A", m).intersections == expected, m
 
 
 def test_graph_validation():
