@@ -57,11 +57,12 @@ from .exact.finitefield import is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, cos_two_pi_minpoly, divisors, prime_factors, rational_to_str, translate
+    IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str, translate
 )
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
     check_enumerable,
+    divisor_rows,
     enumerate_prototypes,
     prototype_twisting,
     standard_parameters,
@@ -115,16 +116,14 @@ def real_quadratic_zeta_minus_one(d):
 
     Classical divisor-sum evaluation:
         zeta_K(-1) = (1/60) * sum over b = d mod 2, b^2 < d
-                     of sigma_1((d - b^2)/4).
+                     of sigma_1((d - b^2)/4),
+    with b and -b read from one row of prototypes.divisor_rows.
     """
     if d < 5:
         raise InvalidArgumentError(f"{d} is not the discriminant of a real quadratic field")
     if not is_fundamental_discriminant(d):
         raise InvalidArgumentError(f"{d} is not a fundamental discriminant")
-    total = 0
-    for b in range(-math.isqrt(d), math.isqrt(d) + 1):
-        if (d - b * b) % 4 == 0 and d - b * b > 0:
-            total += sum(divisors((d - b * b) // 4))
+    total = sum((2 if e else 1) * sum(divs) for e, divs in divisor_rows(d))
     return Fraction(total, 60)
 
 
@@ -369,18 +368,19 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         checks["e2"] = e2
     return dataclasses.replace(
         result,
-        closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, protos),
+        closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, spec.base_twists),
     )
 
 
-def closed_forms_weierstrass(d, p, degree, chi, protos):
-    """Tabulated closed forms for the Weierstrass series.
+def closed_forms_weierstrass(d, p, degree, chi, base_twists):
+    """Tabulated closed forms for the Weierstrass series, from the
+    prototype_twisting of each prototype (spec.base_twists).
 
     The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which
     equals (w + h)/gcd(w, h) = prototype_twisting term by term.
     """
-    n = len(protos)
-    total_t = degree * Fraction(sum(map(prototype_twisting, protos)))
+    n = len(base_twists)
+    total_t = degree * Fraction(sum(base_twists))
     cusps = Fraction(degree, p) * n
     e = -2 * (degree * chi + cusps) + total_t
     sigma = Fraction(-4 * degree, 9) * chi - Fraction(2, 3) * total_t
@@ -579,6 +579,8 @@ def principal_congruence_index(m):
 MAX_ELLIPTIC_M = 10**12
 # Largest primes --bound: admissible_primes runs the level test per odd prime
 MAX_PRIME_BOUND = 10**5
+# Largest scatter D: chern_scatter(5, 10**5, 7) takes about 30 s
+MAX_SCATTER_D = 10**5
 
 
 def elliptic_family(m):
@@ -658,9 +660,12 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
     Discriminants that are squares, residues mod p, spin-split without
     a filter, missing curve data, or whose cover genus is not an integer
     (inconsistent-cover, D = 8 at p = 3) are skipped (and reported).
+    A d_max above MAX_SCATTER_D is refused before the sweep.
     """
     if p == 2 or not is_prime(p):
         raise InvalidArgumentError(f"{p} is not an odd prime")
+    if d_max > MAX_SCATTER_D:
+        raise CapExceededError(f"max D = {d_max} exceeds the size cap D <= {MAX_SCATTER_D}")
     data = data if data is not None else CurveDataTable()
     rows = []
     skipped = []

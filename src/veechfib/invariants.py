@@ -200,7 +200,8 @@ class FibrationInvariants:
     kodaira_tag: str
     zero_section_self_intersections: tuple
     intersection_form_parity: str
-    pi1_isomorphic_to_base: bool
+    # every family's core curves cross the polygon boundary once
+    pi1_isomorphic_to_base = True
 
     def verify_identities(self):
         """Noether and signature-theorem identities, exactly."""
@@ -308,7 +309,6 @@ def assemble_invariants(
         ),
         zero_section_self_intersections=sections,
         intersection_form_parity=parity,
-        pi1_isomorphic_to_base=True,
     )
     inv.verify_identities()
     return inv

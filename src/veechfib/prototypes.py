@@ -16,6 +16,12 @@ Prototype is a NamedTuple (w, h, t, e, discriminant): it sorts, hashes
 and prints as that tuple.  enumerate_prototypes meets every condition
 above by construction.
 
+divisor_rows(D), the divisors of (D - e^2)/4 for each e >= 0 with
+e^2 < D, is the one divisor scan of D: enumerate_prototypes reads each
+row for +e and -e, and families.real_quadratic_zeta_minus_one sums
+sigma_1 over the same rows.  It caches the last D only, so one
+families.weierstrass_family call scans once and a sweep holds one D.
+
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
 explicit spin filter, since no spin formula is built in.
@@ -29,10 +35,16 @@ runs only for D that pass the level and chi tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
-from .errors import InvalidArgumentError, InvalidDiscriminantError, SpinRequiredError
+from .errors import (
+    CapExceededError,
+    InvalidArgumentError,
+    InvalidDiscriminantError,
+    SpinRequiredError,
+)
 from .exact.polynomials import IntPolynomial, divisors
 
 
@@ -69,15 +81,33 @@ def _check_discriminant(d):
         raise InvalidDiscriminantError(f"D = {d} is a square")
 
 
+# Largest enumerable D: the divisor scan makes about D/5 trial divisions;
+# enumerate_prototypes(10**7) takes about 0.4 s
+MAX_DISCRIMINANT = 10**7
+
+
 def check_enumerable(d, spin_filter):
     """Raise unless the prototypes of D can be enumerated: D must be a
-    nonsquare discriminant >= 5, and D = 1 mod 8 needs a spin_filter."""
+    nonsquare discriminant with 5 <= D <= MAX_DISCRIMINANT, and
+    D = 1 mod 8 needs a spin_filter."""
+    if d > MAX_DISCRIMINANT:
+        raise CapExceededError(f"D = {d} exceeds the size cap D <= {MAX_DISCRIMINANT}")
     _check_discriminant(d)
     if d % 8 == 1 and spin_filter is None:
         raise SpinRequiredError(
             f"D = {d} = 1 mod 8: prototypes split into two spin classes; "
             "pass a spin_filter selecting one"
         )
+
+
+@functools.lru_cache(maxsize=1)
+def divisor_rows(d):
+    """((e, divisors((d - e^2)/4)), ...) for e >= 0, e = d mod 2, e^2 < d,
+    in increasing e: one divisor scan per e, for a discriminant d."""
+    return tuple(
+        (e, tuple(divisors((d - e * e) // 4)))
+        for e in range(d % 2, math.isqrt(d - 1) + 1, 2)
+    )
 
 
 def enumerate_prototypes(d, spin_filter=None):
@@ -90,20 +120,23 @@ def enumerate_prototypes(d, spin_filter=None):
     check_enumerable(d, spin_filter)
     gcd = math.gcd
     out = []
-    r = math.isqrt(d)
-    for e in range(-r, r + 1):
-        wh, rem = divmod(d - e * e, 4)  # wh >= 1: D is not a square
-        if rem:
-            continue
-        for w in divisors(wh):
+    append = out.append
+    for e, divs in divisor_rows(d):
+        wh = (d - e * e) // 4
+        for w in divs:
             h = wh // w
-            if not h + e < w:
+            if h - e >= w:  # then h + e >= w too
                 continue
             g = gcd(w, h)
+            signs = (-e, e) if e and h + e < w else (-e,)
+            if g == 1:
+                for s in signs:
+                    append(Prototype(w, h, 0, s, d))
+                continue
             ge = gcd(g, e)
-            for t in range(g):
-                if gcd(ge, t) == 1:
-                    out.append(Prototype(w, h, t, e, d))
+            ts = range(g) if ge == 1 else [t for t in range(g) if gcd(ge, t) == 1]
+            for s in signs:
+                out.extend([Prototype(w, h, t, s, d) for t in ts])
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
     out.sort()

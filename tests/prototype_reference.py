@@ -8,12 +8,17 @@ the divisor list with veechfib.prototypes, and only serves tests.
 
 brute_force_count is a second, cruder oracle: it scans every quadruple
 (w, h, t, e) in range and counts the prototypes without building any.
+
+real_quadratic_zeta_minus_one is the zeta value as the library computed
+it before the divisor lists were shared with the enumeration: its own
+divisor list for every b in [-sqrt(d), sqrt(d)], +b and -b apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from veechfib.errors import InvalidArgumentError, SpinRequiredError
 from veechfib.exact.polynomials import divisors
@@ -101,3 +106,13 @@ def brute_force_count(d):
                     if g == 1:
                         count += 1
     return count
+
+
+def real_quadratic_zeta_minus_one(d):
+    """zeta_K(-1) = (1/60) * sum over b = d mod 2, b^2 < d of
+    sigma_1((d - b^2)/4), one divisor list per b; d must be fundamental."""
+    total = 0
+    for b in range(-math.isqrt(d), math.isqrt(d) + 1):
+        if (d - b * b) % 4 == 0 and d - b * b > 0:
+            total += sum(divisors((d - b * b) // 4))
+    return Fraction(total, 60)

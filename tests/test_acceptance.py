@@ -27,6 +27,7 @@ from veechfib.exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.families import (
     admissible_primes,
+    chern_scatter,
     elliptic_family,
     family_alpha_polynomial,
     polygon_family,
@@ -384,3 +385,20 @@ def test_c9_admissibility_criterion_agreement():
                 d,
                 p,
             )
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: eigenform Chern scatter to D = 20000 at p = 7, < 10 s
+# ---------------------------------------------------------------------------
+
+
+def test_c10_scatter_runtime_floor():
+    start = time.monotonic()
+    rows, skipped = chern_scatter(5, 20000, 7)
+    discriminants = [
+        d for d in range(5, 20001) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+    ]
+    assert sorted([d for d, *_ in rows] + [d for d, _ in skipped]) == discriminants
+    assert len(rows) > 1000
+    assert all(c1sq < 3 * c2 for _, c2, c1sq in rows)
+    assert time.monotonic() - start < 10

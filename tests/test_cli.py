@@ -360,6 +360,28 @@ def test_primes_bound_past_the_size_cap_exit_1(capsys, monkeypatch):
     assert "size cap" in diagnostic["message"]
 
 
+def test_discriminant_and_scatter_past_the_size_cap_exit_1(capsys, monkeypatch):
+    from veechfib import families, prototypes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a discriminant was scanned past the size cap")
+
+    monkeypatch.setattr(prototypes, "divisors", refuse)
+    monkeypatch.setattr(families, "is_quadratic_nonresidue", refuse)
+    prototypes.divisor_rows.cache_clear()
+    requests = (
+        ("prototypes", "--D", "10000012"),
+        ("weierstrass", "--D", "10000012", "--p", "7"),
+        ("scatter", "--p", "7", "--min-D", "5", "--max-D", "100001"),
+    )
+    for argv in requests:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "CapExceededError"
+        assert "size cap" in diagnostic["message"]
+
+
 def test_elliptic_past_the_size_cap_exit_1(capsys, monkeypatch):
     from veechfib import families
 

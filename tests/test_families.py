@@ -3,7 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import prototype_reference as reference
 from veechfib.errors import (
     CapExceededError,
     InadmissiblePrimeError,
@@ -14,10 +17,11 @@ from veechfib.errors import (
     SpinRequiredError,
     UnsupportedFamilyError,
 )
-from veechfib import covers, families
+from veechfib import covers, families, prototypes
 from veechfib.families import (
     MAX_ELLIPTIC_M,
     MAX_PRIME_BOUND,
+    MAX_SCATTER_D,
     CurveDataTable,
     ExternalCurveData,
     admissible_primes,
@@ -35,6 +39,7 @@ from veechfib.families import (
 from veechfib.invariants import kappa_mu, signature
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.exact.finitefield import is_irreducible_mod_p
+from veechfib.exact.polynomials import divisors
 from veechfib.thurston_veech import build_surface, surface_tag
 
 
@@ -362,6 +367,38 @@ def test_prime_bound_past_the_size_cap_is_refused_before_any_level(monkeypatch):
             admissible_primes(family, MAX_PRIME_BOUND)
 
 
+class _Swept(Exception):
+    pass
+
+
+def test_scatter_past_the_size_cap_is_refused_before_the_sweep(monkeypatch):
+    # a broken guard reaches the residue test of the first D and fails
+    # at once instead of sweeping every discriminant up to max D
+    def refuse(*args, **kwargs):
+        raise _Swept(args)
+
+    monkeypatch.setattr(families, "is_quadratic_nonresidue", refuse)
+    monkeypatch.setattr(families, "weierstrass_family", refuse)
+    assert MAX_SCATTER_D == 10**5
+    for d_min, d_max in ((5, 10**5 + 1), (5, 10**11), (10**11, 10**11 + 8)):
+        with pytest.raises(CapExceededError, match="size cap"):
+            chern_scatter(d_min, d_max, 7)
+    with pytest.raises(_Swept):
+        chern_scatter(MAX_SCATTER_D - 20, MAX_SCATTER_D, 7)
+
+
+def test_weierstrass_discriminant_past_the_size_cap_is_refused_first(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _Divided(args)
+
+    monkeypatch.setattr(families, "weierstrass_alpha_polynomial", refuse)
+    for d in (10**7 + 12, 10**7 + 1, 10**12 + 5):
+        with pytest.raises(CapExceededError, match="size cap"):
+            weierstrass_family(d, 7)
+    with pytest.raises(_Divided):
+        weierstrass_family(10**7, 7)
+
+
 def test_admissible_primes_examples():
     assert admissible_primes("weierstrass-5", 20) == [
         (3, True),
@@ -421,6 +458,52 @@ def test_zeta_values():
     for d in (-36, -4, -3, 0, 1):
         with pytest.raises(InvalidArgumentError, match="real quadratic field"):
             real_quadratic_zeta_minus_one(d)
+
+
+def test_zeta_value_matches_the_per_b_reference():
+    for d in range(5, 3000):
+        if is_fundamental_discriminant(d):
+            assert real_quadratic_zeta_minus_one(d) == reference.real_quadratic_zeta_minus_one(d), d
+
+
+@given(st.integers(5, 10**5).filter(is_fundamental_discriminant))
+@settings(max_examples=60, deadline=None)
+def test_zeta_value_matches_the_per_b_reference_to_1e5(d):
+    assert real_quadratic_zeta_minus_one(d) == reference.real_quadratic_zeta_minus_one(d)
+
+
+class _Divided(Exception):
+    pass
+
+
+def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(monkeypatch):
+    # a scatter row at p = 7 with D = 0 mod 4, found before any patching
+    rows, _ = chern_scatter(1000, 1100, 7)
+    row_d = next(d for d, *_ in rows if d % 2 == 0)
+
+    def refuse(n):
+        raise _Divided(n)
+
+    monkeypatch.setattr(prototypes, "divisors", refuse)
+    prototypes.divisor_rows.cache_clear()
+    # 20 and 1000: not fundamental, nonresidues mod 7; 8 and 1012: residues mod 7
+    for d in (20, 1000):
+        with pytest.raises(MissingCurveDataError):
+            weierstrass_family(d, 7)
+    for d in (8, 1012):
+        with pytest.raises(InadmissiblePrimeError):
+            weierstrass_family(d, 7)
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(prototypes, "divisors", counted)
+    result = weierstrass_family(row_d, 7)
+    assert result.checks["chi_source"] == "zeta-formula"
+    assert calls == [(row_d - e * e) // 4 for e in range(0, math.isqrt(row_d - 1) + 1, 2)]
 
 
 def test_curve_data_table_sources():

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prototype_reference as reference
-from veechfib.errors import InvalidArgumentError, InvalidDiscriminantError, SpinRequiredError
+from veechfib import prototypes
+from veechfib.errors import (
+    CapExceededError,
+    InvalidArgumentError,
+    InvalidDiscriminantError,
+    SpinRequiredError,
+)
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.prototypes import (
+    MAX_DISCRIMINANT,
     Prototype,
     enumerate_prototypes,
     prototype_twisting,
@@ -122,6 +129,36 @@ def test_enumeration_matches_dataclass_reference():
             got = [p.as_tuple() for p in enumerate_prototypes(d, spin_filter)]
             want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
             assert got == want, (d, spin_filter)
+
+
+@given(st.integers(5, 10**5).filter(lambda d: d % 4 in (0, 1) and math.isqrt(d) ** 2 != d))
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_dataclass_reference_to_1e5(d):
+    filters = (None,) if d % 8 != 1 else (lambda _p: True, _selective)
+    for spin_filter in filters:
+        got = [p.as_tuple() for p in enumerate_prototypes(d, spin_filter)]
+        want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
+        assert got == want, spin_filter
+
+
+class _Divided(Exception):
+    pass
+
+
+def test_discriminant_past_the_size_cap_is_refused_before_any_divisor(monkeypatch):
+    # a broken guard reaches the divisor scan and fails at once instead
+    # of trial-dividing (D - e^2)/4 for every e
+    def refuse(n):
+        raise _Divided(n)
+
+    monkeypatch.setattr(prototypes, "divisors", refuse)
+    prototypes.divisor_rows.cache_clear()
+    assert MAX_DISCRIMINANT == 10**7
+    for d in (10**7 + 1, 10**7 + 12, 10**12 + 5):
+        with pytest.raises(CapExceededError, match="size cap"):
+            enumerate_prototypes(d, lambda _p: True)
+    with pytest.raises(_Divided):
+        enumerate_prototypes(MAX_DISCRIMINANT)
 
 
 def test_spin_filter_sees_every_candidate_prototype():
