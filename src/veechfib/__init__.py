@@ -50,16 +50,10 @@ from .families import (
 from .invariants import (
     FibrationInvariants,
     assemble_invariants,
-    bmy_check,
     bmy_sufficient,
-    c1_squared,
-    derived_characteristics,
-    euler_characteristic,
     kappa_bound_check,
     kappa_mu,
     kodaira_classify,
-    section_self_intersection,
-    signature,
 )
 from .prototypes import (
     Prototype,

@@ -94,6 +94,8 @@ class ExternalCurveData:
     def __post_init__(self):
         if self.chi >= 0:
             raise InvalidArgumentError("curve Euler characteristic must be negative")
+        if self.e2 is not None and self.e2 < 0:
+            raise InvalidArgumentError("e2 must be a nonnegative integer")
 
 
 def is_fundamental_discriminant(d):
@@ -206,7 +208,11 @@ class FamilySpec:
     contains_minus_identity: bool
     signature_orbifold: object  # OrbifoldSignature or None (Weierstrass)
     base_twists: tuple  # twist count of the minimal multitwist per base cusp
-    roots: tuple  # root indices k_c per base cusp
+
+    @property
+    def roots(self):
+        """Root index k_c per base cusp: 1 in every family."""
+        return (1,) * len(self.base_twists)
 
     def to_json(self):
         return {
@@ -291,7 +297,6 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
         cusp_count=cover.cusp_count,
         twisting=total_t,
         zero_partition=spec.zero_partition,
-        b1=2 * cover.base_genus,
         **options,
     )
     return FamilyResult(
@@ -344,7 +349,6 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         contains_minus_identity=True,
         signature_orbifold=None,
         base_twists=tuple(map(prototype_twisting, protos)),
-        roots=(1,) * n_orbits,
     )
     checks = {"chi_source": chi_source, "chi": chi, "prototype_count": n_orbits}
     result = evaluate(
@@ -419,7 +423,6 @@ def model_spec(tag):
         contains_minus_identity=tag.startswith("polygon-"),
         signature_orbifold=signature,
         base_twists=base_twists,
-        roots=(1,) * len(base_twists),
     )
     return spec, model
 
@@ -597,7 +600,6 @@ def elliptic_family(m):
         contains_minus_identity=True,
         signature_orbifold=sig,
         base_twists=(1,),
-        roots=(1,),
     )
     smooth_tag = {3: "E(1)", 4: "E(2)", 5: "E(5)"}.get(m)
     checks = {"smooth_4manifold": smooth_tag} if smooth_tag else {}

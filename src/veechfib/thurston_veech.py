@@ -348,16 +348,20 @@ class SurfaceModel:
         }
 
 
-_CHEBYSHEV_CACHE = [IntPolynomial([1]), IntPolynomial([0, 1])]
+_CHEBYSHEV_CACHE = (IntPolynomial([1]), IntPolynomial([0, 1]))
 
 
 def _chebyshev_like(k):
-    """P_k with P_k(2cos t) = sin((k+1)t)/sin(t); parity of P_k = parity of k."""
-    while len(_CHEBYSHEV_CACHE) <= k:
-        _CHEBYSHEV_CACHE.append(
-            IntPolynomial([0, 1]) * _CHEBYSHEV_CACHE[-1] - _CHEBYSHEV_CACHE[-2]
-        )
-    return _CHEBYSHEV_CACHE[k]
+    """P_k with P_k(2cos t) = sin((k+1)t)/sin(t); parity of P_k = parity of k.
+    The table grows in a local copy that replaces the cached tuple whole."""
+    global _CHEBYSHEV_CACHE
+    table = _CHEBYSHEV_CACHE
+    if len(table) <= k:
+        rows = list(table)
+        while len(rows) <= k:
+            rows.append(IntPolynomial([0, 1]) * rows[-1] - rows[-2])
+        _CHEBYSHEV_CACHE = table = tuple(rows)
+    return table[k]
 
 
 def surface_tag(family_tag):

@@ -279,6 +279,7 @@ _BAD_DATA = {
     "ZeroDivisionError": "D,chi_num,chi_den,e2\n5,-3,0,1\n",
     "TypeError": "D,chi_num,chi_den\n5,-3\n",  # a short row
     "Error": "D,chi_num,chi_den\n" + "5" * 200000 + ",-3,10\n",  # csv field size limit
+    "InvalidArgumentError": "D,chi_num,chi_den,e2\n13,-3,2,-40\n",  # a negative e2
 }
 
 

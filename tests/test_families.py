@@ -36,7 +36,7 @@ from veechfib.families import (
     sporadic_family,
     weierstrass_family,
 )
-from veechfib.invariants import kappa_mu, signature
+from veechfib.invariants import kappa_mu
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.exact.finitefield import is_irreducible_mod_p
 from veechfib.exact.polynomials import divisors
@@ -261,7 +261,7 @@ def test_polygon_doubled_pentagon_table_sigma_disagrees_with_formula():
     assert forms["euler"] == result.invariants.euler
     # pipeline: -2 kappa chi(B) - (2/3) T with kappa((1,1)) = 1/4
     chi_base = 2 - 2 * result.cover.base_genus - result.cover.cusp_count
-    expected = signature(kappa_mu((1, 1)), chi_base, result.cover.total_twisting)
+    expected = -2 * kappa_mu((1, 1)) * chi_base - Fraction(2, 3) * result.cover.total_twisting
     assert result.invariants.sigma == expected == -Fraction(44, 15) * d
     assert forms["sigma"] == -Fraction(38, 15) * d
     gap = result.invariants.sigma - forms["sigma"]
@@ -524,6 +524,15 @@ def test_curve_data_table_csv(tmp_path):
     table = CurveDataTable.from_csv(path)
     assert table.chi(20) == (Fraction(-3, 2), "table")
     assert table.e2(20, 4) == 1
+
+
+def test_external_curve_data_rejects_negative_e2(tmp_path):
+    with pytest.raises(InvalidArgumentError, match="e2 must be a nonnegative integer"):
+        ExternalCurveData(13, Fraction(-3, 2), e2=-40)
+    path = tmp_path / "curves.csv"
+    path.write_text("D,chi_num,chi_den,e2\n13,-3,2,-40\n")
+    with pytest.raises(InvalidArgumentError, match="bad curve data file"):
+        CurveDataTable.from_csv(path)
 
 
 def test_derived_e2_values_are_integral():

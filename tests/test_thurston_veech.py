@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -494,3 +495,27 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
         assert spec.alpha_minimal_polynomial == via_cyclotomic, tag
         assert family_alpha_polynomial(tag) == (via_matrix, model.genus), tag
         assert spec.signature_orbifold == signatures[tag], tag
+
+
+def test_chebyshev_table_survives_a_nested_extension(monkeypatch):
+    """An extension of the Chebyshev table that runs while another one is
+    under way (here from inside IntPolynomial.__mul__) leaves every entry
+    right: P_k(2cos t) = sin((k+1)t)/sin(t)."""
+    monkeypatch.setattr(thurston_veech, "_CHEBYSHEV_CACHE", thurston_veech._CHEBYSHEV_CACHE[:2])
+    product = IntPolynomial.__mul__
+    nested = []
+
+    def mul(self, other):
+        if not nested:
+            nested.append(7)
+            thurston_veech._chebyshev_like(7)
+        return product(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", mul)
+    thurston_veech._chebyshev_like(6)
+    monkeypatch.setattr(IntPolynomial, "__mul__", product)
+    t = 0.3
+    for k in range(12):
+        coefficients = thurston_veech._chebyshev_like(k).coefficients
+        value = sum(c * (2 * math.cos(t)) ** i for i, c in enumerate(coefficients))
+        assert value == pytest.approx(math.sin((k + 1) * t) / math.sin(t)), k
