@@ -23,8 +23,8 @@ over base cusps of d * (twists) / (root index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -37,21 +37,26 @@ from .exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
 from .exact.polynomials import IntPolynomial, prime_factors, rational_to_str
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
-    """Hyperbolic orbifold data: genus, cone orders, cusp count."""
-
+class _OrbifoldFields(NamedTuple):
     base_genus: int
     orbifold_orders: tuple
     cusp_count: int
 
-    def __post_init__(self):
-        if self.base_genus < 0 or self.cusp_count < 0:
+
+class OrbifoldSignature(_OrbifoldFields):
+    """Hyperbolic orbifold data: genus, cone orders, cusp count."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_genus, orbifold_orders, cusp_count):
+        self = super().__new__(cls, base_genus, orbifold_orders, cusp_count)
+        if base_genus < 0 or cusp_count < 0:
             raise InvalidArgumentError("negative orbifold data")
-        if any(n < 2 for n in self.orbifold_orders):
+        if any(n < 2 for n in orbifold_orders):
             raise InvalidArgumentError("orbifold orders must be >= 2")
         if self.euler_characteristic >= 0:
             raise InvalidArgumentError("orbifold is not hyperbolic")
+        return self
 
     @property
     def euler_characteristic(self):
@@ -61,8 +66,7 @@ class OrbifoldSignature:
         return chi
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(NamedTuple):
     """Summary of a finite cover of a cusped hyperbolic orbifold.
 
     per_cusp_twists holds the twist count of the monodromy around one
@@ -82,8 +86,8 @@ class CoverData:
     exceptional: bool = False
 
     def with_twisting(self, per_cusp_twists, total_twisting):
-        return replace(
-            self, per_cusp_twists=tuple(per_cusp_twists), total_twisting=total_twisting
+        return self._replace(
+            per_cusp_twists=tuple(per_cusp_twists), total_twisting=total_twisting
         )
 
     def euler_characteristic(self):
@@ -105,8 +109,7 @@ class CoverData:
         }
 
 
-@dataclass(frozen=True)
-class CongruenceDegree:
+class CongruenceDegree(NamedTuple):
     degree: int
     group_order: int
     group_label: str
@@ -154,22 +157,26 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixGroupSpec:
-    """Finite field plus a list of 2x2 generator matrices of determinant 1."""
-
+class _MatrixGroupFields(NamedTuple):
     field: FiniteFieldSpec
     generators: tuple
 
-    def __post_init__(self):
-        for mat in self.generators:
+
+class MatrixGroupSpec(_MatrixGroupFields):
+    """Finite field plus a list of 2x2 generator matrices of determinant 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, field, generators):
+        for mat in generators:
             (a, b), (c, d) = mat
             for entry in (a, b, c, d):
-                if entry.spec != self.field:
+                if entry.spec != field:
                     raise InvalidArgumentError("generator entries live in the wrong field")
             det = a * d - b * c
-            if det != self.field.one:
+            if det != field.one:
                 raise InvalidArgumentError("generator determinant is not 1")
+        return super().__new__(cls, field, generators)
 
 
 def theorem_generator_pair(field, abar=None):

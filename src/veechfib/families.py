@@ -30,11 +30,10 @@ closed_forms_* below.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covers import (
     CongruenceDegree,
@@ -85,17 +84,21 @@ from .thurston_veech import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExternalCurveData:
+class _CurveDataFields(NamedTuple):
     discriminant: int
     chi: Fraction
     e2: int = None
 
-    def __post_init__(self):
-        if self.chi >= 0:
+
+class ExternalCurveData(_CurveDataFields):
+    __slots__ = ()
+
+    def __new__(cls, discriminant, chi, e2=None):
+        if chi >= 0:
             raise InvalidArgumentError("curve Euler characteristic must be negative")
-        if self.e2 is not None and self.e2 < 0:
+        if e2 is not None and e2 < 0:
             raise InvalidArgumentError("e2 must be a nonnegative integer")
+        return super().__new__(cls, discriminant, chi, e2)
 
 
 def is_fundamental_discriminant(d):
@@ -197,8 +200,7 @@ class CurveDataTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Static data of one family member, before choosing a level."""
 
     tag: str
@@ -227,8 +229,7 @@ class FamilySpec:
         }
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     spec: FamilySpec
     level: int
     cover: CoverData
@@ -288,8 +289,8 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
     total_t, per_cusp = cover_twisting(
         cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
     )
-    cover = dataclasses.replace(
-        cover, group_label=degree_data.group_label, exceptional=degree_data.exceptional
+    cover = cover._replace(
+        group_label=degree_data.group_label, exceptional=degree_data.exceptional
     ).with_twisting(per_cusp, total_t)
     invariants = assemble_invariants(
         fiber_genus=spec.fiber_genus,
@@ -370,8 +371,7 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         lhs = Fraction(n_orbits, 2) + Fraction(e2, 4) - Fraction(n_orbits, 2 * p)
         checks["genus_positivity"] = lhs >= 1
         checks["e2"] = e2
-    return dataclasses.replace(
-        result,
+    return result._replace(
         closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, spec.base_twists),
     )
 
@@ -474,7 +474,7 @@ def _model_family(tag, p, closed_forms, minimality_proven=False):
         checks["bmy_sufficient"] = bmy_sufficient(
             spec.fiber_genus, cover.cusp_count, cover.total_twisting
         )
-    return dataclasses.replace(result, closed_forms=closed_forms(degree_data.degree))
+    return result._replace(closed_forms=closed_forms(degree_data.degree))
 
 
 def closed_forms_polygon(n, p, degree):

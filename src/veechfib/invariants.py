@@ -17,8 +17,8 @@ which every assembled result re-checks exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError, MathematicalInconsistencyError
 from .exact.polynomials import rational_to_str
@@ -93,8 +93,7 @@ def kodaira_classify(fiber_genus, base_genus, elliptic_level=None, minimality_pr
     return UNDETERMINED_BASE_GENUS_0
 
 
-@dataclass(frozen=True)
-class FibrationInvariants:
+class FibrationInvariants(NamedTuple):
     """The complete invariant record of one fibration."""
 
     fiber_genus: int
@@ -187,12 +186,17 @@ def assemble_invariants(
     Besides e, sigma and c1^2: c2 = e; chi(O) = (c1^2 + c2)/12; p_g =
     chi(O) - 1 + b1/2; b2 = e - 2 + 2 b1 and b2_pm = (b2 +- sigma)/2;
     the BMY slack is e/3 - sigma; a zero of order m gives a section of
-    self-intersection chi(B)/(2(m+1)).  Integrality, divisibility and
-    parity are enforced, not rounded.
+    self-intersection chi(B)/(2(m+1)).  A negative cusp count or a zero
+    partition that does not sum to 2g - 2 is refused; integrality,
+    divisibility and parity are enforced, not rounded.
     """
     kappa = kappa_mu(zero_partition)
     if fiber_genus < 1 or base_genus < 0 or twisting < 0:
         raise InvalidArgumentError("need g >= 1, b >= 0, T >= 0")
+    if cusp_count < 0:
+        raise InvalidArgumentError(f"cusp count {cusp_count} is negative")
+    if sum(zero_partition) != 2 * fiber_genus - 2:
+        raise InvalidArgumentError(f"zero partition {tuple(zero_partition)} does not sum to 2g - 2")
     chi_base = Fraction(2 - 2 * base_genus - cusp_count)
     genus_term = (fiber_genus - 1) * (base_genus - 1)
     e = 4 * genus_term + twisting

@@ -119,6 +119,8 @@ def enumerate_prototypes(d, spin_filter=None):
     """
     check_enumerable(d, spin_filter)
     gcd = math.gcd
+    # tuple.__new__ builds the same record without the generated __new__
+    new = tuple.__new__
     out = []
     append = out.append
     for e, divs in divisor_rows(d):
@@ -131,12 +133,12 @@ def enumerate_prototypes(d, spin_filter=None):
             signs = (-e, e) if e and h + e < w else (-e,)
             if g == 1:
                 for s in signs:
-                    append(Prototype(w, h, 0, s, d))
+                    append(new(Prototype, (w, h, 0, s, d)))
                 continue
             ge = gcd(g, e)
             ts = range(g) if ge == 1 else [t for t in range(g) if gcd(ge, t) == 1]
             for s in signs:
-                out.extend([Prototype(w, h, t, s, d) for t in ts])
+                out.extend([new(Prototype, (w, h, t, s, d)) for t in ts])
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
     out.sort()

@@ -42,7 +42,6 @@ checks the family pipelines keep in ``SurfaceModel.memo``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -282,8 +281,7 @@ def _verify_eigenvector(edges, mu, heights):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CylinderDatum:
+class CylinderDatum(NamedTuple):
     """One cylinder: direction, exact height/circumference, twist count.
 
     ``height_lift`` is the integer polynomial in mu representing the
@@ -309,10 +307,7 @@ class CylinderDatum:
         }
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """Output of the construction for one family member."""
-
+class _SurfaceFields(NamedTuple):
     family_tag: str
     graph: BipartiteIntersectionGraph
     construction_graph: BipartiteIntersectionGraph
@@ -322,8 +317,21 @@ class SurfaceModel:
     vertical: tuple
     genus: int
     zero_partition: tuple
-    # level-independent results of the family pipelines, keyed by name
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class SurfaceModel(_SurfaceFields):
+    """Output of the construction for one family member.
+
+    Instances carry a __dict__ for the per-model caches below; _replace
+    gives a model that starts with none of them."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: SurfaceModel is immutable")
+
+    @cached_property
+    def memo(self):
+        """Level-independent results of the family pipelines, keyed by name."""
+        return {}
 
     @property
     def cylinders(self):
@@ -523,8 +531,7 @@ def staircase_parity_check(model):
     )
 
 
-@dataclass(frozen=True)
-class HolonomyBasis:
+class HolonomyBasis(NamedTuple):
     """Distinguished basis (x*mu^2, 0), (0, y*mu) of the holonomy lattice."""
 
     horizontal_vector: object
@@ -532,8 +539,7 @@ class HolonomyBasis:
     coordinates: tuple  # (cylinder name, coordinate tuple over Z[alpha])
 
 
-@dataclass(frozen=True)
-class HolonomySpanFailure:
+class HolonomySpanFailure(NamedTuple):
     """Names the first core curve whose holonomy escapes the Z[alpha]-span."""
 
     offending_cylinder: str

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -168,7 +167,7 @@ def test_admissible_primes_reads_exceptional_from_the_level_decision(monkeypatch
 
     def exceptional_at_5(m_alpha, p, genus, contains_minus_i):
         result = original(m_alpha, p, genus, contains_minus_i)
-        return dataclasses.replace(result, exceptional=True) if p == 5 else result
+        return result._replace(exceptional=True) if p == 5 else result
 
     monkeypatch.setattr(families, "congruence_degree", exceptional_at_5)
     assert admissible_primes("polygon-7", 12) == [(3, False), (5, True), (11, False)]

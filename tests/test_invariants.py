@@ -48,8 +48,8 @@ def test_signature_formula():
 
 def test_c1_squared_formula():
     assert assemble_invariants(*HEADLINE).c1_squared == 16
-    # kappa = 7/16, chi(B) = 0, g = 1
-    assert assemble_invariants(1, 1, 0, 0, (1, 3)).c1_squared == 0
+    # kappa = 7/16, chi(B) = 0, g = 3
+    assert assemble_invariants(3, 1, 0, 0, (1, 3)).c1_squared == 0
     # cross-check against 3 sigma + 2 c2 for the headline values
     assert 3 * (-72) + 2 * 116 == 16
 
@@ -160,6 +160,15 @@ def test_assembled_invariants_satisfy_identities():
     assert inv.noether_line
     assert inv.intersection_form_parity == "odd"
     assert inv.zero_section_self_intersections == (Fraction(-3),)
+
+
+def test_assembly_refuses_data_no_fibration_has():
+    with pytest.raises(InvalidArgumentError, match=r"^cusp count -8 is negative$"):
+        assemble_invariants(1, 5, -8, 0, (1, 3))
+    with pytest.raises(InvalidArgumentError, match=r"^zero partition \(2,\) does not sum to 2g - 2$"):
+        assemble_invariants(3, 1, 6, 4, (2,))
+    with pytest.raises(InvalidArgumentError, match=r"^zero partition \(1, 3\) does not sum"):
+        assemble_invariants(1, 1, 0, 0, (1, 3))
 
 
 def test_assembly_rejects_non_integral_signature():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -244,10 +243,10 @@ def _with_horizontal_lifts(model, lifts):
     """The model with the named horizontal cylinders' lifts replaced;
     heights are left alone, so a tampered lift no longer embeds."""
     horizontal = tuple(
-        dataclasses.replace(c, height_lift=lifts[c.name]) if c.name in lifts else c
+        c._replace(height_lift=lifts[c.name]) if c.name in lifts else c
         for c in model.horizontal
     )
-    return dataclasses.replace(model, horizontal=horizontal)
+    return model._replace(horizontal=horizontal)
 
 
 def test_parity_check_refuses_tampered_lifts():
@@ -266,7 +265,7 @@ def test_parity_check_is_inapplicable_without_both_directions():
     model = build_surface("polygon-5")
     for direction in ("horizontal", "vertical"):
         with pytest.raises(InapplicableModelError, match="horizontal/vertical decomposition"):
-            staircase_parity_check(dataclasses.replace(model, **{direction: ()}))
+            staircase_parity_check(model._replace(**{direction: ()}))
 
 
 def test_staircase_normalization_needs_an_even_modulus():
@@ -281,7 +280,7 @@ def test_span_check_refuses_a_genus_above_the_rank():
     model = build_surface("E7")
     assert core_curve_span_check(model)
     genus = model.genus + 1
-    assert core_curve_span_check(dataclasses.replace(model, genus=genus)) is False
+    assert core_curve_span_check(model._replace(genus=genus)) is False
     rows = [(c.name, c.direction, c.height, c.height_lift) for c in model.cylinders]
     with pytest.raises(MathematicalInconsistencyError, match="rank of the intersection matrix"):
         _checked_model("E7", model.graph, model.graph, model.mu, rows, genus, model.zero_partition)
