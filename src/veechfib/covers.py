@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .caps import DEFAULT_CLOSURE_CAP
 from .errors import (
     CapExceededError,
     InadmissiblePrimeError,
@@ -199,9 +200,6 @@ def theorem_generator_pair(field, abar=None):
     )
 
 
-DEFAULT_CLOSURE_CAP = 10**7
-
-
 def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     """Exact order of the generated matrix group by orbit-stabiliser.
 
@@ -334,10 +332,13 @@ def riemann_hurwitz_cover(
     over the cone points in the orbifold sense); each base cusp with
     image order k contributes d/k cusps.  The genus solves
     2 - 2b - |cusps| = d * chi_orb exactly and must come out a
-    nonnegative integer.
+    nonnegative integer.  A degree or cusp image order below 1 is
+    invalid input (InvalidArgumentError), not an inconsistency.
     """
     if degree < 1:
         raise InvalidArgumentError("degree must be positive")
+    if min(cusp_image_orders, default=1) < 1:
+        raise InvalidArgumentError("cusp image orders must be positive")
     if len(orbifold_image_orders) != len(orbifold_orders):
         raise InvalidArgumentError("one image order per orbifold point required")
     for full, image in zip(orbifold_orders, orbifold_image_orders):
@@ -350,7 +351,7 @@ def riemann_hurwitz_cover(
             raise InconsistentCoverError(f"degree {degree} not divisible by {image}")
     cusps_per_orbit = []
     for k in cusp_image_orders:
-        if k < 1 or degree % k != 0:
+        if degree % k != 0:
             raise InconsistentCoverError(f"cusp image order {k} does not divide {degree}")
         cusps_per_orbit.append(degree // k)
     cusp_count = sum(cusps_per_orbit)
@@ -375,16 +376,18 @@ def cover_twisting(cusps_per_orbit, image_orders, base_twists, roots):
     base_twists[c] counts the Dehn twists in the minimal multitwist at
     base cusp c; roots[c] = k_c when the cusp generator is a k_c-th
     root of that multitwist.  Each cusp over c is a multitwist with
-    order * T_c / k_c twists, which must be a positive integer.
+    order * T_c / k_c twists, which must be an integer
+    (InvalidRootDataError); a twist count or root index below 1 is
+    invalid input (InvalidArgumentError).
     """
     lengths = {len(cusps_per_orbit), len(image_orders), len(base_twists), len(roots)}
     if len(lengths) != 1:
         raise InvalidArgumentError("per-cusp sequences must have equal length")
+    if min(base_twists, default=1) < 1 or min(roots, default=1) < 1:
+        raise InvalidArgumentError("twists and root indices must be positive")
     total = 0
     per_cusp = []
     for count, order, twists, k in zip(cusps_per_orbit, image_orders, base_twists, roots):
-        if twists < 1 or k < 1:
-            raise InvalidRootDataError("twists and root indices must be positive")
         num = order * twists
         if num % k != 0:
             raise InvalidRootDataError(

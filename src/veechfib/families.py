@@ -33,6 +33,7 @@ import csv
 import io
 import math
 from fractions import Fraction
+from importlib import import_module
 from typing import NamedTuple
 
 from .covers import (
@@ -54,7 +55,6 @@ from .errors import (
 )
 from .exact.finitefield import is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
-from .exact.numberfield import element_minimal_polynomial  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str, translate
 )
@@ -67,16 +67,39 @@ from .prototypes import (
     standard_parameters,
     weierstrass_alpha,
 )
-from .thurston_veech import (
-    build_surface,
-    capped_surface_tag,
-    core_curve_span_check,
-    cylinder_bound_check,
-    holonomy_basis_check,
-    HolonomyBasis,
-    staircase_parity_check,
-    surface_tag,
-)
+
+# The model layer (thurston_veech, and numberfield and linalg under it)
+# is loaded on the model path's first use, not at import: these names
+# are then bound as this module's globals, and the model path calls
+# through them.  A name already bound here is kept, so a rebinding made
+# before that first use stays in force.
+_MODEL_LAYER = {
+    "HolonomyBasis": "veechfib.thurston_veech",
+    "build_surface": "veechfib.thurston_veech",
+    "capped_surface_tag": "veechfib.thurston_veech",
+    "core_curve_span_check": "veechfib.thurston_veech",
+    "cylinder_bound_check": "veechfib.thurston_veech",
+    "holonomy_basis_check": "veechfib.thurston_veech",
+    "staircase_parity_check": "veechfib.thurston_veech",
+    "surface_tag": "veechfib.thurston_veech",
+    "element_minimal_polynomial": "veechfib.exact.numberfield",  # (kept bound)
+}
+_model_layer_bound = False
+
+
+def _bind_model_layer():
+    global _model_layer_bound
+    namespace = globals()
+    for name, module in _MODEL_LAYER.items():
+        namespace.setdefault(name, getattr(import_module(module), name))
+    _model_layer_bound = True
+
+
+def __getattr__(name):
+    if name not in _MODEL_LAYER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_model_layer()
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +430,8 @@ def model_spec(tag):
     """Spec and cached model of the polygon-n, E7 or E8 surface: the base
     and its cusps follow from the Coxeter number h (see the module
     docstring), m_alpha is read from the model."""
+    if not _model_layer_bound:
+        _bind_model_layer()
     tag, h = surface_tag(tag)
     model = build_surface(tag)
     m_alpha = model.alpha_basis.minimal_polynomial()
@@ -430,6 +455,8 @@ def model_spec(tag):
 def run_structural_checks(model):
     """Level-independent checks, run once per model and kept in its memo;
     each call returns a fresh dict the caller may extend."""
+    if not _model_layer_bound:
+        _bind_model_layer()
     checks = model.memo.get("structural_checks")
     if checks is None:
         basis = holonomy_basis_check(model)
@@ -535,6 +562,8 @@ def closed_forms_polygon(n, p, degree):
 
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
+    if not _model_layer_bound:
+        _bind_model_layer()
     tag, _ = surface_tag(which)
     if tag.startswith("polygon-"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
@@ -634,6 +663,8 @@ def family_alpha_polynomial(family_tag):
         except ValueError:
             raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
         return weierstrass_alpha_polynomial(d), 2
+    if not _model_layer_bound:
+        _bind_model_layer()
     _, h = capped_surface_tag(family_tag)
     m_alpha = translate(cos_two_pi_minpoly(h), -2)
     return m_alpha, m_alpha.degree

@@ -127,6 +127,30 @@ def test_cover_malformed_list_exit_2(capsys, flag, value):
     )
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("--cusp-image-orders", "0"), "cusp image orders must be positive"),
+        (("--cusp-image-orders", "-3"), "cusp image orders must be positive"),
+        (("--base-twists", "-1"), "twists and root indices must be positive"),
+        (("--base-twists", "0"), "twists and root indices must be positive"),
+        (("--base-twists", "2", "--roots", "0"), "twists and root indices must be positive"),
+        (("--roots", "1"), "--roots needs --base-twists"),
+    ],
+)
+def test_cover_refuses_non_positive_data_exit_2(capsys, extra, message):
+    argv = ["cover", "--orbifold-orders", "2,3", "--cusp-image-orders", "6", "--degree", "6"]
+    for flag, value in zip(extra[::2], extra[1::2]):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "InvalidArgumentError", "message": message}
+
+
 def test_cover_empty_orbifold_orders_means_none(capsys):
     code, out, _ = run_cli(
         capsys, "cover", "--base-genus", "1", "--orbifold-orders", "",

@@ -191,6 +191,24 @@ def test_cover_twisting_rejects_fractional():
         cover_twisting((10,), (3,), (2, 2), (1,))
 
 
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_cover_data_is_invalid_input(value):
+    # invalid input, not an inconsistency: no cover has such data
+    sig = OrbifoldSignature(0, (2, 3), 1)
+    with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (2, 3), (value,))
+    with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (2, 3), (6, value))
+    refusal = "^twists and root indices must be positive$"
+    for twists, roots in (((value,), (1,)), ((2,), (value,)), ((2, value), (1, 1))):
+        counts = (2,) * len(twists)
+        with pytest.raises(InvalidArgumentError, match=refusal):
+            cover_twisting(counts, (3,) * len(twists), twists, roots)
+    # a non-positive entry is refused before a fractional one is judged
+    with pytest.raises(InvalidArgumentError):
+        cover_twisting((10, 10), (3, 3), (2, 2), (4, value))
+
+
 def test_dickson_desk_scale_oracle():
     """Closure order equals the congruence-degree group order whenever the
     congruence parameter residue generates the field and avoids the F9
