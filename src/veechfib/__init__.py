@@ -10,21 +10,22 @@ arithmetic runs over the rationals, number rings and finite fields.
 """
 
 
-def _lazy_exports(namespace, exports):
-    """Module __getattr__ and __dir__ (PEP 562) for the package whose
-    globals are namespace and whose exports, a map from submodule to the
-    names it exports, are imported on first use and then stay bound.  A
-    submodule name resolves to the submodule."""
+def _lazy_exports(namespace, exports, package=None):
+    """Module __getattr__ and __dir__ (PEP 562) for the module whose
+    globals are namespace: exports maps a submodule of package (default:
+    that module) to the names it exports, each imported on first use and
+    then bound in namespace.  A submodule name resolves to the submodule."""
     from importlib import import_module
 
-    package = namespace["__name__"]
-    home = {name: module for module, names in exports.items() for name in names}
+    module = namespace["__name__"]
+    package = package or module
+    home = {name: submodule for submodule, names in exports.items() for name in names}
 
     def __getattr__(name):
         if name in exports:
             return import_module(f"{package}.{name}")
         if name not in home:
-            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
         value = namespace[name] = getattr(import_module(f"{package}.{home[name]}"), name)
         return value
 

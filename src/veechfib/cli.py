@@ -8,9 +8,9 @@ no timestamps.
 Each subcommand imports the modules it runs when it runs, and calls
 the pipeline through its home module (families.polygon_family, ...).
 Building the parser loads no arithmetic, so a usage error costs none.
-Only tv-build, verify, and the polygon and E7/E8 requests of polygon,
-sporadic and primes load the surface-model layer (thurston_veech,
-numberfield, linalg).
+Only tv-build, verify, and polygon and sporadic requests with a
+supported tag load the surface-model layer (thurston_veech,
+numberfield, linalg); primes decides its tag in veechfib.tags.
 """
 
 from __future__ import annotations
@@ -18,33 +18,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import import_module
 
+from . import _lazy_exports
 from .caps import DEFAULT_CLOSURE_CAP
 from .errors import InvalidArgumentError, VeechFibError
 
 # Pipeline names that the commands do not call (they call through the
 # home modules) but that perfbench/tracer.py rebinds on this module:
 # each resolves on its first lookup and then stays bound.  (kept bound)
-_KEPT_BOUND = {
-    "admissible_primes": "families",
-    "chern_scatter": "families",
-    "polygon_family": "families",
-    "sporadic_family": "families",
-    "weierstrass_family": "families",
-    "enumerate_prototypes": "prototypes",
-    "build_surface": "thurston_veech",
-    "cover_twisting": "covers",
-    "group_closure_order": "covers",
-    "riemann_hurwitz_cover": "covers",
-}
-
-
-def __getattr__(name):
-    if name not in _KEPT_BOUND:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"veechfib.{_KEPT_BOUND[name]}"), name)
-    return value
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "families": (
+            "admissible_primes",
+            "chern_scatter",
+            "polygon_family",
+            "sporadic_family",
+            "weierstrass_family",
+        ),
+        "prototypes": ("enumerate_prototypes",),
+        "thurston_veech": ("build_surface",),
+        "covers": ("cover_twisting", "group_closure_order", "riemann_hurwitz_cover"),
+    },
+    "veechfib",
+)
 
 
 def _emit(payload, fmt):
@@ -112,7 +109,8 @@ def _cmd_prototypes(args):
 
 def _load_spin_plugin(spec_text):
     """Import a user-supplied spin predicate given as 'module:function'; an
-    import failure or a missing or non-callable attribute is invalid input."""
+    import failure, a missing or non-callable attribute, or an exception
+    raised by the predicate is invalid input."""
     import importlib
 
     module_name, _, attr = spec_text.partition(":")
@@ -124,7 +122,14 @@ def _load_spin_plugin(spec_text):
         raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {exc!r}") from None
     if not callable(predicate):
         raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {attr!r} is not callable")
-    return predicate
+
+    def guarded(prototype):
+        try:
+            return predicate(prototype)
+        except Exception as exc:
+            raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {exc!r}") from None
+
+    return guarded
 
 
 # subcommand -> its family evaluation, called as families.<name>_family

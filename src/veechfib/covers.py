@@ -215,8 +215,11 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
 
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
     CapExceededError up front otherwise; the generated group lies in
-    SL(2, q), so no search can outgrow an admitted cap.
+    SL(2, q), so no search can outgrow an admitted cap.  A cap below 1
+    is invalid input.
     """
+    if cap < 1:
+        raise InvalidArgumentError(f"cap must be a positive integer, not {cap}")
     field = spec.field
     p, q, n = field.p, field.order, field.degree
     if q * (q * q - 1) > cap:

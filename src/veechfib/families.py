@@ -32,10 +32,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from fractions import Fraction
-from importlib import import_module
 from typing import NamedTuple
 
+from . import _lazy_exports
 from .covers import (
     CongruenceDegree,
     CoverData,
@@ -67,39 +68,27 @@ from .prototypes import (
     standard_parameters,
     weierstrass_alpha,
 )
+from .tags import capped_surface_tag, surface_tag
 
 # The model layer (thurston_veech, and numberfield and linalg under it)
-# is loaded on the model path's first use, not at import: these names
-# are then bound as this module's globals, and the model path calls
-# through them.  A name already bound here is kept, so a rebinding made
-# before that first use stays in force.
-_MODEL_LAYER = {
-    "HolonomyBasis": "veechfib.thurston_veech",
-    "build_surface": "veechfib.thurston_veech",
-    "capped_surface_tag": "veechfib.thurston_veech",
-    "core_curve_span_check": "veechfib.thurston_veech",
-    "cylinder_bound_check": "veechfib.thurston_veech",
-    "holonomy_basis_check": "veechfib.thurston_veech",
-    "staircase_parity_check": "veechfib.thurston_veech",
-    "surface_tag": "veechfib.thurston_veech",
-    "element_minimal_polynomial": "veechfib.exact.numberfield",  # (kept bound)
-}
-_model_layer_bound = False
-
-
-def _bind_model_layer():
-    global _model_layer_bound
-    namespace = globals()
-    for name, module in _MODEL_LAYER.items():
-        namespace.setdefault(name, getattr(import_module(module), name))
-    _model_layer_bound = True
-
-
-def __getattr__(name):
-    if name not in _MODEL_LAYER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_model_layer()
-    return globals()[name]
+# is loaded on first use, not at import.  The model path calls it as
+# attributes of this module (_self.build_surface, ...), so a name bound
+# here first, by a rebinding, is the one it calls.
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        "thurston_veech": (
+            "build_surface",
+            "core_curve_span_check",
+            "cylinder_bound_check",
+            "holonomy_basis_check",
+            "staircase_parity_check",
+        ),
+        "exact": ("element_minimal_polynomial",),  # (kept bound)
+    },
+    "veechfib",
+)
+_self = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +419,8 @@ def model_spec(tag):
     """Spec and cached model of the polygon-n, E7 or E8 surface: the base
     and its cusps follow from the Coxeter number h (see the module
     docstring), m_alpha is read from the model."""
-    if not _model_layer_bound:
-        _bind_model_layer()
     tag, h = surface_tag(tag)
-    model = build_surface(tag)
+    model = _self.build_surface(tag)
     m_alpha = model.alpha_basis.minimal_polynomial()
     if h % 2:
         signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
@@ -455,16 +442,14 @@ def model_spec(tag):
 def run_structural_checks(model):
     """Level-independent checks, run once per model and kept in its memo;
     each call returns a fresh dict the caller may extend."""
-    if not _model_layer_bound:
-        _bind_model_layer()
     checks = model.memo.get("structural_checks")
     if checks is None:
-        basis = holonomy_basis_check(model)
+        basis = _self.holonomy_basis_check(model)  # a HolonomySpanFailure is falsy
         checks = model.memo["structural_checks"] = {
-            "staircase_parity": staircase_parity_check(model),
-            "holonomy_basis": isinstance(basis, HolonomyBasis),
-            "cylinder_bounds": cylinder_bound_check(model, len(model.zero_partition)),
-            "core_curve_span": core_curve_span_check(model),
+            "staircase_parity": _self.staircase_parity_check(model),
+            "holonomy_basis": bool(basis),
+            "cylinder_bounds": _self.cylinder_bound_check(model, len(model.zero_partition)),
+            "core_curve_span": _self.core_curve_span_check(model),
         }
     return dict(checks)
 
@@ -562,8 +547,6 @@ def closed_forms_polygon(n, p, degree):
 
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
-    if not _model_layer_bound:
-        _bind_model_layer()
     tag, _ = surface_tag(which)
     if tag.startswith("polygon-"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
@@ -663,8 +646,6 @@ def family_alpha_polynomial(family_tag):
         except ValueError:
             raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
         return weierstrass_alpha_polynomial(d), 2
-    if not _model_layer_bound:
-        _bind_model_layer()
     _, h = capped_surface_tag(family_tag)
     m_alpha = translate(cos_two_pi_minpoly(h), -2)
     return m_alpha, m_alpha.degree
@@ -714,6 +695,7 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
             skipped.append((d, "ramified"))
             continue
         try:
+            # the cheap filter; weierstrass_family's Euler test is the compared second route
             if not is_quadratic_nonresidue(d, p):
                 skipped.append((d, "residue"))
                 continue

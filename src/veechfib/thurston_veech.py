@@ -15,10 +15,11 @@ found by leaf propagation, which resolves every tree; a graph it leaves
 unresolved raises UnsupportedGraphError, the only refusal of a graph.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
-E8 diagrams.  surface_tag parses a family tag once, into its canonical
-form and Coxeter number h.  The n-gon has genus phi(n)/2 and zero
-partition (g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7 and E8
-carry theirs in one table.  For even n the order-2 rotation of the path
+E8 diagrams.  tags.surface_tag (re-exported here) parses a family tag
+once, into its canonical form and Coxeter number h, without loading
+this module.  The n-gon has genus phi(n)/2 and zero partition
+(g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7 and E8 carry theirs
+in one table.  For even n the order-2 rotation of the path
 diagram is quotiented combinatorially on the cylinder list (one
 cylinder kept per swapped pair, the middle one as is), with quotient
 graph A(n/2).
@@ -47,27 +48,22 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import (
-    CapExceededError,
     InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     UnsupportedFamilyError,
     UnsupportedGraphError,
 )
-from .exact.finitefield import is_irreducible_mod_p, is_prime  # noqa: F401  (kept bound)
+from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial, cos_two_pi_minpoly, euler_phi, isolate_largest_real_root
 )
+from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
-
-# Largest n whose n-gon model is built: the construction allocates an
-# (n - 1) x (n - 1) adjacency matrix and works in a field of degree
-# phi(2n)/2, so a larger request is refused before either exists.
-MAX_POLYGON_N = 256
 
 
 class BipartiteIntersectionGraph:
@@ -138,14 +134,13 @@ class _Diagram(NamedTuple):
 
     vertices: int
     edges: tuple  # Bourbaki numbering
-    coxeter_number: int
     genus: int
     zero_partition: tuple
 
 
 _SPORADIC = {
-    "E7": _Diagram(7, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)), 18, 3, (1, 3)),
-    "E8": _Diagram(8, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)), 30, 4, (6,)),
+    "E7": _Diagram(7, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)), 3, (1, 3)),
+    "E8": _Diagram(8, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)), 4, (6,)),
 }
 
 
@@ -372,38 +367,6 @@ def _chebyshev_like(k):
     return table[k]
 
 
-def surface_tag(family_tag):
-    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
-    18) or E8 (h = 30), E7/E8 in any case.  The n-gon is supported when
-    q = n (odd n) or n/2 (even n) is a prime > 3, or when n >= 8 is a
-    power of two; other tags raise UnsupportedFamilyError."""
-    tag = family_tag.strip()
-    if tag.upper() in _SPORADIC:
-        return tag.upper(), _SPORADIC[tag.upper()].coxeter_number
-    prefix, _, number = tag.partition("-")
-    try:
-        n = int(number)
-    except ValueError:
-        n = None
-    if prefix.lower() != "polygon" or n is None:
-        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
-    q = n if n % 2 else n // 2
-    if not (q > 3 and is_prime(q) or n >= 8 and n & (n - 1) == 0):
-        raise UnsupportedFamilyError(
-            f"regular {n}-gon is not in the supported series: n must be an odd prime q > 3, "
-            f"twice such a prime, or a power of two >= 8"
-        )
-    return f"polygon-{n}", n
-
-
-def capped_surface_tag(family_tag):
-    """surface_tag, refusing an n-gon past MAX_POLYGON_N by CapExceededError."""
-    tag, h = surface_tag(family_tag)
-    if h > MAX_POLYGON_N:
-        raise CapExceededError(f"the {h}-gon model exceeds the size cap n <= {MAX_POLYGON_N}")
-    return tag, h
-
-
 @lru_cache(maxsize=None)
 def build_surface(family_tag):
     """Build the exact surface model for polygon-n, E7 or E8.
@@ -415,7 +378,7 @@ def build_surface(family_tag):
     """
     tag, h = capped_surface_tag(family_tag)
     if tag in _SPORADIC:
-        return _build_sporadic(tag)
+        return _build_sporadic(tag, h)
     return _build_polygon(h)
 
 
@@ -445,10 +408,10 @@ def _build_polygon(n):
     return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition)
 
 
-def _build_sporadic(which):
+def _build_sporadic(which, coxeter_number):
     diagram = _SPORADIC[which]
     graph, blacks, whites = _two_coloured(diagram.vertices, diagram.edges)
-    mu, pf_heights = perron_frobenius(graph, diagram.coxeter_number)
+    mu, pf_heights = perron_frobenius(graph, coxeter_number)
     order = blacks + whites
     by_vertex = {v: pf_heights[i] for i, v in enumerate(order)}
     scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)

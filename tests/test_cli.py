@@ -66,6 +66,19 @@ def test_group_order_cap_default():
     assert args.cap == DEFAULT_CLOSURE_CAP
 
 
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_group_order_non_positive_cap_exit_2(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "group-order", "--p", "3", "--modulus", "x^2-x-1", "--cap", cap
+    )
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"] == f"cap must be a positive integer, not {cap}"
+
+
 def _error_type(stderr):
     """The stderr classes of the golden record: none, argparse usage,
     the JSON diagnostic's error type, or anything else."""
@@ -492,6 +505,32 @@ def test_bad_spin_plugin_exit_2(tmp_path, capsys, plugin, cause):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "InvalidArgumentError"
     assert diagnostic["message"].startswith(f"bad spin plugin {plugin!r}: {cause}")
+
+
+
+def test_spin_plugin_that_raises_exit_2(tmp_path, capsys, monkeypatch):
+    (tmp_path / "badspin.py").write_text("def pick(proto):\n    raise ValueError('boom')\n")
+    data = tmp_path / "d17.csv"
+    data.write_text("D,chi_num,chi_den,e2\n17,-3,2,\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    code, out, err = run_cli(
+        capsys,
+        "weierstrass",
+        "--D",
+        "17",
+        "--p",
+        "3",
+        "--data",
+        str(data),
+        "--spin-plugin",
+        "badspin:pick",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "InvalidArgumentError",
+        "message": "bad spin plugin 'badspin:pick': ValueError('boom')",
+    }
 
 
 def test_output_is_deterministic(capsys):

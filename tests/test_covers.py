@@ -103,6 +103,14 @@ def test_closure_cap_is_the_ambient_order():
             group_closure_order(pair, cap=ambient - 1)
 
 
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_closure_refuses_a_non_positive_cap_before_the_size_check(cap):
+    field = FiniteFieldSpec(3, IntPolynomial([-1, -1, 1]))
+    with pytest.raises(InvalidArgumentError, match=f"^cap must be a positive integer, not {cap}$"):
+        group_closure_order(theorem_generator_pair(field), cap=cap)
+
+
 def test_closure_characteristic_two():
     # over F_4 both shears are involutions and generate a dihedral group
     field = FiniteFieldSpec(2, IntPolynomial([1, 1, 1]))

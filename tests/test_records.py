@@ -103,6 +103,10 @@ def test_usage_error_loads_no_arithmetic(argv):
         "elliptic --m 3",
         "weierstrass --D 5 --p 3",
         "primes --family weierstrass-5 --bound 20",
+        "primes --family polygon-7 --bound 40",
+        "primes --family E8 --bound 40",
+        "polygon --n 9 --p 3",
+        "primes --family polygon-9 --bound 20",
     ],
 )
 def test_commands_without_a_surface_skip_the_model_layer(argv):
@@ -125,6 +129,50 @@ def test_a_rebinding_before_the_model_layer_loads_stays_in_force():
         "families.polygon_family(5, 3); assert calls == ['polygon-5'], calls"
     )
     assert _modules_after(code) >= _MODEL_LAYER
+
+
+
+# the names cli and families import on first use, by home module
+_LAZY_NAMES = {
+    "veechfib.cli": {
+        "veechfib.families": (
+            "admissible_primes", "chern_scatter", "polygon_family", "sporadic_family",
+            "weierstrass_family",
+        ),
+        "veechfib.prototypes": ("enumerate_prototypes",),
+        "veechfib.thurston_veech": ("build_surface",),
+        "veechfib.covers": ("cover_twisting", "group_closure_order", "riemann_hurwitz_cover"),
+    },
+    "veechfib.families": {
+        "veechfib.thurston_veech": (
+            "build_surface", "core_curve_span_check", "cylinder_bound_check",
+            "holonomy_basis_check", "staircase_parity_check",
+        ),
+        "veechfib.exact.numberfield": ("element_minimal_polynomial",),
+    },
+}
+
+
+def test_lazy_names_of_cli_and_families_are_their_home_modules_names():
+    # in a fresh interpreter, as a tracer run in this one leaves wrappers bound
+    code = f"""import importlib, sys
+for module_name, homes in {_LAZY_NAMES!r}.items():
+    module = importlib.import_module(module_name)
+    listed = dir(module)
+    for home_name, names in homes.items():
+        home = importlib.import_module(home_name)
+        for name in names:
+            assert name in listed and name not in vars(module), name
+            assert getattr(module, name) is getattr(home, name), name
+    try:
+        module.no_such_name
+    except AttributeError as exc:
+        assert str(exc) == f"module {{module_name!r}} has no attribute 'no_such_name'", exc
+    else:
+        raise AssertionError(module_name)
+    assert not hasattr(module, "no_such_name")
+pass"""
+    assert "veechfib.families" in _modules_after(code)
 
 
 # every name the package exported when it imported its submodules eagerly
