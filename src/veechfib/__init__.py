@@ -17,15 +17,14 @@ def _lazy_exports(namespace, exports, package=None):
     then bound in namespace.  A submodule name resolves to the submodule."""
     from importlib import import_module
 
-    module = namespace["__name__"]
-    package = package or module
+    package = package or namespace["__name__"]
     home = {name: submodule for submodule, names in exports.items() for name in names}
 
     def __getattr__(name):
         if name in exports:
             return import_module(f"{package}.{name}")
         if name not in home:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
         value = namespace[name] = getattr(import_module(f"{package}.{home[name]}"), name)
         return value
 

@@ -1,9 +1,6 @@
-"""Family tags of the surface models: canonical form and Coxeter number.
-
-A tag is decided here, apart from the model layer, so that a request
-which needs only the tag (primes on a polygon or E7/E8, a refused n)
-loads no thurston_veech, numberfield or linalg.
-"""
+"""Family tags of the surface models, decided apart from the model layer:
+a request that needs only the tag loads no thurston_veech, numberfield
+or linalg."""
 
 from .errors import CapExceededError, UnsupportedFamilyError
 from .exact.finitefield import is_prime
@@ -13,7 +10,6 @@ from .exact.finitefield import is_prime
 # phi(2n)/2, so a larger request is refused before either exists.
 MAX_POLYGON_N = 256
 
-# Coxeter numbers of the exceptional diagrams
 _COXETER_NUMBERS = {"E7": 18, "E8": 30}
 
 

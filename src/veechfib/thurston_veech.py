@@ -15,12 +15,11 @@ found by leaf propagation, which resolves every tree; a graph it leaves
 unresolved raises UnsupportedGraphError, the only refusal of a graph.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
-E8 diagrams.  tags.surface_tag (re-exported here) parses a family tag
-once, into its canonical form and Coxeter number h, without loading
-this module.  The n-gon has genus phi(n)/2 and zero partition
-(g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7 and E8 carry theirs
-in one table.  For even n the order-2 rotation of the path
-diagram is quotiented combinatorially on the cylinder list (one
+E8 diagrams.  veechfib.tags.surface_tag parses a family tag once, into
+its canonical form and Coxeter number h.  The n-gon has genus phi(n)/2
+and zero partition (g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7
+and E8 carry theirs in one table.  For even n the order-2 rotation of
+the path diagram is quotiented combinatorially on the cylinder list (one
 cylinder kept per swapped pair, the middle one as is), with quotient
 graph A(n/2).
 
