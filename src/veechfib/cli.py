@@ -196,17 +196,19 @@ def _cmd_cover(args):
         twists = _int_list(args.base_twists, "--base-twists")
         roots = _int_list(args.roots, "--roots") if args.roots else tuple(1 for _ in twists)
         total, per_cusp = covers.cover_twisting(cover.cusps_per_orbit, cusp_orders, twists, roots)
-        cover = cover.with_twisting(per_cusp, total)
+        cover = cover._replace(per_cusp_twists=per_cusp, total_twisting=total)
     _emit(cover.to_json(), args.format)
     return 0
 
 
 def _cmd_group_order(args):
     from . import covers
-    from .exact.finitefield import FiniteFieldSpec
+    from .exact.finitefield import FiniteFieldSpec, is_prime
     from .exact.polynomials import parse_polynomial
 
     modulus = parse_polynomial(args.modulus)
+    if is_prime(args.p):  # else FiniteFieldSpec refuses --p, before any size test
+        covers.check_closure_cap(args.p, modulus.degree, args.cap)
     field = FiniteFieldSpec(args.p, modulus)
     abar = None
     if args.alpha is not None:

@@ -73,7 +73,7 @@ class CoverData(NamedTuple):
     per_cusp_twists holds the twist count of the monodromy around one
     cusp in each fiber over a base cusp orbit; total_twisting is the
     grand total over all cusps of the cover.  Both are None until
-    with_twisting fills them in.
+    cover_twisting's results are set (_replace).
     """
 
     degree: int
@@ -85,11 +85,6 @@ class CoverData(NamedTuple):
     total_twisting: int = None
     group_label: str = ""
     exceptional: bool = False
-
-    def with_twisting(self, per_cusp_twists, total_twisting):
-        return self._replace(
-            per_cusp_twists=tuple(per_cusp_twists), total_twisting=total_twisting
-        )
 
     def euler_characteristic(self):
         return Fraction(2 - 2 * self.base_genus - self.cusp_count)
@@ -214,19 +209,13 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     walk stops collecting t once that span is all of F_q.
 
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
-    CapExceededError up front otherwise; the generated group lies in
-    SL(2, q), so no search can outgrow an admitted cap.  A cap below 1
-    is invalid input.
+    CapExceededError up front otherwise (check_closure_cap); the
+    generated group lies in SL(2, q), so no search can outgrow an
+    admitted cap.
     """
-    if cap < 1:
-        raise InvalidArgumentError(f"cap must be a positive integer, not {cap}")
     field = spec.field
     p, q, n = field.p, field.order, field.degree
-    if q * (q * q - 1) > cap:
-        raise CapExceededError(
-            f"|SL(2,{q})| = {q * (q * q - 1)} exceeds cap = {cap}; "
-            "raise the cap to search this field"
-        )
+    check_closure_cap(p, n, cap)
     mul, add = _field_tables(field)
     neg = mul[field.element_index(-field.one)]
     idx = field.element_index
@@ -253,6 +242,28 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
                 if t:
                     _add_to_span(basis, t, p, n)
     return len(orbit) * p ** len(basis)
+
+
+def check_closure_cap(p, degree, cap):
+    """Refuse a cap below 1 (InvalidArgumentError) and a closure search
+    over F_q, q = p^degree, whose |SL(2, q)| = q(q^2 - 1) exceeds the cap
+    (CapExceededError), before the field and its irreducibility test.
+    Past 4096 bits q is written p^degree: q(q^2 - 1) would be slow to form
+    and too long to print."""
+    if cap < 1:
+        raise InvalidArgumentError(f"cap must be a positive integer, not {cap}")
+    # q >= 2^low, so q(q^2 - 1) >= 2^(3 low - 1) >= 2^(cap bits) > cap
+    low = degree * (p.bit_length() - 1)
+    if degree * p.bit_length() > 4096 and 3 * low > cap.bit_length():
+        raise CapExceededError(
+            f"|SL(2,{p}^{degree})| exceeds cap = {cap}; raise the cap to search this field"
+        )
+    q = p**degree
+    if q * (q * q - 1) > cap:
+        raise CapExceededError(
+            f"|SL(2,{q})| = {q * (q * q - 1)} exceeds cap = {cap}; "
+            "raise the cap to search this field"
+        )
 
 
 def _add_to_span(basis, t, p, n):

@@ -18,7 +18,6 @@ _EXPORTS = {
     "numberfield": (
         "NumberFieldElement",
         "RealAlgebraicField",
-        "coordinates_in_power_basis",
         "element_minimal_polynomial",
         "in_order",
     ),

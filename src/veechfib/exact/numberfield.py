@@ -13,7 +13,7 @@ run on those integers: since m is monic, each x^k mod m is integral,
 and the field keeps one table of them for reducing products.  An
 integral element (denominator 1) never forms a Fraction; ``coeffs``
 builds the Fraction coordinates only when read.  Power bases of an
-element (minimal polynomials, suborder coordinates) are one
+element (minimal polynomials, suborder membership) are one
 fraction-free elimination of the integer numerators of its powers.
 
 Elements always carry their field.  Mixed-field arithmetic raises
@@ -341,13 +341,9 @@ class NumberFieldElement:
         self._check(other)
         return (self - other).sign() < 0
 
-    def isolating_interval(self, width):
-        """Rational interval of at most the given width containing the value."""
-        width = Fraction(width)
-        return self._enclosure(lambda lo, hi: hi - lo <= width)
-
     def __float__(self):
-        lo, hi = self.isolating_interval(Fraction(1, 10**17))
+        width = Fraction(1, 10**17)
+        lo, hi = self._enclosure(lambda lo, hi: hi - lo <= width)
         return float((lo + hi) / 2)
 
     # -- lifts ----------------------------------------------------------------
@@ -376,7 +372,7 @@ class NumberFieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Power-basis elimination: minimal polynomials and suborder coordinates
+# Power-basis elimination: minimal polynomials and suborder membership
 # ---------------------------------------------------------------------------
 
 
@@ -411,24 +407,6 @@ class PowerBasis:
             power = power * alpha
         raise MathematicalInconsistencyError("no linear dependence found; corrupt field data")
 
-    def _solve(self, elem, count):
-        """(numerators, denominator) of the coordinates of elem over 1,
-        alpha, ..., alpha^(count-1), or None outside their Q-span; count
-        defaults to the degree of alpha."""
-        if elem.field != self.alpha.field:
-            raise MixedModulusError("alpha and element live in different fields")
-        n, d = self._echelon.pivot_columns, self.degree
-        count = d if count is None else max(count, 0)
-        reduced = self._echelon.reduce(list(elem.nums) + [0] * (n + 1))
-        # pivot * elem.nums = -sum_j a_j alpha^j when the ambient part is 0;
-        # the coordinates are unique, so a count below the degree needs
-        # the ones past it to vanish
-        a = reduced[n : n + d]
-        if any(reduced[:n]) or any(a[count:]):
-            return None
-        nums = [-c for c in a[:count]] + [0] * (count - d)
-        return nums, self._echelon.pivot * elem.den
-
     def minimal_polynomial(self):
         """Monic integer minimal polynomial of alpha.
 
@@ -444,23 +422,22 @@ class PowerBasis:
             coeffs,
         )
 
-    def coordinates(self, elem, count=None):
-        """Coordinates of elem over 1, alpha, ..., alpha^(count-1).
-
-        count defaults to the degree of alpha; powers past the degree get
-        coordinate 0.  Returns a tuple of Fractions, or None when elem
-        lies outside the Q-span of those powers.
-        """
-        solved = self._solve(elem, count)
-        if solved is None:
-            return None
-        nums, den = solved
-        return tuple(Fraction(c, den) for c in nums)
-
     def in_order(self, elem, count=None):
-        """Exact membership test for the subring Z[alpha]."""
-        solved = self._solve(elem, count)
-        return solved is not None and all(c % solved[1] == 0 for c in solved[0])
+        """Exact membership of elem in the Z-span of 1, alpha, ...,
+        alpha^(count-1): the subring Z[alpha] at the default count, deg alpha."""
+        if elem.field != self.alpha.field:
+            raise MixedModulusError("alpha and element live in different fields")
+        n, d = self._echelon.pivot_columns, self.degree
+        count = d if count is None else max(count, 0)
+        reduced = self._echelon.reduce(list(elem.nums) + [0] * (n + 1))
+        # pivot * elem.nums = -sum_j a_j alpha^j when the ambient part is 0;
+        # the coordinates are unique, so a count below the degree needs
+        # the ones past it to vanish
+        a = reduced[n : n + d]
+        if any(reduced[:n]) or any(a[count:]):
+            return False
+        den = self._echelon.pivot * elem.den
+        return all(c % den == 0 for c in a[:count])
 
 
 def element_minimal_polynomial(elem):
@@ -472,15 +449,6 @@ def element_minimal_polynomial(elem):
     coefficients) when the element is not an algebraic integer.
     """
     return PowerBasis(elem).minimal_polynomial()
-
-
-def coordinates_in_power_basis(elem, alpha, degree):
-    """Coordinates of elem in the basis 1, alpha, ..., alpha^(degree-1).
-
-    Returns a tuple of Fractions, or None when elem lies outside the
-    Q-span (i.e. outside Q(alpha) viewed inside the ambient field).
-    """
-    return PowerBasis(alpha).coordinates(elem, degree)
 
 
 def in_order(elem, alpha, degree):

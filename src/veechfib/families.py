@@ -302,8 +302,9 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
         cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
     )
     cover = cover._replace(
-        group_label=degree_data.group_label, exceptional=degree_data.exceptional
-    ).with_twisting(per_cusp, total_t)
+        per_cusp_twists=per_cusp, total_twisting=total_t,
+        group_label=degree_data.group_label, exceptional=degree_data.exceptional,
+    )
     invariants = assemble_invariants(
         fiber_genus=spec.fiber_genus,
         base_genus=cover.base_genus,
@@ -419,7 +420,7 @@ def model_spec(tag):
     """Spec and cached model of the polygon-n, E7 or E8 surface: the base
     and its cusps follow from the Coxeter number h (see the module
     docstring), m_alpha is read from the model."""
-    tag, h = surface_tag(tag)
+    tag, h = capped_surface_tag(tag)
     model = _self.build_surface(tag)
     m_alpha = model.alpha_basis.minimal_polynomial()
     if h % 2:
@@ -448,7 +449,7 @@ def run_structural_checks(model):
         checks = model.memo["structural_checks"] = {
             "staircase_parity": _self.staircase_parity_check(model),
             "holonomy_basis": bool(basis),
-            "cylinder_bounds": _self.cylinder_bound_check(model, len(model.zero_partition)),
+            "cylinder_bounds": _self.cylinder_bound_check(model),
             "core_curve_span": _self.core_curve_span_check(model),
         }
     return dict(checks)
@@ -668,11 +669,11 @@ def admissible_primes(family_tag, bound):
     return out
 
 
-def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
+def chern_scatter(d_min, d_max, p, data=None):
     """(c2, c1^2) per admissible nonsquare discriminant in [d_min, d_max].
 
-    Discriminants that are squares, residues mod p, spin-split without
-    a filter, missing curve data, or whose cover genus is not an integer
+    Discriminants that are squares, residues mod p, spin-split (D = 1
+    mod 8), missing curve data, or whose cover genus is not an integer
     (inconsistent-cover, D = 8 at p = 3) are skipped (and reported).
     A d_max above MAX_SCATTER_D is refused before the sweep.
     """
@@ -688,7 +689,7 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
             continue
         if math.isqrt(d) ** 2 == d:
             continue
-        if d % 8 == 1 and spin_filter is None:
+        if d % 8 == 1:
             skipped.append((d, "spin-filter-required"))
             continue
         if d % p == 0:
@@ -699,7 +700,7 @@ def chern_scatter(d_min, d_max, p, data=None, spin_filter=None):
             if not is_quadratic_nonresidue(d, p):
                 skipped.append((d, "residue"))
                 continue
-            result = weierstrass_family(d, p, data=data, spin_filter=spin_filter)
+            result = weierstrass_family(d, p, data=data)
         except MissingCurveDataError:
             skipped.append((d, "missing-curve-data"))
             continue

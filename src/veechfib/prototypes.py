@@ -55,20 +55,6 @@ class Prototype(NamedTuple):
     e: int
     discriminant: int
 
-    def validate(self):
-        w, h, t, e, d = self
-        if d != e * e + 4 * w * h:
-            raise InvalidArgumentError(f"{self}: discriminant mismatch")
-        if w <= 0 or h <= 0:
-            raise InvalidArgumentError(f"{self}: w and h must be positive")
-        if not (0 <= t < math.gcd(w, h)):
-            raise InvalidArgumentError(f"{self}: t out of range")
-        if not h + e < w:
-            raise InvalidArgumentError(f"{self}: requires h + e < w")
-        if math.gcd(w, h, t, e) != 1:
-            raise InvalidArgumentError(f"{self}: not primitive")
-        return True
-
     def as_tuple(self):
         return (self.w, self.h, self.t, self.e)
 

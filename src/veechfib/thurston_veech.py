@@ -350,20 +350,12 @@ class SurfaceModel(_SurfaceFields):
         }
 
 
-_CHEBYSHEV_CACHE = (IntPolynomial([1]), IntPolynomial([0, 1]))
-
-
+@lru_cache(maxsize=None)
 def _chebyshev_like(k):
-    """P_k with P_k(2cos t) = sin((k+1)t)/sin(t); parity of P_k = parity of k.
-    The table grows in a local copy that replaces the cached tuple whole."""
-    global _CHEBYSHEV_CACHE
-    table = _CHEBYSHEV_CACHE
-    if len(table) <= k:
-        rows = list(table)
-        while len(rows) <= k:
-            rows.append(IntPolynomial([0, 1]) * rows[-1] - rows[-2])
-        _CHEBYSHEV_CACHE = table = tuple(rows)
-    return table[k]
+    """P_k with P_k(2cos t) = sin((k+1)t)/sin(t); parity of P_k = parity of k."""
+    if k < 2:
+        return IntPolynomial([0, 1] if k else [1])
+    return IntPolynomial([0, 1]) * _chebyshev_like(k - 1) - _chebyshev_like(k - 2)
 
 
 @lru_cache(maxsize=None)
@@ -540,9 +532,9 @@ def holonomy_basis_check(model):
     )
 
 
-def cylinder_bound_check(model, zero_count):
-    """Each direction has between g and g + s - 1 cylinders."""
-    g, s = model.genus, zero_count
+def cylinder_bound_check(model):
+    """Each direction has between g and g + s - 1 cylinders, for s zeros."""
+    g, s = model.genus, len(model.zero_partition)
     return all(g <= len(side) <= g + s - 1 for side in (model.horizontal, model.vertical))
 
 

@@ -434,6 +434,32 @@ def test_elliptic_past_the_size_cap_exit_1(capsys, monkeypatch):
     assert "size cap" in diagnostic["message"]
 
 
+def test_group_order_past_the_size_cap_exit_1_before_the_field(capsys, monkeypatch):
+    from veechfib.exact import finitefield
+
+    # an invalid --p is still refused by the field, before any size test
+    code, out, err = run_cli(capsys, "group-order", "--p", "4", "--modulus", "x^1279+x^216+1")
+    assert code == 2 and json.loads(err)["message"] == "4 is not prime"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("FiniteFieldSpec built past the size cap")
+
+    monkeypatch.setattr(finitefield, "FiniteFieldSpec", refuse)
+    q = 2**1279
+    for modulus, cap, code_wanted, message in (
+        ("x^1279+x^216+1", "0", 2, "cap must be a positive integer, not 0"),
+        ("x^1279+x^216+1", str(DEFAULT_CLOSURE_CAP), 1, f"|SL(2,{q})| = {q * (q * q - 1)}"),
+        ("x^5000+x+1", str(DEFAULT_CLOSURE_CAP), 1, "|SL(2,2^5000)|"),
+    ):
+        code, out, err = run_cli(
+            capsys, "group-order", "--p", "2", "--modulus", modulus, "--cap", cap
+        )
+        assert code == code_wanted and out == "", modulus
+        if code == 1:
+            message += f" exceeds cap = {cap}; raise the cap to search this field"
+        assert json.loads(err)["message"] == message
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

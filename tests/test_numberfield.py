@@ -19,7 +19,6 @@ from veechfib.errors import (
 from veechfib.exact.numberfield import (
     PowerBasis,
     RealAlgebraicField,
-    coordinates_in_power_basis,
     element_minimal_polynomial,
     in_order,
 )
@@ -151,9 +150,8 @@ def test_suborder_coordinates_outside_subfield():
     field = RealAlgebraicField(minpoly_two_cos(18))
     mu = field.generator
     alpha = mu * mu
-    assert coordinates_in_power_basis(mu, alpha, 3) is None
-    coords = coordinates_in_power_basis(alpha**2 - 3, alpha, 3)
-    assert coords == (Fraction(-3), Fraction(0), Fraction(1))
+    assert not in_order(mu, alpha, 3)
+    assert in_order(alpha**2 - 3, alpha, 3)
 
 
 def test_element_json(golden_field):
@@ -167,10 +165,10 @@ def test_power_basis_minimal_polynomial_and_coordinates():
     basis = PowerBasis(mu * mu)
     assert basis.degree == 3
     assert basis.minimal_polynomial() == element_minimal_polynomial(mu * mu)
-    assert basis.coordinates(mu) is None
-    assert basis.coordinates(mu**4 - 3) == (Fraction(-3), Fraction(0), Fraction(1))
-    assert basis.coordinates(mu**4, 2) is None  # alpha^2 is outside span(1, alpha)
-    assert basis.coordinates(mu**2, 5) == (0, 1, 0, 0, 0)
+    assert not basis.in_order(mu)
+    assert basis.in_order(mu**4 - 3)
+    assert not basis.in_order(mu**4, 2)  # alpha^2 is outside span(1, alpha)
+    assert basis.in_order(mu**2, 5)
     assert basis.in_order(mu**2 + 1)
     assert not basis.in_order((mu**2 + 1) / 2)
 
@@ -178,7 +176,7 @@ def test_power_basis_minimal_polynomial_and_coordinates():
 def test_power_basis_rejects_mixed_fields(golden_field):
     other = RealAlgebraicField(IntPolynomial([-2, 0, 1]))
     with pytest.raises(MixedModulusError):
-        PowerBasis(golden_field.generator).coordinates(other.generator)
+        PowerBasis(golden_field.generator).in_order(other.generator)
 
 
 _FIELD_NS = (5, 7, 8, 9, 12, 18)
@@ -214,8 +212,8 @@ def _minpoly_outcome(route, elem):
 @example(n=7, elem_coeffs=[0, 1], elem_den=1, alpha_coeffs=[0, 0, 1], alpha_den=2)
 def test_power_basis_matches_dense_elimination(n, elem_coeffs, elem_den, alpha_coeffs, alpha_den):
     """PowerBasis and the dense Gauss-Jordan reference agree on minimal
-    polynomials (or the non-integral refusal), coordinates and Z[alpha]
-    membership, for counts below, at and above the degree of alpha."""
+    polynomials (or the non-integral refusal) and Z[alpha] membership,
+    for counts below, at and above the degree of alpha."""
     field = RealAlgebraicField(minpoly_two_cos(n))
     elem = _poly_in_mu(field, elem_coeffs) / elem_den
     alpha = _poly_in_mu(field, alpha_coeffs) / alpha_den
@@ -228,9 +226,6 @@ def test_power_basis_matches_dense_elimination(n, elem_coeffs, elem_den, alpha_c
     except NonIntegralElementError as exc:
         degree = len(exc.rational_coefficients) - 1
     for count in (degree - 1, degree, degree + 1):
-        assert coordinates_in_power_basis(elem, alpha, count) == (
-            reference.coordinates_in_power_basis(elem, alpha, count)
-        )
         assert in_order(elem, alpha, count) == reference.in_order(elem, alpha, count)
 
 

@@ -107,6 +107,7 @@ def test_usage_error_loads_no_arithmetic(argv):
         "primes --family E8 --bound 40",
         "polygon --n 9 --p 3",
         "primes --family polygon-9 --bound 20",
+        "polygon --n 512 --p 3",
     ],
 )
 def test_commands_without_a_surface_skip_the_model_layer(argv):
