@@ -248,22 +248,20 @@ def check_closure_cap(p, degree, cap):
     """Refuse a cap below 1 (InvalidArgumentError) and a closure search
     over F_q, q = p^degree, whose |SL(2, q)| = q(q^2 - 1) exceeds the cap
     (CapExceededError), before the field and its irreducibility test.
-    Past 4096 bits q is written p^degree: q(q^2 - 1) would be slow to form
-    and too long to print."""
+    Once q may pass 2^4096 it is written p^degree: q(q^2 - 1) would be
+    slow to form and too long to print."""
     if cap < 1:
         raise InvalidArgumentError(f"cap must be a positive integer, not {cap}")
-    # q >= 2^low, so q(q^2 - 1) >= 2^(3 low - 1) >= 2^(cap bits) > cap
+    # q >= 2^low: once 3 low passes the cap's bits, q(q^2 - 1) >= 2^(3 low - 1) > cap
     low = degree * (p.bit_length() - 1)
-    if degree * p.bit_length() > 4096 and 3 * low > cap.bit_length():
-        raise CapExceededError(
-            f"|SL(2,{p}^{degree})| exceeds cap = {cap}; raise the cap to search this field"
-        )
-    q = p**degree
-    if q * (q * q - 1) > cap:
-        raise CapExceededError(
-            f"|SL(2,{q})| = {q * (q * q - 1)} exceeds cap = {cap}; "
-            "raise the cap to search this field"
-        )
+    if 3 * low <= cap.bit_length() and p**degree * (p ** (2 * degree) - 1) <= cap:
+        return
+    if degree * p.bit_length() > 4096:
+        order = f"|SL(2,{p}^{degree})|"
+    else:
+        q = p**degree
+        order = f"|SL(2,{q})| = {q * (q * q - 1)}"
+    raise CapExceededError(f"{order} exceeds cap = {cap}; raise the cap to search this field")
 
 
 def _add_to_span(basis, t, p, n):

@@ -445,14 +445,16 @@ def test_group_order_past_the_size_cap_exit_1_before_the_field(capsys, monkeypat
         raise AssertionError("FiniteFieldSpec built past the size cap")
 
     monkeypatch.setattr(finitefield, "FiniteFieldSpec", refuse)
-    q = 2**1279
-    for modulus, cap, code_wanted, message in (
-        ("x^1279+x^216+1", "0", 2, "cap must be a positive integer, not 0"),
-        ("x^1279+x^216+1", str(DEFAULT_CLOSURE_CAP), 1, f"|SL(2,{q})| = {q * (q * q - 1)}"),
-        ("x^5000+x+1", str(DEFAULT_CLOSURE_CAP), 1, "|SL(2,2^5000)|"),
+    q, default, mersenne = 2**1279, str(DEFAULT_CLOSURE_CAP), 2**521 - 1
+    for p, modulus, cap, code_wanted, message in (
+        (2, "x^1279+x^216+1", "0", 2, "cap must be a positive integer, not 0"),
+        (2, "x^1279+x^216+1", default, 1, f"|SL(2,{q})| = {q * (q * q - 1)}"),
+        (2, "x^5000+x+1", default, 1, "|SL(2,2^5000)|"),
+        # q = p^100000 would have 52 million bits
+        (mersenne, "x^100000+x+1", default, 1, f"|SL(2,{mersenne}^100000)|"),
     ):
         code, out, err = run_cli(
-            capsys, "group-order", "--p", "2", "--modulus", modulus, "--cap", cap
+            capsys, "group-order", "--p", str(p), "--modulus", modulus, "--cap", cap
         )
         assert code == code_wanted and out == "", modulus
         if code == 1:
