@@ -352,9 +352,8 @@ def build_parser():
     def add(name, fn, help_text):
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(func=fn)
-        cmd.add_argument(
-            "--format", choices=("json", "csv", "table"), default="json"
-        )
+        if name not in ("scatter", "verify"):  # these two print one fixed form
+            cmd.add_argument("--format", choices=("json", "csv", "table"), default="json")
         return cmd
 
     cmd = add("prototypes", _cmd_prototypes, "enumerate cusp prototypes for a discriminant")

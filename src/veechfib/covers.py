@@ -204,9 +204,10 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     u_v = [v | w_v] with u_v e1 = v.  By Schreier's lemma the stabiliser
     is generated by the elements u_{sv}^-1 s u_v, and since every
     generator has determinant 1 these all have the form [[1, t], [0, 1]]:
-    Stab(e1) is a subgroup of (F_q, +), elementary abelian, so its order
-    is p^rank where rank is the F_p-dimension of the span of the t.  The
-    walk stops collecting t once that span is all of F_q.
+    Stab(e1) is a subgroup of (F_q, +), kept as the set of its t.  A
+    new t joins with its multiples, the cosets stab + t, ...,
+    stab + (p - 1) t, and the walk stops collecting once the set is all
+    of F_q.
 
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
     CapExceededError up front otherwise (check_closure_cap); the
@@ -214,8 +215,8 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     admitted cap.
     """
     field = spec.field
-    p, q, n = field.p, field.order, field.degree
-    check_closure_cap(p, n, cap)
+    p, q = field.p, field.order
+    check_closure_cap(p, field.degree, cap)
     mul, add = _field_tables(field)
     neg = mul[field.element_index(-field.one)]
     idx = field.element_index
@@ -226,7 +227,7 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     second = [None] * (q * q)
     second[q] = (0, 1)
     orbit = [(1, 0)]
-    basis = {}  # echelon rows of the t digit vectors, keyed by pivot
+    stab = {0}
     for x, y in orbit:  # grows while it is walked
         b, d = second[x * q + y]
         for ma, mb, mc, md in gens:
@@ -235,13 +236,16 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
             if w is None:
                 second[sx * q + sy] = (add[ma[b]][mb[d]], add[mc[b]][md[d]])
                 orbit.append((sx, sy))
-            elif len(basis) < n:
+            elif len(stab) < q:
                 # t is the top-right entry of u_{sv}^-1 (s u_v)
                 sb, sd = add[ma[b]][mb[d]], add[mc[b]][md[d]]
                 t = add[mul[w[1]][sb]][neg[mul[w[0]][sd]]]
-                if t:
-                    _add_to_span(basis, t, p, n)
-    return len(orbit) * p ** len(basis)
+                if t not in stab:
+                    coset = list(stab)
+                    for _ in range(p - 1):
+                        coset = [add[r][t] for r in coset]
+                        stab.update(coset)
+    return len(orbit) * len(stab)
 
 
 def check_closure_cap(p, degree, cap):
@@ -249,9 +253,13 @@ def check_closure_cap(p, degree, cap):
     over F_q, q = p^degree, whose |SL(2, q)| = q(q^2 - 1) exceeds the cap
     (CapExceededError), before the field and its irreducibility test.
     Once q may pass 2^4096 it is written p^degree: q(q^2 - 1) would be
-    slow to form and too long to print."""
+    slow to form and too long to print, and a cap past 4096 bits is
+    written by its bit length."""
+    shown = cap
+    if cap.bit_length() > 4096:
+        shown = f"a {'negative ' * (cap < 0)}{cap.bit_length()}-bit integer"
     if cap < 1:
-        raise InvalidArgumentError(f"cap must be a positive integer, not {cap}")
+        raise InvalidArgumentError(f"cap must be a positive integer, not {shown}")
     # q >= 2^low: once 3 low passes the cap's bits, q(q^2 - 1) >= 2^(3 low - 1) > cap
     low = degree * (p.bit_length() - 1)
     if 3 * low <= cap.bit_length() and p**degree * (p ** (2 * degree) - 1) <= cap:
@@ -261,26 +269,7 @@ def check_closure_cap(p, degree, cap):
     else:
         q = p**degree
         order = f"|SL(2,{q})| = {q * (q * q - 1)}"
-    raise CapExceededError(f"{order} exceeds cap = {cap}; raise the cap to search this field")
-
-
-def _add_to_span(basis, t, p, n):
-    """Reduce the base-p digits of index t against the echelon rows in
-    basis (each row is zero at the pivots of the rows before it) and
-    keep the remainder as a new row when it is nonzero."""
-    digits = []
-    for _ in range(n):
-        t, r = divmod(t, p)
-        digits.append(r)
-    for k, row in basis.items():
-        c = digits[k]
-        if c:
-            digits = [(a - c * r) % p for a, r in zip(digits, row)]
-    for k, c in enumerate(digits):
-        if c:
-            inv = pow(c, -1, p)
-            basis[k] = [a * inv % p for a in digits]
-            return
+    raise CapExceededError(f"{order} exceeds cap = {shown}; raise the cap to search this field")
 
 
 def _field_tables(field):

@@ -89,8 +89,9 @@ class InvalidRootDataError(MathematicalInconsistencyError):
 
 class CapExceededError(VeechFibError):
     """A request was refused by a size cap: a group-order search whose
-    |SL(2, q)| exceeds the configured cap, or an n-gon model past the
-    largest n that is built."""
+    |SL(2, q)| exceeds the configured cap, a parsed polynomial past the
+    largest degree expanded, or an n-gon model past the largest n that
+    is built."""
 
 
 class InapplicableModelError(InvalidArgumentError):

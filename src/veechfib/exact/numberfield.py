@@ -128,9 +128,6 @@ class RealAlgebraicField:
 
     @property
     def generator(self):
-        if self.degree == 1:
-            # x = -c0 in a linear field
-            return self.from_rational(-self.modulus.coefficients[0])
         return self.element([0, 1])
 
     def _refine_root(self, width):

@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import DivisionByZeroError, InvalidArgumentError, NoRealRootError
+from ..errors import CapExceededError, DivisionByZeroError, InvalidArgumentError, NoRealRootError
 
 # ---------------------------------------------------------------------------
 # Integer coefficient sequences (ascending degree)
@@ -242,12 +242,18 @@ class IntPolynomial:
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*\*?\s*(?:(x|y)(?:\^(\d+))?)?")
 
+# Largest degree parse_polynomial expands into a coefficient list; no
+# group-order --cap admits a field of degree past 4 761
+MAX_PARSED_DEGREE = 10**5
+
 
 def parse_polynomial(text):
     """Parse expressions like ``x^2 - x - 1`` into an IntPolynomial.
 
     Every term after the first starts with its sign, and all terms use
-    one variable letter (x or y)."""
+    one variable letter (x or y).  A degree past MAX_PARSED_DEGREE is
+    refused (CapExceededError) from the merged terms, before any
+    coefficient list is built."""
     text = text.strip().replace("**", "^")
     if not text:
         raise InvalidArgumentError("empty polynomial string")
@@ -268,10 +274,12 @@ def parse_polynomial(text):
         pos = m.end()
         while pos < len(text) and text[pos].isspace():
             pos += 1
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return IntPolynomial(out)
+    degree = max((k for k, c in coeffs.items() if c), default=0)
+    if degree > MAX_PARSED_DEGREE:
+        raise CapExceededError(
+            f"polynomial degree {degree} exceeds the parse cap {MAX_PARSED_DEGREE}"
+        )
+    return IntPolynomial(coeffs.get(k, 0) for k in range(degree + 1))
 
 
 def rational_to_str(x):

@@ -445,10 +445,10 @@ def run_structural_checks(model):
     each call returns a fresh dict the caller may extend."""
     checks = model.memo.get("structural_checks")
     if checks is None:
-        basis = _self.holonomy_basis_check(model)  # a HolonomySpanFailure is falsy
+        holonomy_basis = _self.holonomy_basis_check(model)  # first: the tracer's span order
         checks = model.memo["structural_checks"] = {
             "staircase_parity": _self.staircase_parity_check(model),
-            "holonomy_basis": bool(basis),
+            "holonomy_basis": holonomy_basis,
             "cylinder_bounds": _self.cylinder_bound_check(model),
             "core_curve_span": _self.core_curve_span_check(model),
         }

@@ -485,23 +485,6 @@ def staircase_parity_check(model):
     )
 
 
-class HolonomyBasis(NamedTuple):
-    """Distinguished basis (x*mu^2, 0), (0, y*mu) of the holonomy lattice."""
-
-    horizontal_vector: object
-    vertical_vector: object
-    coordinates: tuple  # (cylinder name, coordinate tuple over Z[alpha])
-
-
-class HolonomySpanFailure(NamedTuple):
-    """Names the first core curve whose holonomy escapes the Z[alpha]-span."""
-
-    offending_cylinder: str
-
-    def __bool__(self):
-        return False
-
-
 def holonomy_basis_check(model):
     """Check core-curve holonomy lies in the rank-2 Z[mu^2]-lattice.
 
@@ -511,25 +494,15 @@ def holonomy_basis_check(model):
     decided exactly by reducing each coordinate against the model's
     alpha power basis.  Each basis vector is inverted once per call.
     """
-    mu = model.mu
     alpha_basis = model.alpha_basis
-    alpha = alpha_basis.alpha
     y = min(model.vertical, key=lambda c: c.height).height
-    basis_h = alpha  # holonomy (mu^2, 0)
-    basis_v = y * mu  # holonomy (0, y*mu)
-    coords = []
-    for cylinders, basis in ((model.horizontal, basis_h), (model.vertical, basis_v)):
+    # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
+    bases = ((model.horizontal, alpha_basis.alpha), (model.vertical, y * model.mu))
+    for cylinders, basis in bases:
         inverse = basis.inverse()
-        for cyl in cylinders:
-            coordinate = cyl.circumference * inverse
-            if not alpha_basis.in_order(coordinate):
-                return HolonomySpanFailure(cyl.name)
-            coords.append((cyl.name, coordinate))
-    return HolonomyBasis(
-        horizontal_vector=(basis_h, mu.field.zero),
-        vertical_vector=(mu.field.zero, basis_v),
-        coordinates=tuple(coords),
-    )
+        if not all(alpha_basis.in_order(cyl.circumference * inverse) for cyl in cylinders):
+            return False
+    return True
 
 
 def cylinder_bound_check(model):

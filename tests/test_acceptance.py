@@ -37,7 +37,6 @@ from veechfib.families import (
 from veechfib.invariants import kappa_mu
 from veechfib.prototypes import enumerate_prototypes
 from veechfib.thurston_veech import (
-    HolonomyBasis,
     build_surface,
     core_curve_span_check,
     cylinder_bound_check,
@@ -257,7 +256,7 @@ def test_c7_structural_suite():
     for tag in SUPPORTED_FAMILIES:
         model = build_surface(tag)
         assert staircase_parity_check(model), tag
-        assert isinstance(holonomy_basis_check(model), HolonomyBasis), tag
+        assert holonomy_basis_check(model) is True, tag
         assert cylinder_bound_check(model), tag
         assert core_curve_span_check(model), tag
     assert time.monotonic() - _C7_START < 60

@@ -274,6 +274,15 @@ def test_verify_command(capsys):
     assert lines and all(line.startswith("[PASS]") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "argv", [("scatter", "--p", "5", "--format", "json"), ("verify", "--format", "csv")]
+)
+def test_scatter_and_verify_take_no_format_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format" in err
+
+
 def test_invalid_arguments_exit_2(capsys):
     code, _, err = run_cli(capsys, "weierstrass", "--D", "4", "--p", "3")
     assert code == 2
@@ -460,6 +469,21 @@ def test_group_order_past_the_size_cap_exit_1_before_the_field(capsys, monkeypat
         if code == 1:
             message += f" exceeds cap = {cap}; raise the cap to search this field"
         assert json.loads(err)["message"] == message
+
+
+def test_group_order_past_the_parse_cap_exit_1_before_the_coefficient_list(capsys, monkeypatch):
+    from veechfib.exact import polynomials
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coefficient list built past the parse cap")
+
+    monkeypatch.setattr(polynomials, "IntPolynomial", refuse)
+    code, out, err = run_cli(capsys, "group-order", "--p", "2", "--modulus", "x^10000000+x+1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "CapExceededError",
+        "message": "polynomial degree 10000000 exceeds the parse cap 100000",
+    }
 
 
 def test_family_csv_uses_table_columns(capsys):

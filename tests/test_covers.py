@@ -9,6 +9,7 @@ from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
     MatrixGroupSpec,
     OrbifoldSignature,
+    check_closure_cap,
     congruence_degree,
     cover_twisting,
     group_closure_order,
@@ -101,6 +102,20 @@ def test_closure_cap_is_the_ambient_order():
         )
         with pytest.raises(CapExceededError, match=re.escape(message)):
             group_closure_order(pair, cap=ambient - 1)
+
+
+def test_closure_cap_past_4096_bits_is_written_by_its_bit_length():
+    # |SL(2, 2^5000)| = 2^15000 - 2^5000: the cap one below it has more
+    # than Python's 4 300-digit int-to-str limit, and is still a typed refusal
+    ambient = 2**15000 - 2**5000
+    assert check_closure_cap(2, 5000, ambient) is None
+    message = (
+        "|SL(2,2^5000)| exceeds cap = a 15000-bit integer; raise the cap to search this field"
+    )
+    with pytest.raises(CapExceededError, match=re.escape(message)):
+        check_closure_cap(2, 5000, ambient - 1)
+    with pytest.raises(InvalidArgumentError, match="not a negative 15000-bit integer$"):
+        check_closure_cap(2, 5000, -ambient)
 
 
 
@@ -307,6 +322,9 @@ def _generator(field, kind, i, j, k):
 @example(q=9, draws=[("identity", 0, 0, 0)])
 @example(q=25, draws=[("minus-identity", 0, 0, 0)])
 @example(q=27, draws=[("upper-shear", 4, 0, 0)])
+# two shears independent over F_5: the group is their span, of order 25
+@example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0)])
+@example(q=27, draws=[("upper-shear", 3, 0, 0), ("lower-shear", 1, 0, 0)])
 @example(q=7, draws=[("general", 2, 3, 4), ("general", 0, 5, 1)])
 @example(q=4, draws=[("lower-shear", 1, 0, 0), ("general", 2, 1, 3), ("minus-identity", 0, 0, 0)])
 @settings(max_examples=100, deadline=None)

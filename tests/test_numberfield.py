@@ -28,6 +28,7 @@ from veechfib.exact.polynomials import (
     cos_two_pi_minpoly,
     minpoly_two_cos,
 )
+from veechfib.thurston_veech import coxeter_graph, perron_frobenius
 
 
 @pytest.fixture
@@ -38,6 +39,17 @@ def golden_field():
 def test_modulus_relation(golden_field):
     mu = golden_field.generator
     assert (mu * mu - mu - 1).is_zero
+
+
+def test_linear_field_generator_is_the_root():
+    # Q[x]/(x + c) is Q with x = -c; the generator takes the general path
+    for c in (-3, 5, 0, 7):
+        field = RealAlgebraicField([c, 1])
+        assert field.generator == -c
+    # the A2 graph has Coxeter number 3 and mu = 2cos(pi/3) = 1, in a linear field
+    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3)
+    assert mu.field.degree == 1
+    assert mu == 1 and heights == (1, 1)
 
 
 def test_element_minimal_polynomial_of_square(golden_field):

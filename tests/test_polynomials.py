@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import fraction_reference
 import root_refine_reference as reference
 from veechfib.errors import (
+    CapExceededError,
     DivisionByZeroError,
     InvalidArgumentError,
     NoRealRootError,
@@ -15,6 +16,7 @@ from veechfib.errors import (
 )
 from veechfib.exact import polynomials
 from veechfib.exact.polynomials import (
+    MAX_PARSED_DEGREE,
     IntPolynomial,
     RootInterval,
     cos_two_pi_minpoly,
@@ -106,6 +108,14 @@ def test_parse_and_str():
     for text in ("", "2 3", "x x", "x^2 1", "x^2 + y", "2^3", "x +"):
         with pytest.raises(InvalidArgumentError):
             parse_polynomial(text)
+
+
+def test_parse_refuses_a_degree_past_its_cap_from_the_merged_terms():
+    assert parse_polynomial(f"x^{MAX_PARSED_DEGREE}+1").degree == MAX_PARSED_DEGREE
+    # terms that cancel leave no degree to refuse
+    assert parse_polynomial("x^20000000 - x^20000000 + x") == IntPolynomial([0, 1])
+    with pytest.raises(CapExceededError, match="^polynomial degree 100001 exceeds"):
+        parse_polynomial(f"x^{MAX_PARSED_DEGREE + 1}+1")
 
 
 def test_json_round_trip():

@@ -21,11 +21,7 @@ from veechfib.errors import InvalidArgumentError
 from veechfib.exact.finitefield import FiniteFieldSpec
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.families import ExternalCurveData, polygon_family
-from veechfib.thurston_veech import (
-    HolonomySpanFailure,
-    build_surface,
-    holonomy_basis_check,
-)
+from veechfib.thurston_veech import build_surface
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -233,7 +229,7 @@ def test_lazy_package_exports_resolve_as_before():
 
 
 def _records():
-    """One instance of each of the twelve record classes."""
+    """One instance of each of the ten record classes."""
     field = FiniteFieldSpec(3, IntPolynomial([-1, -1, 1]))
     model = build_surface("polygon-5")
     result = polygon_family(5, 3)
@@ -248,14 +244,12 @@ def _records():
         result.invariants,
         model.horizontal[0],
         model,
-        holonomy_basis_check(model),
-        HolonomySpanFailure("c_1"),
     ]
 
 
 def test_every_record_refuses_attribute_assignment():
     records = _records()
-    assert len({type(r).__name__ for r in records}) == 12
+    assert len({type(r).__name__ for r in records}) == 10
     for record in records:
         name = record._fields[0]
         with pytest.raises(AttributeError):
