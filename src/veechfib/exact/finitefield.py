@@ -3,7 +3,8 @@
 Polynomials over F_p are tuples of ints in [0, p), ascending degree.
 Products in F_p[x]/(f) run on one kernel (_QuotientRing): one integer
 product of the packed coefficients, whose top slots are then folded
-down by x^n mod f, each coefficient reduced mod p once.
+down by x^n mod f, each coefficient reduced mod p once.  The same fold
+takes Euclid's remainders.
 
 Irreducibility is Rabin's test (Rabin 1980): f of degree n is
 irreducible iff x^(p^n) = x mod f and gcd(f, x^(p^(n/r)) - x) = 1 for
@@ -63,33 +64,6 @@ def preduce(f, p):
     return pstrip([c % p for c in f])
 
 
-def pmod(f, g, p):
-    if not g:
-        raise DivisionByZeroError("polynomial division by zero mod p")
-    f = list(f)
-    inv = pow(g[-1], p - 2, p)
-    while len(f) >= len(g):
-        c = f[-1] * inv % p
-        shift = len(f) - len(g)
-        if c:
-            for i, b in enumerate(g):
-                f[shift + i] = (f[shift + i] - c * b) % p
-        f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-    return tuple(f)
-
-
-def pgcd(f, g, p):
-    f, g = pstrip(f), pstrip(g)
-    while g:
-        f, g = g, pmod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = tuple(c * inv % p for c in f)
-    return f
-
-
 class _QuotientRing:
     """F_p[x]/(f), f of degree n made monic; a residue is a length-n list
     in [0, p).  A product packs the coefficients s bits apart into one
@@ -129,6 +103,18 @@ class _QuotientRing:
         return out
 
 
+def _coprime(f, g, p):
+    """True when gcd(f, g) over F_p is a nonzero constant: Euclid, each
+    remainder the fold of f in F_p[x]/(g).  f and g must be stripped and
+    reduced mod p; then a slot of the fold by g of degree n gains at most
+    n products of at most (p - 1)^2 each, so it stays within 2n(p - 1)^2,
+    the ring's slot width."""
+    while len(g) > 1:
+        ring = _QuotientRing(g, p)
+        f, g = g, pstrip(ring.fold(ring.pack(f), len(f) - 1))
+    return bool(g)
+
+
 def is_irreducible_mod_p(f, p):
     """Rabin's irreducibility test for f over F_p.
 
@@ -160,7 +146,9 @@ def is_irreducible_mod_p(f, p):
     for k in range(1, n):
         if frob == x:
             return False  # every factor has degree dividing k < n
-        if k in gcd_steps and len(pgcd(fbar, [frob[0], (frob[1] - 1) % p] + frob[2:], p)) != 1:
+        if k in gcd_steps and not _coprime(
+            fbar, pstrip([frob[0], (frob[1] - 1) % p] + frob[2:]), p
+        ):
             return False
         frob = ring.fold(sum(map(mul, frob, matrix)), n - 1)
     return frob == x

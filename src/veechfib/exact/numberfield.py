@@ -9,8 +9,8 @@ for positivity without floating point.
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
 scalings, products, reductions, inverses and interval evaluations all
-run on those integers: since m is monic, each x^k mod m is integral,
-and the field keeps one table of them for reducing products.  An
+run on those integers: since m is monic, x^n mod m is integral, and
+a product is reduced by it from the top coefficient down.  An
 integral element (denominator 1) never forms a Fraction; ``coeffs``
 builds the Fraction coordinates only when read.  Power bases of an
 element (minimal polynomials, suborder membership) are one
@@ -60,8 +60,7 @@ class RealAlgebraicField:
             raise InvalidArgumentError("modulus must be monic of degree >= 1")
         self.modulus = modulus
         self.degree = modulus.degree
-        # x^(degree + k) mod modulus for k = 0, 1, ...; grown on demand
-        self._reductions = (tuple(-c for c in modulus.coefficients[:-1]),)
+        self._low = tuple(-c for c in modulus.coefficients[:-1])  # x^degree mod modulus
         if root is None:
             root = isolate_largest_real_root(modulus)
         self.root = root
@@ -85,32 +84,16 @@ class RealAlgebraicField:
 
     def _element(self, nums, den):
         """The element sum_k nums[k] x^k / den for integers nums and
-        den > 0, reduced by the table of x^k mod modulus and put in
-        lowest terms."""
-        n = self.degree
-        if len(nums) > n:
-            rows = self._reductions
-            if len(nums) - n > len(rows):
-                rows = self._grow_reductions(len(nums) - n)
-            out = list(nums[:n])
-            for c, row in zip(nums[n:], rows):
-                if c:
-                    out = [o + c * r for o, r in zip(out, row)]
-        else:
-            out = list(nums) + [0] * (n - len(nums))
-        return _lowest(self, out, den)
-
-    def _grow_reductions(self, count):
-        """At least count table rows; x * row, reduced once more, gives
-        the next row.  The longer table replaces the old one whole."""
-        rows = list(self._reductions)
-        first = rows[0]
-        while len(rows) < count:
-            last = rows[-1]
-            top = last[-1]
-            rows.append((top * first[0],) + tuple(a + top * b for a, b in zip(last, first[1:])))
-        self._reductions = tuple(rows)
-        return self._reductions
+        den > 0, reduced from the top down by x^degree mod modulus and
+        put in lowest terms."""
+        n, low = self.degree, self._low
+        out = list(nums)
+        while len(out) > n:
+            c = out.pop()
+            if c:
+                for i, r in enumerate(low, len(out) - n):
+                    out[i] += c * r
+        return _lowest(self, out + [0] * (n - len(out)), den)
 
     def from_rational(self, x):
         x = x if isinstance(x, int) else Fraction(x)

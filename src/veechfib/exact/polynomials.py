@@ -253,10 +253,13 @@ def parse_polynomial(text):
     Every term after the first starts with its sign, and all terms use
     one variable letter (x or y).  A degree past MAX_PARSED_DEGREE is
     refused (CapExceededError) from the merged terms, before any
-    coefficient list is built."""
+    coefficient list is built; a digit run past Python's default
+    int-to-str limit of 4 300 digits, before int() reads it."""
     text = text.strip().replace("**", "^")
     if not text:
         raise InvalidArgumentError("empty polynomial string")
+    if re.search(r"\d{4301}", text):
+        raise InvalidArgumentError("polynomial has a number of more than 4300 digits")
     if "x" in text and "y" in text:
         raise InvalidArgumentError(f"polynomial mixes variables: {text!r}")
     coeffs = {}

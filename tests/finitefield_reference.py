@@ -5,13 +5,41 @@ A product is a dense product reduced mod p after every multiply-add,
 then long division by the modulus; a power is square-and-multiply on
 those products; irreducibility is the distinct-degree test, which
 recomputes x^(p^k) mod f by a full power for every k and takes
-gcd(f, x^(p^k) - x) for every k <= n/2.  Polynomials are tuples of ints
-in [0, p), ascending degree; this only serves tests.
+gcd(f, x^(p^k) - x) for every k <= n/2 by schoolbook Euclid.
+Polynomials are tuples of ints in [0, p), ascending degree; this only
+serves tests.
 """
 
-from veechfib.errors import InvalidArgumentError
-from veechfib.exact.finitefield import is_prime, pgcd, pmod, preduce, pstrip
+from veechfib.errors import DivisionByZeroError, InvalidArgumentError
+from veechfib.exact.finitefield import is_prime, preduce, pstrip
 from veechfib.exact.polynomials import IntPolynomial
+
+
+def pmod(f, g, p):
+    if not g:
+        raise DivisionByZeroError("polynomial division by zero mod p")
+    f = list(f)
+    inv = pow(g[-1], p - 2, p)
+    while len(f) >= len(g):
+        c = f[-1] * inv % p
+        shift = len(f) - len(g)
+        if c:
+            for i, b in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * b) % p
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return tuple(f)
+
+
+def pgcd(f, g, p):
+    f, g = pstrip(f), pstrip(g)
+    while g:
+        f, g = g, pmod(f, g, p)
+    if f:
+        inv = pow(f[-1], p - 2, p)
+        f = tuple(c * inv % p for c in f)
+    return f
 
 
 def psub(f, g, p):

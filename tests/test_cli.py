@@ -486,6 +486,21 @@ def test_group_order_past_the_parse_cap_exit_1_before_the_coefficient_list(capsy
     }
 
 
+def test_group_order_refuses_digit_runs_past_the_int_limit_exit_2(capsys):
+    # int() refuses more than 4 300 digits; the parser refuses them first
+    nines = "9" * 5000
+    for modulus in (f"x^{nines}", f"x^2+{nines}"):
+        code, out, err = run_cli(capsys, "group-order", "--p", "3", "--modulus", modulus)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "InvalidArgumentError",
+            "message": "polynomial has a number of more than 4300 digits",
+        }
+    code, out, err = run_cli(capsys, "group-order", "--p", "3", "--modulus", "x^100001")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "CapExceededError"
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

@@ -3,7 +3,7 @@ import random
 
 import finitefield_reference
 import pytest
-from finitefield_reference import pmul
+from finitefield_reference import pgcd, pmod, pmul
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ from veechfib.exact.finitefield import (
     is_irreducible_mod_p,
     is_prime,
     is_quadratic_nonresidue,
-    pmod,
     preduce,
     pstrip,
 )
@@ -114,12 +113,6 @@ def test_inverse_of_zero_is_typed():
     with pytest.raises(DivisionByZeroError) as err:
         field.zero.inverse()
     assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
-
-
-def test_polynomial_remainder_by_zero_is_typed():
-    with pytest.raises(DivisionByZeroError) as err:
-        pmod((1, 2, 1), (), 5)
-    assert isinstance(err.value, ZeroDivisionError)
 
 
 def test_element_index_round_trip():
@@ -225,6 +218,26 @@ def test_irreducibility_refusals_match_the_reference():
         result, refusal = _kernel(f, p)
         assert result is None and refusal is not None
         assert refusal == _reference(f, p)[1]
+
+
+def _dense(draw, p, degree):
+    """A polynomial over F_p of exactly the given degree."""
+    lead = draw(st.integers(1, p - 1))
+    return tuple(draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))) + (lead,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 101, 10_007]))
+def test_fold_gcd_matches_the_reference_euclid(data, p):
+    # divisors of degree 1-8 and dividends of degree up to 64, sharing a
+    # factor of degree 0-2; a long fold by a degree-8 divisor adds up to
+    # 8 products of up to (p - 1)^2 to one slot, the worst case its width
+    # is sized for
+    common = _dense(data.draw, p, data.draw(st.integers(0, 2)))
+    g = pmul(_dense(data.draw, p, data.draw(st.integers(1, 6))), common, p)
+    f = pmul(_dense(data.draw, p, data.draw(st.integers(0, 62))), common, p)
+    for a, b in ((f, g), (g, f)):
+        assert finitefield._coprime(a, b, p) == (len(pgcd(a, b, p)) == 1)
 
 
 def test_irreducibility_builds_the_frobenius_matrix_once(monkeypatch):
