@@ -12,7 +12,8 @@ contains -I, whence the degree is q(q^2 - 1) or q(q^2 - 1)/2.
 group_closure_order provides the independent oracle: the exact order
 of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
 of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
-fits under a configurable cap.
+fits under a configurable cap.  Transversals stop once the stabiliser
+is all of F_q; the rest of the orbit is plain reachability.
 
 riemann_hurwitz_cover and cover_twisting are the bookkeeping half:
 cusp counts |G|/k per base cusp, the genus from the base's orbifold
@@ -206,8 +207,9 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     generator has determinant 1 these all have the form [[1, t], [0, 1]]:
     Stab(e1) is a subgroup of (F_q, +), kept as the set of its t.  A
     new t joins with its multiples, the cosets stab + t, ...,
-    stab + (p - 1) t, and the walk stops collecting once the set is all
-    of F_q.
+    stab + (p - 1) t.  Phase 1 walks until the set is all of F_q; then
+    no Schreier generator can add a t, so phase 2 counts the rest of the
+    orbit by reachability alone, with no transversal column.
 
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
     CapExceededError up front otherwise (check_closure_cap); the
@@ -228,7 +230,8 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     second[q] = (0, 1)
     orbit = [(1, 0)]
     stab = {0}
-    for x, y in orbit:  # grows while it is walked
+    walk = iter(orbit)  # the orbit grows while it is walked
+    for x, y in walk:  # phase 1
         b, d = second[x * q + y]
         for ma, mb, mc, md in gens:
             sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]
@@ -236,7 +239,7 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
             if w is None:
                 second[sx * q + sy] = (add[ma[b]][mb[d]], add[mc[b]][md[d]])
                 orbit.append((sx, sy))
-            elif len(stab) < q:
+            else:
                 # t is the top-right entry of u_{sv}^-1 (s u_v)
                 sb, sd = add[ma[b]][mb[d]], add[mc[b]][md[d]]
                 t = add[mul[w[1]][sb]][neg[mul[w[0]][sd]]]
@@ -245,6 +248,14 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
                     for _ in range(p - 1):
                         coset = [add[r][t] for r in coset]
                         stab.update(coset)
+        if len(stab) == q:
+            break
+    for x, y in walk:  # phase 2, from the first unwalked point
+        for ma, mb, mc, md in gens:
+            sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]
+            if second[sx * q + sy] is None:
+                second[sx * q + sy] = True
+                orbit.append((sx, sy))
     return len(orbit) * len(stab)
 
 

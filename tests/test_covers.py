@@ -65,6 +65,10 @@ def test_closure_f9_exceptional_and_generic():
     assert group_closure_order(theorem_generator_pair(field, abar)) == 120
     # a residue NOT squaring to -1 generates the full group of order 720
     assert group_closure_order(theorem_generator_pair(field)) == 720
+    # a^2 = -1 puts a in the F_9 inside F_81: the same order-120 group
+    f81 = FiniteFieldSpec(3, IntPolynomial([2, 1, 0, 0, 1]))
+    a = next(a for a in f81.elements() if a * a == -f81.one)
+    assert group_closure_order(theorem_generator_pair(f81, a)) == 120
 
 
 def test_closure_prime_fields():
@@ -242,10 +246,13 @@ def test_dickson_desk_scale_oracle():
         (3, IntPolynomial([-1, 6, -5, 1]), 27 * (27 * 27 - 1)),  # degree-3 parameter
         (7, IntPolynomial([-1, -1, 1]), 49 * (49 * 49 - 1) // 2 * 2),
         (5, IntPolynomial([2, -4, 1]), 25 * (25 * 25 - 1)),  # D = 8 parameter
+        # F_243 and F_343, the closure-oracle workload's moduli, past the default cap
+        (3, IntPolynomial([1, -1, 0, 0, 0, 1]), 243 * (243 * 243 - 1)),
+        (7, IntPolynomial([2, 0, 0, 1]), 343 * (343 * 343 - 1)),
     ]
     for p, modulus, expected in cases:
         field = FiniteFieldSpec(p, modulus)
-        order = group_closure_order(theorem_generator_pair(field))
+        order = group_closure_order(theorem_generator_pair(field), cap=10**9)
         assert order == expected, (p, modulus, order)
 
 
@@ -327,12 +334,39 @@ def _generator(field, kind, i, j, k):
 @example(q=27, draws=[("upper-shear", 3, 0, 0), ("lower-shear", 1, 0, 0)])
 @example(q=7, draws=[("general", 2, 3, 4), ("general", 0, 5, 1)])
 @example(q=4, draws=[("lower-shear", 1, 0, 0), ("general", 2, 1, 3), ("minus-identity", 0, 0, 0)])
+# Borel subgroups: shears by 1 and x with diag(x + 1, 1/(x + 1)).  Stab(e1)
+# fills to all of F_q while the orbit {((x + 1)^k, 0)} is still partial
+@example(q=9, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 4, 0, 0)])
+@example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("general", 6, 0, 0)])
+@example(q=27, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 4, 0, 0)])
 @settings(max_examples=100, deadline=None)
 def test_orbit_stabiliser_matches_bfs(q, draws):
     p, modulus = SMALL_FIELDS[q]
     field = FiniteFieldSpec(p, IntPolynomial(modulus))
     spec = MatrixGroupSpec(field, tuple(_generator(field, *draw) for draw in draws))
     assert group_closure_order(spec) == bfs_closure_order(spec)
+
+
+@pytest.mark.parametrize(
+    "p, modulus, expected", [(3, [1, 0, 1], 72), (5, [2, 0, 1], 600), (3, [1, -1, 0, 1], 702)]
+)
+def test_closure_borel_subgroup_is_q_times_q_minus_one(p, modulus, expected):
+    # lam = x + 1 is primitive in each field.  The shears by 1 and x fix
+    # e1, and conjugating by diag(lam, 1/lam) scales a shear's t by lam^2,
+    # so Stab(e1) is all of F_q while the orbit is the q - 1 points
+    # (lam^k, 0): the walk must finish a partial orbit without transversals
+    field = FiniteFieldSpec(p, IntPolynomial(modulus))
+    one, zero, lam = field.one, field.zero, field.generator + field.one
+    spec = MatrixGroupSpec(
+        field,
+        (
+            ((one, one), (zero, one)),
+            ((one, field.generator), (zero, one)),
+            ((lam, zero), (zero, one / lam)),
+        ),
+    )
+    q = field.order
+    assert group_closure_order(spec) == q * (q - 1) == expected
 
 
 def test_f9_exception_depends_on_residue():
