@@ -36,7 +36,7 @@ from .errors import (
     InvalidRootDataError,
 )
 from .exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
-from .exact.polynomials import IntPolynomial, prime_factors, rational_to_str
+from .exact.polynomials import IntPolynomial, rational_to_str
 
 
 class _OrbifoldFields(NamedTuple):
@@ -220,7 +220,7 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     p, q = field.p, field.order
     check_closure_cap(p, field.degree, cap)
     mul, add = _field_tables(field)
-    neg = mul[field.element_index(-field.one)]
+    neg = mul[p - 1]  # the row of -1
     idx = field.element_index
     # a generator as its four multiplication rows: s (x, y) = (ax + by, cx + dy)
     gens = [tuple(mul[idx(e)] for e in (a, b, c, d)) for (a, b), (c, d) in spec.generators]
@@ -287,24 +287,14 @@ def _field_tables(field):
     """Multiplication and addition tables of F_q on element indices.
 
     Index i is the residue whose coefficients are the base-p digits of
-    i (FiniteFieldSpec.element_index).  Products come from discrete
-    logarithms to a primitive element, sums from digitwise addition
-    mod p, so the only FFElement products are the q - 1 powers of that
-    element.
+    i (FiniteFieldSpec.element_index).  Sums add digitwise mod p.  A
+    product by a fixed element is F_p-linear, so with s the lowest
+    place value at which i has a nonzero digit, row i is row i - s plus
+    row s, and row s = p^k is row p^(k-1) followed by multiplication by
+    x.  That map shifts the digits up one place and folds the top digit
+    back as that multiple of x^n mod f, the only field value formed.
     """
-    p, q = field.p, field.order
-    g = _primitive_element(field)
-    exp = []
-    power = field.one
-    for _ in range(q - 1):
-        exp.append(field.element_index(power))
-        power = power * g
-    log = [0] * q
-    for k, e in enumerate(exp):
-        log[e] = k
-    exp2 = exp + exp
-    logs = log[1:]
-    mul = [[0] * q] + [[0] + [exp2[log[i] + k] for k in logs] for i in range(1, q)]
+    p, q, n = field.p, field.order, field.degree
     # i = i0 + p * i' adds digitwise: (i0 + j0) mod p + p * (i' + j')
     low = [[(a + b) % p for b in range(p)] for a in range(p)]
     add = low
@@ -313,18 +303,22 @@ def _field_tables(field):
             [p * h + lo for h in add[i // p] for lo in low[i % p]]
             for i in range(len(add) * p)
         ]
+    xn = field.element_index(field.element([0] * n + [1]))
+    c_xn = [0]  # c_xn[c] = c * (x^n mod f)
+    for _ in range(p - 1):
+        c_xn.append(add[c_xn[-1]][xn])
+    top = q // p
+    times_x = [add[j % top * p][c_xn[j // top]] for j in range(q)]
+    mul = [[0] * q, list(range(q))]
+    for i in range(2, q):
+        s = 1
+        while i // s % p == 0:
+            s *= p
+        if i == s:
+            mul.append([times_x[k] for k in mul[s // p]])
+        else:
+            mul.append([add[a][b] for a, b in zip(mul[i - s], mul[s])])
     return mul, add
-
-
-def _primitive_element(field):
-    """Least-index generator of the multiplicative group of the field."""
-    m = field.order - 1
-    primes = prime_factors(m)
-    return next(
-        g
-        for g in map(field.element_from_index, range(1, field.order))
-        if all(g ** (m // r) != field.one for r in primes)
-    )
 
 
 # ---------------------------------------------------------------------------

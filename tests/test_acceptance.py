@@ -22,7 +22,7 @@ from veechfib.covers import (
     group_closure_order,
     theorem_generator_pair,
 )
-from veechfib.errors import InconsistentCoverError
+from veechfib.errors import InadmissiblePrimeError, InconsistentCoverError
 from veechfib.exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
 from veechfib.exact.polynomials import IntPolynomial
 from veechfib.families import (
@@ -187,6 +187,37 @@ def test_c2_oracle_matches_congruence_degree(n, p):
         assert (table, oracle) == ORACLE_DISAGREES[(n, p)]
     else:
         assert oracle == table
+
+
+# Beyond the polygons: every even discriminant admitted at level 3 meets
+# the same (3, 2) branch with a residue that does not square to -1 in F_9,
+# while D = 5 mod 12 agree at 120.  (table order, oracle order)
+ORACLE_DISAGREES_BEYOND_POLYGONS = {
+    (f"weierstrass-{d}", 3): (120, 720) for d in (8, 20, 32, 44, 56, 68, 80, 92)
+}
+
+
+def test_c2_oracle_matches_congruence_degree_beyond_polygons():
+    tags = ["E7", "E8"] + [
+        f"weierstrass-{d}" for d in range(5, 101) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d
+    ]
+    levels, disagreements = 0, {}
+    for tag in tags:
+        m_alpha, genus = family_alpha_polynomial(tag)
+        for p in (3, 5, 7, 11, 13):
+            q = p**genus
+            if q * (q * q - 1) > DEFAULT_CLOSURE_CAP:
+                continue
+            try:
+                table = congruence_degree(m_alpha, p, genus, True).group_order
+            except InadmissiblePrimeError:
+                continue
+            levels += 1
+            oracle = group_closure_order(theorem_generator_pair(FiniteFieldSpec(p, m_alpha)))
+            if oracle != table:
+                disagreements[(tag, p)] = (table, oracle)
+    assert levels == 103
+    assert disagreements == ORACLE_DISAGREES_BEYOND_POLYGONS
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from veechfib import covers
 from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
     MatrixGroupSpec,
@@ -24,8 +25,9 @@ from veechfib.errors import (
     InvalidRootDataError,
 )
 from veechfib.exact.finitefield import FiniteFieldSpec
-from veechfib.exact.polynomials import IntPolynomial
+from veechfib.exact.polynomials import IntPolynomial, parse_polynomial
 
+import bfs_oracle
 from bfs_oracle import bfs_closure_order
 
 GOLDEN_SQUARED = IntPolynomial([1, -3, 1])  # congruence parameter of D = 5
@@ -278,6 +280,33 @@ def test_dickson_oracle_sl2_125_exhaustive():
     pair = theorem_generator_pair(field)
     assert bfs_closure_order(pair) == expected.group_order
     assert group_closure_order(pair) == expected.group_order
+
+
+@pytest.mark.parametrize(
+    "p, modulus",
+    [
+        (2, "x+1"),
+        (2, "x^2+x+1"),
+        (2, "x^3+x+1"),
+        (2, "x^4+x+1"),
+        (3, "x"),
+        (3, "x^2+1"),
+        (3, "2*x^2+x+1"),  # not monic
+        (3, "x^3-x+1"),
+        (3, "x^4+x+2"),
+        (5, "x-2"),
+        (5, "x^2+2"),
+        (5, "3*x^2+1"),  # not monic
+        (7, "x^2+1"),
+        (11, "x^2+1"),
+        (13, "x-3"),
+    ],
+)
+def test_field_tables_match_ffelement_arithmetic(p, modulus):
+    # the oracle's tables, built from multiplication by x, entry by entry
+    # against the reference's, built from FFElement products and sums
+    field = FiniteFieldSpec(p, parse_polynomial(modulus))
+    assert covers._field_tables(field) == bfs_oracle._field_tables(field)
 
 
 # q -> (p, modulus coefficients, constant term first)
