@@ -409,7 +409,7 @@ class PowerBasis:
             raise MixedModulusError("alpha and element live in different fields")
         n, d = self._echelon.pivot_columns, self.degree
         count = d if count is None else max(count, 0)
-        reduced = self._echelon.reduce(list(elem.nums) + [0] * (n + 1))
+        reduced = self._echelon.reduce(list(elem.nums) + [0] * d)
         # pivot * elem.nums = -sum_j a_j alpha^j when the ambient part is 0;
         # the coordinates are unique, so a count below the degree needs
         # the ones past it to vanish

@@ -3,8 +3,8 @@
 Polynomials are immutable ``IntPolynomial`` values holding a tuple of
 arbitrary-precision coefficients in ascending degree; the zero
 polynomial is the empty tuple.  Nothing here divides in Q[x]: a
-rational polynomial is an integer one up to a positive factor, so gcds,
-squarefree parts and field inverses run on the integer pseudo-division
+rational polynomial is an integer one up to a positive factor, so Sturm
+chains and field inverses run on the integer pseudo-division
 ``pseudo_divmod`` (c f = q g + r, c a positive integer), with each
 remainder divided by its content (the primitive PRS; Brown 1971).
 Exact division is one integer long division, given up at the first
@@ -18,11 +18,14 @@ of it is exact integer arithmetic; no floating point enters anywhere.
 Real roots are isolated with Sturm chains on integers: every member is
 a positive integer multiple of the usual one, and its sign at a
 rational a/d is the sign of the homogenised value d^n f(a/d), found by
-integer Horner in ``homogeneous_value``.  The chain counts roots while
-the search interval shrinks to one root, one chain evaluation per
-halving.  The result is a ``RootInterval``, refined to any rational
-width by the sign of the squarefree part at each midpoint, through the
-same helper; refinement evaluates no Sturm chain.
+integer Horner in ``homogeneous_value``.  The last member of f's chain
+is a primitive gcd(f, f'): a squarefree part divides f by it, and
+isolation divides the whole chain by it, so it runs one remainder
+sequence.  The chain counts roots while the search interval shrinks to
+one root, one chain evaluation per halving.  The result is a
+``RootInterval``, refined to any rational width by the sign of the
+squarefree part at each midpoint, through the same helper; refinement
+evaluates no Sturm chain.
 """
 
 from __future__ import annotations
@@ -94,6 +97,14 @@ def pseudo_divmod(f, g):
 # ---------------------------------------------------------------------------
 
 
+def _integer(c):
+    """An int or an integral Fraction as an int; anything else is refused
+    rather than truncated."""
+    if isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1):
+        return int(c)
+    raise InvalidArgumentError(f"polynomial coefficient {c!r} is not an integer")
+
+
 class IntPolynomial:
     """Integer-coefficient polynomial, coefficients ascending by degree.
 
@@ -104,7 +115,7 @@ class IntPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
-        coeffs = [int(c) for c in coefficients]
+        coeffs = [c if type(c) is int else _integer(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -291,42 +302,29 @@ def rational_to_str(x):
 
 
 # ---------------------------------------------------------------------------
-# gcd / squarefree over Z
-# ---------------------------------------------------------------------------
-
-
-def int_gcd_poly(f, g):
-    """Primitive positive gcd of two integer polynomials, by the
-    primitive PRS: content-free pseudo-remainders."""
-    a, b = f.coefficients, g.coefficients
-    while b:
-        a, b = b, _content_free(pseudo_divmod(a, b)[1])
-    return IntPolynomial(a).primitive_part()
-
-
-def squarefree_part(f):
-    """f with repeated roots stripped; primitive, positive leading term.
-    The gcd with f' is primitive, so by Gauss's lemma it divides f in
-    Z[x]."""
-    if f.degree <= 0:
-        return f.primitive_part()
-    return f.try_exact_divide(int_gcd_poly(f, f.derivative())).primitive_part()
-
-
-# ---------------------------------------------------------------------------
-# Sturm chains and root isolation
+# Sturm chains, squarefree parts and root isolation
 # ---------------------------------------------------------------------------
 
 
 def sturm_chain(f):
-    """Sturm chain of a squarefree IntPolynomial.  Each member is an
+    """Sturm chain of a nonconstant IntPolynomial.  Each member is an
     integer coefficient tuple, a positive multiple of the usual f, f',
-    -rem(f, f'), ..."""
+    -rem(f, f'), ...; the last member is a primitive gcd(f, f') up to
+    sign, a constant exactly when f is squarefree."""
     first = _content_free(f.coefficients)
     chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
     while chain[-1]:
         chain.append(_content_free([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
     return [c for c in chain if c]
+
+
+def squarefree_part(f):
+    """f with repeated roots stripped; primitive, positive leading term.
+    The last member of f's Sturm chain is a primitive gcd(f, f'), so by
+    Gauss's lemma it divides f in Z[x]."""
+    if f.degree <= 0:
+        return f.primitive_part()
+    return f.try_exact_divide(IntPolynomial(sturm_chain(f)[-1])).primitive_part()
 
 
 def sign_variations(chain, x):
@@ -428,10 +426,14 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
         raise InvalidArgumentError("zero polynomial has no distinguished root")
     if f.degree == 0:
         raise NoRealRootError(f"{f} has no real root")
-    sf_poly = squarefree_part(f)
-    sf = sf_poly.coefficients
-    chain = sturm_chain(sf_poly)
-    hi = cauchy_root_bound(sf_poly)
+    chain = sturm_chain(f)
+    gcd = IntPolynomial(chain[-1])
+    if gcd.degree > 0:
+        # divided by gcd(f, f'), f's chain is a Sturm chain of the
+        # squarefree part, which it starts with (up to sign)
+        chain = [IntPolynomial(m).try_exact_divide(gcd).coefficients for m in chain]
+    sf = chain[0]
+    hi = cauchy_root_bound(IntPolynomial(sf))
     lo = -hi
     var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
     if var_lo == var_hi:

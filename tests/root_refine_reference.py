@@ -4,12 +4,16 @@ This is the refinement the library used before it bisected by sign
 changes: every step evaluates the whole Sturm chain at the midpoint and
 at the upper end, and keeps (mid, hi] while it still counts a root.  The
 isolation around it is the library's shrink loop, unchanged, so the two
-routes differ only in how they refine.  Endpoints are returned as
-(lower, upper) Fraction pairs; this only serves tests.
+routes differ only in how they refine.  The squarefree part is f over
+its Fraction gcd with f', not the library's, so the reference runs two
+remainder sequences where the library runs one.  Endpoints are returned
+as (lower, upper) Fraction pairs; this only serves tests.
 """
 
+import math
 from fractions import Fraction
 
+import fraction_reference
 from fraction_reference import qeval
 from veechfib.errors import InvalidArgumentError, NoRealRootError
 from veechfib.exact.polynomials import (
@@ -17,9 +21,17 @@ from veechfib.exact.polynomials import (
     IntPolynomial,
     cauchy_root_bound,
     sign_variations,
-    squarefree_part,
     sturm_chain,
 )
+
+
+def squarefree_part(f):
+    """f divided by its monic gcd with f' over Q, scaled to a primitive
+    integer polynomial with a positive leading term."""
+    gcd = fraction_reference.gcd(f.coefficients, f.derivative().coefficients)
+    quotient = fraction_reference.divide(f.coefficients, gcd)[0]
+    den = math.lcm(*(c.denominator for c in quotient))
+    return IntPolynomial([c * den for c in quotient]).primitive_part()
 
 
 def count_roots_in(chain, lo, hi):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fraction_reference
 import root_refine_reference as reference
+from veechfib.covers import congruence_degree
 from veechfib.errors import (
     CapExceededError,
     DivisionByZeroError,
@@ -24,7 +25,6 @@ from veechfib.exact.polynomials import (
     divisors,
     euler_phi,
     homogeneous_value,
-    int_gcd_poly,
     isolate_largest_real_root,
     minpoly_two_cos,
     parse_polynomial,
@@ -215,6 +215,44 @@ def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadrati
         assert _bounds(direct.refine(width)) == expected
 
 
+_MULTIPLICITIES = st.lists(st.integers(1, 3), min_size=5, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=_ROOTS, multiplicities=_MULTIPLICITIES, quadratic=_QUADRATICS)
+# the squarefree part x(x - 5) has its double root 0 at the first midpoint
+@example(roots=[Fraction(0), Fraction(5)], multiplicities=[2, 1, 1, 1, 1], quadratic=None)
+def test_isolation_matches_sturm_reference_on_repeated_roots(roots, multiplicities, quadratic):
+    f = IntPolynomial([1])
+    for r, k in zip(roots, multiplicities):
+        for _ in range(k):
+            f = f * IntPolynomial([-r.numerator, r.denominator])
+    if quadratic is not None:
+        q = IntPolynomial([quadratic[1], quadratic[0], 1])
+        f = f * q * q
+    for width in _WIDTHS:
+        interval = isolate_largest_real_root(f, width)
+        assert _bounds(interval) == reference.isolate_largest_real_root(f, width)
+
+
+@pytest.mark.parametrize("h", (5, 18, 30, 37, 64))
+def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
+    # gcd(f, f') is read off f's own Sturm chain, so isolating f runs no
+    # remainder sequence besides that chain's
+    f = minpoly_two_cos(h)
+    expected = len(sturm_chain(f)) - 1
+    calls = []
+    original = polynomials.pseudo_divmod
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polynomials, "pseudo_divmod", counted)
+    isolate_largest_real_root(f, Fraction(1, 2**30))
+    assert len(calls) == expected
+
+
 def test_refinement_midpoint_on_a_rational_root():
     # roots 0 and 3/4; (0, 1] isolates 3/4, and the second midpoint is 3/4
     f = IntPolynomial([0, 1]) * IntPolynomial([-3, 4])
@@ -309,6 +347,19 @@ def test_sturm_members_keep_their_signs(h, x):
         assert (value > 0) - (value < 0) == (ref > 0) - (ref < 0)
 
 
+@pytest.mark.parametrize("coeff", [0.9, "3", None, math.nan, Fraction(-1, 2)], ids=repr)
+def test_non_integer_coefficients_are_refused(coeff):
+    # a coefficient is never truncated: x + 0.9 is not x, and the root of
+    # x - 1/2 is not 0
+    with pytest.raises(InvalidArgumentError, match="is not an integer"):
+        IntPolynomial([coeff, 1])
+    with pytest.raises(InvalidArgumentError):
+        isolate_largest_real_root([coeff, 1])
+    with pytest.raises(InvalidArgumentError):
+        congruence_degree([coeff, 0, 1], 3, 2, True)
+    assert IntPolynomial([Fraction(-4, 2), True]) == IntPolynomial([-2, 1])
+
+
 def test_exact_divide_by_zero_polynomial_is_typed():
     with pytest.raises(DivisionByZeroError) as err:
         IntPolynomial([1, 1]).try_exact_divide(IntPolynomial())
@@ -325,15 +376,13 @@ def _monic(coeffs):
 @settings(max_examples=150, deadline=None)
 @given(f=_INT_POLYS, g=_INT_POLYS)
 def test_gcd_and_squarefree_part_match_fraction_euclid(f, g):
-    # the primitive PRS gives the Fraction gcd up to a rational factor;
-    # f^2 g over its gcd with its derivative is the squarefree part
-    a, b = f * f * g, f * g.derivative()
-    assert _monic(int_gcd_poly(a, b).coefficients) == fraction_reference.gcd(
-        a.coefficients, b.coefficients
-    )
+    # the last member of the Sturm chain of a = f^2 g is the Fraction
+    # gcd(a, a') up to a rational factor; a over it is the squarefree part
+    a = f * f * g
+    reference_gcd = fraction_reference.gcd(a.coefficients, a.derivative().coefficients)
+    assert _monic(sturm_chain(a)[-1]) == reference_gcd
     sf = squarefree_part(a)
     assert sf.content() == 1 and sf.leading_coefficient > 0
-    reference_gcd = fraction_reference.gcd(a.coefficients, a.derivative().coefficients)
     quotient = fraction_reference.divide(a.coefficients, reference_gcd)[0]
     assert _monic(sf.coefficients) == _monic(quotient)
 
