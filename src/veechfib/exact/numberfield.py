@@ -284,7 +284,10 @@ class NumberFieldElement:
         denominator D of the element and e of the interval: after k
         steps the bounds are integers over D e^(k-1), one positive
         denominator, so every min and max is the one Fraction Horner
-        takes, and the bounds are the same rationals.
+        takes, and the bounds are the same rationals.  Over a nonnegative
+        root interval [p, q] the sign of each bound picks its product
+        (lo * p or lo * q, hi * q or hi * p), so two products replace
+        the four.
         """
         nums = list(self.nums)
         while nums and not nums[-1]:
@@ -296,10 +299,16 @@ class NumberFieldElement:
             (p, q), e = scaled_integers((root.lower, root.upper))
             alo = ahi = 0
             scale = 1
-            for c in reversed(nums):
-                products = (alo * p, alo * q, ahi * p, ahi * q)
-                alo, ahi = min(products) + c * scale, max(products) + c * scale
-                scale *= e
+            if p >= 0:
+                for c in reversed(nums):
+                    t = c * scale
+                    alo, ahi = alo * (p if alo >= 0 else q) + t, ahi * (q if ahi >= 0 else p) + t
+                    scale *= e
+            else:
+                for c in reversed(nums):
+                    products = (alo * p, alo * q, ahi * p, ahi * q)
+                    alo, ahi = min(products) + c * scale, max(products) + c * scale
+                    scale *= e
             bound_den = self.den * scale // e
             lo, hi = Fraction(alo, bound_den), Fraction(ahi, bound_den)
             if root.is_exact or done(lo, hi):

@@ -22,7 +22,8 @@ integer Horner in ``homogeneous_value``.  The last member of f's chain
 is a primitive gcd(f, f'): a squarefree part divides f by it, and
 isolation divides the whole chain by it, so it runs one remainder
 sequence.  The chain counts roots while the search interval shrinks to
-one root, one chain evaluation per halving.  The result is a
+one root, one chain evaluation per halving, from (-B, B) for the power
+of two B = ``root_bound(f)`` above Fujiwara's bound.  The result is a
 ``RootInterval``, refined to any rational width by the sign of the
 squarefree part at each midpoint, through the same helper; refinement
 evaluates no Sturm chain.
@@ -97,12 +98,12 @@ def pseudo_divmod(f, g):
 # ---------------------------------------------------------------------------
 
 
-def _integer(c):
+def exact_integer(c, what="polynomial coefficient"):
     """An int or an integral Fraction as an int; anything else is refused
     rather than truncated."""
     if isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1):
         return int(c)
-    raise InvalidArgumentError(f"polynomial coefficient {c!r} is not an integer")
+    raise InvalidArgumentError(f"{what} {c!r} is not an integer")
 
 
 class IntPolynomial:
@@ -115,7 +116,7 @@ class IntPolynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
-        coeffs = [c if type(c) is int else _integer(c) for c in coefficients]
+        coeffs = [c if type(c) is int else exact_integer(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -343,11 +344,22 @@ def sign_variations(chain, x):
     return count
 
 
-def cauchy_root_bound(f):
-    """B with all real roots of the IntPolynomial f strictly inside
-    [-B, B]."""
-    coeffs = f.coefficients
-    return 1 + Fraction(max((abs(c) for c in coeffs[:-1]), default=0), abs(coeffs[-1]))
+def root_bound(f):
+    """A power of two B with every real root of the nonconstant
+    IntPolynomial f strictly inside (-B, B).
+
+    Fujiwara's bound (1916): every complex root of a_n x^n + ... + a_0
+    has modulus at most 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved.
+    B = 2^(j+1) for the least j >= 0 whose 2^j exceeds each of those
+    k-th roots, found exactly as |a_n| 2^(jk) > |a_(n-k)| (with 2 |a_n|
+    on the left for k = n), so B is above the bound, never on it."""
+    *rest, lead = (abs(c) for c in f.coefficients)
+    n, j = len(rest), 0
+    for k, c in enumerate(reversed(rest), 1):
+        scale = 2 * lead if k == n else lead
+        while scale << (j * k) <= c:
+            j += 1
+    return 2 << j
 
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
@@ -433,7 +445,7 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
         # squarefree part, which it starts with (up to sign)
         chain = [IntPolynomial(m).try_exact_divide(gcd).coefficients for m in chain]
     sf = chain[0]
-    hi = cauchy_root_bound(IntPolynomial(sf))
+    hi = Fraction(root_bound(IntPolynomial(sf)))
     lo = -hi
     var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
     if var_lo == var_hi:

@@ -35,9 +35,10 @@ as the integer polynomial lifts in mu used by the staircase parity
 check (the lifts are NOT reduced modulo the minimal polynomial, which
 matters when the minimal polynomial is not an even polynomial).
 
-Level-independent work runs once per model and stays on it: the power
-basis of alpha = mu^2 (``SurfaceModel.alpha_basis``) and the structural
-checks the family pipelines keep in ``SurfaceModel.memo``.
+Level-independent work runs once per model and stays on it: the order
+Z[alpha] of alpha = mu^2 in closed form (``SurfaceModel.alpha_basis``,
+see AlphaOrder) and the structural checks the family pipelines keep in
+``SurfaceModel.memo``.
 """
 
 from __future__ import annotations
@@ -50,14 +51,16 @@ from .errors import (
     InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
+    MixedModulusError,
     UnsupportedFamilyError,
     UnsupportedGraphError,
 )
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
-from .exact.numberfield import PowerBasis, RealAlgebraicField, in_order  # noqa: F401  (kept bound)
+from .exact.numberfield import RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, cos_two_pi_minpoly, euler_phi, isolate_largest_real_root
+    IntPolynomial, _two_cos_power_polys, cos_two_pi_minpoly, euler_phi, exact_integer,
+    isolate_largest_real_root, translate,
 )
 from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
 
@@ -70,11 +73,15 @@ class BipartiteIntersectionGraph:
 
     Rows index the black curves, columns the white curves; entry (i, j)
     counts intersection points.  The graph must be connected with no
-    zero row or column (the pair fills the surface).
+    zero row or column (the pair fills the surface).  Entries are ints
+    or integral Fractions; anything else is refused, not truncated.
     """
 
     def __init__(self, intersections):
-        q = tuple(tuple(int(x) for x in row) for row in intersections)
+        q = tuple(
+            tuple(x if type(x) is int else exact_integer(x, "intersection count") for x in row)
+            for row in intersections
+        )
         if not q or not q[0]:
             raise InvalidArgumentError("intersection matrix must be nonempty")
         if any(len(row) != len(q[0]) for row in q):
@@ -333,8 +340,9 @@ class SurfaceModel(_SurfaceFields):
 
     @cached_property
     def alpha_basis(self):
-        """Echelon power basis of alpha = mu^2, built once per model."""
-        return PowerBasis(self.mu * self.mu)
+        """Z[alpha] for alpha = mu^2 in closed form (AlphaOrder), built and
+        certified once per model."""
+        return AlphaOrder.of_model(self)
 
     def to_json(self):
         return {
@@ -348,6 +356,58 @@ class SurfaceModel(_SurfaceFields):
             "zero_partition": list(self.zero_partition),
             "core_curves_cross_boundary_once": True,
         }
+
+
+class AlphaOrder(NamedTuple):
+    """Z[alpha] for alpha = mu^2 in a model field, in closed form.
+
+    Even modulus f = g(x^2): m_alpha = g, and Z[alpha] holds the elements
+    with denominator 1 and every odd coordinate 0.  Odd modulus: mu =
+    -C_k(alpha - 2) for k = (h - 1)/2, h odd and read from the family
+    tag, C_k(2cos t) = 2cos(kt) in Z[x].  That identity, checked once,
+    gives Z[alpha] = Z[mu], the elements with denominator 1, and
+    m_alpha(x^2) = (-1)^n f(x) f(-x) for n = deg f.  Any other model is
+    refused (InapplicableModelError).
+    """
+
+    alpha: object
+    m_alpha: IntPolynomial
+    odd_coordinates_vanish: bool
+
+    @classmethod
+    def of_model(cls, model):
+        mu, modulus = model.mu, model.mu.field.modulus
+        if modulus.even_terms_only():
+            return cls(mu * mu, IntPolynomial(modulus.coefficients[::2]), True)
+        try:
+            h = surface_tag(model.family_tag)[1]
+        except UnsupportedFamilyError:
+            h = 0
+        if h % 2 == 0:
+            raise InapplicableModelError(
+                f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
+                "no closed form for Z[mu^2]"
+            )
+        k = (h - 1) // 2
+        witness = translate(_two_cos_power_polys(k)[k], -2).coefficients  # C_k(y - 2)
+        in_mu = [0] * (2 * len(witness) - 1)
+        in_mu[::2] = witness
+        if mu.field.element(in_mu) != -mu:
+            raise InapplicableModelError(
+                f"mu != -C_{k}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
+            )
+        mirrored = IntPolynomial([-c if i % 2 else c for i, c in enumerate(modulus.coefficients)])
+        even = (modulus * mirrored * (-1) ** modulus.degree).coefficients
+        return cls(mu * mu, IntPolynomial(even[::2]), False)
+
+    def minimal_polynomial(self):
+        return self.m_alpha
+
+    def in_order(self, elem):
+        """Exact membership of elem in Z[alpha]."""
+        if elem.field != self.alpha.field:
+            raise MixedModulusError("alpha and element live in different fields")
+        return elem.den == 1 and not (self.odd_coordinates_vanish and any(elem.nums[1::2]))
 
 
 @lru_cache(maxsize=None)
@@ -491,16 +551,18 @@ def holonomy_basis_check(model):
     Horizontal core curves have holonomy (mu*height, 0) and vertical
     ones (0, mu*height); membership in Z[alpha]*(mu^2, 0) + Z[alpha]*
     (0, y*mu) with alpha = mu^2 and y the lowest vertical height is
-    decided exactly by reducing each coordinate against the model's
-    alpha power basis.  Each basis vector is inverted once per call.
+    decided exactly for each coordinate divided by its basis vector, by
+    the closed form of Z[alpha] (AlphaOrder: integer coordinates, and
+    for an even modulus no odd ones).  Each basis vector is inverted
+    once per call.
     """
-    alpha_basis = model.alpha_basis
+    order = model.alpha_basis
     y = min(model.vertical, key=lambda c: c.height).height
     # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
-    bases = ((model.horizontal, alpha_basis.alpha), (model.vertical, y * model.mu))
+    bases = ((model.horizontal, order.alpha), (model.vertical, y * model.mu))
     for cylinders, basis in bases:
         inverse = basis.inverse()
-        if not all(alpha_basis.in_order(cyl.circumference * inverse) for cyl in cylinders):
+        if not all(order.in_order(cyl.circumference * inverse) for cyl in cylinders):
             return False
     return True
 

@@ -3,11 +3,12 @@
 This is the refinement the library used before it bisected by sign
 changes: every step evaluates the whole Sturm chain at the midpoint and
 at the upper end, and keeps (mid, hi] while it still counts a root.  The
-isolation around it is the library's shrink loop, unchanged, so the two
-routes differ only in how they refine.  The squarefree part is f over
-its Fraction gcd with f', not the library's, so the reference runs two
-remainder sequences where the library runs one.  Endpoints are returned
-as (lower, upper) Fraction pairs; this only serves tests.
+isolation around it is the library's shrink loop, unchanged and started
+from the same (-B, B) with B = root_bound, so the two routes differ
+only in how they refine.  The squarefree part is f over its Fraction
+gcd with f', not the library's, so the reference runs two remainder
+sequences where the library runs one.  Endpoints are returned as
+(lower, upper) Fraction pairs; this only serves tests.
 """
 
 import math
@@ -19,7 +20,7 @@ from veechfib.errors import InvalidArgumentError, NoRealRootError
 from veechfib.exact.polynomials import (
     DEFAULT_ROOT_WIDTH,
     IntPolynomial,
-    cauchy_root_bound,
+    root_bound,
     sign_variations,
     sturm_chain,
 )
@@ -74,7 +75,7 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
     sf_poly = squarefree_part(f)
     sf = sf_poly.coefficients
     chain = sturm_chain(sf_poly)
-    bound = cauchy_root_bound(sf_poly)
+    bound = Fraction(root_bound(sf_poly))
     lo, hi = -bound, bound
     if count_roots_in(chain, lo, hi) == 0:
         raise NoRealRootError(f"{f} has no real root")

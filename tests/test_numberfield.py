@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_reference
@@ -277,7 +277,13 @@ def _coordinates(draw, field, count=None):
     )
 
 
-@settings(max_examples=100, deadline=None)
+# no shrink phase: a failing draw is reported as found, in seconds, where
+# shrinking these products took minutes
+@settings(
+    max_examples=100,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(data=st.data())
 def test_field_product_matches_fraction_long_division(data):
     field = data.draw(_fields())
@@ -298,11 +304,29 @@ def test_field_product_matches_fraction_long_division(data):
     )
 
 
+@st.composite
+def _field_elements(draw):
+    field = draw(_fields())
+    return field, _coordinates(draw, field)
+
+
+def _interval_field(lower, upper):
+    """A quartic field whose root interval is [lower, upper], as given."""
+    modulus = IntPolynomial([1, 0, -10, 0, 1])
+    return RealAlgebraicField(modulus, RootInterval(modulus, lower, upper))
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_enclosure_matches_fraction_interval_horner(data):
-    field = data.draw(_fields())
-    elem = field.element(_coordinates(data.draw, field))
+@given(case=_field_elements())
+# one root interval of each sign, so both Horner branches run on every
+# run: negative and straddling 0 (four products), and lower = 0 (two),
+# where each bound is negative at one step and nonnegative at another
+@example(case=(_interval_field(Fraction(-7, 2), Fraction(-1, 3)), [3, -5, Fraction(2, 7), 4]))
+@example(case=(_interval_field(Fraction(-2, 3), Fraction(5, 4)), [Fraction(1, 2), -4, 7, -3]))
+@example(case=(_interval_field(0, Fraction(3, 2)), [-6, -6, 5, -3]))
+def test_enclosure_matches_fraction_interval_horner(case):
+    field, coordinates = case
+    elem = field.element(coordinates)
     root = field.root
     expected = fraction_reference.qeval_interval(
         fraction_reference.strip(elem.coeffs), root.lower, root.upper

@@ -30,6 +30,7 @@ from veechfib.exact.polynomials import (
     parse_polynomial,
     prime_factors,
     rational_to_str,
+    root_bound,
     scaled_integers,
     squarefree_part,
     sturm_chain,
@@ -213,6 +214,46 @@ def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadrati
         # built directly, the interval computes its squarefree part itself
         direct = RootInterval(f, start.lower, start.upper)
         assert _bounds(direct.refine(width)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=_ROOTS, quadratic=_QUADRATICS)
+# Fujiwara's bound is attained: 1 for x - 1, 16 for x + 16
+@example(roots=[Fraction(1)], quadratic=None)
+@example(roots=[Fraction(-16)], quadratic=None)
+def test_root_bound_is_a_power_of_two_above_every_real_root(roots, quadratic):
+    f = IntPolynomial([1])
+    for r in roots:
+        f = f * IntPolynomial([-r.numerator, r.denominator])
+    if quadratic is not None:
+        f = f * IntPolynomial([quadratic[1], quadratic[0], 1])
+    bound = root_bound(f)
+    assert isinstance(bound, int) and bound > 0 and bound & (bound - 1) == 0
+    assert all(-bound < r < bound for r in roots)
+    if quadratic is not None and quadratic[0] ** 2 - 4 * quadratic[1] > 0:
+        # both real roots of x^2 + bx + c lie strictly inside (-B, B)
+        # when it is positive at both ends and its vertex lies between
+        b, c = quadratic
+        assert bound**2 + b * bound + c > 0 and bound**2 - b * bound + c > 0
+        assert -2 * bound < b < 2 * bound
+
+
+def test_isolation_starts_from_the_power_of_two_bound(monkeypatch):
+    # Psi_502 = minimal polynomial of 2cos(2pi/502): its roots lie in
+    # (-2, 2), its coefficients reach 1.1 * 10^25, and the bound is 32, so the
+    # shrink loop evaluates the chain 18 times (94 from Cauchy's bound)
+    f = cos_two_pi_minpoly(502)
+    assert root_bound(f) == 32
+    calls = []
+    original = polynomials.sign_variations
+
+    def counted(chain, x):
+        calls.append(x)
+        return original(chain, x)
+
+    monkeypatch.setattr(polynomials, "sign_variations", counted)
+    isolate_largest_real_root(f, Fraction(1, 2**30))
+    assert len(calls) <= 20
 
 
 _MULTIPLICITIES = st.lists(st.integers(1, 3), min_size=5, max_size=5)

@@ -1,7 +1,10 @@
 import math
+import re
+from fractions import Fraction
 
 import pytest
 
+import power_basis_reference
 from root_refine_reference import count_roots_in
 from veechfib import thurston_veech
 from veechfib.errors import (
@@ -9,15 +12,16 @@ from veechfib.errors import (
     InapplicableModelError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
+    MixedModulusError,
     UnsupportedFamilyError,
     UnsupportedGraphError,
 )
 from veechfib.exact.linalg import charpoly, rank
-from veechfib.exact.numberfield import RealAlgebraicField
+from veechfib.exact.numberfield import PowerBasis, RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
-    cauchy_root_bound,
     minpoly_two_cos,
+    root_bound,
     squarefree_part,
     sturm_chain,
 )
@@ -73,6 +77,19 @@ def test_graph_validation():
         BipartiteIntersectionGraph(((-1,),))
 
 
+def test_graph_refuses_non_integer_counts():
+    # int() would read this as ((1, 0), (1, 2)), another surface
+    with pytest.raises(InvalidArgumentError, match="intersection count 1.7 is not an integer"):
+        BipartiteIntersectionGraph([[1.7, 0.5], [1, "2"]])
+    for bad in (0.5, "2", None, Fraction(1, 2)):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"intersection count {bad!r}")):
+            BipartiteIntersectionGraph([[1, bad], [1, 1]])
+    # an integral Fraction is the integer it equals
+    graph = BipartiteIntersectionGraph([[Fraction(2), 1]])
+    assert graph == BipartiteIntersectionGraph([[2, 1]])
+    assert [type(x) for x in graph.intersections[0]] == [int, int]
+
+
 def test_perron_frobenius_refuses_graph_leaf_propagation_cannot_solve():
     # the 4-cycle: two black curves each meeting both white curves once
     # (dominant eigenvalue 2); no vertex equation ever has one unknown
@@ -104,7 +121,7 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     assert cp.try_exact_divide(model.mu.field.modulus) is not None
     sf = squarefree_part(cp)
     root = model.mu.field.root
-    assert count_roots_in(sturm_chain(sf), root.lower, cauchy_root_bound(sf)) == 1
+    assert count_roots_in(sturm_chain(sf), root.lower, root_bound(sf)) == 1
 
 
 def test_perron_frobenius_path_two():
@@ -304,9 +321,10 @@ def test_cylinder_bound_examples():
     assert not cylinder_bound_check(broken)
 
 
-def _hand_built_model(vertical_heights):
-    """Minimal hand-built model over Q(sqrt(3)) with prescribed verticals."""
-    field = RealAlgebraicField(IntPolynomial([-3, 0, 1]))
+def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-built"):
+    """Minimal hand-built model, over Q(sqrt(3)) unless another modulus
+    is given, with prescribed verticals."""
+    field = RealAlgebraicField(IntPolynomial(modulus))
     mu = field.generator
     graph = BipartiteIntersectionGraph(((1, 1),))
     horizontal = (
@@ -324,7 +342,7 @@ def _hand_built_model(vertical_heights):
         for i, v in enumerate(vertical_heights)
     )
     return SurfaceModel(
-        family_tag="hand-built",
+        family_tag=family_tag,
         graph=graph,
         construction_graph=graph,
         mu=mu,
@@ -344,6 +362,77 @@ def test_holonomy_fails_on_incommensurable_hand_built_model():
 
 def test_holonomy_passes_on_commensurable_hand_built_model():
     assert holonomy_basis_check(_hand_built_model([1, 2])) is True
+
+
+def _supported_tags(max_n):
+    tags = []
+    for n in range(5, max_n + 1):
+        try:
+            tags.append(surface_tag(f"polygon-{n}")[0])
+        except UnsupportedFamilyError:
+            pass
+    return tags + ["E7", "E8"]
+
+
+def _assert_alpha_order_matches_eliminations(model, dense):
+    """The closed-form Z[alpha] of the model against the fraction-free
+    PowerBasis on every holonomy quotient the check forms and on mu and
+    mu/2, and, when dense, against the dense Gauss-Jordan reference on
+    one quotient per direction and on mu and mu/2."""
+    order = model.alpha_basis
+    alpha = order.alpha
+    assert alpha == model.mu * model.mu
+    m_alpha = order.minimal_polynomial()
+    elimination = PowerBasis(alpha)
+    assert m_alpha == elimination.minimal_polynomial()
+    y = min(model.vertical, key=lambda c: c.height).height
+    quotients = [
+        [c.circumference * basis.inverse() for c in cylinders]
+        for cylinders, basis in ((model.horizontal, alpha), (model.vertical, y * model.mu))
+    ]
+    others = [model.mu, model.mu / 2]
+    for elem in quotients[0] + quotients[1]:
+        assert order.in_order(elem) and elimination.in_order(elem)
+    for elem in others:
+        assert order.in_order(elem) == elimination.in_order(elem)
+    assert not order.in_order(model.mu / 2)
+    if dense:
+        assert m_alpha == power_basis_reference.element_minimal_polynomial(alpha)
+        for elem in [quotients[0][-1], quotients[1][-1]] + others:
+            assert order.in_order(elem) == power_basis_reference.in_order(
+                elem, alpha, m_alpha.degree
+            )
+
+
+@pytest.mark.parametrize("tag", _supported_tags(128))
+def test_closed_form_alpha_order_matches_the_eliminations(tag):
+    # the dense Fraction reference takes about 18 s over the odd n in
+    # 65..128, so past h = 64 the fraction-free PowerBasis is the only
+    # second route
+    model = build_surface(tag)
+    h = surface_tag(tag)[1]
+    # even h: an even modulus, so Z[alpha] has no odd coordinates
+    assert model.alpha_basis.odd_coordinates_vanish is (h % 2 == 0)
+    _assert_alpha_order_matches_eliminations(model, dense=h <= 64)
+
+
+def test_closed_form_alpha_order_on_the_hand_built_model():
+    model = _hand_built_model([1, 2])
+    assert model.alpha_basis.minimal_polynomial() == IntPolynomial([-3, 1])
+    _assert_alpha_order_matches_eliminations(model, dense=True)
+    with pytest.raises(MixedModulusError):
+        model.alpha_basis.in_order(build_surface("polygon-8").mu)
+
+
+@pytest.mark.parametrize("tag", ["hand-built", "polygon-5", "E7"])
+def test_odd_modulus_without_certificate_is_refused(tag):
+    # x^3 - 2 is not even, and mu = cbrt(2) is not -C_k(mu^2 - 2) for
+    # any tag: no closed form, and no elimination to fall back on
+    model = _hand_built_model([1, 2], modulus=(-2, 0, 0, 1), family_tag=tag)
+    with pytest.raises(InapplicableModelError, match="no closed form for Z\\[mu\\^2\\]"):
+        model.alpha_basis
+    with pytest.raises(InapplicableModelError):
+        holonomy_basis_check(model)
 
 
 def test_parity_check_uses_unreduced_lifts():
