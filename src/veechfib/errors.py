@@ -22,7 +22,7 @@ class NoRealRootError(VeechFibError):
 
 class DivisionByZeroError(VeechFibError, ZeroDivisionError):
     """Exact division by zero: by the zero polynomial, or the inverse of
-    zero in a number ring or a finite field."""
+    zero in a number ring."""
 
 
 class ZeroDivisorError(DivisionByZeroError):
@@ -37,15 +37,6 @@ class EnclosureDivergenceError(VeechFibError, ArithmeticError):
 
 class UnsupportedFamilyError(InvalidArgumentError):
     """A family tag outside the supported series was requested."""
-
-
-class UnsupportedGraphError(VeechFibError):
-    """Leaf propagation cannot solve the eigenvector system of a graph.
-
-    mu = 2cos(pi/h) comes from the cyclotomic formula and a strictly
-    positive exact eigenvector certifies it; only leaf propagation can
-    refuse a graph.
-    """
 
 
 class InvalidDiscriminantError(InvalidArgumentError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from ..errors import DivisionByZeroError, InvalidArgumentError
+from ..errors import InvalidArgumentError
 from .polynomials import IntPolynomial, prime_factors
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -220,13 +220,6 @@ class FiniteFieldSpec:
         """Encode an element as an integer in [0, order)."""
         return sum(c * self.p**i for i, c in enumerate(elem.coeffs))
 
-    def element_from_index(self, idx):
-        coeffs = []
-        for _ in range(self.degree):
-            idx, r = divmod(idx, self.p)
-            coeffs.append(r)
-        return FFElement(self, tuple(coeffs))
-
 
 class FFElement:
     """Element of a FiniteFieldSpec; coefficient tuple reduced mod p."""
@@ -261,19 +254,9 @@ class FFElement:
         return FFElement(spec, spec._ring.mul(self.coeffs, other.coeffs))
 
     def __pow__(self, e):
-        spec = self.spec
         if e < 0:
-            return self.inverse() ** (-e)
-        return FFElement(spec, spec._ring.pow(self.coeffs, e))
-
-    def inverse(self):
-        if self.is_zero:
-            raise DivisionByZeroError("inverse of zero")
-        return self ** (self.spec.order - 2)
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
+            raise InvalidArgumentError(f"exponent {e} is negative")
+        return FFElement(self.spec, self.spec._ring.pow(self.coeffs, e))
 
     def __eq__(self, other):
         return (

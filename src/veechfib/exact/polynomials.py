@@ -485,9 +485,12 @@ def cyclotomic_polynomial(n):
     return result
 
 
-def _two_cos_power_polys(k):
-    """V_j with x^j + x^-j = V_j(x + 1/x) for j = 0..k."""
-    polys = [IntPolynomial([2]), IntPolynomial([0, 1])]
+def _chebyshev_polys(k, first):
+    """P_0 = first, P_1 = x, P_j = x P_(j-1) - P_(j-2) for j = 0..k.
+
+    first = 2 gives C_j(2cos t) = 2cos(jt), that is C_j(x + 1/x) = x^j +
+    x^-j; first = 1 gives U_j(2cos t) = sin((j+1)t)/sin(t)."""
+    polys = [IntPolynomial([first]), IntPolynomial([0, 1])]
     while len(polys) <= k:
         polys.append(IntPolynomial([0, 1]) * polys[-1] - polys[-2])
     return polys
@@ -504,7 +507,7 @@ def cos_two_pi_minpoly(n):
         return IntPolynomial([2, 1])
     phi = cyclotomic_polynomial(n)
     k = phi.degree // 2
-    vs = _two_cos_power_polys(k)
+    vs = _chebyshev_polys(k, 2)
     c = phi.coefficients
     # Phi palindromic: Phi(x)/x^k = c[k] + sum_{j>=1} c[k+j] (x^j + x^-j).
     out = IntPolynomial([c[k]])

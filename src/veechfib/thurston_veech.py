@@ -2,17 +2,18 @@
 
 The construction takes a pair of transverse multicurves encoded as a
 bipartite graph (black = horizontal core curves, white = vertical ones,
-entries of Q count intersections), solves the eigenvector system
-Q h = mu h exactly in the number field of the dominant eigenvalue, and
-produces a cylinder list in which every cylinder has inverse modulus mu
+entries of Q count intersections), certifies a solution of the
+eigenvector system Q h = mu h exactly in the number field of the
+dominant eigenvalue, and produces a cylinder list in which every cylinder has inverse modulus mu
 (circumference = mu * height).
 
-The dominant eigenvalue is never searched for: mu = 2cos(pi/h) comes
-from the cyclotomic formula for the diagram's Coxeter number h (n for
-the n-gon, 18 for E7, 30 for E8), and a strictly positive exact
-eigenvector certifies it (see perron_frobenius).  The eigenvector is
-found by leaf propagation, which resolves every tree; a graph it leaves
-unresolved raises UnsupportedGraphError, the only refusal of a graph.
+Neither the dominant eigenvalue nor its eigenvector is searched for.
+mu = 2cos(pi/h) comes from the cyclotomic formula for the diagram's
+Coxeter number h (n for the n-gon, 18 for E7, 30 for E8).  Every
+diagram is a star (the path A(m) has one arm), and the eigenvector has
+a closed form along its arms in the Chebyshev polynomials U_j
+(_star_lifts); perron_frobenius certifies that candidate as a strictly
+positive exact eigenvector, which proves mu dominant.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
 E8 diagrams.  veechfib.tags.surface_tag parses a family tag once, into
@@ -24,11 +25,12 @@ cylinder kept per swapped pair, the middle one as is), with quotient
 graph A(n/2).
 
 Each model fact is proved once, by the build step that makes it:
-perron_frobenius proves Q h = mu h (stored heights are a multiple of
-its vector); _build_polygon checks each n-gon height against its
-Chebyshev lift and, for even n, c_k against c_(n-k); E7/E8 lifts come
-from integer_lift(); _checked_model refuses a model whose genus is not
-rank Q (core_curve_span_check).  There is no separate verify step.
+perron_frobenius proves Q h = mu h for the embedded lifts (stored
+heights are a multiple of its vector); n-gon heights are their lifts,
+and _build_polygon checks c_k against c_(n-k) for even n; E7/E8 lifts
+come from integer_lift() after the staircase rescaling; _checked_model
+refuses a model whose genus is not rank Q (core_curve_span_check).
+There is no separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -43,6 +45,7 @@ see AlphaOrder) and the structural checks the family pipelines keep in
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -53,14 +56,13 @@ from .errors import (
     MathematicalInconsistencyError,
     MixedModulusError,
     UnsupportedFamilyError,
-    UnsupportedGraphError,
 )
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, _two_cos_power_polys, cos_two_pi_minpoly, euler_phi, exact_integer,
-    isolate_largest_real_root, translate,
+    IntPolynomial, _chebyshev_polys, cos_two_pi_minpoly, euler_phi, exact_integer,
+    isolate_largest_real_root,
 )
 from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
 
@@ -138,42 +140,67 @@ class BipartiteIntersectionGraph:
 class _Diagram(NamedTuple):
     """An exceptional diagram and the surface it builds."""
 
-    vertices: int
-    edges: tuple  # Bourbaki numbering
+    center: int
+    arms: tuple  # each from its leaf inward; Bourbaki numbering
     genus: int
     zero_partition: tuple
 
 
 _SPORADIC = {
-    "E7": _Diagram(7, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)), 3, (1, 3)),
-    "E8": _Diagram(8, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)), 4, (6,)),
+    "E7": _Diagram(4, ((1, 3), (2,), (7, 6, 5)), 3, (1, 3)),
+    "E8": _Diagram(4, ((1, 3), (2,), (8, 7, 6, 5)), 4, (6,)),
 }
 
 
-def _two_coloured(vertices, edges):
-    """Bipartite graph of the tree on 1..vertices with these edges, with
-    its black and white vertex lists: vertex 1 is black."""
-    color = {1: 0}
-    adj = {v: [] for v in range(1, vertices + 1)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
+def _coxeter_star(family, size=None):
+    """Center and arms of a Coxeter diagram: 'A' with a size is one arm
+    1..size-1 ending at the center, size; E7 / E8 as in _SPORADIC."""
+    if family == "A":
+        if size is None or size < 2:
+            raise InvalidArgumentError("type A needs a path length >= 2")
+        return size, (tuple(range(1, size)),)
+    if family in _SPORADIC:
+        return _SPORADIC[family][:2]
+    raise UnsupportedFamilyError(f"unknown Coxeter family: {family!r}")
+
+
+def _two_coloured(center, arms):
+    """Bipartite graph of the star with this center and these arms, each
+    listed from its leaf inward, with its black and white vertex lists:
+    vertex 1 is black."""
+    depth = {center: 0}
+    for arm in arms:
+        depth.update((v, len(arm) - j) for j, v in enumerate(arm))
+    color = {v: (d - depth[1]) % 2 for v, d in depth.items()}
     blacks = sorted(v for v in color if color[v] == 0)
     whites = sorted(v for v in color if color[v] == 1)
     q = [[0] * len(whites) for _ in blacks]
-    for a, b in edges:
-        if color[a] == 1:
-            a, b = b, a
-        q[blacks.index(a)][whites.index(b)] = 1
-    graph = BipartiteIntersectionGraph(q)
-    return graph, blacks, whites
+    for arm in arms:
+        for a, b in zip(arm, arm[1:] + (center,)):
+            if color[a] == 1:
+                a, b = b, a
+            q[blacks.index(a)][whites.index(b)] = 1
+    return BipartiteIntersectionGraph(q), blacks, whites
+
+
+def _star_lifts(center, arms):
+    """Height lift in mu of each vertex of the star, in closed form.
+
+    With U_j(2cos t) = sin((j+1)t)/sin(t) (_chebyshev_polys(k, 1)), the
+    j-th vertex of an arm, j = 0 at the leaf, lifts to U_j times U_a
+    over every other arm of length a, and the center to U_a over all
+    arms.  Since x U_j = U_(j-1) + U_(j+1), every vertex equation of
+    Q h = x h holds in Z[x] except the center's, which holds at mu =
+    2cos(pi/h); perron_frobenius certifies it.  On the path A(m),
+    vertex k lifts to U_(k-1).
+    """
+    lengths = [len(arm) for arm in arms]
+    u = _chebyshev_polys(max(lengths), 1)
+    lifts = {center: math.prod(u[a] for a in lengths)}
+    for i, arm in enumerate(arms):
+        rest = math.prod(u[a] for k, a in enumerate(lengths) if k != i)
+        lifts.update((v, u[j] * rest) for j, v in enumerate(arm))
+    return lifts
 
 
 def coxeter_graph(family, size=None):
@@ -183,14 +210,7 @@ def coxeter_graph(family, size=None):
     black, even positions white (path order).  E7 and E8 use the
     standard Bourbaki numbering.
     """
-    if family == "A":
-        if size is None or size < 2:
-            raise InvalidArgumentError("type A needs a path length >= 2")
-        return _two_coloured(size, [(k, k + 1) for k in range(1, size)])[0]
-    if family in _SPORADIC:
-        diagram = _SPORADIC[family]
-        return _two_coloured(diagram.vertices, diagram.edges)[0]
-    raise UnsupportedFamilyError(f"unknown Coxeter family: {family!r}")
+    return _two_coloured(*_coxeter_star(family, size))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -198,83 +218,43 @@ def coxeter_graph(family, size=None):
 # ---------------------------------------------------------------------------
 
 
-def perron_frobenius(graph, coxeter_number):
-    """Exact dominant eigendata of the full bipartite adjacency matrix.
+def perron_frobenius(graph, coxeter_number, lifts):
+    """Certified dominant eigendata of the full bipartite adjacency matrix.
 
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
     formula: its field is that of cos_two_pi_minpoly(2h), at the root
-    isolated as the largest.  The eigenvector is then solved by leaf
-    propagation in that field from first entry 1, and the identity
-    adjacency * heights = mu * heights is verified exactly.
+    isolated as the largest.  The candidate eigenvector is given, one
+    integer polynomial lift in mu per vertex in adjacency order (blacks,
+    then whites; see _star_lifts).  The heights are those lifts embedded
+    at mu, and adjacency * heights = mu * heights is verified exactly.
 
     That identity with every height strictly positive is the
     certificate: the graph is connected, so its adjacency matrix is
     irreducible and nonnegative, and by Perron-Frobenius a strictly
     positive eigenvector belongs only to the spectral radius.  A wrong
-    h fails with MathematicalInconsistencyError; only leaf propagation
-    can refuse a graph (UnsupportedGraphError).  h must be an integer
-    >= 3, as every graph with an edge has spectral radius >= 1.
+    h or wrong lifts fail with MathematicalInconsistencyError.  h must
+    be an integer >= 3, as every graph with an edge has spectral
+    radius >= 1.
     """
     if not isinstance(coxeter_number, int) or coxeter_number < 3:
         raise InvalidArgumentError("the Coxeter number must be an integer >= 3")
+    adj = graph.adjacency_matrix()
+    if len(lifts) != len(adj):
+        raise InvalidArgumentError(f"{len(lifts)} height lifts for {len(adj)} vertices")
     modulus = cos_two_pi_minpoly(2 * coxeter_number)
     fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30)))
     mu = fld.generator
-    adj = graph.adjacency_matrix()
-    edges = [[(u, a) for u, a in enumerate(row) if a] for row in adj]
-    heights = _solve_eigenvector(edges, fld, mu)
-    _verify_eigenvector(edges, mu, heights)
-    for h in heights:
-        if h.sign() <= 0:
-            raise MathematicalInconsistencyError("eigenvector is not strictly positive")
-    return mu, heights
-
-
-def _solve_eigenvector(edges, fld, mu):
-    """Heights from first entry 1 by leaf propagation; edges[v] lists
-    (neighbour, multiplicity) of vertex v."""
-    n = len(edges)
-    heights = [None] * n
-    heights[0] = fld.one
-    # Propagate: a vertex equation with exactly one unknown pins it down.
-    # This resolves any tree in <= n rounds.
-    for _ in range(n):
-        progress = False
-        for v in range(n):
-            unknown = [(u, a) for u, a in edges[v] if heights[u] is None]
-            if heights[v] is not None and len(unknown) == 1:
-                u, a = unknown[0]
-                acc = mu * heights[v]
-                for w, b in edges[v]:
-                    if w != u:
-                        acc = acc - b * heights[w]
-                if a != 1:
-                    acc = acc / a
-                heights[u] = acc
-                progress = True
-            elif heights[v] is None and not unknown:
-                acc = fld.zero
-                for w, b in edges[v]:
-                    acc = acc + b * heights[w]
-                heights[v] = acc / mu
-                progress = True
-        if all(h is not None for h in heights):
-            return tuple(heights)
-        if not progress:
-            break
-    raise UnsupportedGraphError(
-        "leaf propagation cannot solve the eigenvector system; "
-        "only tree diagrams are supported"
-    )
-
-
-def _verify_eigenvector(edges, mu, heights):
-    for v, nbrs in enumerate(edges):
-        acc = mu.field.zero
-        for u, a in nbrs:
-            acc = acc + a * heights[u]
-        if acc != mu * heights[v]:
+    heights = tuple(fld.element(lift.coefficients) for lift in lifts)
+    for row, height in zip(adj, heights):
+        acc = fld.zero
+        for a, other in zip(row, heights):
+            if a:
+                acc = acc + a * other
+        if acc != mu * height:
             raise MathematicalInconsistencyError("Q h = mu h fails exactly")
+    if any(h.sign() <= 0 for h in heights):
+        raise MathematicalInconsistencyError("eigenvector is not strictly positive")
+    return mu, heights
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +344,11 @@ class AlphaOrder(NamedTuple):
     Even modulus f = g(x^2): m_alpha = g, and Z[alpha] holds the elements
     with denominator 1 and every odd coordinate 0.  Odd modulus: mu =
     -C_k(alpha - 2) for k = (h - 1)/2, h odd and read from the family
-    tag, C_k(2cos t) = 2cos(kt) in Z[x].  That identity, checked once,
-    gives Z[alpha] = Z[mu], the elements with denominator 1, and
-    m_alpha(x^2) = (-1)^n f(x) f(-x) for n = deg f.  Any other model is
-    refused (InapplicableModelError).
+    tag, C_k(2cos t) = 2cos(kt) in Z[x].  That identity, checked once as
+    mu = -C_(h-1)(mu) (C_k(x^2 - 2) = C_(2k)(x)), gives Z[alpha] =
+    Z[mu], the elements with denominator 1, and m_alpha(x^2) =
+    (-1)^n f(x) f(-x) for n = deg f.  Any other model is refused
+    (InapplicableModelError).
     """
 
     alpha: object
@@ -388,13 +369,10 @@ class AlphaOrder(NamedTuple):
                 f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
                 "no closed form for Z[mu^2]"
             )
-        k = (h - 1) // 2
-        witness = translate(_two_cos_power_polys(k)[k], -2).coefficients  # C_k(y - 2)
-        in_mu = [0] * (2 * len(witness) - 1)
-        in_mu[::2] = witness
-        if mu.field.element(in_mu) != -mu:
+        witness = _chebyshev_polys(h - 1, 2)[h - 1].coefficients
+        if mu.field.element(witness) != -mu:
             raise InapplicableModelError(
-                f"mu != -C_{k}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
+                f"mu != -C_{(h - 1) // 2}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
             )
         mirrored = IntPolynomial([-c if i % 2 else c for i, c in enumerate(modulus.coefficients)])
         even = (modulus * mirrored * (-1) ** modulus.degree).coefficients
@@ -408,14 +386,6 @@ class AlphaOrder(NamedTuple):
         if elem.field != self.alpha.field:
             raise MixedModulusError("alpha and element live in different fields")
         return elem.den == 1 and not (self.odd_coordinates_vanish and any(elem.nums[1::2]))
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_like(k):
-    """P_k with P_k(2cos t) = sin((k+1)t)/sin(t); parity of P_k = parity of k."""
-    if k < 2:
-        return IntPolynomial([0, 1] if k else [1])
-    return IntPolynomial([0, 1]) * _chebyshev_like(k - 1) - _chebyshev_like(k - 2)
 
 
 @lru_cache(maxsize=None)
@@ -435,22 +405,17 @@ def build_surface(family_tag):
 
 def _build_polygon(n):
     construction = coxeter_graph("A", n - 1)
-    mu, pf_heights = perron_frobenius(construction, n)
-    fld = mu.field
-    # vertex k (1-based along the path) has height P_{k-1}(mu);
-    # construction-graph order is odd vertices then even vertices.
+    lifts = _star_lifts(*_coxeter_star("A", n - 1))
+    # vertex k (1-based along the path) lifts to U_(k-1); construction-graph
+    # order is odd vertices then even vertices
     order = list(range(1, n, 2)) + list(range(2, n, 2))
-    by_vertex = {}
-    for idx, k in enumerate(order):
-        by_vertex[k] = pf_heights[idx]
-        expected = fld.element(_chebyshev_like(k - 1).coefficients)
-        if by_vertex[k] != expected:
-            raise MathematicalInconsistencyError("path eigenvector is not Chebyshev")
+    mu, heights = perron_frobenius(construction, n, [lifts[k] for k in order])
+    by_vertex = dict(zip(order, heights))
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
     rows = [
-        (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], _chebyshev_like(k - 1))
+        (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], lifts[k])
         for k in kept
     ]
     genus = euler_phi(n) // 2
@@ -461,10 +426,11 @@ def _build_polygon(n):
 
 def _build_sporadic(which, coxeter_number):
     diagram = _SPORADIC[which]
-    graph, blacks, whites = _two_coloured(diagram.vertices, diagram.edges)
-    mu, pf_heights = perron_frobenius(graph, coxeter_number)
+    graph, blacks, whites = _two_coloured(diagram.center, diagram.arms)
+    candidate = _star_lifts(diagram.center, diagram.arms)
     order = blacks + whites
-    by_vertex = {v: pf_heights[i] for i, v in enumerate(order)}
+    mu, heights = perron_frobenius(graph, coxeter_number, [candidate[v] for v in order])
+    by_vertex = dict(zip(order, heights))
     scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)
     rows = [
         (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], lifts[v])

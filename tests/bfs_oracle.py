@@ -9,6 +9,8 @@ It costs O(|G|) time and memory and only serves tests at small q.
 
 from collections import deque
 
+from finitefield_reference import element_from_index
+
 from veechfib.covers import DEFAULT_CLOSURE_CAP
 from veechfib.errors import CapExceededError
 
@@ -57,7 +59,7 @@ def bfs_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
 
 def _field_tables(field):
     q = field.order
-    elements = [field.element_from_index(i) for i in range(q)]
+    elements = [element_from_index(field, i) for i in range(q)]
     mul = [[0] * q for _ in range(q)]
     add = [[0] * q for _ in range(q)]
     for i in range(q):

@@ -15,6 +15,17 @@ from veechfib.exact.finitefield import is_prime, preduce, pstrip
 from veechfib.exact.polynomials import IntPolynomial
 
 
+def element_from_index(field, idx):
+    """The element of a FiniteFieldSpec whose coefficients are the
+    base-p digits of idx, lowest first: FiniteFieldSpec.element_index
+    inverted."""
+    digits = []
+    for _ in range(field.degree):
+        idx, r = divmod(idx, field.p)
+        digits.append(r)
+    return field.element(digits)
+
+
 def pmod(f, g, p):
     if not g:
         raise DivisionByZeroError("polynomial division by zero mod p")

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from finitefield_reference import element_from_index
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -325,8 +326,8 @@ GENERATOR_KINDS = ("identity", "minus-identity", "upper-shear", "lower-shear", "
 
 def _generator(field, kind, i, j, k):
     """A determinant-1 matrix of the given kind; i, j, k pick entries."""
-    one, zero = field.one, field.zero
-    a, b, c = (field.element_from_index(n % field.order) for n in (i, j, k))
+    one, zero, q = field.one, field.zero, field.order
+    a, b, c = (element_from_index(field, n % q) for n in (i, j, k))
     if kind == "identity":
         return ((one, zero), (zero, one))
     if kind == "minus-identity":
@@ -336,10 +337,10 @@ def _generator(field, kind, i, j, k):
     if kind == "lower-shear":
         return ((one, zero), (a, one))
     if not a.is_zero:
-        return ((a, b), (c, (one + b * c) / a))
+        return ((a, b), (c, (one + b * c) * a ** (q - 2)))
     if b.is_zero:
         b = one
-    return ((zero, b), (-one / b, c))
+    return ((zero, b), (-(b ** (q - 2)), c))
 
 
 @given(
@@ -386,15 +387,15 @@ def test_closure_borel_subgroup_is_q_times_q_minus_one(p, modulus, expected):
     # (lam^k, 0): the walk must finish a partial orbit without transversals
     field = FiniteFieldSpec(p, IntPolynomial(modulus))
     one, zero, lam = field.one, field.zero, field.generator + field.one
+    q = field.order
     spec = MatrixGroupSpec(
         field,
         (
             ((one, one), (zero, one)),
             ((one, field.generator), (zero, one)),
-            ((lam, zero), (zero, one / lam)),
+            ((lam, zero), (zero, lam ** (q - 2))),
         ),
     )
-    q = field.order
     assert group_closure_order(spec) == q * (q - 1) == expected
 
 

@@ -642,3 +642,67 @@ def test_structural_checks_run_once_per_model(monkeypatch):
     build_surface.cache_clear()
     polygon_family(5, 3)
     assert calls == ["polygon-5", "E7", "polygon-5"]
+
+
+# -- Lyapunov sums -------------------------------------------------------------
+
+
+def lyapunov_sum(inv):
+    """L = kappa + T/(6|chi(B)|) with chi(B) = 2 - 2b - |cusps|: the sum of
+    the fiber's positive Lyapunov exponents that an invariant record
+    implies (Eskin-Kontsevich-Zorich), read here from its fields only."""
+    chi_base = 2 - 2 * inv.base_genus - inv.cusp_count
+    return inv.kappa + Fraction(inv.twisting, 6 * abs(chi_base))
+
+
+def _family(tag, p):
+    kind, _, number = tag.partition("-")
+    if kind == "polygon":
+        return polygon_family(int(number), p)
+    if kind == "weierstrass":
+        return weierstrass_family(int(number), p)
+    return sporadic_family(tag, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lyapunov_sum_is_four_thirds_on_every_scatter_row(p):
+    # every scatter row is a genus-2 Weierstrass curve in H(2), where
+    # Bainbridge's theorem fixes L = 4/3
+    rows, _ = chern_scatter(5, 2000, p)
+    assert len(rows) > 100
+    for d, c2, c1sq in rows:
+        inv = weierstrass_family(d, p).invariants
+        assert (inv.c2, inv.c1_squared) == (c2, c1sq), d
+        assert lyapunov_sum(inv) == Fraction(4, 3), d
+
+
+@pytest.mark.parametrize(
+    "tag",
+    [f"polygon-{n}" for n in (5, 7, 8, 10, 11, 13, 14, 16)]
+    + ["E7", "E8"]
+    + [f"weierstrass-{d}" for d in (5, 8, 12, 13, 21)],
+)
+def test_lyapunov_sum_is_the_same_at_every_admissible_level(tag):
+    # L belongs to the Teichmueller curve, not to the level of its cover
+    sums = set()
+    for p, _ in admissible_primes(tag, 40):
+        try:
+            sums.add(lyapunov_sum(_family(tag, p).invariants))
+        except InconsistentCoverError:
+            # the pinned refusal of D = 8 at level 3, which is the octagon
+            assert (tag, p) in {("polygon-8", 3), ("weierstrass-8", 3)}
+    assert len(sums) == 1, sums
+
+
+def test_lyapunov_sums_pinned():
+    assert lyapunov_sum(polygon_family(5, 3).invariants) == Fraction(4, 3)
+    assert lyapunov_sum(polygon_family(7, 3).invariants) == Fraction(9, 5)
+    assert lyapunov_sum(sporadic_family("E7", 5).invariants) == Fraction(7, 4)
+    assert lyapunov_sum(sporadic_family("E8", 7).invariants) == 2
+    # genus 2, where Bainbridge's theorem gives 4/3 for H(2) and 3/2 for
+    # H(1,1): the octagon (H(2)) and the decagon (H(1,1)) read below it.
+    # (emitted value, theorem value)
+    octagon = lyapunov_sum(polygon_family(8, 5).invariants)
+    decagon = lyapunov_sum(polygon_family(10, 3).invariants)
+    assert (octagon, Fraction(4, 3)) == (Fraction(10, 9), Fraction(4, 3))
+    assert (decagon, Fraction(3, 2)) == (Fraction(31, 24), Fraction(3, 2))

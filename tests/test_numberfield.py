@@ -46,8 +46,10 @@ def test_linear_field_generator_is_the_root():
     for c in (-3, 5, 0, 7):
         field = RealAlgebraicField([c, 1])
         assert field.generator == -c
-    # the A2 graph has Coxeter number 3 and mu = 2cos(pi/3) = 1, in a linear field
-    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3)
+    # the A2 graph has Coxeter number 3 and mu = 2cos(pi/3) = 1, in a linear
+    # field; its star lifts, vertex 1 then 2, are U_0 = 1 and U_1 = x
+    lifts = [IntPolynomial([1]), IntPolynomial([0, 1])]
+    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3, lifts)
     assert mu.field.degree == 1
     assert mu == 1 and heights == (1, 1)
 

@@ -20,6 +20,7 @@ from veechfib.exact.polynomials import (
     MAX_PARSED_DEGREE,
     IntPolynomial,
     RootInterval,
+    _chebyshev_polys,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
     divisors,
@@ -35,6 +36,33 @@ from veechfib.exact.polynomials import (
     squarefree_part,
     sturm_chain,
 )
+
+
+@pytest.mark.parametrize("t", [0.3, 1.1, 2.9])
+def test_chebyshev_polys_take_their_trigonometric_values(t):
+    # P_0 = 1 gives U_k(2cos t) = sin((k+1)t)/sin(t); P_0 = 2 gives
+    # C_k(2cos t) = 2cos(kt)
+    u, c = _chebyshev_polys(30, 1), _chebyshev_polys(30, 2)
+    assert len(u) == len(c) == 31
+    # the float 2cos(t), summed exactly: no cancellation in the large coefficients
+    y = Fraction(2 * math.cos(t))
+    for k in range(31):
+        u_value = float(sum(a * y**i for i, a in enumerate(u[k].coefficients)))
+        c_value = float(sum(a * y**i for i, a in enumerate(c[k].coefficients)))
+        assert u_value == pytest.approx(math.sin((k + 1) * t) / math.sin(t), abs=1e-9), k
+        assert c_value == pytest.approx(2 * math.cos(k * t), abs=1e-9), k
+
+
+def test_chebyshev_composed_with_y_squared_minus_two_doubles_the_index():
+    # C_k(y^2 - 2) = C_(2k)(y), as polynomials: the identity AlphaOrder
+    # checks mu = -C_((h-1)/2)(mu^2 - 2) by
+    c = _chebyshev_polys(40, 2)
+    y2_minus_2 = IntPolynomial([-2, 0, 1])
+    for k in range(21):
+        composed = IntPolynomial()
+        for a in reversed(c[k].coefficients):
+            composed = composed * y2_minus_2 + IntPolynomial([a])
+        assert composed == c[2 * k], k
 
 
 def test_minpoly_two_cos_pinned_values():

@@ -1,4 +1,3 @@
-import math
 import re
 from fractions import Fraction
 
@@ -14,12 +13,12 @@ from veechfib.errors import (
     MathematicalInconsistencyError,
     MixedModulusError,
     UnsupportedFamilyError,
-    UnsupportedGraphError,
 )
 from veechfib.exact.linalg import charpoly, rank
 from veechfib.exact.numberfield import PowerBasis, RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
+    _chebyshev_polys,
     minpoly_two_cos,
     root_bound,
     squarefree_part,
@@ -44,6 +43,21 @@ from veechfib.thurston_veech import (
 )
 
 SUPPORTED_N = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10, 14, 22, 26, 34, 38, 8, 16, 32)
+
+
+def star_candidate(family, size=None):
+    """The graph of a Coxeter diagram and its closed-form height lifts in
+    adjacency order, the eigenvector candidate perron_frobenius certifies."""
+    star = thurston_veech._coxeter_star(family, size)
+    graph, blacks, whites = thurston_veech._two_coloured(*star)
+    lifts = thurston_veech._star_lifts(*star)
+    return graph, [lifts[v] for v in blacks + whites]
+
+
+def certify(h, family, size=None):
+    """perron_frobenius on a Coxeter diagram, given its star candidate."""
+    graph, lifts = star_candidate(family, size)
+    return perron_frobenius(graph, h, lifts)
 
 
 def test_coxeter_graph_examples():
@@ -90,24 +104,56 @@ def test_graph_refuses_non_integer_counts():
     assert [type(x) for x in graph.intersections[0]] == [int, int]
 
 
-def test_perron_frobenius_refuses_graph_leaf_propagation_cannot_solve():
-    # the 4-cycle: two black curves each meeting both white curves once
-    # (dominant eigenvalue 2); no vertex equation ever has one unknown
-    with pytest.raises(UnsupportedGraphError, match="leaf propagation"):
-        perron_frobenius(BipartiteIntersectionGraph(((1, 1), (1, 1))), 4)
-
-
 def test_perron_frobenius_refuses_a_wrong_coxeter_number():
     # mu = 2cos(pi/3) = 1 is an eigenvalue of A5, but not the dominant
     # one: its eigenvector changes sign, so the certificate fails
     with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
-        perron_frobenius(coxeter_graph("A", 5), 3)
+        certify(3, "A", 5)
     # mu = 2cos(pi/6) = sqrt(3) is no eigenvalue of A4 at all
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-        perron_frobenius(coxeter_graph("A", 4), 6)
+        certify(6, "A", 4)
     # a graph with an edge has spectral radius >= 1, so h >= 3
     with pytest.raises(InvalidArgumentError):
-        perron_frobenius(coxeter_graph("A", 2), 2)
+        certify(2, "A", 2)
+
+
+def test_perron_frobenius_refuses_a_wrong_candidate():
+    graph, lifts = star_candidate("E7")
+    # the right h with one lift changed: a positive vector, not an eigenvector
+    wrong = [lifts[0] + IntPolynomial([1])] + lifts[1:]
+    with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
+        perron_frobenius(graph, 18, wrong)
+    # the eigenvector's negative passes Q h = mu h but is no certificate
+    with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
+        perron_frobenius(graph, 18, [-lift for lift in lifts])
+    with pytest.raises(InvalidArgumentError, match="6 height lifts for 7 vertices"):
+        perron_frobenius(graph, 18, lifts[1:])
+
+
+@pytest.mark.parametrize(
+    "family, size, h",
+    [("E7", None, 18), ("E8", None, 30)] + [("A", m, m + 1) for m in range(2, 40)],
+)
+def test_star_lifts_fail_only_the_center_equation_in_z_x(family, size, h):
+    # x U_j = U_(j-1) + U_(j+1) makes every arm vertex's equation of
+    # Q h = x h hold as polynomials; the center's residual vanishes at
+    # mu = 2cos(pi/h), so the minimal polynomial of mu divides it
+    center, arms = thurston_veech._coxeter_star(family, size)
+    graph, blacks, whites = thurston_veech._two_coloured(center, arms)
+    lifts = thurston_veech._star_lifts(center, arms)
+    order = blacks + whites
+    x = IntPolynomial([0, 1])
+    for v, row in zip(order, graph.adjacency_matrix()):
+        residual = x * lifts[v]
+        for u, a in zip(order, row):
+            residual = residual - lifts[u] * a
+        if v == center:
+            assert residual and residual.try_exact_divide(minpoly_two_cos(h)) is not None
+        else:
+            assert residual.is_zero, v
+    if family == "A":
+        # the path's vertex k lifts to U_(k-1)
+        assert [lifts[k] for k in range(1, size + 1)] == _chebyshev_polys(size, 1)[:size]
 
 
 @pytest.mark.parametrize("tag", [f"polygon-{n}" for n in SUPPORTED_N] + ["E7", "E8"])
@@ -125,14 +171,14 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
 
 
 def test_perron_frobenius_path_two():
-    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3)
+    mu, heights = certify(3, "A", 2)
     assert mu.field.modulus == IntPolynomial([-1, 1])
     assert mu == 1
     assert [h == mu.field.one for h in heights] == [True, True]
 
 
 def test_perron_frobenius_path_four():
-    mu, heights = perron_frobenius(coxeter_graph("A", 4), 5)
+    mu, heights = certify(5, "A", 4)
     assert mu.field.modulus == IntPolynomial([-1, -1, 1])
     one = mu.field.one
     # construction order is blacks {1,3} then whites {2,4}: heights (1, mu, mu, 1)
@@ -140,14 +186,14 @@ def test_perron_frobenius_path_four():
 
 
 def test_perron_frobenius_e7_eigenvalue():
-    mu, _ = perron_frobenius(coxeter_graph("E7"), 18)
+    mu, _ = certify(18, "E7")
     assert mu.field.modulus == minpoly_two_cos(18)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
-    graph = coxeter_graph("A", n - 1)
-    mu, heights = perron_frobenius(graph, n)
+    graph, lifts = star_candidate("A", n - 1)
+    mu, heights = perron_frobenius(graph, n, lifts)
     assert mu.field.modulus == minpoly_two_cos(n)
     assert charpoly(graph.adjacency_matrix()).try_exact_divide(mu.field.modulus) is not None
     assert all(h.sign() > 0 for h in heights)
@@ -500,7 +546,7 @@ def test_charpoly_against_permutation_expansion():
 def test_path_heights_are_symmetric():
     # the even n-gons' A(n - 1) included: c_k stands for c_(n-k) there
     for n in (5, 9, 12) + tuple(n - 1 for n in SUPPORTED_N if n % 2 == 0):
-        _, heights = perron_frobenius(coxeter_graph("A", n), n + 1)
+        _, heights = certify(n + 1, "A", n)
         # adjacency order: odd vertices ascending, then even vertices
         order = list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))
         by_vertex = {v: h for v, h in zip(order, heights)}
@@ -565,27 +611,3 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
         assert spec.alpha_minimal_polynomial == via_cyclotomic, tag
         assert family_alpha_polynomial(tag) == (via_matrix, model.genus), tag
         assert spec.signature_orbifold == signatures[tag], tag
-
-
-def test_chebyshev_table_survives_a_nested_extension(monkeypatch):
-    """An extension of the Chebyshev table that runs while another one is
-    under way (here from inside IntPolynomial.__mul__) leaves every entry
-    right: P_k(2cos t) = sin((k+1)t)/sin(t)."""
-    thurston_veech._chebyshev_like.cache_clear()
-    product = IntPolynomial.__mul__
-    nested = []
-
-    def mul(self, other):
-        if not nested:
-            nested.append(7)
-            thurston_veech._chebyshev_like(7)
-        return product(self, other)
-
-    monkeypatch.setattr(IntPolynomial, "__mul__", mul)
-    thurston_veech._chebyshev_like(6)
-    monkeypatch.setattr(IntPolynomial, "__mul__", product)
-    t = 0.3
-    for k in range(12):
-        coefficients = thurston_veech._chebyshev_like(k).coefficients
-        value = sum(c * (2 * math.cos(t)) ** i for i, c in enumerate(coefficients))
-        assert value == pytest.approx(math.sin((k + 1) * t) / math.sin(t)), k
