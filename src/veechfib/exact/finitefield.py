@@ -268,9 +268,5 @@ class FFElement:
     def __hash__(self):
         return hash((self.spec.p, self.spec.modulus, self.coeffs))
 
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def __repr__(self):
         return f"FFElement({list(self.coeffs)} over GF({self.spec.p})^{self.spec.degree})"

@@ -8,11 +8,12 @@ for positivity without floating point.
 
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
-scalings, products, reductions, inverses and interval evaluations all
-run on those integers: since m is monic, x^n mod m is integral, and
-a product is reduced by it from the top coefficient down.  An
-integral element (denominator 1) never forms a Fraction; ``coeffs``
-builds the Fraction coordinates only when read.  Power bases of an
+scalings, products, reductions, inverses, divisions by x and interval
+evaluations all run on those integers: since m is monic, x^n mod m is
+integral, and a product is reduced by it from the top coefficient down.
+An integral element (denominator 1) never forms a Fraction; ``coeffs``
+builds the Fraction coordinates only when read, and a sign reads the
+integer bounds of an interval Horner.  Power bases of an
 element (minimal polynomials, suborder membership) are one
 fraction-free elimination of the integer numerators of its powers.
 
@@ -79,6 +80,9 @@ class RealAlgebraicField:
     def element(self, coeffs):
         """The element sum_k coeffs[k] x^k for int or Fraction
         coordinates; coordinates past the degree are reduced."""
+        coeffs = list(coeffs)
+        if all(type(c) is int for c in coeffs):
+            return self._element(coeffs, 1)
         coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         return self._element(*scaled_integers(coeffs))
 
@@ -220,6 +224,18 @@ class NumberFieldElement:
         sign = 1 if r1[0] > 0 else -1
         return self.field._element([sign * self.den * x for x in s1.coefficients], abs(r1[0]))
 
+    def over_generator(self):
+        """self / x in O(n), without a product: for the modulus x^n + ...
+        + m_1 x + m_0, x (x^(n-1) + ... + m_1) = -m_0, so self / x has
+        numerators m_0 e_(k+1) - e_0 m_(k+1) (e_n = 0, m_n = 1) over
+        m_0 times the denominator.  m_0 = 0 makes x zero or a zero divisor."""
+        m, e = self.field.modulus.coefficients, self.nums
+        if not m[0]:
+            raise ZeroDivisorError("the generator is zero or a zero divisor (reducible modulus?)")
+        m0, e0 = (m[0], e[0]) if m[0] > 0 else (-m[0], -e[0])
+        nums = [m0 * c - e0 * r for c, r in zip(e[1:], m[1:])] + [-e0]
+        return _lowest(self.field, nums, self.den * m0)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -276,15 +292,17 @@ class NumberFieldElement:
     # -- real embedding -------------------------------------------------------
 
     def _enclosure(self, done):
-        """Rational bounds (lo, hi) on the value, by interval Horner over
-        the field's root interval; the root is refined by width/4 until
-        done(lo, hi) holds or the root is exact (then lo == hi).
+        """Rational bounds lo / den <= value <= hi / den, returned as the
+        integers (lo, hi, den), den > 0, by interval Horner over the
+        field's root interval; the root is refined by width/4 until
+        done(lo, hi, den) holds or the root is exact (then lo == hi).
 
         Horner runs on the integer numerators over the common
         denominator D of the element and e of the interval: after k
         steps the bounds are integers over D e^(k-1), one positive
         denominator, so every min and max is the one Fraction Horner
-        takes, and the bounds are the same rationals.  Over a nonnegative
+        takes, and the bounds are the same rationals.  No Fraction is
+        built: a sign reads the numerators alone.  Over a nonnegative
         root interval [p, q] the sign of each bound picks its product
         (lo * p or lo * q, hi * q or hi * p), so two products replace
         the four.
@@ -293,7 +311,7 @@ class NumberFieldElement:
         while nums and not nums[-1]:
             nums.pop()
         if not nums:
-            return Fraction(0), Fraction(0)
+            return 0, 0, 1
         root = self.field.root
         for _ in range(400):
             (p, q), e = scaled_integers((root.lower, root.upper))
@@ -310,9 +328,8 @@ class NumberFieldElement:
                     alo, ahi = min(products) + c * scale, max(products) + c * scale
                     scale *= e
             bound_den = self.den * scale // e
-            lo, hi = Fraction(alo, bound_den), Fraction(ahi, bound_den)
-            if root.is_exact or done(lo, hi):
-                return lo, hi
+            if root.is_exact or done(alo, ahi, bound_den):
+                return alo, ahi, bound_den
             root = self.field._refine_root(root.width / 4)
         raise EnclosureDivergenceError("root enclosure did not converge")
 
@@ -321,7 +338,7 @@ class NumberFieldElement:
         if self.is_rational:
             c = self.nums[0]
             return (c > 0) - (c < 0)
-        lo, hi = self._enclosure(lambda lo, hi: lo > 0 or hi < 0)
+        lo, hi, _ = self._enclosure(lambda lo, hi, den: lo > 0 or hi < 0)
         return 1 if lo > 0 else (-1 if hi < 0 else 0)
 
     def __lt__(self, other):
@@ -331,9 +348,8 @@ class NumberFieldElement:
         return (self - other).sign() < 0
 
     def __float__(self):
-        width = Fraction(1, 10**17)
-        lo, hi = self._enclosure(lambda lo, hi: hi - lo <= width)
-        return float((lo + hi) / 2)
+        lo, hi, den = self._enclosure(lambda lo, hi, den: (hi - lo) * 10**17 <= den)
+        return float(Fraction(lo + hi, 2 * den))
 
     # -- lifts ----------------------------------------------------------------
 

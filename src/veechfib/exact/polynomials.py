@@ -11,9 +11,10 @@ Exact division is one integer long division, given up at the first
 step that does not divide.
 
 The module also hosts the cyclotomic machinery: ``cyclotomic
-polynomial``, the palindromic descent producing the minimal polynomial
-of ``2*cos(2*pi/N)``, and ``minpoly_two_cos`` for ``2*cos(pi/n)``.  All
-of it is exact integer arithmetic; no floating point enters anywhere.
+polynomial`` as a Moebius product of binomials x^k - 1, the palindromic
+descent producing the minimal polynomial of ``2*cos(2*pi/N)``, and
+``minpoly_two_cos`` for ``2*cos(pi/n)``.  All of it is exact integer
+arithmetic; no floating point enters anywhere.
 
 Real roots are isolated with Sturm chains on integers: every member is
 a positive integer multiple of the usual one, and its sign at a
@@ -25,7 +26,8 @@ sequence.  The chain counts roots while the search interval shrinks to
 one root, one chain evaluation per halving, from (-B, B) for the power
 of two B = ``root_bound(f)`` above Fujiwara's bound.  The result is a
 ``RootInterval``, refined to any rational width by the sign of the
-squarefree part at each midpoint, through the same helper; refinement
+squarefree part at each midpoint, through the same helper, with the
+endpoints kept as integers over one doubling denominator; refinement
 evaluates no Sturm chain.
 """
 
@@ -36,7 +38,13 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from ..errors import CapExceededError, DivisionByZeroError, InvalidArgumentError, NoRealRootError
+from ..errors import (
+    CapExceededError,
+    DivisionByZeroError,
+    InvalidArgumentError,
+    MathematicalInconsistencyError,
+    NoRealRootError,
+)
 
 # ---------------------------------------------------------------------------
 # Integer coefficient sequences (ascending degree)
@@ -395,7 +403,13 @@ class RootInterval:
     def refine(self, width):
         """Shrink the interval below the requested rational width; each
         step keeps the half across which the squarefree part changes
-        sign, and a zero at a midpoint or at upper is the root, exactly."""
+        sign, and a zero at a midpoint or at upper is the root, exactly.
+
+        The bisection runs on integers: the ends are numerators lo / d
+        and hi / d over one positive denominator, which doubles at each
+        step, so the midpoint is (lo + hi) / 2d and its sign is that of
+        the homogenised value.  The endpoints returned are the same
+        rationals a Fraction bisection reaches."""
         width = Fraction(width)
         if width <= 0:
             raise InvalidArgumentError("width must be positive")
@@ -404,21 +418,23 @@ class RootInterval:
         if self._squarefree is None:
             self._squarefree = squarefree_part(self.polynomial).coefficients
         sf = self._squarefree
-        lo, hi = self.lower, self.upper
-        upper_value = homogeneous_value(sf, hi.numerator, hi.denominator)
+        upper_value = homogeneous_value(sf, self.upper.numerator, self.upper.denominator)
         if upper_value == 0:
-            return RootInterval(self.polynomial, hi, hi, sf)
+            return RootInterval(self.polynomial, self.upper, self.upper, sf)
         upper_positive = upper_value > 0
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            value = homogeneous_value(sf, mid.numerator, mid.denominator)
+        (lo, hi), d = scaled_integers((self.lower, self.upper))
+        # hi - lo > width as integers: (hi - lo) * q > p * d for width p / q
+        p, q = width.numerator, width.denominator
+        while (hi - lo) * q > p * d:
+            mid, d = lo + hi, 2 * d
+            value = homogeneous_value(sf, mid, d)
             if value == 0:
                 lo = hi = mid
             elif (value > 0) == upper_positive:
-                hi = mid
+                lo, hi = 2 * lo, mid
             else:
-                lo = mid
-        return RootInterval(self.polynomial, lo, hi, sf)
+                lo, hi = mid, 2 * hi
+        return RootInterval(self.polynomial, Fraction(lo, d), Fraction(hi, d), sf)
 
     def __repr__(self):
         return f"RootInterval([{self.lower}, {self.upper}], {self.polynomial})"
@@ -474,26 +490,42 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n):
-    """The n-th cyclotomic polynomial, exactly, by recursive division."""
+    """The n-th cyclotomic polynomial, exactly, as the Moebius product
+    Phi_n = prod (x^(n/e) - 1)^mu(e) over the squarefree e | n.
+
+    Phi_n has degree phi(n), so the product is taken modulo x^(phi(n)+1),
+    where each binomial is a unit and the factors may come in any order.
+    A product by x^k - 1 and a quotient by it are one shift and subtract
+    each, c_j <- c_(j-k) - c_j, run from the top down for a product and
+    from the bottom up for a quotient."""
     if n < 1:
         raise InvalidArgumentError("cyclotomic index must be >= 1")
-    xn_minus_1 = IntPolynomial([-1] + [0] * (n - 1) + [1])
-    result = xn_minus_1
-    for d in range(1, n):
-        if n % d == 0:
-            result = result.try_exact_divide(cyclotomic_polynomial(d))
-    return result
+    moebius = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e
+    for p in prime_factors(n):
+        moebius += [(e * p, -m) for e, m in moebius]
+    length = euler_phi(n) + 1
+    coeffs = [1] + [0] * (length - 1)
+    for e, m in moebius:
+        k = n // e
+        for j in range(length - 1, -1, -1) if m == 1 else range(length):
+            coeffs[j] = (coeffs[j - k] if j >= k else 0) - coeffs[j]
+    return IntPolynomial(coeffs)
 
 
 def _chebyshev_polys(k, first):
     """P_0 = first, P_1 = x, P_j = x P_(j-1) - P_(j-2) for j = 0..k.
 
     first = 2 gives C_j(2cos t) = 2cos(jt), that is C_j(x + 1/x) = x^j +
-    x^-j; first = 1 gives U_j(2cos t) = sin((j+1)t)/sin(t)."""
-    polys = [IntPolynomial([first]), IntPolynomial([0, 1])]
-    while len(polys) <= k:
-        polys.append(IntPolynomial([0, 1]) * polys[-1] - polys[-2])
-    return polys
+    x^-j; first = 1 gives U_j(2cos t) = sin((j+1)t)/sin(t).  The
+    recurrence runs on coefficient lists, a shift and a subtraction per
+    step, and each IntPolynomial is built once."""
+    lists = [[first], [0, 1]]
+    while len(lists) <= k:
+        step = [0] + lists[-1]
+        for i, c in enumerate(lists[-2]):
+            step[i] -= c
+        lists.append(step)
+    return [IntPolynomial(c) for c in lists]
 
 
 @lru_cache(maxsize=None)
@@ -513,7 +545,10 @@ def cos_two_pi_minpoly(n):
     out = IntPolynomial([c[k]])
     for j in range(1, k + 1):
         out = out + c[k + j] * vs[j]
-    assert out.is_monic and out.degree == k
+    if not out.is_monic or out.degree != k:
+        raise MathematicalInconsistencyError(
+            f"Phi_{n} gives {out}, not a monic polynomial of degree {k}"
+        )
     return out
 
 

@@ -25,12 +25,14 @@ cylinder kept per swapped pair, the middle one as is), with quotient
 graph A(n/2).
 
 Each model fact is proved once, by the build step that makes it:
-perron_frobenius proves Q h = mu h for the embedded lifts (stored
-heights are a multiple of its vector); n-gon heights are their lifts,
-and _build_polygon checks c_k against c_(n-k) for even n; E7/E8 lifts
-come from integer_lift() after the staircase rescaling; _checked_model
-refuses a model whose genus is not rank Q (core_curve_span_check).
-There is no separate verify step.
+perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
+per row, and reduces only the residuals that are not zero there (on a
+star, the center's); it then embeds each lift once and proves each
+height positive (stored heights are a multiple of its vector).  n-gon
+heights are their lifts, and _build_polygon checks c_k against
+c_(n-k) for even n; E7/E8 lifts come from integer_lift() after the
+staircase rescaling; _checked_model refuses a model whose genus is
+not rank Q (core_curve_span_check).  There is no separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -225,8 +227,12 @@ def perron_frobenius(graph, coxeter_number, lifts):
     formula: its field is that of cos_two_pi_minpoly(2h), at the root
     isolated as the largest.  The candidate eigenvector is given, one
     integer polynomial lift in mu per vertex in adjacency order (blacks,
-    then whites; see _star_lifts).  The heights are those lifts embedded
-    at mu, and adjacency * heights = mu * heights is verified exactly.
+    then whites; see _star_lifts).  Each row of adjacency * lifts = x *
+    lifts is checked as one residual in Z[x], sum a L_other - x L_row:
+    a zero residual holds at every x, and any other is reduced modulo
+    m_mu and must vanish.  The heights are the lifts embedded at mu
+    afterwards; embedding is a ring homomorphism, so this is exactly
+    adjacency * heights = mu * heights.
 
     That identity with every height strictly positive is the
     certificate: the graph is connected, so its adjacency matrix is
@@ -243,17 +249,20 @@ def perron_frobenius(graph, coxeter_number, lifts):
         raise InvalidArgumentError(f"{len(lifts)} height lifts for {len(adj)} vertices")
     modulus = cos_two_pi_minpoly(2 * coxeter_number)
     fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30)))
-    mu = fld.generator
-    heights = tuple(fld.element(lift.coefficients) for lift in lifts)
-    for row, height in zip(adj, heights):
-        acc = fld.zero
-        for a, other in zip(row, heights):
+    coefficients = [lift.coefficients for lift in lifts]
+    for row, own in zip(adj, coefficients):
+        residual = [0] + [-c for c in own]
+        for a, other in zip(row, coefficients):
             if a:
-                acc = acc + a * other
-        if acc != mu * height:
+                residual += [0] * (len(other) - len(residual))
+                for i, c in enumerate(other):
+                    residual[i] += a * c
+        if any(residual) and not fld.element(residual).is_zero:
             raise MathematicalInconsistencyError("Q h = mu h fails exactly")
+    heights = tuple(fld.element(c) for c in coefficients)
     if any(h.sign() <= 0 for h in heights):
         raise MathematicalInconsistencyError("eigenvector is not strictly positive")
+    mu = fld.generator
     return mu, heights
 
 
@@ -519,18 +528,19 @@ def holonomy_basis_check(model):
     (0, y*mu) with alpha = mu^2 and y the lowest vertical height is
     decided exactly for each coordinate divided by its basis vector, by
     the closed form of Z[alpha] (AlphaOrder: integer coordinates, and
-    for an even modulus no odd ones).  Each basis vector is inverted
-    once per call.
+    for an even modulus no odd ones).  A division by mu takes O(n)
+    (over_generator): c / alpha is (c / mu) / mu, and c / (y mu) is
+    (c / mu) times y^-1, the one inverse of the call.
     """
     order = model.alpha_basis
-    y = min(model.vertical, key=lambda c: c.height).height
+    y_inverse = min(model.vertical, key=lambda c: c.height).height.inverse()
     # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
-    bases = ((model.horizontal, order.alpha), (model.vertical, y * model.mu))
-    for cylinders, basis in bases:
-        inverse = basis.inverse()
-        if not all(order.in_order(cyl.circumference * inverse) for cyl in cylinders):
-            return False
-    return True
+    return all(
+        order.in_order(cyl.circumference.over_generator().over_generator())
+        for cyl in model.horizontal
+    ) and all(
+        order.in_order(cyl.circumference.over_generator() * y_inverse) for cyl in model.vertical
+    )
 
 
 def cylinder_bound_check(model):

@@ -26,6 +26,11 @@ def element_from_index(field, idx):
     return field.element(digits)
 
 
+def is_zero(elem):
+    """True for the zero element of a FiniteFieldSpec."""
+    return not any(elem.coeffs)
+
+
 def pmod(f, g, p):
     if not g:
         raise DivisionByZeroError("polynomial division by zero mod p")

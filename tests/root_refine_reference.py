@@ -9,6 +9,10 @@ only in how they refine.  The squarefree part is f over its Fraction
 gcd with f', not the library's, so the reference runs two remainder
 sequences where the library runs one.  Endpoints are returned as
 (lower, upper) Fraction pairs; this only serves tests.
+
+``bisect_by_signs`` is the sign bisection the library ran on Fraction
+endpoints before it bisected on integer numerators over one doubling
+denominator: the midpoint is the reduced Fraction (lo + hi) / 2.
 """
 
 import math
@@ -60,6 +64,32 @@ def refine(polynomial, lower, upper, width):
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def bisect_by_signs(polynomial, lower, upper, width):
+    """(lower, upper) narrowed below width by the sign of the squarefree
+    part at each Fraction midpoint; a zero at the midpoint or at upper
+    collapses the interval onto it."""
+    lower, upper, width = Fraction(lower), Fraction(upper), Fraction(width)
+    if width <= 0:
+        raise InvalidArgumentError("width must be positive")
+    if lower == upper or upper - lower <= width:
+        return lower, upper
+    sf = squarefree_part(polynomial).coefficients
+    if qeval(sf, upper) == 0:
+        return upper, upper
+    upper_positive = qeval(sf, upper) > 0
+    lo, hi = lower, upper
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        value = qeval(sf, mid)
+        if value == 0:
+            lo = hi = mid
+        elif (value > 0) == upper_positive:
+            hi = mid
+        else:
+            lo = mid
     return lo, hi
 
 

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,37 @@ def test_field_product_matches_fraction_long_division(data):
     )
 
 
+# constant terms 2 (the octagon's x^4 - 4x^2 + 2), -1, 1 and -2
+_GENERATOR_MODULI = ([2, 0, -4, 0, 1], [-1, -1, 1], [1, -3, 0, 1], [-2, 0, 1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_division_by_the_generator_matches_the_product_by_its_inverse(data):
+    if data.draw(st.booleans()):
+        modulus = IntPolynomial(data.draw(st.sampled_from(_GENERATOR_MODULI)))
+        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 2))
+    else:
+        field = data.draw(_fields())
+    if not field.modulus.coefficients[0]:
+        return
+    elem = field.element(_coordinates(data.draw, field))
+    quotient = elem.over_generator()
+    assert quotient == elem * field.generator.inverse()
+    assert quotient * field.generator == elem
+    assert quotient.den > 0 and math.gcd(quotient.den, *quotient.nums) == 1
+
+
+def test_division_by_a_vanishing_generator_is_typed():
+    # x is zero in Q[x]/(x), and a zero divisor in Q[x]/(x^2 + x)
+    for coeffs, error in (([0, 1], DivisionByZeroError), ([0, 1, 1], ZeroDivisorError)):
+        modulus = IntPolynomial(coeffs)
+        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 0))
+        for route in (field.one.over_generator, field.generator.inverse):
+            with pytest.raises(error):
+                route()
+
+
 @st.composite
 def _field_elements(draw):
     field = draw(_fields())
@@ -333,7 +365,8 @@ def test_enclosure_matches_fraction_interval_horner(case):
     expected = fraction_reference.qeval_interval(
         fraction_reference.strip(elem.coeffs), root.lower, root.upper
     )
-    assert elem._enclosure(lambda lo, hi: True) == expected
+    lo, hi, den = elem._enclosure(lambda lo, hi, den: True)
+    assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == expected
 
 
 @pytest.mark.parametrize("h", [5, 7, 12, 17, 40])
@@ -343,7 +376,8 @@ def test_enclosure_sequence_matches_fraction_interval_horner(h):
     elem = field.generator ** 3 - Fraction(7, 3) * field.generator + Fraction(1, 5)
     seen = []
 
-    def done(lo, hi):
+    def done(lo, hi, den):
+        lo, hi = Fraction(lo, den), Fraction(hi, den)
         root = field.root
         assert (lo, hi) == fraction_reference.qeval_interval(
             fraction_reference.strip(elem.coeffs), root.lower, root.upper

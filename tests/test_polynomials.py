@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclotomic_reference
 import fraction_reference
 import root_refine_reference as reference
 from veechfib.covers import congruence_degree
@@ -12,6 +13,7 @@ from veechfib.errors import (
     CapExceededError,
     DivisionByZeroError,
     InvalidArgumentError,
+    MathematicalInconsistencyError,
     NoRealRootError,
     VeechFibError,
 )
@@ -70,6 +72,27 @@ def test_minpoly_two_cos_pinned_values():
     assert minpoly_two_cos(5) == IntPolynomial([-1, -1, 1])
     assert minpoly_two_cos(18) == IntPolynomial([-3, 0, 9, 0, -6, 0, 1])
     assert minpoly_two_cos(30) == IntPolynomial([1, 0, -8, 0, 14, 0, -7, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "block", [range(1, 201), range(201, 401), range(401, 601), (1000, 1001, 1024, 1155, 2002, 2310)]
+)
+def test_cyclotomic_moebius_product_matches_recursive_division(block):
+    # 1155 = 3 5 7 11 and 2310 = 2 3 5 7 11 have 16 and 32 squarefree
+    # divisors; 1024 has two, and 1001 = 7 11 13 is odd
+    for n in block:
+        assert cyclotomic_polynomial(n) == cyclotomic_reference.cyclotomic_polynomial(n), n
+
+
+def test_cos_two_pi_minpoly_refuses_a_descent_that_is_not_monic(monkeypatch):
+    # a cyclotomic route that returned 2x^2 + x + 2 would descend to 2x + 1
+    monkeypatch.setattr(polynomials, "cyclotomic_polynomial", lambda n: IntPolynomial([2, 1, 2]))
+    cos_two_pi_minpoly.cache_clear()
+    try:
+        with pytest.raises(MathematicalInconsistencyError, match="not a monic polynomial of degree 1"):
+            cos_two_pi_minpoly(7)
+    finally:
+        cos_two_pi_minpoly.cache_clear()
 
 
 def test_minpoly_two_cos_derived_via_cyclotomic():
@@ -320,6 +343,27 @@ def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
     monkeypatch.setattr(polynomials, "pseudo_divmod", counted)
     isolate_largest_real_root(f, Fraction(1, 2**30))
     assert len(calls) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+    lower=st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    length=st.fractions(min_value=Fraction(1, 1000), max_value=30, max_denominator=1000),
+    width=st.fractions(min_value=Fraction(1, 10**7), max_value=40, max_denominator=10**7),
+)
+# f = (4x - 3)(x^2 - 2) on [0, 1]: the second midpoint, 3/4, is a root
+@example(coeffs=[6, -8, -3, 4], lower=Fraction(0), length=Fraction(1), width=Fraction(1, 2**30))
+# f = (x - 2)(x^2 - 1) on [3/2, 2]: the upper end is a root
+@example(coeffs=[2, -1, -2, 1], lower=Fraction(3, 2), length=Fraction(1, 2), width=Fraction(1, 9))
+def test_integer_bisection_matches_fraction_bisection(coeffs, lower, length, width):
+    # any interval, with or without a sign change in it: both routes take
+    # the same half at every step, so the endpoints are the same rationals
+    f = IntPolynomial(coeffs)
+    refined = RootInterval(f, lower, lower + length).refine(width)
+    expected = reference.bisect_by_signs(f, lower, lower + length, width)
+    assert _bounds(refined) == expected
+    assert all(type(end) is Fraction for end in _bounds(refined))
 
 
 def test_refinement_midpoint_on_a_rational_root():

@@ -130,6 +130,42 @@ def test_perron_frobenius_refuses_a_wrong_candidate():
         perron_frobenius(graph, 18, lifts[1:])
 
 
+@pytest.mark.parametrize("family, size, h", [("E8", None, 30), ("A", 6, 7), ("A", 15, 16)])
+def test_perron_frobenius_reads_each_residual_modulo_the_minimal_polynomial(family, size, h):
+    graph, lifts = star_candidate(family, size)
+    mu, heights = perron_frobenius(graph, h, lifts)
+    modulus = mu.field.modulus
+    # a lift moved by a multiple of m_mu leaves nonzero residuals in Z[x]
+    # on its row and its neighbours', each divisible by m_mu: it passes
+    # with the same heights
+    for v in (0, len(lifts) - 1):
+        moved = list(lifts)
+        moved[v] = lifts[v] + modulus * IntPolynomial([3, 0, -1])
+        assert perron_frobenius(graph, h, moved) == (mu, heights)
+        # the same lift moved by one more unit fails
+        moved[v] = moved[v] + IntPolynomial([1])
+        with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
+            perron_frobenius(graph, h, moved)
+
+
+def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
+    # every row of a star but the center's has a zero residual in Z[x];
+    # the field reads the center's residual and then each lift once
+    graph, lifts = star_candidate("A", 12)
+    reads = []
+    element = RealAlgebraicField.element
+
+    def counted(field, coeffs):
+        reads.append(tuple(coeffs))
+        return element(field, coeffs)
+
+    monkeypatch.setattr(RealAlgebraicField, "element", counted)
+    perron_frobenius(graph, 13, lifts)
+    # the center residual, each lift, then the generator
+    assert len(reads) == len(lifts) + 2
+    assert reads[1:-1] == [lift.coefficients for lift in lifts] and reads[-1] == (0, 1)
+
+
 @pytest.mark.parametrize(
     "family, size, h",
     [("E7", None, 18), ("E8", None, 30)] + [("A", m, m + 1) for m in range(2, 40)],

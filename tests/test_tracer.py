@@ -6,8 +6,11 @@ or renames one of those names breaks the benchmark's per-layer metrics;
 this test catches it.  The tracer file is loaded, never modified.
 """
 
+import functools
 import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -141,3 +144,56 @@ def test_tracer_sees_each_structural_check_once_per_model_under_its_family():
             "families.polygon_family",
             "families.sporadic_family",
         ], check
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "veechfib"
+_CACHE_DECORATOR = re.compile(r"^\s*@(?:functools\.)?(lru_cache|cache|cached_property)\b", re.M)
+
+
+def _package_caches():
+    """(module, qualified name, maxsize) of every lru cache defined at
+    module level or on a module-level class of veechfib, and (module,
+    qualified name) of every cached_property."""
+    import veechfib
+
+    caches, properties = set(), set()
+    for info in pkgutil.walk_packages(veechfib.__path__, "veechfib."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            members = [(name, obj)]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members += [(f"{name}.{key}", value) for key, value in vars(obj).items()]
+            for qualified, value in members:
+                if isinstance(value, functools.cached_property):
+                    properties.add((module.__name__, qualified))
+                elif hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                    caches.add((module.__name__, qualified, value.cache_info().maxsize))
+    return caches, properties
+
+
+def test_every_functools_cache_in_the_package_is_pinned():
+    """A cache the benchmark does not clear would turn a cold pass warm.
+    The three unbounded lru caches are the ones perfbench/tracer.py
+    clears before each pass; divisor_rows keeps one discriminant; the
+    cached properties live on a SurfaceModel, which build_surface's cache
+    holds, so clearing it drops them."""
+    caches, properties = _package_caches()
+    assert caches == {
+        ("veechfib.thurston_veech", "build_surface", None),
+        ("veechfib.exact.polynomials", "cos_two_pi_minpoly", None),
+        ("veechfib.exact.polynomials", "cyclotomic_polynomial", None),
+        ("veechfib.prototypes", "divisor_rows", 1),
+    }
+    assert properties == {
+        ("veechfib.thurston_veech", "SurfaceModel.memo"),
+        ("veechfib.thurston_veech", "SurfaceModel.alpha_basis"),
+    }
+    cleared = {(mod, attr) for mod, attr, _ in _load_tracer().CACHES}
+    assert cleared == {(mod, name) for mod, name, size in caches if size is None}
+    # no cache hides inside a function body or a nested class
+    decorators = [
+        match
+        for path in SRC.rglob("*.py")
+        for match in _CACHE_DECORATOR.findall(path.read_text(encoding="utf-8"))
+    ]
+    assert len(decorators) == len(caches) + len(properties)
