@@ -8,17 +8,19 @@ for positivity without floating point.
 
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
-scalings, products, reductions, inverses, divisions by x and interval
-evaluations all run on those integers: since m is monic, x^n mod m is
-integral, and a product is reduced by it from the top coefficient down.
-An integral element (denominator 1) never forms a Fraction; ``coeffs``
-builds the Fraction coordinates only when read, and a sign reads the
-integer bounds of an interval Horner.  Power bases of an
-element (minimal polynomials, suborder membership) are one
-fraction-free elimination of the integer numerators of its powers.
+products, reductions, inverses, divisions by x and interval evaluations
+all run on those integers: since m is monic, x^n mod m is integral, and
+a product is reduced by it from the top coefficient down.  An integral
+element (denominator 1) never forms a Fraction; ``coeffs`` builds the
+Fraction coordinates only when read, and a sign reads the integer
+bounds of an interval Horner.  Power bases of an element (minimal
+polynomials, suborder membership) are one fraction-free elimination of
+the integer numerators of its powers.
 
-Elements always carry their field.  Mixed-field arithmetic raises
-MixedModulusError; nothing is ever coerced.
+Elements always carry their field and combine only with elements of
+the same field: mixed-field arithmetic raises MixedModulusError, and an
+int or Fraction operand raises InvalidArgumentError.  Nothing is ever
+coerced; a rational enters a field only through ``element``.
 """
 
 from __future__ import annotations
@@ -99,19 +101,13 @@ class RealAlgebraicField:
                     out[i] += c * r
         return _lowest(self, out + [0] * (n - len(out)), den)
 
-    def from_rational(self, x):
-        x = x if isinstance(x, int) else Fraction(x)
-        return NumberFieldElement(
-            self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator
-        )
-
     @property
     def zero(self):
-        return self.from_rational(0)
+        return self.element([0])
 
     @property
     def one(self):
-        return self.from_rational(1)
+        return self.element([1])
 
     @property
     def generator(self):
@@ -134,7 +130,10 @@ def _lowest(field, nums, den):
 @functools.total_ordering
 class NumberFieldElement:
     """Element of a RealAlgebraicField: the residue sum_k nums[k] x^k / den
-    of degree < deg(modulus), with den > 0 and gcd(den, *nums) == 1."""
+    of degree < deg(modulus), with den > 0 and gcd(den, *nums) == 1.
+
+    A closed ring type: +, -, *, / and < take another element of the
+    same field and nothing else, and == holds only between elements."""
 
     __slots__ = ("field", "nums", "den")
 
@@ -158,33 +157,19 @@ class NumberFieldElement:
                 f"mixed moduli: {self.field.modulus} vs {other.field.modulus}"
             )
 
-    def _scaled(self, p, q):
-        """self * p / q for integers p and q > 0."""
-        return _lowest(self.field, [c * p for c in self.nums], self.den * q)
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         self._check(other)
         a, b = self.den, other.den
         return _lowest(self.field, [x * b + y * a for x, y in zip(self.nums, other.nums)], a * b)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return NumberFieldElement(self.field, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+        self._check(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
         self._check(other)
         a = self.nums
         b = list(other.nums)
@@ -237,44 +222,19 @@ class NumberFieldElement:
         return _lowest(self.field, nums, self.den * m0)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise DivisionByZeroError("division by zero")
-            sign = 1 if other > 0 else -1
-            return self._scaled(sign * other.denominator, abs(other.numerator))
         self._check(other)
         return self * other.inverse()
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, NumberFieldElement):
-            return other.field == self.field and self.nums == other.nums and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return (
-                self.is_rational
-                and self.nums[0] == other.numerator
-                and self.den == other.denominator
-            )
-        return False
+        return (
+            isinstance(other, NumberFieldElement)
+            and other.field == self.field
+            and self.nums == other.nums
+            and self.den == other.den
+        )
 
     def __hash__(self):
-        # a rational element hashes as the rational it equals
-        if not self.is_rational:
-            return hash((self.field.modulus, self.nums, self.den))
-        if self.den == 1:
-            return hash(self.nums[0])
-        return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field.modulus, self.nums, self.den))
 
     @property
     def is_zero(self):
@@ -342,14 +302,8 @@ class NumberFieldElement:
         return 1 if lo > 0 else (-1 if hi < 0 else 0)
 
     def __lt__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
         self._check(other)
         return (self - other).sign() < 0
-
-    def __float__(self):
-        lo, hi, den = self._enclosure(lambda lo, hi, den: (hi - lo) * 10**17 <= den)
-        return float(Fraction(lo + hi, 2 * den))
 
     # -- lifts ----------------------------------------------------------------
 

@@ -208,9 +208,6 @@ class IntPolynomial:
                     rem[shift + i] -= c * b
         return None if any(rem) else IntPolynomial(quo)
 
-    def derivative(self):
-        return IntPolynomial([i * c for i, c in enumerate(self.coefficients)][1:])
-
     def content(self):
         return math.gcd(*self.coefficients)
 

@@ -684,8 +684,8 @@ def chern_scatter(d_min, d_max, p, data=None):
     data = data if data is not None else CurveDataTable()
     rows = []
     skipped = []
-    for d in range(d_min, d_max + 1):
-        if d % 4 not in (0, 1) or d < 5:
+    for d in range(max(d_min, 5), d_max + 1):
+        if d % 4 not in (0, 1):
             continue
         if math.isqrt(d) ** 2 == d:
             continue

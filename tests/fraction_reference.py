@@ -4,8 +4,8 @@ integer kernels in veechfib.exact.
 These are the evaluations and products the library ran on ``Fraction``
 before it moved them to integer numerators: Horner at a rational point,
 interval Horner over a rational interval, a field product as a dense
-product followed by long division by the modulus, Euclidean division
-and the monic gcd over Q, the field inverse by the extended Euclidean
+product followed by long division by the modulus, Euclidean division,
+the derivative and the monic gcd over Q, the field inverse by the extended Euclidean
 algorithm over Q, and the matrix rank by Gauss-Jordan elimination over
 Q.  Polynomials are tuples of rationals in ascending degree; this only
 serves tests.
@@ -56,6 +56,11 @@ def divide(f, g):
 def remainder(f, g):
     """Remainder of f by a nonzero g, by long division over Q."""
     return divide(f, g)[1]
+
+
+def derivative(f):
+    """f' of a coefficient sequence."""
+    return tuple(i * c for i, c in enumerate(f))[1:]
 
 
 def subtract(f, g):

@@ -3,13 +3,22 @@
 This is the elimination the library used before PowerBasis.  Every call
 builds the full matrix of powers and row-reduces it from scratch, so it
 shares no elimination code with veechfib.exact.numberfield.PowerBasis
-beyond the field arithmetic that produces the powers.
+beyond the field arithmetic that produces the powers.  ``power`` is
+that arithmetic for tests that need elem^k.
 """
 
 from fractions import Fraction
 
 from veechfib.errors import MixedModulusError, NonIntegralElementError
 from veechfib.exact.polynomials import IntPolynomial
+
+
+def power(elem, k):
+    """elem^k for k >= 0 by k - 1 field products."""
+    out = elem.field.one
+    for _ in range(k):
+        out = out * elem
+    return out
 
 
 def _row_reduce(rows):

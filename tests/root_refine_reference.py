@@ -33,7 +33,7 @@ from veechfib.exact.polynomials import (
 def squarefree_part(f):
     """f divided by its monic gcd with f' over Q, scaled to a primitive
     integer polynomial with a positive leading term."""
-    gcd = fraction_reference.gcd(f.coefficients, f.derivative().coefficients)
+    gcd = fraction_reference.gcd(f.coefficients, fraction_reference.derivative(f.coefficients))
     quotient = fraction_reference.divide(f.coefficients, gcd)[0]
     den = math.lcm(*(c.denominator for c in quotient))
     return IntPolynomial([c * den for c in quotient]).primitive_part()

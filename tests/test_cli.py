@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,38 @@ def test_scatter_rejects_a_bad_level_exit_2(capsys, p, d_min, d_max):
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "InvalidArgumentError"
     assert diagnostic["message"] == f"{p} is not an odd prime"
+
+
+def _console_script(*argv):
+    """The CLI in a fresh interpreter, run as the console script runs it,
+    stopped after 20 s."""
+    code = "import sys; from veechfib.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+
+
+def test_scatter_from_a_far_min_d_returns_the_rows_from_5():
+    far = _console_script("scatter", "--p", "7", "--min-D", "-10000000000000", "--max-D", "60")
+    near = _console_script("scatter", "--p", "7", "--min-D", "5", "--max-D", "60")
+    assert far.returncode == near.returncode == 0
+    assert far.stdout == near.stdout and "\n5,136080," in far.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [("polygon", "--n", "11"), ("sporadic", "--which", "E7")]
+)
+def test_a_strong_pseudoprime_level_exit_2(argv):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # prime base <= 37; as a level it must be refused, not reach F_p
+    psi12 = "318665857834031151167461"
+    out = _console_script(*argv, "--p", psi12)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "Traceback" not in out.stderr
+    diagnostic = json.loads(out.stderr)
+    assert diagnostic["error"] == "InvalidArgumentError"
+    assert diagnostic["message"] == f"{psi12} is not an odd prime"
 
 
 def test_verify_command(capsys):

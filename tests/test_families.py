@@ -1,4 +1,5 @@
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -554,6 +555,23 @@ def test_chern_scatter_rows_satisfy_strict_bmy():
     csv_text = chern_scatter_csv(rows)
     assert csv_text.startswith("# bmy-line: c1sq = 3*c2\n")
     assert "D,c2,c1sq,c1sq_over_c2" in csv_text
+
+
+def test_scatter_sweep_starts_at_the_first_discriminant():
+    # every D < 5 is skipped unseen, so a far-off min D costs nothing;
+    # the alarm turns a sweep over 10^13 integers into a failure
+    def interrupt(signum, frame):
+        raise AssertionError("the scatter walked the integers below D = 5")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(20)
+    try:
+        expected = chern_scatter(5, 60, 7)
+        for d_min in (-(10**13), -1, 0, 4):
+            assert chern_scatter(d_min, 60, 7) == expected
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_scatter_level3_has_noether_point():

@@ -25,11 +25,15 @@ GOLDEN = IntPolynomial([-1, -1, 1])
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(97) and is_prime(10**9 + 7)
     assert not is_prime(1) and not is_prime(91) and not is_prime(0)
-    # trial division finds 37^2; 41^2 and 41 * 43 are the first
-    # composites with no factor <= 37, so the fast path stops below them
-    assert not is_prime(37 * 37) and not is_prime(41 * 41) and not is_prime(41 * 43)
+    # trial division finds 41^2; 43^2 and 43 * 47 are the first
+    # composites with no factor <= 41, so the fast path stops below them
+    assert not is_prime(41 * 41) and not is_prime(43 * 43) and not is_prime(43 * 47)
     # a strong pseudoprime to bases 2, 3, 5 and 7
     assert not is_prime(3215031751)
+    # psi_12, the least strong pseudoprime to every prime base <= 37,
+    # is caught by base 41; psi_13 passes 2 ... 41 and bounds the test
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(1287836182261 * 2575672364521)
 
 
 def test_is_prime_matches_a_sieve():

@@ -209,7 +209,7 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
 def test_perron_frobenius_path_two():
     mu, heights = certify(3, "A", 2)
     assert mu.field.modulus == IntPolynomial([-1, 1])
-    assert mu == 1
+    assert mu == mu.field.one
     assert [h == mu.field.one for h in heights] == [True, True]
 
 
@@ -416,8 +416,8 @@ def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-bui
         CylinderDatum(
             f"c_v{i}",
             VERTICAL,
-            field.from_rational(v),
-            mu * field.from_rational(v),
+            field.element([v]),
+            mu * field.element([v]),
             1,
             IntPolynomial([v]),
         )
@@ -472,12 +472,13 @@ def _assert_alpha_order_matches_eliminations(model, dense):
         [c.circumference * basis.inverse() for c in cylinders]
         for cylinders, basis in ((model.horizontal, alpha), (model.vertical, y * model.mu))
     ]
-    others = [model.mu, model.mu / 2]
+    half_mu = model.mu / model.mu.field.element([2])
+    others = [model.mu, half_mu]
     for elem in quotients[0] + quotients[1]:
         assert order.in_order(elem) and elimination.in_order(elem)
     for elem in others:
         assert order.in_order(elem) == elimination.in_order(elem)
-    assert not order.in_order(model.mu / 2)
+    assert not order.in_order(half_mu)
     if dense:
         assert m_alpha == power_basis_reference.element_minimal_polynomial(alpha)
         for elem in [quotients[0][-1], quotients[1][-1]] + others:
