@@ -189,9 +189,7 @@ def _cmd_cover(args):
     orders = _int_list(args.orbifold_orders, "--orbifold-orders") if args.orbifold_orders else ()
     cusp_orders = _int_list(args.cusp_image_orders, "--cusp-image-orders")
     sig = covers.OrbifoldSignature(args.base_genus, orders, len(cusp_orders))
-    cover = covers.riemann_hurwitz_cover(
-        sig.euler_characteristic, args.degree, orders, orders, cusp_orders
-    )
+    cover = covers.riemann_hurwitz_cover(sig.euler_characteristic, args.degree, orders, cusp_orders)
     if args.base_twists:
         twists = _int_list(args.base_twists, "--base-twists")
         roots = _int_list(args.roots, "--roots") if args.roots else tuple(1 for _ in twists)

@@ -326,16 +326,15 @@ def _field_tables(field):
 # ---------------------------------------------------------------------------
 
 
-def riemann_hurwitz_cover(
-    chi_orb, degree, orbifold_orders, orbifold_image_orders, cusp_image_orders
-):
+def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
     """Genus and cusp count of a degree-d cover of a hyperbolic orbifold.
 
     The base has orbifold Euler characteristic chi_orb, one cusp per
     entry of cusp_image_orders and (at least) the cone points listed in
-    orbifold_orders.  Each listed orbifold point must map to an element
-    of its full order (the cover is then an honest surface, unbranched
-    over the cone points in the orbifold sense); each base cusp with
+    orbifold_orders.  Each listed cone point is assumed to map to an
+    element of its full order, so the cover is an honest surface,
+    unbranched over the cone points in the orbifold sense, and the
+    degree must be divisible by each cone order.  Each base cusp with
     image order k contributes d/k cusps.  The genus solves
     2 - 2b - |cusps| = d * chi_orb exactly and must come out a
     nonnegative integer.  A degree or cusp image order below 1 is
@@ -345,16 +344,9 @@ def riemann_hurwitz_cover(
         raise InvalidArgumentError("degree must be positive")
     if min(cusp_image_orders, default=1) < 1:
         raise InvalidArgumentError("cusp image orders must be positive")
-    if len(orbifold_image_orders) != len(orbifold_orders):
-        raise InvalidArgumentError("one image order per orbifold point required")
-    for full, image in zip(orbifold_orders, orbifold_image_orders):
-        if image != full:
-            raise InconsistentCoverError(
-                f"orbifold point of order {full} has image order {image}; "
-                "the cover would be an orbifold, not a surface"
-            )
-        if degree % image != 0:
-            raise InconsistentCoverError(f"degree {degree} not divisible by {image}")
+    for order in orbifold_orders:
+        if degree % order != 0:
+            raise InconsistentCoverError(f"degree {degree} not divisible by {order}")
     cusps_per_orbit = []
     for k in cusp_image_orders:
         if degree % k != 0:

@@ -549,14 +549,6 @@ def cos_two_pi_minpoly(n):
     return out
 
 
-def translate(f, a):
-    """f(x + a), by Horner's rule in Z[x]."""
-    out = IntPolynomial()
-    for c in reversed(f.coefficients):
-        out = out * IntPolynomial([a, 1]) + IntPolynomial([c])
-    return out
-
-
 def minpoly_two_cos(n):
     """Minimal polynomial of 2*cos(pi/n) for n >= 3; degree phi(2n)/2."""
     if not isinstance(n, int) or n < 3:

@@ -20,11 +20,12 @@ numbers for all of them, and the family adds its own checks.  One
 builder, model_spec, gives the polygon and E7 / E8 specs: each Veech
 group is fixed by the Coxeter number h (Veech 1989; Leininger 2004),
 Delta(2, h, oo) for odd h and Delta(h/2, oo, oo) for even h.  The
-level test needs only alpha = 2 + 2cos(2pi/h), so admissible_primes
-builds no model.  All but the elliptic family are also evaluated
-through literal closed-form tables (genus, cusps, e, sigma as
-functions of d, n, p) so the two code paths can be diffed; see
-closed_forms_* below.
+level test needs only m_alpha for alpha = 2 + 2cos(2pi/h), which
+family_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h): so
+admissible_primes builds no model, and model_spec reads it once per
+model.  All but the elliptic family are also evaluated through
+literal closed-form tables (genus, cusps, e, sigma as functions of d,
+n, p) so the two code paths can be diffed; see closed_forms_* below.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
 from .exact.finitefield import is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str, translate
+    IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str
 )
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import (
@@ -287,11 +288,7 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
     orbifold_orders = sig.orbifold_orders if sig is not None else ()
     try:
         cover = riemann_hurwitz_cover(
-            chi_orb,
-            degree_data.degree,
-            orbifold_orders,
-            orbifold_orders,
-            (level,) * len(spec.base_twists),
+            chi_orb, degree_data.degree, orbifold_orders, (level,) * len(spec.base_twists)
         )
     except InconsistentCoverError as exc:
         branch = ", exceptional branch" if degree_data.exceptional else ""
@@ -417,26 +414,28 @@ def closed_forms_weierstrass(d, p, degree, chi, base_twists):
 
 
 def model_spec(tag):
-    """Spec and cached model of the polygon-n, E7 or E8 surface: the base
-    and its cusps follow from the Coxeter number h (see the module
-    docstring), m_alpha is read from the model."""
+    """Spec and cached model of the polygon-n, E7 or E8 surface: the base,
+    its cusps and m_alpha follow from the Coxeter number h (see the module
+    docstring and family_alpha_polynomial).  The spec is built once per
+    model and kept in its memo."""
     tag, h = capped_surface_tag(tag)
     model = _self.build_surface(tag)
-    m_alpha = model.alpha_basis.minimal_polynomial()
-    if h % 2:
-        signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
-    else:
-        signature = OrbifoldSignature(0, (h // 2,), 2)
-        base_twists = (len(model.horizontal), len(model.vertical))
-    spec = FamilySpec(
-        tag=tag,
-        fiber_genus=model.genus,
-        zero_partition=model.zero_partition,
-        alpha_minimal_polynomial=m_alpha,
-        contains_minus_identity=tag.startswith("polygon-"),
-        signature_orbifold=signature,
-        base_twists=base_twists,
-    )
+    spec = model.memo.get("spec")
+    if spec is None:
+        if h % 2:
+            signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
+        else:
+            signature = OrbifoldSignature(0, (h // 2,), 2)
+            base_twists = (len(model.horizontal), len(model.vertical))
+        spec = model.memo["spec"] = FamilySpec(
+            tag=tag,
+            fiber_genus=model.genus,
+            zero_partition=model.zero_partition,
+            alpha_minimal_polynomial=family_alpha_polynomial(tag)[0],
+            contains_minus_identity=tag.startswith("polygon-"),
+            signature_orbifold=signature,
+            base_twists=base_twists,
+        )
     return spec, model
 
 
@@ -637,8 +636,11 @@ _X_MINUS_ONE = IntPolynomial([-1, 1])
 def family_alpha_polynomial(family_tag):
     """Minimal polynomial of the congruence parameter, plus its genus.
 
-    A surface of Coxeter number h has alpha = 2 + 2cos(2pi/h): m_alpha
-    is that of 2cos(2pi/h) at x - 2, of degree the genus, with no model.
+    A surface of Coxeter number h has alpha = mu^2 = 2 + 2cos(2pi/h) for
+    mu = 2cos(pi/h), whose minimal polynomial f = cos_two_pi_minpoly(2h)
+    has degree n.  For even h, f = g(x^2) and m_alpha = g; for odd h,
+    m_alpha(x^2) = (-1)^n f(x) f(-x).  m_alpha has degree the genus, and
+    no model is built.
     """
     prefix, _, number = family_tag.strip().partition("-")
     if prefix.lower() == "weierstrass":
@@ -648,7 +650,11 @@ def family_alpha_polynomial(family_tag):
             raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
         return weierstrass_alpha_polynomial(d), 2
     _, h = capped_surface_tag(family_tag)
-    m_alpha = translate(cos_two_pi_minpoly(h), -2)
+    f = cos_two_pi_minpoly(2 * h)
+    if h % 2:
+        mirrored = IntPolynomial([-c if i % 2 else c for i, c in enumerate(f.coefficients)])
+        f = f * mirrored * (-1) ** f.degree
+    m_alpha = IntPolynomial(f.coefficients[::2])
     return m_alpha, m_alpha.degree
 
 

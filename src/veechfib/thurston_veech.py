@@ -39,10 +39,10 @@ as the integer polynomial lifts in mu used by the staircase parity
 check (the lifts are NOT reduced modulo the minimal polynomial, which
 matters when the minimal polynomial is not an even polynomial).
 
-Level-independent work runs once per model and stays on it: the order
-Z[alpha] of alpha = mu^2 in closed form (``SurfaceModel.alpha_basis``,
-see AlphaOrder) and the structural checks the family pipelines keep in
-``SurfaceModel.memo``.
+Level-independent work runs once per model and stays on it: the family
+pipelines keep the spec and the structural checks in
+``SurfaceModel.memo``.  holonomy_basis_check decides membership in
+Z[mu^2] in closed form (_z_alpha_test).
 """
 
 from __future__ import annotations
@@ -327,12 +327,6 @@ class SurfaceModel(_SurfaceFields):
     def cylinders(self):
         return self.horizontal + self.vertical
 
-    @cached_property
-    def alpha_basis(self):
-        """Z[alpha] for alpha = mu^2 in closed form (AlphaOrder), built and
-        certified once per model."""
-        return AlphaOrder.of_model(self)
-
     def to_json(self):
         return {
             "family": self.family_tag,
@@ -345,56 +339,6 @@ class SurfaceModel(_SurfaceFields):
             "zero_partition": list(self.zero_partition),
             "core_curves_cross_boundary_once": True,
         }
-
-
-class AlphaOrder(NamedTuple):
-    """Z[alpha] for alpha = mu^2 in a model field, in closed form.
-
-    Even modulus f = g(x^2): m_alpha = g, and Z[alpha] holds the elements
-    with denominator 1 and every odd coordinate 0.  Odd modulus: mu =
-    -C_k(alpha - 2) for k = (h - 1)/2, h odd and read from the family
-    tag, C_k(2cos t) = 2cos(kt) in Z[x].  That identity, checked once as
-    mu = -C_(h-1)(mu) (C_k(x^2 - 2) = C_(2k)(x)), gives Z[alpha] =
-    Z[mu], the elements with denominator 1, and m_alpha(x^2) =
-    (-1)^n f(x) f(-x) for n = deg f.  Any other model is refused
-    (InapplicableModelError).
-    """
-
-    alpha: object
-    m_alpha: IntPolynomial
-    odd_coordinates_vanish: bool
-
-    @classmethod
-    def of_model(cls, model):
-        mu, modulus = model.mu, model.mu.field.modulus
-        if modulus.even_terms_only():
-            return cls(mu * mu, IntPolynomial(modulus.coefficients[::2]), True)
-        try:
-            h = surface_tag(model.family_tag)[1]
-        except UnsupportedFamilyError:
-            h = 0
-        if h % 2 == 0:
-            raise InapplicableModelError(
-                f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
-                "no closed form for Z[mu^2]"
-            )
-        witness = _chebyshev_polys(h - 1, 2)[h - 1].coefficients
-        if mu.field.element(witness) != -mu:
-            raise InapplicableModelError(
-                f"mu != -C_{(h - 1) // 2}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
-            )
-        mirrored = IntPolynomial([-c if i % 2 else c for i, c in enumerate(modulus.coefficients)])
-        even = (modulus * mirrored * (-1) ** modulus.degree).coefficients
-        return cls(mu * mu, IntPolynomial(even[::2]), False)
-
-    def minimal_polynomial(self):
-        return self.m_alpha
-
-    def in_order(self, elem):
-        """Exact membership of elem in Z[alpha]."""
-        if elem.field != self.alpha.field:
-            raise MixedModulusError("alpha and element live in different fields")
-        return elem.den == 1 and not (self.odd_coordinates_vanish and any(elem.nums[1::2]))
 
 
 @lru_cache(maxsize=None)
@@ -413,11 +357,11 @@ def build_surface(family_tag):
 
 
 def _build_polygon(n):
-    construction = coxeter_graph("A", n - 1)
-    lifts = _star_lifts(*_coxeter_star("A", n - 1))
-    # vertex k (1-based along the path) lifts to U_(k-1); construction-graph
-    # order is odd vertices then even vertices
-    order = list(range(1, n, 2)) + list(range(2, n, 2))
+    star = _coxeter_star("A", n - 1)
+    construction, blacks, whites = _two_coloured(*star)
+    # vertex k (1-based along the path) lifts to U_(k-1)
+    lifts = _star_lifts(*star)
+    order = blacks + whites
     mu, heights = perron_frobenius(construction, n, [lifts[k] for k in order])
     by_vertex = dict(zip(order, heights))
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
@@ -520,6 +464,43 @@ def staircase_parity_check(model):
     )
 
 
+def _z_alpha_test(model):
+    """Exact membership test for Z[alpha], alpha = mu^2, in the model field.
+
+    Even modulus f = g(x^2): Z[alpha] holds the elements with denominator
+    1 and every odd coordinate 0.  Odd modulus: mu = -C_k(alpha - 2) for
+    k = (h - 1)/2, h odd and read from the family tag, C_k(2cos t) =
+    2cos(kt) in Z[x].  That identity, checked once here as mu =
+    -C_(h-1)(mu) (C_k(x^2 - 2) = C_(2k)(x)), gives Z[alpha] = Z[mu], the
+    elements with denominator 1.  Any other model is refused
+    (InapplicableModelError).
+    """
+    mu, modulus = model.mu, model.mu.field.modulus
+    odd_coordinates_vanish = modulus.even_terms_only()
+    if not odd_coordinates_vanish:
+        try:
+            h = surface_tag(model.family_tag)[1]
+        except UnsupportedFamilyError:
+            h = 0
+        if h % 2 == 0:
+            raise InapplicableModelError(
+                f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
+                "no closed form for Z[mu^2]"
+            )
+        witness = _chebyshev_polys(h - 1, 2)[h - 1].coefficients
+        if mu.field.element(witness) != -mu:
+            raise InapplicableModelError(
+                f"mu != -C_{(h - 1) // 2}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
+            )
+
+    def in_z_alpha(elem):
+        if elem.field != mu.field:
+            raise MixedModulusError("alpha and element live in different fields")
+        return elem.den == 1 and not (odd_coordinates_vanish and any(elem.nums[1::2]))
+
+    return in_z_alpha
+
+
 def holonomy_basis_check(model):
     """Check core-curve holonomy lies in the rank-2 Z[mu^2]-lattice.
 
@@ -527,19 +508,19 @@ def holonomy_basis_check(model):
     ones (0, mu*height); membership in Z[alpha]*(mu^2, 0) + Z[alpha]*
     (0, y*mu) with alpha = mu^2 and y the lowest vertical height is
     decided exactly for each coordinate divided by its basis vector, by
-    the closed form of Z[alpha] (AlphaOrder: integer coordinates, and
-    for an even modulus no odd ones).  A division by mu takes O(n)
+    the closed form of Z[alpha] (_z_alpha_test: integer coordinates,
+    and for an even modulus no odd ones).  A division by mu takes O(n)
     (over_generator): c / alpha is (c / mu) / mu, and c / (y mu) is
     (c / mu) times y^-1, the one inverse of the call.
     """
-    order = model.alpha_basis
+    in_z_alpha = _z_alpha_test(model)
     y_inverse = min(model.vertical, key=lambda c: c.height).height.inverse()
     # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
     return all(
-        order.in_order(cyl.circumference.over_generator().over_generator())
+        in_z_alpha(cyl.circumference.over_generator().over_generator())
         for cyl in model.horizontal
     ) and all(
-        order.in_order(cyl.circumference.over_generator() * y_inverse) for cyl in model.vertical
+        in_z_alpha(cyl.circumference.over_generator() * y_inverse) for cyl in model.vertical
     )
 
 

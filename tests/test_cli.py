@@ -401,9 +401,9 @@ def test_polygon_past_the_size_cap_exit_1(capsys, monkeypatch):
     from veechfib import thurston_veech
 
     def refuse(*args, **kwargs):
-        raise AssertionError("coxeter_graph reached past the size cap")
+        raise AssertionError("_two_coloured reached past the size cap")
 
-    monkeypatch.setattr(thurston_veech, "coxeter_graph", refuse)
+    monkeypatch.setattr(thurston_veech, "_two_coloured", refuse)
     requests = (("polygon", "--n", "1000003", "--p", "3"), ("tv-build", "--family", "polygon-257"))
     for argv in requests:
         code, out, err = run_cli(capsys, *argv)

@@ -160,21 +160,21 @@ def test_orbifold_signature_validation():
 
 def test_riemann_hurwitz_double_pentagon_cover():
     chi_orb = OrbifoldSignature(0, (2, 5), 1).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 60, (2, 5), (2, 5), (3,))
+    cover = riemann_hurwitz_cover(chi_orb, 60, (2, 5), (3,))
     assert cover.base_genus == 0
     assert cover.cusp_count == 20
 
 
 def test_riemann_hurwitz_polygon7_cover():
     chi_orb = OrbifoldSignature(0, (2, 7), 1).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 9828, (2, 7), (2, 7), (3,))
+    cover = riemann_hurwitz_cover(chi_orb, 9828, (2, 7), (3,))
     assert cover.base_genus == 118
     assert cover.cusp_count == 3276
 
 
 def test_riemann_hurwitz_identity_cover():
     chi_orb = OrbifoldSignature(0, (), 3).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 1, (), (), (1, 1, 1))
+    cover = riemann_hurwitz_cover(chi_orb, 1, (), (1, 1, 1))
     assert cover.base_genus == 0 and cover.cusp_count == 3
 
 
@@ -184,24 +184,23 @@ def test_riemann_hurwitz_round_trip():
     for degree, cusp_order in ((660, 3), (660, 5)):
         if degree % cusp_order:
             continue
-        cover = riemann_hurwitz_cover(
-            sig.euler_characteristic, degree, (2, 11), (2, 11), (cusp_order,)
-        )
+        cover = riemann_hurwitz_cover(sig.euler_characteristic, degree, (2, 11), (cusp_order,))
         chi_cover = Fraction(2 - 2 * cover.base_genus - cover.cusp_count)
         assert chi_cover / degree == sig.euler_characteristic
 
 
-def test_riemann_hurwitz_rejects_partial_orbifold_image():
+def test_riemann_hurwitz_refuses_a_degree_the_cone_orders_do_not_divide():
+    # every cone point maps to an element of its full order
     sig = OrbifoldSignature(0, (2, 5), 1)
-    with pytest.raises(InconsistentCoverError):
-        riemann_hurwitz_cover(sig.euler_characteristic, 60, (2, 5), (2, 1), (3,))
+    with pytest.raises(InconsistentCoverError, match="^degree 15 not divisible by 2$"):
+        riemann_hurwitz_cover(sig.euler_characteristic, 15, (2, 5), (3,))
 
 
 def test_riemann_hurwitz_rejects_non_integral_genus():
     # degree 60 with 2 cusp orbits of order 3 over the octagon orbifold
     sig = OrbifoldSignature(0, (4,), 2)
     with pytest.raises(InconsistentCoverError):
-        riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), (4,), (3, 3))
+        riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), (3, 3))
 
 
 def test_cover_twisting_examples():
@@ -226,9 +225,9 @@ def test_non_positive_cover_data_is_invalid_input(value):
     # invalid input, not an inconsistency: no cover has such data
     sig = OrbifoldSignature(0, (2, 3), 1)
     with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
-        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (2, 3), (value,))
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (value,))
     with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
-        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (2, 3), (6, value))
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (6, value))
     refusal = "^twists and root indices must be positive$"
     for twists, roots in (((value,), (1,)), ((2,), (value,)), ((2, value), (1, 1))):
         counts = (2,) * len(twists)

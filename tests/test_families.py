@@ -39,7 +39,7 @@ from veechfib.families import (
 from veechfib.invariants import kappa_mu
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.exact.finitefield import is_irreducible_mod_p
-from veechfib.exact.polynomials import divisors
+from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, divisors
 from veechfib.thurston_veech import build_surface, surface_tag
 
 
@@ -432,6 +432,23 @@ def _supported_tags(bound):
         except UnsupportedFamilyError:
             pass
     yield from (("E7", 18), ("E8", 30))
+
+
+def test_alpha_polynomial_matches_the_cyclotomic_shift_on_every_tag():
+    # alpha = 2 + 2cos(2pi/h), so m_alpha is Psi_h(x - 2), shifted here by
+    # Horner's rule: a second route to the parity rule on m_mu that
+    # family_alpha_polynomial applies, on every supported tag, with no model
+    x_minus_2 = IntPolynomial([-2, 1])
+    tags = list(_supported_tags(256))
+    assert len(tags) == 89
+    built = build_surface.cache_info()
+    for tag, h in tags:
+        psi = cos_two_pi_minpoly(h).coefficients
+        shifted = IntPolynomial([psi[-1]])
+        for c in reversed(psi[:-1]):
+            shifted = shifted * x_minus_2 + IntPolynomial([c])
+        assert family_alpha_polynomial(tag) == (shifted, shifted.degree), tag
+    assert build_surface.cache_info() == built
 
 
 def test_admissibility_matches_the_galois_criterion():

@@ -57,8 +57,8 @@ def test_chebyshev_polys_take_their_trigonometric_values(t):
 
 
 def test_chebyshev_composed_with_y_squared_minus_two_doubles_the_index():
-    # C_k(y^2 - 2) = C_(2k)(y), as polynomials: the identity AlphaOrder
-    # checks mu = -C_((h-1)/2)(mu^2 - 2) by
+    # C_k(y^2 - 2) = C_(2k)(y), as polynomials: the identity the holonomy
+    # check's Z[alpha] test checks mu = -C_((h-1)/2)(mu^2 - 2) by
     c = _chebyshev_polys(40, 2)
     y2_minus_2 = IntPolynomial([-2, 0, 1])
     for k in range(21):

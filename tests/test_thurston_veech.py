@@ -24,6 +24,7 @@ from veechfib.exact.polynomials import (
     squarefree_part,
     sturm_chain,
 )
+from veechfib.families import family_alpha_polynomial
 from veechfib.thurston_veech import (
     HORIZONTAL,
     MAX_POLYGON_N,
@@ -284,12 +285,12 @@ def _refuse_graphs(monkeypatch):
     def refuse(*args, **kwargs):
         raise _GraphAllocated(args)
 
-    monkeypatch.setattr(thurston_veech, "coxeter_graph", refuse)
+    monkeypatch.setattr(thurston_veech, "_two_coloured", refuse)
 
 
 def test_polygon_past_the_size_cap_is_refused_before_its_graph(monkeypatch):
-    # a broken guard reaches coxeter_graph and fails at once instead of
-    # allocating an n x n matrix
+    # a broken guard reaches _two_coloured, the first graph a polygon
+    # build makes, and fails at once instead of allocating an n x n matrix
     _refuse_graphs(monkeypatch)
     assert MAX_POLYGON_N == 256
     for n in (257, 262, 512, 1000003):
@@ -457,16 +458,15 @@ def _supported_tags(max_n):
 
 
 def _assert_alpha_order_matches_eliminations(model, dense):
-    """The closed-form Z[alpha] of the model against the fraction-free
-    PowerBasis on every holonomy quotient the check forms and on mu and
-    mu/2, and, when dense, against the dense Gauss-Jordan reference on
-    one quotient per direction and on mu and mu/2."""
-    order = model.alpha_basis
-    alpha = order.alpha
-    assert alpha == model.mu * model.mu
-    m_alpha = order.minimal_polynomial()
+    """The closed-form Z[alpha] test of the holonomy check against the
+    fraction-free PowerBasis on every holonomy quotient the check forms
+    and on mu and mu/2, and, when dense, against the dense Gauss-Jordan
+    reference on one quotient per direction and on mu and mu/2.
+    Returns PowerBasis's m_alpha."""
+    in_z_alpha = thurston_veech._z_alpha_test(model)
+    alpha = model.mu * model.mu
     elimination = PowerBasis(alpha)
-    assert m_alpha == elimination.minimal_polynomial()
+    m_alpha = elimination.minimal_polynomial()
     y = min(model.vertical, key=lambda c: c.height).height
     quotients = [
         [c.circumference * basis.inverse() for c in cylinders]
@@ -475,16 +475,17 @@ def _assert_alpha_order_matches_eliminations(model, dense):
     half_mu = model.mu / model.mu.field.element([2])
     others = [model.mu, half_mu]
     for elem in quotients[0] + quotients[1]:
-        assert order.in_order(elem) and elimination.in_order(elem)
+        assert in_z_alpha(elem) and elimination.in_order(elem)
     for elem in others:
-        assert order.in_order(elem) == elimination.in_order(elem)
-    assert not order.in_order(half_mu)
+        assert in_z_alpha(elem) == elimination.in_order(elem)
+    assert not in_z_alpha(half_mu)
     if dense:
         assert m_alpha == power_basis_reference.element_minimal_polynomial(alpha)
         for elem in [quotients[0][-1], quotients[1][-1]] + others:
-            assert order.in_order(elem) == power_basis_reference.in_order(
+            assert in_z_alpha(elem) == power_basis_reference.in_order(
                 elem, alpha, m_alpha.degree
             )
+    return m_alpha
 
 
 @pytest.mark.parametrize("tag", _supported_tags(128))
@@ -494,17 +495,19 @@ def test_closed_form_alpha_order_matches_the_eliminations(tag):
     # second route
     model = build_surface(tag)
     h = surface_tag(tag)[1]
-    # even h: an even modulus, so Z[alpha] has no odd coordinates
-    assert model.alpha_basis.odd_coordinates_vanish is (h % 2 == 0)
-    _assert_alpha_order_matches_eliminations(model, dense=h <= 64)
+    # even h: an even modulus, so Z[alpha] has no odd coordinates and
+    # misses mu; odd h: Z[alpha] = Z[mu]
+    assert model.mu.field.modulus.even_terms_only() is (h % 2 == 0)
+    assert thurston_veech._z_alpha_test(model)(model.mu) is (h % 2 == 1)
+    m_alpha = _assert_alpha_order_matches_eliminations(model, dense=h <= 64)
+    assert family_alpha_polynomial(tag) == (m_alpha, model.genus)
 
 
 def test_closed_form_alpha_order_on_the_hand_built_model():
     model = _hand_built_model([1, 2])
-    assert model.alpha_basis.minimal_polynomial() == IntPolynomial([-3, 1])
     _assert_alpha_order_matches_eliminations(model, dense=True)
     with pytest.raises(MixedModulusError):
-        model.alpha_basis.in_order(build_surface("polygon-8").mu)
+        thurston_veech._z_alpha_test(model)(build_surface("polygon-8").mu)
 
 
 @pytest.mark.parametrize("tag", ["hand-built", "polygon-5", "E7"])
@@ -513,7 +516,7 @@ def test_odd_modulus_without_certificate_is_refused(tag):
     # any tag: no closed form, and no elimination to fall back on
     model = _hand_built_model([1, 2], modulus=(-2, 0, 0, 1), family_tag=tag)
     with pytest.raises(InapplicableModelError, match="no closed form for Z\\[mu\\^2\\]"):
-        model.alpha_basis
+        thurston_veech._z_alpha_test(model)
     with pytest.raises(InapplicableModelError):
         holonomy_basis_check(model)
 
@@ -624,7 +627,7 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
     from veechfib.covers import OrbifoldSignature
     from veechfib.exact.numberfield import element_minimal_polynomial
     from veechfib.exact.polynomials import cos_two_pi_minpoly
-    from veechfib.families import family_alpha_polynomial, model_spec
+    from veechfib.families import model_spec
 
     def shift_by_minus_two(poly):
         out = IntPolynomial([poly.coefficients[-1]])
@@ -648,3 +651,5 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
         assert spec.alpha_minimal_polynomial == via_cyclotomic, tag
         assert family_alpha_polynomial(tag) == (via_matrix, model.genus), tag
         assert spec.signature_orbifold == signatures[tag], tag
+        # one spec per model, kept in its memo
+        assert model_spec(tag)[0] is spec is model.memo["spec"], tag

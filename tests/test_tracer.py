@@ -175,8 +175,8 @@ def test_every_functools_cache_in_the_package_is_pinned():
     """A cache the benchmark does not clear would turn a cold pass warm.
     The three unbounded lru caches are the ones perfbench/tracer.py
     clears before each pass; divisor_rows keeps one discriminant; the
-    cached properties live on a SurfaceModel, which build_surface's cache
-    holds, so clearing it drops them."""
+    cached property lives on a SurfaceModel, which build_surface's cache
+    holds, so clearing it drops it."""
     caches, properties = _package_caches()
     assert caches == {
         ("veechfib.thurston_veech", "build_surface", None),
@@ -184,10 +184,7 @@ def test_every_functools_cache_in_the_package_is_pinned():
         ("veechfib.exact.polynomials", "cyclotomic_polynomial", None),
         ("veechfib.prototypes", "divisor_rows", 1),
     }
-    assert properties == {
-        ("veechfib.thurston_veech", "SurfaceModel.memo"),
-        ("veechfib.thurston_veech", "SurfaceModel.alpha_basis"),
-    }
+    assert properties == {("veechfib.thurston_veech", "SurfaceModel.memo")}
     cleared = {(mod, attr) for mod, attr, _ in _load_tracer().CACHES}
     assert cleared == {(mod, name) for mod, name, size in caches if size is None}
     # no cache hides inside a function body or a nested class
