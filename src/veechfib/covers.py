@@ -1,13 +1,15 @@
 """Degrees, cusps, genus and twisting of level-p congruence covers.
 
 congruence_degree is the one level decision: it alone admits a level p
-and picks the image of the monodromy there, from the classical
-generation theorem for SL(2) over a finite field: two opposite
-elementary matrices [[1, a], [0, 1]] and [[1, 0], [1, 1]] with a
-generating the field generate all of SL(2, F_q), except over F_9 where
-they generate a copy of SL(2, 5) of order 120.  The deck group of the
-cover is that image modulo its center's -I when the Veech group
-contains -I, whence the degree is q(q^2 - 1) or q(q^2 - 1)/2.
+(by Rabin's test on the trace-field polynomial, or for a model of
+Coxeter number h by the order of p mod h up to sign) and picks the
+image of the monodromy there, from the classical generation theorem
+for SL(2) over a finite field: two opposite elementary matrices
+[[1, a], [0, 1]] and [[1, 0], [1, 1]] with a generating the field
+generate all of SL(2, F_q), except over F_9 where they generate a copy
+of SL(2, 5) of order 120.  The deck group of the cover is that image
+modulo its center's -I when the Veech group contains -I, whence the
+degree is q(q^2 - 1) or q(q^2 - 1)/2.
 
 group_closure_order provides the independent oracle: the exact order
 of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
@@ -113,7 +115,7 @@ class CongruenceDegree(NamedTuple):
     exceptional: bool
 
 
-def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
+def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=None):
     """Cover degree for the level-p congruence cover of a trace field.
 
     The one level decision: p must be an odd prime and alpha_minpoly,
@@ -123,6 +125,18 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
     where it is the order-120 copy of SL(2, 5) inside SL(2, 9).  The
     returned degree divides out the center when the Veech group
     contains -I.
+
+    Irreducibility is decided along one of two routes.  Without
+    coxeter_number, by Rabin's test on alpha_minpoly mod p.  With it,
+    the caller asserts that alpha = 2 + 2cos(2pi/h) for h =
+    coxeter_number, so that alpha generates Q(zeta_h)^+, Z[alpha] is its
+    ring of integers and g = phi(h)/2.  By Dedekind-Kummer, m_alpha mod
+    p then factors as p does in that ring, and the decomposition group
+    of p is generated by its Frobenius p mod h in the Galois group
+    (Z/h)^x / {+-1} (Washington, Introduction to Cyclotomic Fields,
+    ch. 2).  For h > 6 a p dividing h ramifies, and g >= 2, so m_alpha
+    is irreducible mod p exactly when p does not divide h and p has
+    order g there, which is what is tested.
     """
     if not isinstance(alpha_minpoly, IntPolynomial):
         alpha_minpoly = IntPolynomial(alpha_minpoly)
@@ -132,7 +146,11 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
         raise InvalidArgumentError(
             f"minimal polynomial degree {alpha_minpoly.degree} != genus {genus}"
         )
-    if not is_irreducible_mod_p(alpha_minpoly, p):
+    if coxeter_number is None:
+        irreducible = is_irreducible_mod_p(alpha_minpoly, p)
+    else:
+        irreducible = _order_mod_sign(p, coxeter_number, genus) == genus
+    if not irreducible:
         raise InadmissiblePrimeError(
             f"{alpha_minpoly} is reducible mod {p}; level {p} is inadmissible"
         )
@@ -147,6 +165,17 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i):
         exceptional = False
     degree = order // 2 if contains_minus_i else order
     return CongruenceDegree(degree, order, label, exceptional)
+
+
+def _order_mod_sign(p, h, bound):
+    """Least k <= bound with p^k = +-1 mod h, the order of p in
+    (Z/h)^x / {+-1}; None when there is none (always when p divides h)."""
+    x = p % h
+    for k in range(1, bound + 1):
+        if x in (1, h - 1):
+            return k
+        x = x * p % h
+    return None
 
 
 # ---------------------------------------------------------------------------

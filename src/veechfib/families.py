@@ -20,12 +20,14 @@ numbers for all of them, and the family adds its own checks.  One
 builder, model_spec, gives the polygon and E7 / E8 specs: each Veech
 group is fixed by the Coxeter number h (Veech 1989; Leininger 2004),
 Delta(2, h, oo) for odd h and Delta(h/2, oo, oo) for even h.  The
-level test needs only m_alpha for alpha = 2 + 2cos(2pi/h), which
-family_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h): so
-admissible_primes builds no model, and model_spec reads it once per
-model.  All but the elliptic family are also evaluated through
-literal closed-form tables (genus, cusps, e, sigma as functions of d,
-n, p) so the two code paths can be diffed; see closed_forms_* below.
+level test needs only h, and congruence_degree takes it from the
+polygon, sporadic and primes paths; m_alpha for alpha = 2 + 2cos(2pi/h),
+which family_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h),
+fixes the genus and the refusal message.  So admissible_primes builds
+no model, and model_spec reads m_alpha once per model.  All but the
+elliptic family are also evaluated through literal closed-form tables
+(genus, cusps, e, sigma as functions of d, n, p) so the two code paths
+can be diffed; see closed_forms_* below.
 """
 
 from __future__ import annotations
@@ -458,20 +460,23 @@ def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
     return _model_family(
         f"polygon-{n}",
+        n,
         p,
         lambda degree: closed_forms_polygon(n, p, degree),
         minimality_proven=n == 5 and p == 3,
     )
 
 
-def _model_family(tag, p, closed_forms, minimality_proven=False):
-    """The polygon and sporadic pipeline over the tag's surface model."""
+def _model_family(tag, h, p, closed_forms, minimality_proven=False):
+    """The polygon and sporadic pipeline over the surface model of the tag,
+    whose Coxeter number h decides the level."""
     spec, model = model_spec(tag)
     checks = run_structural_checks(model)
     if not all(checks.values()):
         raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
     degree_data = congruence_degree(
-        spec.alpha_minimal_polynomial, p, spec.fiber_genus, spec.contains_minus_identity
+        spec.alpha_minimal_polynomial, p, spec.fiber_genus, spec.contains_minus_identity,
+        coxeter_number=h,
     )
     result = evaluate(
         spec,
@@ -547,10 +552,10 @@ def closed_forms_polygon(n, p, degree):
 
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
-    tag, _ = surface_tag(which)
+    tag, h = surface_tag(which)
     if tag.startswith("polygon-"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
-    return _model_family(tag, p, lambda degree: closed_forms_sporadic(tag, p, degree))
+    return _model_family(tag, h, p, lambda degree: closed_forms_sporadic(tag, p, degree))
 
 
 def closed_forms_sporadic(which, p, degree):
@@ -592,9 +597,12 @@ def principal_congruence_index(m):
 
 # Largest elliptic level: the index factors m by trial division to sqrt(m)
 MAX_ELLIPTIC_M = 10**12
-# Largest primes --bound: admissible_primes runs the level test per odd prime
+# Largest primes --bound: admissible_primes runs the level test per odd
+# prime, the order of p mod h for a model tag and Rabin's test on the
+# quadratic m_alpha for a Weierstrass tag
 MAX_PRIME_BOUND = 10**5
-# Largest scatter D: chern_scatter(5, 10**5, 7) takes about 30 s
+# Largest scatter D: chern_scatter(5, 10**5, 7) takes about 11 s
+# (CPython 3.11, one core of a 2-core x86-64 VM)
 MAX_SCATTER_D = 10**5
 
 
@@ -642,12 +650,8 @@ def family_alpha_polynomial(family_tag):
     m_alpha(x^2) = (-1)^n f(x) f(-x).  m_alpha has degree the genus, and
     no model is built.
     """
-    prefix, _, number = family_tag.strip().partition("-")
-    if prefix.lower() == "weierstrass":
-        try:
-            d = int(number)
-        except ValueError:
-            raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
+    d = _weierstrass_discriminant(family_tag)
+    if d is not None:
         return weierstrass_alpha_polynomial(d), 2
     _, h = capped_surface_tag(family_tag)
     f = cos_two_pi_minpoly(2 * h)
@@ -658,18 +662,35 @@ def family_alpha_polynomial(family_tag):
     return m_alpha, m_alpha.degree
 
 
+def _weierstrass_discriminant(family_tag):
+    """D of a weierstrass-<D> tag; None for any other prefix."""
+    prefix, _, number = family_tag.strip().partition("-")
+    if prefix.lower() != "weierstrass":
+        return None
+    try:
+        return int(number)
+    except ValueError:
+        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
+
+
 def admissible_primes(family_tag, bound):
     """(p, exceptional) for each odd prime p <= bound that congruence_degree
-    admits, with exceptional as congruence_degree reports it."""
+    admits, with exceptional as congruence_degree reports it.  A model
+    tag's levels are decided from its Coxeter number, a Weierstrass tag's
+    by Rabin's test."""
     if bound < 3:
         raise InvalidArgumentError("bound must be >= 3")
     if bound > MAX_PRIME_BOUND:
         raise CapExceededError(f"bound {bound} exceeds the size cap bound <= {MAX_PRIME_BOUND}")
     m_alpha, genus = family_alpha_polynomial(family_tag)
+    h = None
+    if _weierstrass_discriminant(family_tag) is None:
+        _, h = capped_surface_tag(family_tag)
     out = []
     for p in filter(is_prime, range(3, bound + 1, 2)):
         try:
-            out.append((p, congruence_degree(m_alpha, p, genus, True).exceptional))
+            degree_data = congruence_degree(m_alpha, p, genus, True, coxeter_number=h)
+            out.append((p, degree_data.exceptional))
         except InadmissiblePrimeError:
             pass
     return out

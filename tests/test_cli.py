@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,19 @@ def test_primes_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["admissible"][0] == {"p": 3, "exceptional": True}
+
+
+def test_primes_on_the_251_gon_is_fast_and_unchanged(capsys):
+    # the levels of a degree-125 trace field, decided from h = 251; the
+    # digest is of the output that Rabin's test on m_alpha gave (5 s)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "primes", "--family", "polygon-251", "--bound", "2000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "724012ac4cf0ee8977b16441ed4c3e504c4e170a3bde468d233496a9c778de93"
+    )
+    assert elapsed < 2.0, elapsed
 
 
 def test_cover_command(capsys):

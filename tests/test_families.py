@@ -16,8 +16,9 @@ from veechfib.errors import (
     MissingCurveDataError,
     SpinRequiredError,
     UnsupportedFamilyError,
+    VeechFibError,
 )
-from veechfib import covers, families, prototypes
+from veechfib import covers, families, prototypes, thurston_veech
 from veechfib.families import (
     MAX_ELLIPTIC_M,
     MAX_PRIME_BOUND,
@@ -153,6 +154,32 @@ def test_weierstrass_tests_irreducibility_once(monkeypatch):
     assert calls == [5, 11]
 
 
+def test_model_tags_decide_levels_without_rabin(monkeypatch):
+    # a model tag's level is decided from its Coxeter number alone, at
+    # admitted and refused levels alike; Rabin's test is never run
+    calls = []
+
+    def counting(f, p):
+        calls.append(p)
+        return is_irreducible_mod_p(f, p)
+
+    for module in (families, covers, thurston_veech):
+        monkeypatch.setattr(module, "is_irreducible_mod_p", counting)
+    for n, p in ((5, 3), (5, 5), (7, 13), (8, 7), (16, 5), (22, 3)):
+        try:
+            polygon_family(n, p)
+        except InadmissiblePrimeError:
+            pass
+    for which, p in (("E7", 5), ("E7", 3), ("E8", 7), ("E8", 3)):
+        try:
+            sporadic_family(which, p)
+        except InadmissiblePrimeError:
+            pass
+    assert admissible_primes("polygon-64", 200)
+    assert admissible_primes("E8", 100)
+    assert calls == []
+
+
 @pytest.mark.parametrize("d_disc, p", [(13, 5), (5, 11)])
 def test_weierstrass_compares_the_residue_route(monkeypatch, d_disc, p):
     # an admitted (13 at 5) and a refused (5 at 11) level: Euler's
@@ -166,8 +193,8 @@ def test_weierstrass_compares_the_residue_route(monkeypatch, d_disc, p):
 def test_admissible_primes_reads_exceptional_from_the_level_decision(monkeypatch):
     original = families.congruence_degree
 
-    def exceptional_at_5(m_alpha, p, genus, contains_minus_i):
-        result = original(m_alpha, p, genus, contains_minus_i)
+    def exceptional_at_5(m_alpha, p, genus, contains_minus_i, coxeter_number=None):
+        result = original(m_alpha, p, genus, contains_minus_i, coxeter_number=coxeter_number)
         return result._replace(exceptional=True) if p == 5 else result
 
     monkeypatch.setattr(families, "congruence_degree", exceptional_at_5)
@@ -451,17 +478,70 @@ def test_alpha_polynomial_matches_the_cyclotomic_shift_on_every_tag():
     assert build_surface.cache_info() == built
 
 
-def test_admissibility_matches_the_galois_criterion():
+def _assert_levels_match_the_galois_criterion(tags, bound):
     # m_alpha is irreducible mod p exactly when Frobenius at p generates
-    # the Galois group of the trace field; a route through no polynomial
-    odd_primes = [p for p in range(3, 98, 2) if all(p % r for r in range(3, p, 2))]
-    tags = list(_supported_tags(128))
-    assert len(tags) == 52
+    # the Galois group of the trace field.  admissible_primes decides a
+    # model tag's levels by that criterion; Rabin's test on m_alpha and
+    # this test's own totient route check it
+    odd_primes = [p for p in range(3, bound + 1, 2) if all(p % r for r in range(3, p, 2))]
     for tag, h in tags:
         m_alpha, genus = family_alpha_polynomial(tag)
         expected = [p for p in odd_primes if _generates_units_mod_sign(p, h)]
         assert [p for p in odd_primes if is_irreducible_mod_p(m_alpha, p)] == expected, tag
-        assert admissible_primes(tag, 97) == [(p, (p, genus) == (3, 2)) for p in expected], tag
+        assert admissible_primes(tag, bound) == [
+            (p, (p, genus) == (3, 2)) for p in expected
+        ], tag
+
+
+def test_admissibility_matches_the_galois_criterion():
+    tags = list(_supported_tags(128))
+    assert len(tags) == 52
+    _assert_levels_match_the_galois_criterion(tags, 97)
+
+
+def test_admissibility_matches_the_galois_criterion_past_n_128():
+    tags = [(tag, h) for tag, h in _supported_tags(256) if h > 128]
+    assert len(tags) == 37
+    _assert_levels_match_the_galois_criterion(tags, 31)
+
+
+def _level_outcome(*args, **kwargs):
+    try:
+        return covers.congruence_degree(*args, **kwargs)
+    except VeechFibError as exc:
+        return type(exc), str(exc)
+
+
+def test_congruence_degree_is_the_same_with_and_without_the_coxeter_number():
+    # the criterion on h and Rabin's test on m_alpha give the same degree,
+    # or the same error with the same message, at admitted and refused
+    # levels, levels dividing h, the F_9 level and non-prime levels alike
+    tags = ["polygon-5", "polygon-7", "polygon-8", "polygon-10", "polygon-14", "polygon-16",
+            "polygon-22", "polygon-37", "polygon-64", "polygon-251", "E7", "E8"]
+    levels = [-3, 1, 2, 9, 15] + [p for p in range(3, 62, 2) if all(p % r for r in range(3, p, 2))]
+    outcomes, dividing_h = set(), set()
+    for tag in tags:
+        m_alpha, genus = family_alpha_polynomial(tag)
+        _, h = surface_tag(tag)
+        for p in levels:
+            for minus_i in (True, False):
+                by_rabin = _level_outcome(m_alpha, p, genus, minus_i)
+                by_h = _level_outcome(m_alpha, p, genus, minus_i, coxeter_number=h)
+                assert by_h == by_rabin, (tag, p, minus_i)
+                admitted = isinstance(by_h, covers.CongruenceDegree)
+                outcomes.add("admitted" if admitted else by_h[0])
+                if p > 2 and h % p == 0 and by_h[0] is InadmissiblePrimeError:
+                    dividing_h.add((tag, p))
+        # a genus the polynomial does not have is refused before either test
+        assert _level_outcome(m_alpha, 3, genus + 1, True, coxeter_number=h) == _level_outcome(
+            m_alpha, 3, genus + 1, True
+        )
+    assert outcomes == {"admitted", InadmissiblePrimeError, InvalidArgumentError}
+    assert dividing_h == {
+        ("polygon-5", 5), ("polygon-7", 7), ("polygon-10", 5), ("polygon-14", 7),
+        ("polygon-22", 11), ("polygon-37", 37), ("E7", 3), ("E8", 3), ("E8", 5),
+    }
+
 
 def test_zeta_values():
     assert real_quadratic_zeta_minus_one(5) == Fraction(1, 30)
@@ -602,19 +682,60 @@ def test_betti_numbers_track_base_genus():
     assert result.invariants.pi1_isomorphic_to_base
 
 
+_ODD_PRIMES_BELOW_60 = [p for p in range(3, 60, 2) if all(p % r for r in range(3, p, 2))]
+
+
 def test_double_pentagon_routes_agree_at_every_level():
     # the discriminant-5 eigenform and the 5-gon staircase generate the
-    # same curve; both pipelines must agree field by field at all levels
-    for p in (3, 7, 13):
-        via_prototypes = weierstrass_family(5, p)
+    # same curve; both pipelines must agree field by field at every
+    # admissible level, and refuse the same levels.  The Weierstrass side
+    # decides its levels by Rabin's test and Euler's criterion, the
+    # staircase side by the order of p mod h = 5 up to sign.
+    admitted, refused = [], []
+    for p in _ODD_PRIMES_BELOW_60:
+        try:
+            via_prototypes = weierstrass_family(5, p)
+        except InadmissiblePrimeError:
+            with pytest.raises(InadmissiblePrimeError):
+                polygon_family(5, p)
+            refused.append(p)
+            continue
         via_staircase = polygon_family(5, p)
-        assert via_prototypes.cover.degree == via_staircase.cover.degree
-        assert via_prototypes.cover.base_genus == via_staircase.cover.base_genus
-        assert via_prototypes.cover.cusp_count == via_staircase.cover.cusp_count
-        assert (
-            via_prototypes.cover.total_twisting == via_staircase.cover.total_twisting
-        )
-        assert via_prototypes.invariants == via_staircase.invariants
+        assert via_prototypes.cover == via_staircase.cover, p
+        assert via_prototypes.invariants == via_staircase.invariants, p
+        admitted.append(p)
+    assert admitted == [3, 7, 13, 17, 23, 37, 43, 47, 53]
+    assert refused == [5, 11, 19, 29, 31, 41, 59]
+
+
+def test_octagon_and_w8_routes_agree_except_the_twisting():
+    # the regular octagon generates W_8 (McMullen 2003).  Degree, base
+    # genus and cusps agree at every admissible level, and both refuse
+    # the same levels; the total twisting does not: T_W - T_oct = d at
+    # every level, the doubled middle twist that the octagon's base
+    # twists lack.  That difference is pinned as found, not endorsed.
+    twistings = {}
+    for p in _ODD_PRIMES_BELOW_60:
+        if p == 3:
+            # the non-integral cover genus at level 3, on both routes
+            for route in (lambda: weierstrass_family(8, 3), lambda: polygon_family(8, 3)):
+                with pytest.raises(InconsistentCoverError):
+                    route()
+            continue
+        try:
+            via_w8 = weierstrass_family(8, p).cover
+        except InadmissiblePrimeError:
+            with pytest.raises(InadmissiblePrimeError):
+                polygon_family(8, p)
+            continue
+        via_octagon = polygon_family(8, p).cover
+        assert via_w8.degree == via_octagon.degree, p
+        assert via_w8.base_genus == via_octagon.base_genus, p
+        assert via_w8.cusp_count == via_octagon.cusp_count, p
+        twistings[p] = (via_w8.total_twisting, via_octagon.total_twisting, via_w8.degree)
+    assert sorted(twistings) == [5, 11, 13, 19, 29, 37, 43, 53, 59]
+    assert all(t_w - t_oct == degree for t_w, t_oct, degree in twistings.values())
+    assert twistings[5] == (39000, 31200, 7800)
 
 
 def test_positive_base_genus_members_are_general_type_with_strict_bmy():
