@@ -70,6 +70,11 @@ class MathematicalInconsistencyError(VeechFibError):
     """A derived quantity violates an exact identity it must satisfy."""
 
 
+class RootBracketError(MathematicalInconsistencyError):
+    """A start interval given to root isolation does not hold exactly one
+    real root with none above it."""
+
+
 class InconsistentCoverError(MathematicalInconsistencyError):
     """Riemann-Hurwitz data does not produce a nonnegative integer genus."""
 

@@ -8,12 +8,12 @@ for positivity without floating point.
 
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
-products, reductions, inverses, divisions by x and interval evaluations
-all run on those integers: since m is monic, x^n mod m is integral, and
-a product is reduced by it from the top coefficient down.  An integral
-element (denominator 1) never forms a Fraction; ``coeffs`` builds the
-Fraction coordinates only when read, and a sign reads the integer
-bounds of an interval Horner.  Power bases of an element (minimal
+products, reductions, inverses, products and quotients by x (O(n)
+each) and interval evaluations all run on those integers: since m is
+monic, x^n mod m is integral, and a product is reduced by it from the
+top coefficient down.  An integral element (denominator 1) never
+forms a Fraction; ``coeffs`` builds the Fraction coordinates only when
+read, and a sign reads the integer bounds of an interval Horner.  Power bases of an element (minimal
 polynomials, suborder membership) are one fraction-free elimination of
 the integer numerators of its powers.
 
@@ -167,7 +167,8 @@ class NumberFieldElement:
 
     def __sub__(self, other):
         self._check(other)
-        return self + (-other)
+        a, b = self.den, other.den
+        return _lowest(self.field, [x * b - y * a for x, y in zip(self.nums, other.nums)], a * b)
 
     def __mul__(self, other):
         self._check(other)
@@ -220,6 +221,16 @@ class NumberFieldElement:
         m0, e0 = (m[0], e[0]) if m[0] > 0 else (-m[0], -e[0])
         nums = [m0 * c - e0 * r for c, r in zip(e[1:], m[1:])] + [-e0]
         return _lowest(self.field, nums, self.den * m0)
+
+    def times_generator(self):
+        """self * x in O(n), without a product; the mirror of
+        over_generator.  The numerators move up one place, and the one
+        pushed to x^n folds back in by x^n = -(m_(n-1) x^(n-1) + ... +
+        m_0) for the modulus x^n + ... + m_0."""
+        e = self.nums
+        top = e[-1]
+        nums = [c + top * r for c, r in zip((0, *e[:-1]), self.field._low)]
+        return _lowest(self.field, nums, self.den)
 
     def __truediv__(self, other):
         self._check(other)

@@ -24,7 +24,10 @@ is a primitive gcd(f, f'): a squarefree part divides f by it, and
 isolation divides the whole chain by it, so it runs one remainder
 sequence.  The chain counts roots while the search interval shrinks to
 one root, one chain evaluation per halving, from (-B, B) for the power
-of two B = ``root_bound(f)`` above Fujiwara's bound.  The result is a
+of two B = ``root_bound(f)`` above Fujiwara's bound, or from a given
+start that the counts must certify: ``two_cos_bracket`` brackets
+2cos(pi/n) in integer fixed point, from pi pinned as a dyadic constant
+and the alternating cosine series.  The result is a
 ``RootInterval``, refined to any rational width by the sign of the
 squarefree part at each midpoint, through the same helper, with the
 endpoints kept as integers over one doubling denominator; refinement
@@ -44,6 +47,7 @@ from ..errors import (
     InvalidArgumentError,
     MathematicalInconsistencyError,
     NoRealRootError,
+    RootBracketError,
 )
 
 # ---------------------------------------------------------------------------
@@ -118,10 +122,11 @@ class IntPolynomial:
     """Integer-coefficient polynomial, coefficients ascending by degree.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    degree -1.  The text of str() is built on the first call and kept,
+    so a refusal message that names a large polynomial formats it once.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_text")
 
     def __init__(self, coefficients=()):
         coeffs = [c if type(c) is int else exact_integer(c) for c in coefficients]
@@ -234,6 +239,13 @@ class IntPolynomial:
         return [str(c) for c in self.coefficients]
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            object.__setattr__(self, "_text", self._format())
+            return self._text
+
+    def _format(self):
         if self.is_zero:
             return "0"
         parts = []
@@ -437,13 +449,19 @@ class RootInterval:
         return f"RootInterval([{self.lower}, {self.upper}], {self.polynomial})"
 
 
-def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
+def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH, start=None):
     """Isolate the largest real root of f in a rational interval.
 
-    Raises NoRealRootError when f has no real root.  A Sturm chain counts
-    roots only while the interval shrinks to one; the result contains
-    exactly the largest root and has width at most ``width`` (or is an
-    exact rational point).
+    Raises NoRealRootError when f has no real root.  The search starts
+    from (-B, B) for B = root_bound(f), or from ``start``, a pair of
+    rationals (lo, hi) bracketing the largest root (two_cos_bracket
+    gives one for 2cos(pi/n)).  A start is taken only when the Sturm
+    counts show exactly one root in (lo, hi] and, by the signs of the
+    chain's leading coefficients, none above hi; otherwise
+    RootBracketError is raised.  A Sturm chain counts roots only while
+    the interval shrinks to one; the result contains exactly the largest
+    root and has width at most ``width`` (or is an exact rational
+    point).
     """
     if isinstance(f, (tuple, list)):
         f = IntPolynomial(f)
@@ -458,11 +476,20 @@ def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH):
         # squarefree part, which it starts with (up to sign)
         chain = [IntPolynomial(m).try_exact_divide(gcd).coefficients for m in chain]
     sf = chain[0]
-    hi = Fraction(root_bound(IntPolynomial(sf)))
-    lo = -hi
-    var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-    if var_lo == var_hi:
-        raise NoRealRootError(f"{f} has no real root")
+    if start is None:
+        hi = Fraction(root_bound(IntPolynomial(sf)))
+        lo = -hi
+        var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+        if var_lo == var_hi:
+            raise NoRealRootError(f"{f} has no real root")
+    else:
+        lo, hi = Fraction(start[0]), Fraction(start[1])
+        var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+        # past every root each member has the sign of its leading coefficient
+        signs = [member[-1] > 0 for member in chain]
+        var_top = sum(a != b for a, b in zip(signs, signs[1:]))
+        if var_lo - var_hi != 1 or var_hi != var_top:
+            raise RootBracketError(f"({lo}, {hi}] does not isolate the largest real root of {f}")
     # Shrink from the left until exactly one root remains in (lo, hi].
     # The counts at both ends are kept, so each halving evaluates the
     # chain once, at the midpoint.
@@ -509,20 +536,26 @@ def cyclotomic_polynomial(n):
     return IntPolynomial(coeffs)
 
 
-def _chebyshev_polys(k, first):
-    """P_0 = first, P_1 = x, P_j = x P_(j-1) - P_(j-2) for j = 0..k.
-
-    first = 2 gives C_j(2cos t) = 2cos(jt), that is C_j(x + 1/x) = x^j +
-    x^-j; first = 1 gives U_j(2cos t) = sin((j+1)t)/sin(t).  The
-    recurrence runs on coefficient lists, a shift and a subtraction per
-    step, and each IntPolynomial is built once."""
+def _chebyshev_lists(k, first):
+    """Coefficient lists of P_0 = first, P_1 = x, P_j = x P_(j-1) -
+    P_(j-2) for j = 0..k, a shift and a subtraction per step."""
     lists = [[first], [0, 1]]
     while len(lists) <= k:
         step = [0] + lists[-1]
         for i, c in enumerate(lists[-2]):
             step[i] -= c
         lists.append(step)
-    return [IntPolynomial(c) for c in lists]
+    return lists
+
+
+def _chebyshev_polys(k, first):
+    """P_0 = first, P_1 = x, P_j = x P_(j-1) - P_(j-2) for j = 0..k.
+
+    first = 2 gives C_j(2cos t) = 2cos(jt), that is C_j(x + 1/x) = x^j +
+    x^-j; first = 1 gives U_j(2cos t) = sin((j+1)t)/sin(t).  The
+    recurrence runs on coefficient lists, and each IntPolynomial is
+    built once."""
+    return [IntPolynomial(c) for c in _chebyshev_lists(k, first)]
 
 
 @lru_cache(maxsize=None)
@@ -536,12 +569,16 @@ def cos_two_pi_minpoly(n):
         return IntPolynomial([2, 1])
     phi = cyclotomic_polynomial(n)
     k = phi.degree // 2
-    vs = _chebyshev_polys(k, 2)
     c = phi.coefficients
-    # Phi palindromic: Phi(x)/x^k = c[k] + sum_{j>=1} c[k+j] (x^j + x^-j).
-    out = IntPolynomial([c[k]])
-    for j in range(1, k + 1):
-        out = out + c[k + j] * vs[j]
+    # Phi palindromic: Phi(x)/x^k = c[k] + sum_{j>=1} c[k+j] (x^j + x^-j),
+    # summed on coefficient lists
+    total = [c[k]] + [0] * k
+    for j, v in enumerate(_chebyshev_lists(k, 2)[1:], 1):
+        scale = c[k + j]
+        if scale:
+            for i, a in enumerate(v):
+                total[i] += scale * a
+    out = IntPolynomial(total)
     if not out.is_monic or out.degree != k:
         raise MathematicalInconsistencyError(
             f"Phi_{n} gives {out}, not a monic polynomial of degree {k}"
@@ -554,6 +591,41 @@ def minpoly_two_cos(n):
     if not isinstance(n, int) or n < 3:
         raise InvalidArgumentError("minpoly_two_cos requires an integer n >= 3")
     return cos_two_pi_minpoly(2 * n)
+
+
+# pi as a pinned dyadic constant: _PI_64 = floor(pi 2^64), so
+# 0 <= pi - _PI_64 / 2^64 < 2^-64
+_PI_64 = 0x3243F6A8885A308D3
+BRACKET_BITS = 37
+
+
+def two_cos_bracket(n):
+    """Rationals (lo, hi) with lo < 2cos(pi/n) < hi, for an integer n >= 3,
+    and hi - lo < 2^-30, in integer fixed point at scale S = 2^37.
+
+    Proof.  With t = pi/n, T = floor(_PI_64 S / (2^64 n)) gives
+    0 <= tS - T < 1 + 2^-27/n < 2, and x = T/S <= t <= pi/3, so
+    x^2 < 1.1.  The series terms are a_0 = S and a_k = floor(a_(k-1) T^2 /
+    ((2k - 1) 2k S^2)), up to the first a_K = 0, and c = sum over k < K
+    of (-1)^k a_k.  The exact terms b_k = S x^(2k) / (2k)! obey the same
+    recurrence without the floor, so e_k = b_k - a_k has e_0 = 0 and
+    0 <= e_k < e_(k-1) x^2 / 2 + 1 < 0.55 e_(k-1) + 1, hence e_k < 3.  The
+    b_k decrease, so the alternating tail past K is at most b_K = e_K < 3,
+    and |S cos x - c| < 3(K + 1).  As |sin| <= 1, |S cos t - S cos x| < 2.
+    So with E = 2(3K + 5), (2c - E) / S < 2cos(pi/n) < (2c + E) / S.  As
+    b_8 < 1 here, K <= 8 and hi - lo = 2E / S <= 116 / S < 2^-30."""
+    if not isinstance(n, int) or n < 3:
+        raise InvalidArgumentError("two_cos_bracket requires an integer n >= 3")
+    s = 1 << BRACKET_BITS
+    t = (_PI_64 << BRACKET_BITS) // (n << 64)
+    t2, s2 = t * t, s * s
+    term, c, k = s, s, 0
+    while term:
+        k += 1
+        term = term * t2 // ((2 * k - 1) * 2 * k * s2)
+        c += -term if k % 2 else term
+    e = 2 * (3 * k + 5)
+    return Fraction(2 * c - e, s), Fraction(2 * c + e, s)
 
 
 def divisors(n):

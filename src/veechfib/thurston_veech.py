@@ -9,11 +9,16 @@ dominant eigenvalue, and produces a cylinder list in which every cylinder has in
 
 Neither the dominant eigenvalue nor its eigenvector is searched for.
 mu = 2cos(pi/h) comes from the cyclotomic formula for the diagram's
-Coxeter number h (n for the n-gon, 18 for E7, 30 for E8).  Every
-diagram is a star (the path A(m) has one arm), and the eigenvector has
-a closed form along its arms in the Chebyshev polynomials U_j
-(_star_lifts); perron_frobenius certifies that candidate as a strictly
-positive exact eigenvector, which proves mu dominant.
+Coxeter number h (n for the n-gon, 18 for E7, 30 for E8), and its root
+interval from a fixed-point bracket of 2cos(pi/h) that the Sturm counts
+of the modulus certify (two_cos_bracket).  Every diagram is a star (the
+path A(m) has one arm), and the eigenvector has a closed form along its
+arms in the Chebyshev polynomials U_j (_star_values): as lifts in Z[x]
+(_star_lifts) and as heights in the field, from the same recurrence
+U_j = mu U_(j-1) - U_(j-2) run on field elements (_star_heights).
+perron_frobenius certifies that candidate as a strictly positive exact
+eigenvector, which proves mu dominant.  The build walks each graph
+through its neighbour lists, never a dense adjacency matrix.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
 E8 diagrams.  veechfib.tags.surface_tag parses a family tag once, into
@@ -27,11 +32,13 @@ graph A(n/2).
 Each model fact is proved once, by the build step that makes it:
 perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
 per row, and reduces only the residuals that are not zero there (on a
-star, the center's); it then embeds each lift once and proves each
-height positive (stored heights are a multiple of its vector).  n-gon
-heights are their lifts, and _build_polygon checks c_k against
-c_(n-k) for even n; E7/E8 lifts come from integer_lift() after the
-staircase rescaling; _checked_model refuses a model whose genus is
+star, the center's); the heights are the lifts evaluated at mu, each
+proved positive by its own enclosure (stored heights are a multiple of
+its vector).  No lift is reduced: evaluation at mu is a ring
+homomorphism, so the recurrence in the field gives each lift's
+residue.  n-gon heights are their lifts, and _build_polygon checks c_k
+against c_(n-k) for even n; E7/E8 lifts come from integer_lift() after
+the staircase rescaling; _checked_model refuses a model whose genus is
 not rank Q (core_curve_span_check).  There is no separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
@@ -47,9 +54,9 @@ Z[mu^2] in closed form (_z_alpha_test).
 
 from __future__ import annotations
 
-import math
+import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -63,8 +70,8 @@ from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, _chebyshev_polys, cos_two_pi_minpoly, euler_phi, exact_integer,
-    isolate_largest_real_root,
+    IntPolynomial, _chebyshev_lists, _chebyshev_polys, cos_two_pi_minpoly, euler_phi,
+    exact_integer, isolate_largest_real_root, two_cos_bracket,
 )
 from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
 
@@ -79,6 +86,8 @@ class BipartiteIntersectionGraph:
     counts intersection points.  The graph must be connected with no
     zero row or column (the pair fills the surface).  Entries are ints
     or integral Fractions; anything else is refused, not truncated.
+    ``neighbours[v]`` lists the (vertex, count) pairs of the nonzero
+    entries at v, in adjacency order: blacks first, then whites.
     """
 
     def __init__(self, intersections):
@@ -93,28 +102,30 @@ class BipartiteIntersectionGraph:
         if any(x < 0 for row in q for x in row):
             raise InvalidArgumentError("intersection counts must be nonnegative")
         self.intersections = q
-        self.black_count = len(q)
+        self.black_count = b = len(q)
         self.white_count = len(q[0])
-        if any(all(x == 0 for x in row) for row in q):
+        neighbours = [[] for _ in range(b + self.white_count)]
+        for i, row in enumerate(q):
+            for j in [j for j, x in enumerate(row) if x]:
+                neighbours[i].append((b + j, row[j]))
+                neighbours[b + j].append((i, row[j]))
+        self.neighbours = tuple(map(tuple, neighbours))
+        if not all(neighbours[:b]):
             raise InvalidArgumentError("a black curve meets no white curve")
-        for j in range(self.white_count):
-            if all(q[i][j] == 0 for i in range(self.black_count)):
-                raise InvalidArgumentError("a white curve meets no black curve")
+        if not all(neighbours[b:]):
+            raise InvalidArgumentError("a white curve meets no black curve")
         if not self._connected():
             raise InvalidArgumentError("intersection graph is not connected")
 
     def _connected(self):
-        n = self.black_count + self.white_count
-        adj = self.adjacency_matrix()
         seen = {0}
         stack = [0]
         while stack:
-            v = stack.pop()
-            for u in range(n):
-                if adj[v][u] and u not in seen:
+            for u, _ in self.neighbours[stack.pop()]:
+                if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        return len(seen) == n
+        return len(seen) == len(self.neighbours)
 
     def adjacency_matrix(self):
         """Full symmetric adjacency: blacks first, then whites."""
@@ -176,33 +187,56 @@ def _two_coloured(center, arms):
     color = {v: (d - depth[1]) % 2 for v, d in depth.items()}
     blacks = sorted(v for v in color if color[v] == 0)
     whites = sorted(v for v in color if color[v] == 1)
+    position = {v: i for side in (blacks, whites) for i, v in enumerate(side)}
     q = [[0] * len(whites) for _ in blacks]
     for arm in arms:
         for a, b in zip(arm, arm[1:] + (center,)):
             if color[a] == 1:
                 a, b = b, a
-            q[blacks.index(a)][whites.index(b)] = 1
+            q[position[a]][position[b]] = 1
     return BipartiteIntersectionGraph(q), blacks, whites
 
 
-def _star_lifts(center, arms):
-    """Height lift in mu of each vertex of the star, in closed form.
+def _star_values(center, arms, u):
+    """Closed-form height of each vertex of the star, in the ring of
+    u[j] = U_j(x), where U_j(2cos t) = sin((j+1)t)/sin(t).
 
-    With U_j(2cos t) = sin((j+1)t)/sin(t) (_chebyshev_polys(k, 1)), the
-    j-th vertex of an arm, j = 0 at the leaf, lifts to U_j times U_a
-    over every other arm of length a, and the center to U_a over all
-    arms.  Since x U_j = U_(j-1) + U_(j+1), every vertex equation of
-    Q h = x h holds in Z[x] except the center's, which holds at mu =
-    2cos(pi/h); perron_frobenius certifies it.  On the path A(m),
-    vertex k lifts to U_(k-1).
+    The j-th vertex of an arm, j = 0 at the leaf, is U_j times U_a over
+    every other arm of length a, and the center is U_a over all arms;
+    on the path A(m), vertex k is U_(k-1), no product at all.  Since
+    x U_j = U_(j-1) + U_(j+1), every vertex equation of Q h = x h holds
+    in Z[x] except the center's, which holds at mu = 2cos(pi/h);
+    perron_frobenius certifies it.
     """
-    lengths = [len(arm) for arm in arms]
-    u = _chebyshev_polys(max(lengths), 1)
-    lifts = {center: math.prod(u[a] for a in lengths)}
+    ends = [u[len(arm)] for arm in arms]
+    values = {center: reduce(operator.mul, ends)}
     for i, arm in enumerate(arms):
-        rest = math.prod(u[a] for k, a in enumerate(lengths) if k != i)
-        lifts.update((v, u[j] * rest) for j, v in enumerate(arm))
-    return lifts
+        rest = ends[:i] + ends[i + 1 :]
+        values.update((v, reduce(operator.mul, rest, u[j])) for j, v in enumerate(arm))
+    return values
+
+
+def _star_lifts(center, arms):
+    """Height lift in mu of each vertex of the star: _star_values over
+    Z[x], with U_j = _chebyshev_polys(k, 1)[j]."""
+    return _star_values(center, arms, _chebyshev_polys(max(map(len, arms)), 1))
+
+
+def _star_heights(center, arms, order):
+    """The function mu -> the heights of the vertices in order, in mu's
+    field: _star_values on U_j(mu) from the lifts' recurrence U_0 = 1,
+    U_1 = mu, U_j = mu U_(j-1) - U_(j-2), a product by mu costing O(n)
+    (times_generator).  Evaluation at mu is a ring homomorphism from
+    Z[x], so these are the lifts of _star_lifts embedded at mu."""
+
+    def heights(mu):
+        u = [mu.field.one, mu]
+        for _ in range(max(map(len, arms)) - 1):
+            u.append(u[-1].times_generator() - u[-2])
+        values = _star_values(center, arms, u)
+        return [values[v] for v in order]
+
+    return heights
 
 
 def coxeter_graph(family, size=None):
@@ -220,50 +254,56 @@ def coxeter_graph(family, size=None):
 # ---------------------------------------------------------------------------
 
 
-def perron_frobenius(graph, coxeter_number, lifts):
+def perron_frobenius(graph, coxeter_number, lifts, heights):
     """Certified dominant eigendata of the full bipartite adjacency matrix.
 
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
-    formula: its field is that of cos_two_pi_minpoly(2h), at the root
-    isolated as the largest.  The candidate eigenvector is given, one
-    integer polynomial lift in mu per vertex in adjacency order (blacks,
-    then whites; see _star_lifts).  Each row of adjacency * lifts = x *
-    lifts is checked as one residual in Z[x], sum a L_other - x L_row:
-    a zero residual holds at every x, and any other is reduced modulo
-    m_mu and must vanish.  The heights are the lifts embedded at mu
-    afterwards; embedding is a ring homomorphism, so this is exactly
+    formula: its field is that of cos_two_pi_minpoly(2h), at the largest
+    root, isolated from the start two_cos_bracket(h) that the Sturm
+    counts of the modulus certify (RootBracketError otherwise).  The
+    candidate eigenvector is given twice: as one integer polynomial lift
+    in mu per vertex in adjacency order (blacks, then whites; see
+    _star_lifts), and as heights(mu), the same polynomials evaluated at
+    mu in the field (_star_heights), so no lift is reduced.  Each row of
+    adjacency * lifts = x * lifts is checked as one residual in Z[x],
+    sum a L_other - x L_row, over the row's neighbours: a zero residual
+    holds at every x, and any other is reduced modulo m_mu and must
+    vanish.  Evaluation at mu is a ring homomorphism, so this is exactly
     adjacency * heights = mu * heights.
 
-    That identity with every height strictly positive is the
-    certificate: the graph is connected, so its adjacency matrix is
-    irreducible and nonnegative, and by Perron-Frobenius a strictly
-    positive eigenvector belongs only to the spectral radius.  A wrong
-    h or wrong lifts fail with MathematicalInconsistencyError.  h must
-    be an integer >= 3, as every graph with an edge has spectral
-    radius >= 1.
+    That identity with every height strictly positive, each by its own
+    exact enclosure, is the certificate: the graph is connected, so its
+    adjacency matrix is irreducible and nonnegative, and by
+    Perron-Frobenius a strictly positive eigenvector belongs only to the
+    spectral radius.  A wrong h or wrong lifts fail with
+    MathematicalInconsistencyError.  h must be an integer >= 3, as every
+    graph with an edge has spectral radius >= 1.
     """
     if not isinstance(coxeter_number, int) or coxeter_number < 3:
         raise InvalidArgumentError("the Coxeter number must be an integer >= 3")
-    adj = graph.adjacency_matrix()
-    if len(lifts) != len(adj):
-        raise InvalidArgumentError(f"{len(lifts)} height lifts for {len(adj)} vertices")
+    rows = graph.neighbours
+    if len(lifts) != len(rows):
+        raise InvalidArgumentError(f"{len(lifts)} height lifts for {len(rows)} vertices")
     modulus = cos_two_pi_minpoly(2 * coxeter_number)
-    fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30)))
+    start = two_cos_bracket(coxeter_number)
+    fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30), start))
     coefficients = [lift.coefficients for lift in lifts]
-    for row, own in zip(adj, coefficients):
+    for row, own in zip(rows, coefficients):
         residual = [0] + [-c for c in own]
-        for a, other in zip(row, coefficients):
-            if a:
-                residual += [0] * (len(other) - len(residual))
-                for i, c in enumerate(other):
-                    residual[i] += a * c
+        for v, a in row:
+            other = coefficients[v]
+            residual += [0] * (len(other) - len(residual))
+            for i, c in enumerate(other):
+                residual[i] += a * c
         if any(residual) and not fld.element(residual).is_zero:
             raise MathematicalInconsistencyError("Q h = mu h fails exactly")
-    heights = tuple(fld.element(c) for c in coefficients)
-    if any(h.sign() <= 0 for h in heights):
-        raise MathematicalInconsistencyError("eigenvector is not strictly positive")
     mu = fld.generator
-    return mu, heights
+    values = tuple(heights(mu))
+    if len(values) != len(lifts):
+        raise InvalidArgumentError(f"{len(values)} heights for {len(lifts)} height lifts")
+    if any(h.sign() <= 0 for h in values):
+        raise MathematicalInconsistencyError("eigenvector is not strictly positive")
+    return mu, values
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +402,9 @@ def _build_polygon(n):
     # vertex k (1-based along the path) lifts to U_(k-1)
     lifts = _star_lifts(*star)
     order = blacks + whites
-    mu, heights = perron_frobenius(construction, n, [lifts[k] for k in order])
+    mu, heights = perron_frobenius(
+        construction, n, [lifts[k] for k in order], _star_heights(*star, order)
+    )
     by_vertex = dict(zip(order, heights))
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
@@ -379,10 +421,13 @@ def _build_polygon(n):
 
 def _build_sporadic(which, coxeter_number):
     diagram = _SPORADIC[which]
-    graph, blacks, whites = _two_coloured(diagram.center, diagram.arms)
-    candidate = _star_lifts(diagram.center, diagram.arms)
+    star = diagram.center, diagram.arms
+    graph, blacks, whites = _two_coloured(*star)
+    candidate = _star_lifts(*star)
     order = blacks + whites
-    mu, heights = perron_frobenius(graph, coxeter_number, [candidate[v] for v in order])
+    mu, heights = perron_frobenius(
+        graph, coxeter_number, [candidate[v] for v in order], _star_heights(*star, order)
+    )
     by_vertex = dict(zip(order, heights))
     scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)
     rows = [
@@ -394,9 +439,12 @@ def _build_sporadic(which, coxeter_number):
 
 def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
     """Model with one unit-twist cylinder per (name, direction, height,
-    height lift) row, circumference mu * height; refused unless the
-    genus is the rank of the intersection matrix."""
-    cylinders = [CylinderDatum(name, d, h, mu * h, 1, lift) for name, d, h, lift in rows]
+    height lift) row, circumference mu * height (mu is the field's
+    generator, so times_generator); refused unless the genus is the rank
+    of the intersection matrix."""
+    cylinders = [
+        CylinderDatum(name, d, h, h.times_generator(), 1, lift) for name, d, h, lift in rows
+    ]
     model = SurfaceModel(
         family_tag=family_tag,
         graph=graph,
@@ -487,8 +535,7 @@ def _z_alpha_test(model):
                 f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
                 "no closed form for Z[mu^2]"
             )
-        witness = _chebyshev_polys(h - 1, 2)[h - 1].coefficients
-        if mu.field.element(witness) != -mu:
+        if mu.field.element(_chebyshev_lists(h - 1, 2)[h - 1]) != -mu:
             raise InapplicableModelError(
                 f"mu != -C_{(h - 1) // 2}(mu^2 - 2) for h = {h}: no closed form for Z[mu^2]"
             )

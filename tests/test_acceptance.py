@@ -431,3 +431,20 @@ def test_c10_scatter_runtime_floor():
     assert len(rows) > 1000
     assert all(c1sq < 3 * c2 for _, c2, c1sq in rows)
     assert time.monotonic() - start < 10
+
+
+# ---------------------------------------------------------------------------
+# criterion 11: a cold 251-gon model and level, < 1 s
+# ---------------------------------------------------------------------------
+
+
+def test_c11_cold_251_gon_runtime_floor():
+    from veechfib.exact.polynomials import cos_two_pi_minpoly, cyclotomic_polynomial
+
+    for cached in (build_surface, cos_two_pi_minpoly, cyclotomic_polynomial):
+        cached.cache_clear()
+    start = time.monotonic()
+    result = polygon_family(251, 3)
+    elapsed = time.monotonic() - start
+    assert result.cover.degree == (3**125) * (3**250 - 1) // 2
+    assert elapsed < 1.0

@@ -51,7 +51,9 @@ def test_linear_field_generator_is_the_root():
     # the A2 graph has Coxeter number 3 and mu = 2cos(pi/3) = 1, in a linear
     # field; its star lifts, vertex 1 then 2, are U_0 = 1 and U_1 = x
     lifts = [IntPolynomial([1]), IntPolynomial([0, 1])]
-    mu, heights = perron_frobenius(coxeter_graph("A", 2), 3, lifts)
+    mu, heights = perron_frobenius(
+        coxeter_graph("A", 2), 3, lifts, lambda mu: [mu.field.one, mu]
+    )
     assert mu.field.degree == 1
     one = mu.field.one
     assert mu == one and heights == (one, one)
@@ -359,6 +361,19 @@ def test_division_by_the_generator_matches_the_product_by_its_inverse(data):
     assert quotient == elem * field.generator.inverse()
     assert quotient * field.generator == elem
     assert quotient.den > 0 and math.gcd(quotient.den, *quotient.nums) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_product_by_the_generator_matches_the_product(data):
+    # random moduli include a zero constant term and degree 1
+    field = data.draw(_fields())
+    elem = field.element(_coordinates(data.draw, field))
+    product = elem.times_generator()
+    assert product == elem * field.generator
+    assert product.den > 0 and math.gcd(product.den, *product.nums) == 1
+    if field.modulus.coefficients[0]:
+        assert product.over_generator() == elem
 
 
 def test_division_by_a_vanishing_generator_is_typed():

@@ -16,10 +16,13 @@ from veechfib.errors import (
     InvalidArgumentError,
     MathematicalInconsistencyError,
     NoRealRootError,
+    RootBracketError,
+    UnsupportedFamilyError,
     VeechFibError,
 )
 from veechfib.exact import polynomials
 from veechfib.exact.polynomials import (
+    BRACKET_BITS,
     MAX_PARSED_DEGREE,
     IntPolynomial,
     RootInterval,
@@ -38,7 +41,9 @@ from veechfib.exact.polynomials import (
     scaled_integers,
     squarefree_part,
     sturm_chain,
+    two_cos_bracket,
 )
+from veechfib.tags import surface_tag
 
 
 @pytest.mark.parametrize("t", [0.3, 1.1, 2.9])
@@ -408,6 +413,83 @@ def test_no_sturm_chain_after_isolation(monkeypatch):
     elements += [rational([k]) - mu for k in range(1, 11)]
     assert len({e.sign() for e in elements}) == 2
     assert calls == []
+
+
+def _machin_pi(bits):
+    """floor(pi 2^bits) from pi = 16 arctan(1/5) - 4 arctan(1/239), in
+    integers with 32 guard bits; each truncated series term is off by
+    less than one guard unit."""
+
+    def arctan_inverse(x, one):
+        total, power, k = 0, one // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    one = 1 << (bits + 32)
+    scaled = 16 * arctan_inverse(5, one) - 4 * arctan_inverse(239, one)
+    # under 30 terms in all, each weighed at most 16, keep the error below
+    # 2^10 guard units, so it cannot cross a multiple of 2^32
+    assert 2**10 < scaled % 2**32 < 2**32 - 2**10
+    return scaled >> 32
+
+
+def test_pinned_pi_is_machins():
+    assert polynomials._PI_64 == _machin_pi(64)
+
+
+def _model_coxeter_numbers():
+    """h of every supported n-gon tag with n <= 256, then E7 and E8."""
+    numbers = []
+    for n in range(3, 257):
+        try:
+            numbers.append(surface_tag(f"polygon-{n}")[1])
+        except UnsupportedFamilyError:
+            pass
+    return numbers + [18, 30]
+
+
+def test_two_cos_bracket_starts_every_model_isolation():
+    # the bracket holds 2cos(pi/h), its Sturm counts accept it, and the
+    # interval isolated from it meets the one from Fujiwara's bound
+    width = Fraction(1, 2**30)
+    for h in _model_coxeter_numbers():
+        m = cos_two_pi_minpoly(2 * h)
+        lo, hi = two_cos_bracket(h)
+        assert lo < Fraction(2 * math.cos(math.pi / h)) < hi and hi - lo < Fraction(1, 2**30)
+        assert (lo * 2**BRACKET_BITS).denominator == (hi * 2**BRACKET_BITS).denominator == 1
+        started = isolate_largest_real_root(m, width, (lo, hi))
+        default = isolate_largest_real_root(m, width)
+        assert lo <= started.lower <= started.upper <= hi and started.width <= width
+        assert max(started.lower, default.lower) <= min(started.upper, default.upper), h
+
+
+def test_isolation_refuses_a_start_that_misses_the_largest_root():
+    for h in (7, 11, 18, 30, 251):
+        m = cos_two_pi_minpoly(2 * h)
+        # around the conjugate 2cos(3pi/h) (a root when 3 does not divide h)
+        third = Fraction(2 * math.cos(3 * math.pi / h))
+        eps = Fraction(1, 10**9)
+        with pytest.raises(RootBracketError, match="does not isolate the largest real root"):
+            isolate_largest_real_root(m, start=(third - eps, third + eps))
+        # above the largest root, and reversed
+        lo, hi = two_cos_bracket(h)
+        with pytest.raises(RootBracketError):
+            isolate_largest_real_root(m, start=(hi, 3))
+        with pytest.raises(RootBracketError):
+            isolate_largest_real_root(m, start=(hi, lo))
+        if h % 3:
+            # a start that also holds the conjugate is refused, not shrunk
+            with pytest.raises(RootBracketError):
+                isolate_largest_real_root(m, start=(third - eps, hi))
+
+
+def test_two_cos_bracket_refuses_h_below_three():
+    for bad in (2, 0, -5, 3.0, Fraction(7)):
+        with pytest.raises(InvalidArgumentError):
+            two_cos_bracket(bad)
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):

@@ -18,6 +18,7 @@ from veechfib.exact.linalg import charpoly, rank
 from veechfib.exact.numberfield import PowerBasis, RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
+    RootInterval,
     _chebyshev_polys,
     minpoly_two_cos,
     root_bound,
@@ -47,18 +48,25 @@ SUPPORTED_N = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10, 14, 22, 26, 34, 38, 8, 
 
 
 def star_candidate(family, size=None):
-    """The graph of a Coxeter diagram and its closed-form height lifts in
-    adjacency order, the eigenvector candidate perron_frobenius certifies."""
+    """The graph of a Coxeter diagram, its closed-form height lifts in
+    adjacency order and the function giving them at mu in the field: the
+    eigenvector candidate perron_frobenius certifies."""
     star = thurston_veech._coxeter_star(family, size)
     graph, blacks, whites = thurston_veech._two_coloured(*star)
+    order = blacks + whites
     lifts = thurston_veech._star_lifts(*star)
-    return graph, [lifts[v] for v in blacks + whites]
+    return graph, [lifts[v] for v in order], thurston_veech._star_heights(*star, order)
+
+
+def embedded(lifts):
+    """The heights function of arbitrary lifts: each embedded at mu."""
+    return lambda mu: [mu.field.element(lift.coefficients) for lift in lifts]
 
 
 def certify(h, family, size=None):
     """perron_frobenius on a Coxeter diagram, given its star candidate."""
-    graph, lifts = star_candidate(family, size)
-    return perron_frobenius(graph, h, lifts)
+    graph, lifts, heights = star_candidate(family, size)
+    return perron_frobenius(graph, h, lifts, heights)
 
 
 def test_coxeter_graph_examples():
@@ -119,40 +127,44 @@ def test_perron_frobenius_refuses_a_wrong_coxeter_number():
 
 
 def test_perron_frobenius_refuses_a_wrong_candidate():
-    graph, lifts = star_candidate("E7")
+    graph, lifts, _ = star_candidate("E7")
     # the right h with one lift changed: a positive vector, not an eigenvector
     wrong = [lifts[0] + IntPolynomial([1])] + lifts[1:]
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-        perron_frobenius(graph, 18, wrong)
+        perron_frobenius(graph, 18, wrong, embedded(wrong))
     # the eigenvector's negative passes Q h = mu h but is no certificate
+    negated = [-lift for lift in lifts]
     with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
-        perron_frobenius(graph, 18, [-lift for lift in lifts])
+        perron_frobenius(graph, 18, negated, embedded(negated))
     with pytest.raises(InvalidArgumentError, match="6 height lifts for 7 vertices"):
-        perron_frobenius(graph, 18, lifts[1:])
+        perron_frobenius(graph, 18, lifts[1:], embedded(lifts[1:]))
+    with pytest.raises(InvalidArgumentError, match="6 heights for 7 height lifts"):
+        perron_frobenius(graph, 18, lifts, embedded(lifts[1:]))
 
 
 @pytest.mark.parametrize("family, size, h", [("E8", None, 30), ("A", 6, 7), ("A", 15, 16)])
 def test_perron_frobenius_reads_each_residual_modulo_the_minimal_polynomial(family, size, h):
-    graph, lifts = star_candidate(family, size)
-    mu, heights = perron_frobenius(graph, h, lifts)
+    graph, lifts, star_heights = star_candidate(family, size)
+    mu, heights = perron_frobenius(graph, h, lifts, star_heights)
     modulus = mu.field.modulus
     # a lift moved by a multiple of m_mu leaves nonzero residuals in Z[x]
     # on its row and its neighbours', each divisible by m_mu: it passes
-    # with the same heights
+    # and embeds to the same heights
     for v in (0, len(lifts) - 1):
         moved = list(lifts)
         moved[v] = lifts[v] + modulus * IntPolynomial([3, 0, -1])
-        assert perron_frobenius(graph, h, moved) == (mu, heights)
+        assert perron_frobenius(graph, h, moved, embedded(moved)) == (mu, heights)
         # the same lift moved by one more unit fails
         moved[v] = moved[v] + IntPolynomial([1])
         with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-            perron_frobenius(graph, h, moved)
+            perron_frobenius(graph, h, moved, embedded(moved))
 
 
 def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
     # every row of a star but the center's has a zero residual in Z[x];
-    # the field reads the center's residual and then each lift once
-    graph, lifts = star_candidate("A", 12)
+    # the field reads the center's residual and no lift, since the
+    # heights come from the U_j recurrence in the field
+    graph, lifts, heights = star_candidate("A", 12)
     reads = []
     element = RealAlgebraicField.element
 
@@ -161,10 +173,10 @@ def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
         return element(field, coeffs)
 
     monkeypatch.setattr(RealAlgebraicField, "element", counted)
-    perron_frobenius(graph, 13, lifts)
-    # the center residual, each lift, then the generator
-    assert len(reads) == len(lifts) + 2
-    assert reads[1:-1] == [lift.coefficients for lift in lifts] and reads[-1] == (0, 1)
+    perron_frobenius(graph, 13, lifts, heights)
+    # the center 12 has the one neighbour 11: U_10 - x U_11 = -U_12; then
+    # the generator and the one that start the recurrence
+    assert reads == [(-_chebyshev_polys(12, 1)[12]).coefficients, (0, 1), (1,)]
 
 
 @pytest.mark.parametrize(
@@ -191,6 +203,22 @@ def test_star_lifts_fail_only_the_center_equation_in_z_x(family, size, h):
     if family == "A":
         # the path's vertex k lifts to U_(k-1)
         assert [lifts[k] for k in range(1, size + 1)] == _chebyshev_polys(size, 1)[:size]
+
+
+def test_star_heights_are_the_lifts_embedded_at_mu():
+    # the U_j recurrence run in the field gives each lift reduced modulo
+    # m_mu, on every supported tag up to n = 256 (the n-gon's diagram is
+    # A(n - 1))
+    for tag in _supported_tags(256):
+        h = surface_tag(tag)[1]
+        family = ("A", h - 1) if tag.startswith("polygon") else (tag,)
+        star = thurston_veech._coxeter_star(*family)
+        _, blacks, whites = thurston_veech._two_coloured(*star)
+        order = blacks + whites
+        lifts = thurston_veech._star_lifts(*star)
+        field = RealAlgebraicField(minpoly_two_cos(h), RootInterval(minpoly_two_cos(h), 0, 2))
+        heights = thurston_veech._star_heights(*star, order)(field.generator)
+        assert heights == [field.element(lifts[v].coefficients) for v in order], tag
 
 
 @pytest.mark.parametrize("tag", [f"polygon-{n}" for n in SUPPORTED_N] + ["E7", "E8"])
@@ -229,8 +257,8 @@ def test_perron_frobenius_e7_eigenvalue():
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
-    graph, lifts = star_candidate("A", n - 1)
-    mu, heights = perron_frobenius(graph, n, lifts)
+    graph, lifts, star_heights = star_candidate("A", n - 1)
+    mu, heights = perron_frobenius(graph, n, lifts, star_heights)
     assert mu.field.modulus == minpoly_two_cos(n)
     assert charpoly(graph.adjacency_matrix()).try_exact_divide(mu.field.modulus) is not None
     assert all(h.sign() > 0 for h in heights)
