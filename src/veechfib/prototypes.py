@@ -17,20 +17,22 @@ and prints as that tuple.  enumerate_prototypes meets every condition
 above by construction.
 
 divisor_rows(D), the divisors of (D - e^2)/4 for each e >= 0 with
-e^2 < D, is the one divisor scan of D: enumerate_prototypes reads each
-row for +e and -e, and families.real_quadratic_zeta_minus_one sums
-sigma_1 over the same rows.  It caches the last D only, so one
-families.weierstrass_family call scans once and a sweep holds one D.
+e^2 < D, is the one divisor scan of D: _prototype_groups reads each row
+for +e and -e into one record per (w, h) class, which
+enumerate_prototypes expands and prototype_twists counts, and
+families.real_quadratic_zeta_minus_one sums sigma_1 over the same rows.
+It caches the last D only, so one families.weierstrass_family call
+scans once and a sweep holds one D.
 
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
 explicit spin filter, since no spin formula is built in.
 
-families.weierstrass_family refuses before it enumerates: it checks the
-discriminant and the spin filter, builds m_alpha from
+families.weierstrass_family refuses before it counts the prototypes:
+it checks the discriminant and the spin filter, builds m_alpha from
 standard_parameters, runs the residue test, takes the congruence degree
-and looks up chi(C_D), and only then enumerates.  So a user spin filter
-runs only for D that pass the level and chi tests.
+and looks up chi(C_D), and only then calls prototype_twists.  So a user
+spin filter runs only for D that pass the level and chi tests.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _check_discriminant(d):
 
 
 # Largest enumerable D: the divisor scan makes about D/5 trial divisions;
-# enumerate_prototypes(10**7) takes about 0.4 s
+# enumerate_prototypes takes 0.07-0.15 s near 10**7 (0.15 s with a
+# keep-all spin filter at D = 9999961), in process on CPython 3.11
 MAX_DISCRIMINANT = 10**7
 
 
@@ -96,19 +99,18 @@ def divisor_rows(d):
     )
 
 
-def enumerate_prototypes(d, spin_filter=None):
-    """All prototypes of discriminant D, sorted lexicographically.
+def _prototype_groups(d):
+    """One record (w, h, ts, signs, twist) per (w, h) class of the
+    prototypes of D, sorted by (w, h), from the cached divisor_rows(d).
 
-    For D = 1 mod 8 a spin_filter predicate must be supplied; it
-    receives each candidate Prototype and keeps the spin class of
-    interest.
+    The prototypes of the class are (w, h, t, s) for t in ts (the
+    admissible t, increasing) and s in signs (-e, then +e when that is
+    a prototype too); twist = (w + h)/gcd(w, h) is the twist count of
+    each.  No input check: callers run check_enumerable first.
     """
-    check_enumerable(d, spin_filter)
     gcd = math.gcd
-    # tuple.__new__ builds the same record without the generated __new__
-    new = tuple.__new__
-    out = []
-    append = out.append
+    groups = []
+    append = groups.append
     for e, divs in divisor_rows(d):
         wh = (d - e * e) // 4
         for w in divs:
@@ -118,17 +120,49 @@ def enumerate_prototypes(d, spin_filter=None):
             g = gcd(w, h)
             signs = (-e, e) if e and h + e < w else (-e,)
             if g == 1:
-                for s in signs:
-                    append(new(Prototype, (w, h, 0, s, d)))
+                append((w, h, (0,), signs, w + h))
                 continue
             ge = gcd(g, e)
             ts = range(g) if ge == 1 else [t for t in range(g) if gcd(ge, t) == 1]
-            for s in signs:
-                out.extend([new(Prototype, (w, h, t, s, d)) for t in ts])
+            append((w, h, ts, signs, (w + h) // g))
+    # e^2 = D - 4wh fixes |e|, so each (w, h) occurs in one row only:
+    # the records sort on (w, h) alone, and a class expanded t-major
+    # over its signs is already in sorted (t, e) order
+    groups.sort()
+    return groups
+
+
+def enumerate_prototypes(d, spin_filter=None):
+    """All prototypes of discriminant D, sorted lexicographically.
+
+    For D = 1 mod 8 a spin_filter predicate must be supplied; it
+    receives each candidate Prototype exactly once, in sorted order,
+    and keeps the spin class of interest.
+    """
+    check_enumerable(d, spin_filter)
+    # tuple.__new__ builds the same record without the generated __new__
+    new = tuple.__new__
+    out = []
+    for w, h, ts, signs, _ in _prototype_groups(d):
+        out.extend([new(Prototype, (w, h, t, s, d)) for t in ts for s in signs])
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
-    out.sort()
     return out
+
+
+def prototype_twists(d, spin_filter=None):
+    """tuple(map(prototype_twisting, enumerate_prototypes(d, spin_filter))).
+
+    Without a spin_filter no Prototype is built: each (w, h) class adds
+    its twist count once per member.
+    """
+    if spin_filter is not None:
+        return tuple(map(prototype_twisting, enumerate_prototypes(d, spin_filter)))
+    check_enumerable(d, None)
+    out = []
+    for _, _, ts, signs, twist in _prototype_groups(d):
+        out += [twist] * (len(ts) * len(signs))
+    return tuple(out)
 
 
 def prototype_twisting(proto):

@@ -6,6 +6,11 @@ level, or the error type name when that level is refused.  The CLI
 goldens cover only a handful of family requests; this sweep also pins
 key order, null values and refusal types across every family.
 
+The small Weierstrass discriminants have tiny prototype groups, so the
+sweep also pins a few fundamental D from 10^3 to 10^6 (202684 has 4558
+prototypes with gcd(w, h) > 1), and the CSV and skip list of
+chern_scatter(5, 20000, 7).
+
 The file is regenerated only when an output change is intended:
 
     PYTHONPATH=src python tests/test_family_golden.py --record
@@ -20,6 +25,8 @@ from pathlib import Path
 from veechfib.errors import VeechFibError
 from veechfib.exact.finitefield import is_prime
 from veechfib.families import (
+    chern_scatter,
+    chern_scatter_csv,
     elliptic_family,
     polygon_family,
     sporadic_family,
@@ -30,6 +37,10 @@ GOLDEN = Path(__file__).with_name("family_golden.json")
 POLYGONS = (5, 7, 8, 10, 11, 13, 14, 16, 17, 22, 26, 32)
 ODD_PRIMES = tuple(p for p in range(3, 24, 2) if is_prime(p))
 WEIERSTRASS_LEVELS = (3, 5, 7, 11)
+# fundamental, not 1 mod 8, a nonresidue at the level
+LARGE_WEIERSTRASS = (
+    (1004, 3), (5021, 3), (20005, 7), (100005, 7), (202684, 7), (400008, 5), (1000005, 7),
+)
 
 
 def sweep():
@@ -46,6 +57,12 @@ def sweep():
                 yield f"weierstrass-{d}@{p}", lambda d=d, p=p: weierstrass_family(d, p)
     for m in range(3, 13):
         yield f"elliptic-{m}", lambda m=m: elliptic_family(m)
+    for d, p in LARGE_WEIERSTRASS:
+        yield f"weierstrass-{d}@{p}", lambda d=d, p=p: weierstrass_family(d, p)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def digest(call):
@@ -53,11 +70,15 @@ def digest(call):
         result = call()
     except VeechFibError as exc:
         return type(exc).__name__
-    return hashlib.sha256(json.dumps(result.to_json(), indent=2).encode()).hexdigest()
+    return _sha256(json.dumps(result.to_json(), indent=2))
 
 
 def replay():
-    return {key: digest(call) for key, call in sweep()}
+    got = {key: digest(call) for key, call in sweep()}
+    rows, skipped = chern_scatter(5, 20000, 7)
+    got["scatter-5-20000@7.csv"] = _sha256(chern_scatter_csv(rows))
+    got["scatter-5-20000@7.skipped"] = _sha256(json.dumps(skipped))
+    return got
 
 
 def test_family_json_matches_golden():

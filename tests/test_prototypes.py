@@ -18,6 +18,7 @@ from veechfib.prototypes import (
     Prototype,
     enumerate_prototypes,
     prototype_twisting,
+    prototype_twists,
     prototypes_csv,
     standard_parameters,
     weierstrass_alpha,
@@ -125,9 +126,11 @@ def test_enumeration_matches_dataclass_reference():
     for d in _discriminants():
         filters = (None,) if d % 8 != 1 else (lambda _p: True, _selective)
         for spin_filter in filters:
-            got = [p.as_tuple() for p in enumerate_prototypes(d, spin_filter)]
+            got = enumerate_prototypes(d, spin_filter)
             want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
-            assert got == want, (d, spin_filter)
+            assert [p.as_tuple() for p in got] == want, (d, spin_filter)
+            twists = tuple(map(prototype_twisting, got))
+            assert prototype_twists(d, spin_filter) == twists, (d, spin_filter)
 
 
 @given(st.integers(5, 10**5).filter(lambda d: d % 4 in (0, 1) and math.isqrt(d) ** 2 != d))
@@ -135,9 +138,10 @@ def test_enumeration_matches_dataclass_reference():
 def test_enumeration_matches_dataclass_reference_to_1e5(d):
     filters = (None,) if d % 8 != 1 else (lambda _p: True, _selective)
     for spin_filter in filters:
-        got = [p.as_tuple() for p in enumerate_prototypes(d, spin_filter)]
+        got = enumerate_prototypes(d, spin_filter)
         want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
-        assert got == want, spin_filter
+        assert [p.as_tuple() for p in got] == want, spin_filter
+        assert prototype_twists(d, spin_filter) == tuple(map(prototype_twisting, got)), spin_filter
 
 
 class _Divided(Exception):
@@ -166,6 +170,28 @@ def test_spin_filter_sees_every_candidate_prototype():
     reference.enumerate_prototypes(41, lambda p: seen_reference.append(p) or True)
     assert all(isinstance(p, Prototype) for p in seen)
     assert sorted(p.as_tuple() for p in seen) == sorted(p.as_tuple() for p in seen_reference)
+    assert seen == sorted(seen)
+    assert 0 < len(kept) < len(seen)
+
+
+def test_prototype_twists_refuse_as_the_enumeration():
+    with pytest.raises(SpinRequiredError):
+        prototype_twists(17)
+    with pytest.raises(InvalidDiscriminantError):
+        prototype_twists(9)
+    with pytest.raises(CapExceededError):
+        prototype_twists(10**7 + 1, lambda _p: True)
+    with pytest.raises(CapExceededError):  # the cap is checked before squareness
+        prototype_twists(10**8)
+
+
+def test_prototype_twists_spin_filter_sees_every_candidate_once():
+    seen, seen_reference = [], []
+    kept = prototype_twists(41, lambda p: seen.append(p) or _selective(p))
+    reference.enumerate_prototypes(41, lambda p: seen_reference.append(p) or True)
+    assert all(isinstance(p, Prototype) for p in seen)
+    assert sorted(p.as_tuple() for p in seen) == sorted(p.as_tuple() for p in seen_reference)
+    assert [p.as_tuple() for p in seen] == sorted(p.as_tuple() for p in seen)
     assert 0 < len(kept) < len(seen)
 
 

@@ -49,30 +49,29 @@ def test_tracer_installs_every_span_site_and_restores_it():
     )
 
 
-def test_tracer_records_one_enumeration_per_scatter_row():
-    """The eigenform-scatter per-layer metrics read the enumerate_prototypes
-    span: it must fire once for each row D of a scatter, inside that D's
-    weierstrass_family span, and count the prototypes of that D."""
+def test_tracer_records_no_enumeration_in_a_scatter():
+    """The eigenform-scatter per-layer metrics read the weierstrass_family
+    span: one returns for each row D of a scatter.  A scatter counts the
+    prototypes per (w, h) class and builds none, so it records no
+    enumerate_prototypes span; a direct enumeration still records one,
+    and counts what it returns."""
     from veechfib import families
-    from veechfib.prototypes import enumerate_prototypes
 
     tracer = _load_tracer()
     t = tracer.Tracer()
     t.install()
     try:
         rows, skipped = families.chern_scatter(5, 60, 5)
+        scatter_spans = len(t.spans)
+        protos = families.enumerate_prototypes(44)
     finally:
         t.uninstall()
     assert rows and skipped
     names = [span[1] for span in t.spans]
-    enumerations = [span for span in t.spans if span[1] == "prototypes.enumerate_prototypes"]
-    assert len(enumerations) == len(rows)
-    assert all(names[span[4]] == "families.weierstrass_family" for span in enumerations)
-    assert t.counts["prototypes.enumerate_prototypes.yielded"] == sum(
-        len(enumerate_prototypes(d)) for d, *_ in rows
-    )
-    stats = tracer.summarize(t.spans)
-    assert stats["prototypes.enumerate_prototypes"][0] == len(rows)
+    assert "prototypes.enumerate_prototypes" not in names[:scatter_spans]
+    assert t.counts["families.weierstrass_family.returned"] == len(rows)
+    assert names[scatter_spans:] == ["prototypes.enumerate_prototypes"]
+    assert t.counts["prototypes.enumerate_prototypes.yielded"] == len(protos) > 0
 
 
 def test_tracer_sees_one_root_isolation_and_no_charpoly_per_model_build():
