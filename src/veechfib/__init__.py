@@ -60,7 +60,6 @@ __getattr__, __dir__ = _lazy_exports(
             "is_irreducible_mod_p",
             "is_quadratic_nonresidue",
             "isolate_largest_real_root",
-            "minpoly_two_cos",
             "parse_polynomial",
         ),
         "families": (

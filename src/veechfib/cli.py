@@ -108,9 +108,9 @@ def _cmd_prototypes(args):
 
 
 def _load_spin_plugin(spec_text):
-    """Import a user-supplied spin predicate given as 'module:function'; an
-    import failure, a missing or non-callable attribute, or an exception
-    raised by the predicate is invalid input."""
+    """Import a user-supplied spin predicate given as 'module:function'; a
+    module that raises anything on import, a missing or non-callable
+    attribute, or an exception raised by the predicate is invalid input."""
     import importlib
 
     module_name, _, attr = spec_text.partition(":")
@@ -118,7 +118,7 @@ def _load_spin_plugin(spec_text):
         raise InvalidArgumentError("spin plugin must be given as module:function")
     try:
         predicate = getattr(importlib.import_module(module_name), attr)
-    except (ImportError, AttributeError) as exc:
+    except Exception as exc:
         raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {exc!r}") from None
     if not callable(predicate):
         raise InvalidArgumentError(f"bad spin plugin {spec_text!r}: {attr!r} is not callable")

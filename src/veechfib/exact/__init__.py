@@ -30,7 +30,6 @@ _EXPORTS = {
         "divisors",
         "euler_phi",
         "isolate_largest_real_root",
-        "minpoly_two_cos",
         "parse_polynomial",
         "prime_factors",
         "rational_to_str",

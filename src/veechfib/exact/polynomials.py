@@ -11,10 +11,10 @@ Exact division is one integer long division, given up at the first
 step that does not divide.
 
 The module also hosts the cyclotomic machinery: ``cyclotomic
-polynomial`` as a Moebius product of binomials x^k - 1, the palindromic
-descent producing the minimal polynomial of ``2*cos(2*pi/N)``, and
-``minpoly_two_cos`` for ``2*cos(pi/n)``.  All of it is exact integer
-arithmetic; no floating point enters anywhere.
+polynomial`` as a Moebius product of binomials x^k - 1 and the
+palindromic descent producing the minimal polynomial of
+``2*cos(2*pi/N)`` (so ``2*cos(pi/n)`` is at N = 2n).  All of it is
+exact integer arithmetic; no floating point enters anywhere.
 
 Real roots are isolated with Sturm chains on integers: every member is
 a positive integer multiple of the usual one, and its sign at a
@@ -584,13 +584,6 @@ def cos_two_pi_minpoly(n):
             f"Phi_{n} gives {out}, not a monic polynomial of degree {k}"
         )
     return out
-
-
-def minpoly_two_cos(n):
-    """Minimal polynomial of 2*cos(pi/n) for n >= 3; degree phi(2n)/2."""
-    if not isinstance(n, int) or n < 3:
-        raise InvalidArgumentError("minpoly_two_cos requires an integer n >= 3")
-    return cos_two_pi_minpoly(2 * n)
 
 
 # pi as a pinned dyadic constant: _PI_64 = floor(pi 2^64), so

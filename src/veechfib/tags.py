@@ -5,9 +5,9 @@ or linalg."""
 from .errors import CapExceededError, UnsupportedFamilyError
 from .exact.finitefield import is_prime
 
-# Largest n whose n-gon model is built: the construction allocates an
-# (n - 1) x (n - 1) adjacency matrix and works in a field of degree
-# phi(2n)/2, so a larger request is refused before either exists.
+# Largest n whose n-gon model is built: the construction works in a
+# field of degree phi(2n)/2 and computes n - 1 heights there, so a
+# larger request is refused before the field or its graph exists.
 MAX_POLYGON_N = 256
 
 _COXETER_NUMBERS = {"E7": 18, "E8": 30}

@@ -33,13 +33,17 @@ Each model fact is proved once, by the build step that makes it:
 perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
 per row, and reduces only the residuals that are not zero there (on a
 star, the center's); the heights are the lifts evaluated at mu, each
-proved positive by its own enclosure (stored heights are a multiple of
-its vector).  No lift is reduced: evaluation at mu is a ring
-homomorphism, so the recurrence in the field gives each lift's
-residue.  n-gon heights are their lifts, and _build_polygon checks c_k
-against c_(n-k) for even n; E7/E8 lifts come from integer_lift() after
-the staircase rescaling; _checked_model refuses a model whose genus is
-not rank Q (core_curve_span_check).  There is no separate verify step.
+distinct height proved positive once, by its own enclosure (an n-gon's
+come in mirror-equal pairs; stored heights are a multiple of the
+vector).  _certified_star runs this for both builders.  No lift is
+reduced: evaluation at mu is a ring homomorphism, so the recurrence in
+the field gives each lift's residue.  n-gon heights are their lifts,
+and _build_polygon checks c_k against c_(n-k) for even n; E7/E8 lifts
+come from integer_lift() after the staircase rescaling, by mu over the
+height of the longest arm's leaf, which the closed form proves lowest
+(_staircase_normalize), so no height is compared; _checked_model
+refuses a model whose genus is not rank Q (core_curve_span_check).
+There is no separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -126,16 +130,6 @@ class BipartiteIntersectionGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == len(self.neighbours)
-
-    def adjacency_matrix(self):
-        """Full symmetric adjacency: blacks first, then whites."""
-        b, w = self.black_count, self.white_count
-        n = b + w
-        adj = [[0] * n for _ in range(n)]
-        for i in range(b):
-            for j in range(w):
-                adj[i][b + j] = adj[b + j][i] = self.intersections[i][j]
-        return adj
 
     def __eq__(self, other):
         return (
@@ -271,11 +265,11 @@ def perron_frobenius(graph, coxeter_number, lifts, heights):
     vanish.  Evaluation at mu is a ring homomorphism, so this is exactly
     adjacency * heights = mu * heights.
 
-    That identity with every height strictly positive, each by its own
-    exact enclosure, is the certificate: the graph is connected, so its
-    adjacency matrix is irreducible and nonnegative, and by
-    Perron-Frobenius a strictly positive eigenvector belongs only to the
-    spectral radius.  A wrong h or wrong lifts fail with
+    That identity with every height strictly positive, each distinct
+    height by its own exact enclosure, is the certificate: the graph is
+    connected, so its adjacency matrix is irreducible and nonnegative,
+    and by Perron-Frobenius a strictly positive eigenvector belongs only
+    to the spectral radius.  A wrong h or wrong lifts fail with
     MathematicalInconsistencyError.  h must be an integer >= 3, as every
     graph with an edge has spectral radius >= 1.
     """
@@ -301,7 +295,9 @@ def perron_frobenius(graph, coxeter_number, lifts, heights):
     values = tuple(heights(mu))
     if len(values) != len(lifts):
         raise InvalidArgumentError(f"{len(values)} heights for {len(lifts)} height lifts")
-    if any(h.sign() <= 0 for h in values):
+    # one enclosure per distinct height: the n-gon's come in equal
+    # mirror pairs, U_(k-1)(mu) = U_(n-k-1)(mu)
+    if any(h.sign() <= 0 for h in dict.fromkeys(values)):
         raise MathematicalInconsistencyError("eigenvector is not strictly positive")
     return mu, values
 
@@ -396,16 +392,22 @@ def build_surface(family_tag):
     return _build_polygon(h)
 
 
-def _build_polygon(n):
-    star = _coxeter_star("A", n - 1)
-    construction, blacks, whites = _two_coloured(*star)
-    # vertex k (1-based along the path) lifts to U_(k-1)
-    lifts = _star_lifts(*star)
+def _certified_star(center, arms, h):
+    """The star's bipartite graph, its black and white vertex lists, mu,
+    and by vertex the certified heights and their lifts: perron_frobenius
+    on _star_lifts and _star_heights, in adjacency order."""
+    graph, blacks, whites = _two_coloured(center, arms)
+    lifts = _star_lifts(center, arms)
     order = blacks + whites
     mu, heights = perron_frobenius(
-        construction, n, [lifts[k] for k in order], _star_heights(*star, order)
+        graph, h, [lifts[v] for v in order], _star_heights(center, arms, order)
     )
-    by_vertex = dict(zip(order, heights))
+    return graph, blacks, whites, mu, dict(zip(order, heights)), lifts
+
+
+def _build_polygon(n):
+    # vertex k (1-based along the path) lifts to U_(k-1)
+    construction, _, _, mu, by_vertex, lifts = _certified_star(*_coxeter_star("A", n - 1), n)
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
@@ -421,15 +423,11 @@ def _build_polygon(n):
 
 def _build_sporadic(which, coxeter_number):
     diagram = _SPORADIC[which]
-    star = diagram.center, diagram.arms
-    graph, blacks, whites = _two_coloured(*star)
-    candidate = _star_lifts(*star)
-    order = blacks + whites
-    mu, heights = perron_frobenius(
-        graph, coxeter_number, [candidate[v] for v in order], _star_heights(*star, order)
+    graph, blacks, whites, mu, by_vertex, _ = _certified_star(
+        diagram.center, diagram.arms, coxeter_number
     )
-    by_vertex = dict(zip(order, heights))
-    scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites)
+    anchor = max(diagram.arms, key=len)[0]
+    scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites, anchor)
     rows = [
         (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], lifts[v])
         for v in sorted(by_vertex)
@@ -461,32 +459,36 @@ def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
     return model
 
 
-def _staircase_normalize(mu, by_vertex, blacks, whites):
-    """Rescale so one class has odd integer lifts, the other even.
+def _staircase_normalize(mu, by_vertex, blacks, whites, anchor):
+    """Rescale by mu / height(anchor), so the anchor's class has odd
+    integer lifts and the other class even ones, or refuse.
 
-    Tries scalings mu / h over candidate lowest-horizontal cylinders;
-    requires the minimal polynomial of mu to be an even polynomial so
-    canonical residues are parity-faithful lifts.
+    The anchor is the leaf of the star's longest arm, which has the
+    lowest height, so the anchor becomes the lowest horizontal cylinder
+    with height mu.  Proof: a vertex j places from its arm's leaf has
+    height U_j(mu) times U_a(mu) over each other arm of length a, and
+    the center U_a(mu) over all arms.  U_j(mu) = sin((j+1)pi/h) /
+    sin(pi/h) is positive and strictly increasing in j while j + 1 <=
+    h/2, and the arms of E7 / E8 are 2, 1, 3 / 2, 1, 4 long against
+    h = 18 / 30.  So against the leaf of the longest arm, of length l,
+    a vertex of that arm is U_j(mu) >= 1 times as high, the center
+    U_l(mu) > 1 times, and a vertex of an arm of length a < l at least
+    U_l(mu) / U_a(mu) > 1 times.  Requires the minimal polynomial of mu
+    to be an even polynomial so canonical residues are parity-faithful
+    lifts.
     """
     if not mu.field.modulus.even_terms_only():
         raise InapplicableModelError("modulus is not even; no canonical parity lift")
-    # smallest height first (exact comparisons); the stable sort keeps
-    # vertex order among equal heights
-    candidates = sorted(by_vertex)
-    candidates.sort(key=by_vertex.__getitem__)
-    for v0 in candidates:
-        scale = mu / by_vertex[v0]
-        scaled = {v: h * scale for v, h in by_vertex.items()}
-        if not all(h.is_integral_residue for h in scaled.values()):
-            continue
-        lifts = {v: h.integer_lift() for v, h in scaled.items()}
-        side_of_v0 = blacks if v0 in blacks else whites
-        other = whites if v0 in blacks else blacks
-        if all(lifts[v].odd_terms_only() for v in side_of_v0) and all(
-            lifts[v].even_terms_only() for v in other
-        ):
-            return scaled, lifts, set(side_of_v0)
-    raise MathematicalInconsistencyError("no staircase normalization found")
+    scale = mu / by_vertex[anchor]
+    scaled = {v: h * scale for v, h in by_vertex.items()}
+    lifts = {v: h.integer_lift() for v, h in scaled.items() if h.is_integral_residue}
+    horizontal, vertical = (blacks, whites) if anchor in blacks else (whites, blacks)
+    if len(lifts) < len(scaled) or not (
+        all(lifts[v].odd_terms_only() for v in horizontal)
+        and all(lifts[v].even_terms_only() for v in vertical)
+    ):
+        raise MathematicalInconsistencyError("no staircase normalization found")
+    return scaled, lifts, set(horizontal)
 
 
 # ---------------------------------------------------------------------------

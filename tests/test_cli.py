@@ -593,15 +593,28 @@ def test_spin_plugin_hook(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"] == "MissingCurveDataError"
 
 
+# plugin modules that fail at import with anything but ImportError
+_FAILING_PLUGIN_MODULES = {
+    "syntax_error_spin": "def keep(proto:\n",
+    "raising_spin": "raise RuntimeError('no spin')\n",
+}
+
+
 @pytest.mark.parametrize(
     "plugin, cause",
     [
         ("nonexistent_mod:f", "ModuleNotFoundError("),
         ("os:nonexistent", "AttributeError("),
         ("os:sep", "'sep' is not callable"),
+        ("syntax_error_spin:keep", "SyntaxError("),
+        ("raising_spin:keep", "RuntimeError('no spin')"),
     ],
 )
-def test_bad_spin_plugin_exit_2(tmp_path, capsys, plugin, cause):
+def test_bad_spin_plugin_exit_2(tmp_path, capsys, monkeypatch, plugin, cause):
+    module = plugin.partition(":")[0]
+    if module in _FAILING_PLUGIN_MODULES:
+        (tmp_path / f"{module}.py").write_text(_FAILING_PLUGIN_MODULES[module])
+        monkeypatch.syspath_prepend(str(tmp_path))
     # the plugin is loaded before the (missing) data file is read
     missing = tmp_path / "missing.csv"
     code, out, err = run_cli(

@@ -28,7 +28,6 @@ from veechfib.exact.polynomials import (
     IntPolynomial,
     RootInterval,
     cos_two_pi_minpoly,
-    minpoly_two_cos,
 )
 from veechfib.thurston_veech import coxeter_graph, perron_frobenius
 
@@ -71,14 +70,14 @@ def test_element_minimal_polynomial_identity_case(golden_field):
 
 
 def test_element_minimal_polynomial_degree_seven_case():
-    field = RealAlgebraicField(minpoly_two_cos(7))
+    field = RealAlgebraicField(cos_two_pi_minpoly(2 * 7))
     mu = field.generator
     assert element_minimal_polynomial(mu * mu) == IntPolynomial([-1, 6, -5, 1])
 
 
 def test_minimal_polynomial_annihilates_in_ring():
     for n in (5, 7, 9, 12, 18):
-        field = RealAlgebraicField(minpoly_two_cos(n))
+        field = RealAlgebraicField(cos_two_pi_minpoly(2 * n))
         mu = field.generator
         elem = mu * mu - field.element([2]) * mu + field.one
         m = element_minimal_polynomial(elem)
@@ -195,7 +194,7 @@ def test_suborder_membership(golden_field):
 
 
 def test_suborder_coordinates_outside_subfield():
-    field = RealAlgebraicField(minpoly_two_cos(18))
+    field = RealAlgebraicField(cos_two_pi_minpoly(2 * 18))
     mu = field.generator
     alpha = mu * mu
     assert not in_order(mu, alpha, 3)
@@ -209,7 +208,7 @@ def test_element_json(golden_field):
 
 
 def test_power_basis_minimal_polynomial_and_coordinates():
-    field = RealAlgebraicField(minpoly_two_cos(18))
+    field = RealAlgebraicField(cos_two_pi_minpoly(2 * 18))
     mu = field.generator
     basis = PowerBasis(mu * mu)
     assert basis.degree == 3
@@ -264,7 +263,7 @@ def test_power_basis_matches_dense_elimination(n, elem_coeffs, elem_den, alpha_c
     """PowerBasis and the dense Gauss-Jordan reference agree on minimal
     polynomials (or the non-integral refusal) and Z[alpha] membership,
     for counts below, at and above the degree of alpha."""
-    field = RealAlgebraicField(minpoly_two_cos(n))
+    field = RealAlgebraicField(cos_two_pi_minpoly(2 * n))
     elem = _poly_in_mu(field, elem_coeffs) / field.element([elem_den])
     alpha = _poly_in_mu(field, alpha_coeffs) / field.element([alpha_den])
     for x in (elem, alpha):

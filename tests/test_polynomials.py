@@ -33,7 +33,6 @@ from veechfib.exact.polynomials import (
     euler_phi,
     homogeneous_value,
     isolate_largest_real_root,
-    minpoly_two_cos,
     parse_polynomial,
     prime_factors,
     rational_to_str,
@@ -74,10 +73,10 @@ def test_chebyshev_composed_with_y_squared_minus_two_doubles_the_index():
 
 
 def test_minpoly_two_cos_pinned_values():
-    assert minpoly_two_cos(3) == IntPolynomial([-1, 1])
-    assert minpoly_two_cos(5) == IntPolynomial([-1, -1, 1])
-    assert minpoly_two_cos(18) == IntPolynomial([-3, 0, 9, 0, -6, 0, 1])
-    assert minpoly_two_cos(30) == IntPolynomial([1, 0, -8, 0, 14, 0, -7, 0, 1])
+    assert cos_two_pi_minpoly(2 * 3) == IntPolynomial([-1, 1])
+    assert cos_two_pi_minpoly(2 * 5) == IntPolynomial([-1, -1, 1])
+    assert cos_two_pi_minpoly(2 * 18) == IntPolynomial([-3, 0, 9, 0, -6, 0, 1])
+    assert cos_two_pi_minpoly(2 * 30) == IntPolynomial([1, 0, -8, 0, 14, 0, -7, 0, 1])
 
 
 @pytest.mark.parametrize(
@@ -108,13 +107,13 @@ def test_minpoly_two_cos_derived_via_cyclotomic():
 
 
 def test_minpoly_two_cos_rejects_small_n():
-    with pytest.raises(InvalidArgumentError):
-        minpoly_two_cos(2)
+    with pytest.raises(InvalidArgumentError, match="index must be >= 1"):
+        cos_two_pi_minpoly(0)
 
 
 @pytest.mark.parametrize("n", range(3, 61))
 def test_minpoly_two_cos_degree_monic_and_root(n):
-    m = minpoly_two_cos(n)
+    m = cos_two_pi_minpoly(2 * n)
     assert m.is_monic
     assert m.degree == euler_phi(2 * n) // 2
     interval = isolate_largest_real_root(m, Fraction(1, 10**12))
@@ -337,7 +336,7 @@ def test_isolation_matches_sturm_reference_on_repeated_roots(roots, multipliciti
 def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
     # gcd(f, f') is read off f's own Sturm chain, so isolating f runs no
     # remainder sequence besides that chain's
-    f = minpoly_two_cos(h)
+    f = cos_two_pi_minpoly(2 * h)
     expected = len(sturm_chain(f)) - 1
     calls = []
     original = polynomials.pseudo_divmod

@@ -184,7 +184,7 @@ _PACKAGE_EXPORTS = {
         "FFElement", "FiniteFieldSpec", "IntPolynomial", "NumberFieldElement",
         "RealAlgebraicField", "RootInterval", "element_minimal_polynomial",
         "is_irreducible_mod_p", "is_quadratic_nonresidue", "isolate_largest_real_root",
-        "minpoly_two_cos", "parse_polynomial",
+        "parse_polynomial",
     ),
     "families": (
         "CurveDataTable", "ExternalCurveData", "FamilyResult", "FamilySpec",

@@ -15,12 +15,12 @@ from veechfib.errors import (
     UnsupportedFamilyError,
 )
 from veechfib.exact.linalg import charpoly, rank
-from veechfib.exact.numberfield import PowerBasis, RealAlgebraicField
+from veechfib.exact.numberfield import NumberFieldElement, PowerBasis, RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
     RootInterval,
     _chebyshev_polys,
-    minpoly_two_cos,
+    cos_two_pi_minpoly,
     root_bound,
     squarefree_part,
     sturm_chain,
@@ -56,6 +56,15 @@ def star_candidate(family, size=None):
     order = blacks + whites
     lifts = thurston_veech._star_lifts(*star)
     return graph, [lifts[v] for v in order], thurston_veech._star_heights(*star, order)
+
+
+def adjacency(graph):
+    """The full symmetric adjacency matrix of a bipartite graph, blacks
+    first, then whites: the charpoly oracles' input."""
+    b, w = graph.black_count, graph.white_count
+    top = [[0] * b + list(row) for row in graph.intersections]
+    bottom = [[row[j] for row in graph.intersections] + [0] * w for j in range(w)]
+    return top + bottom
 
 
 def embedded(lifts):
@@ -192,12 +201,12 @@ def test_star_lifts_fail_only_the_center_equation_in_z_x(family, size, h):
     lifts = thurston_veech._star_lifts(center, arms)
     order = blacks + whites
     x = IntPolynomial([0, 1])
-    for v, row in zip(order, graph.adjacency_matrix()):
+    for v, row in zip(order, adjacency(graph)):
         residual = x * lifts[v]
         for u, a in zip(order, row):
             residual = residual - lifts[u] * a
         if v == center:
-            assert residual and residual.try_exact_divide(minpoly_two_cos(h)) is not None
+            assert residual and residual.try_exact_divide(cos_two_pi_minpoly(2 * h)) is not None
         else:
             assert residual.is_zero, v
     if family == "A":
@@ -216,7 +225,8 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
         _, blacks, whites = thurston_veech._two_coloured(*star)
         order = blacks + whites
         lifts = thurston_veech._star_lifts(*star)
-        field = RealAlgebraicField(minpoly_two_cos(h), RootInterval(minpoly_two_cos(h), 0, 2))
+        modulus = cos_two_pi_minpoly(2 * h)
+        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 2))
         heights = thurston_veech._star_heights(*star, order)(field.generator)
         assert heights == [field.element(lifts[v].coefficients) for v in order], tag
 
@@ -228,7 +238,7 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     # and above the field's root interval the charpoly has one distinct
     # real root, so mu is the largest eigenvalue
     model = build_surface(tag)
-    cp = charpoly(model.construction_graph.adjacency_matrix())
+    cp = charpoly(adjacency(model.construction_graph))
     assert cp.try_exact_divide(model.mu.field.modulus) is not None
     sf = squarefree_part(cp)
     root = model.mu.field.root
@@ -252,15 +262,15 @@ def test_perron_frobenius_path_four():
 
 def test_perron_frobenius_e7_eigenvalue():
     mu, _ = certify(18, "E7")
-    assert mu.field.modulus == minpoly_two_cos(18)
+    assert mu.field.modulus == cos_two_pi_minpoly(2 * 18)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
     graph, lifts, star_heights = star_candidate("A", n - 1)
     mu, heights = perron_frobenius(graph, n, lifts, star_heights)
-    assert mu.field.modulus == minpoly_two_cos(n)
-    assert charpoly(graph.adjacency_matrix()).try_exact_divide(mu.field.modulus) is not None
+    assert mu.field.modulus == cos_two_pi_minpoly(2 * n)
+    assert charpoly(adjacency(graph)).try_exact_divide(mu.field.modulus) is not None
     assert all(h.sign() > 0 for h in heights)
 
 
@@ -399,7 +409,64 @@ def test_staircase_normalization_needs_an_even_modulus():
     # not parity-faithful lifts
     mu = RealAlgebraicField(IntPolynomial([-1, -1, 1])).generator
     with pytest.raises(InapplicableModelError, match="modulus is not even"):
-        thurston_veech._staircase_normalize(mu, {0: mu, 1: mu}, {0}, {1})
+        thurston_veech._staircase_normalize(mu, {0: mu, 1: mu}, {0}, {1}, 0)
+
+
+@pytest.mark.parametrize("which", ["E7", "E8"])
+def test_staircase_anchor_is_the_lowest_height(which):
+    # the leaf of the longest arm has the lowest height of the star, by
+    # exact comparison against every vertex
+    diagram = thurston_veech._SPORADIC[which]
+    _, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
+        diagram.center, diagram.arms, surface_tag(which)[1]
+    )
+    anchor = max(diagram.arms, key=len)[0]
+    assert anchor == {"E7": 7, "E8": 8}[which]
+    assert all(by_vertex[anchor] < h for v, h in by_vertex.items() if v != anchor)
+    model = build_surface(which)
+    assert [c.name for c in model.cylinders if c.height == mu] == [f"c_{anchor}"]
+    # the integrality and parity refusals do not locate the anchor: the
+    # center passes both and puts mu on a cylinder that is not the lowest
+    scaled, _, horizontal = thurston_veech._staircase_normalize(
+        mu, by_vertex, blacks, whites, diagram.center
+    )
+    assert scaled[diagram.center] == mu and diagram.center in horizontal
+    assert scaled[anchor] < mu
+
+
+def test_staircase_normalization_refuses_a_bad_anchor():
+    # E7's vertex 3 has height U_1 U_1 U_3 (mu), no unit: scaling by it
+    # leaves denominators of 3
+    diagram = thurston_veech._SPORADIC["E7"]
+    _, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
+        diagram.center, diagram.arms, 18
+    )
+    with pytest.raises(MathematicalInconsistencyError, match="no staircase normalization found"):
+        thurston_veech._staircase_normalize(mu, by_vertex, blacks, whites, 3)
+    # integral, but both classes are odd
+    mu = RealAlgebraicField(IntPolynomial([-3, 0, 1])).generator
+    with pytest.raises(MathematicalInconsistencyError, match="no staircase normalization found"):
+        thurston_veech._staircase_normalize(mu, {0: mu, 1: mu}, [0], [1], 0)
+
+
+@pytest.mark.parametrize(
+    "tag, signs",
+    [("E7", 7), ("E8", 8)] + [(f"polygon-{n}", n // 2) for n in (5, 8, 10, 17, 64, 251)],
+)
+def test_a_cold_build_signs_each_distinct_height_once_and_compares_none(monkeypatch, tag, signs):
+    # an n-gon's n - 1 heights come in equal mirror pairs, floor(n/2)
+    # distinct; the E7 / E8 staircase anchor is read off the arm lengths
+    counts = {"sign": 0, "__lt__": 0}
+    for name in counts:
+
+        def counted(self, *args, name=name, original=getattr(NumberFieldElement, name)):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(NumberFieldElement, name, counted)
+    build_surface.cache_clear()
+    build_surface(tag)
+    assert counts == {"sign": signs, "__lt__": 0}
 
 
 def test_span_check_refuses_a_genus_above_the_rank():
@@ -605,8 +672,8 @@ def test_charpoly_against_permutation_expansion():
                 m[i][j] = m[j][i] = w
         matrices.append(m)
     # trees: the paths A2-A6 and E7, a 7-vertex tree with a branch point
-    matrices += [coxeter_graph("A", n).adjacency_matrix() for n in range(2, 7)]
-    matrices.append(coxeter_graph("E7").adjacency_matrix())
+    matrices += [adjacency(coxeter_graph("A", n)) for n in range(2, 7)]
+    matrices.append(adjacency(coxeter_graph("E7")))
     for m in matrices:
         assert charpoly(m) == _charpoly_permanent_oracle(m), m
 
@@ -654,7 +721,6 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
     # independent route to the same polynomial.
     from veechfib.covers import OrbifoldSignature
     from veechfib.exact.numberfield import element_minimal_polynomial
-    from veechfib.exact.polynomials import cos_two_pi_minpoly
     from veechfib.families import model_spec
 
     def shift_by_minus_two(poly):

@@ -6,6 +6,7 @@ or renames one of those names breaks the benchmark's per-layer metrics;
 this test catches it.  The tracer file is loaded, never modified.
 """
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -193,3 +194,72 @@ def test_every_functools_cache_in_the_package_is_pinned():
         for match in _CACHE_DECORATOR.findall(path.read_text(encoding="utf-8"))
     ]
     assert len(decorators) == len(caches) + len(properties)
+
+
+def _kept_bound_names(source):
+    """The names a module's source marks (kept bound): each name of a
+    marked import line, and each name of a marked _lazy_exports entry,
+    every entry when the comment above the call carries the marker;
+    with the names the module loads anywhere else."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+
+    def marked(first, last):
+        return any("(kept bound)" in line for line in lines[first - 1 : last])
+
+    dicts = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and marked(node.lineno, node.end_lineno):
+            names.update(alias.asname or alias.name for alias in node.names)
+        call = getattr(node, "value", None)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_lazy_exports":
+            above = node.lineno
+            while above > 1 and lines[above - 2].lstrip().startswith("#"):
+                above -= 1
+            whole = marked(above, node.lineno)
+            exports = call.args[1]
+            exports = dicts[exports.id] if isinstance(exports, ast.Name) else exports
+            for key, value in zip(exports.keys, exports.values):
+                if whole or marked(key.lineno, value.end_lineno):
+                    names.update(elt.value for elt in value.elts)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return names, loaded
+
+
+def test_every_kept_bound_name_is_a_span_site():
+    """A name bound only so that perfbench/tracer.py can rebind it is
+    marked (kept bound); one the module never loads otherwise must be a
+    span site of that module, so a stale marker fails here.  The pinned
+    set is what a tracer that no longer binds these names frees."""
+    sites = {(mod, attr) for mod, attr, _ in _load_tracer().SPAN_SITES}
+    tracer_only = set()
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        names, loaded = _kept_bound_names(path.read_text(encoding="utf-8"))
+        tracer_only |= {(module, name) for name in names - loaded}
+    assert tracer_only <= sites, sorted(tracer_only - sites)
+    assert tracer_only == {
+        ("veechfib.thurston_veech", "is_irreducible_mod_p"),
+        ("veechfib.thurston_veech", "charpoly"),
+        ("veechfib.thurston_veech", "in_order"),
+        ("veechfib.families", "is_irreducible_mod_p"),
+        ("veechfib.families", "enumerate_prototypes"),
+        ("veechfib.families", "element_minimal_polynomial"),
+    } | {
+        ("veechfib.cli", name)
+        for name in (
+            "admissible_primes", "chern_scatter", "polygon_family", "sporadic_family",
+            "weierstrass_family", "enumerate_prototypes", "build_surface",
+            "cover_twisting", "group_closure_order", "riemann_hurwitz_cover",
+        )
+    }
