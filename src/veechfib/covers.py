@@ -64,10 +64,10 @@ class OrbifoldSignature(_OrbifoldFields):
 
     @property
     def euler_characteristic(self):
-        chi = Fraction(2 - 2 * self.base_genus - self.cusp_count)
+        num, den = 2 - 2 * self.base_genus - self.cusp_count, 1
         for n in self.orbifold_orders:
-            chi -= Fraction(n - 1, n)
-        return chi
+            num, den = num * n - (n - 1) * den, den * n
+        return Fraction(num, den)
 
 
 class CoverData(NamedTuple):
@@ -366,13 +366,15 @@ def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
     degree must be divisible by each cone order.  Each base cusp with
     image order k contributes d/k cusps.  The genus solves
     2 - 2b - |cusps| = d * chi_orb exactly and must come out a
-    nonnegative integer.  A degree or cusp image order below 1 is
-    invalid input (InvalidArgumentError), not an inconsistency.
+    nonnegative integer.  A degree or cusp image order below 1, or a
+    cone order below 2, is invalid input (InvalidArgumentError).
     """
     if degree < 1:
         raise InvalidArgumentError("degree must be positive")
     if min(cusp_image_orders, default=1) < 1:
         raise InvalidArgumentError("cusp image orders must be positive")
+    if min(orbifold_orders, default=2) < 2:
+        raise InvalidArgumentError("orbifold orders must be >= 2")
     for order in orbifold_orders:
         if degree % order != 0:
             raise InconsistentCoverError(f"degree {degree} not divisible by {order}")
@@ -382,15 +384,17 @@ def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
             raise InconsistentCoverError(f"cusp image order {k} does not divide {degree}")
         cusps_per_orbit.append(degree // k)
     cusp_count = sum(cusps_per_orbit)
-    chi_cover = degree * chi_orb
-    genus2 = 2 - cusp_count - chi_cover  # = 2b
-    if genus2.denominator != 1 or genus2.numerator % 2 != 0 or genus2 < 0:
+    # 2b = 2 - |cusps| - d chi_orb, times the denominator of chi_orb
+    num, den = chi_orb.numerator, chi_orb.denominator
+    top = (2 - cusp_count) * den - degree * num
+    genus2, rest = divmod(top, den)
+    if rest or genus2 % 2 != 0 or genus2 < 0:
         raise InconsistentCoverError(
-            f"cover genus is not a nonnegative integer: 2b = {genus2}"
+            f"cover genus is not a nonnegative integer: 2b = {Fraction(top, den)}"
         )
     return CoverData(
         degree=degree,
-        base_genus=int(genus2) // 2,
+        base_genus=genus2 // 2,
         cusp_count=cusp_count,
         cusps_per_orbit=tuple(cusps_per_orbit),
         cusp_image_orders=tuple(cusp_image_orders),

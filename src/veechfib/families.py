@@ -379,9 +379,8 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
     e2 = data.e2(d, n_orbits)
     if 8 < d <= 41 and e2 is not None:
         # genus positivity of the cover for every p >= 3:
-        # |P|/2 + e2/4 - |P|/(2p) >= 1
-        lhs = Fraction(n_orbits, 2) + Fraction(e2, 4) - Fraction(n_orbits, 2 * p)
-        checks["genus_positivity"] = lhs >= 1
+        # |P|/2 + e2/4 - |P|/(2p) >= 1, times 4p
+        checks["genus_positivity"] = 2 * p * n_orbits + p * e2 - 2 * n_orbits >= 4 * p
         checks["e2"] = e2
     return result._replace(
         closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, spec.base_twists),
@@ -397,18 +396,17 @@ def closed_forms_weierstrass(d, p, degree, chi, base_twists):
     The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which
     equals (w + h)/gcd(w, h) = prototype_twisting term by term.
     """
-    n = len(base_twists)
-    total_t = degree * Fraction(sum(base_twists))
-    cusps = Fraction(degree, p) * n
-    e = -2 * (degree * chi + cusps) + total_t
-    sigma = Fraction(-4 * degree, 9) * chi - Fraction(2, 3) * total_t
+    d, n, t = degree, len(base_twists), degree * sum(base_twists)
+    a, b = chi.numerator, chi.denominator
+    # for chi = a/b: cusps = dn/p, genus = 1 - dn/2p - (d/2) chi,
+    # e = -2(d chi + cusps) + T and sigma = -(4d/9) chi - (2/3) T
     return {
-        "degree": degree,
-        "cusps": cusps,
-        "genus": 1 - Fraction(degree, 2 * p) * n - Fraction(degree, 2) * chi,
-        "twisting": total_t,
-        "euler": e,
-        "sigma": sigma,
+        "degree": d,
+        "cusps": Fraction(d * n, p),
+        "genus": Fraction(2 * b * p - d * (n * b + a * p), 2 * b * p),
+        "twisting": Fraction(t),
+        "euler": Fraction(-2 * d * (a * p + n * b) + t * b * p, b * p),
+        "sigma": Fraction(-4 * d * a - 6 * t * b, 9 * b),
     }
 
 
@@ -506,37 +504,31 @@ def closed_forms_polygon(n, p, degree):
     """
     d = degree
     if n % 2 == 1:
+        # genus = 1 + (d/2)(1/2 - 1/q - 1/p), e = d((q-3)(1/2 - 1/q - 1/p) + (q-1)/2)
         q = n
-        g = (q - 1) // 2
-        genus = 1 + Fraction(d, 2) * (Fraction(1, 2) - Fraction(1, q) - Fraction(1, p))
+        s = p * q - 2 * p - 2 * q  # 2pq(1/2 - 1/q - 1/p)
+        genus = Fraction(4 * p * q + d * s, 4 * p * q)
         cusps = Fraction(d, p)
-        twisting = d * g
-        e = d * (
-            (q - 3) * (Fraction(1, 2) - Fraction(1, q) - Fraction(1, p))
-            + Fraction(q - 1, 2)
-        )
-        sigma = -Fraction(d * (q * q - 1), 4 * q)
+        twisting = d * (q - 1) // 2
+        e = Fraction(d * ((q - 3) * s + p * q * (q - 1)), 2 * p * q)
+        sigma = Fraction(-d * (q * q - 1), 4 * q)
     elif (n // 2) % 2 == 1:
+        # genus = 1 + d(1/2 - 1/2q - 1/p), e = d((2q-6)(1/2 - 1/2q - 1/p) + q)
         q = n // 2
-        g = (q - 1) // 2
-        genus = 1 + d * (Fraction(1, 2) - Fraction(1, 2 * q) - Fraction(1, p))
+        s = p * q - p - 2 * q  # 2pq(1/2 - 1/2q - 1/p)
+        genus = Fraction(2 * p * q + d * s, 2 * p * q)
         cusps = Fraction(2 * d, p)
-        twisting = d * (2 * g + 1)
-        e = d * (
-            (2 * q - 6) * (Fraction(1, 2) - Fraction(1, 2 * q) - Fraction(1, p)) + q
-        )
-        sigma = -Fraction(d * (q * q + 2 * q + 3), 3 * q)
+        twisting = d * q
+        e = Fraction(d * ((q - 3) * s + p * q * q), p * q)
+        sigma = Fraction(-d * (q * q + 2 * q + 3), 3 * q)
     else:
-        k = n.bit_length() - 1
-        g = 2 ** (k - 2)
-        genus = 1 + d * (Fraction(1, 2) - Fraction(1, n) - Fraction(1, p))
+        # genus = 1 + d(1/2 - 1/n - 1/p), e = d((m-4)(1/2 - 1/m - 1/p) + m/2) for m = 2^k <= n
+        m = 1 << (n.bit_length() - 1)
+        genus = Fraction(2 * n * p + d * (n * p - 2 * p - 2 * n), 2 * n * p)
         cusps = Fraction(2 * d, p)
-        twisting = 2 * d * g
-        e = d * (
-            (2**k - 4) * (Fraction(1, 2) - Fraction(1, 2**k) - Fraction(1, p))
-            + 2 ** (k - 1)
-        )
-        sigma = -d * (2 ** (k - 2) + Fraction(1, 3))
+        twisting = d * m // 2
+        e = Fraction(d * ((m - 4) * (m * p - 2 * p - 2 * m) + m * m * p), 2 * m * p)
+        sigma = Fraction(-d * (3 * m + 4), 12)
     return {
         "degree": d,
         "genus": genus,
@@ -563,14 +555,16 @@ def sporadic_family(which, p):
 def closed_forms_sporadic(which, p, degree):
     d = degree
     if which.upper() == "E7":
-        genus = 1 + Fraction(d, 2) * (Fraction(8, 9) - Fraction(2, p))
-        e = d * (Fraction(95, 9) - Fraction(8, p))
-        sigma = -Fraction(35, 9) * d
+        # genus = 1 + (d/2)(8/9 - 2/p), e = d(95/9 - 8/p), sigma = -(35/9) d
+        genus = Fraction(9 * p + d * (4 * p - 9), 9 * p)
+        e = Fraction(d * (95 * p - 72), 9 * p)
+        sigma = Fraction(-35 * d, 9)
         g = 3
     else:
-        genus = 1 + Fraction(d, 2) * (Fraction(14, 15) - Fraction(2, p))
-        e = d * (Fraction(68, 5) - Fraction(12, p))
-        sigma = -Fraction(64, 15) * d
+        # genus = 1 + (d/2)(14/15 - 2/p), e = d(68/5 - 12/p), sigma = -(64/15) d
+        genus = Fraction(15 * p + d * (7 * p - 15), 15 * p)
+        e = Fraction(d * (68 * p - 60), 5 * p)
+        sigma = Fraction(-64 * d, 15)
         g = 4
     return {
         "degree": d,
@@ -603,8 +597,8 @@ MAX_ELLIPTIC_M = 10**12
 # prime, the order of p mod h for a model tag and Rabin's test on the
 # quadratic m_alpha for a Weierstrass tag
 MAX_PRIME_BOUND = 10**5
-# Largest scatter D: chern_scatter(5, 10**5, 7) takes about 6.9 s
-# (CPython 3.11, one core of a 2-core x86-64 VM)
+# Largest scatter D: chern_scatter(5, 10**5, 7) takes 7 to 17 s (CPython 3.11,
+# one core of a 2-core x86-64 VM whose speed drifts about 2x over hours)
 MAX_SCATTER_D = 10**5
 
 

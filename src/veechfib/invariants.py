@@ -1,10 +1,10 @@
 """Closed-form characteristic numbers of a fibered complex surface.
 
-Everything is exact rational arithmetic.  The three fundamental inputs
-are the fiber data (genus g and the zero partition, through the
-constant kappa), the open-base Euler characteristic chi(B) = 2 - 2b -
-|cusps|, and the total twisting T (the number of vanishing cycles).
-From those:
+Everything is exact: integers over a known denominator, one Fraction
+per rational output.  The three inputs are the fiber data (genus g and
+the zero partition, through the constant kappa), the open-base Euler
+characteristic chi(B) = 2 - 2b - |cusps|, and the total twisting T (the
+number of vanishing cycles).  From those:
 
     e     = 4(g-1)(b-1) + T
     sigma = -2 kappa chi(B) - (2/3) T
@@ -26,18 +26,19 @@ from .exact.polynomials import rational_to_str
 
 def kappa_mu(partition):
     """kappa = (1/12) sum m(m+2)/(m+1) over the zero orders m."""
-    total = Fraction(0)
+    num, den = 0, 1
     for m in partition:
         if m < 1:
             raise InvalidArgumentError("zero orders must be positive")
-        total += Fraction(m * (m + 2), m + 1)
-    return total / 12
+        num, den = num * (m + 1) + m * (m + 2) * den, den * (m + 1)
+    return Fraction(num, 12 * den)
 
 
-def _as_int(x, what):
-    if x.denominator != 1:
-        raise MathematicalInconsistencyError(f"{what} = {x} is not an integer")
-    return x.numerator
+def _as_int(num, den, what):
+    quotient, rest = divmod(num, den)
+    if rest:
+        raise MathematicalInconsistencyError(f"{what} = {Fraction(num, den)} is not an integer")
+    return quotient
 
 
 def bmy_sufficient(fiber_genus, cusp_count, twisting):
@@ -56,10 +57,8 @@ def kappa_bound_check(partition):
     if genus2 % 2 != 0:
         raise InvalidArgumentError("partition must sum to 2g - 2")
     g = genus2 // 2
-    twelve_kappa = 12 * kappa_mu(partition)
-    bound = Fraction(3 * g - 3)
-    all_ones = all(m == 1 for m in partition)
-    if all_ones:
+    twelve_kappa, bound = 12 * kappa_mu(partition), 3 * g - 3
+    if all(m == 1 for m in partition):
         return twelve_kappa == bound
     return twelve_kappa < bound
 
@@ -197,11 +196,13 @@ def assemble_invariants(
         raise InvalidArgumentError(f"cusp count {cusp_count} is negative")
     if sum(zero_partition) != 2 * fiber_genus - 2:
         raise InvalidArgumentError(f"zero partition {tuple(zero_partition)} does not sum to 2g - 2")
-    chi_base = Fraction(2 - 2 * base_genus - cusp_count)
+    chi_base = 2 - 2 * base_genus - cusp_count
     genus_term = (fiber_genus - 1) * (base_genus - 1)
     e = 4 * genus_term + twisting
-    sigma = _as_int(-2 * kappa * chi_base - Fraction(2 * twisting, 3), "signature")
-    c1sq = _as_int(-6 * kappa * chi_base + 8 * genus_term, "c1^2")
+    # kappa chi(B) = k / q, so sigma = (-6k - 2Tq) / 3q and c1^2 = (-6k + 8(g-1)(b-1)q) / q
+    k, q = kappa.numerator * chi_base, kappa.denominator
+    sigma = _as_int(-6 * k - 2 * twisting * q, 3 * q, "signature")
+    c1sq = _as_int(-6 * k + 8 * genus_term * q, q, "c1^2")
     if (c1sq + e) % 12 != 0:
         raise MathematicalInconsistencyError(
             f"Noether fails: c1^2 + c2 = {c1sq + e} is not divisible by 12"
@@ -212,8 +213,8 @@ def assemble_invariants(
     b2 = e - 2 + 2 * b1
     if b2 < 0 or (b2 + sigma) % 2 != 0:
         raise MathematicalInconsistencyError(f"b2 = {b2}, sigma = {sigma} incompatible")
-    bmy_slack = Fraction(e, 3) - sigma
-    sections = tuple(chi_base / (2 * (m + 1)) for m in zero_partition)
+    bmy_slack = Fraction(e - 3 * sigma, 3)
+    sections = tuple(Fraction(chi_base, 2 * m + 2) for m in zero_partition)
     parity = "odd" if any(
         s.denominator == 1 and s.numerator % 2 != 0 for s in sections
     ) else "unknown"
@@ -235,7 +236,7 @@ def assemble_invariants(
         b2_plus=(b2 + sigma) // 2,
         b2_minus=(b2 - sigma) // 2,
         bmy_slack=bmy_slack,
-        bmy_strict=bmy_slack > 0,
+        bmy_strict=e > 3 * sigma,
         noether_line=c1sq == 2 * p_g - 4,
         kodaira_tag=kodaira_classify(
             fiber_genus, base_genus, elliptic_level, minimality_proven

@@ -497,9 +497,10 @@ def _staircase_normalize(mu, by_vertex, blacks, whites, anchor):
 
 
 def staircase_parity_check(model):
-    """Horizontal height lifts are odd integer polynomials in mu and
-    vertical lifts are even, in the normalization with the lowest
-    horizontal height equal to mu.
+    """Horizontal height lifts are odd integer polynomials in mu,
+    vertical lifts are even, and some horizontal lift is mu itself.  No
+    height is compared: that mu is the lowest horizontal height is proved
+    by the build's anchor (_staircase_normalize), not checked here.
 
     The check runs on the stored polynomial lifts, never on residues
     reduced modulo the minimal polynomial; the build proves each embeds.

@@ -1,6 +1,8 @@
+import math
 import re
 from fractions import Fraction
 
+import cover_reference
 import pytest
 from finitefield_reference import element_from_index, is_zero
 from hypothesis import example, given, settings
@@ -201,6 +203,87 @@ def test_riemann_hurwitz_rejects_non_integral_genus():
     sig = OrbifoldSignature(0, (4,), 2)
     with pytest.raises(InconsistentCoverError):
         riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), (3, 3))
+
+
+@pytest.mark.parametrize("orders", [(0,), (1,), (-2,), (2, 0), (0, 0), (3, 1)])
+def test_riemann_hurwitz_refuses_a_cone_order_below_two(orders):
+    # refused as OrbifoldSignature refuses it, before any division by the order
+    with pytest.raises(InvalidArgumentError, match="^orbifold orders must be >= 2$"):
+        riemann_hurwitz_cover(Fraction(-1, 6), 6, orders, (3,))
+    with pytest.raises(InvalidArgumentError, match="^orbifold orders must be >= 2$"):
+        OrbifoldSignature(0, orders, 1)
+
+
+def _outcome(call, *args):
+    """The value and the type of each of its fields, or the exception's
+    type and message."""
+    try:
+        value = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, tuple(map(type, value))
+
+
+def _signature(cls, genus, orders, cusps):
+    sig = cls(genus, orders, cusps)
+    return (*sig, sig.euler_characteristic)
+
+
+@st.composite
+def _rh_data(draw):
+    """(chi_orb, degree, cone orders, cusp image orders), with at most one
+    order or the degree out of range.  The degree is mostly a multiple of
+    every order, and chi_orb mostly a multiple of 1/degree, so 2b comes
+    out odd, even, negative and nonnegative as well as fractional."""
+    cones = draw(st.lists(st.integers(2, 9), max_size=3))
+    cusps = draw(st.lists(st.integers(1, 9), max_size=3))
+    broken = draw(st.sampled_from((None,) * 6 + ("cone", "cusp", "degree")))
+    if broken == "cone":
+        cones.insert(draw(st.integers(0, len(cones))), draw(st.integers(-1, 1)))
+    elif broken == "cusp":
+        cusps.insert(draw(st.integers(0, len(cusps))), draw(st.integers(-1, 0)))
+    if broken == "degree":
+        degree = draw(st.integers(-2, 0))
+    elif draw(st.integers(0, 3)):
+        degree = math.lcm(1, *(abs(k) for k in cones + cusps if k)) * draw(st.integers(1, 40))
+    else:
+        degree = draw(st.integers(1, 400))
+    if degree > 0 and draw(st.booleans()):
+        chi_orb = Fraction(draw(st.integers(-4 * degree, 2 * degree)), degree)
+    else:
+        chi_orb = Fraction(draw(st.integers(-500, 100)), draw(st.integers(1, 500)))
+    return chi_orb, degree, tuple(cones), tuple(cusps)
+
+
+@given(_rh_data())
+@example((Fraction(-1, 6), 6, (0,), (3,)))  # a zero cone order
+@example((Fraction(-3, 10), 60, (2, 5), (3,)))  # genus 0
+@example((Fraction(-1, 4), 60, (4,), (3, 3)))  # 2b = -21
+@example((Fraction(-1, 2), 12, (2,), (3,)))  # 2b = 4, genus 2
+@example((Fraction(-1, 3), 6, (2, 3), (2,)))  # 2b = 1, odd
+@settings(max_examples=300, deadline=None)
+def test_riemann_hurwitz_matches_the_fraction_reference(data):
+    got = _outcome(riemann_hurwitz_cover, *data)
+    assert got == _outcome(cover_reference.riemann_hurwitz_cover, *data)
+
+
+@given(
+    st.integers(-1, 3),
+    st.lists(st.integers(-1, 12), max_size=4).map(tuple),
+    st.integers(-1, 4),
+)
+@example(0, (2, 5), 1)
+@example(0, (2,), 0)  # not hyperbolic
+@example(0, (3, 3, 4), 0)
+@settings(max_examples=300, deadline=None)
+def test_orbifold_euler_characteristic_matches_the_fraction_reference(genus, orders, cusps):
+    got = _outcome(_signature, OrbifoldSignature, genus, orders, cusps)
+    assert got == _outcome(_signature, cover_reference.OrbifoldSignature, genus, orders, cusps)
+    # the property alone, on data __new__ would refuse (no zero order)
+    fields = (genus, tuple(n for n in orders if n), cusps)
+    chi = OrbifoldSignature._make(fields).euler_characteristic
+    assert type(chi) is Fraction
+    assert chi == cover_reference.OrbifoldSignature._make(fields).euler_characteristic
 
 
 def test_cover_twisting_examples():

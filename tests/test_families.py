@@ -1,11 +1,14 @@
+import fractions
 import math
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import closed_forms_reference
 import prototype_reference as reference
 from veechfib.errors import (
     CapExceededError,
@@ -39,7 +42,7 @@ from veechfib.families import (
 )
 from veechfib.invariants import kappa_mu
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
-from veechfib.exact.finitefield import is_irreducible_mod_p
+from veechfib.exact.finitefield import is_irreducible_mod_p, is_prime
 from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, divisors
 from veechfib.thurston_veech import build_surface, surface_tag
 
@@ -308,6 +311,96 @@ def test_sporadic_constants():
             assert forms["genus"] == result.cover.base_genus
             assert forms["cusps"] == result.cover.cusp_count
             assert forms["twisting"] == result.cover.total_twisting
+
+
+_ODD_PRIMES = st.integers(3, 400).filter(is_prime) | st.sampled_from((10007, 1000003))
+_DEGREES = st.integers(1, 10**6) | st.integers(1, 10**30)
+
+
+def _same_forms(got, want):
+    # key by key, each value with its type: an int stays an int
+    assert list(got) == list(want)
+    for key in want:
+        assert (key, got[key], type(got[key])) == (key, want[key], type(want[key]))
+
+
+@given(
+    st.integers(5, 300).filter(is_prime).flatmap(lambda q: st.sampled_from((q, 2 * q)))
+    | st.integers(3, 12).map(lambda k: 2**k),
+    _ODD_PRIMES,
+    _DEGREES,
+)
+@example(5, 3, 60)
+@example(10, 7, 58800)
+@example(8, 3, 12)
+@settings(max_examples=300, deadline=None)
+def test_polygon_closed_forms_match_the_fraction_reference(n, p, degree):
+    _same_forms(
+        families.closed_forms_polygon(n, p, degree),
+        closed_forms_reference.closed_forms_polygon(n, p, degree),
+    )
+
+
+@given(st.sampled_from(("E7", "E8", "e7", "e8")), _ODD_PRIMES, _DEGREES)
+@settings(max_examples=150, deadline=None)
+def test_sporadic_closed_forms_match_the_fraction_reference(which, p, degree):
+    _same_forms(
+        families.closed_forms_sporadic(which, p, degree),
+        closed_forms_reference.closed_forms_sporadic(which, p, degree),
+    )
+
+
+@given(
+    _ODD_PRIMES,
+    _DEGREES,
+    st.fractions(max_denominator=10**6),
+    st.lists(st.integers(1, 50), max_size=20).map(tuple),
+)
+@example(3, 60, Fraction(-3, 10), (2,))
+@settings(max_examples=300, deadline=None)
+def test_weierstrass_closed_forms_match_the_fraction_reference(p, degree, chi, twists):
+    _same_forms(
+        families.closed_forms_weierstrass(5, p, degree, chi, twists),
+        closed_forms_reference.closed_forms_weierstrass(5, p, degree, chi, twists),
+    )
+
+
+def _fractions_made(call, *args):
+    """Fractions a call makes: calls of Fraction.__new__, and on Pythons
+    whose Fraction arithmetic bypasses it, of Fraction._from_coprime_ints."""
+    codes = {fractions.Fraction.__new__.__code__}
+    bypass = getattr(fractions.Fraction, "_from_coprime_ints", None)
+    if bypass is not None:
+        codes.add(bypass.__func__.__code__)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+@pytest.mark.parametrize(
+    "call, args, made",
+    [
+        # chi_orb; kappa, the BMY slack, one section; genus, cusps, e, sigma
+        (polygon_family, (17, 3), 8),
+        (sporadic_family, ("E8", 7), 8),
+        # zeta(-1) and chi = -9 zeta; kappa, slack, section; five closed forms
+        (weierstrass_family, (4021, 7), 10),
+    ],
+)
+def test_a_warm_level_builds_each_rational_once(call, args, made):
+    call(*args)  # warm: the model, its spec and its structural checks
+    assert _fractions_made(call, *args) == made
 
 
 def test_sporadic_family_takes_only_e7_and_e8_in_any_case():

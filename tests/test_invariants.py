@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cover_reference
 import invariants_reference as reference
 from veechfib.errors import (
     InvalidArgumentError,
@@ -29,6 +30,15 @@ def test_kappa_mu_values():
     assert kappa_mu((1, 3)) == Fraction(7, 16)
     assert kappa_mu((6,)) == Fraction(4, 7)
     assert kappa_mu(()) == 0
+
+
+@given(st.lists(st.integers(-1, 40), max_size=6) | st.lists(st.integers(1, 3), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_kappa_matches_the_fraction_reference(partition):
+    # several zero orders, some repeated, and the refusal of an order below 1
+    got = _outcome(kappa_mu, partition)
+    want = _outcome(cover_reference.kappa_mu, partition)
+    assert got == want and type(got) is type(want)
 
 
 def test_euler_characteristic():

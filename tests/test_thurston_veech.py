@@ -397,6 +397,30 @@ def test_parity_check_refuses_tampered_lifts():
     assert staircase_parity_check(no_anchor) is False
 
 
+def test_parity_check_passes_a_staircase_scaled_at_the_wrong_anchor():
+    # the check asks for some horizontal lift equal to mu, not for mu to be
+    # the lowest horizontal height: E7 scaled at its center passes every
+    # structural check while two horizontal cylinders lie below mu
+    diagram = thurston_veech._SPORADIC["E7"]
+    graph, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
+        diagram.center, diagram.arms, 18
+    )
+    assert diagram.center == 4
+    scaled, lifts, horizontal = thurston_veech._staircase_normalize(
+        mu, by_vertex, blacks, whites, 4
+    )
+    rows = [
+        (f"c_{v}", HORIZONTAL if v in horizontal else VERTICAL, scaled[v], lifts[v])
+        for v in sorted(by_vertex)
+    ]
+    model = _checked_model("E7", graph, graph, mu, rows, diagram.genus, diagram.zero_partition)
+    assert staircase_parity_check(model)
+    assert holonomy_basis_check(model)
+    assert cylinder_bound_check(model)
+    assert [c.name for c in model.horizontal] == ["c_1", "c_4", "c_6"]
+    assert [c.name for c in model.horizontal if c.height < mu] == ["c_1", "c_6"]
+
+
 def test_parity_check_is_inapplicable_without_both_directions():
     model = build_surface("polygon-5")
     for direction in ("horizontal", "vertical"):
