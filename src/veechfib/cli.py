@@ -181,6 +181,13 @@ def _int_list(text, flag):
         ) from None
 
 
+def _cusp_classes(cusp_orders, twists, roots):
+    """The cover command's per-cusp lists as classes of multiplicity 1."""
+    if not len(cusp_orders) == len(twists) == len(roots):
+        raise InvalidArgumentError("per-cusp sequences must have equal length")
+    return tuple((k, t, r, 1) for k, t, r in zip(cusp_orders, twists, roots))
+
+
 def _cmd_cover(args):
     from . import covers
 
@@ -189,12 +196,15 @@ def _cmd_cover(args):
     orders = _int_list(args.orbifold_orders, "--orbifold-orders") if args.orbifold_orders else ()
     cusp_orders = _int_list(args.cusp_image_orders, "--cusp-image-orders")
     sig = covers.OrbifoldSignature(args.base_genus, orders, len(cusp_orders))
-    cover = covers.riemann_hurwitz_cover(sig.euler_characteristic, args.degree, orders, cusp_orders)
+    cover = covers.riemann_hurwitz_cover(
+        sig.euler_characteristic, args.degree, orders, [(k, 1) for k in cusp_orders]
+    )
     if args.base_twists:
         twists = _int_list(args.base_twists, "--base-twists")
         roots = _int_list(args.roots, "--roots") if args.roots else tuple(1 for _ in twists)
-        total, per_cusp = covers.cover_twisting(cover.cusps_per_orbit, cusp_orders, twists, roots)
-        cover = cover._replace(per_cusp_twists=per_cusp, total_twisting=total)
+        classes = _cusp_classes(cusp_orders, twists, roots)
+        total = covers.cover_twisting(args.degree, classes)
+        cover = cover._replace(twist_classes=classes, total_twisting=total)
     _emit(cover.to_json(), args.format)
     return 0
 

@@ -17,11 +17,12 @@ of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
 fits under a configurable cap.  Transversals stop once the stabiliser
 is all of F_q; the rest of the orbit is plain reachability.
 
-riemann_hurwitz_cover and cover_twisting are the bookkeeping half:
-cusp counts |G|/k per base cusp, the genus from the base's orbifold
-Euler characteristic chi_orb by multiplicativity (2 - 2b - |cusps| =
-d * chi_orb, the one place this formula is evaluated), and T = sum
-over base cusps of d * (twists) / (root index).
+riemann_hurwitz_cover and cover_twisting are the bookkeeping half, one
+step per class of base cusps that share their data: cusp counts |G|/k
+per base cusp, the genus from the base's orbifold Euler characteristic
+chi_orb by multiplicativity (2 - 2b - |cusps| = d * chi_orb, the one
+place this formula is evaluated), and T = sum over cusp classes of
+multiplicity * d * twists / root.
 """
 
 from __future__ import annotations
@@ -73,21 +74,36 @@ class OrbifoldSignature(_OrbifoldFields):
 class CoverData(NamedTuple):
     """Summary of a finite cover of a cusped hyperbolic orbifold.
 
-    per_cusp_twists holds the twist count of the monodromy around one
-    cusp in each fiber over a base cusp orbit; total_twisting is the
-    grand total over all cusps of the cover.  Both are None until
-    cover_twisting's results are set (_replace).
+    cusp_classes holds (image order, m) for m base cusps, twist_classes
+    the (image order, twists, root, m) classes cover_twisting read and
+    total_twisting their total; the last two are None until set
+    (_replace).  The per-cusp forms (cusps_per_orbit, ...) are written
+    out only for to_json.
     """
 
     degree: int
     base_genus: int
     cusp_count: int
-    cusps_per_orbit: tuple
-    cusp_image_orders: tuple
-    per_cusp_twists: tuple = None
+    cusp_classes: tuple
+    twist_classes: tuple = None
     total_twisting: int = None
     group_label: str = ""
     exceptional: bool = False
+
+    @property
+    def cusps_per_orbit(self):
+        return expand_classes((self.degree // k, m) for k, m in self.cusp_classes)
+
+    @property
+    def cusp_image_orders(self):
+        return expand_classes(self.cusp_classes)
+
+    @property
+    def per_cusp_twists(self):
+        """Twists around one cusp over each base cusp: order * twists / root."""
+        if self.twist_classes is None:
+            return None
+        return expand_classes((k * t // r, m) for k, t, r, m in self.twist_classes)
 
     def euler_characteristic(self):
         return Fraction(2 - 2 * self.base_genus - self.cusp_count)
@@ -106,6 +122,14 @@ class CoverData(NamedTuple):
             "euler_characteristic": rational_to_str(self.euler_characteristic()),
             "formula": "chi(cover) = 2 - 2b - |cusps| = degree * chi_orb(base)",
         }
+
+
+def expand_classes(classes):
+    """Each value of (value, multiplicity) classes, multiplicity times."""
+    out = []
+    for value, m in classes:
+        out += [value] * m  # a list extends in place; a tuple would copy
+    return tuple(out)
 
 
 class CongruenceDegree(NamedTuple):
@@ -355,35 +379,38 @@ def _field_tables(field):
 # ---------------------------------------------------------------------------
 
 
-def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
+def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_classes):
     """Genus and cusp count of a degree-d cover of a hyperbolic orbifold.
 
-    The base has orbifold Euler characteristic chi_orb, one cusp per
-    entry of cusp_image_orders and (at least) the cone points listed in
-    orbifold_orders.  Each listed cone point is assumed to map to an
-    element of its full order, so the cover is an honest surface,
+    The base has orbifold Euler characteristic chi_orb, m cusps of image
+    order k per (k, m) in cusp_classes and (at least) the cone points
+    listed in orbifold_orders.  Each listed cone point is assumed to map
+    to an element of its full order, so the cover is an honest surface,
     unbranched over the cone points in the orbifold sense, and the
     degree must be divisible by each cone order.  Each base cusp with
     image order k contributes d/k cusps.  The genus solves
     2 - 2b - |cusps| = d * chi_orb exactly and must come out a
-    nonnegative integer.  A degree or cusp image order below 1, or a
-    cone order below 2, is invalid input (InvalidArgumentError).
+    nonnegative integer.  A degree, cusp image order or multiplicity
+    below 1, or a cone order below 2, is invalid input
+    (InvalidArgumentError).
     """
     if degree < 1:
         raise InvalidArgumentError("degree must be positive")
-    if min(cusp_image_orders, default=1) < 1:
+    cusp_classes = tuple(cusp_classes)
+    if min((k for k, _ in cusp_classes), default=1) < 1:
         raise InvalidArgumentError("cusp image orders must be positive")
+    if min((m for _, m in cusp_classes), default=1) < 1:
+        raise InvalidArgumentError("cusp image orders and multiplicities must be positive")
     if min(orbifold_orders, default=2) < 2:
         raise InvalidArgumentError("orbifold orders must be >= 2")
     for order in orbifold_orders:
         if degree % order != 0:
             raise InconsistentCoverError(f"degree {degree} not divisible by {order}")
-    cusps_per_orbit = []
-    for k in cusp_image_orders:
+    cusp_count = 0
+    for k, m in cusp_classes:
         if degree % k != 0:
             raise InconsistentCoverError(f"cusp image order {k} does not divide {degree}")
-        cusps_per_orbit.append(degree // k)
-    cusp_count = sum(cusps_per_orbit)
+        cusp_count += degree // k * m
     # 2b = 2 - |cusps| - d chi_orb, times the denominator of chi_orb
     num, den = chi_orb.numerator, chi_orb.denominator
     top = (2 - cusp_count) * den - degree * num
@@ -396,34 +423,34 @@ def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
         degree=degree,
         base_genus=genus2 // 2,
         cusp_count=cusp_count,
-        cusps_per_orbit=tuple(cusps_per_orbit),
-        cusp_image_orders=tuple(cusp_image_orders),
+        cusp_classes=cusp_classes,
     )
 
 
-def cover_twisting(cusps_per_orbit, image_orders, base_twists, roots):
-    """Total twisting T = sum over base cusps of degree * T_c / k_c.
-
-    base_twists[c] counts the Dehn twists in the minimal multitwist at
-    base cusp c; roots[c] = k_c when the cusp generator is a k_c-th
-    root of that multitwist.  Each cusp over c is a multitwist with
-    order * T_c / k_c twists, which must be an integer
-    (InvalidRootDataError); a twist count or root index below 1 is
-    invalid input (InvalidArgumentError).
+def cover_twisting(degree, classes):
+    """Total twisting T over cusp classes (order, T_c, k_c, m) of a
+    degree-d cover: m base cusps c of image order `order` whose generator
+    is a k_c-th root of the minimal multitwist at c, of T_c Dehn twists.
+    Each of the d/order cusps over c is a multitwist with order * T_c /
+    k_c twists, which must be an integer (InvalidRootDataError); a twist
+    count or root index below 1, judged over every class before any
+    root, is invalid input (InvalidArgumentError), and so is an order or
+    multiplicity below 1.
     """
-    lengths = {len(cusps_per_orbit), len(image_orders), len(base_twists), len(roots)}
-    if len(lengths) != 1:
-        raise InvalidArgumentError("per-cusp sequences must have equal length")
-    if min(base_twists, default=1) < 1 or min(roots, default=1) < 1:
-        raise InvalidArgumentError("twists and root indices must be positive")
-    total = 0
-    per_cusp = []
-    for count, order, twists, k in zip(cusps_per_orbit, image_orders, base_twists, roots):
+    total, fractional = 0, None
+    for order, twists, k, m in classes:
+        if twists < 1 or k < 1:
+            raise InvalidArgumentError("twists and root indices must be positive")
+        if order < 1 or m < 1:
+            raise InvalidArgumentError("cusp image orders and multiplicities must be positive")
         num = order * twists
-        if num % k != 0:
-            raise InvalidRootDataError(
-                f"k = {k} does not divide order * twists = {num}; fractional multitwist"
-            )
-        per_cusp.append(num // k)
-        total += count * (num // k)
-    return total, tuple(per_cusp)
+        if num % k:
+            fractional = fractional or (k, num)
+            continue
+        total += degree // order * m * (num // k)
+    if fractional:
+        k, num = fractional
+        raise InvalidRootDataError(
+            f"k = {k} does not divide order * twists = {num}; fractional multitwist"
+        )
+    return total

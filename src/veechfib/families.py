@@ -37,6 +37,8 @@ import io
 import math
 import sys
 from fractions import Fraction
+from itertools import starmap
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from . import _lazy_exports
@@ -46,6 +48,7 @@ from .covers import (
     OrbifoldSignature,
     congruence_degree,
     cover_twisting,
+    expand_classes,
     riemann_hurwitz_cover,
 )
 from .errors import (
@@ -67,11 +70,11 @@ from .prototypes import enumerate_prototypes  # noqa: F401  (kept bound)
 from .prototypes import (
     check_enumerable,
     divisor_rows,
-    prototype_twists,
+    prototype_classes,
     standard_parameters,
     weierstrass_alpha,
 )
-from .tags import capped_surface_tag, surface_tag
+from .tags import capped_surface_tag, check_polygon_n, surface_tag
 
 # The model layer (thurston_veech, and numberfield and linalg under it)
 # is loaded on first use, not at import.  The model path calls it as
@@ -216,7 +219,11 @@ class CurveDataTable:
 
 
 class FamilySpec(NamedTuple):
-    """Static data of one family member, before choosing a level."""
+    """Static data of one family member, before choosing a level.
+
+    cusp_classes holds (twists, m) for m base cusps whose generator is a
+    minimal multitwist of that many Dehn twists (root index 1).
+    """
 
     tag: str
     fiber_genus: int
@@ -224,12 +231,17 @@ class FamilySpec(NamedTuple):
     alpha_minimal_polynomial: object
     contains_minus_identity: bool
     signature_orbifold: object  # OrbifoldSignature or None (Weierstrass)
-    base_twists: tuple  # twist count of the minimal multitwist per base cusp
+    cusp_classes: tuple
+
+    @property
+    def base_twists(self):
+        """Twist count per base cusp, written out for to_json."""
+        return expand_classes(self.cusp_classes)
 
     @property
     def roots(self):
-        """Root index k_c per base cusp: 1 in every family."""
-        return (1,) * len(self.base_twists)
+        """Root index per base cusp: 1 in every family."""
+        return (1,) * sum(map(itemgetter(1), self.cusp_classes))
 
     def to_json(self):
         return {
@@ -281,27 +293,28 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
 
     The base has orbifold Euler characteristic chi_orb, the cone points
     of spec.signature_orbifold (the Weierstrass chi_orb carries its own)
-    and one cusp per entry of spec.base_twists, whose image order is
-    the level: a cusp generator is unipotent and nontrivial mod the
-    level, of order p at a prime level p and m in SL(2, Z/m).  options
-    go to assemble_invariants; the result has no closed forms.
+    and the cusps of spec.cusp_classes, each of image order the level:
+    a cusp generator is unipotent and nontrivial mod the level, of order
+    p at a prime level p and m in SL(2, Z/m).  options go to
+    assemble_invariants; the result has no closed forms.
     """
     sig = spec.signature_orbifold
     orbifold_orders = sig.orbifold_orders if sig is not None else ()
+    classes, degree = spec.cusp_classes, degree_data.degree
+    cusps = sum(map(itemgetter(1), classes))
     try:
         cover = riemann_hurwitz_cover(
-            chi_orb, degree_data.degree, orbifold_orders, (level,) * len(spec.base_twists)
+            chi_orb, degree, orbifold_orders, [(level, cusps)] if cusps else []
         )
     except InconsistentCoverError as exc:
         branch = ", exceptional branch" if degree_data.exceptional else ""
         raise InconsistentCoverError(
-            f"{spec.tag} at level {level} (degree {degree_data.degree}{branch}): {exc}"
+            f"{spec.tag} at level {level} (degree {degree}{branch}): {exc}"
         ) from None
-    total_t, per_cusp = cover_twisting(
-        cover.cusps_per_orbit, cover.cusp_image_orders, spec.base_twists, spec.roots
-    )
+    twist_classes = tuple([(level, twists, 1, m) for twists, m in classes])
+    total_t = cover_twisting(degree, twist_classes)
     cover = cover._replace(
-        per_cusp_twists=per_cusp, total_twisting=total_t,
+        twist_classes=twist_classes, total_twisting=total_t,
         group_label=degree_data.group_label, exceptional=degree_data.exceptional,
     )
     invariants = assemble_invariants(
@@ -352,8 +365,8 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
     if degree_data is None:
         raise InadmissiblePrimeError(f"D = {d} is a quadratic residue mod {p}; level inadmissible")
     chi, chi_source = data.chi(d)
-    base_twists = prototype_twists(d, spin_filter)
-    n_orbits = len(base_twists)
+    classes = prototype_classes(d, spin_filter)
+    n_orbits = sum(map(itemgetter(1), classes))
     spec = FamilySpec(
         tag=f"weierstrass-{d}",
         fiber_genus=2,
@@ -361,7 +374,7 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         alpha_minimal_polynomial=m_alpha,
         contains_minus_identity=True,
         signature_orbifold=None,
-        base_twists=base_twists,
+        cusp_classes=classes,
     )
     checks = {"chi_source": chi_source, "chi": chi, "prototype_count": n_orbits}
     result = evaluate(
@@ -383,20 +396,19 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         checks["genus_positivity"] = 2 * p * n_orbits + p * e2 - 2 * n_orbits >= 4 * p
         checks["e2"] = e2
     return result._replace(
-        closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, spec.base_twists),
+        closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, classes),
     )
 
 
-def closed_forms_weierstrass(d, p, degree, chi, base_twists):
+def closed_forms_weierstrass(d, p, degree, chi, classes):
     """Tabulated closed forms for the Weierstrass series, from the
-    twist count of each prototype (spec.base_twists, which
-    prototypes.prototype_twists reads off the (w, h) classes: one
-    (w + h)/gcd(w, h) per prototype, in sorted prototype order).
+    (twist, multiplicity) classes of prototypes.prototype_classes: n = sum
+    of m prototypes, each of twist count (w + h)/gcd(w, h).
 
     The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which
     equals (w + h)/gcd(w, h) = prototype_twisting term by term.
     """
-    d, n, t = degree, len(base_twists), degree * sum(base_twists)
+    d, n, t = degree, sum(map(itemgetter(1), classes)), degree * sum(starmap(mul, classes))
     a, b = chi.numerator, chi.denominator
     # for chi = a/b: cusps = dn/p, genus = 1 - dn/2p - (d/2) chi,
     # e = -2(d chi + cusps) + T and sigma = -(4d/9) chi - (2/3) T
@@ -425,10 +437,10 @@ def model_spec(tag):
     spec = model.memo.get("spec")
     if spec is None:
         if h % 2:
-            signature, base_twists = OrbifoldSignature(0, (2, h), 1), (len(model.horizontal),)
+            signature, classes = OrbifoldSignature(0, (2, h), 1), ((len(model.horizontal), 1),)
         else:
             signature = OrbifoldSignature(0, (h // 2,), 2)
-            base_twists = (len(model.horizontal), len(model.vertical))
+            classes = ((len(model.horizontal), 1), (len(model.vertical), 1))
         spec = model.memo["spec"] = FamilySpec(
             tag=tag,
             fiber_genus=model.genus,
@@ -436,7 +448,7 @@ def model_spec(tag):
             alpha_minimal_polynomial=family_alpha_polynomial(tag)[0],
             contains_minus_identity=tag.startswith("polygon-"),
             signature_orbifold=signature,
-            base_twists=base_twists,
+            cusp_classes=classes,
         )
     return spec, model
 
@@ -500,8 +512,9 @@ def closed_forms_polygon(n, p, degree):
     For n = 2q the tabulated signature disagrees with the signature
     formula applied to the fiber's zero partition (the tabulated value
     corresponds to doubling kappa); it is reproduced here verbatim so
-    the two code paths can be compared.
+    the two code paths can be compared.  n is checked as surface_tag does.
     """
+    check_polygon_n(n)
     d = degree
     if n % 2 == 1:
         # genus = 1 + (d/2)(1/2 - 1/q - 1/p), e = d((q-3)(1/2 - 1/q - 1/p) + (q-1)/2)
@@ -553,8 +566,10 @@ def sporadic_family(which, p):
 
 
 def closed_forms_sporadic(which, p, degree):
-    d = degree
-    if which.upper() == "E7":
+    d, tag = degree, which.upper()
+    if tag not in ("E7", "E8"):
+        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
+    if tag == "E7":
         # genus = 1 + (d/2)(8/9 - 2/p), e = d(95/9 - 8/p), sigma = -(35/9) d
         genus = Fraction(9 * p + d * (4 * p - 9), 9 * p)
         e = Fraction(d * (95 * p - 72), 9 * p)
@@ -597,8 +612,9 @@ MAX_ELLIPTIC_M = 10**12
 # prime, the order of p mod h for a model tag and Rabin's test on the
 # quadratic m_alpha for a Weierstrass tag
 MAX_PRIME_BOUND = 10**5
-# Largest scatter D: chern_scatter(5, 10**5, 7) takes 7 to 17 s (CPython 3.11,
-# one core of a 2-core x86-64 VM whose speed drifts about 2x over hours)
+# Largest scatter D: chern_scatter(5, 10**5, 7) takes 9.2 to 9.5 s (CPython 3.11,
+# one core of a 2-core x86-64 VM whose speed drifts about 2x over hours, while
+# perfbench/speed.py's fraction_probe read 0.39 to 0.44 ms)
 MAX_SCATTER_D = 10**5
 
 
@@ -615,7 +631,7 @@ def elliptic_family(m):
         alpha_minimal_polynomial=_X_MINUS_ONE,
         contains_minus_identity=True,
         signature_orbifold=sig,
-        base_twists=(1,),
+        cusp_classes=((1, 1),),
     )
     smooth_tag = {3: "E(1)", 4: "E(2)", 5: "E(5)"}.get(m)
     checks = {"smooth_4manifold": smooth_tag} if smooth_tag else {}

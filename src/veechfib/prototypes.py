@@ -19,7 +19,7 @@ above by construction.
 divisor_rows(D), the divisors of (D - e^2)/4 for each e >= 0 with
 e^2 < D, is the one divisor scan of D: _prototype_groups reads each row
 for +e and -e into one record per (w, h) class, which
-enumerate_prototypes expands and prototype_twists counts, and
+enumerate_prototypes expands and prototype_classes counts, and
 families.real_quadratic_zeta_minus_one sums sigma_1 over the same rows.
 It caches the last D only, so one families.weierstrass_family call
 scans once and a sweep holds one D.
@@ -31,7 +31,7 @@ explicit spin filter, since no spin formula is built in.
 families.weierstrass_family refuses before it counts the prototypes:
 it checks the discriminant and the spin filter, builds m_alpha from
 standard_parameters, runs the residue test, takes the congruence degree
-and looks up chi(C_D), and only then calls prototype_twists.  So a user
+and looks up chi(C_D), and only then calls prototype_classes.  So a user
 spin filter runs only for D that pass the level and chi tests.
 """
 
@@ -150,18 +150,22 @@ def enumerate_prototypes(d, spin_filter=None):
     return out
 
 
-def prototype_twists(d, spin_filter=None):
-    """tuple(map(prototype_twisting, enumerate_prototypes(d, spin_filter))).
-
-    Without a spin_filter no Prototype is built: each (w, h) class adds
-    its twist count once per member.
+def prototype_classes(d, spin_filter=None):
+    """(twist, multiplicity) per (w, h) class of kept prototypes, in
+    sorted order: written out, tuple(map(prototype_twisting,
+    enumerate_prototypes(d, spin_filter))).  No Prototype is built but
+    for a spin_filter, which sees each candidate once, in sorted order.
     """
-    if spin_filter is not None:
-        return tuple(map(prototype_twisting, enumerate_prototypes(d, spin_filter)))
-    check_enumerable(d, None)
+    check_enumerable(d, spin_filter)
+    groups = _prototype_groups(d)
+    if spin_filter is None:
+        return tuple([(twist, len(ts) * len(signs)) for _, _, ts, signs, twist in groups])
+    new = tuple.__new__
     out = []
-    for _, _, ts, signs, twist in _prototype_groups(d):
-        out += [twist] * (len(ts) * len(signs))
+    for w, h, ts, signs, twist in groups:
+        kept = sum(1 for t in ts for s in signs if spin_filter(new(Prototype, (w, h, t, s, d))))
+        if kept:
+            out.append((twist, kept))
     return tuple(out)
 
 

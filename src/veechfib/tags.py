@@ -16,8 +16,7 @@ _COXETER_NUMBERS = {"E7": 18, "E8": 30}
 def surface_tag(family_tag):
     """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
     18) or E8 (h = 30), E7/E8 in any case.  The n-gon is supported when
-    q = n (odd n) or n/2 (even n) is a prime > 3, or when n >= 8 is a
-    power of two; other tags raise UnsupportedFamilyError."""
+    check_polygon_n admits n; other tags raise UnsupportedFamilyError."""
     tag = family_tag.strip()
     if tag.upper() in _COXETER_NUMBERS:
         return tag.upper(), _COXETER_NUMBERS[tag.upper()]
@@ -28,13 +27,20 @@ def surface_tag(family_tag):
         n = None
     if prefix.lower() != "polygon" or n is None:
         raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+    check_polygon_n(n)
+    return f"polygon-{n}", n
+
+
+def check_polygon_n(n):
+    """Refuse by UnsupportedFamilyError an n-gon outside the supported
+    series: q = n (odd n) or n/2 (even n) a prime > 3, or n >= 8 a power
+    of two."""
     q = n if n % 2 else n // 2
     if not (q > 3 and is_prime(q) or n >= 8 and n & (n - 1) == 0):
         raise UnsupportedFamilyError(
             f"regular {n}-gon is not in the supported series: n must be an odd prime q > 3, "
             f"twice such a prime, or a power of two >= 8"
         )
-    return f"polygon-{n}", n
 
 
 def capped_surface_tag(family_tag):

@@ -1,12 +1,17 @@
-"""The Fraction routes of the per-level bookkeeping: the reference for
-veechfib.invariants.kappa_mu, veechfib.covers.OrbifoldSignature's
-euler_characteristic and veechfib.covers.riemann_hurwitz_cover.
+"""The Fraction and per-cusp routes of the per-level bookkeeping: the
+reference for veechfib.invariants.kappa_mu, veechfib.covers.
+OrbifoldSignature's euler_characteristic, and veechfib.covers.
+riemann_hurwitz_cover and cover_twisting.
 
-Each is kept as the library evaluated it, term by term on Fraction,
-before it moved to integers over a known denominator.  The one change
-is riemann_hurwitz_cover's refusal of a cone order below 2, which the
-library added at the same place (the Fraction route divided by a zero
-order).  This only serves tests.
+kappa_mu, OrbifoldSignature and riemann_hurwitz_cover are kept as the
+library evaluated them, term by term on Fraction, before it moved to
+integers over a known denominator.  riemann_hurwitz_cover and
+cover_twisting take one entry per base cusp, as the library did before
+it read the cusps in (image order, multiplicity) classes; this
+riemann_hurwitz_cover returns the per-cusp fields as a PerCuspCover.
+The one change is riemann_hurwitz_cover's refusal of a cone order
+below 2, which the library added at the same place (the Fraction route
+divided by a zero order).  This only serves tests.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from veechfib.covers import CoverData
-from veechfib.errors import InconsistentCoverError, InvalidArgumentError
+from veechfib.errors import InconsistentCoverError, InvalidArgumentError, InvalidRootDataError
 
 
 def kappa_mu(partition):
@@ -57,6 +61,14 @@ class OrbifoldSignature(_OrbifoldFields):
         return chi
 
 
+class PerCuspCover(NamedTuple):
+    degree: int
+    base_genus: int
+    cusp_count: int
+    cusps_per_orbit: tuple
+    cusp_image_orders: tuple
+
+
 def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
     """Genus and cusp count of a degree-d cover of a hyperbolic orbifold:
     2 - 2b - |cusps| = d * chi_orb, evaluated on Fraction."""
@@ -81,10 +93,38 @@ def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
         raise InconsistentCoverError(
             f"cover genus is not a nonnegative integer: 2b = {genus2}"
         )
-    return CoverData(
+    return PerCuspCover(
         degree=degree,
         base_genus=int(genus2) // 2,
         cusp_count=cusp_count,
         cusps_per_orbit=tuple(cusps_per_orbit),
         cusp_image_orders=tuple(cusp_image_orders),
     )
+
+
+def cover_twisting(cusps_per_orbit, image_orders, base_twists, roots):
+    """Total twisting T = sum over base cusps of degree * T_c / k_c.
+
+    base_twists[c] counts the Dehn twists in the minimal multitwist at
+    base cusp c; roots[c] = k_c when the cusp generator is a k_c-th
+    root of that multitwist.  Each cusp over c is a multitwist with
+    order * T_c / k_c twists, which must be an integer
+    (InvalidRootDataError); a twist count or root index below 1 is
+    invalid input (InvalidArgumentError).
+    """
+    lengths = {len(cusps_per_orbit), len(image_orders), len(base_twists), len(roots)}
+    if len(lengths) != 1:
+        raise InvalidArgumentError("per-cusp sequences must have equal length")
+    if min(base_twists, default=1) < 1 or min(roots, default=1) < 1:
+        raise InvalidArgumentError("twists and root indices must be positive")
+    total = 0
+    per_cusp = []
+    for count, order, twists, k in zip(cusps_per_orbit, image_orders, base_twists, roots):
+        num = order * twists
+        if num % k != 0:
+            raise InvalidRootDataError(
+                f"k = {k} does not divide order * twists = {num}; fractional multitwist"
+            )
+        per_cusp.append(num // k)
+        total += count * (num // k)
+    return total, tuple(per_cusp)

@@ -35,7 +35,7 @@ from veechfib.families import (
     weierstrass_family,
 )
 from veechfib.invariants import kappa_mu
-from veechfib.prototypes import enumerate_prototypes, prototype_twists
+from veechfib.prototypes import enumerate_prototypes, prototype_classes
 from veechfib.thurston_veech import (
     build_surface,
     core_curve_span_check,
@@ -266,7 +266,7 @@ def test_c6_prototype_counts():
         if d % 4 not in (0, 1) or math.isqrt(d) ** 2 == d or d % 8 == 1:
             continue
         assert len(enumerate_prototypes(d)) == brute_force_count(d), d
-        assert len(prototype_twists(d)) == brute_force_count(d), d
+        assert sum(m for _, m in prototype_classes(d)) == brute_force_count(d), d
     assert time.monotonic() - start < 5
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -8,14 +9,16 @@ from finitefield_reference import element_from_index, is_zero
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from veechfib import covers
+from veechfib import cli, covers
 from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
+    CoverData,
     MatrixGroupSpec,
     OrbifoldSignature,
     check_closure_cap,
     congruence_degree,
     cover_twisting,
+    expand_classes,
     group_closure_order,
     riemann_hurwitz_cover,
     theorem_generator_pair,
@@ -162,22 +165,23 @@ def test_orbifold_signature_validation():
 
 def test_riemann_hurwitz_double_pentagon_cover():
     chi_orb = OrbifoldSignature(0, (2, 5), 1).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 60, (2, 5), (3,))
+    cover = riemann_hurwitz_cover(chi_orb, 60, (2, 5), [(3, 1)])
     assert cover.base_genus == 0
     assert cover.cusp_count == 20
 
 
 def test_riemann_hurwitz_polygon7_cover():
     chi_orb = OrbifoldSignature(0, (2, 7), 1).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 9828, (2, 7), (3,))
+    cover = riemann_hurwitz_cover(chi_orb, 9828, (2, 7), [(3, 1)])
     assert cover.base_genus == 118
     assert cover.cusp_count == 3276
 
 
 def test_riemann_hurwitz_identity_cover():
     chi_orb = OrbifoldSignature(0, (), 3).euler_characteristic
-    cover = riemann_hurwitz_cover(chi_orb, 1, (), (1, 1, 1))
+    cover = riemann_hurwitz_cover(chi_orb, 1, (), [(1, 3)])
     assert cover.base_genus == 0 and cover.cusp_count == 3
+    assert cover.cusps_per_orbit == cover.cusp_image_orders == (1, 1, 1)
 
 
 def test_riemann_hurwitz_round_trip():
@@ -186,7 +190,7 @@ def test_riemann_hurwitz_round_trip():
     for degree, cusp_order in ((660, 3), (660, 5)):
         if degree % cusp_order:
             continue
-        cover = riemann_hurwitz_cover(sig.euler_characteristic, degree, (2, 11), (cusp_order,))
+        cover = riemann_hurwitz_cover(sig.euler_characteristic, degree, (2, 11), [(cusp_order, 1)])
         chi_cover = Fraction(2 - 2 * cover.base_genus - cover.cusp_count)
         assert chi_cover / degree == sig.euler_characteristic
 
@@ -195,21 +199,21 @@ def test_riemann_hurwitz_refuses_a_degree_the_cone_orders_do_not_divide():
     # every cone point maps to an element of its full order
     sig = OrbifoldSignature(0, (2, 5), 1)
     with pytest.raises(InconsistentCoverError, match="^degree 15 not divisible by 2$"):
-        riemann_hurwitz_cover(sig.euler_characteristic, 15, (2, 5), (3,))
+        riemann_hurwitz_cover(sig.euler_characteristic, 15, (2, 5), [(3, 1)])
 
 
 def test_riemann_hurwitz_rejects_non_integral_genus():
     # degree 60 with 2 cusp orbits of order 3 over the octagon orbifold
     sig = OrbifoldSignature(0, (4,), 2)
     with pytest.raises(InconsistentCoverError):
-        riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), (3, 3))
+        riemann_hurwitz_cover(sig.euler_characteristic, 60, (4,), [(3, 2)])
 
 
 @pytest.mark.parametrize("orders", [(0,), (1,), (-2,), (2, 0), (0, 0), (3, 1)])
 def test_riemann_hurwitz_refuses_a_cone_order_below_two(orders):
     # refused as OrbifoldSignature refuses it, before any division by the order
     with pytest.raises(InvalidArgumentError, match="^orbifold orders must be >= 2$"):
-        riemann_hurwitz_cover(Fraction(-1, 6), 6, orders, (3,))
+        riemann_hurwitz_cover(Fraction(-1, 6), 6, orders, [(3, 1)])
     with pytest.raises(InvalidArgumentError, match="^orbifold orders must be >= 2$"):
         OrbifoldSignature(0, orders, 1)
 
@@ -255,15 +259,29 @@ def _rh_data(draw):
     return chi_orb, degree, tuple(cones), tuple(cusps)
 
 
+def _runs(per_cusp):
+    """The (value, multiplicity) classes of the runs of equal entries."""
+    return [(k, len(list(run))) for k, run in itertools.groupby(per_cusp)]
+
+
+def _per_cusp_cover(chi_orb, degree, orbifold_orders, cusp_image_orders):
+    """riemann_hurwitz_cover on the runs of the per-cusp orders, written
+    back out per cusp: the fields of cover_reference.PerCuspCover."""
+    cover = riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, _runs(cusp_image_orders))
+    fields = cover_reference.PerCuspCover._fields
+    return tuple(getattr(cover, name) for name in fields)
+
+
 @given(_rh_data())
 @example((Fraction(-1, 6), 6, (0,), (3,)))  # a zero cone order
 @example((Fraction(-3, 10), 60, (2, 5), (3,)))  # genus 0
 @example((Fraction(-1, 4), 60, (4,), (3, 3)))  # 2b = -21
 @example((Fraction(-1, 2), 12, (2,), (3,)))  # 2b = 4, genus 2
 @example((Fraction(-1, 3), 6, (2, 3), (2,)))  # 2b = 1, odd
+@example((Fraction(-1, 2), 12, (), (3, 3, 5, 3)))  # a run of two, 5 does not divide 12
 @settings(max_examples=300, deadline=None)
 def test_riemann_hurwitz_matches_the_fraction_reference(data):
-    got = _outcome(riemann_hurwitz_cover, *data)
+    got = _outcome(_per_cusp_cover, *data)
     assert got == _outcome(cover_reference.riemann_hurwitz_cover, *data)
 
 
@@ -287,20 +305,103 @@ def test_orbifold_euler_characteristic_matches_the_fraction_reference(genus, ord
 
 
 def test_cover_twisting_examples():
-    total, per_cusp = cover_twisting((20,), (3,), (2,), (1,))
-    assert total == 120 and per_cusp == (6,)
-    total, _ = cover_twisting((3276,), (3,), (3,), (1,))
-    assert total == 29484
+    assert cover_twisting(60, [(3, 2, 1, 1)]) == 120
+    assert cover_twisting(9828, [(3, 3, 1, 1)]) == 29484
     d = 1953000
-    total, _ = cover_twisting((d // 5, d // 5), (5, 5), (4, 3), (1, 1))
-    assert total == 7 * d
+    assert cover_twisting(d, [(5, 4, 1, 1), (5, 3, 1, 1)]) == 7 * d
+    # a class of m cusps counts as m cusps
+    classes = ((3, 2, 1, 4), (5, 2, 2, 1))
+    assert cover_twisting(60, classes) == 4 * 20 * 6 + 12 * 5
+    cover = CoverData(60, 0, 92, ((3, 4), (5, 1)), classes, 540)
+    assert cover.per_cusp_twists == (6, 6, 6, 6, 5)
+    assert cover.cusps_per_orbit == (20, 20, 20, 20, 12)
+    assert cover.cusp_image_orders == (3, 3, 3, 3, 5)
 
 
 def test_cover_twisting_rejects_fractional():
     with pytest.raises(InvalidRootDataError):
-        cover_twisting((10,), (3,), (2,), (4,))
-    with pytest.raises(InvalidArgumentError):
-        cover_twisting((10,), (3,), (2, 2), (1,))
+        cover_twisting(30, [(3, 2, 4, 1)])
+    with pytest.raises(InvalidArgumentError, match="^per-cusp sequences must have equal length$"):
+        cli._cusp_classes((3,), (2, 2), (1,))
+
+
+@pytest.mark.parametrize("value", [0, -1])
+def test_cover_classes_refuse_a_non_positive_order_or_multiplicity(value):
+    # no class form of a cover has them; the per-cusp form cannot write them
+    chi_orb = OrbifoldSignature(0, (2, 3), 1).euler_characteristic
+    refusal = "^cusp image orders and multiplicities must be positive$"
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        riemann_hurwitz_cover(chi_orb, 6, (2, 3), [(6, 1), (3, value)])
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        cover_twisting(6, [(6, 1, 1, 1), (value, 1, 1, 1)])
+    with pytest.raises(InvalidArgumentError, match=refusal):
+        cover_twisting(6, [(6, 1, 1, value)])
+
+
+@st.composite
+def _twisting_classes(draw):
+    """(degree, classes) for cover_twisting: up to four classes (order,
+    twists, root, multiplicity) with orders and multiplicities >= 1 and
+    twists and roots from -1 up, so that zero and negative entries,
+    roots that do not divide order * twists and, when the degree is
+    drawn freely, orders that do not divide it all occur."""
+    classes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 9), st.integers(-1, 12), st.integers(-1, 6), st.integers(1, 4)),
+            max_size=4,
+        )
+    )
+    if draw(st.booleans()):
+        degree = math.lcm(1, *(c[0] for c in classes)) * draw(st.integers(1, 40))
+    else:
+        degree = draw(st.integers(1, 400))
+    return degree, classes
+
+
+def _class_twisting(degree, classes):
+    """cover_twisting, and the twists per cusp its CoverData writes out."""
+    total = cover_twisting(degree, classes)
+    return total, CoverData(degree, 0, 0, (), tuple(classes), total).per_cusp_twists
+
+
+def _expanded(degree, classes):
+    """The per-cusp arguments of cover_reference.cover_twisting."""
+    orders = expand_classes((c[0], c[3]) for c in classes)
+    twists = expand_classes((c[1], c[3]) for c in classes)
+    roots = expand_classes((c[2], c[3]) for c in classes)
+    return tuple(degree // k for k in orders), orders, twists, roots
+
+
+@given(_twisting_classes())
+@example((60, [(3, 2, 1, 1)]))
+@example((60, [(3, 2, 4, 2), (3, 0, 1, 1)]))  # a non-positive twist beats an earlier root
+@example((60, [(3, 2, 1, 3), (3, 2, 4, 1), (5, 1, 3, 2)]))  # the first fractional class
+@example((7, [(3, 2, 1, 2)]))  # 3 does not divide 7
+@example((12, []))
+@settings(max_examples=300, deadline=None)
+def test_cover_twisting_classes_match_the_per_cusp_reference(data):
+    degree, classes = data
+    got = _outcome(_class_twisting, degree, classes)
+    assert got == _outcome(cover_reference.cover_twisting, *_expanded(degree, classes))
+
+
+@given(
+    st.lists(st.integers(1, 9), max_size=4),
+    st.lists(st.integers(-1, 12), max_size=4),
+    st.none() | st.lists(st.integers(-1, 6), max_size=4),
+    st.integers(1, 400),
+)
+@example([3, 3], [2, 2], [1], 60)
+@example([3], [2, 2], None, 60)
+@example([3, 5], [2, 0], [4, 1], 60)
+@settings(max_examples=300, deadline=None)
+def test_cover_command_lists_match_the_per_cusp_reference(orders, twists, roots, degree):
+    """The cover command's lists, of any lengths, as multiplicity-1
+    classes (roots default to 1 per twist, as the command does)."""
+    roots = [1] * len(twists) if roots is None else roots
+    got = _outcome(lambda: _class_twisting(degree, cli._cusp_classes(orders, twists, roots)))
+    counts = tuple(degree // k for k in orders)
+    assert got == _outcome(cover_reference.cover_twisting, counts, orders, twists, roots)
 
 
 @pytest.mark.parametrize("value", [0, -1])
@@ -308,17 +409,17 @@ def test_non_positive_cover_data_is_invalid_input(value):
     # invalid input, not an inconsistency: no cover has such data
     sig = OrbifoldSignature(0, (2, 3), 1)
     with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
-        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (value,))
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), [(value, 1)])
     with pytest.raises(InvalidArgumentError, match="^cusp image orders must be positive$"):
-        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), (6, value))
+        riemann_hurwitz_cover(sig.euler_characteristic, 6, (2, 3), [(6, 1), (value, 1)])
     refusal = "^twists and root indices must be positive$"
     for twists, roots in (((value,), (1,)), ((2,), (value,)), ((2, value), (1, 1))):
-        counts = (2,) * len(twists)
+        classes = [(3, t, k, 1) for t, k in zip(twists, roots)]
         with pytest.raises(InvalidArgumentError, match=refusal):
-            cover_twisting(counts, (3,) * len(twists), twists, roots)
+            cover_twisting(6, classes)
     # a non-positive entry is refused before a fractional one is judged
     with pytest.raises(InvalidArgumentError):
-        cover_twisting((10, 10), (3, 3), (2, 2), (4, value))
+        cover_twisting(30, [(3, 2, 4, 1), (3, 2, value, 1)])
 
 
 def test_dickson_desk_scale_oracle():

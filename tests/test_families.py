@@ -1,5 +1,6 @@
 import fractions
 import math
+import re
 import signal
 import sys
 from fractions import Fraction
@@ -354,15 +355,37 @@ def test_sporadic_closed_forms_match_the_fraction_reference(which, p, degree):
     _ODD_PRIMES,
     _DEGREES,
     st.fractions(max_denominator=10**6),
-    st.lists(st.integers(1, 50), max_size=20).map(tuple),
+    st.lists(st.tuples(st.integers(1, 50), st.integers(1, 6)), max_size=20).map(tuple),
 )
-@example(3, 60, Fraction(-3, 10), (2,))
+@example(3, 60, Fraction(-3, 10), ((2, 1),))
 @settings(max_examples=300, deadline=None)
-def test_weierstrass_closed_forms_match_the_fraction_reference(p, degree, chi, twists):
+def test_weierstrass_closed_forms_match_the_fraction_reference(p, degree, chi, classes):
+    # the library reads the (twist, multiplicity) classes, the reference
+    # one twist per prototype
     _same_forms(
-        families.closed_forms_weierstrass(5, p, degree, chi, twists),
-        closed_forms_reference.closed_forms_weierstrass(5, p, degree, chi, twists),
+        families.closed_forms_weierstrass(5, p, degree, chi, classes),
+        closed_forms_reference.closed_forms_weierstrass(
+            5, p, degree, chi, covers.expand_classes(classes)
+        ),
     )
+
+
+def test_closed_forms_refuse_the_tags_the_pipeline_refuses():
+    # E6 used to get E8's forms; n = 9 and n = 12 used to get numbers
+    with pytest.raises(UnsupportedFamilyError, match="must be E7 or E8, not 'E6'"):
+        families.closed_forms_sporadic("E6", 7, 100)
+    for n in (9, 12):
+        with pytest.raises(UnsupportedFamilyError, match=f"regular {n}-gon is not in the supported"):
+            families.closed_forms_polygon(n, 7, 100)
+    # one rule: the closed forms refuse exactly the n that surface_tag refuses
+    for n in range(-2, 300):
+        try:
+            surface_tag(f"polygon-{n}")
+        except UnsupportedFamilyError as exc:
+            with pytest.raises(UnsupportedFamilyError, match=f"^{re.escape(str(exc))}$"):
+                families.closed_forms_polygon(n, 7, 100)
+        else:
+            families.closed_forms_polygon(n, 7, 100)
 
 
 def _fractions_made(call, *args):
@@ -745,6 +768,60 @@ def test_chern_scatter_rows_satisfy_strict_bmy():
     csv_text = chern_scatter_csv(rows)
     assert csv_text.startswith("# bmy-line: c1sq = 3*c2\n")
     assert "D,c2,c1sq,c1sq_over_c2" in csv_text
+
+
+def _count_expansions(monkeypatch):
+    """Count each read of a per-cusp form: CoverData's cusps_per_orbit,
+    cusp_image_orders and per_cusp_twists, FamilySpec's base_twists and
+    roots."""
+    counts = {}
+    for cls, names in (
+        (covers.CoverData, ("cusps_per_orbit", "cusp_image_orders", "per_cusp_twists")),
+        (families.FamilySpec, ("base_twists", "roots")),
+    ):
+        for name in names:
+            counts[name] = 0
+            prop = vars(cls)[name]
+
+            def counted(self, name=name, fget=prop.fget):
+                counts[name] += 1
+                return fget(self)
+
+            monkeypatch.setattr(cls, name, property(counted))
+    return counts
+
+
+def test_scatter_writes_out_no_cusp_and_to_json_each_form_once(monkeypatch):
+    counts = _count_expansions(monkeypatch)
+    rows, _ = chern_scatter(5, 2000, 7)
+    assert len(rows) > 100
+    assert set(counts.values()) == {0}, counts
+    result = weierstrass_family(4021, 7)
+    assert set(counts.values()) == {0}, counts
+    payload = result.to_json()
+    assert counts == dict.fromkeys(counts, 1)
+    cover, spec = payload["cover"], payload["spec"]
+    assert len(cover["cusps_per_orbit"]) == len(spec["base_twists"]) == 299
+
+
+@pytest.mark.parametrize("keep", ["all", "some", "none"])
+def test_weierstrass_spin_filter_classes_write_out_the_prototype_twists(keep):
+    data = CurveDataTable([ExternalCurveData(41, Fraction(-3))])  # an even genus term
+    spin_filter = {
+        "all": lambda _p: True,
+        "some": lambda proto: proto.e % 3 != 0,
+        "none": lambda _p: False,
+    }[keep]
+    result = weierstrass_family(41, 7, data=data, spin_filter=spin_filter)
+    twists = tuple(map(prototypes.prototype_twisting, prototypes.enumerate_prototypes(41, spin_filter)))
+    assert result.spec.base_twists == twists
+    assert result.spec.roots == (1,) * len(twists)
+    cover, d = result.cover, result.cover.degree
+    assert cover.cusp_image_orders == (7,) * len(twists)
+    assert cover.cusps_per_orbit == (d // 7,) * len(twists)
+    assert cover.per_cusp_twists == tuple(7 * t for t in twists)
+    assert cover.total_twisting == d * sum(twists) == result.closed_forms["twisting"]
+    assert result.checks["prototype_count"] == len(twists)
 
 
 def test_scatter_sweep_starts_at_the_first_discriminant():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import prototype_reference as reference
 from veechfib import prototypes
+from veechfib.covers import expand_classes
 from veechfib.errors import (
     CapExceededError,
     InvalidDiscriminantError,
@@ -17,8 +18,8 @@ from veechfib.prototypes import (
     MAX_DISCRIMINANT,
     Prototype,
     enumerate_prototypes,
+    prototype_classes,
     prototype_twisting,
-    prototype_twists,
     prototypes_csv,
     standard_parameters,
     weierstrass_alpha,
@@ -130,7 +131,11 @@ def test_enumeration_matches_dataclass_reference():
             want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
             assert [p.as_tuple() for p in got] == want, (d, spin_filter)
             twists = tuple(map(prototype_twisting, got))
-            assert prototype_twists(d, spin_filter) == twists, (d, spin_filter)
+            classes = prototype_classes(d, spin_filter)
+            assert expand_classes(classes) == twists, (d, spin_filter)
+            assert min((m for _, m in classes), default=1) >= 1, (d, spin_filter)
+            if spin_filter is None:  # one class per (w, h) of a prototype
+                assert len(classes) == len({p.as_tuple()[:2] for p in got}), d
 
 
 @given(st.integers(5, 10**5).filter(lambda d: d % 4 in (0, 1) and math.isqrt(d) ** 2 != d))
@@ -141,7 +146,8 @@ def test_enumeration_matches_dataclass_reference_to_1e5(d):
         got = enumerate_prototypes(d, spin_filter)
         want = [p.as_tuple() for p in reference.enumerate_prototypes(d, spin_filter)]
         assert [p.as_tuple() for p in got] == want, spin_filter
-        assert prototype_twists(d, spin_filter) == tuple(map(prototype_twisting, got)), spin_filter
+        twists = tuple(map(prototype_twisting, got))
+        assert expand_classes(prototype_classes(d, spin_filter)) == twists, spin_filter
 
 
 class _Divided(Exception):
@@ -176,18 +182,18 @@ def test_spin_filter_sees_every_candidate_prototype():
 
 def test_prototype_twists_refuse_as_the_enumeration():
     with pytest.raises(SpinRequiredError):
-        prototype_twists(17)
+        prototype_classes(17)
     with pytest.raises(InvalidDiscriminantError):
-        prototype_twists(9)
+        prototype_classes(9)
     with pytest.raises(CapExceededError):
-        prototype_twists(10**7 + 1, lambda _p: True)
+        prototype_classes(10**7 + 1, lambda _p: True)
     with pytest.raises(CapExceededError):  # the cap is checked before squareness
-        prototype_twists(10**8)
+        prototype_classes(10**8)
 
 
 def test_prototype_twists_spin_filter_sees_every_candidate_once():
     seen, seen_reference = [], []
-    kept = prototype_twists(41, lambda p: seen.append(p) or _selective(p))
+    kept = expand_classes(prototype_classes(41, lambda p: seen.append(p) or _selective(p)))
     reference.enumerate_prototypes(41, lambda p: seen_reference.append(p) or True)
     assert all(isinstance(p, Prototype) for p in seen)
     assert sorted(p.as_tuple() for p in seen) == sorted(p.as_tuple() for p in seen_reference)

@@ -235,7 +235,7 @@ def _records():
     result = polygon_family(5, 3)
     return [
         OrbifoldSignature(0, (2, 5), 1),
-        CoverData(1, 0, 3, (3,), (1,)),
+        CoverData(1, 0, 3, ((1, 3),)),
         congruence_degree(IntPolynomial([1, -3, 1]), 3, 2, True),
         theorem_generator_pair(field),
         ExternalCurveData(17, Fraction(-3, 2)),

@@ -75,6 +75,25 @@ def test_tracer_records_no_enumeration_in_a_scatter():
     assert t.counts["prototypes.enumerate_prototypes.yielded"] == len(protos) > 0
 
 
+def test_tracer_sees_one_riemann_hurwitz_and_one_twisting_span_per_scatter_row():
+    """families.evaluate calls riemann_hurwitz_cover and cover_twisting
+    once each per family member, through the names the tracer rebinds,
+    so covers.* spans count members, not cusps or cusp classes."""
+    from veechfib import families
+
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rows, skipped = families.chern_scatter(5, 60, 5)
+    finally:
+        t.uninstall()
+    assert rows and not [d for d, why in skipped if why == "inconsistent-cover"]
+    names = [span[1] for span in t.spans]
+    assert names.count("covers.riemann_hurwitz_cover") == len(rows)
+    assert names.count("covers.cover_twisting") == len(rows)
+
+
 def test_tracer_sees_one_root_isolation_and_no_charpoly_per_model_build():
     """The polygon-levels per-layer metrics read exact.isolate_largest_real_root
     and exact.charpoly: a model build isolates mu once, from its Coxeter
