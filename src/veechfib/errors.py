@@ -30,11 +30,6 @@ class ZeroDivisorError(DivisionByZeroError):
     has no inverse."""
 
 
-class EnclosureDivergenceError(VeechFibError, ArithmeticError):
-    """Interval evaluation of a number-ring element never separated its
-    value from zero, as for a zero divisor of a reducible modulus."""
-
-
 class UnsupportedFamilyError(InvalidArgumentError):
     """A family tag outside the supported series was requested."""
 

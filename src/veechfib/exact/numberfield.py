@@ -1,21 +1,21 @@
 """Exact arithmetic in real number rings Q[x]/(m) with a chosen real root.
 
 A RealAlgebraicField wraps a monic integer minimal polynomial together
-with a RootInterval picking out one real root; the interval gives every
-element an exact sign (refine until the interval evaluation of its
-residue excludes zero), so elements can be compared, sorted and checked
-for positivity without floating point.
+with a RootInterval picking out one real root, which names the
+embedding.  The interval is set once, when the field is made, and never
+refined.  Elements are not ordered and carry no sign: the library signs
+nothing, since the surface build proves its heights positive in
+integers (veechfib.thurston_veech.perron_frobenius).
 
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
-products, reductions, inverses, products and quotients by x (O(n)
-each) and interval evaluations all run on those integers: since m is
-monic, x^n mod m is integral, and a product is reduced by it from the
-top coefficient down.  An integral element (denominator 1) never
-forms a Fraction; ``coeffs`` builds the Fraction coordinates only when
-read, and a sign reads the integer bounds of an interval Horner.  Power bases of an element (minimal
-polynomials, suborder membership) are one fraction-free elimination of
-the integer numerators of its powers.
+products, reductions, inverses, and products and quotients by x (O(n)
+each) all run on those integers: since m is monic, x^n mod m is
+integral, and a product is reduced by it from the top coefficient down.
+An integral element (denominator 1) never forms a Fraction; ``coeffs``
+builds the Fraction coordinates only when read.  Power bases of an
+element (minimal polynomials, suborder membership) are one
+fraction-free elimination of the integer numerators of its powers.
 
 Elements always carry their field and combine only with elements of
 the same field: mixed-field arithmetic raises MixedModulusError, and an
@@ -25,13 +25,11 @@ coerced; a rational enters a field only through ``element``.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
 from ..errors import (
     DivisionByZeroError,
-    EnclosureDivergenceError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     MixedModulusError,
@@ -113,10 +111,6 @@ class RealAlgebraicField:
     def generator(self):
         return self.element([0, 1])
 
-    def _refine_root(self, width):
-        self.root = self.root.refine(width)
-        return self.root
-
 
 def _lowest(field, nums, den):
     """The element nums / den (den > 0) in lowest terms."""
@@ -127,13 +121,13 @@ def _lowest(field, nums, den):
     return NumberFieldElement(field, tuple(nums), den)
 
 
-@functools.total_ordering
 class NumberFieldElement:
     """Element of a RealAlgebraicField: the residue sum_k nums[k] x^k / den
     of degree < deg(modulus), with den > 0 and gcd(den, *nums) == 1.
 
-    A closed ring type: +, -, *, / and < take another element of the
-    same field and nothing else, and == holds only between elements."""
+    A closed ring type: +, -, * and / take another element of the same
+    field and nothing else, and == holds only between elements.  There
+    is no order: < and its kin raise TypeError."""
 
     __slots__ = ("field", "nums", "den")
 
@@ -259,62 +253,6 @@ class NumberFieldElement:
     def is_integral_residue(self):
         """True when all power-basis coordinates are integers."""
         return self.den == 1
-
-    # -- real embedding -------------------------------------------------------
-
-    def _enclosure(self, done):
-        """Rational bounds lo / den <= value <= hi / den, returned as the
-        integers (lo, hi, den), den > 0, by interval Horner over the
-        field's root interval; the root is refined by width/4 until
-        done(lo, hi, den) holds or the root is exact (then lo == hi).
-
-        Horner runs on the integer numerators over the common
-        denominator D of the element and e of the interval: after k
-        steps the bounds are integers over D e^(k-1), one positive
-        denominator, so every min and max is the one Fraction Horner
-        takes, and the bounds are the same rationals.  No Fraction is
-        built: a sign reads the numerators alone.  Over a nonnegative
-        root interval [p, q] the sign of each bound picks its product
-        (lo * p or lo * q, hi * q or hi * p), so two products replace
-        the four.
-        """
-        nums = list(self.nums)
-        while nums and not nums[-1]:
-            nums.pop()
-        if not nums:
-            return 0, 0, 1
-        root = self.field.root
-        for _ in range(400):
-            (p, q), e = scaled_integers((root.lower, root.upper))
-            alo = ahi = 0
-            scale = 1
-            if p >= 0:
-                for c in reversed(nums):
-                    t = c * scale
-                    alo, ahi = alo * (p if alo >= 0 else q) + t, ahi * (q if ahi >= 0 else p) + t
-                    scale *= e
-            else:
-                for c in reversed(nums):
-                    products = (alo * p, alo * q, ahi * p, ahi * q)
-                    alo, ahi = min(products) + c * scale, max(products) + c * scale
-                    scale *= e
-            bound_den = self.den * scale // e
-            if root.is_exact or done(alo, ahi, bound_den):
-                return alo, ahi, bound_den
-            root = self.field._refine_root(root.width / 4)
-        raise EnclosureDivergenceError("root enclosure did not converge")
-
-    def sign(self):
-        """Sign of the element under the field's distinguished embedding."""
-        if self.is_rational:
-            c = self.nums[0]
-            return (c > 0) - (c < 0)
-        lo, hi, _ = self._enclosure(lambda lo, hi, den: lo > 0 or hi < 0)
-        return 1 if lo > 0 else (-1 if hi < 0 else 0)
-
-    def __lt__(self, other):
-        self._check(other)
-        return (self - other).sign() < 0
 
     # -- lifts ----------------------------------------------------------------
 

@@ -623,10 +623,10 @@ def two_cos_bracket(n):
 
 def divisors(n):
     """Positive divisors of n >= 0 in ascending order, by one scan up to
-    sqrt(n); n = 0 has none."""
+    sqrt(n), over odd i only when n is odd; n = 0 has none."""
     if n < 1:
         return []
-    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    small = [i for i in range(1, math.isqrt(n) + 1, 1 + n % 2) if n % i == 0]
     return small + [n // i for i in reversed(small) if i * i != n]
 
 

@@ -7,7 +7,10 @@ from .exact.finitefield import is_prime
 
 # Largest n whose n-gon model is built: the construction works in a
 # field of degree phi(2n)/2 and computes n - 1 heights there, so a
-# larger request is refused before the field or its graph exists.
+# larger request is refused before the field or its graph exists.  The
+# build proves its heights positive only while two_cos_bracket(n) and
+# two_cos_bracket(n - 1) separate: for every n from 5 to 3 896, first
+# failing at n = 3 897 (a test pins the range up to this cap).
 MAX_POLYGON_N = 256
 
 _COXETER_NUMBERS = {"E7": 18, "E8": 30}

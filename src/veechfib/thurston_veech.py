@@ -32,18 +32,20 @@ graph A(n/2).
 Each model fact is proved once, by the build step that makes it:
 perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
 per row, and reduces only the residuals that are not zero there (on a
-star, the center's); the heights are the lifts evaluated at mu, each
-distinct height proved positive once, by its own enclosure (an n-gon's
-come in mirror-equal pairs; stored heights are a multiple of the
-vector).  _certified_star runs this for both builders.  No lift is
-reduced: evaluation at mu is a ring homomorphism, so the recurrence in
-the field gives each lift's residue.  n-gon heights are their lifts,
-and _build_polygon checks c_k against c_(n-k) for even n; E7/E8 lifts
-come from integer_lift() after the staircase rescaling, by mu over the
-height of the longest arm's leaf, which the closed form proves lowest
-(_staircase_normalize), so no height is compared; _checked_model
-refuses a model whose genus is not rank Q (core_curve_span_check).
-There is no separate verify step.
+star, the center's); it proves every height positive at once, by one
+comparison of two integer brackets read off the longest arm (stored
+heights are a multiple of the vector); the heights are the lifts
+evaluated at mu.  No lift is reduced: evaluation at mu is a ring
+homomorphism, so the recurrence in the field gives each lift's residue.
+n-gon heights are their lifts, and _build_polygon checks c_k against
+c_(n-k) for even n; E7/E8 lifts come from integer_lift() after the
+staircase rescaling, by mu over the height of the longest arm's leaf,
+which the closed form proves lowest (_staircase_normalize).  The lowest
+vertical cylinder, the holonomy check's lattice basis, is a closed form
+too (c_1 on an n-gon, _Diagram on E7 / E8).  So no height is signed or
+compared, and the field's root is never refined; _checked_model refuses
+a model whose genus is not rank Q (core_curve_span_check).  There is no
+separate verify step.
 
 Cylinder heights are stored twice: as exact number-field elements and
 as the integer polynomial lifts in mu used by the staircase parity
@@ -53,7 +55,8 @@ matters when the minimal polynomial is not an even polynomial).
 Level-independent work runs once per model and stays on it: the family
 pipelines keep the spec and the structural checks in
 ``SurfaceModel.memo``.  holonomy_basis_check decides membership in
-Z[mu^2] in closed form (_z_alpha_test).
+Z[mu^2] in closed form (_z_alpha_test).  gluing_check, which is not a
+structural check, tests that every cylinder closes up.
 """
 
 from __future__ import annotations
@@ -145,17 +148,30 @@ class BipartiteIntersectionGraph:
 
 
 class _Diagram(NamedTuple):
-    """An exceptional diagram and the surface it builds."""
+    """An exceptional diagram and the surface it builds.
+
+    lowest_vertical is the vertex of least height in the class without
+    the staircase anchor, the vertical cylinders.  Proof from the arm
+    lengths: with U_j = U_j(mu) = sin((j+1)pi/h) / sin(pi/h), positive
+    and strictly increasing in j while j + 1 <= h/2, U_1 U_j = U_(j-1) +
+    U_(j+1) and U_(j+1) - U_(j-1) = 2cos((j+1)pi/h), the heights of
+    _star_values (all scaled by one positive factor) are, on E7 (h = 18,
+    vertical 1, 4, 6), c_1 = U_1 U_3 below c_4 = U_2 c_1 and c_6 = U_1^2
+    U_2 = c_1 + U_1^2; on E8 (h = 30, vertical 2, 3, 5, 7), c_7 = U_1^2
+    U_2 below c_3 = U_1^2 U_4, c_5 = U_1 U_2 U_3 and c_2 = U_2 U_4 = c_7
+    + U_2 (U_4 - U_2 - 1), as U_4 - U_2 = 2cos(4pi/30) > 1.
+    """
 
     center: int
     arms: tuple  # each from its leaf inward; Bourbaki numbering
     genus: int
     zero_partition: tuple
+    lowest_vertical: int
 
 
 _SPORADIC = {
-    "E7": _Diagram(4, ((1, 3), (2,), (7, 6, 5)), 3, (1, 3)),
-    "E8": _Diagram(4, ((1, 3), (2,), (8, 7, 6, 5)), 4, (6,)),
+    "E7": _Diagram(4, ((1, 3), (2,), (7, 6, 5)), 3, (1, 3), 1),
+    "E8": _Diagram(4, ((1, 3), (2,), (8, 7, 6, 5)), 4, (6,), 7),
 }
 
 
@@ -216,21 +232,16 @@ def _star_lifts(center, arms):
     return _star_values(center, arms, _chebyshev_polys(max(map(len, arms)), 1))
 
 
-def _star_heights(center, arms, order):
-    """The function mu -> the heights of the vertices in order, in mu's
-    field: _star_values on U_j(mu) from the lifts' recurrence U_0 = 1,
-    U_1 = mu, U_j = mu U_(j-1) - U_(j-2), a product by mu costing O(n)
-    (times_generator).  Evaluation at mu is a ring homomorphism from
-    Z[x], so these are the lifts of _star_lifts embedded at mu."""
-
-    def heights(mu):
-        u = [mu.field.one, mu]
-        for _ in range(max(map(len, arms)) - 1):
-            u.append(u[-1].times_generator() - u[-2])
-        values = _star_values(center, arms, u)
-        return [values[v] for v in order]
-
-    return heights
+def _star_heights(center, arms, mu):
+    """Height of each vertex of the star in mu's field: _star_values on
+    U_j(mu) from the lifts' recurrence U_0 = 1, U_1 = mu, U_j = mu
+    U_(j-1) - U_(j-2), a product by mu costing O(n) (times_generator).
+    Evaluation at mu is a ring homomorphism from Z[x], so these are the
+    lifts of _star_lifts embedded at mu."""
+    u = [mu.field.one, mu]
+    for _ in range(max(map(len, arms)) - 1):
+        u.append(u[-1].times_generator() - u[-2])
+    return _star_values(center, arms, u)
 
 
 def coxeter_graph(family, size=None):
@@ -248,41 +259,60 @@ def coxeter_graph(family, size=None):
 # ---------------------------------------------------------------------------
 
 
-def perron_frobenius(graph, coxeter_number, lifts, heights):
-    """Certified dominant eigendata of the full bipartite adjacency matrix.
+def perron_frobenius(center, arms, coxeter_number):
+    """Certified dominant eigendata of a star's bipartite graph: the
+    graph, its black and white vertex lists (_two_coloured), mu, and by
+    vertex the heights and their lifts.
 
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
     formula: its field is that of cos_two_pi_minpoly(2h), at the largest
     root, isolated from the start two_cos_bracket(h) that the Sturm
     counts of the modulus certify (RootBracketError otherwise).  The
-    candidate eigenvector is given twice: as one integer polynomial lift
-    in mu per vertex in adjacency order (blacks, then whites; see
-    _star_lifts), and as heights(mu), the same polynomials evaluated at
-    mu in the field (_star_heights), so no lift is reduced.  Each row of
-    adjacency * lifts = x * lifts is checked as one residual in Z[x],
-    sum a L_other - x L_row, over the row's neighbours: a zero residual
-    holds at every x, and any other is reduced modulo m_mu and must
-    vanish.  Evaluation at mu is a ring homomorphism, so this is exactly
+    candidate eigenvector is the star's closed form, given twice: one
+    integer polynomial lift in mu per vertex (_star_lifts), and the same
+    polynomials evaluated at mu in the field (_star_heights), so no lift
+    is reduced.  Each row of adjacency * lifts = x * lifts, in adjacency
+    order (blacks, then whites), is checked as one residual in Z[x], sum
+    a L_other - x L_row, over the row's neighbours: a zero residual holds
+    at every x, and any other is reduced modulo m_mu and must vanish.
+    Evaluation at mu is a ring homomorphism, so this is exactly
     adjacency * heights = mu * heights.
 
-    That identity with every height strictly positive, each distinct
-    height by its own exact enclosure, is the certificate: the graph is
-    connected, so its adjacency matrix is irreducible and nonnegative,
-    and by Perron-Frobenius a strictly positive eigenvector belongs only
-    to the spectral radius.  A wrong h or wrong lifts fail with
+    Every height is proved positive at once, in integers.  A height is a
+    product of U_j(mu) with j <= L, the longest arm's length
+    (_star_values).  U_j is monic with roots 2cos(k pi/(j+1)), k = 1 ...
+    j, so U_j(mu) > 0 once mu exceeds 2cos(pi/(j+1)), which grows with j
+    (U_0 = 1; the root of U_1 is 0).  As mu lies in two_cos_bracket(h),
+    two_cos_bracket(h)[0] > two_cos_bracket(L + 1)[1] (> 0 for L = 1)
+    proves every height positive; otherwise the star is refused, with no
+    other route.  The brackets separate for every n-gon under the size
+    cap (veechfib.tags.MAX_POLYGON_N), where L + 1 = h - 1.  They cannot
+    when L + 1 >= h, and then U_(h-1)(mu) = 0 is a factor of some height.
+
+    That identity with a strictly positive vector is the certificate:
+    the graph is connected, so its adjacency matrix is irreducible and
+    nonnegative, and by Perron-Frobenius a strictly positive eigenvector
+    belongs only to the spectral radius.  A wrong h fails with
     MathematicalInconsistencyError.  h must be an integer >= 3, as every
     graph with an edge has spectral radius >= 1.
     """
     if not isinstance(coxeter_number, int) or coxeter_number < 3:
         raise InvalidArgumentError("the Coxeter number must be an integer >= 3")
-    rows = graph.neighbours
-    if len(lifts) != len(rows):
-        raise InvalidArgumentError(f"{len(lifts)} height lifts for {len(rows)} vertices")
-    modulus = cos_two_pi_minpoly(2 * coxeter_number)
+    if not arms or not all(arms) or 1 not in (center, *(v for arm in arms for v in arm)):
+        raise InvalidArgumentError("a star needs nonempty arms and a vertex 1")
+    graph, blacks, whites = _two_coloured(center, arms)
+    longest = max(map(len, arms))
     start = two_cos_bracket(coxeter_number)
+    if not start[0] > (two_cos_bracket(longest + 1)[1] if longest > 1 else 0):
+        raise MathematicalInconsistencyError(
+            f"eigenvector not proved strictly positive: the brackets of 2cos(pi/{coxeter_number})"
+            f" and of 2cos(pi/{longest + 1}), the longest arm's, do not separate"
+        )
+    lifts = _star_lifts(center, arms)
+    modulus = cos_two_pi_minpoly(2 * coxeter_number)
     fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30), start))
-    coefficients = [lift.coefficients for lift in lifts]
-    for row, own in zip(rows, coefficients):
+    coefficients = [lifts[v].coefficients for v in blacks + whites]
+    for row, own in zip(graph.neighbours, coefficients):
         residual = [0] + [-c for c in own]
         for v, a in row:
             other = coefficients[v]
@@ -292,14 +322,7 @@ def perron_frobenius(graph, coxeter_number, lifts, heights):
         if any(residual) and not fld.element(residual).is_zero:
             raise MathematicalInconsistencyError("Q h = mu h fails exactly")
     mu = fld.generator
-    values = tuple(heights(mu))
-    if len(values) != len(lifts):
-        raise InvalidArgumentError(f"{len(values)} heights for {len(lifts)} height lifts")
-    # one enclosure per distinct height: the n-gon's come in equal
-    # mirror pairs, U_(k-1)(mu) = U_(n-k-1)(mu)
-    if any(h.sign() <= 0 for h in dict.fromkeys(values)):
-        raise MathematicalInconsistencyError("eigenvector is not strictly positive")
-    return mu, values
+    return graph, blacks, whites, mu, _star_heights(center, arms, mu), lifts
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +366,15 @@ class _SurfaceFields(NamedTuple):
     vertical: tuple
     genus: int
     zero_partition: tuple
+    lowest_vertical: int = 0
 
 
 class SurfaceModel(_SurfaceFields):
     """Output of the construction for one family member.
 
+    ``lowest_vertical`` indexes the vertical cylinder of least height, in
+    ``vertical``: the build reads it off the closed form, and a hand-built
+    model lists that cylinder first.  It is not emitted by to_json.
     Instances carry a __dict__ for the per-model caches below; _replace
     gives a model that starts with none of them."""
 
@@ -392,22 +419,11 @@ def build_surface(family_tag):
     return _build_polygon(h)
 
 
-def _certified_star(center, arms, h):
-    """The star's bipartite graph, its black and white vertex lists, mu,
-    and by vertex the certified heights and their lifts: perron_frobenius
-    on _star_lifts and _star_heights, in adjacency order."""
-    graph, blacks, whites = _two_coloured(center, arms)
-    lifts = _star_lifts(center, arms)
-    order = blacks + whites
-    mu, heights = perron_frobenius(
-        graph, h, [lifts[v] for v in order], _star_heights(center, arms, order)
-    )
-    return graph, blacks, whites, mu, dict(zip(order, heights)), lifts
-
-
 def _build_polygon(n):
-    # vertex k (1-based along the path) lifts to U_(k-1)
-    construction, _, _, mu, by_vertex, lifts = _certified_star(*_coxeter_star("A", n - 1), n)
+    """The n-gon's model.  Vertex k, 1-based along the path, lifts to
+    U_(k-1), and U_(k-1)(mu) = sin(k pi/n) / sin(pi/n) > 1 for 1 < k < n -
+    1, so c_1 = U_0 = 1 is the lowest vertical cylinder (odd k)."""
+    construction, _, _, mu, by_vertex, lifts = perron_frobenius(*_coxeter_star("A", n - 1), n)
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
@@ -418,12 +434,12 @@ def _build_polygon(n):
     genus = euler_phi(n) // 2
     partition = (genus - 1, genus - 1) if n % 4 == 2 else (2 * genus - 2,)
     graph = construction if n % 2 == 1 else coxeter_graph("A", n // 2)
-    return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition)
+    return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition, "c_1")
 
 
 def _build_sporadic(which, coxeter_number):
     diagram = _SPORADIC[which]
-    graph, blacks, whites, mu, by_vertex, _ = _certified_star(
+    graph, blacks, whites, mu, by_vertex, _ = perron_frobenius(
         diagram.center, diagram.arms, coxeter_number
     )
     anchor = max(diagram.arms, key=len)[0]
@@ -432,17 +448,22 @@ def _build_sporadic(which, coxeter_number):
         (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], lifts[v])
         for v in sorted(by_vertex)
     ]
-    return _checked_model(which, graph, graph, mu, rows, diagram.genus, diagram.zero_partition)
+    return _checked_model(
+        which, graph, graph, mu, rows, diagram.genus, diagram.zero_partition,
+        f"c_{diagram.lowest_vertical}",
+    )
 
 
-def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
+def _checked_model(family_tag, graph, construction, mu, rows, genus, partition, lowest):
     """Model with one unit-twist cylinder per (name, direction, height,
     height lift) row, circumference mu * height (mu is the field's
-    generator, so times_generator); refused unless the genus is the rank
-    of the intersection matrix."""
+    generator, so times_generator), and lowest the name of its lowest
+    vertical cylinder; refused unless the genus is the rank of the
+    intersection matrix."""
     cylinders = [
         CylinderDatum(name, d, h, h.times_generator(), 1, lift) for name, d, h, lift in rows
     ]
+    vertical = tuple(c for c in cylinders if c.direction == VERTICAL)
     model = SurfaceModel(
         family_tag=family_tag,
         graph=graph,
@@ -450,9 +471,10 @@ def _checked_model(family_tag, graph, construction, mu, rows, genus, partition):
         mu=mu,
         heights=tuple(c.height for c in cylinders),
         horizontal=tuple(c for c in cylinders if c.direction == HORIZONTAL),
-        vertical=tuple(c for c in cylinders if c.direction == VERTICAL),
+        vertical=vertical,
         genus=genus,
         zero_partition=partition,
+        lowest_vertical=[c.name for c in vertical].index(lowest),
     )
     if not core_curve_span_check(model):
         raise MathematicalInconsistencyError(f"genus {genus} != rank of the intersection matrix")
@@ -559,12 +581,16 @@ def holonomy_basis_check(model):
     (0, y*mu) with alpha = mu^2 and y the lowest vertical height is
     decided exactly for each coordinate divided by its basis vector, by
     the closed form of Z[alpha] (_z_alpha_test: integer coordinates,
-    and for an even modulus no odd ones).  A division by mu takes O(n)
-    (over_generator): c / alpha is (c / mu) / mu, and c / (y mu) is
-    (c / mu) times y^-1, the one inverse of the call.
+    and for an even modulus no odd ones).  y is read off the model
+    (lowest_vertical, the build's closed form), not found by comparing
+    heights; a model without that cylinder is refused.  A division by mu
+    takes O(n) (over_generator): c / alpha is (c / mu) / mu, and c / (y
+    mu) is (c / mu) times y^-1, the one inverse of the call.
     """
+    if not 0 <= model.lowest_vertical < len(model.vertical):
+        raise InapplicableModelError("model has no lowest vertical cylinder to span the lattice")
     in_z_alpha = _z_alpha_test(model)
-    y_inverse = min(model.vertical, key=lambda c: c.height).height.inverse()
+    y_inverse = model.vertical[model.lowest_vertical].height.inverse()
     # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
     return all(
         in_z_alpha(cyl.circumference.over_generator().over_generator())
@@ -584,3 +610,32 @@ def core_curve_span_check(model):
     """Core curves span homology: the block skew intersection matrix
     [[0, Q], [-Q^T, 0]] has rank 2*genus, that is, Q has rank genus."""
     return rank(model.graph.intersections) == model.genus
+
+
+def gluing_check(model):
+    """Names of the cylinders that do not close up, in graph order.
+
+    In Thurston's construction each cylinder's circumference is the sum,
+    over the cylinders crossing it, of intersection count times height.
+    It is read on model.graph's neighbour lists, vertex v being c_v as
+    _two_coloured labels the star of that graph, by exact field
+    equality.  Not a structural check: every even n-gon fails at c_(n/2),
+    whose stored circumference is twice its sum, as the quotient graph
+    A(n/2) keeps one of its two crossing cylinders.
+    """
+    tag, h = surface_tag(model.family_tag)
+    family = (tag,) if tag in _SPORADIC else ("A", h - 1 if h % 2 else h // 2)
+    _, blacks, whites = _two_coloured(*_coxeter_star(*family))
+    by_name = {c.name: c for c in model.cylinders}
+    cylinders = [by_name.get(f"c_{v}") for v in blacks + whites]
+    if None in cylinders:
+        raise InapplicableModelError(f"the cylinders of {tag} do not match its graph")
+    field = model.mu.field
+    failed = []
+    for cylinder, row in zip(cylinders, model.graph.neighbours):
+        crossing = field.zero
+        for u, count in row:
+            crossing = crossing + field.element([count]) * cylinders[u].height
+        if cylinder.circumference != crossing:
+            failed.append(cylinder.name)
+    return failed

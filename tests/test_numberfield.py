@@ -6,12 +6,13 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import enclosure_reference
 import fraction_reference
 import power_basis_reference as reference
+from enclosure_reference import EnclosureDivergenceError, Embedded
 from power_basis_reference import power
 from veechfib.errors import (
     DivisionByZeroError,
-    EnclosureDivergenceError,
     InvalidArgumentError,
     MixedModulusError,
     NonIntegralElementError,
@@ -29,7 +30,7 @@ from veechfib.exact.polynomials import (
     RootInterval,
     cos_two_pi_minpoly,
 )
-from veechfib.thurston_veech import coxeter_graph, perron_frobenius
+from veechfib.thurston_veech import perron_frobenius
 
 
 @pytest.fixture
@@ -47,15 +48,14 @@ def test_linear_field_generator_is_the_root():
     for c in (-3, 5, 0, 7):
         field = RealAlgebraicField([c, 1])
         assert field.generator == field.element([-c])
-    # the A2 graph has Coxeter number 3 and mu = 2cos(pi/3) = 1, in a linear
-    # field; its star lifts, vertex 1 then 2, are U_0 = 1 and U_1 = x
-    lifts = [IntPolynomial([1]), IntPolynomial([0, 1])]
-    mu, heights = perron_frobenius(
-        coxeter_graph("A", 2), 3, lifts, lambda mu: [mu.field.one, mu]
-    )
+    # the A2 graph, center 2 and the arm (1,), has Coxeter number 3 and
+    # mu = 2cos(pi/3) = 1, in a linear field; its star lifts, vertex 1
+    # then 2, are U_0 = 1 and U_1 = x
+    _, _, _, mu, heights, lifts = perron_frobenius(2, ((1,),), 3)
+    assert lifts == {1: IntPolynomial([1]), 2: IntPolynomial([0, 1])}
     assert mu.field.degree == 1
     one = mu.field.one
-    assert mu == one and heights == (one, one)
+    assert mu == one and heights == {1: one, 2: one}
 
 
 def test_element_minimal_polynomial_of_square(golden_field):
@@ -99,15 +99,25 @@ def test_non_integral_element_reports_rational_polynomial(golden_field):
 
 
 def test_real_embedding_sign_and_order(golden_field):
+    # the enclosure reference; the elements themselves carry no order
+    sign = enclosure_reference.sign
     mu = golden_field.generator
-    assert mu.sign() == 1
-    assert (-mu).sign() == -1
-    assert golden_field.zero.sign() == 0
-    assert golden_field.one < mu < golden_field.element([2])
-    assert mu * mu > mu
+    root = golden_field.root.lower, golden_field.root.upper
+    assert sign(mu) == 1
+    assert sign(-mu) == -1
+    assert sign(golden_field.zero) == 0
+    assert Embedded(golden_field.one) < Embedded(mu) < Embedded(golden_field.element([2]))
+    assert Embedded(mu * mu) > Embedded(mu)
     # (1 + sqrt(5)) / 2 = 1.6180339887...
-    assert golden_field.element([Fraction(16180339887, 10**10)]) < mu
-    assert mu < golden_field.element([Fraction(16180339888, 10**10)])
+    assert Embedded(golden_field.element([Fraction(16180339887, 10**10)])) < Embedded(mu)
+    assert Embedded(mu) < Embedded(golden_field.element([Fraction(16180339888, 10**10)]))
+    # the field's root interval is the one it was made with
+    assert (golden_field.root.lower, golden_field.root.upper) == root
+    for compare in (
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
+    ):
+        with pytest.raises(TypeError):
+            compare(mu, golden_field.one)
 
 
 def test_field_inverse_and_division(golden_field):
@@ -140,6 +150,7 @@ def test_every_order_comparison_against_every_operand(golden_field):
         (mu, mu + rational([Fraction(1, 10**9)]), -1),
     ]
     for x, y, sign in cases:
+        x, y = Embedded(x), Embedded(y)
         assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
         # the reflected operators, with y on the left
         assert (y < x, y <= x, y > x, y >= x) == (sign > 0, sign >= 0, sign < 0, sign <= 0)
@@ -155,7 +166,6 @@ def test_elements_combine_only_with_elements(golden_field):
         lambda a, b: a * b,
         lambda a, b: b * a,
         lambda a, b: a / b,
-        lambda a, b: a < b,
     )
     for r in (0, 2, Fraction(0), Fraction(1, 2)):
         for combine in operators:
@@ -169,20 +179,23 @@ def test_elements_combine_only_with_elements(golden_field):
     assert not mu == 1 and mu != 1
     assert golden_field.one != 1 and golden_field.zero != 0
     assert golden_field.element([Fraction(1, 2)]) != Fraction(1, 2)
+    # and elements are not ordered at all
+    with pytest.raises(TypeError):
+        mu < mu
 
 
 def test_order_comparison_refuses_foreign_operands(golden_field):
-    mu = golden_field.generator
-    other = RealAlgebraicField(IntPolynomial([-2, 0, 1])).generator
+    mu = Embedded(golden_field.generator)
+    other = Embedded(RealAlgebraicField(IntPolynomial([-2, 0, 1])).generator)
     for compare in (
         lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
     ):
         with pytest.raises(MixedModulusError):
             compare(mu, other)
         with pytest.raises(InvalidArgumentError):
-            compare(mu, "1")
+            compare(mu, Embedded("1"))
         with pytest.raises(InvalidArgumentError):
-            compare("1", mu)
+            compare(Embedded("1"), mu)
 
 
 def test_suborder_membership(golden_field):
@@ -412,7 +425,7 @@ def test_enclosure_matches_fraction_interval_horner(case):
     expected = fraction_reference.qeval_interval(
         fraction_reference.strip(elem.coeffs), root.lower, root.upper
     )
-    lo, hi, den = elem._enclosure(lambda lo, hi, den: True)
+    lo, hi, den, _ = next(enclosure_reference.enclosures(elem))
     assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == expected
 
 
@@ -422,17 +435,14 @@ def test_enclosure_sequence_matches_fraction_interval_horner(h):
     field = RealAlgebraicField(cos_two_pi_minpoly(2 * h))
     elem = field.element([Fraction(1, 5), Fraction(-7, 3), 0, 1])
     seen = []
-
-    def done(lo, hi, den):
+    for lo, hi, den, root in enclosure_reference.enclosures(elem):
         lo, hi = Fraction(lo, den), Fraction(hi, den)
-        root = field.root
         assert (lo, hi) == fraction_reference.qeval_interval(
             fraction_reference.strip(elem.coeffs), root.lower, root.upper
         )
         seen.append(hi - lo)
-        return hi - lo <= Fraction(1, 10**30)
-
-    elem._enclosure(done)
+        if hi - lo <= Fraction(1, 10**30):
+            break
     assert len(seen) > 1
 
 
@@ -492,7 +502,7 @@ def test_enclosure_of_a_hidden_zero_is_typed():
     modulus = IntPolynomial([-2, 0, 1]) * IntPolynomial([-1, 1])
     field = RealAlgebraicField(modulus)
     with pytest.raises(EnclosureDivergenceError) as err:
-        field.element([-2, 0, 1]).sign()
+        enclosure_reference.sign(field.element([-2, 0, 1]))
     assert isinstance(err.value, ArithmeticError) and isinstance(err.value, VeechFibError)
 
 
@@ -572,6 +582,6 @@ def test_element_arithmetic_matches_fraction_coordinates(h, data):
         assert (x == field.element([q])) == (rational and a[0] == q)
     assert x != "a" and x != 0.5
     assert x.to_json() == [f"{c.numerator}/{c.denominator}" for c in a]
-    assert x.sign() == _reference_sign(a, field)
+    assert enclosure_reference.sign(x) == _reference_sign(a, field)
     assert x.is_zero == (not any(a)) and x.is_rational == rational
     assert x.is_integral_residue == all(c.denominator == 1 for c in a)

