@@ -55,7 +55,6 @@ __getattr__, __dir__ = _lazy_exports(
             "IntPolynomial",
             "NumberFieldElement",
             "RealAlgebraicField",
-            "RootInterval",
             "element_minimal_polynomial",
             "is_irreducible_mod_p",
             "is_quadratic_nonresidue",

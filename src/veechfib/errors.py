@@ -16,10 +16,6 @@ class InvalidArgumentError(VeechFibError, ValueError):
     """An argument fails a precondition (wrong range, wrong type, ...)."""
 
 
-class NoRealRootError(VeechFibError):
-    """Root isolation was asked for a polynomial without real roots."""
-
-
 class DivisionByZeroError(VeechFibError, ZeroDivisionError):
     """Exact division by zero: by the zero polynomial, or the inverse of
     zero in a number ring."""

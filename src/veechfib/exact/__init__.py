@@ -22,9 +22,7 @@ _EXPORTS = {
         "in_order",
     ),
     "polynomials": (
-        "DEFAULT_ROOT_WIDTH",
         "IntPolynomial",
-        "RootInterval",
         "cos_two_pi_minpoly",
         "cyclotomic_polynomial",
         "divisors",
@@ -33,7 +31,6 @@ _EXPORTS = {
         "parse_polynomial",
         "prime_factors",
         "rational_to_str",
-        "squarefree_part",
     ),
 }
 

@@ -1,11 +1,12 @@
-"""Exact arithmetic in real number rings Q[x]/(m) with a chosen real root.
+"""Exact arithmetic in number rings Q[x]/(m).
 
-A RealAlgebraicField wraps a monic integer minimal polynomial together
-with a RootInterval picking out one real root, which names the
-embedding.  The interval is set once, when the field is made, and never
-refined.  Elements are not ordered and carry no sign: the library signs
-nothing, since the surface build proves its heights positive in
-integers (veechfib.thurston_veech.perron_frobenius).
+A RealAlgebraicField is the ring Q[x]/(m) of a monic integer minimal
+polynomial m, and nothing more: it holds no root and no embedding.
+Which real root x stands for is settled where the field is made, as
+the surface build certifies a bracket of mu before it makes mu's field
+(veechfib.thurston_veech.perron_frobenius).  Elements are not ordered
+and carry no sign: the library signs nothing, since the surface build
+proves its heights positive in integers.
 
 An element is one tuple of integer numerators over one positive common
 denominator, in lowest terms, so equal elements have equal data.  Sums,
@@ -37,24 +38,19 @@ from ..errors import (
     ZeroDivisorError,
 )
 from .linalg import FractionFreeEchelon
-from .polynomials import (
-    IntPolynomial,
-    isolate_largest_real_root,
-    pseudo_divmod,
-    rational_to_str,
-    scaled_integers,
-)
+from .polynomials import isolate_largest_real_root  # noqa: F401  (kept bound)
+from .polynomials import IntPolynomial, pseudo_divmod, rational_to_str, scaled_integers
 
 
 class RealAlgebraicField:
-    """The ring Q[x]/(modulus) with a distinguished real embedding.
+    """The ring Q[x]/(modulus).
 
     The modulus must be monic with integer coefficients and irreducible
     over Q in all intended uses (it is taken on faith here; division by
     a zero divisor of a reducible modulus raises ZeroDivisorError).
     """
 
-    def __init__(self, modulus, root=None):
+    def __init__(self, modulus):
         if not isinstance(modulus, IntPolynomial):
             modulus = IntPolynomial(modulus)
         if not modulus.is_monic or modulus.degree < 1:
@@ -62,9 +58,6 @@ class RealAlgebraicField:
         self.modulus = modulus
         self.degree = modulus.degree
         self._low = tuple(-c for c in modulus.coefficients[:-1])  # x^degree mod modulus
-        if root is None:
-            root = isolate_largest_real_root(modulus)
-        self.root = root
 
     def __eq__(self, other):
         return isinstance(other, RealAlgebraicField) and self.modulus == other.modulus
@@ -244,10 +237,6 @@ class NumberFieldElement:
     @property
     def is_zero(self):
         return not any(self.nums)
-
-    @property
-    def is_rational(self):
-        return not any(self.nums[1:])
 
     @property
     def is_integral_residue(self):

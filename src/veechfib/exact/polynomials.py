@@ -16,22 +16,17 @@ palindromic descent producing the minimal polynomial of
 ``2*cos(2*pi/N)`` (so ``2*cos(pi/n)`` is at N = 2n).  All of it is
 exact integer arithmetic; no floating point enters anywhere.
 
-Real roots are isolated with Sturm chains on integers: every member is
-a positive integer multiple of the usual one, and its sign at a
-rational a/d is the sign of the homogenised value d^n f(a/d), found by
+The real line enters in one place: ``isolate_largest_real_root``
+certifies a given rational bracket (lo, hi) of the largest real root by
+Sturm counts on integers, and returns it as it is.  Every member of the
+chain is a positive integer multiple of the usual one, and its sign at
+a rational a/d is the sign of the homogenised value d^n f(a/d), found by
 integer Horner in ``homogeneous_value``.  The last member of f's chain
-is a primitive gcd(f, f'): a squarefree part divides f by it, and
-isolation divides the whole chain by it, so it runs one remainder
-sequence.  The chain counts roots while the search interval shrinks to
-one root, one chain evaluation per halving, from (-B, B) for the power
-of two B = ``root_bound(f)`` above Fujiwara's bound, or from a given
-start that the counts must certify: ``two_cos_bracket`` brackets
-2cos(pi/n) in integer fixed point, from pi pinned as a dyadic constant
-and the alternating cosine series.  The result is a
-``RootInterval``, refined to any rational width by the sign of the
-squarefree part at each midpoint, through the same helper, with the
-endpoints kept as integers over one doubling denominator; refinement
-evaluates no Sturm chain.
+is a primitive gcd(f, f'), and the certificate divides the whole chain
+by it, so it runs one remainder sequence.  ``two_cos_bracket`` gives the
+bracket of 2cos(pi/n), in integer fixed point, from pi pinned as a
+dyadic constant and the alternating cosine series.  Nothing is searched
+for and nothing is bisected.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from ..errors import (
     DivisionByZeroError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
-    NoRealRootError,
     RootBracketError,
 )
 
@@ -213,17 +207,6 @@ class IntPolynomial:
                     rem[shift + i] -= c * b
         return None if any(rem) else IntPolynomial(quo)
 
-    def content(self):
-        return math.gcd(*self.coefficients)
-
-    def primitive_part(self):
-        """Content removed, leading coefficient made positive."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        sign = 1 if self.leading_coefficient > 0 else -1
-        return IntPolynomial([sign * c // g for c in self.coefficients])
-
     # -- parity -------------------------------------------------------------
 
     def odd_terms_only(self):
@@ -320,7 +303,7 @@ def rational_to_str(x):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains, squarefree parts and root isolation
+# Sturm chains and the certified bracket
 # ---------------------------------------------------------------------------
 
 
@@ -334,15 +317,6 @@ def sturm_chain(f):
     while chain[-1]:
         chain.append(_content_free([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
     return [c for c in chain if c]
-
-
-def squarefree_part(f):
-    """f with repeated roots stripped; primitive, positive leading term.
-    The last member of f's Sturm chain is a primitive gcd(f, f'), so by
-    Gauss's lemma it divides f in Z[x]."""
-    if f.degree <= 0:
-        return f.primitive_part()
-    return f.try_exact_divide(IntPolynomial(sturm_chain(f)[-1])).primitive_part()
 
 
 def sign_variations(chain, x):
@@ -361,150 +335,27 @@ def sign_variations(chain, x):
     return count
 
 
-def root_bound(f):
-    """A power of two B with every real root of the nonconstant
-    IntPolynomial f strictly inside (-B, B).
-
-    Fujiwara's bound (1916): every complex root of a_n x^n + ... + a_0
-    has modulus at most 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved.
-    B = 2^(j+1) for the least j >= 0 whose 2^j exceeds each of those
-    k-th roots, found exactly as |a_n| 2^(jk) > |a_(n-k)| (with 2 |a_n|
-    on the left for k = n), so B is above the bound, never on it."""
-    *rest, lead = (abs(c) for c in f.coefficients)
-    n, j = len(rest), 0
-    for k, c in enumerate(reversed(rest), 1):
-        scale = 2 * lead if k == n else lead
-        while scale << (j * k) <= c:
-            j += 1
-    return 2 << j
-
-
-DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
-
-
-class RootInterval:
-    """Rational interval [lower, upper] isolating one real root of polynomial.
-
-    ``refine(width)`` returns a narrower RootInterval for the same root,
-    bisecting by the sign of the squarefree part (no Sturm chain); a
-    collapsed interval (lower == upper) marks an exactly known rational
-    root.
-    """
-
-    __slots__ = ("polynomial", "lower", "upper", "_squarefree")
-
-    def __init__(self, polynomial, lower, upper, _squarefree=None):
-        self.polynomial = polynomial
-        self.lower = Fraction(lower)
-        self.upper = Fraction(upper)
-        if self.lower > self.upper:
-            raise InvalidArgumentError("interval endpoints out of order")
-        self._squarefree = _squarefree
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    @property
-    def is_exact(self):
-        return self.lower == self.upper
-
-    def refine(self, width):
-        """Shrink the interval below the requested rational width; each
-        step keeps the half across which the squarefree part changes
-        sign, and a zero at a midpoint or at upper is the root, exactly.
-
-        The bisection runs on integers: the ends are numerators lo / d
-        and hi / d over one positive denominator, which doubles at each
-        step, so the midpoint is (lo + hi) / 2d and its sign is that of
-        the homogenised value.  The endpoints returned are the same
-        rationals a Fraction bisection reaches."""
-        width = Fraction(width)
-        if width <= 0:
-            raise InvalidArgumentError("width must be positive")
-        if self.is_exact or self.width <= width:
-            return self
-        if self._squarefree is None:
-            self._squarefree = squarefree_part(self.polynomial).coefficients
-        sf = self._squarefree
-        upper_value = homogeneous_value(sf, self.upper.numerator, self.upper.denominator)
-        if upper_value == 0:
-            return RootInterval(self.polynomial, self.upper, self.upper, sf)
-        upper_positive = upper_value > 0
-        (lo, hi), d = scaled_integers((self.lower, self.upper))
-        # hi - lo > width as integers: (hi - lo) * q > p * d for width p / q
-        p, q = width.numerator, width.denominator
-        while (hi - lo) * q > p * d:
-            mid, d = lo + hi, 2 * d
-            value = homogeneous_value(sf, mid, d)
-            if value == 0:
-                lo = hi = mid
-            elif (value > 0) == upper_positive:
-                lo, hi = 2 * lo, mid
-            else:
-                lo, hi = mid, 2 * hi
-        return RootInterval(self.polynomial, Fraction(lo, d), Fraction(hi, d), sf)
-
-    def __repr__(self):
-        return f"RootInterval([{self.lower}, {self.upper}], {self.polynomial})"
-
-
-def isolate_largest_real_root(f, width=DEFAULT_ROOT_WIDTH, start=None):
-    """Isolate the largest real root of f in a rational interval.
-
-    Raises NoRealRootError when f has no real root.  The search starts
-    from (-B, B) for B = root_bound(f), or from ``start``, a pair of
-    rationals (lo, hi) bracketing the largest root (two_cos_bracket
-    gives one for 2cos(pi/n)).  A start is taken only when the Sturm
-    counts show exactly one root in (lo, hi] and, by the signs of the
-    chain's leading coefficients, none above hi; otherwise
-    RootBracketError is raised.  A Sturm chain counts roots only while
-    the interval shrinks to one; the result contains exactly the largest
-    root and has width at most ``width`` (or is an exact rational
-    point).
-    """
-    if isinstance(f, (tuple, list)):
-        f = IntPolynomial(f)
+def isolate_largest_real_root(f, start):
+    """The bracket start = (lo, hi) of the largest real root of f, as
+    Fractions, once the Sturm counts of f certify it: exactly one root
+    in (lo, hi], and none above hi, where each chain member has the sign
+    of its leading coefficient.  Any other start raises RootBracketError;
+    nothing is searched for.  Divided by gcd(f, f'), f's chain is a Sturm
+    chain of the squarefree part, which it starts with (up to sign), so
+    a repeated root counts once, also at an end of the bracket."""
     if f.is_zero:
         raise InvalidArgumentError("zero polynomial has no distinguished root")
-    if f.degree == 0:
-        raise NoRealRootError(f"{f} has no real root")
     chain = sturm_chain(f)
     gcd = IntPolynomial(chain[-1])
     if gcd.degree > 0:
-        # divided by gcd(f, f'), f's chain is a Sturm chain of the
-        # squarefree part, which it starts with (up to sign)
         chain = [IntPolynomial(m).try_exact_divide(gcd).coefficients for m in chain]
-    sf = chain[0]
-    if start is None:
-        hi = Fraction(root_bound(IntPolynomial(sf)))
-        lo = -hi
-        var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-        if var_lo == var_hi:
-            raise NoRealRootError(f"{f} has no real root")
-    else:
-        lo, hi = Fraction(start[0]), Fraction(start[1])
-        var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-        # past every root each member has the sign of its leading coefficient
-        signs = [member[-1] > 0 for member in chain]
-        var_top = sum(a != b for a, b in zip(signs, signs[1:]))
-        if var_lo - var_hi != 1 or var_hi != var_top:
-            raise RootBracketError(f"({lo}, {hi}] does not isolate the largest real root of {f}")
-    # Shrink from the left until exactly one root remains in (lo, hi].
-    # The counts at both ends are kept, so each halving evaluates the
-    # chain once, at the midpoint.
-    while var_lo - var_hi > 1:
-        mid = (lo + hi) / 2
-        var_mid = sign_variations(chain, mid)
-        if var_mid > var_hi:
-            # (mid, hi] holds a root, so a root at mid is not the largest
-            lo, var_lo = mid, var_mid
-        elif homogeneous_value(sf, mid.numerator, mid.denominator) == 0:
-            # mid is a root and none lies above it
-            return RootInterval(f, mid, mid, sf)
-        else:
-            hi, var_hi = mid, var_mid
-    return RootInterval(f, lo, hi, sf).refine(width)
+    lo, hi = Fraction(start[0]), Fraction(start[1])
+    var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+    signs = [member[-1] > 0 for member in chain]
+    var_top = sum(a != b for a, b in zip(signs, signs[1:]))
+    if var_lo - var_hi != 1 or var_hi != var_top:
+        raise RootBracketError(f"({lo}, {hi}] does not isolate the largest real root of {f}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

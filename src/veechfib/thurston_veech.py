@@ -9,9 +9,9 @@ dominant eigenvalue, and produces a cylinder list in which every cylinder has in
 
 Neither the dominant eigenvalue nor its eigenvector is searched for.
 mu = 2cos(pi/h) comes from the cyclotomic formula for the diagram's
-Coxeter number h (n for the n-gon, 18 for E7, 30 for E8), and its root
-interval from a fixed-point bracket of 2cos(pi/h) that the Sturm counts
-of the modulus certify (two_cos_bracket).  Every diagram is a star (the
+Coxeter number h (n for the n-gon, 18 for E7, 30 for E8), and the
+Sturm counts of the modulus certify that a fixed-point bracket of
+2cos(pi/h) (two_cos_bracket) isolates its largest root.  Every diagram is a star (the
 path A(m) has one arm), and the eigenvector has a closed form along its
 arms in the Chebyshev polynomials U_j (_star_values): as lifts in Z[x]
 (_star_lifts) and as heights in the field, from the same recurrence
@@ -43,7 +43,7 @@ staircase rescaling, by mu over the height of the longest arm's leaf,
 which the closed form proves lowest (_staircase_normalize).  The lowest
 vertical cylinder, the holonomy check's lattice basis, is a closed form
 too (c_1 on an n-gon, _Diagram on E7 / E8).  So no height is signed or
-compared, and the field's root is never refined; _checked_model refuses
+compared, and no root is refined; _checked_model refuses
 a model whose genus is not rank Q (core_curve_span_check).  There is no
 separate verify step.
 
@@ -62,7 +62,6 @@ structural check, tests that every cylinder closes up.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
@@ -265,11 +264,12 @@ def perron_frobenius(center, arms, coxeter_number):
     vertex the heights and their lifts.
 
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
-    formula: its field is that of cos_two_pi_minpoly(2h), at the largest
-    root, isolated from the start two_cos_bracket(h) that the Sturm
-    counts of the modulus certify (RootBracketError otherwise).  The
-    candidate eigenvector is the star's closed form, given twice: one
-    integer polynomial lift in mu per vertex (_star_lifts), and the same
+    formula.  The Sturm counts of m_mu = cos_two_pi_minpoly(2h) first
+    certify that two_cos_bracket(h) isolates its largest root
+    (RootBracketError otherwise); then mu is the generator of the field
+    Q[x]/(m_mu), which holds no root of its own.  The candidate
+    eigenvector is the star's closed form, given twice: one integer
+    polynomial lift in mu per vertex (_star_lifts), and the same
     polynomials evaluated at mu in the field (_star_heights), so no lift
     is reduced.  Each row of adjacency * lifts = x * lifts, in adjacency
     order (blacks, then whites), is checked as one residual in Z[x], sum
@@ -310,7 +310,8 @@ def perron_frobenius(center, arms, coxeter_number):
         )
     lifts = _star_lifts(center, arms)
     modulus = cos_two_pi_minpoly(2 * coxeter_number)
-    fld = RealAlgebraicField(modulus, isolate_largest_real_root(modulus, Fraction(1, 2**30), start))
+    isolate_largest_real_root(modulus, start)
+    fld = RealAlgebraicField(modulus)
     coefficients = [lifts[v].coefficients for v in blacks + whites]
     for row, own in zip(graph.neighbours, coefficients):
         residual = [0] + [-c for c in own]

@@ -4,15 +4,18 @@ reference route for the surface build's integer proofs.
 This is the real embedding the library used before the build proved its
 heights positive in integers and read its lowest vertical height off a
 closed form: an element's residue is evaluated by interval Horner over a
-root interval of its field, refined by width/4 until the bounds decide.
-The field's own interval is never changed: each sign refines its own
-copy, from the field's interval or from a narrower one the caller
-passes.  ``Embedded`` orders elements by their embedding, for ``min``
-and the comparison operators; this only serves tests.
+root interval (lower, upper) of its field's modulus, refined by width/4
+(root_refine_reference.bisect_by_signs) until the bounds decide.  A
+field holds no root: the interval is the one the caller passes, or else
+the one root_refine_reference isolates around the modulus's largest
+root from Fujiwara's bound.  ``Embedded`` orders elements by that
+embedding, for ``min`` and the comparison operators; this only serves
+tests.
 """
 
 import functools
 
+import root_refine_reference
 from veechfib.errors import InvalidArgumentError, VeechFibError
 from veechfib.exact.numberfield import NumberFieldElement
 from veechfib.exact.polynomials import scaled_integers
@@ -23,12 +26,19 @@ class EnclosureDivergenceError(VeechFibError, ArithmeticError):
     value from zero, as for a zero divisor of a reducible modulus."""
 
 
+@functools.lru_cache(maxsize=None)
+def largest_root(modulus):
+    """The reference's interval (lower, upper) around the largest real
+    root of modulus, at its default width."""
+    return root_refine_reference.isolate_largest_real_root(modulus)
+
+
 def enclosures(elem, root=None):
     """Rational bounds lo / den <= value <= hi / den, as the integers
     (lo, hi, den) with den > 0, and the root interval they were read on:
-    first over root (the field's interval by default), then over each
-    refinement of it by width/4, up to 400; at an exact root lo == hi and
-    the sequence ends.
+    first over root (largest_root of the modulus by default), then over
+    each refinement of it by width/4, up to 400; at an exact root
+    lo == hi and the sequence ends.
 
     Horner runs on the integer numerators over the common denominator D
     of the element and e of the interval: after k steps the bounds are
@@ -41,12 +51,13 @@ def enclosures(elem, root=None):
     nums = list(elem.nums)
     while nums and not nums[-1]:
         nums.pop()
-    root = root or elem.field.root
+    modulus = elem.field.modulus
+    root = root or largest_root(modulus)
     if not nums:
         yield 0, 0, 1, root
         return
     for _ in range(400):
-        (p, q), e = scaled_integers((root.lower, root.upper))
+        (p, q), e = scaled_integers(root)
         alo = ahi = 0
         scale = 1
         if p >= 0:
@@ -60,20 +71,21 @@ def enclosures(elem, root=None):
                 alo, ahi = min(products) + c * scale, max(products) + c * scale
                 scale *= e
         yield alo, ahi, elem.den * scale // e, root
-        if root.is_exact:
+        lower, upper = root
+        if lower == upper:
             return
-        root = root.refine(root.width / 4)
+        root = root_refine_reference.bisect_by_signs(modulus, lower, upper, (upper - lower) / 4)
     raise EnclosureDivergenceError("root enclosure did not converge")
 
 
 def sign(elem, root=None):
-    """Sign of the element under the field's distinguished embedding,
-    refining from root (the field's interval by default)."""
-    if elem.is_rational:
+    """Sign of the element under the embedding at root, refining from
+    root (largest_root of the modulus by default)."""
+    if not any(elem.nums[1:]):
         c = elem.nums[0]
         return (c > 0) - (c < 0)
     for lo, hi, _, root in enclosures(elem, root):
-        if lo > 0 or hi < 0 or root.is_exact:
+        if lo > 0 or hi < 0 or root[0] == root[1]:
             return 1 if lo > 0 else (-1 if hi < 0 else 0)
 
 

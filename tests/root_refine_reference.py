@@ -1,42 +1,70 @@
-"""Sturm-count root refinement: the reference for RootInterval.refine.
+"""Sturm-count root isolation and refinement: the general real-root
+route that tests compare the library's certified brackets against.
 
-This is the refinement the library used before it bisected by sign
-changes: every step evaluates the whole Sturm chain at the midpoint and
-at the upper end, and keeps (mid, hi] while it still counts a root.  The
-isolation around it is the library's shrink loop, unchanged and started
-from the same (-B, B) with B = root_bound, so the two routes differ
-only in how they refine.  The squarefree part is f over its Fraction
-gcd with f', not the library's, so the reference runs two remainder
-sequences where the library runs one.  Endpoints are returned as
+The library isolates nothing: it certifies the bracket two_cos_bracket
+gives for mu and returns it.  Here the largest real root is searched for
+by halving (-B, B), with B = ``root_bound`` above Fujiwara's bound, and
+refined by Sturm counts: every step evaluates the whole Sturm chain at
+the midpoint and at the upper end, and keeps (mid, hi] while it still
+counts a root.  The squarefree
+part is f over its Fraction gcd with f'.  Endpoints are returned as
 (lower, upper) Fraction pairs; this only serves tests.
 
-``bisect_by_signs`` is the sign bisection the library ran on Fraction
-endpoints before it bisected on integer numerators over one doubling
-denominator: the midpoint is the reduced Fraction (lo + hi) / 2.
+``bisect_by_signs`` refines an interval by the sign of the squarefree
+part at each Fraction midpoint (lo + hi) / 2; it is the refinement the
+enclosure reference runs.
 """
 
+import functools
 import math
 from fractions import Fraction
 
 import fraction_reference
 from fraction_reference import qeval
-from veechfib.errors import InvalidArgumentError, NoRealRootError
-from veechfib.exact.polynomials import (
-    DEFAULT_ROOT_WIDTH,
-    IntPolynomial,
-    root_bound,
-    sign_variations,
-    sturm_chain,
-)
+from veechfib.errors import InvalidArgumentError, VeechFibError
+from veechfib.exact.polynomials import IntPolynomial, sign_variations, sturm_chain
+
+DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
 
 
+class NoRealRootError(VeechFibError):
+    """The polynomial has no real root to isolate."""
+
+
+def primitive_part(f):
+    """f over its content, with a positive leading coefficient."""
+    if f.is_zero:
+        return f
+    g = math.gcd(*f.coefficients) * (1 if f.leading_coefficient > 0 else -1)
+    return IntPolynomial([c // g for c in f.coefficients])
+
+
+def root_bound(f):
+    """A power of two B with every real root of the nonconstant
+    IntPolynomial f strictly inside (-B, B).
+
+    Fujiwara's bound (1916): every complex root of a_n x^n + ... + a_0
+    has modulus at most 2 max_k |a_(n-k) / a_n|^(1/k), with a_0 halved.
+    B = 2^(j+1) for the least j >= 0 whose 2^j exceeds each of those
+    k-th roots, found exactly as |a_n| 2^(jk) > |a_(n-k)| (with 2 |a_n|
+    on the left for k = n), so B is above the bound, never on it."""
+    *rest, lead = (abs(c) for c in f.coefficients)
+    n, j = len(rest), 0
+    for k, c in enumerate(reversed(rest), 1):
+        scale = 2 * lead if k == n else lead
+        while scale << (j * k) <= c:
+            j += 1
+    return 2 << j
+
+
+@functools.lru_cache(maxsize=None)
 def squarefree_part(f):
     """f divided by its monic gcd with f' over Q, scaled to a primitive
     integer polynomial with a positive leading term."""
     gcd = fraction_reference.gcd(f.coefficients, fraction_reference.derivative(f.coefficients))
     quotient = fraction_reference.divide(f.coefficients, gcd)[0]
     den = math.lcm(*(c.denominator for c in quotient))
-    return IntPolynomial([c * den for c in quotient]).primitive_part()
+    return primitive_part(IntPolynomial([c * den for c in quotient]))
 
 
 def count_roots_in(chain, lo, hi):

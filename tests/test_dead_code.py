@@ -1,0 +1,78 @@
+"""No definition in src/veechfib that the program never loads.
+
+An AST scan lists every module-level function or class, and every
+non-dunder method of a module-level class, whose name src/ never loads,
+as a Name or as an attribute.  An import, a name in an export table and
+a test do not count.  Each name found must be on the allow-list below,
+with its reason.
+
+The scan matches names, not call graphs.  A load of a name counts for
+every definition of that name, wherever it stands.  And it cannot see a
+name that is loaded only from a dead branch: root_bound was loaded once,
+by the search branch of the root isolator that no program caller took,
+and it passed this scan.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "veechfib"
+
+ALLOWED = {
+    ("veechfib.exact.finitefield", "FiniteFieldSpec.elements"):
+        "goes once the benchmark change of ROADMAP item 2(d) lands",
+    ("veechfib.exact.linalg", "charpoly"):
+        "a tracer span site; ROADMAP item 1(a) gives it a program caller",
+    ("veechfib.exact.numberfield", "element_minimal_polynomial"):
+        "a tracer span site; ROADMAP item 17 drops it",
+    ("veechfib.invariants", "kappa_bound_check"):
+        "kept on purpose, ROADMAP item 7",
+    ("veechfib.thurston_veech", "gluing_check"):
+        "pins the even n-gon finding of ROADMAP item 18",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of each module-level function or class and
+    each non-dunder method of a module-level class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _loaded(tree):
+    """Every name tree loads, as a Name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unloaded_definitions():
+    """(module, qualified name) of every definition in src/veechfib whose
+    name src/ never loads."""
+    modules = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        modules[module] = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = set().union(*map(_loaded, modules.values()))
+    return {
+        (module, qualified)
+        for module, tree in modules.items()
+        for qualified, name in _definitions(tree)
+        if name not in loaded
+    }
+
+
+def test_every_unloaded_definition_is_allowed_with_a_reason():
+    found = unloaded_definitions()
+    assert found <= ALLOWED.keys(), sorted(found - ALLOWED.keys())
+    # an entry the program loads again is stale
+    assert found == ALLOWED.keys(), sorted(ALLOWED.keys() - found)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import enclosure_reference
 import fraction_reference
 import power_basis_reference as reference
+import root_refine_reference
 from enclosure_reference import EnclosureDivergenceError, Embedded
 from power_basis_reference import power
 from veechfib.errors import (
@@ -25,11 +26,7 @@ from veechfib.exact.numberfield import (
     element_minimal_polynomial,
     in_order,
 )
-from veechfib.exact.polynomials import (
-    IntPolynomial,
-    RootInterval,
-    cos_two_pi_minpoly,
-)
+from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly
 from veechfib.thurston_veech import perron_frobenius
 
 
@@ -102,7 +99,6 @@ def test_real_embedding_sign_and_order(golden_field):
     # the enclosure reference; the elements themselves carry no order
     sign = enclosure_reference.sign
     mu = golden_field.generator
-    root = golden_field.root.lower, golden_field.root.upper
     assert sign(mu) == 1
     assert sign(-mu) == -1
     assert sign(golden_field.zero) == 0
@@ -111,8 +107,8 @@ def test_real_embedding_sign_and_order(golden_field):
     # (1 + sqrt(5)) / 2 = 1.6180339887...
     assert Embedded(golden_field.element([Fraction(16180339887, 10**10)])) < Embedded(mu)
     assert Embedded(mu) < Embedded(golden_field.element([Fraction(16180339888, 10**10)]))
-    # the field's root interval is the one it was made with
-    assert (golden_field.root.lower, golden_field.root.upper) == root
+    # the field is the ring alone: it holds no root to sign by
+    assert not hasattr(golden_field, "root")
     for compare in (
         lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b
     ):
@@ -302,19 +298,23 @@ def _cos_field(h):
 
 
 @st.composite
-def _fields(draw):
-    """A field of 2cos(pi/h), h <= 40, with its isolated root, or a
-    random monic modulus with an arbitrary rational interval standing in
-    for the root (products never look at it; enclosures take it as
-    given)."""
+def _fields_with_roots(draw):
+    """(field, root): a field of 2cos(pi/h), h <= 40, with None for the
+    reference's isolated root, or a random monic modulus with an
+    arbitrary rational interval standing in for the root (enclosures
+    take it as given)."""
     if draw(st.booleans()):
-        return _cos_field(draw(st.integers(2, 40)))
+        return _cos_field(draw(st.integers(2, 40))), None
     lower = draw(st.integers(1, 8))
     coeffs = draw(st.lists(st.integers(-30, 30), min_size=lower, max_size=lower)) + [1]
-    modulus = IntPolynomial(coeffs)
     lo = draw(st.fractions(-4, 4, max_denominator=2**20))
     hi = lo + draw(st.fractions(0, 1, max_denominator=2**20))
-    return RealAlgebraicField(modulus, RootInterval(modulus, lo, hi))
+    return RealAlgebraicField(coeffs), (lo, hi)
+
+
+def _fields():
+    """A field of _fields_with_roots; products never look at a root."""
+    return _fields_with_roots().map(lambda pair: pair[0])
 
 
 def _coordinates(draw, field, count=None):
@@ -362,8 +362,7 @@ _GENERATOR_MODULI = ([2, 0, -4, 0, 1], [-1, -1, 1], [1, -3, 0, 1], [-2, 0, 1])
 @given(data=st.data())
 def test_division_by_the_generator_matches_the_product_by_its_inverse(data):
     if data.draw(st.booleans()):
-        modulus = IntPolynomial(data.draw(st.sampled_from(_GENERATOR_MODULI)))
-        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 2))
+        field = RealAlgebraicField(data.draw(st.sampled_from(_GENERATOR_MODULI)))
     else:
         field = data.draw(_fields())
     if not field.modulus.coefficients[0]:
@@ -391,8 +390,7 @@ def test_product_by_the_generator_matches_the_product(data):
 def test_division_by_a_vanishing_generator_is_typed():
     # x is zero in Q[x]/(x), and a zero divisor in Q[x]/(x^2 + x)
     for coeffs, error in (([0, 1], DivisionByZeroError), ([0, 1, 1], ZeroDivisorError)):
-        modulus = IntPolynomial(coeffs)
-        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 0))
+        field = RealAlgebraicField(coeffs)
         for route in (field.one.over_generator, field.generator.inverse):
             with pytest.raises(error):
                 route()
@@ -400,14 +398,14 @@ def test_division_by_a_vanishing_generator_is_typed():
 
 @st.composite
 def _field_elements(draw):
-    field = draw(_fields())
-    return field, _coordinates(draw, field)
+    field, root = draw(_fields_with_roots())
+    return field, _coordinates(draw, field), root
 
 
-def _interval_field(lower, upper):
-    """A quartic field whose root interval is [lower, upper], as given."""
-    modulus = IntPolynomial([1, 0, -10, 0, 1])
-    return RealAlgebraicField(modulus, RootInterval(modulus, lower, upper))
+def _quartic_case(lower, upper, coordinates):
+    """An element of a quartic field, with [lower, upper] as its root
+    interval."""
+    return RealAlgebraicField([1, 0, -10, 0, 1]), coordinates, (lower, upper)
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,17 +413,14 @@ def _interval_field(lower, upper):
 # one root interval of each sign, so both Horner branches run on every
 # run: negative and straddling 0 (four products), and lower = 0 (two),
 # where each bound is negative at one step and nonnegative at another
-@example(case=(_interval_field(Fraction(-7, 2), Fraction(-1, 3)), [3, -5, Fraction(2, 7), 4]))
-@example(case=(_interval_field(Fraction(-2, 3), Fraction(5, 4)), [Fraction(1, 2), -4, 7, -3]))
-@example(case=(_interval_field(0, Fraction(3, 2)), [-6, -6, 5, -3]))
+@example(case=_quartic_case(Fraction(-7, 2), Fraction(-1, 3), [3, -5, Fraction(2, 7), 4]))
+@example(case=_quartic_case(Fraction(-2, 3), Fraction(5, 4), [Fraction(1, 2), -4, 7, -3]))
+@example(case=_quartic_case(0, Fraction(3, 2), [-6, -6, 5, -3]))
 def test_enclosure_matches_fraction_interval_horner(case):
-    field, coordinates = case
+    field, coordinates, root = case
     elem = field.element(coordinates)
-    root = field.root
-    expected = fraction_reference.qeval_interval(
-        fraction_reference.strip(elem.coeffs), root.lower, root.upper
-    )
-    lo, hi, den, _ = next(enclosure_reference.enclosures(elem))
+    lo, hi, den, root = next(enclosure_reference.enclosures(elem, root))
+    expected = fraction_reference.qeval_interval(fraction_reference.strip(elem.coeffs), *root)
     assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == expected
 
 
@@ -438,7 +433,7 @@ def test_enclosure_sequence_matches_fraction_interval_horner(h):
     for lo, hi, den, root in enclosure_reference.enclosures(elem):
         lo, hi = Fraction(lo, den), Fraction(hi, den)
         assert (lo, hi) == fraction_reference.qeval_interval(
-            fraction_reference.strip(elem.coeffs), root.lower, root.upper
+            fraction_reference.strip(elem.coeffs), *root
         )
         seen.append(hi - lo)
         if hi - lo <= Fraction(1, 10**30):
@@ -467,7 +462,7 @@ def test_inverse_on_reducible_moduli_matches_fraction_extended_euclid(data):
         for n in (1, data.draw(st.integers(1, 3)))
     ]
     modulus = factors[0] * factors[1]
-    field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 1))
+    field = RealAlgebraicField(modulus)
     coords = _coordinates(data.draw, field)
     if data.draw(st.booleans()):
         coords = list((IntPolynomial([data.draw(st.integers(1, 5))]) * factors[0]).coefficients)
@@ -526,14 +521,16 @@ def _element_coordinates(draw, field):
 
 
 def _reference_sign(coords, field):
-    """Sign by Fraction interval Horner, refining a copy of the root."""
+    """Sign by Fraction interval Horner, refining the enclosures' first
+    root interval by Sturm counts."""
     f = fraction_reference.strip(coords)
-    root = field.root
+    modulus = field.modulus
+    lower, upper = enclosure_reference.largest_root(modulus)
     for _ in range(200):
-        lo, hi = fraction_reference.qeval_interval(f, root.lower, root.upper)
+        lo, hi = fraction_reference.qeval_interval(f, lower, upper)
         if lo > 0 or hi < 0 or lo == hi:
             return (lo > 0) - (hi < 0)
-        root = root.refine(root.width / 4)
+        lower, upper = root_refine_reference.refine(modulus, lower, upper, (upper - lower) / 4)
     raise AssertionError("reference enclosure did not converge")
 
 
@@ -583,5 +580,5 @@ def test_element_arithmetic_matches_fraction_coordinates(h, data):
     assert x != "a" and x != 0.5
     assert x.to_json() == [f"{c.numerator}/{c.denominator}" for c in a]
     assert enclosure_reference.sign(x) == _reference_sign(a, field)
-    assert x.is_zero == (not any(a)) and x.is_rational == rational
+    assert x.is_zero == (not any(a))
     assert x.is_integral_residue == all(c.denominator == 1 for c in a)

@@ -16,7 +16,6 @@ from veechfib.errors import (
     DivisionByZeroError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
-    NoRealRootError,
     RootBracketError,
     UnsupportedFamilyError,
     VeechFibError,
@@ -26,7 +25,6 @@ from veechfib.exact.polynomials import (
     BRACKET_BITS,
     MAX_PARSED_DEGREE,
     IntPolynomial,
-    RootInterval,
     _chebyshev_polys,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
@@ -37,9 +35,7 @@ from veechfib.exact.polynomials import (
     parse_polynomial,
     prime_factors,
     rational_to_str,
-    root_bound,
     scaled_integers,
-    squarefree_part,
     sturm_chain,
     two_cos_bracket,
 )
@@ -117,42 +113,46 @@ def test_minpoly_two_cos_degree_monic_and_root(n):
     m = cos_two_pi_minpoly(2 * n)
     assert m.is_monic
     assert m.degree == euler_phi(2 * n) // 2
-    interval = isolate_largest_real_root(m, Fraction(1, 10**12))
+    lo, hi = isolate_largest_real_root(m, two_cos_bracket(n))
     value = 2 * math.cos(math.pi / n)
-    assert float(interval.lower) - 1e-12 <= value <= float(interval.upper) + 1e-12
+    assert float(lo) - 1e-12 <= value <= float(hi) + 1e-12
 
 
 def test_isolate_largest_real_root_examples():
-    exact = isolate_largest_real_root(IntPolynomial([-1, 1]))
-    assert exact.is_exact and exact.lower == 1
-
-    golden = isolate_largest_real_root(IntPolynomial([-1, -1, 1]), Fraction(1, 10))
-    assert Fraction(3, 2) <= golden.lower and golden.upper <= Fraction(17, 10)
-
-    with pytest.raises(NoRealRootError):
-        isolate_largest_real_root(IntPolynomial([1, 0, 1]))
-
-
-def test_root_interval_refinement_default_width():
-    interval = isolate_largest_real_root(IntPolynomial([-1, -1, 1]))
-    assert interval.width <= Fraction(1, 10**20)
-    narrower = interval.refine(Fraction(1, 10**40))
-    assert narrower.width <= Fraction(1, 10**40)
-    golden = (1 + 5**0.5) / 2
-    assert float(narrower.lower) <= golden <= float(narrower.upper) + 1e-15
+    # a certified bracket comes back as it was given, as Fractions; the
+    # root may sit at its upper end, not at its lower one
+    linear = IntPolynomial([-1, 1])
+    certified = isolate_largest_real_root(linear, (0, 1))
+    assert certified == (0, 1) and all(type(end) is Fraction for end in certified)
+    golden = IntPolynomial([-1, -1, 1])
+    bracket = (Fraction(3, 2), Fraction(17, 10))
+    assert isolate_largest_real_root(golden, bracket) == bracket
+    for f, start in ((linear, (1, 2)), (golden, (-1, 2)), (IntPolynomial([1, 0, 1]), (-9, 9))):
+        with pytest.raises(RootBracketError):
+            isolate_largest_real_root(f, start)
+    with pytest.raises(InvalidArgumentError):
+        isolate_largest_real_root(IntPolynomial(), (0, 1))
 
 
 def test_isolate_picks_largest_root():
-    # roots 1, 2, 3: the interval must contain only 3
+    # roots 1, 2, 3: only a bracket holding 3 alone is certified
     f = IntPolynomial([-1, 1]) * IntPolynomial([-2, 1]) * IntPolynomial([-3, 1])
-    interval = isolate_largest_real_root(f, Fraction(1, 100))
-    assert interval.lower > Fraction(5, 2)
-    assert interval.lower <= 3 <= interval.upper
+    lo, hi = reference.isolate_largest_real_root(f, Fraction(1, 100))
+    assert Fraction(5, 2) < lo <= 3 <= hi
+    assert isolate_largest_real_root(f, (Fraction(5, 2), 4)) == (Fraction(5, 2), 4)
+    # two roots, the root 2 alone, and the root 1 at the upper end
+    for start in ((Fraction(3, 2), 4), (Fraction(3, 2), Fraction(5, 2)), (0, 1)):
+        with pytest.raises(RootBracketError):
+            isolate_largest_real_root(f, start)
 
 
 def test_squarefree_part():
+    # the last Sturm member is a primitive gcd(f, f'), and f over it is
+    # the squarefree part the reference finds by Fraction Euclid
     f = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([0, 1])
-    assert squarefree_part(f) == IntPolynomial([-1, 1]) * IntPolynomial([0, 1])
+    quotient = f.try_exact_divide(IntPolynomial(sturm_chain(f)[-1]))
+    expected = IntPolynomial([-1, 1]) * IntPolynomial([0, 1])
+    assert reference.primitive_part(quotient) == expected == reference.squarefree_part(f)
 
 
 def test_parse_and_str():
@@ -221,20 +221,15 @@ def test_divisors_match_brute_force():
 _WIDTHS = (Fraction(1, 2**30), Fraction(1, 10**25))
 
 
-def _bounds(interval):
-    return interval.lower, interval.upper
-
-
 @pytest.mark.parametrize("h", range(3, 71))
 def test_refinement_matches_sturm_reference_on_cos_minpolys(h):
-    # the isolation at the coarser width is compared whole; the finer
-    # width continues the same bisection from there
+    # the enclosures refine the certified bracket by signs; refined by
+    # Sturm counts from the same bracket, it reaches the same rationals
     f = cos_two_pi_minpoly(2 * h)
-    coarse, fine = _WIDTHS
-    interval = isolate_largest_real_root(f, coarse)
-    assert _bounds(interval) == reference.isolate_largest_real_root(f, coarse)
-    expected = reference.refine(f, interval.lower, interval.upper, fine)
-    assert _bounds(interval.refine(fine)) == expected
+    bracket = isolate_largest_real_root(f, two_cos_bracket(h))
+    for width in _WIDTHS:
+        expected = reference.refine(f, *bracket, width)
+        assert reference.bisect_by_signs(f, *bracket, width) == expected
 
 
 _ROOTS = st.lists(
@@ -256,21 +251,21 @@ _QUADRATICS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(roots=_ROOTS, quadratic=_QUADRATICS)
 def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadratic):
+    # every interval the reference isolates around the largest root is
+    # certified as it is, and from a coarse one both refinements agree
     f = IntPolynomial([1])
     for r in roots:
         f = f * IntPolynomial([-r.numerator, r.denominator])
     if quadratic is not None:
         f = f * IntPolynomial([quadratic[1], quadratic[0], 1])
     for width in _WIDTHS:
-        interval = isolate_largest_real_root(f, width)
-        assert _bounds(interval) == reference.isolate_largest_real_root(f, width)
-    start = isolate_largest_real_root(f, Fraction(1, 4))
+        interval = reference.isolate_largest_real_root(f, width)
+        if interval[0] < interval[1]:
+            assert isolate_largest_real_root(f, interval) == interval
+    start = reference.isolate_largest_real_root(f, Fraction(1, 4))
     for width in _WIDTHS:
-        expected = reference.refine(f, start.lower, start.upper, width)
-        assert _bounds(start.refine(width)) == expected
-        # built directly, the interval computes its squarefree part itself
-        direct = RootInterval(f, start.lower, start.upper)
-        assert _bounds(direct.refine(width)) == expected
+        expected = reference.refine(f, *start, width)
+        assert reference.bisect_by_signs(f, *start, width) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,12 +274,13 @@ def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadrati
 @example(roots=[Fraction(1)], quadratic=None)
 @example(roots=[Fraction(-16)], quadratic=None)
 def test_root_bound_is_a_power_of_two_above_every_real_root(roots, quadratic):
+    # the bound the reference isolation starts from
     f = IntPolynomial([1])
     for r in roots:
         f = f * IntPolynomial([-r.numerator, r.denominator])
     if quadratic is not None:
         f = f * IntPolynomial([quadratic[1], quadratic[0], 1])
-    bound = root_bound(f)
+    bound = reference.root_bound(f)
     assert isinstance(bound, int) and bound > 0 and bound & (bound - 1) == 0
     assert all(-bound < r < bound for r in roots)
     if quadratic is not None and quadratic[0] ** 2 - 4 * quadratic[1] > 0:
@@ -295,24 +291,6 @@ def test_root_bound_is_a_power_of_two_above_every_real_root(roots, quadratic):
         assert -2 * bound < b < 2 * bound
 
 
-def test_isolation_starts_from_the_power_of_two_bound(monkeypatch):
-    # Psi_502 = minimal polynomial of 2cos(2pi/502): its roots lie in
-    # (-2, 2), its coefficients reach 1.1 * 10^25, and the bound is 32, so the
-    # shrink loop evaluates the chain 18 times (94 from Cauchy's bound)
-    f = cos_two_pi_minpoly(502)
-    assert root_bound(f) == 32
-    calls = []
-    original = polynomials.sign_variations
-
-    def counted(chain, x):
-        calls.append(x)
-        return original(chain, x)
-
-    monkeypatch.setattr(polynomials, "sign_variations", counted)
-    isolate_largest_real_root(f, Fraction(1, 2**30))
-    assert len(calls) <= 20
-
-
 _MULTIPLICITIES = st.lists(st.integers(1, 3), min_size=5, max_size=5)
 
 
@@ -321,6 +299,9 @@ _MULTIPLICITIES = st.lists(st.integers(1, 3), min_size=5, max_size=5)
 # the squarefree part x(x - 5) has its double root 0 at the first midpoint
 @example(roots=[Fraction(0), Fraction(5)], multiplicities=[2, 1, 1, 1, 1], quadratic=None)
 def test_isolation_matches_sturm_reference_on_repeated_roots(roots, multiplicities, quadratic):
+    # a repeated root counts once: the reference's interval around the
+    # largest root is certified as it is; an exact one, (r, r], is empty,
+    # and (r, r + 1] holds no root
     f = IntPolynomial([1])
     for r, k in zip(roots, multiplicities):
         for _ in range(k):
@@ -329,8 +310,24 @@ def test_isolation_matches_sturm_reference_on_repeated_roots(roots, multipliciti
         q = IntPolynomial([quadratic[1], quadratic[0], 1])
         f = f * q * q
     for width in _WIDTHS:
-        interval = isolate_largest_real_root(f, width)
-        assert _bounds(interval) == reference.isolate_largest_real_root(f, width)
+        lo, hi = reference.isolate_largest_real_root(f, width)
+        if lo < hi:
+            assert isolate_largest_real_root(f, (lo, hi)) == (lo, hi)
+        else:
+            for start in ((lo, hi), (hi, hi + 1)):
+                with pytest.raises(RootBracketError):
+                    isolate_largest_real_root(f, start)
+
+
+def test_a_repeated_root_at_the_upper_end_is_certified():
+    # (x - 2)^3 (x^2 + 1)^2 (x + 1): every member of the undivided chain
+    # vanishes at 2, and the chain divided by gcd(f, f') counts 2 once
+    f = IntPolynomial([-2, 1]) * IntPolynomial([-2, 1]) * IntPolynomial([-2, 1])
+    f = f * IntPolynomial([1, 0, 1]) * IntPolynomial([1, 0, 1]) * IntPolynomial([1, 1])
+    assert isolate_largest_real_root(f, (0, 2)) == (0, 2)
+    for start in ((-2, 2), (2, 3), (0, 1)):
+        with pytest.raises(RootBracketError):
+            isolate_largest_real_root(f, start)
 
 
 @pytest.mark.parametrize("h", (5, 18, 30, 37, 64))
@@ -347,51 +344,36 @@ def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
         return original(*args)
 
     monkeypatch.setattr(polynomials, "pseudo_divmod", counted)
-    isolate_largest_real_root(f, Fraction(1, 2**30))
+    isolate_largest_real_root(f, two_cos_bracket(h))
     assert len(calls) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    coeffs=st.lists(st.integers(-30, 30), min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
-    lower=st.fractions(min_value=-20, max_value=20, max_denominator=50),
-    length=st.fractions(min_value=Fraction(1, 1000), max_value=30, max_denominator=1000),
-    width=st.fractions(min_value=Fraction(1, 10**7), max_value=40, max_denominator=10**7),
-)
-# f = (4x - 3)(x^2 - 2) on [0, 1]: the second midpoint, 3/4, is a root
-@example(coeffs=[6, -8, -3, 4], lower=Fraction(0), length=Fraction(1), width=Fraction(1, 2**30))
-# f = (x - 2)(x^2 - 1) on [3/2, 2]: the upper end is a root
-@example(coeffs=[2, -1, -2, 1], lower=Fraction(3, 2), length=Fraction(1, 2), width=Fraction(1, 9))
-def test_integer_bisection_matches_fraction_bisection(coeffs, lower, length, width):
-    # any interval, with or without a sign change in it: both routes take
-    # the same half at every step, so the endpoints are the same rationals
-    f = IntPolynomial(coeffs)
-    refined = RootInterval(f, lower, lower + length).refine(width)
-    expected = reference.bisect_by_signs(f, lower, lower + length, width)
-    assert _bounds(refined) == expected
-    assert all(type(end) is Fraction for end in _bounds(refined))
-
-
 def test_refinement_midpoint_on_a_rational_root():
-    # roots 0 and 3/4; (0, 1] isolates 3/4, and the second midpoint is 3/4
+    # roots 0 and 3/4; (0, 1] isolates 3/4, and the second midpoint is
+    # 3/4: both reference refinements collapse onto it
     f = IntPolynomial([0, 1]) * IntPolynomial([-3, 4])
-    refined = RootInterval(f, 0, 1).refine(Fraction(1, 2**30))
-    assert refined.is_exact and refined.lower == Fraction(3, 4)
-    assert _bounds(refined) == reference.refine(f, 0, 1, Fraction(1, 2**30))
+    assert isolate_largest_real_root(f, (0, 1)) == (0, 1)
+    width = Fraction(1, 2**30)
+    refined = reference.bisect_by_signs(f, 0, 1, width)
+    assert refined == reference.refine(f, 0, 1, width) == (Fraction(3, 4), Fraction(3, 4))
 
 
 def test_refinement_of_an_interval_whose_upper_end_is_the_root():
     # roots -1, 1, 2; (3/2, 2] isolates 2 at its upper end.  The Sturm
-    # count on (mid, 2] keeps finding it, so the reference closes in on 2
-    # from below; refinement by signs returns it exactly.
+    # count on (mid, 2] keeps finding it, so the Sturm refinement closes
+    # in on 2 from below; refinement by signs returns it exactly.
     f = IntPolynomial([-2, 1]) * IntPolynomial([-1, 0, 1])
-    refined = RootInterval(f, Fraction(3, 2), 2).refine(Fraction(1, 2**30))
-    assert refined.is_exact and refined.lower == 2
-    lo, hi = reference.refine(f, Fraction(3, 2), 2, Fraction(1, 2**30))
-    assert hi == 2 and hi - lo <= Fraction(1, 2**30)
+    assert isolate_largest_real_root(f, (Fraction(3, 2), 2)) == (Fraction(3, 2), 2)
+    width = Fraction(1, 2**30)
+    assert reference.bisect_by_signs(f, Fraction(3, 2), 2, width) == (2, 2)
+    lo, hi = reference.refine(f, Fraction(3, 2), 2, width)
+    assert hi == 2 and hi - lo <= width
 
 
 def test_no_sturm_chain_after_isolation(monkeypatch):
+    # a cold build evaluates the Sturm chain of m_mu at the two ends of
+    # its bracket and nowhere else; the enclosure route signs elements by
+    # refining that bracket by signs, with no Sturm chain
     from veechfib.thurston_veech import build_surface
 
     calls = []
@@ -402,16 +384,16 @@ def test_no_sturm_chain_after_isolation(monkeypatch):
         return original(chain, x)
 
     monkeypatch.setattr(polynomials, "sign_variations", counted)
-    isolate_largest_real_root(cos_two_pi_minpoly(118))
-    assert calls
     build_surface.cache_clear()
     model = build_surface("polygon-59")
+    bracket = two_cos_bracket(59)
+    assert calls == list(bracket)
     calls.clear()
-    model.mu.field.root.refine(Fraction(1, 10**40))
+    root = reference.bisect_by_signs(model.mu.field.modulus, *bracket, Fraction(1, 10**40))
     mu, rational = model.mu, model.mu.field.element
     elements = [power(mu, k) - rational([k + 1]) for k in range(1, 11)]
     elements += [rational([k]) - mu for k in range(1, 11)]
-    assert len({enclosure_reference.sign(e) for e in elements}) == 2
+    assert len({enclosure_reference.sign(e, root) for e in elements}) == 2
     assert calls == []
 
 
@@ -452,18 +434,15 @@ def _model_coxeter_numbers():
 
 
 def test_two_cos_bracket_starts_every_model_isolation():
-    # the bracket holds 2cos(pi/h), its Sturm counts accept it, and the
-    # interval isolated from it meets the one from Fujiwara's bound
-    width = Fraction(1, 2**30)
+    # the bracket holds 2cos(pi/h) and its Sturm counts certify it; that
+    # the reference's own isolation lies inside it is checked per model in
+    # test_thurston_veech.test_enclosure_route_agrees_with_the_integer_proofs
     for h in _model_coxeter_numbers():
         m = cos_two_pi_minpoly(2 * h)
         lo, hi = two_cos_bracket(h)
         assert lo < Fraction(2 * math.cos(math.pi / h)) < hi and hi - lo < Fraction(1, 2**30)
         assert (lo * 2**BRACKET_BITS).denominator == (hi * 2**BRACKET_BITS).denominator == 1
-        started = isolate_largest_real_root(m, width, (lo, hi))
-        default = isolate_largest_real_root(m, width)
-        assert lo <= started.lower <= started.upper <= hi and started.width <= width
-        assert max(started.lower, default.lower) <= min(started.upper, default.upper), h
+        assert isolate_largest_real_root(m, (lo, hi)) == (lo, hi), h
 
 
 def test_isolation_refuses_a_start_that_misses_the_largest_root():
@@ -493,8 +472,8 @@ def test_two_cos_bracket_refuses_h_below_three():
 
 
 def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
-    # the shrink loop keeps the counts at both ends of its interval, so
-    # no point is evaluated twice
+    # the certificate evaluates the chain at the two ends of the bracket,
+    # once each, and nowhere else
     calls = []
     original = polynomials.sign_variations
 
@@ -503,11 +482,10 @@ def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
         return original(chain, x)
 
     monkeypatch.setattr(polynomials, "sign_variations", counted)
-    for n in (128, 202):
+    for h in (64, 101):
         calls.clear()
-        isolate_largest_real_root(cos_two_pi_minpoly(n))
-        assert len(calls) > 2
-        assert len(set(calls)) == len(calls)
+        isolate_largest_real_root(cos_two_pi_minpoly(2 * h), two_cos_bracket(h))
+        assert calls == list(two_cos_bracket(h))
 
 
 _RATIONALS = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**4)
@@ -551,8 +529,6 @@ def test_non_integer_coefficients_are_refused(coeff):
     with pytest.raises(InvalidArgumentError, match="is not an integer"):
         IntPolynomial([coeff, 1])
     with pytest.raises(InvalidArgumentError):
-        isolate_largest_real_root([coeff, 1])
-    with pytest.raises(InvalidArgumentError):
         congruence_degree([coeff, 0, 1], 3, 2, True)
     assert IntPolynomial([Fraction(-4, 2), True]) == IntPolynomial([-2, 1])
 
@@ -580,8 +556,7 @@ def test_gcd_and_squarefree_part_match_fraction_euclid(f, g):
         a.coefficients, fraction_reference.derivative(a.coefficients)
     )
     assert _monic(sturm_chain(a)[-1]) == reference_gcd
-    sf = squarefree_part(a)
-    assert sf.content() == 1 and sf.leading_coefficient > 0
+    sf = a.try_exact_divide(IntPolynomial(sturm_chain(a)[-1]))
     quotient = fraction_reference.divide(a.coefficients, reference_gcd)[0]
     assert _monic(sf.coefficients) == _monic(quotient)
 

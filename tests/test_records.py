@@ -172,7 +172,8 @@ pass"""
     assert "veechfib.families" in _modules_after(code)
 
 
-# every name the package exported when it imported its submodules eagerly
+# every name the package exported when it imported its submodules
+# eagerly, less RootInterval, removed with the general root isolator
 _PACKAGE_EXPORTS = {
     "covers": (
         "CongruenceDegree", "CoverData", "MatrixGroupSpec", "OrbifoldSignature",
@@ -182,7 +183,7 @@ _PACKAGE_EXPORTS = {
     "errors": ("VeechFibError",),
     "exact": (
         "FFElement", "FiniteFieldSpec", "IntPolynomial", "NumberFieldElement",
-        "RealAlgebraicField", "RootInterval", "element_minimal_polynomial",
+        "RealAlgebraicField", "element_minimal_polynomial",
         "is_irreducible_mod_p", "is_quadratic_nonresidue", "isolate_largest_real_root",
         "parse_polynomial",
     ),

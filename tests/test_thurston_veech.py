@@ -5,8 +5,9 @@ import pytest
 
 import enclosure_reference
 import power_basis_reference
+import root_refine_reference
 from enclosure_reference import Embedded, less
-from root_refine_reference import count_roots_in
+from root_refine_reference import bisect_by_signs, count_roots_in
 from veechfib import thurston_veech
 from veechfib.errors import (
     CapExceededError,
@@ -14,18 +15,15 @@ from veechfib.errors import (
     InvalidArgumentError,
     MathematicalInconsistencyError,
     MixedModulusError,
+    RootBracketError,
     UnsupportedFamilyError,
 )
 from veechfib.exact.linalg import charpoly, rank
 from veechfib.exact.numberfield import NumberFieldElement, PowerBasis, RealAlgebraicField
 from veechfib.exact.polynomials import (
     IntPolynomial,
-    RootInterval,
     _chebyshev_polys,
     cos_two_pi_minpoly,
-    isolate_largest_real_root,
-    root_bound,
-    squarefree_part,
     sturm_chain,
     two_cos_bracket,
 )
@@ -247,7 +245,7 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
         star = thurston_veech._coxeter_star(*family)
         lifts = thurston_veech._star_lifts(*star)
         modulus = cos_two_pi_minpoly(2 * h)
-        field = RealAlgebraicField(modulus, RootInterval(modulus, 0, 2))
+        field = RealAlgebraicField(modulus)
         heights = thurston_veech._star_heights(*star, field.generator)
         assert heights == {v: field.element(lift.coefficients) for v, lift in lifts.items()}, tag
 
@@ -256,14 +254,14 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
 def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     # independent of the Perron-Frobenius certificate: the field modulus
     # divides the characteristic polynomial of the construction graph,
-    # and above the field's root interval the charpoly has one distinct
-    # real root, so mu is the largest eigenvalue
+    # and above the lower end of the bracket the build certifies, the
+    # charpoly has one distinct real root, so mu is the largest eigenvalue
     model = build_surface(tag)
     cp = charpoly(adjacency(model.construction_graph))
     assert cp.try_exact_divide(model.mu.field.modulus) is not None
-    sf = squarefree_part(cp)
-    root = model.mu.field.root
-    assert count_roots_in(sturm_chain(sf), root.lower, root_bound(sf)) == 1
+    sf = root_refine_reference.squarefree_part(cp)
+    lower = two_cos_bracket(surface_tag(tag)[1])[0]
+    assert count_roots_in(sturm_chain(sf), lower, root_refine_reference.root_bound(sf)) == 1
 
 
 def test_perron_frobenius_path_two():
@@ -518,9 +516,27 @@ def test_a_cold_build_signs_each_distinct_height_once_and_compares_none(monkeypa
         monkeypatch.setattr(enclosure_reference, name, counted)
     build_surface.cache_clear()
     model = build_surface(tag)
-    root = model.mu.field.root.refine(Fraction(1, 2**NARROW_BITS))
+    bracket = two_cos_bracket(surface_tag(tag)[1])
+    root = bisect_by_signs(model.mu.field.modulus, *bracket, Fraction(1, 2**NARROW_BITS))
     assert all(enclosure_reference.sign(h, root) == 1 for h in dict.fromkeys(model.heights))
     assert counts == {"sign": signs, "less": 0}
+
+
+def test_a_bracket_that_misses_mu_fails_the_build(monkeypatch):
+    # the build certifies two_cos_bracket(h) before it makes mu's field:
+    # with the 7-gon's bracket moved above mu, its Sturm counts refuse
+    # it, and no model enters the cache
+    original = thurston_veech.two_cos_bracket
+
+    def shifted(n):
+        lo, hi = original(n)
+        return (lo + Fraction(1, 100), hi + Fraction(1, 100)) if n == 7 else (lo, hi)
+
+    monkeypatch.setattr(thurston_veech, "two_cos_bracket", shifted)
+    build_surface.cache_clear()
+    with pytest.raises(RootBracketError, match="does not isolate the largest real root"):
+        build_surface("polygon-7")
+    assert build_surface.cache_info().currsize == 0
 
 
 def test_span_check_refuses_a_genus_above_the_rank():
@@ -626,12 +642,14 @@ def test_enclosure_route_agrees_with_the_integer_proofs(tag):
     # the enclosure minimum over the vertical cylinders, against the
     # build's integer positivity proof and closed-form lowest vertical
     model = build_surface(tag)
-    # the field keeps the root interval it was isolated with: no refinement
-    modulus, h, root = model.mu.field.modulus, surface_tag(tag)[1], model.mu.field.root
-    isolated = isolate_largest_real_root(modulus, Fraction(1, 2**30), two_cos_bracket(h))
-    assert (root.lower, root.upper) == (isolated.lower, isolated.upper)
-    # the enclosures start from one narrower copy
-    root = root.refine(Fraction(1, 2**NARROW_BITS))
+    # the field holds no root; the interval the reference isolates from
+    # Fujiwara's bound lies inside the bracket the build certifies
+    modulus, h = model.mu.field.modulus, surface_tag(tag)[1]
+    lo, hi = two_cos_bracket(h)
+    lower, upper = root_refine_reference.isolate_largest_real_root(modulus, Fraction(1, 2**34))
+    assert lo <= lower <= upper <= hi
+    # the enclosures start from it, refined by signs
+    root = bisect_by_signs(modulus, lower, upper, Fraction(1, 2**NARROW_BITS))
     assert all(enclosure_reference.sign(x, root) == 1 for x in dict.fromkeys(model.heights))
     lowest = model.vertical[model.lowest_vertical]
     assert all(

@@ -274,6 +274,7 @@ def test_every_kept_bound_name_is_a_span_site():
         ("veechfib.families", "is_irreducible_mod_p"),
         ("veechfib.families", "enumerate_prototypes"),
         ("veechfib.families", "element_minimal_polynomial"),
+        ("veechfib.exact.numberfield", "isolate_largest_real_root"),
     } | {
         ("veechfib.cli", name)
         for name in (
