@@ -62,8 +62,8 @@ class MathematicalInconsistencyError(VeechFibError):
 
 
 class RootBracketError(MathematicalInconsistencyError):
-    """A start interval given to root isolation does not hold exactly one
-    real root with none above it."""
+    """A start interval given to root isolation is not certified to hold
+    exactly one real root, a simple one, with none above it."""
 
 
 class InconsistentCoverError(MathematicalInconsistencyError):

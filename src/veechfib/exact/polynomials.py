@@ -3,12 +3,10 @@
 Polynomials are immutable ``IntPolynomial`` values holding a tuple of
 arbitrary-precision coefficients in ascending degree; the zero
 polynomial is the empty tuple.  Nothing here divides in Q[x]: a
-rational polynomial is an integer one up to a positive factor, so Sturm
-chains and field inverses run on the integer pseudo-division
-``pseudo_divmod`` (c f = q g + r, c a positive integer), with each
-remainder divided by its content (the primitive PRS; Brown 1971).
-Exact division is one integer long division, given up at the first
-step that does not divide.
+rational polynomial is an integer one up to a positive factor, so field
+inverses run on the integer pseudo-division ``pseudo_divmod`` (c f = q g
++ r, c a positive integer), with each remainder and its cofactor divided
+by their joint content (the primitive PRS; Brown 1971).
 
 The module also hosts the cyclotomic machinery: ``cyclotomic
 polynomial`` as a Moebius product of binomials x^k - 1 and the
@@ -17,16 +15,14 @@ palindromic descent producing the minimal polynomial of
 exact integer arithmetic; no floating point enters anywhere.
 
 The real line enters in one place: ``isolate_largest_real_root``
-certifies a given rational bracket (lo, hi) of the largest real root by
-Sturm counts on integers, and returns it as it is.  Every member of the
-chain is a positive integer multiple of the usual one, and its sign at
-a rational a/d is the sign of the homogenised value d^n f(a/d), found by
-integer Horner in ``homogeneous_value``.  The last member of f's chain
-is a primitive gcd(f, f'), and the certificate divides the whole chain
-by it, so it runs one remainder sequence.  ``two_cos_bracket`` gives the
-bracket of 2cos(pi/n), in integer fixed point, from pi pinned as a
-dyadic constant and the alternating cosine series.  Nothing is searched
-for and nothing is bisected.
+certifies a given rational bracket (lo, hi] of the largest real root by
+Descartes' rule of signs on one integer Taylor shift of f to lo, and the
+sign of f at hi, and returns it as it is.  The sign of f at a rational
+a/d is the sign of the homogenised value d^n f(a/d), found by integer
+Horner in ``homogeneous_value``.  ``two_cos_bracket`` gives the bracket
+of 2cos(pi/n), in integer fixed point, from pi pinned as a dyadic
+constant and the alternating cosine series.  Nothing is searched for and
+nothing is bisected.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from functools import lru_cache
 
 from ..errors import (
     CapExceededError,
-    DivisionByZeroError,
     InvalidArgumentError,
     MathematicalInconsistencyError,
     RootBracketError,
@@ -67,13 +62,6 @@ def homogeneous_value(coeffs, a, d):
         value = value * a + c * scale
         scale *= d
     return value
-
-
-def _content_free(coeffs):
-    """Integer coefficients divided by their positive content; every
-    sign is kept."""
-    g = math.gcd(*coeffs)
-    return tuple(c // g for c in coeffs)
 
 
 def pseudo_divmod(f, g):
@@ -188,25 +176,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def try_exact_divide(self, other):
-        """Return self / other in Z[x], or None when it does not divide:
-        integer long division, given up at the first quotient
-        coefficient that is not an integer or at a nonzero remainder."""
-        div = other.coefficients
-        if not div:
-            raise DivisionByZeroError("polynomial division by zero")
-        rem = list(self.coefficients)
-        quo = [0] * max(len(rem) - len(div) + 1, 0)
-        for shift in range(len(quo) - 1, -1, -1):
-            c, r = divmod(rem[shift + len(div) - 1], div[-1])
-            if r:
-                return None
-            if c:
-                quo[shift] = c
-                for i, b in enumerate(div):
-                    rem[shift + i] -= c * b
-        return None if any(rem) else IntPolynomial(quo)
-
     # -- parity -------------------------------------------------------------
 
     def odd_terms_only(self):
@@ -303,59 +272,43 @@ def rational_to_str(x):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains and the certified bracket
+# The certified bracket
 # ---------------------------------------------------------------------------
-
-
-def sturm_chain(f):
-    """Sturm chain of a nonconstant IntPolynomial.  Each member is an
-    integer coefficient tuple, a positive multiple of the usual f, f',
-    -rem(f, f'), ...; the last member is a primitive gcd(f, f') up to
-    sign, a constant exactly when f is squarefree."""
-    first = _content_free(f.coefficients)
-    chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
-    while chain[-1]:
-        chain.append(_content_free([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
-    return [c for c in chain if c]
-
-
-def sign_variations(chain, x):
-    """Sign changes along an integer Sturm chain at the rational x,
-    zero values dropped."""
-    x = Fraction(x)
-    a, d = x.numerator, x.denominator
-    count, previous = 0, None
-    for member in chain:
-        value = homogeneous_value(member, a, d)
-        if value:
-            positive = value > 0
-            if previous is not None and positive != previous:
-                count += 1
-            previous = positive
-    return count
 
 
 def isolate_largest_real_root(f, start):
     """The bracket start = (lo, hi) of the largest real root of f, as
-    Fractions, once the Sturm counts of f certify it: exactly one root
-    in (lo, hi], and none above hi, where each chain member has the sign
-    of its leading coefficient.  Any other start raises RootBracketError;
-    nothing is searched for.  Divided by gcd(f, f'), f's chain is a Sturm
-    chain of the squarefree part, which it starts with (up to sign), so
-    a repeated root counts once, also at an end of the bracket."""
+    Fractions, once it is certified: lo < hi; for lo = a/d the integer
+    coefficients of F(y) = d^n f((y + a)/d), built by Horner over
+    (y + a), change sign exactly once; and lead(f) f(hi) >= 0.  Any
+    other start raises RootBracketError; nothing is searched for.
+
+    Proof.  The roots of F are d(r - lo) for the roots r of f, so F's
+    positive roots are f's roots above lo.  By Descartes' rule of signs,
+    the number of positive roots counted with multiplicity is the number
+    of sign changes less an even number; one change proves exactly one
+    root r > lo, and a simple one.  So f has the sign of its leading
+    coefficient on (r, oo) and the other sign on (lo, r), and lead(f)
+    f(hi) >= 0 with hi > lo puts r in (lo, hi]; no root lies above it.
+    The certificate is sound for every f.  It is complete when all of
+    f's roots are real and its largest root is simple, where Descartes'
+    count is exact; that holds for every m_mu.  A repeated largest root
+    is refused, and so may be an f with roots off the real line."""
     if f.is_zero:
         raise InvalidArgumentError("zero polynomial has no distinguished root")
-    chain = sturm_chain(f)
-    gcd = IntPolynomial(chain[-1])
-    if gcd.degree > 0:
-        chain = [IntPolynomial(m).try_exact_divide(gcd).coefficients for m in chain]
     lo, hi = Fraction(start[0]), Fraction(start[1])
-    var_lo, var_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-    signs = [member[-1] > 0 for member in chain]
-    var_top = sum(a != b for a, b in zip(signs, signs[1:]))
-    if var_lo - var_hi != 1 or var_hi != var_top:
-        raise RootBracketError(f"({lo}, {hi}] does not isolate the largest real root of {f}")
-    return lo, hi
+    coeffs = f.coefficients
+    if lo < hi and coeffs[-1] * homogeneous_value(coeffs, hi.numerator, hi.denominator) >= 0:
+        a, d = lo.numerator, lo.denominator
+        shifted, scale = [], 1
+        for c in reversed(coeffs):
+            shifted = [u + a * v for u, v in zip([0, *shifted], [*shifted, 0])]
+            shifted[0] += c * scale
+            scale *= d
+        signs = [c > 0 for c in shifted if c]
+        if sum(p != q for p, q in zip(signs, signs[1:])) == 1:
+            return lo, hi
+    raise RootBracketError(f"({lo}, {hi}] does not isolate the largest real root of {f}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ dominant eigenvalue, and produces a cylinder list in which every cylinder has in
 
 Neither the dominant eigenvalue nor its eigenvector is searched for.
 mu = 2cos(pi/h) comes from the cyclotomic formula for the diagram's
-Coxeter number h (n for the n-gon, 18 for E7, 30 for E8), and the
-Sturm counts of the modulus certify that a fixed-point bracket of
-2cos(pi/h) (two_cos_bracket) isolates its largest root.  Every diagram is a star (the
-path A(m) has one arm), and the eigenvector has a closed form along its
-arms in the Chebyshev polynomials U_j (_star_values): as lifts in Z[x]
-(_star_lifts) and as heights in the field, from the same recurrence
-U_j = mu U_(j-1) - U_(j-2) run on field elements (_star_heights).
+Coxeter number h (n for the n-gon, 18 for E7, 30 for E8), and
+Descartes' rule of signs on the modulus certifies that a fixed-point
+bracket of 2cos(pi/h) (two_cos_bracket) isolates its largest root.
+Every diagram is a star (the path A(m) has one arm), and the eigenvector
+has a closed form along its arms in the Chebyshev polynomials U_j
+(_star_values): as lifts in Z[x] (_star_lifts) and as heights in the
+field, from the same recurrence U_j = mu U_(j-1) - U_(j-2) run on field
+elements (_star_heights).
 perron_frobenius certifies that candidate as a strictly positive exact
 eigenvector, which proves mu dominant.  The build walks each graph
 through its neighbour lists, never a dense adjacency matrix.
@@ -264,8 +265,8 @@ def perron_frobenius(center, arms, coxeter_number):
     vertex the heights and their lifts.
 
     mu = 2cos(pi/h) for the Coxeter number h is taken from the cyclotomic
-    formula.  The Sturm counts of m_mu = cos_two_pi_minpoly(2h) first
-    certify that two_cos_bracket(h) isolates its largest root
+    formula.  Descartes' rule of signs on m_mu = cos_two_pi_minpoly(2h)
+    first certifies that two_cos_bracket(h) isolates its largest root
     (RootBracketError otherwise); then mu is the generator of the field
     Q[x]/(m_mu), which holds no root of its own.  The candidate
     eigenvector is the star's closed form, given twice: one integer

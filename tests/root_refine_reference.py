@@ -2,13 +2,20 @@
 route that tests compare the library's certified brackets against.
 
 The library isolates nothing: it certifies the bracket two_cos_bracket
-gives for mu and returns it.  Here the largest real root is searched for
-by halving (-B, B), with B = ``root_bound`` above Fujiwara's bound, and
-refined by Sturm counts: every step evaluates the whole Sturm chain at
-the midpoint and at the upper end, and keeps (mid, hi] while it still
-counts a root.  The squarefree
-part is f over its Fraction gcd with f'.  Endpoints are returned as
-(lower, upper) Fraction pairs; this only serves tests.
+gives for mu by Descartes' rule of signs and returns it.  Here the
+largest real root is searched for by halving (-B, B), with B =
+``root_bound`` above Fujiwara's bound, and refined by Sturm counts:
+every step evaluates the whole Sturm chain at the midpoint and at the
+upper end, and keeps (mid, hi] while it still counts a root.  The
+squarefree part is f over its Fraction gcd with f'.  Endpoints are
+returned as (lower, upper) Fraction pairs; this only serves tests.
+
+``sturm_chain`` is the integer chain the library certified with before
+it moved to Descartes' rule: every member is a positive multiple of the
+usual one, found by integer pseudo-division with each remainder divided
+by its content, and its sign at a rational is the sign of the
+homogenised value.  ``exact_divide`` is exact division in Z[x], by
+integer long division given up at the first step that does not divide.
 
 ``bisect_by_signs`` refines an interval by the sign of the squarefree
 part at each Fraction midpoint (lo + hi) / 2; it is the refinement the
@@ -21,8 +28,8 @@ from fractions import Fraction
 
 import fraction_reference
 from fraction_reference import qeval
-from veechfib.errors import InvalidArgumentError, VeechFibError
-from veechfib.exact.polynomials import IntPolynomial, sign_variations, sturm_chain
+from veechfib.errors import DivisionByZeroError, InvalidArgumentError, VeechFibError
+from veechfib.exact.polynomials import IntPolynomial, homogeneous_value, pseudo_divmod
 
 DEFAULT_ROOT_WIDTH = Fraction(1, 10**20)
 
@@ -67,9 +74,86 @@ def squarefree_part(f):
     return primitive_part(IntPolynomial([c * den for c in quotient]))
 
 
+def exact_divide(f, g):
+    """f / g in Z[x], or None when it does not divide: integer long
+    division, given up at the first quotient coefficient that is not an
+    integer or at a nonzero remainder."""
+    div = g.coefficients
+    if not div:
+        raise DivisionByZeroError("polynomial division by zero")
+    rem = list(f.coefficients)
+    quo = [0] * max(len(rem) - len(div) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[shift + len(div) - 1], div[-1])
+        if r:
+            return None
+        if c:
+            quo[shift] = c
+            for i, b in enumerate(div):
+                rem[shift + i] -= c * b
+    return None if any(rem) else IntPolynomial(quo)
+
+
+def _content_free(coeffs):
+    """Integer coefficients divided by their positive content; every
+    sign is kept."""
+    g = math.gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
+
+
+def sturm_chain(f):
+    """Sturm chain of a nonconstant IntPolynomial.  Each member is an
+    integer coefficient tuple, a positive multiple of the usual f, f',
+    -rem(f, f'), ...; the last member is a primitive gcd(f, f') up to
+    sign, a constant exactly when f is squarefree."""
+    first = _content_free(f.coefficients)
+    chain = [first, _content_free([i * c for i, c in enumerate(first)][1:])]
+    while chain[-1]:
+        chain.append(_content_free([-c for c in pseudo_divmod(chain[-2], chain[-1])[1]]))
+    return [c for c in chain if c]
+
+
+def sign_variations(chain, x):
+    """Sign changes along an integer Sturm chain at the rational x,
+    zero values dropped."""
+    x = Fraction(x)
+    a, d = x.numerator, x.denominator
+    count, previous = 0, None
+    for member in chain:
+        value = homogeneous_value(member, a, d)
+        if value:
+            positive = value > 0
+            if previous is not None and positive != previous:
+                count += 1
+            previous = positive
+    return count
+
+
 def count_roots_in(chain, lo, hi):
     """Number of distinct real roots in the half-open interval (lo, hi]."""
     return sign_variations(chain, lo) - sign_variations(chain, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def divided_sturm_chain(f):
+    """f's Sturm chain divided by its last member, gcd(f, f'): a Sturm
+    chain of the squarefree part, which it starts with (up to sign)."""
+    chain = sturm_chain(f)
+    gcd = IntPolynomial(chain[-1])
+    if gcd.degree > 0:
+        chain = [exact_divide(IntPolynomial(m), gcd).coefficients for m in chain]
+    return chain
+
+
+def sturm_certifies(f, lo, hi):
+    """Whether the Sturm counts of f put exactly one distinct real root
+    in (lo, hi] and none above hi, where each chain member has the sign
+    of its leading coefficient.  A repeated root counts once, also at an
+    end of the bracket."""
+    chain = divided_sturm_chain(f)
+    signs = [member[-1] > 0 for member in chain]
+    var_top = sum(a != b for a, b in zip(signs, signs[1:]))
+    return count_roots_in(chain, lo, hi) == 1 and sign_variations(chain, hi) == var_top
 
 
 def refine(polynomial, lower, upper, width):

@@ -36,7 +36,6 @@ from veechfib.exact.polynomials import (
     prime_factors,
     rational_to_str,
     scaled_integers,
-    sturm_chain,
     two_cos_bracket,
 )
 from veechfib.tags import surface_tag
@@ -140,8 +139,10 @@ def test_isolate_picks_largest_root():
     lo, hi = reference.isolate_largest_real_root(f, Fraction(1, 100))
     assert Fraction(5, 2) < lo <= 3 <= hi
     assert isolate_largest_real_root(f, (Fraction(5, 2), 4)) == (Fraction(5, 2), 4)
-    # two roots, the root 2 alone, and the root 1 at the upper end
-    for start in ((Fraction(3, 2), 4), (Fraction(3, 2), Fraction(5, 2)), (0, 1)):
+    # two roots, the root 2 alone, the root 1 at the upper end, and a
+    # reversed start: 3 alone lies above 5/2 and f(3/2) > 0
+    starts = ((Fraction(3, 2), 4), (Fraction(3, 2), Fraction(5, 2)), (0, 1))
+    for start in (*starts, (Fraction(5, 2), Fraction(3, 2))):
         with pytest.raises(RootBracketError):
             isolate_largest_real_root(f, start)
 
@@ -150,7 +151,7 @@ def test_squarefree_part():
     # the last Sturm member is a primitive gcd(f, f'), and f over it is
     # the squarefree part the reference finds by Fraction Euclid
     f = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) * IntPolynomial([0, 1])
-    quotient = f.try_exact_divide(IntPolynomial(sturm_chain(f)[-1]))
+    quotient = reference.exact_divide(f, IntPolynomial(reference.sturm_chain(f)[-1]))
     expected = IntPolynomial([-1, 1]) * IntPolynomial([0, 1])
     assert reference.primitive_part(quotient) == expected == reference.squarefree_part(f)
 
@@ -196,8 +197,6 @@ def test_arithmetic_basics():
     g = IntPolynomial([-1, 1])
     assert f * g == IntPolynomial([-1, -1, 2])
     assert f + g == IntPolynomial([0, 3])
-    assert (f * g).try_exact_divide(f) == g
-    assert IntPolynomial([1, 1]).try_exact_divide(IntPolynomial([0, 2])) is None
 
 
 def test_divisors_match_brute_force():
@@ -232,8 +231,9 @@ def test_refinement_matches_sturm_reference_on_cos_minpolys(h):
         assert reference.bisect_by_signs(f, *bracket, width) == expected
 
 
+_POINTS = st.fractions(min_value=-20, max_value=20, max_denominator=4)
 _ROOTS = st.lists(
-    st.fractions(min_value=-20, max_value=20, max_denominator=4),
+    _POINTS,
     min_size=1,
     max_size=5,
     unique=True,
@@ -252,16 +252,22 @@ _QUADRATICS = st.one_of(
 @given(roots=_ROOTS, quadratic=_QUADRATICS)
 def test_refinement_matches_sturm_reference_on_random_squarefree(roots, quadratic):
     # every interval the reference isolates around the largest root is
-    # certified as it is, and from a coarse one both refinements agree
+    # certified as it is when f has only real roots; with a complex pair
+    # it may be refused, and what is certified the Sturm counts confirm.
+    # From a coarse interval both refinements agree
     f = IntPolynomial([1])
     for r in roots:
         f = f * IntPolynomial([-r.numerator, r.denominator])
+    real_rooted = quadratic is None or quadratic[0] ** 2 > 4 * quadratic[1]
     if quadratic is not None:
         f = f * IntPolynomial([quadratic[1], quadratic[0], 1])
     for width in _WIDTHS:
         interval = reference.isolate_largest_real_root(f, width)
         if interval[0] < interval[1]:
-            assert isolate_largest_real_root(f, interval) == interval
+            if real_rooted:
+                assert isolate_largest_real_root(f, interval) == interval
+            else:
+                assert _certified(f, interval) <= reference.sturm_certifies(f, *interval)
     start = reference.isolate_largest_real_root(f, Fraction(1, 4))
     for width in _WIDTHS:
         expected = reference.refine(f, *start, width)
@@ -294,58 +300,88 @@ def test_root_bound_is_a_power_of_two_above_every_real_root(roots, quadratic):
 _MULTIPLICITIES = st.lists(st.integers(1, 3), min_size=5, max_size=5)
 
 
+def _certified(f, start):
+    """Whether the library certifies start for f."""
+    try:
+        return isolate_largest_real_root(f, start) == start
+    except RootBracketError:
+        return False
+
+
+def _starts(points):
+    """Every (lo, hi) with lo < hi from the points and the points moved
+    by 1/8 either way."""
+    near = sorted({x + e for x in points for e in (-Fraction(1, 8), 0, Fraction(1, 8))})
+    return [(lo, hi) for i, lo in enumerate(near) for hi in near[i + 1 :]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(roots=_ROOTS, multiplicities=_MULTIPLICITIES, quadratic=_QUADRATICS)
 # the squarefree part x(x - 5) has its double root 0 at the first midpoint
 @example(roots=[Fraction(0), Fraction(5)], multiplicities=[2, 1, 1, 1, 1], quadratic=None)
 def test_isolation_matches_sturm_reference_on_repeated_roots(roots, multiplicities, quadratic):
-    # a repeated root counts once: the reference's interval around the
-    # largest root is certified as it is; an exact one, (r, r], is empty,
-    # and (r, r + 1] holds no root
+    # what the library certifies, the reference's Sturm counts confirm:
+    # one distinct root in (lo, hi] and none above.  On a squarefree
+    # product of rational linear factors the two agree on every start,
+    # and a repeated largest root is refused from every start
     f = IntPolynomial([1])
     for r, k in zip(roots, multiplicities):
         for _ in range(k):
             f = f * IntPolynomial([-r.numerator, r.denominator])
+    largest = max(roots)
+    repeated = multiplicities[roots.index(largest)] > 1
     if quadratic is not None:
-        q = IntPolynomial([quadratic[1], quadratic[0], 1])
+        b, c = quadratic
+        q = IntPolynomial([c, b, 1])
         f = f * q * q
+        # a real pair of q is doubled in f; its larger root is above the
+        # largest rational root when q is negative there or both are
+        if b * b > 4 * c and (c + b * largest + largest**2 < 0 or -b > 2 * largest):
+            repeated = True
+    squarefree = quadratic is None and max(multiplicities[: len(roots)]) == 1
+    starts = _starts(roots)
     for width in _WIDTHS:
         lo, hi = reference.isolate_largest_real_root(f, width)
-        if lo < hi:
-            assert isolate_largest_real_root(f, (lo, hi)) == (lo, hi)
-        else:
-            for start in ((lo, hi), (hi, hi + 1)):
-                with pytest.raises(RootBracketError):
-                    isolate_largest_real_root(f, start)
+        starts += [(lo, hi), (hi, hi + 1)]
+    for start in starts:
+        certified, confirmed = _certified(f, start), reference.sturm_certifies(f, *start)
+        assert certified <= confirmed, start
+        if squarefree:
+            assert certified == confirmed, start
+        if repeated:
+            assert not certified, start
 
 
-def test_a_repeated_root_at_the_upper_end_is_certified():
-    # (x - 2)^3 (x^2 + 1)^2 (x + 1): every member of the undivided chain
-    # vanishes at 2, and the chain divided by gcd(f, f') counts 2 once
+_ANY_POLYS = st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(IntPolynomial).filter(
+    lambda f: f.degree > 0
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_ANY_POLYS, points=st.lists(_POINTS, min_size=1, max_size=3))
+def test_isolation_certifies_nothing_the_sturm_counts_refuse(f, points):
+    # an arbitrary integer polynomial may have complex roots, where
+    # Descartes' count can exceed the real one; whatever it certifies,
+    # from drawn starts and around the reference's largest root, is
+    # still one distinct root in (lo, hi] with none above
+    try:
+        points = points + list(reference.isolate_largest_real_root(f, Fraction(1, 4)))
+    except reference.NoRealRootError:
+        pass
+    for start in _starts(points):
+        assert _certified(f, start) <= reference.sturm_certifies(f, *start), start
+
+
+def test_a_repeated_root_at_the_upper_end_is_refused():
+    # (x - 2)^3 (x^2 + 1)^2 (x + 1): the Sturm counts find the one
+    # distinct root 2 in (0, 2], but Descartes' rule proves a simple
+    # root, so no start around the triple root 2 is certified
     f = IntPolynomial([-2, 1]) * IntPolynomial([-2, 1]) * IntPolynomial([-2, 1])
     f = f * IntPolynomial([1, 0, 1]) * IntPolynomial([1, 0, 1]) * IntPolynomial([1, 1])
-    assert isolate_largest_real_root(f, (0, 2)) == (0, 2)
-    for start in ((-2, 2), (2, 3), (0, 1)):
+    assert reference.sturm_certifies(f, 0, 2)
+    for start in ((0, 2), (Fraction(3, 2), 3), (-2, 2), (2, 3), (0, 1)):
         with pytest.raises(RootBracketError):
             isolate_largest_real_root(f, start)
-
-
-@pytest.mark.parametrize("h", (5, 18, 30, 37, 64))
-def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
-    # gcd(f, f') is read off f's own Sturm chain, so isolating f runs no
-    # remainder sequence besides that chain's
-    f = cos_two_pi_minpoly(2 * h)
-    expected = len(sturm_chain(f)) - 1
-    calls = []
-    original = polynomials.pseudo_divmod
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(polynomials, "pseudo_divmod", counted)
-    isolate_largest_real_root(f, two_cos_bracket(h))
-    assert len(calls) == expected
 
 
 def test_refinement_midpoint_on_a_rational_root():
@@ -370,31 +406,26 @@ def test_refinement_of_an_interval_whose_upper_end_is_the_root():
     assert hi == 2 and hi - lo <= width
 
 
-def test_no_sturm_chain_after_isolation(monkeypatch):
-    # a cold build evaluates the Sturm chain of m_mu at the two ends of
-    # its bracket and nowhere else; the enclosure route signs elements by
-    # refining that bracket by signs, with no Sturm chain
+def test_a_cold_build_certifies_with_one_evaluation_and_no_remainder_sequence(monkeypatch):
+    # a cold build certifies mu's bracket by one Taylor shift and one
+    # evaluation of m_mu, at the upper end; no pseudo-division runs
     from veechfib.thurston_veech import build_surface
 
-    calls = []
-    original = polynomials.sign_variations
+    calls = {"pseudo_divmod": [], "homogeneous_value": []}
+    for name in calls:
+        original = getattr(polynomials, name)
 
-    def counted(chain, x):
-        calls.append(x)
-        return original(chain, x)
+        def counted(*args, _name=name, _original=original):
+            calls[_name].append(args)
+            return _original(*args)
 
-    monkeypatch.setattr(polynomials, "sign_variations", counted)
+        monkeypatch.setattr(polynomials, name, counted)
     build_surface.cache_clear()
     model = build_surface("polygon-59")
-    bracket = two_cos_bracket(59)
-    assert calls == list(bracket)
-    calls.clear()
-    root = reference.bisect_by_signs(model.mu.field.modulus, *bracket, Fraction(1, 10**40))
-    mu, rational = model.mu, model.mu.field.element
-    elements = [power(mu, k) - rational([k + 1]) for k in range(1, 11)]
-    elements += [rational([k]) - mu for k in range(1, 11)]
-    assert len({enclosure_reference.sign(e, root) for e in elements}) == 2
-    assert calls == []
+    hi = two_cos_bracket(59)[1]
+    assert calls["pseudo_divmod"] == []
+    [(coeffs, a, d)] = calls["homogeneous_value"]
+    assert coeffs == model.mu.field.modulus.coefficients and Fraction(a, d) == hi
 
 
 def _machin_pi(bits):
@@ -471,23 +502,6 @@ def test_two_cos_bracket_refuses_h_below_three():
             two_cos_bracket(bad)
 
 
-def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
-    # the certificate evaluates the chain at the two ends of the bracket,
-    # once each, and nowhere else
-    calls = []
-    original = polynomials.sign_variations
-
-    def counted(chain, x):
-        calls.append(Fraction(x))
-        return original(chain, x)
-
-    monkeypatch.setattr(polynomials, "sign_variations", counted)
-    for h in (64, 101):
-        calls.clear()
-        isolate_largest_real_root(cos_two_pi_minpoly(2 * h), two_cos_bracket(h))
-        assert calls == list(two_cos_bracket(h))
-
-
 _RATIONALS = st.fractions(max_denominator=10**6).filter(lambda x: abs(x) < 10**4)
 _COEFFS = st.lists(st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10**3), max_size=12)
 
@@ -514,7 +528,7 @@ def test_sturm_members_keep_their_signs(h, x):
         if not rem:
             break
         members.append(tuple(-c for c in rem))
-    chain = sturm_chain(f)
+    chain = reference.sturm_chain(f)
     assert len(chain) == len(members)
     for member, expected in zip(chain, members):
         value = homogeneous_value(member, x.numerator, x.denominator)
@@ -535,7 +549,7 @@ def test_non_integer_coefficients_are_refused(coeff):
 
 def test_exact_divide_by_zero_polynomial_is_typed():
     with pytest.raises(DivisionByZeroError) as err:
-        IntPolynomial([1, 1]).try_exact_divide(IntPolynomial())
+        reference.exact_divide(IntPolynomial([1, 1]), IntPolynomial())
     assert isinstance(err.value, VeechFibError) and isinstance(err.value, ZeroDivisionError)
 
 
@@ -555,8 +569,9 @@ def test_gcd_and_squarefree_part_match_fraction_euclid(f, g):
     reference_gcd = fraction_reference.gcd(
         a.coefficients, fraction_reference.derivative(a.coefficients)
     )
-    assert _monic(sturm_chain(a)[-1]) == reference_gcd
-    sf = a.try_exact_divide(IntPolynomial(sturm_chain(a)[-1]))
+    chain = reference.sturm_chain(a)
+    assert _monic(chain[-1]) == reference_gcd
+    sf = reference.exact_divide(a, IntPolynomial(chain[-1]))
     quotient = fraction_reference.divide(a.coefficients, reference_gcd)[0]
     assert _monic(sf.coefficients) == _monic(quotient)
 
@@ -576,7 +591,7 @@ def test_exact_division_matches_fraction_division(f, g, k, extra):
     h, divisor = f * g + IntPolynomial(extra), g * k
     q, r = fraction_reference.divide(h.coefficients, divisor.coefficients)
     integral = not r and all(c.denominator == 1 for c in q)
-    assert h.try_exact_divide(divisor) == (IntPolynomial(q) if integral else None)
+    assert reference.exact_divide(h, divisor) == (IntPolynomial(q) if integral else None)
 
 
 def test_divisor_scan_over_odd_candidates_matches_the_full_scan():

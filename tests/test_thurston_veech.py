@@ -7,7 +7,7 @@ import enclosure_reference
 import power_basis_reference
 import root_refine_reference
 from enclosure_reference import Embedded, less
-from root_refine_reference import bisect_by_signs, count_roots_in
+from root_refine_reference import bisect_by_signs, count_roots_in, exact_divide, sturm_chain
 from veechfib import thurston_veech
 from veechfib.errors import (
     CapExceededError,
@@ -24,7 +24,6 @@ from veechfib.exact.polynomials import (
     IntPolynomial,
     _chebyshev_polys,
     cos_two_pi_minpoly,
-    sturm_chain,
     two_cos_bracket,
 )
 from veechfib.families import family_alpha_polynomial
@@ -227,7 +226,7 @@ def test_star_lifts_fail_only_the_center_equation_in_z_x(family, size, h):
         for u, a in zip(order, row):
             residual = residual - lifts[u] * a
         if v == center:
-            assert residual and residual.try_exact_divide(cos_two_pi_minpoly(2 * h)) is not None
+            assert residual and exact_divide(residual, cos_two_pi_minpoly(2 * h)) is not None
         else:
             assert residual.is_zero, v
     if family == "A":
@@ -258,7 +257,7 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     # charpoly has one distinct real root, so mu is the largest eigenvalue
     model = build_surface(tag)
     cp = charpoly(adjacency(model.construction_graph))
-    assert cp.try_exact_divide(model.mu.field.modulus) is not None
+    assert exact_divide(cp, model.mu.field.modulus) is not None
     sf = root_refine_reference.squarefree_part(cp)
     lower = two_cos_bracket(surface_tag(tag)[1])[0]
     assert count_roots_in(sturm_chain(sf), lower, root_refine_reference.root_bound(sf)) == 1
@@ -288,7 +287,7 @@ def test_perron_frobenius_e7_eigenvalue():
 def test_path_minimal_polynomial_matches_two_cos(n):
     graph, _, _, mu, heights, _ = perron_frobenius(*thurston_veech._coxeter_star("A", n - 1), n)
     assert mu.field.modulus == cos_two_pi_minpoly(2 * n)
-    assert charpoly(adjacency(graph)).try_exact_divide(mu.field.modulus) is not None
+    assert exact_divide(charpoly(adjacency(graph)), mu.field.modulus) is not None
     assert all(enclosure_reference.sign(h) > 0 for h in heights.values())
 
 
@@ -524,7 +523,7 @@ def test_a_cold_build_signs_each_distinct_height_once_and_compares_none(monkeypa
 
 def test_a_bracket_that_misses_mu_fails_the_build(monkeypatch):
     # the build certifies two_cos_bracket(h) before it makes mu's field:
-    # with the 7-gon's bracket moved above mu, its Sturm counts refuse
+    # with the 7-gon's bracket moved above mu, the certificate refuses
     # it, and no model enters the cache
     original = thurston_veech.two_cos_bracket
 
