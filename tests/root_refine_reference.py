@@ -149,11 +149,12 @@ def sturm_certifies(f, lo, hi):
     """Whether the Sturm counts of f put exactly one distinct real root
     in (lo, hi] and none above hi, where each chain member has the sign
     of its leading coefficient.  A repeated root counts once, also at an
-    end of the bracket."""
+    end of the bracket.  The chain is evaluated once at each end."""
     chain = divided_sturm_chain(f)
     signs = [member[-1] > 0 for member in chain]
     var_top = sum(a != b for a, b in zip(signs, signs[1:]))
-    return count_roots_in(chain, lo, hi) == 1 and sign_variations(chain, hi) == var_top
+    var_hi = sign_variations(chain, hi)
+    return var_hi == var_top and sign_variations(chain, lo) - var_hi == 1
 
 
 def refine(polynomial, lower, upper, width):

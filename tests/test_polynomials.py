@@ -406,26 +406,78 @@ def test_refinement_of_an_interval_whose_upper_end_is_the_root():
     assert hi == 2 and hi - lo <= width
 
 
-def test_a_cold_build_certifies_with_one_evaluation_and_no_remainder_sequence(monkeypatch):
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to
+    calls before calling through."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("h", (5, 18, 30, 37, 64))
+def test_isolation_takes_one_remainder_sequence(monkeypatch, h):
+    # certifying mu's bracket runs no remainder sequence: Descartes' rule
+    # needs one Taylor shift.  Confirming the bracket by Sturm counts
+    # takes exactly one, the chain's own, and m_mu is squarefree, so the
+    # chain is not divided again
+    f = cos_two_pi_minpoly(2 * h)
+    bracket = two_cos_bracket(h)
+    expected = len(reference.sturm_chain(f)) - 1
+    calls = []
+    _count_calls(monkeypatch, polynomials, "pseudo_divmod", calls)
+    _count_calls(monkeypatch, reference, "pseudo_divmod", calls)
+    assert isolate_largest_real_root(f, bracket) == bracket
+    assert calls == []
+    reference.divided_sturm_chain.cache_clear()
+    assert reference.sturm_certifies(f, *bracket)
+    assert len(calls) == expected
+
+
+def test_isolation_evaluates_the_chain_once_per_point(monkeypatch):
+    # the certificate evaluates m_mu once, at the upper end of the
+    # bracket; the Sturm counts that confirm it evaluate the chain once
+    # at each end, and nowhere else
+    values, variations = [], []
+    _count_calls(monkeypatch, polynomials, "homogeneous_value", values)
+    _count_calls(monkeypatch, reference, "sign_variations", variations)
+    for h in (64, 101):
+        f, bracket = cos_two_pi_minpoly(2 * h), two_cos_bracket(h)
+        values.clear()
+        isolate_largest_real_root(f, bracket)
+        assert [Fraction(a, d) for _, a, d in values] == [bracket[1]]
+        variations.clear()
+        assert reference.sturm_certifies(f, *bracket)
+        assert sorted(Fraction(x) for _, x in variations) == list(bracket)
+
+
+def test_no_sturm_chain_after_isolation(monkeypatch):
     # a cold build certifies mu's bracket by one Taylor shift and one
-    # evaluation of m_mu, at the upper end; no pseudo-division runs
+    # evaluation of m_mu, at the upper end; no pseudo-division runs.  The
+    # enclosure route signs elements by refining that bracket by signs,
+    # with no Sturm chain either
     from veechfib.thurston_veech import build_surface
 
-    calls = {"pseudo_divmod": [], "homogeneous_value": []}
-    for name in calls:
-        original = getattr(polynomials, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name].append(args)
-            return _original(*args)
-
-        monkeypatch.setattr(polynomials, name, counted)
+    remainders, values, variations = [], [], []
+    _count_calls(monkeypatch, polynomials, "pseudo_divmod", remainders)
+    _count_calls(monkeypatch, reference, "pseudo_divmod", remainders)
+    _count_calls(monkeypatch, polynomials, "homogeneous_value", values)
+    _count_calls(monkeypatch, reference, "sign_variations", variations)
     build_surface.cache_clear()
     model = build_surface("polygon-59")
-    hi = two_cos_bracket(59)[1]
-    assert calls["pseudo_divmod"] == []
-    [(coeffs, a, d)] = calls["homogeneous_value"]
-    assert coeffs == model.mu.field.modulus.coefficients and Fraction(a, d) == hi
+    bracket = two_cos_bracket(59)
+    assert remainders == []
+    [(coeffs, a, d)] = values
+    assert coeffs == model.mu.field.modulus.coefficients and Fraction(a, d) == bracket[1]
+    root = reference.bisect_by_signs(model.mu.field.modulus, *bracket, Fraction(1, 10**40))
+    mu, rational = model.mu, model.mu.field.element
+    elements = [power(mu, k) - rational([k + 1]) for k in range(1, 11)]
+    elements += [rational([k]) - mu for k in range(1, 11)]
+    assert len({enclosure_reference.sign(e, root) for e in elements}) == 2
+    assert remainders == variations == []
 
 
 def _machin_pi(bits):
