@@ -93,7 +93,6 @@ __getattr__, __dir__ = _lazy_exports(
             "SurfaceModel",
             "build_surface",
             "core_curve_span_check",
-            "coxeter_graph",
             "cylinder_bound_check",
             "holonomy_basis_check",
             "perron_frobenius",

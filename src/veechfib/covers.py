@@ -151,10 +151,10 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=
     contains -I.
 
     Irreducibility is decided along one of two routes.  Without
-    coxeter_number, by Rabin's test on alpha_minpoly mod p.  With it,
-    the caller asserts that alpha = 2 + 2cos(2pi/h) for h =
-    coxeter_number, so that alpha generates Q(zeta_h)^+, Z[alpha] is its
-    ring of integers and g = phi(h)/2.  By Dedekind-Kummer, m_alpha mod
+    coxeter_number, by Rabin's test on alpha_minpoly mod p.  With it, an
+    integer h >= 3 (else InvalidArgumentError), the caller asserts that
+    alpha = 2 + 2cos(2pi/h), so that alpha generates Q(zeta_h)^+, Z[alpha]
+    is its ring of integers and g = phi(h)/2.  By Dedekind-Kummer, m_alpha mod
     p then factors as p does in that ring, and the decomposition group
     of p is generated by its Frobenius p mod h in the Galois group
     (Z/h)^x / {+-1} (Washington, Introduction to Cyclotomic Fields,
@@ -172,6 +172,8 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=
         )
     if coxeter_number is None:
         irreducible = is_irreducible_mod_p(alpha_minpoly, p)
+    elif not isinstance(coxeter_number, int) or coxeter_number < 3:
+        raise InvalidArgumentError("the Coxeter number must be an integer >= 3")
     else:
         irreducible = _order_mod_sign(p, coxeter_number, genus) == genus
     if not irreducible:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -160,13 +161,8 @@ def prototype_classes(d, spin_filter=None):
     groups = _prototype_groups(d)
     if spin_filter is None:
         return tuple([(twist, len(ts) * len(signs)) for _, _, ts, signs, twist in groups])
-    new = tuple.__new__
-    out = []
-    for w, h, ts, signs, twist in groups:
-        kept = sum(1 for t in ts for s in signs if spin_filter(new(Prototype, (w, h, t, s, d))))
-        if kept:
-            out.append((twist, kept))
-    return tuple(out)
+    kept = Counter((p.w, p.h) for p in enumerate_prototypes(d, spin_filter))
+    return tuple([(twist, kept[w, h]) for w, h, _, _, twist in groups if kept[w, h]])
 
 
 def prototype_twisting(proto):

@@ -175,16 +175,9 @@ _SPORADIC = {
 }
 
 
-def _coxeter_star(family, size=None):
-    """Center and arms of a Coxeter diagram: 'A' with a size is one arm
-    1..size-1 ending at the center, size; E7 / E8 as in _SPORADIC."""
-    if family == "A":
-        if size is None or size < 2:
-            raise InvalidArgumentError("type A needs a path length >= 2")
-        return size, (tuple(range(1, size)),)
-    if family in _SPORADIC:
-        return _SPORADIC[family][:2]
-    raise UnsupportedFamilyError(f"unknown Coxeter family: {family!r}")
+def _path(m):
+    """The path A(m) as a star: center m, one arm 1 ... m - 1."""
+    return m, (tuple(range(1, m)),)
 
 
 def _two_coloured(center, arms):
@@ -242,16 +235,6 @@ def _star_heights(center, arms, mu):
     for _ in range(max(map(len, arms)) - 1):
         u.append(u[-1].times_generator() - u[-2])
     return _star_values(center, arms, u)
-
-
-def coxeter_graph(family, size=None):
-    """Bipartite graph of a Coxeter diagram: 'A' with a size, or E7 / E8.
-
-    For type A the vertices are the path 1..size; odd positions are
-    black, even positions white (path order).  E7 and E8 use the
-    standard Bourbaki numbering.
-    """
-    return _two_coloured(*_coxeter_star(family, size))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +408,7 @@ def _build_polygon(n):
     """The n-gon's model.  Vertex k, 1-based along the path, lifts to
     U_(k-1), and U_(k-1)(mu) = sin(k pi/n) / sin(pi/n) > 1 for 1 < k < n -
     1, so c_1 = U_0 = 1 is the lowest vertical cylinder (odd k)."""
-    construction, _, _, mu, by_vertex, lifts = perron_frobenius(*_coxeter_star("A", n - 1), n)
+    construction, _, _, mu, by_vertex, lifts = perron_frobenius(*_path(n - 1), n)
     if n % 2 == 0 and any(by_vertex[k] != by_vertex[n - k] for k in range(1, n // 2)):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
@@ -435,7 +418,7 @@ def _build_polygon(n):
     ]
     genus = euler_phi(n) // 2
     partition = (genus - 1, genus - 1) if n % 4 == 2 else (2 * genus - 2,)
-    graph = construction if n % 2 == 1 else coxeter_graph("A", n // 2)
+    graph = construction if n % 2 == 1 else _two_coloured(*_path(n // 2))[0]
     return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition, "c_1")
 
 
@@ -620,14 +603,15 @@ def gluing_check(model):
     In Thurston's construction each cylinder's circumference is the sum,
     over the cylinders crossing it, of intersection count times height.
     It is read on model.graph's neighbour lists, vertex v being c_v as
-    _two_coloured labels the star of that graph, by exact field
-    equality.  Not a structural check: every even n-gon fails at c_(n/2),
-    whose stored circumference is twice its sum, as the quotient graph
-    A(n/2) keeps one of its two crossing cylinders.
+    _two_coloured labels the graph's star (E7 / E8 by tag, else the path
+    on its vertices), by exact field equality.  Not a structural check:
+    every even n-gon fails at c_(n/2), whose stored circumference is
+    twice its sum, as the quotient A(n/2) keeps one of the two cylinders
+    crossing it.
     """
-    tag, h = surface_tag(model.family_tag)
-    family = (tag,) if tag in _SPORADIC else ("A", h - 1 if h % 2 else h // 2)
-    _, blacks, whites = _two_coloured(*_coxeter_star(*family))
+    tag = model.family_tag
+    star = _SPORADIC[tag][:2] if tag in _SPORADIC else _path(len(model.graph.neighbours))
+    _, blacks, whites = _two_coloured(*star)
     by_name = {c.name: c for c in model.cylinders}
     cylinders = [by_name.get(f"c_{v}") for v in blacks + whites]
     if None in cylinders:

@@ -65,6 +65,15 @@ def test_congruence_degree_rejects_reducible():
         congruence_degree(IntPolynomial([-1, -1, 1]), 3, 3, True)
 
 
+@pytest.mark.parametrize("h", [0, 1, 2, -5, "18"])
+def test_congruence_degree_refuses_a_bad_coxeter_number(h):
+    # h = 0 divided by zero in p % h, and h = 1, 2 or -5 read as a
+    # reducible m_alpha; D = 5 and p = 7 are admissible at h = 5
+    assert congruence_degree(GOLDEN_SQUARED, 7, 2, True, coxeter_number=5).degree > 0
+    with pytest.raises(InvalidArgumentError, match="the Coxeter number must be an integer >= 3"):
+        congruence_degree(GOLDEN_SQUARED, 7, 2, True, coxeter_number=h)
+
+
 def test_closure_f9_exceptional_and_generic():
     field = FiniteFieldSpec(3, IntPolynomial([-1, -1, 1]))
     # residue of the golden congruence parameter: 1 + x, squares to -1

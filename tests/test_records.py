@@ -201,8 +201,8 @@ _PACKAGE_EXPORTS = {
     ),
     "thurston_veech": (
         "BipartiteIntersectionGraph", "CylinderDatum", "SurfaceModel", "build_surface",
-        "core_curve_span_check", "coxeter_graph", "cylinder_bound_check",
-        "holonomy_basis_check", "perron_frobenius", "staircase_parity_check",
+        "core_curve_span_check", "cylinder_bound_check", "holonomy_basis_check",
+        "perron_frobenius", "staircase_parity_check",
     ),
 }
 

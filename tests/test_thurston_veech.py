@@ -35,9 +35,10 @@ from veechfib.thurston_veech import (
     CylinderDatum,
     SurfaceModel,
     _checked_model,
+    _path,
+    _two_coloured,
     build_surface,
     core_curve_span_check,
-    coxeter_graph,
     cylinder_bound_check,
     gluing_check,
     holonomy_basis_check,
@@ -63,12 +64,10 @@ def adjacency(graph):
     return top + bottom
 
 
-def certify(h, family, size=None):
+def certify(h, star):
     """perron_frobenius on a Coxeter diagram's star: mu and the heights
     in adjacency order."""
-    _, blacks, whites, mu, heights, _ = perron_frobenius(
-        *thurston_veech._coxeter_star(family, size), h
-    )
+    _, blacks, whites, mu, heights, _ = perron_frobenius(*star, h)
     return mu, tuple(heights[v] for v in blacks + whites)
 
 
@@ -88,14 +87,12 @@ def _lifts_replaced(monkeypatch, lifts):
 
 
 def test_coxeter_graph_examples():
-    assert coxeter_graph("A", 2).intersections == ((1,),)
-    assert coxeter_graph("A", 4).intersections == ((1, 0), (1, 1))
-    e7 = coxeter_graph("E7")
+    assert _two_coloured(*_path(2))[0].intersections == ((1,),)
+    assert _two_coloured(*_path(4))[0].intersections == ((1, 0), (1, 1))
+    e7 = _two_coloured(*thurston_veech._SPORADIC["E7"][:2])[0]
     assert sorted((e7.black_count, e7.white_count)) == [3, 4]
-    e8 = coxeter_graph("E8")
+    e8 = _two_coloured(*thurston_veech._SPORADIC["E8"][:2])[0]
     assert (e8.black_count, e8.white_count) == (4, 4)
-    with pytest.raises(UnsupportedFamilyError):
-        coxeter_graph("F4")
 
 
 def test_path_graph_matches_its_closed_form():
@@ -106,7 +103,7 @@ def test_path_graph_matches_its_closed_form():
         expected = tuple(
             tuple(int(abs((2 * i + 1) - (2 * j + 2)) == 1) for j in whites) for i in blacks
         )
-        assert coxeter_graph("A", m).intersections == expected, m
+        assert _two_coloured(*_path(m))[0].intersections == expected, m
 
 
 def test_graph_validation():
@@ -135,13 +132,13 @@ def test_perron_frobenius_refuses_a_wrong_coxeter_number():
     # mu = 2cos(pi/3) = 1 is an eigenvalue of A5, but not the dominant
     # one: its arm of 4 needs mu > 2cos(pi/5), so the certificate fails
     with pytest.raises(MathematicalInconsistencyError, match="not proved strictly positive"):
-        certify(3, "A", 5)
+        certify(3, _path(5))
     # mu = 2cos(pi/6) = sqrt(3) is no eigenvalue of A4 at all
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
-        certify(6, "A", 4)
+        certify(6, _path(4))
     # a graph with an edge has spectral radius >= 1, so h >= 3
     with pytest.raises(InvalidArgumentError):
-        certify(2, "A", 2)
+        certify(2, _path(2))
     # a star with no arm, an empty arm or no vertex 1 has no colouring
     for arms in ((), ((),), ((2, 3),)):
         with pytest.raises(InvalidArgumentError, match="a star needs"):
@@ -155,14 +152,14 @@ def test_perron_frobenius_refuses_a_wrong_candidate(monkeypatch):
     # U_4(mu) = 0 at the center, A(9) at h = 6 has U_5(mu) = 0 and
     # U_6(mu) < 0 on its arm
     for star, h in (
-        (thurston_veech._coxeter_star("E7"), 4),
-        (thurston_veech._coxeter_star("A", 9), 6),
-        (thurston_veech._coxeter_star("A", 5), 5),
+        (thurston_veech._SPORADIC["E7"][:2], 4),
+        (_path(9), 6),
+        (_path(5), 5),
     ):
         with pytest.raises(MathematicalInconsistencyError, match="not proved strictly positive"):
             perron_frobenius(*star, h)
     # the right h with one lift changed: a positive vector, not an eigenvector
-    star = thurston_veech._coxeter_star("E7")
+    star = thurston_veech._SPORADIC["E7"][:2]
     lifts = thurston_veech._star_lifts(*star)
     _lifts_replaced(monkeypatch, {**lifts, 1: lifts[1] + IntPolynomial([1])})
     with pytest.raises(MathematicalInconsistencyError, match="Q h = mu h fails exactly"):
@@ -173,7 +170,7 @@ def test_perron_frobenius_refuses_a_wrong_candidate(monkeypatch):
 def test_perron_frobenius_reads_each_residual_modulo_the_minimal_polynomial(
     monkeypatch, family, size, h
 ):
-    star = thurston_veech._coxeter_star(family, size)
+    star = _path(size) if size else thurston_veech._SPORADIC[family][:2]
     _, blacks, whites, mu, heights, lifts = perron_frobenius(*star, h)
     modulus = mu.field.modulus
     # a lift moved by a multiple of m_mu leaves nonzero residuals in Z[x]
@@ -202,7 +199,7 @@ def test_perron_frobenius_reduces_only_the_center_residual(monkeypatch):
         return element(field, coeffs)
 
     monkeypatch.setattr(RealAlgebraicField, "element", counted)
-    perron_frobenius(*thurston_veech._coxeter_star("A", 12), 13)
+    perron_frobenius(*_path(12), 13)
     # the center 12 has the one neighbour 11: U_10 - x U_11 = -U_12; then
     # the generator and the one that start the recurrence
     assert reads == [(-_chebyshev_polys(12, 1)[12]).coefficients, (0, 1), (1,)]
@@ -216,7 +213,7 @@ def test_star_lifts_fail_only_the_center_equation_in_z_x(family, size, h):
     # x U_j = U_(j-1) + U_(j+1) makes every arm vertex's equation of
     # Q h = x h hold as polynomials; the center's residual vanishes at
     # mu = 2cos(pi/h), so the minimal polynomial of mu divides it
-    center, arms = thurston_veech._coxeter_star(family, size)
+    center, arms = _path(size) if size else thurston_veech._SPORADIC[family][:2]
     graph, blacks, whites = thurston_veech._two_coloured(center, arms)
     lifts = thurston_veech._star_lifts(center, arms)
     order = blacks + whites
@@ -240,8 +237,7 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
     # A(n - 1))
     for tag in _supported_tags(256):
         h = surface_tag(tag)[1]
-        family = ("A", h - 1) if tag.startswith("polygon") else (tag,)
-        star = thurston_veech._coxeter_star(*family)
+        star = _path(h - 1) if tag.startswith("polygon") else thurston_veech._SPORADIC[tag][:2]
         lifts = thurston_veech._star_lifts(*star)
         modulus = cos_two_pi_minpoly(2 * h)
         field = RealAlgebraicField(modulus)
@@ -264,14 +260,14 @@ def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
 
 
 def test_perron_frobenius_path_two():
-    mu, heights = certify(3, "A", 2)
+    mu, heights = certify(3, _path(2))
     assert mu.field.modulus == IntPolynomial([-1, 1])
     assert mu == mu.field.one
     assert [h == mu.field.one for h in heights] == [True, True]
 
 
 def test_perron_frobenius_path_four():
-    mu, heights = certify(5, "A", 4)
+    mu, heights = certify(5, _path(4))
     assert mu.field.modulus == IntPolynomial([-1, -1, 1])
     one = mu.field.one
     # construction order is blacks {1,3} then whites {2,4}: heights (1, mu, mu, 1)
@@ -279,13 +275,13 @@ def test_perron_frobenius_path_four():
 
 
 def test_perron_frobenius_e7_eigenvalue():
-    mu, _ = certify(18, "E7")
+    mu, _ = certify(18, thurston_veech._SPORADIC["E7"][:2])
     assert mu.field.modulus == cos_two_pi_minpoly(2 * 18)
 
 
 @pytest.mark.parametrize("n", range(3, 41))
 def test_path_minimal_polynomial_matches_two_cos(n):
-    graph, _, _, mu, heights, _ = perron_frobenius(*thurston_veech._coxeter_star("A", n - 1), n)
+    graph, _, _, mu, heights, _ = perron_frobenius(*_path(n - 1), n)
     assert mu.field.modulus == cos_two_pi_minpoly(2 * n)
     assert exact_divide(charpoly(adjacency(graph)), mu.field.modulus) is not None
     assert all(enclosure_reference.sign(h) > 0 for h in heights.values())
@@ -695,6 +691,19 @@ def test_gluing_check_fails_a_scaled_circumference_and_a_swapped_height():
         gluing_check(model._replace(vertical=()))
 
 
+def test_model_graph_is_the_star_gluing_check_reads():
+    # gluing_check labels model.graph by the E7 / E8 star of _SPORADIC,
+    # else by the path on the graph's vertices; the build wires A(n - 1)
+    # for odd n and the quotient A(n/2) for even n
+    for tag in _supported_tags(256):
+        n = surface_tag(tag)[1]
+        if tag in thurston_veech._SPORADIC:
+            star = thurston_veech._SPORADIC[tag][:2]
+        else:
+            star = _path(n - 1 if n % 2 else n // 2)
+        assert build_surface(tag).graph == _two_coloured(*star)[0], tag
+
+
 def _assert_alpha_order_matches_eliminations(model, dense):
     """The closed-form Z[alpha] test of the holonomy check against the
     fraction-free PowerBasis on every holonomy quotient the check forms
@@ -815,8 +824,8 @@ def test_charpoly_against_permutation_expansion():
                 m[i][j] = m[j][i] = w
         matrices.append(m)
     # trees: the paths A2-A6 and E7, a 7-vertex tree with a branch point
-    matrices += [adjacency(coxeter_graph("A", n)) for n in range(2, 7)]
-    matrices.append(adjacency(coxeter_graph("E7")))
+    matrices += [adjacency(_two_coloured(*_path(n))[0]) for n in range(2, 7)]
+    matrices.append(adjacency(_two_coloured(*thurston_veech._SPORADIC["E7"][:2])[0]))
     for m in matrices:
         assert charpoly(m) == _charpoly_permanent_oracle(m), m
 
@@ -824,7 +833,7 @@ def test_charpoly_against_permutation_expansion():
 def test_path_heights_are_symmetric():
     # the even n-gons' A(n - 1) included: c_k stands for c_(n-k) there
     for n in (5, 9, 12) + tuple(n - 1 for n in SUPPORTED_N if n % 2 == 0):
-        _, heights = certify(n + 1, "A", n)
+        _, heights = certify(n + 1, _path(n))
         # adjacency order: odd vertices ascending, then even vertices
         order = list(range(1, n + 1, 2)) + list(range(2, n + 1, 2))
         by_vertex = {v: h for v, h in zip(order, heights)}
