@@ -3,20 +3,18 @@
 Polynomials over F_p are tuples of ints in [0, p), ascending degree.
 Products in F_p[x]/(f) run on one kernel (_QuotientRing): one integer
 product of the packed coefficients, whose top slots are then folded
-down by x^n mod f, each coefficient reduced mod p once.  The same fold
-takes Euclid's remainders.
+down by x^n mod f, each coefficient reduced mod p once.
 
 Irreducibility is Rabin's test (Rabin 1980): f of degree n is
 irreducible iff x^(p^n) = x mod f and gcd(f, x^(p^(n/r)) - x) = 1 for
-each prime r | n, the only gcds taken.  As g(x)^p = sum g_i x^(ip) over
-F_p, each x^(p^k) is one product by the Frobenius (Berlekamp) matrix,
-whose row i is x^(ip) mod f; a return to x before k = n proves f
-reducible.  Only the boolean is needed; nothing is factored.
+each prime r | n; the gcds are taken only when n has two distinct
+prime factors or more.  As g(x)^p = sum g_i x^(ip) over F_p, each
+packed x^(p^k) is one product by the Frobenius (Berlekamp) matrix,
+whose row i is x^(ip) mod f.  Only the boolean is needed; nothing is
+factored.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from ..errors import InvalidArgumentError
 from .polynomials import IntPolynomial, prime_factors
@@ -66,9 +64,9 @@ def preduce(f, p):
 
 
 class _QuotientRing:
-    """F_p[x]/(f), f of degree n made monic; a residue is a length-n list
-    in [0, p).  A product packs the coefficients s bits apart into one
-    integer, s wide enough for a convolution plus a fold."""
+    """F_p[x]/(f), f of degree n made monic.  A residue is packed: its n
+    coefficients in [0, p) lie s bits apart in one integer, s wide
+    enough for a convolution plus a fold."""
 
     def __init__(self, fbar, p):
         n, inv = len(fbar) - 1, pow(fbar[-1], -1, p)
@@ -76,43 +74,54 @@ class _QuotientRing:
         self.low = self.pack([-c * inv % p for c in fbar[:-1]])  # x^n mod f
 
     def pack(self, coeffs):
-        out = 0
+        out, s = 0, self.s
         for c in reversed(coeffs):
-            out = out << self.s | c
+            out = out << s | c
+        return out
+
+    def reduce(self, c, degree):
+        """The packed residue of a packed polynomial of the given degree:
+        each slot from the top down to x^n is reduced mod p once and
+        folded down by x^n = low, then each of the n low slots is reduced."""
+        n, p, s, low = self.n, self.p, self.s, self.low
+        for k in range(degree, n - 1, -1):
+            top = c >> s * k
+            c = (c ^ top << s * k) + (top % p * low << s * (k - n))
+        out, mask = 0, (1 << s) - 1
+        for i in range(n):
+            out |= (c & mask) % p << s * i
+            c >>= s
         return out
 
     def fold(self, c, degree):
-        """The residue of a packed polynomial of the given degree: each slot
-        from the top down to x^n is reduced mod p once and folded down by
-        x^n = low, then each of the n low slots is reduced."""
-        n, p, s = self.n, self.p, self.s
-        for k in range(degree, n - 1, -1):
-            c = (c & ((1 << s * k) - 1)) + ((c >> s * k) % p * self.low << s * (k - n))
-        mask = (1 << s) - 1
-        return [(c >> s * i & mask) % p for i in range(n)]
+        """reduce, unpacked to its n coefficients."""
+        c, s = self.reduce(c, degree), self.s
+        return [c >> s * i & (1 << s) - 1 for i in range(self.n)]
 
     def mul(self, a, b):
         return self.fold(self.pack(a) * self.pack(b), 2 * self.n - 2)
 
     def pow(self, a, e):
-        """a^e for e >= 0 by left-to-right square-and-multiply."""
-        out = a if e else [1] + [0] * (self.n - 1)
+        """a^e, packed, for a packed a and e >= 0 by square-and-multiply."""
+        out, top = a if e else 1, 2 * self.n - 2
         for bit in bin(e)[3:]:
-            out = self.mul(out, out)
+            out = self.reduce(out * out, top)
             if bit == "1":
-                out = self.mul(out, a)
+                out = self.reduce(out * a, top)
         return out
 
 
 def _coprime(f, g, p):
-    """True when gcd(f, g) over F_p is a nonzero constant: Euclid, each
-    remainder the fold of f in F_p[x]/(g).  f and g must be stripped and
-    reduced mod p; then a slot of the fold by g of degree n gains at most
-    n products of at most (p - 1)^2 each, so it stays within 2n(p - 1)^2,
-    the ring's slot width."""
+    """True when gcd(f, g) over F_p is a nonzero constant, by Euclid with
+    one modular inverse a step; f and g must be stripped and reduced mod p."""
+    f, g = list(f), list(g)
     while len(g) > 1:
-        ring = _QuotientRing(g, p)
-        f, g = g, pstrip(ring.fold(ring.pack(f), len(f) - 1))
+        inv, m = pow(g[-1], -1, p), len(g) - 1
+        while len(f) > m:
+            c, k = f.pop() * inv % p, len(f) - m
+            for i in range(m):
+                f[k + i] = (f[k + i] - c * g[i]) % p
+        f, g = g, list(pstrip(f))
     return bool(g)
 
 
@@ -121,6 +130,13 @@ def is_irreducible_mod_p(f, p):
 
     Requires p prime, f nonconstant, and the leading coefficient of f
     nonzero mod p (a degree drop would silently change the question).
+
+    x^(p^k) = x at some k < n proves f reducible (x would have fewer than
+    n conjugates in F_(p^n)).  For n = r^a, r prime, that test at k = n/r
+    replaces the gcd: if x^(p^n) = x mod f, f divides x^(p^n) - x, so it
+    is squarefree and each irreducible factor has degree dividing n; if f
+    is also reducible, each degree is a proper divisor of r^a, so divides
+    n/r, hence x^(p^(n/r)) = x mod f and the loop has returned False.
     """
     if not isinstance(f, IntPolynomial):
         f = IntPolynomial(f)
@@ -137,21 +153,20 @@ def is_irreducible_mod_p(f, p):
     if n == 1:
         return True
     ring = _QuotientRing(fbar, p)
-    x = [0, 1] + [0] * (n - 2)
+    s, x = ring.s, 1 << ring.s
     frob = ring.pow(x, p)  # x^(p^k) mod f, from k = 1
-    rows = [[1] + [0] * (n - 1), frob]
+    rows = [1, frob]  # row i = x^(ip) mod f
     while len(rows) < n:
-        rows.append(ring.mul(rows[-1], frob))
-    matrix = [ring.pack(row) for row in rows]  # row i = x^(ip) mod f
+        rows.append(ring.reduce(rows[-1] * frob, 2 * n - 2))
     gcd_steps = {n // r for r in prime_factors(n)}
     for k in range(1, n):
         if frob == x:
             return False  # every factor has degree dividing k < n
-        if k in gcd_steps and not _coprime(
-            fbar, pstrip([frob[0], (frob[1] - 1) % p] + frob[2:]), p
+        if len(gcd_steps) > 1 and k in gcd_steps and not _coprime(
+            fbar, pstrip(ring.fold(frob + (p - 1) * x, n - 1)), p
         ):
             return False
-        frob = ring.fold(sum(map(mul, frob, matrix)), n - 1)
+        frob = ring.reduce(sum((frob >> s * i & x - 1) * row for i, row in enumerate(rows)), n - 1)
     return frob == x
 
 
@@ -189,7 +204,7 @@ class FiniteFieldSpec:
         self.zero, self.one = self.element(0), self.element(1)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteFieldSpec)
             and self.p == other.p
             and self.modulus == other.modulus
@@ -257,7 +272,8 @@ class FFElement:
     def __pow__(self, e):
         if e < 0:
             raise InvalidArgumentError(f"exponent {e} is negative")
-        return FFElement(self.spec, self.spec._ring.pow(self.coeffs, e))
+        ring = self.spec._ring
+        return FFElement(self.spec, ring.fold(ring.pow(ring.pack(self.coeffs), e), ring.n - 1))
 
     def __eq__(self, other):
         return (

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,6 +19,7 @@ from veechfib.exact.finitefield import (
     pstrip,
 )
 from veechfib.exact.polynomials import IntPolynomial
+from veechfib.families import weierstrass_alpha_polynomial
 
 GOLDEN = IntPolynomial([-1, -1, 1])
 
@@ -248,27 +250,76 @@ def test_fold_gcd_matches_the_reference_euclid(data, p):
 
 def test_irreducibility_builds_the_frobenius_matrix_once(monkeypatch):
     # x^p by square-and-multiply, then one product per matrix row; every
-    # later x^(p^k) is a matrix-vector product, not a product
-    calls = []
-    original = finitefield._QuotientRing.mul
+    # later x^(p^k) is a matrix-vector product, reduced at degree n - 1,
+    # not a product, reduced at degree 2n - 2
+    products = []
+    original = finitefield._QuotientRing.reduce
 
-    def counted(ring, a, b):
-        calls.append(len(a))
-        return original(ring, a, b)
+    def counted(ring, c, degree):
+        assert degree in (ring.n - 1, 2 * ring.n - 2)
+        if degree == 2 * ring.n - 2:
+            products.append(ring.n)
+        return original(ring, c, degree)
 
-    monkeypatch.setattr(finitefield._QuotientRing, "mul", counted)
+    monkeypatch.setattr(finitefield._QuotientRing, "reduce", counted)
     rng = random.Random(20261018)
     cases = [(GOLDEN, 3), (IntPolynomial([-1, 6, -5, 1]), 3)]
     for _ in range(40):
         n, p = rng.randint(2, 24), rng.choice(_PRIMES)
         cases.append((IntPolynomial([rng.randrange(p) for _ in range(n)] + [1]), p))
     for f, p in cases:
-        calls.clear()
+        products.clear()
         expected = finitefield_reference.is_irreducible_mod_p(f, p)
         assert is_irreducible_mod_p(f, p) == expected
         n = f.degree
-        assert all(length == n for length in calls)
-        assert len(calls) <= n + 2 * (p - 1).bit_length(), (f, p, len(calls))
+        assert products and all(size == n for size in products)
+        assert len(products) <= n + 2 * (p - 1).bit_length(), (f, p, len(products))
+
+
+def _monic(p, degree):
+    """Every monic polynomial of the given degree over F_p."""
+    for tail in itertools.product(range(p), repeat=degree):
+        yield list(tail) + [1]
+
+
+# every degree 2-4 is a prime power, where the x^(p^k) = x test stands in
+# for Rabin's gcds; 6 is the least degree whose gcds are taken
+_EXHAUSTIVE = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (2, 6)]
+
+
+@pytest.mark.parametrize("p,degree", _EXHAUSTIVE)
+def test_irreducibility_matches_the_reference_on_every_monic(p, degree):
+    for f in _monic(p, degree):
+        assert is_irreducible_mod_p(f, p) == finitefield_reference.is_irreducible_mod_p(f, p), f
+
+
+def test_gcds_are_taken_only_for_two_prime_degrees(monkeypatch):
+    calls = []
+    original = finitefield._coprime
+
+    def counted(f, g, p):
+        calls.append(len(f) - 1)
+        return original(f, g, p)
+
+    monkeypatch.setattr(finitefield, "_coprime", counted)
+    # every Weierstrass m_alpha is a quadratic: degree 2, a prime
+    for d in (5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40, 41, 44, 8189):
+        for p in (3, 5, 7, 11, 13):
+            if d % p:
+                is_irreducible_mod_p(weierstrass_alpha_polynomial(d), p)
+    for p, degree in [(p, degree) for p, degree in _EXHAUSTIVE if degree != 6]:
+        for f in _monic(p, degree):
+            is_irreducible_mod_p(f, p)
+    is_irreducible_mod_p(IntPolynomial([1] * 8 + [1]), 3)  # degree 8 = 2^3
+    assert calls == []
+    # the degrees-1-2-3 shape: the loop never returns to x before k = 6
+    rng = random.Random(20261020)
+    for p in (2, 3, 5, 7):
+        linear, quadratic, cubic = (_irreducible(rng, d, p) for d in (1, 2, 3))
+        f = pmul(pmul(linear, quadratic, p), cubic, p)
+        calls.clear()
+        assert is_irreducible_mod_p(f, p) is False
+        assert calls == [6]
 
 
 # the nine fields of the closure-oracle benchmark, (p, modulus), q <= 343
