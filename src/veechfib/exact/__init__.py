@@ -25,7 +25,6 @@ _EXPORTS = {
         "IntPolynomial",
         "cos_two_pi_minpoly",
         "cyclotomic_polynomial",
-        "divisors",
         "euler_phi",
         "isolate_largest_real_root",
         "parse_polynomial",

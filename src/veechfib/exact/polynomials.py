@@ -425,13 +425,10 @@ def two_cos_bracket(n):
     return Fraction(2 * c - e, s), Fraction(2 * c + e, s)
 
 
-def divisors(n):
-    """Positive divisors of n >= 0 in ascending order, by one scan up to
-    sqrt(n), over odd i only when n is odd; n = 0 has none."""
-    if n < 1:
-        return []
-    small = [i for i in range(1, math.isqrt(n) + 1, 1 + n % 2) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+def small_divisors(n):
+    """Divisors a <= sqrt(n) of n >= 0 in ascending order, by one scan up
+    to sqrt(n), over odd a only when n is odd; n = 0 has none."""
+    return [a for a in range(1, math.isqrt(max(n, 0)) + 1, 1 + n % 2) if not n % a]
 
 
 def prime_factors(n):

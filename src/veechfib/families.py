@@ -69,7 +69,8 @@ from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import enumerate_prototypes  # noqa: F401  (kept bound)
 from .prototypes import (
     check_enumerable,
-    divisor_rows,
+    check_size,
+    divisor_scan,
     prototype_classes,
     standard_parameters,
     weierstrass_alpha,
@@ -135,19 +136,19 @@ def _squarefree(n):
 
 def real_quadratic_zeta_minus_one(d):
     """zeta_K(-1) for K real quadratic of fundamental discriminant d >= 5,
-    as a Fraction.
+    as a Fraction; d past prototypes.MAX_DISCRIMINANT is refused first.
 
     Classical divisor-sum evaluation:
         zeta_K(-1) = (1/60) * sum over b = d mod 2, b^2 < d
                      of sigma_1((d - b^2)/4),
-    with b and -b read from one row of prototypes.divisor_rows.
+    the sigma total of prototypes.divisor_scan, shared with the classes.
     """
     if d < 5:
         raise InvalidArgumentError(f"{d} is not the discriminant of a real quadratic field")
+    check_size(d)
     if not is_fundamental_discriminant(d):
         raise InvalidArgumentError(f"{d} is not a fundamental discriminant")
-    total = sum((2 if e else 1) * sum(divs) for e, divs in divisor_rows(d))
-    return Fraction(total, 60)
+    return Fraction(divisor_scan(d)[0], 60)
 
 
 # chi values pinned independently of the zeta formula
@@ -157,13 +158,13 @@ _BUILTIN_CHI = {5: Fraction(-3, 10), 8: Fraction(-3, 4)}
 class CurveDataTable:
     """chi(C_D) and order-2 point counts, from a CSV and/or formulas.
 
-    Lookup order: user CSV rows, the pinned values for D in {5, 8},
-    then the zeta formula chi = -(9/2) * 2 * zeta_K(-1) for fundamental
-    D not 1 mod 8 (for D = 1 mod 8 the formula only gives the total
-    over both spin components, so it is not used).  e2 is taken from
-    the CSV when present; for 8 < D <= 41 with D != 1 mod 8 it can be
-    derived from chi and the cusp count because the curve has genus 0
-    and only order-2 orbifold points there.
+    Lookup order: user CSV rows, the pinned values for D in {5, 8}, the
+    size cap, then the zeta formula chi = -(9/2) * 2 * zeta_K(-1) for
+    fundamental D not 1 mod 8 (for D = 1 mod 8 the formula only gives
+    the total over both spin components, so it is not used).  e2 is
+    taken from the CSV when present; for 8 < D <= 41 with D != 1 mod 8
+    it can be derived from chi and the cusp count because the curve has
+    genus 0 and only order-2 orbifold points there.
     """
 
     def __init__(self, rows=()):
@@ -193,6 +194,7 @@ class CurveDataTable:
             return self._rows[d].chi, "table"
         if d in _BUILTIN_CHI:
             return _BUILTIN_CHI[d], "builtin"
+        check_size(d)
         if is_fundamental_discriminant(d) and d % 8 != 1:
             return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
         raise MissingCurveDataError(

@@ -16,13 +16,11 @@ Prototype is a NamedTuple (w, h, t, e, discriminant): it sorts, hashes
 and prints as that tuple.  enumerate_prototypes meets every condition
 above by construction.
 
-divisor_rows(D), the divisors of (D - e^2)/4 for each e >= 0 with
-e^2 < D, is the one divisor scan of D: _prototype_groups reads each row
-for +e and -e into one record per (w, h) class, which
-enumerate_prototypes expands and prototype_classes counts, and
-families.real_quadratic_zeta_minus_one sums sigma_1 over the same rows.
-It caches the last D only, so one families.weierstrass_family call
-scans once and a sweep holds one D.
+divisor_scan(D) is the one divisor scan of D: it reads each pair (a, n/a)
+of divisors of n = (D - e^2)/4, e^2 < D, once, into the sigma_1 total of
+families.real_quadratic_zeta_minus_one and the (w, h) class records that
+enumerate_prototypes expands and prototype_classes counts.  It caches
+the last D only: one families.weierstrass_family call scans once.
 
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
@@ -48,7 +46,7 @@ from .errors import (
     InvalidDiscriminantError,
     SpinRequiredError,
 )
-from .exact.polynomials import IntPolynomial, divisors
+from .exact.polynomials import IntPolynomial, euler_phi, small_divisors
 
 
 class Prototype(NamedTuple):
@@ -70,18 +68,23 @@ def _check_discriminant(d):
         raise InvalidDiscriminantError(f"D = {d} is a square")
 
 
-# Largest enumerable D: the divisor scan makes about D/5 trial divisions;
-# enumerate_prototypes takes 0.07-0.15 s near 10**7 (0.15 s with a
-# keep-all spin filter at D = 9999961), in process on CPython 3.11
+# Largest enumerable D: divisor_scan makes D/10 to D/5 trial divisions; near
+# 10**7 zeta takes 0.04 s, prototype_classes 0.07 s and a keep-all enumerate
+# at D = 9999961 0.2 s, in process on a 2-core VM with CPython 3.11
 MAX_DISCRIMINANT = 10**7
+
+
+def check_size(d):
+    """Raise CapExceededError for D > MAX_DISCRIMINANT."""
+    if d > MAX_DISCRIMINANT:
+        raise CapExceededError(f"D = {d} exceeds the size cap D <= {MAX_DISCRIMINANT}")
 
 
 def check_enumerable(d, spin_filter):
     """Raise unless the prototypes of D can be enumerated: D must be a
     nonsquare discriminant with 5 <= D <= MAX_DISCRIMINANT, and
     D = 1 mod 8 needs a spin_filter."""
-    if d > MAX_DISCRIMINANT:
-        raise CapExceededError(f"D = {d} exceeds the size cap D <= {MAX_DISCRIMINANT}")
+    check_size(d)
     _check_discriminant(d)
     if d % 8 == 1 and spin_filter is None:
         raise SpinRequiredError(
@@ -91,46 +94,38 @@ def check_enumerable(d, spin_filter):
 
 
 @functools.lru_cache(maxsize=1)
-def divisor_rows(d):
-    """((e, divisors((d - e^2)/4)), ...) for e >= 0, e = d mod 2, e^2 < d,
-    in increasing e: one divisor scan per e, for a discriminant d."""
-    return tuple(
-        (e, tuple(divisors((d - e * e) // 4)))
-        for e in range(d % 2, math.isqrt(d - 1) + 1, 2)
-    )
+def divisor_scan(d):
+    """(sigma, records) for a discriminant d, from one small_divisors
+    call per e >= 0, e = d mod 2, e^2 < d, in increasing e.
 
-
-def _prototype_groups(d):
-    """One record (w, h, ts, signs, twist) per (w, h) class of the
-    prototypes of D, sorted by (w, h), from the cached divisor_rows(d).
-
-    The prototypes of the class are (w, h, t, s) for t in ts (the
-    admissible t, increasing) and s in signs (-e, then +e when that is
-    a prototype too); twist = (w + h)/gcd(w, h) is the twist count of
-    each.  No input check: callers run check_enumerable first.
+    sigma sums sigma_1((d - b^2)/4) over b = d mod 2, b^2 < d.  The sorted
+    records (w, h, e, twist, m) are the (w, h) classes of prototypes: m
+    of them, (w, h, t, s) for t in [0, gcd(w, h)) prime to gcd(w, h, e)
+    and s in -e, then +e if h + e < w.  A pair a <= b = n/a gives (b, a)
+    unless a = b and e = 0, and (a, b) if b - a < e.  No input check.
     """
-    gcd = math.gcd
-    groups = []
-    append = groups.append
-    for e, divs in divisor_rows(d):
-        wh = (d - e * e) // 4
-        for w in divs:
-            h = wh // w
-            if h - e >= w:  # then h + e >= w too
-                continue
-            g = gcd(w, h)
-            signs = (-e, e) if e and h + e < w else (-e,)
+    gcd, small = math.gcd, small_divisors
+    sigma, records = 0, []
+    append = records.append
+    for e in range(d % 2, math.isqrt(d - 1) + 1, 2):
+        n = (d - e * e) // 4
+        row = 0
+        for a in small(n):
+            b = n // a
+            g = gcd(a, b)
             if g == 1:
-                append((w, h, (0,), signs, w + h))
-                continue
-            ge = gcd(g, e)
-            ts = range(g) if ge == 1 else [t for t in range(g) if gcd(ge, t) == 1]
-            append((w, h, ts, signs, (w + h) // g))
-    # e^2 = D - 4wh fixes |e|, so each (w, h) occurs in one row only:
-    # the records sort on (w, h) alone, and a class expanded t-major
-    # over its signs is already in sorted (t, e) order
-    groups.sort()
-    return groups
+                twist, m = a + b, 1
+            else:  # (g/ge) phi(ge) of the t in [0, g) are prime to ge
+                ge = gcd(g, e)
+                twist, m = (a + b) // g, g if ge == 1 else g // ge * euler_phi(ge)
+            row += a + b if a < b else a
+            if a < b or e:
+                append((b, a, e, twist, 2 * m if 0 < e < b - a else m))
+            if 0 < b - a < e:
+                append((a, b, e, twist, m))
+        sigma += 2 * row if e else row
+    # e^2 = D - 4wh fixes |e|, so the records sort on (w, h) alone
+    return sigma, tuple(sorted(records))
 
 
 def enumerate_prototypes(d, spin_filter=None):
@@ -142,9 +137,13 @@ def enumerate_prototypes(d, spin_filter=None):
     """
     check_enumerable(d, spin_filter)
     # tuple.__new__ builds the same record without the generated __new__
-    new = tuple.__new__
+    new, gcd = tuple.__new__, math.gcd
     out = []
-    for w, h, ts, signs, _ in _prototype_groups(d):
+    for w, h, e, _, _ in divisor_scan(d)[1]:
+        g, ge = gcd(w, h), gcd(w, h, e)
+        ts = range(g) if ge == 1 else [t for t in range(g) if gcd(ge, t) == 1]
+        signs = (-e, e) if e and h + e < w else (-e,)
+        # a class expanded t-major over its signs is in sorted (t, e) order
         out.extend([new(Prototype, (w, h, t, s, d)) for t in ts for s in signs])
     if spin_filter is not None:
         out = [p for p in out if spin_filter(p)]
@@ -158,11 +157,11 @@ def prototype_classes(d, spin_filter=None):
     for a spin_filter, which sees each candidate once, in sorted order.
     """
     check_enumerable(d, spin_filter)
-    groups = _prototype_groups(d)
+    records = divisor_scan(d)[1]
     if spin_filter is None:
-        return tuple([(twist, len(ts) * len(signs)) for _, _, ts, signs, twist in groups])
+        return tuple([(twist, m) for _, _, _, twist, m in records])
     kept = Counter((p.w, p.h) for p in enumerate_prototypes(d, spin_filter))
-    return tuple([(twist, kept[w, h]) for w, h, _, _, twist in groups if kept[w, h]])
+    return tuple([(twist, kept[w, h]) for w, h, _, twist, _ in records if kept[w, h]])
 
 
 def prototype_twisting(proto):

@@ -3,8 +3,9 @@
 This is the enumerator the library used before Prototype became a
 NamedTuple: a frozen, ordered dataclass, a validate() call on every
 prototype, gcd(w, h, t, e) recomputed for every t, and a sort through
-the dataclass comparison.  It shares only the discriminant check and
-the divisor list with veechfib.prototypes, and only serves tests.
+the dataclass comparison.  It shares only the discriminant check with
+veechfib.prototypes, keeps its own plain divisor list, and only serves
+tests.
 
 brute_force_count is a second, cruder oracle: it scans every quadruple
 (w, h, t, e) in range and counts the prototypes without building any.
@@ -21,8 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from veechfib.errors import InvalidArgumentError, SpinRequiredError
-from veechfib.exact.polynomials import divisors
 from veechfib.prototypes import _check_discriminant
+
+
+def divisors(n):
+    """Positive divisors of n >= 1 in ascending order, by a scan up to
+    sqrt(n) and the cofactors of what it finds."""
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 @dataclass(frozen=True, order=True)

@@ -462,9 +462,9 @@ def test_discriminant_and_scatter_past_the_size_cap_exit_1(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a discriminant was scanned past the size cap")
 
-    monkeypatch.setattr(prototypes, "divisors", refuse)
+    monkeypatch.setattr(prototypes, "small_divisors", refuse)
     monkeypatch.setattr(families, "is_quadratic_nonresidue", refuse)
-    prototypes.divisor_rows.cache_clear()
+    prototypes.divisor_scan.cache_clear()
     requests = (
         ("prototypes", "--D", "10000012"),
         ("weierstrass", "--D", "10000012", "--p", "7"),

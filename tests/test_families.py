@@ -3,6 +3,7 @@ import math
 import re
 import signal
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,7 @@ from veechfib.families import (
 from veechfib.invariants import kappa_mu
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.exact.finitefield import is_irreducible_mod_p, is_prime
-from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, divisors
+from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, small_divisors
 from veechfib.thurston_veech import build_surface, surface_tag
 
 
@@ -697,8 +698,8 @@ def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(monkeypatch):
     def refuse(n):
         raise _Divided(n)
 
-    monkeypatch.setattr(prototypes, "divisors", refuse)
-    prototypes.divisor_rows.cache_clear()
+    monkeypatch.setattr(prototypes, "small_divisors", refuse)
+    prototypes.divisor_scan.cache_clear()
     # 20 and 1000: not fundamental, nonresidues mod 7; 8 and 1012: residues mod 7
     for d in (20, 1000):
         with pytest.raises(MissingCurveDataError):
@@ -711,12 +712,81 @@ def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(monkeypatch):
 
     def counted(n):
         calls.append(n)
-        return divisors(n)
+        return small_divisors(n)
 
-    monkeypatch.setattr(prototypes, "divisors", counted)
+    monkeypatch.setattr(prototypes, "small_divisors", counted)
     result = weierstrass_family(row_d, 7)
     assert result.checks["chi_source"] == "zeta-formula"
     assert calls == [(row_d - e * e) // 4 for e in range(0, math.isqrt(row_d - 1) + 1, 2)]
+
+
+def test_zeta_and_the_classes_share_one_scan_in_either_order(monkeypatch):
+    # 1005 = 3 5 67 and 1048 = 4 262 are fundamental and not 1 mod 8
+    cold = {}
+    for d in (1005, 1048):
+        prototypes.divisor_scan.cache_clear()
+        zeta = real_quadratic_zeta_minus_one(d)
+        prototypes.divisor_scan.cache_clear()
+        cold[d] = (zeta, prototypes.prototype_classes(d))
+        assert zeta == reference.real_quadratic_zeta_minus_one(d)
+        want = [p.as_tuple() for p in reference.enumerate_prototypes(d)]
+        assert [p.as_tuple() for p in prototypes.enumerate_prototypes(d)] == want
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return small_divisors(n)
+
+    monkeypatch.setattr(prototypes, "small_divisors", counted)
+    routes = (
+        lambda d: real_quadratic_zeta_minus_one(d) == cold[d][0],
+        lambda d: prototypes.prototype_classes(d) == cold[d][1],
+    )
+    rows = [(1005 - e * e) // 4 for e in range(1, math.isqrt(1004) + 1, 2)]
+    for first, second in (routes, routes[::-1]):
+        prototypes.divisor_scan.cache_clear()
+        calls.clear()
+        assert first(1005) and calls == rows
+        assert second(1005) and calls == rows
+    # with one discriminant cached, alternating two answers as cold calls do
+    for i, d in enumerate((1005, 1048, 1005, 1048, 1048, 1005, 1005, 1048)):
+        assert routes[i % 2](d) and routes[1 - i % 2](d)
+
+
+@pytest.mark.parametrize("d", [153, 800, 864, 1440, 1584, 2016])
+def test_class_multiplicity_counts_the_reference_prototypes_past_gcd_1(d):
+    spin_filter = (lambda _p: True) if d % 8 == 1 else None
+    classes = prototypes.prototype_classes(d, spin_filter)
+    records = prototypes.divisor_scan(d)[1]
+    # classes whose t are cut by gcd(w, h, e) > 1, with e = 0 among them
+    # unless d is odd
+    assert any(math.gcd(w, h, e) > 1 for w, h, e, _, _ in records)
+    assert d % 2 or any(e == 0 and math.gcd(w, h) > 1 for w, h, e, _, _ in records)
+    count = Counter((p.w, p.h) for p in reference.enumerate_prototypes(d, spin_filter))
+    assert {(w, h): m for w, h, _, _, m in records} == count
+    assert classes == tuple((twist, m) for *_, twist, m in records)
+
+
+def test_chi_and_zeta_past_the_size_cap_are_refused_before_any_divisor(monkeypatch):
+    # a broken guard runs the squarefree test or the divisor scan, which
+    # fail at once instead of trial-dividing up to sqrt(D)
+    def refuse(n):
+        raise _Divided(n)
+
+    monkeypatch.setattr(prototypes, "small_divisors", refuse)
+    prototypes.divisor_scan.cache_clear()
+    with pytest.raises(_Divided):  # at the cap the scan is reached
+        CurveDataTable().chi(9_999_973)
+    monkeypatch.setattr(families, "is_fundamental_discriminant", refuse)
+    for d in (10**7 + 5, 10**7 + 12, 100_000_005, 10_000_019 * 10_000_079):
+        with pytest.raises(CapExceededError, match="size cap"):
+            CurveDataTable().chi(d)
+        with pytest.raises(CapExceededError, match="size cap"):
+            real_quadratic_zeta_minus_one(d)
+    # a user row answers ahead of the refusal
+    table = CurveDataTable([ExternalCurveData(100_000_005, Fraction(-7, 2))])
+    assert table.chi(100_000_005) == (Fraction(-7, 2), "table")
 
 
 def test_curve_data_table_sources():

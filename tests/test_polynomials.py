@@ -28,7 +28,6 @@ from veechfib.exact.polynomials import (
     _chebyshev_polys,
     cos_two_pi_minpoly,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
     homogeneous_value,
     isolate_largest_real_root,
@@ -36,6 +35,7 @@ from veechfib.exact.polynomials import (
     prime_factors,
     rational_to_str,
     scaled_integers,
+    small_divisors,
     two_cos_bracket,
 )
 from veechfib.tags import surface_tag
@@ -199,12 +199,17 @@ def test_arithmetic_basics():
     assert f + g == IntPolynomial([0, 3])
 
 
+def _brute_divisors(n):
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
 def test_divisors_match_brute_force():
-    assert divisors(0) == []
+    assert small_divisors(0) == []
     assert prime_factors(0) == prime_factors(1) == []
     for n in range(1, 2001):
-        assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
-        assert prime_factors(n) == [k for k in divisors(n) if len(divisors(k)) == 2]
+        brute = _brute_divisors(n)
+        assert small_divisors(n) == [k for k in brute if k * k <= n]
+        assert prime_factors(n) == [k for k in brute if len(_brute_divisors(k)) == 2]
     # d = 0, 1 mod 4 is fundamental when no square f^2 > 1 leaves a
     # discriminant d / f^2 = 0, 1 mod 4
     from veechfib.families import is_fundamental_discriminant
@@ -651,4 +656,4 @@ def test_divisor_scan_over_odd_candidates_matches_the_full_scan():
     # full scan up to sqrt(n) is the reference
     for n in range(-2, 20000):
         small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0] if n > 0 else []
-        assert divisors(n) == small + [n // i for i in reversed(small) if i * i != n], n
+        assert small_divisors(n) == small, n

@@ -160,8 +160,8 @@ def test_discriminant_past_the_size_cap_is_refused_before_any_divisor(monkeypatc
     def refuse(n):
         raise _Divided(n)
 
-    monkeypatch.setattr(prototypes, "divisors", refuse)
-    prototypes.divisor_rows.cache_clear()
+    monkeypatch.setattr(prototypes, "small_divisors", refuse)
+    prototypes.divisor_scan.cache_clear()
     assert MAX_DISCRIMINANT == 10**7
     for d in (10**7 + 1, 10**7 + 12, 10**12 + 5):
         with pytest.raises(CapExceededError, match="size cap"):

@@ -193,7 +193,7 @@ def _package_caches():
 def test_every_functools_cache_in_the_package_is_pinned():
     """A cache the benchmark does not clear would turn a cold pass warm.
     The three unbounded lru caches are the ones perfbench/tracer.py
-    clears before each pass; divisor_rows keeps one discriminant; the
+    clears before each pass; divisor_scan keeps one discriminant; the
     cached property lives on a SurfaceModel, which build_surface's cache
     holds, so clearing it drops it."""
     caches, properties = _package_caches()
@@ -201,7 +201,7 @@ def test_every_functools_cache_in_the_package_is_pinned():
         ("veechfib.thurston_veech", "build_surface", None),
         ("veechfib.exact.polynomials", "cos_two_pi_minpoly", None),
         ("veechfib.exact.polynomials", "cyclotomic_polynomial", None),
-        ("veechfib.prototypes", "divisor_rows", 1),
+        ("veechfib.prototypes", "divisor_scan", 1),
     }
     assert properties == {("veechfib.thurston_veech", "SurfaceModel.memo")}
     cleared = {(mod, attr) for mod, attr, _ in _load_tracer().CACHES}
