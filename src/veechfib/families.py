@@ -194,9 +194,13 @@ class CurveDataTable:
             return self._rows[d].chi, "table"
         if d in _BUILTIN_CHI:
             return _BUILTIN_CHI[d], "builtin"
+        if d % 8 != 1 and (d >= 5 or is_fundamental_discriminant(d)):
+            try:  # zeta runs the size cap, then the one squarefree test
+                return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
+            except InvalidArgumentError:
+                if d < 5:  # fundamental, but of no real quadratic field
+                    raise
         check_size(d)
-        if is_fundamental_discriminant(d) and d % 8 != 1:
-            return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
         raise MissingCurveDataError(
             f"no Euler characteristic available for D = {d}; supply a data CSV"
         )
@@ -224,7 +228,8 @@ class FamilySpec(NamedTuple):
     """Static data of one family member, before choosing a level.
 
     cusp_classes holds (twists, m) for m base cusps whose generator is a
-    minimal multitwist of that many Dehn twists (root index 1).
+    minimal multitwist of that many Dehn twists (root index 1): on a model,
+    the sum of twist_count over the cylinders of the cusp's direction.
     """
 
     tag: str
@@ -438,11 +443,9 @@ def model_spec(tag):
     model = _self.build_surface(tag)
     spec = model.memo.get("spec")
     if spec is None:
-        if h % 2:
-            signature, classes = OrbifoldSignature(0, (2, h), 1), ((len(model.horizontal), 1),)
-        else:
-            signature = OrbifoldSignature(0, (h // 2,), 2)
-            classes = ((len(model.horizontal), 1), (len(model.vertical), 1))
+        signature = OrbifoldSignature(0, (2, h), 1) if h % 2 else OrbifoldSignature(0, (h // 2,), 2)
+        sides = (model.horizontal,) if h % 2 else (model.horizontal, model.vertical)
+        classes = tuple((sum(c.twist_count for c in side), 1) for side in sides)
         spec = model.memo["spec"] = FamilySpec(
             tag=tag,
             fiber_genus=model.genus,

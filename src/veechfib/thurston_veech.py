@@ -4,8 +4,8 @@ The construction takes a pair of transverse multicurves encoded as a
 bipartite graph (black = horizontal core curves, white = vertical ones,
 entries of Q count intersections), certifies a solution of the
 eigenvector system Q h = mu h exactly in the number field of the
-dominant eigenvalue, and produces a cylinder list in which every cylinder has inverse modulus mu
-(circumference = mu * height).
+dominant eigenvalue, and produces a cylinder list.  Each build row states a
+cylinder's twist count k, and its circumference is mu * height / k.
 
 Neither the dominant eigenvalue nor its eigenvector is searched for.
 mu = 2cos(pi/h) comes from the cyclotomic formula for the diagram's
@@ -316,7 +316,7 @@ def perron_frobenius(center, arms, coxeter_number):
 
 
 class CylinderDatum(NamedTuple):
-    """One cylinder: direction, exact height/circumference, twist count.
+    """One cylinder: direction, height, twist count k, circumference mu*height/k.
 
     ``height_lift`` is the integer polynomial in mu representing the
     height in the staircase normalization, kept unreduced for the
@@ -344,7 +344,6 @@ class CylinderDatum(NamedTuple):
 class _SurfaceFields(NamedTuple):
     family_tag: str
     graph: BipartiteIntersectionGraph
-    construction_graph: BipartiteIntersectionGraph
     mu: object
     heights: tuple
     horizontal: tuple
@@ -413,13 +412,13 @@ def _build_polygon(n):
         raise MathematicalInconsistencyError("c_k and c_(n-k) differ in height")
     kept = range(1, n) if n % 2 == 1 else range(1, n // 2 + 1)
     rows = [
-        (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], lifts[k])
+        (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], 1, lifts[k])
         for k in kept
     ]
     genus = euler_phi(n) // 2
     partition = (genus - 1, genus - 1) if n % 4 == 2 else (2 * genus - 2,)
     graph = construction if n % 2 == 1 else _two_coloured(*_path(n // 2))[0]
-    return _checked_model(f"polygon-{n}", graph, construction, mu, rows, genus, partition, "c_1")
+    return _checked_model(f"polygon-{n}", graph, mu, rows, genus, partition, "c_1")
 
 
 def _build_sporadic(which, coxeter_number):
@@ -430,29 +429,26 @@ def _build_sporadic(which, coxeter_number):
     anchor = max(diagram.arms, key=len)[0]
     scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites, anchor)
     rows = [
-        (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], lifts[v])
+        (f"c_{v}", HORIZONTAL if v in horizontal_set else VERTICAL, scaled[v], 1, lifts[v])
         for v in sorted(by_vertex)
     ]
-    return _checked_model(
-        which, graph, graph, mu, rows, diagram.genus, diagram.zero_partition,
-        f"c_{diagram.lowest_vertical}",
-    )
+    lowest = f"c_{diagram.lowest_vertical}"
+    return _checked_model(which, graph, mu, rows, diagram.genus, diagram.zero_partition, lowest)
 
 
-def _checked_model(family_tag, graph, construction, mu, rows, genus, partition, lowest):
-    """Model with one unit-twist cylinder per (name, direction, height,
-    height lift) row, circumference mu * height (mu is the field's
-    generator, so times_generator), and lowest the name of its lowest
-    vertical cylinder; refused unless the genus is the rank of the
-    intersection matrix."""
-    cylinders = [
-        CylinderDatum(name, d, h, h.times_generator(), 1, lift) for name, d, h, lift in rows
-    ]
+def _checked_model(family_tag, graph, mu, rows, genus, partition, lowest):
+    """Model with one cylinder per (name, direction, height, twist count k,
+    height lift) row, of circumference mu * height / k, and lowest the
+    name of its lowest vertical cylinder; refused unless the genus is the
+    rank of the intersection matrix."""
+    cylinders = []
+    for name, d, h, k, lift in rows:
+        c = h.times_generator() if k == 1 else h.times_generator() / mu.field.element([k])
+        cylinders.append(CylinderDatum(name, d, h, c, k, lift))
     vertical = tuple(c for c in cylinders if c.direction == VERTICAL)
     model = SurfaceModel(
         family_tag=family_tag,
         graph=graph,
-        construction_graph=construction,
         mu=mu,
         heights=tuple(c.height for c in cylinders),
         horizontal=tuple(c for c in cylinders if c.direction == HORIZONTAL),
@@ -572,16 +568,17 @@ def holonomy_basis_check(model):
     takes O(n) (over_generator): c / alpha is (c / mu) / mu, and c / (y
     mu) is (c / mu) times y^-1, the one inverse of the call.
     """
-    if not 0 <= model.lowest_vertical < len(model.vertical):
+    vertical, lowest = model.vertical, model.lowest_vertical
+    if not 0 <= lowest < len(vertical):
         raise InapplicableModelError("model has no lowest vertical cylinder to span the lattice")
     in_z_alpha = _z_alpha_test(model)
-    y_inverse = model.vertical[model.lowest_vertical].height.inverse()
+    y_inverse = vertical[lowest].height.inverse()
     # the lattice basis: holonomy (mu^2, 0) = (alpha, 0) and (0, y*mu)
     return all(
         in_z_alpha(cyl.circumference.over_generator().over_generator())
         for cyl in model.horizontal
     ) and all(
-        in_z_alpha(cyl.circumference.over_generator() * y_inverse) for cyl in model.vertical
+        in_z_alpha(cyl.circumference.over_generator() * y_inverse) for cyl in vertical
     )
 
 

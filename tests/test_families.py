@@ -269,6 +269,75 @@ def test_polygon_octagon_twisting_and_table():
     assert forms["euler"] == result.invariants.euler
 
 
+def _twisted_polygon(n, twists):
+    """polygon-n's model rebuilt through _checked_model from its own rows,
+    with the twist count of each cylinder named in twists."""
+    model = build_surface(f"polygon-{n}")
+    rows = [
+        (c.name, c.direction, c.height, twists.get(c.name, c.twist_count), c.height_lift)
+        for c in model.cylinders
+    ]
+    return thurston_veech._checked_model(
+        model.family_tag, model.graph, model.mu, rows, model.genus, model.zero_partition, "c_1"
+    )
+
+
+# the levels whose tabulated sigma the pipeline misses (test_acceptance's
+# failing test_c3_polygon_pipeline_matches_tables rows)
+SIGMA_ROWS = [
+    (10, 3), (10, 7), (10, 13), (14, 3), (14, 5), (14, 11),
+    (22, 3), (22, 5), (22, 7), (22, 13), (26, 7), (26, 11),
+]
+
+
+@pytest.mark.parametrize("n,p", SIGMA_ROWS)
+def test_a_second_twist_on_the_middle_cylinder_adds_d_to_t(n, p, monkeypatch):
+    # the twist is stated once, on the build row: a twist count of 2 on
+    # c_(n/2) halves its circumference, closes its gluing, and reaches T
+    # through model_spec alone, T + d and the corrected sigma = -d(q + 1)^2/(2q)
+    before = polygon_family(n, p)
+    model = _twisted_polygon(n, {f"c_{n // 2}": 2})
+    middle = next(c for c in model.cylinders if c.name == f"c_{n // 2}")
+    assert middle.circumference + middle.circumference == middle.height.times_generator()
+    assert thurston_veech.gluing_check(model) == []
+    monkeypatch.setattr(families, "build_surface", lambda tag: model)
+    after = polygon_family(n, p)
+    d, q = after.cover.degree, n // 2
+    assert d == before.cover.degree
+    assert after.cover.total_twisting == before.cover.total_twisting + d
+    assert after.invariants.sigma == Fraction(-d * (q + 1) ** 2, 2 * q)
+    if (n, p) == (10, 3):
+        assert (before.cover.total_twisting, before.invariants.sigma) == (300, -176)
+        assert (after.cover.total_twisting, after.invariants.sigma) == (360, -216)
+    if (n, p) == (14, 5):
+        assert after.invariants.sigma == -4_464_000
+
+
+def test_a_second_middle_twist_leaves_the_holonomy_lattice_at_n_2_to_the_k():
+    # pinned as found: on n = 2^k the middle cylinder is horizontal, and
+    # mu h / 2 leaves the Z[alpha] (alpha, 0) lattice, so the corrected
+    # model fails the holonomy check there; on n = 2q it passes
+    for n in (8, 16, 32):
+        model = _twisted_polygon(n, {f"c_{n // 2}": 2})
+        assert model.horizontal[-1].name == f"c_{n // 2}"
+        assert thurston_veech.holonomy_basis_check(model) is False, n
+        assert thurston_veech.gluing_check(model) == [], n
+    for n in (10, 14, 22, 26):
+        assert thurston_veech.holonomy_basis_check(_twisted_polygon(n, {f"c_{n // 2}": 2})), n
+
+
+def test_each_cusp_class_sums_the_twist_counts_of_its_direction():
+    # model_spec reads each cusp's twist off the cylinders; every build row
+    # states twist 1 today, so the sum is also the cylinder count
+    for tag, h in _supported_tags(256):
+        spec, model = families.model_spec(tag)
+        sides = (model.horizontal,) if h % 2 else (model.horizontal, model.vertical)
+        assert spec.cusp_classes == tuple(
+            (sum(c.twist_count for c in side), 1) for side in sides
+        ), tag
+        assert spec.cusp_classes == tuple((len(side), 1) for side in sides), tag
+
+
 def test_polygon_8_3_inconsistency_is_surfaced():
     with pytest.raises(InconsistentCoverError):
         polygon_family(8, 3)
@@ -787,6 +856,57 @@ def test_chi_and_zeta_past_the_size_cap_are_refused_before_any_divisor(monkeypat
     # a user row answers ahead of the refusal
     table = CurveDataTable([ExternalCurveData(100_000_005, Fraction(-7, 2))])
     assert table.chi(100_000_005) == (Fraction(-7, 2), "table")
+
+
+def _chi_with_two_checks(d):
+    """CurveDataTable().chi as written when chi ran the size cap and the
+    squarefree test, and zeta ran both again: the reference for the
+    route's answers and refusals."""
+    if d in families._BUILTIN_CHI:
+        return families._BUILTIN_CHI[d], "builtin"
+    prototypes.check_size(d)
+    if is_fundamental_discriminant(d) and d % 8 != 1:
+        return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
+    raise MissingCurveDataError(
+        f"no Euler characteristic available for D = {d}; supply a data CSV"
+    )
+
+
+def _outcome(f, d):
+    try:
+        return f(d)
+    except VeechFibError as exc:
+        return type(exc), str(exc)
+
+
+def test_chi_runs_one_squarefree_test_per_zeta_lookup(monkeypatch):
+    tests = []
+
+    def counted(n):
+        tests.append(n)
+        return squarefree(n)
+
+    squarefree = families._squarefree
+    monkeypatch.setattr(families, "_squarefree", counted)
+    table = CurveDataTable()
+    past_the_cap = [10**7 + k for k in (1, 4, 5, 12, 13)] + [100_000_005]
+    sources = Counter()
+    for d in [*range(-50, 6001), 9_999_973, *past_the_cap]:
+        tests.clear()
+        got = _outcome(table.chi, d)
+        count = len(tests)
+        assert got == _outcome(_chi_with_two_checks, d), d
+        if isinstance(got[0], Fraction):
+            sources[got[1]] += 1
+            assert count == (got[1] == "zeta-formula"), d
+        else:
+            assert count <= 1, d
+            sources[got[0]] += 1
+    assert sources["zeta-formula"] > 1000 and sources["builtin"] == 2
+    assert {InvalidArgumentError, MissingCurveDataError, CapExceededError} < set(sources)
+    assert _outcome(table.chi, -3) == (
+        InvalidArgumentError, "-3 is not the discriminant of a real quadratic field"
+    )
 
 
 def test_curve_data_table_sources():

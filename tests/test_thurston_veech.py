@@ -248,14 +248,18 @@ def test_star_heights_are_the_lifts_embedded_at_mu():
 @pytest.mark.parametrize("tag", [f"polygon-{n}" for n in SUPPORTED_N] + ["E7", "E8"])
 def test_model_mu_is_the_largest_root_of_the_charpoly(tag):
     # independent of the Perron-Frobenius certificate: the field modulus
-    # divides the characteristic polynomial of the construction graph,
-    # and above the lower end of the bracket the build certifies, the
-    # charpoly has one distinct real root, so mu is the largest eigenvalue
+    # divides the characteristic polynomial of the construction graph
+    # (the whole star, also where an even n-gon's model keeps its
+    # quotient), and above the lower end of the bracket the build
+    # certifies, the charpoly has one distinct real root, so mu is the
+    # largest eigenvalue
     model = build_surface(tag)
-    cp = charpoly(adjacency(model.construction_graph))
+    h = surface_tag(tag)[1]
+    star = _path(h - 1) if tag.startswith("polygon") else thurston_veech._SPORADIC[tag][:2]
+    cp = charpoly(adjacency(_two_coloured(*star)[0]))
     assert exact_divide(cp, model.mu.field.modulus) is not None
     sf = root_refine_reference.squarefree_part(cp)
-    lower = two_cos_bracket(surface_tag(tag)[1])[0]
+    lower = two_cos_bracket(h)[0]
     assert count_roots_in(sturm_chain(sf), lower, root_refine_reference.root_bound(sf)) == 1
 
 
@@ -423,13 +427,11 @@ def test_parity_check_passes_a_staircase_scaled_at_the_wrong_anchor():
         mu, by_vertex, blacks, whites, 4
     )
     rows = [
-        (f"c_{v}", HORIZONTAL if v in horizontal else VERTICAL, scaled[v], lifts[v])
+        (f"c_{v}", HORIZONTAL if v in horizontal else VERTICAL, scaled[v], 1, lifts[v])
         for v in sorted(by_vertex)
     ]
     # c_7, the lowest of the vertical class this scaling makes
-    model = _checked_model(
-        "E7", graph, graph, mu, rows, diagram.genus, diagram.zero_partition, "c_7"
-    )
+    model = _checked_model("E7", graph, mu, rows, diagram.genus, diagram.zero_partition, "c_7")
     lowest = min(model.vertical, key=lambda c: Embedded(c.height))
     assert model.vertical[model.lowest_vertical] is lowest
     assert staircase_parity_check(model)
@@ -539,11 +541,9 @@ def test_span_check_refuses_a_genus_above_the_rank():
     assert core_curve_span_check(model)
     genus = model.genus + 1
     assert core_curve_span_check(model._replace(genus=genus)) is False
-    rows = [(c.name, c.direction, c.height, c.height_lift) for c in model.cylinders]
+    rows = [(c.name, c.direction, c.height, c.twist_count, c.height_lift) for c in model.cylinders]
     with pytest.raises(MathematicalInconsistencyError, match="rank of the intersection matrix"):
-        _checked_model(
-            "E7", model.graph, model.graph, model.mu, rows, genus, model.zero_partition, "c_1"
-        )
+        _checked_model("E7", model.graph, model.mu, rows, genus, model.zero_partition, "c_1")
 
 
 def test_cylinder_bound_examples():
@@ -555,7 +555,6 @@ def test_cylinder_bound_examples():
     broken = SurfaceModel(
         family_tag=m7.family_tag,
         graph=m7.graph,
-        construction_graph=m7.construction_graph,
         mu=m7.mu,
         heights=m7.heights,
         horizontal=m7.horizontal[:-1],
@@ -589,7 +588,6 @@ def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-bui
     return SurfaceModel(
         family_tag=family_tag,
         graph=graph,
-        construction_graph=graph,
         mu=mu,
         heights=tuple(c.height for c in horizontal + vertical),
         horizontal=horizontal,
