@@ -38,7 +38,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidRootDataError,
 )
-from .exact.finitefield import FiniteFieldSpec, is_irreducible_mod_p, is_prime
+from .exact.finitefield import FiniteFieldSpec, check_odd_prime, is_irreducible_mod_p
 from .exact.polynomials import IntPolynomial, rational_to_str
 
 
@@ -164,8 +164,7 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=
     """
     if not isinstance(alpha_minpoly, IntPolynomial):
         alpha_minpoly = IntPolynomial(alpha_minpoly)
-    if not is_prime(p) or p < 3:
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     if alpha_minpoly.degree != genus:
         raise InvalidArgumentError(
             f"minimal polynomial degree {alpha_minpoly.degree} != genus {genus}"

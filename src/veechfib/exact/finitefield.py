@@ -49,6 +49,13 @@ def is_prime(n):
     return True
 
 
+def check_odd_prime(p):
+    """Refuse by InvalidArgumentError a level that is not an odd prime int
+    (a bool or a float such as 3.0 included)."""
+    if type(p) is not int or p == 2 or not is_prime(p):
+        raise InvalidArgumentError(f"{p} is not an odd prime")
+
+
 # -- dense polynomial arithmetic over F_p -----------------------------------
 
 
@@ -176,8 +183,7 @@ def is_quadratic_nonresidue(d, p):
     Agrees with is_irreducible_mod_p on x^2 - d by construction; p must
     be an odd prime not dividing d.
     """
-    if not is_prime(p) or p == 2:
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     if d % p == 0:
         raise InvalidArgumentError(f"{p} divides {d}")
     return pow(d % p, (p - 1) // 2, p) == p - 1

@@ -60,7 +60,7 @@ from .errors import (
     MissingCurveDataError,
     UnsupportedFamilyError,
 )
-from .exact.finitefield import is_prime, is_quadratic_nonresidue
+from .exact.finitefield import check_odd_prime, is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str
@@ -403,11 +403,11 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         checks["genus_positivity"] = 2 * p * n_orbits + p * e2 - 2 * n_orbits >= 4 * p
         checks["e2"] = e2
     return result._replace(
-        closed_forms=closed_forms_weierstrass(d, p, degree_data.degree, chi, classes),
+        closed_forms=closed_forms_weierstrass(p, degree_data.degree, chi, classes),
     )
 
 
-def closed_forms_weierstrass(d, p, degree, chi, classes):
+def closed_forms_weierstrass(p, degree, chi, classes):
     """Tabulated closed forms for the Weierstrass series, from the
     (twist, multiplicity) classes of prototypes.prototype_classes: n = sum
     of m prototypes, each of twist count (w + h)/gcd(w, h).
@@ -415,6 +415,7 @@ def closed_forms_weierstrass(d, p, degree, chi, classes):
     The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which
     equals (w + h)/gcd(w, h) = prototype_twisting term by term.
     """
+    check_odd_prime(p)
     d, n, t = degree, sum(map(itemgetter(1), classes)), degree * sum(starmap(mul, classes))
     a, b = chi.numerator, chi.denominator
     # for chi = a/b: cusps = dn/p, genus = 1 - dn/2p - (d/2) chi,
@@ -435,62 +436,51 @@ def closed_forms_weierstrass(d, p, degree, chi, classes):
 
 
 def model_spec(tag):
-    """Spec and cached model of the polygon-n, E7 or E8 surface: the base,
-    its cusps and m_alpha follow from the Coxeter number h (see the module
-    docstring and family_alpha_polynomial).  The spec is built once per
-    model and kept in its memo."""
-    tag, h = capped_surface_tag(tag)
+    """Spec, cached model and structural checks of the polygon-n, E7 or E8
+    surface: the base and its cusps follow from the model's Coxeter number
+    h.  Both are made once per model, in one memo entry; a model whose
+    checks fail is refused, else the checks come as a fresh dict."""
+    tag = capped_surface_tag(tag)[0]
     model = _self.build_surface(tag)
-    spec = model.memo.get("spec")
-    if spec is None:
+    memo = model.memo.get("model_spec")
+    if memo is None:
+        h = model.coxeter_number
+        holonomy_basis = _self.holonomy_basis_check(model)  # first: the tracer's span order
+        checks = {
+            "staircase_parity": _self.staircase_parity_check(model),
+            "holonomy_basis": holonomy_basis,
+            "cylinder_bounds": _self.cylinder_bound_check(model),
+            "core_curve_span": _self.core_curve_span_check(model),
+        }
         signature = OrbifoldSignature(0, (2, h), 1) if h % 2 else OrbifoldSignature(0, (h // 2,), 2)
         sides = (model.horizontal,) if h % 2 else (model.horizontal, model.vertical)
-        classes = tuple((sum(c.twist_count for c in side), 1) for side in sides)
-        spec = model.memo["spec"] = FamilySpec(
+        spec = FamilySpec(
             tag=tag,
             fiber_genus=model.genus,
             zero_partition=model.zero_partition,
             alpha_minimal_polynomial=family_alpha_polynomial(tag)[0],
             contains_minus_identity=tag.startswith("polygon-"),
             signature_orbifold=signature,
-            cusp_classes=classes,
+            cusp_classes=tuple((sum(c.twist_count for c in side), 1) for side in sides),
         )
-    return spec, model
-
-
-def run_structural_checks(model):
-    """Level-independent checks, run once per model and kept in its memo;
-    each call returns a fresh dict the caller may extend."""
-    checks = model.memo.get("structural_checks")
-    if checks is None:
-        holonomy_basis = _self.holonomy_basis_check(model)  # first: the tracer's span order
-        checks = model.memo["structural_checks"] = {
-            "staircase_parity": _self.staircase_parity_check(model),
-            "holonomy_basis": holonomy_basis,
-            "cylinder_bounds": _self.cylinder_bound_check(model),
-            "core_curve_span": _self.core_curve_span_check(model),
-        }
-    return dict(checks)
+        memo = model.memo["model_spec"] = spec, checks
+    spec, checks = memo
+    if not all(checks.values()):
+        raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
+    return spec, model, dict(checks)
 
 
 def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
-    return _model_family(
-        f"polygon-{n}",
-        n,
-        p,
-        lambda degree: closed_forms_polygon(n, p, degree),
-        minimality_proven=n == 5 and p == 3,
-    )
+    return _model_family(f"polygon-{n}", p)
 
 
-def _model_family(tag, h, p, closed_forms, minimality_proven=False):
-    """The polygon and sporadic pipeline over the surface model of the tag,
-    whose Coxeter number h decides the level."""
-    spec, model = model_spec(tag)
-    checks = run_structural_checks(model)
-    if not all(checks.values()):
-        raise MathematicalInconsistencyError(f"structural checks failed: {checks}")
+def _model_family(tag, p):
+    """The polygon and sporadic pipeline over the surface model of the tag:
+    the model's Coxeter number h decides the level, and the closed forms and
+    the one proven minimal member (the pentagon at level 3) follow from the tag."""
+    spec, model, checks = model_spec(tag)
+    h, tag = model.coxeter_number, spec.tag
     degree_data = congruence_degree(
         spec.alpha_minimal_polynomial, p, spec.fiber_genus, spec.contains_minus_identity,
         coxeter_number=h,
@@ -501,14 +491,17 @@ def _model_family(tag, h, p, closed_forms, minimality_proven=False):
         degree_data,
         spec.signature_orbifold.euler_characteristic,
         checks,
-        minimality_proven=minimality_proven,
+        minimality_proven=tag == "polygon-5" and p == 3,
     )
     cover = result.cover
     if cover.base_genus >= 1:
         checks["bmy_sufficient"] = bmy_sufficient(
             spec.fiber_genus, cover.cusp_count, cover.total_twisting
         )
-    return result._replace(closed_forms=closed_forms(degree_data.degree))
+    d = degree_data.degree
+    if tag.startswith("polygon-"):
+        return result._replace(closed_forms=closed_forms_polygon(h, p, d))
+    return result._replace(closed_forms=closed_forms_sporadic(tag, p, d))
 
 
 def closed_forms_polygon(n, p, degree):
@@ -517,8 +510,9 @@ def closed_forms_polygon(n, p, degree):
     For n = 2q the tabulated signature disagrees with the signature
     formula applied to the fiber's zero partition (the tabulated value
     corresponds to doubling kappa); it is reproduced here verbatim so
-    the two code paths can be compared.  n is checked as surface_tag does.
+    the two code paths can be compared.  p is checked, then n as surface_tag does.
     """
+    check_odd_prime(p)
     check_polygon_n(n)
     d = degree
     if n % 2 == 1:
@@ -564,13 +558,14 @@ def closed_forms_polygon(n, p, degree):
 
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
-    tag, h = surface_tag(which)
+    tag = surface_tag(which)[0]
     if tag.startswith("polygon-"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
-    return _model_family(tag, h, p, lambda degree: closed_forms_sporadic(tag, p, degree))
+    return _model_family(tag, p)
 
 
 def closed_forms_sporadic(which, p, degree):
+    check_odd_prime(p)
     d, tag = degree, which.upper()
     if tag not in ("E7", "E8"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
@@ -721,8 +716,7 @@ def chern_scatter(d_min, d_max, p, data=None):
     (inconsistent-cover, D = 8 at p = 3) are skipped (and reported).
     A d_max above MAX_SCATTER_D is refused before the sweep.
     """
-    if p == 2 or not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not an odd prime")
+    check_odd_prime(p)
     if d_max > MAX_SCATTER_D:
         raise CapExceededError(f"max D = {d_max} exceeds the size cap D <= {MAX_SCATTER_D}")
     data = data if data is not None else CurveDataTable()

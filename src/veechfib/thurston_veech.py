@@ -23,12 +23,12 @@ through its neighbour lists, never a dense adjacency matrix.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
 E8 diagrams.  veechfib.tags.surface_tag parses a family tag once, into
-its canonical form and Coxeter number h.  The n-gon has genus phi(n)/2
-and zero partition (g - 1, g - 1) for n = 2 mod 4, else (2g - 2,); E7
-and E8 carry theirs in one table.  For even n the order-2 rotation of
-the path diagram is quotiented combinatorially on the cylinder list (one
-cylinder kept per swapped pair, the middle one as is), with quotient
-graph A(n/2).
+its canonical form and Coxeter number h; the model keeps h and has genus
+phi(h)/2.  The n-gon has zero partition (g - 1, g - 1) for n = 2 mod 4,
+else (2g - 2,); E7 and E8 carry theirs in one table.  For even n the
+order-2 rotation of the path diagram is quotiented combinatorially on
+the cylinder list (one cylinder kept per swapped pair, the middle one
+as is), with quotient graph A(n/2).
 
 Each model fact is proved once, by the build step that makes it:
 perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
@@ -71,7 +71,6 @@ from .errors import (
     InvalidArgumentError,
     MathematicalInconsistencyError,
     MixedModulusError,
-    UnsupportedFamilyError,
 )
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
@@ -148,7 +147,7 @@ class BipartiteIntersectionGraph:
 
 
 class _Diagram(NamedTuple):
-    """An exceptional diagram and the surface it builds.
+    """An exceptional diagram's star, zero partition and lowest vertical.
 
     lowest_vertical is the vertex of least height in the class without
     the staircase anchor, the vertical cylinders.  Proof from the arm
@@ -164,14 +163,13 @@ class _Diagram(NamedTuple):
 
     center: int
     arms: tuple  # each from its leaf inward; Bourbaki numbering
-    genus: int
     zero_partition: tuple
     lowest_vertical: int
 
 
 _SPORADIC = {
-    "E7": _Diagram(4, ((1, 3), (2,), (7, 6, 5)), 3, (1, 3), 1),
-    "E8": _Diagram(4, ((1, 3), (2,), (8, 7, 6, 5)), 4, (6,), 7),
+    "E7": _Diagram(4, ((1, 3), (2,), (7, 6, 5)), (1, 3), 1),
+    "E8": _Diagram(4, ((1, 3), (2,), (8, 7, 6, 5)), (6,), 7),
 }
 
 
@@ -351,6 +349,7 @@ class _SurfaceFields(NamedTuple):
     genus: int
     zero_partition: tuple
     lowest_vertical: int = 0
+    coxeter_number: int = 0
 
 
 class SurfaceModel(_SurfaceFields):
@@ -358,7 +357,8 @@ class SurfaceModel(_SurfaceFields):
 
     ``lowest_vertical`` indexes the vertical cylinder of least height, in
     ``vertical``: the build reads it off the closed form, and a hand-built
-    model lists that cylinder first.  It is not emitted by to_json.
+    model lists that cylinder first.  ``coxeter_number`` is the build's h
+    (0 on a hand-built model that states none).  Neither is in to_json.
     Instances carry a __dict__ for the per-model caches below; _replace
     gives a model that starts with none of them."""
 
@@ -415,17 +415,15 @@ def _build_polygon(n):
         (f"c_{k}", HORIZONTAL if k % 2 == 0 else VERTICAL, by_vertex[k], 1, lifts[k])
         for k in kept
     ]
-    genus = euler_phi(n) // 2
-    partition = (genus - 1, genus - 1) if n % 4 == 2 else (2 * genus - 2,)
+    zeros = euler_phi(n) - 2  # 2g - 2
+    partition = (zeros // 2, zeros // 2) if n % 4 == 2 else (zeros,)
     graph = construction if n % 2 == 1 else _two_coloured(*_path(n // 2))[0]
-    return _checked_model(f"polygon-{n}", graph, mu, rows, genus, partition, "c_1")
+    return _checked_model(f"polygon-{n}", graph, mu, rows, n, partition, "c_1")
 
 
-def _build_sporadic(which, coxeter_number):
+def _build_sporadic(which, h):
     diagram = _SPORADIC[which]
-    graph, blacks, whites, mu, by_vertex, _ = perron_frobenius(
-        diagram.center, diagram.arms, coxeter_number
-    )
+    graph, blacks, whites, mu, by_vertex, _ = perron_frobenius(diagram.center, diagram.arms, h)
     anchor = max(diagram.arms, key=len)[0]
     scaled, lifts, horizontal_set = _staircase_normalize(mu, by_vertex, blacks, whites, anchor)
     rows = [
@@ -433,14 +431,15 @@ def _build_sporadic(which, coxeter_number):
         for v in sorted(by_vertex)
     ]
     lowest = f"c_{diagram.lowest_vertical}"
-    return _checked_model(which, graph, mu, rows, diagram.genus, diagram.zero_partition, lowest)
+    return _checked_model(which, graph, mu, rows, h, diagram.zero_partition, lowest)
 
 
-def _checked_model(family_tag, graph, mu, rows, genus, partition, lowest):
+def _checked_model(family_tag, graph, mu, rows, coxeter_number, partition, lowest):
     """Model with one cylinder per (name, direction, height, twist count k,
     height lift) row, of circumference mu * height / k, and lowest the
-    name of its lowest vertical cylinder; refused unless the genus is the
-    rank of the intersection matrix."""
+    name of its lowest vertical cylinder, of genus phi(h) / 2 for its
+    Coxeter number h; refused unless that is the rank of Q."""
+    genus = euler_phi(coxeter_number) // 2
     cylinders = []
     for name, d, h, k, lift in rows:
         c = h.times_generator() if k == 1 else h.times_generator() / mu.field.element([k])
@@ -456,6 +455,7 @@ def _checked_model(family_tag, graph, mu, rows, genus, partition, lowest):
         genus=genus,
         zero_partition=partition,
         lowest_vertical=[c.name for c in vertical].index(lowest),
+        coxeter_number=coxeter_number,
     )
     if not core_curve_span_check(model):
         raise MathematicalInconsistencyError(f"genus {genus} != rank of the intersection matrix")
@@ -523,7 +523,7 @@ def _z_alpha_test(model):
 
     Even modulus f = g(x^2): Z[alpha] holds the elements with denominator
     1 and every odd coordinate 0.  Odd modulus: mu = -C_k(alpha - 2) for
-    k = (h - 1)/2, h odd and read from the family tag, C_k(2cos t) =
+    k = (h - 1)/2, h odd and the model's coxeter_number, C_k(2cos t) =
     2cos(kt) in Z[x].  That identity, checked once here as mu =
     -C_(h-1)(mu) (C_k(x^2 - 2) = C_(2k)(x)), gives Z[alpha] = Z[mu], the
     elements with denominator 1.  Any other model is refused
@@ -532,13 +532,10 @@ def _z_alpha_test(model):
     mu, modulus = model.mu, model.mu.field.modulus
     odd_coordinates_vanish = modulus.even_terms_only()
     if not odd_coordinates_vanish:
-        try:
-            h = surface_tag(model.family_tag)[1]
-        except UnsupportedFamilyError:
-            h = 0
+        h = model.coxeter_number
         if h % 2 == 0:
             raise InapplicableModelError(
-                f"modulus {modulus} is not even and {model.family_tag!r} gives no odd h: "
+                f"modulus {modulus} is not even and the model states no odd h (h = {h}): "
                 "no closed form for Z[mu^2]"
             )
         if mu.field.element(_chebyshev_lists(h - 1, 2)[h - 1]) != -mu:

@@ -84,7 +84,7 @@ def closed_forms_sporadic(which, p, degree):
     }
 
 
-def closed_forms_weierstrass(d, p, degree, chi, base_twists):
+def closed_forms_weierstrass(p, degree, chi, base_twists):
     """Tabulated closed forms for the Weierstrass series, from the
     twist count of each prototype (spec.base_twists, which
     prototypes.prototype_twists reads off the (w, h) classes: one

@@ -34,7 +34,7 @@ ALLOWED = {
     ("veechfib.invariants", "kappa_bound_check"):
         "kept on purpose, ROADMAP item 7",
     ("veechfib.thurston_veech", "gluing_check"):
-        "pins the even n-gon finding of ROADMAP item 18",
+        "pins the even n-gon finding, evidence under ROADMAP item 1",
 }
 
 

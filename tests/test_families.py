@@ -18,6 +18,7 @@ from veechfib.errors import (
     InconsistentCoverError,
     InvalidArgumentError,
     InvalidDiscriminantError,
+    MathematicalInconsistencyError,
     MissingCurveDataError,
     SpinRequiredError,
     UnsupportedFamilyError,
@@ -44,7 +45,9 @@ from veechfib.families import (
 )
 from veechfib.invariants import kappa_mu
 from veechfib.prototypes import standard_parameters, weierstrass_alpha
-from veechfib.exact.finitefield import is_irreducible_mod_p, is_prime
+from veechfib.exact.finitefield import (
+    check_odd_prime, is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
+)
 from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, small_divisors
 from veechfib.thurston_veech import build_surface, surface_tag
 
@@ -278,7 +281,8 @@ def _twisted_polygon(n, twists):
         for c in model.cylinders
     ]
     return thurston_veech._checked_model(
-        model.family_tag, model.graph, model.mu, rows, model.genus, model.zero_partition, "c_1"
+        model.family_tag, model.graph, model.mu, rows, model.coxeter_number,
+        model.zero_partition, "c_1",
     )
 
 
@@ -326,11 +330,27 @@ def test_a_second_middle_twist_leaves_the_holonomy_lattice_at_n_2_to_the_k():
         assert thurston_veech.holonomy_basis_check(_twisted_polygon(n, {f"c_{n // 2}": 2})), n
 
 
+def test_model_spec_refuses_a_model_whose_checks_fail_and_checks_it_once(monkeypatch):
+    # the octagon with a second middle twist fails the holonomy check:
+    # model_spec refuses it on every call, from the one memo entry
+    model = _twisted_polygon(8, {"c_4": 2})
+    calls = []
+    original = families.holonomy_basis_check
+    monkeypatch.setattr(families, "build_surface", lambda tag: model)
+    monkeypatch.setattr(
+        families, "holonomy_basis_check", lambda m: calls.append(m) or original(m)
+    )
+    for _ in range(2):
+        with pytest.raises(MathematicalInconsistencyError, match="'holonomy_basis': False"):
+            polygon_family(8, 5)
+    assert calls == [model] and model.memo.keys() == {"model_spec"}
+
+
 def test_each_cusp_class_sums_the_twist_counts_of_its_direction():
     # model_spec reads each cusp's twist off the cylinders; every build row
     # states twist 1 today, so the sum is also the cylinder count
     for tag, h in _supported_tags(256):
-        spec, model = families.model_spec(tag)
+        spec, model, _ = families.model_spec(tag)
         sides = (model.horizontal,) if h % 2 else (model.horizontal, model.vertical)
         assert spec.cusp_classes == tuple(
             (sum(c.twist_count for c in side), 1) for side in sides
@@ -433,9 +453,9 @@ def test_weierstrass_closed_forms_match_the_fraction_reference(p, degree, chi, c
     # the library reads the (twist, multiplicity) classes, the reference
     # one twist per prototype
     _same_forms(
-        families.closed_forms_weierstrass(5, p, degree, chi, classes),
+        families.closed_forms_weierstrass(p, degree, chi, classes),
         closed_forms_reference.closed_forms_weierstrass(
-            5, p, degree, chi, covers.expand_classes(classes)
+            p, degree, chi, covers.expand_classes(classes)
         ),
     )
 
@@ -456,6 +476,40 @@ def test_closed_forms_refuse_the_tags_the_pipeline_refuses():
                 families.closed_forms_polygon(n, 7, 100)
         else:
             families.closed_forms_polygon(n, 7, 100)
+
+
+_NOT_ODD_PRIMES = (0, 1, 2, 9, -3, 3.0, True)
+
+# every entry that takes a level p, called with one that is not an odd prime
+_LEVEL_CALLS = {
+    "check_odd_prime": check_odd_prime,
+    "is_quadratic_nonresidue": lambda p: is_quadratic_nonresidue(5, p),
+    "congruence_degree": lambda p: covers.congruence_degree(
+        family_alpha_polynomial("polygon-7")[0], p, 3, True
+    ),
+    "congruence_degree_with_h": lambda p: covers.congruence_degree(
+        family_alpha_polynomial("polygon-7")[0], p, 3, True, coxeter_number=7
+    ),
+    "chern_scatter": lambda p: chern_scatter(5, 30, p),
+    "polygon_family": lambda p: polygon_family(7, p),
+    "sporadic_family": lambda p: sporadic_family("E7", p),
+    "weierstrass_family": lambda p: weierstrass_family(5, p),
+    "closed_forms_polygon": lambda p: families.closed_forms_polygon(5, p, 60),
+    "closed_forms_sporadic": lambda p: families.closed_forms_sporadic("E7", p, 60),
+    "closed_forms_weierstrass": lambda p: families.closed_forms_weierstrass(
+        p, 60, Fraction(-3, 10), ((2, 1),)
+    ),
+}
+
+
+@pytest.mark.parametrize("p", _NOT_ODD_PRIMES, ids=repr)
+@pytest.mark.parametrize("name", sorted(_LEVEL_CALLS))
+def test_a_level_that_is_not_an_odd_prime_is_refused_by_one_gate(name, p):
+    # is_prime(3.0) is True, so 3.0 used to end in a TypeError; p = 0
+    # made the closed forms divide by zero, and p = -3 gave the pentagon
+    # -20 cusps
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(p))} is not an odd prime$"):
+        _LEVEL_CALLS[name](p)
 
 
 def _fractions_made(call, *args):

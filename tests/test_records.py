@@ -271,11 +271,11 @@ def test_records_are_tuples():
 def test_replaced_surface_model_starts_with_empty_caches():
     model = build_surface("polygon-5")
     polygon_family(5, 3)  # fills the cached model's memo
-    assert {"spec", "structural_checks"} <= model.memo.keys()
+    assert model.memo.keys() == {"model_spec"}
     copy = model._replace()
     assert copy == model and copy is not model
     assert copy.memo == {} and copy.memo is not model.memo
-    assert "spec" not in copy.memo
+    assert "model_spec" not in copy.memo
     copy.memo["mark"] = True
     assert "mark" not in model.memo
 

@@ -24,6 +24,7 @@ from veechfib.exact.polynomials import (
     IntPolynomial,
     _chebyshev_polys,
     cos_two_pi_minpoly,
+    euler_phi,
     two_cos_bracket,
 )
 from veechfib.families import family_alpha_polynomial
@@ -431,7 +432,7 @@ def test_parity_check_passes_a_staircase_scaled_at_the_wrong_anchor():
         for v in sorted(by_vertex)
     ]
     # c_7, the lowest of the vertical class this scaling makes
-    model = _checked_model("E7", graph, mu, rows, diagram.genus, diagram.zero_partition, "c_7")
+    model = _checked_model("E7", graph, mu, rows, 18, diagram.zero_partition, "c_7")
     lowest = min(model.vertical, key=lambda c: Embedded(c.height))
     assert model.vertical[model.lowest_vertical] is lowest
     assert staircase_parity_check(model)
@@ -542,8 +543,10 @@ def test_span_check_refuses_a_genus_above_the_rank():
     genus = model.genus + 1
     assert core_curve_span_check(model._replace(genus=genus)) is False
     rows = [(c.name, c.direction, c.height, c.twist_count, c.height_lift) for c in model.cylinders]
+    # the genus is phi(h)/2: E7's graph stated at h = 30 has genus 4 > rank Q = 3
+    assert euler_phi(30) // 2 == genus
     with pytest.raises(MathematicalInconsistencyError, match="rank of the intersection matrix"):
-        _checked_model("E7", model.graph, model.mu, rows, genus, model.zero_partition, "c_1")
+        _checked_model("E7", model.graph, model.mu, rows, 30, model.zero_partition, "c_1")
 
 
 def test_cylinder_bound_examples():
@@ -565,9 +568,9 @@ def test_cylinder_bound_examples():
     assert not cylinder_bound_check(broken)
 
 
-def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-built"):
+def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), coxeter_number=0):
     """Minimal hand-built model, over Q(sqrt(3)) unless another modulus
-    is given, with prescribed verticals."""
+    is given, with prescribed verticals and the stated Coxeter number."""
     field = RealAlgebraicField(IntPolynomial(modulus))
     mu = field.generator
     graph = BipartiteIntersectionGraph(((1, 1),))
@@ -586,7 +589,7 @@ def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-bui
         for i, v in enumerate(vertical_heights)
     )
     return SurfaceModel(
-        family_tag=family_tag,
+        family_tag="hand-built",
         graph=graph,
         mu=mu,
         heights=tuple(c.height for c in horizontal + vertical),
@@ -594,6 +597,7 @@ def _hand_built_model(vertical_heights, modulus=(-3, 0, 1), family_tag="hand-bui
         vertical=vertical,
         genus=1,
         zero_partition=(),
+        coxeter_number=coxeter_number,
     )
 
 
@@ -755,15 +759,50 @@ def test_closed_form_alpha_order_on_the_hand_built_model():
         thurston_veech._z_alpha_test(model)(build_surface("polygon-8").mu)
 
 
-@pytest.mark.parametrize("tag", ["hand-built", "polygon-5", "E7"])
-def test_odd_modulus_without_certificate_is_refused(tag):
+@pytest.mark.parametrize("h", [0, 5, 18])
+def test_odd_modulus_without_certificate_is_refused(h):
     # x^3 - 2 is not even, and mu = cbrt(2) is not -C_k(mu^2 - 2) for
-    # any tag: no closed form, and no elimination to fall back on
-    model = _hand_built_model([1, 2], modulus=(-2, 0, 0, 1), family_tag=tag)
+    # any stated h (none, odd or even): no closed form, and no
+    # elimination to fall back on
+    model = _hand_built_model([1, 2], modulus=(-2, 0, 0, 1), coxeter_number=h)
     with pytest.raises(InapplicableModelError, match="no closed form for Z\\[mu\\^2\\]"):
         thurston_veech._z_alpha_test(model)
     with pytest.raises(InapplicableModelError):
         holonomy_basis_check(model)
+
+
+@pytest.mark.parametrize("label", ["hand-built", "E7", "polygon-7"])
+def test_the_holonomy_check_reads_h_off_the_model_not_its_label(label):
+    # the pentagon's modulus x^2 - x - 1 is odd, so the check needs h = 5;
+    # the same model under any family tag gets the same answer
+    model = build_surface("polygon-5")
+    assert model.coxeter_number == 5 and not model.mu.field.modulus.even_terms_only()
+    relabelled = model._replace(family_tag=label)
+    assert holonomy_basis_check(relabelled) is holonomy_basis_check(model) is True
+    # with h dropped, the odd modulus has no closed form whatever the label
+    with pytest.raises(InapplicableModelError, match="no closed form"):
+        holonomy_basis_check(model._replace(family_tag=label, coxeter_number=0))
+
+
+def test_holonomy_basis_check_parses_no_tag(monkeypatch):
+    models = [build_surface(tag) for tag in ("polygon-5", "polygon-7", "polygon-8", "E7", "E8")]
+
+    def refuse(tag):
+        raise AssertionError(f"tag {tag!r} parsed")
+
+    monkeypatch.setattr(thurston_veech, "surface_tag", refuse)
+    monkeypatch.setattr(thurston_veech, "capped_surface_tag", refuse)
+    monkeypatch.setattr("veechfib.tags.surface_tag", refuse)
+    assert all(holonomy_basis_check(model) is True for model in models)
+
+
+def test_every_model_states_its_coxeter_number_and_genus_phi_h_over_2():
+    for tag in _supported_tags(256):
+        model = build_surface(tag)
+        h = model.coxeter_number
+        assert h == surface_tag(tag)[1], tag
+        assert model.genus == euler_phi(h) // 2 == rank(model.graph.intersections), tag
+        assert "coxeter_number" not in model.to_json(), tag
 
 
 def test_parity_check_uses_unreduced_lifts():
@@ -887,7 +926,7 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
             OrbifoldSignature(0, (2, n), 1) if n % 2 else OrbifoldSignature(0, (n // 2,), 2)
         )
     for tag, h in [(f"polygon-{n}", n) for n in SUPPORTED_N] + [("E7", 18), ("E8", 30)]:
-        spec, model = model_spec(tag)
+        spec, model, _ = model_spec(tag)
         mu = model.mu
         via_matrix = element_minimal_polynomial(mu * mu)
         via_cyclotomic = shift_by_minus_two(cos_two_pi_minpoly(h))
@@ -896,4 +935,4 @@ def test_alpha_minpoly_matches_cyclotomic_shift_oracle():
         assert family_alpha_polynomial(tag) == (via_matrix, model.genus), tag
         assert spec.signature_orbifold == signatures[tag], tag
         # one spec per model, kept in its memo
-        assert model_spec(tag)[0] is spec is model.memo["spec"], tag
+        assert model_spec(tag)[0] is spec is model.memo["model_spec"][0], tag
