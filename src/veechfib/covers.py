@@ -15,7 +15,8 @@ group_closure_order provides the independent oracle: the exact order
 of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
 of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
 fits under a configurable cap.  Transversals stop once the stabiliser
-is all of F_q; the rest of the orbit is plain reachability.
+is all of F_q; the orbit is then every nonzero vector when a generator
+leaves the upper triangular group, and plain reachability otherwise.
 
 riemann_hurwitz_cover and cover_twisting are the bookkeeping half, one
 step per class of base cusps that share their data: cusp counts |G|/k
@@ -261,9 +262,14 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     generator has determinant 1 these all have the form [[1, t], [0, 1]]:
     Stab(e1) is a subgroup of (F_q, +), kept as the set of its t.  A
     new t joins with its multiples, the cosets stab + t, ...,
-    stab + (p - 1) t.  Phase 1 walks until the set is all of F_q; then
-    no Schreier generator can add a t, so phase 2 counts the rest of the
-    orbit by reachability alone, with no transversal column.
+    stab + (p - 1) t.  Phase 1 walks until the set is all of F_q.  Then
+    U = {[[1, t], [0, 1]]} <= G, and the orbit is a union of U-orbits: the
+    rows R_y = {(x, y)}, y != 0, and the points (x, 0).  A generator
+    [[a, b], [c, d]] with c != 0 puts R_c = U (a, c) in the orbit and maps
+    each row R_y onto the line {(by + ax, dy + cx)}, which meets every row,
+    and row 0 at (-y/c, 0); so the orbit is all q^2 - 1 nonzero vectors
+    and |G| = q(q^2 - 1).  Otherwise G is upper triangular, the orbit lies
+    in row 0, and phase 2 counts it by reachability alone.
 
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
     CapExceededError up front otherwise (check_closure_cap); the
@@ -304,6 +310,8 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
                         stab.update(coset)
         if len(stab) == q:
             break
+    if len(stab) == q and any(mc[1] for _, _, mc, _ in gens):  # c != 0
+        return q * (q * q - 1)
     for x, y in walk:  # phase 2, from the first unwalked point
         for ma, mb, mc, md in gens:
             sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]

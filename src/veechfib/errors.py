@@ -4,7 +4,7 @@ Input-validation failures (bad discriminants, unsupported families,
 inadmissible primes) are distinguished from mathematical inconsistencies
 discovered mid-computation (non-integral cover genus, identity
 violations).  The CLI maps the former to exit code 2 and the latter to
-exit code 1.
+exit code 1.  check_int is the one type gate for a size argument.
 """
 
 
@@ -14,6 +14,13 @@ class VeechFibError(Exception):
 
 class InvalidArgumentError(VeechFibError, ValueError):
     """An argument fails a precondition (wrong range, wrong type, ...)."""
+
+
+def check_int(value, name):
+    """Refuse by InvalidArgumentError a size argument that is not an int
+    (a bool or a float such as 5.0 included), as check_odd_prime does."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{name} must be an int, not {value!r}")
 
 
 class DivisionByZeroError(VeechFibError, ZeroDivisionError):

@@ -22,7 +22,7 @@ group is fixed by the Coxeter number h (Veech 1989; Leininger 2004),
 Delta(2, h, oo) for odd h and Delta(h/2, oo, oo) for even h.  The
 level test needs only h, and congruence_degree takes it from the
 polygon, sporadic and primes paths; m_alpha for alpha = 2 + 2cos(2pi/h),
-which family_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h),
+which coxeter_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h),
 fixes the genus and the refusal message.  So admissible_primes builds
 no model, and model_spec reads m_alpha once per model.  All but the
 elliptic family are also evaluated through literal closed-form tables
@@ -59,6 +59,7 @@ from .errors import (
     MathematicalInconsistencyError,
     MissingCurveDataError,
     UnsupportedFamilyError,
+    check_int,
 )
 from .exact.finitefield import check_odd_prime, is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
@@ -458,7 +459,7 @@ def model_spec(tag):
             tag=tag,
             fiber_genus=model.genus,
             zero_partition=model.zero_partition,
-            alpha_minimal_polynomial=family_alpha_polynomial(tag)[0],
+            alpha_minimal_polynomial=coxeter_alpha_polynomial(h),
             contains_minus_identity=tag.startswith("polygon-"),
             signature_orbifold=signature,
             cusp_classes=tuple((sum(c.twist_count for c in side), 1) for side in sides),
@@ -620,6 +621,7 @@ MAX_SCATTER_D = 10**5
 
 def elliptic_family(m):
     """Genus-one fibration over the level-m principal congruence cover."""
+    check_int(m, "level m")
     if m > MAX_ELLIPTIC_M:
         raise CapExceededError(f"level m = {m} exceeds the size cap m <= {MAX_ELLIPTIC_M}")
     degree = principal_congruence_index(m)
@@ -653,25 +655,19 @@ _X_MINUS_ONE = IntPolynomial([-1, 1])
 # ---------------------------------------------------------------------------
 
 
-def family_alpha_polynomial(family_tag):
-    """Minimal polynomial of the congruence parameter, plus its genus.
+def coxeter_alpha_polynomial(h):
+    """m_alpha of a surface of Coxeter number h, of degree its genus.
 
-    A surface of Coxeter number h has alpha = mu^2 = 2 + 2cos(2pi/h) for
-    mu = 2cos(pi/h), whose minimal polynomial f = cos_two_pi_minpoly(2h)
-    has degree n.  For even h, f = g(x^2) and m_alpha = g; for odd h,
-    m_alpha(x^2) = (-1)^n f(x) f(-x).  m_alpha has degree the genus, and
-    no model is built.
+    alpha = mu^2 = 2 + 2cos(2pi/h) for mu = 2cos(pi/h), whose minimal
+    polynomial f = cos_two_pi_minpoly(2h) has degree n.  For even h,
+    f = g(x^2) and m_alpha = g; for odd h, m_alpha(x^2) = (-1)^n f(x) f(-x).
+    No model is built.
     """
-    d = _weierstrass_discriminant(family_tag)
-    if d is not None:
-        return weierstrass_alpha_polynomial(d), 2
-    _, h = capped_surface_tag(family_tag)
     f = cos_two_pi_minpoly(2 * h)
     if h % 2:
         mirrored = IntPolynomial([-c if i % 2 else c for i, c in enumerate(f.coefficients)])
         f = f * mirrored * (-1) ** f.degree
-    m_alpha = IntPolynomial(f.coefficients[::2])
-    return m_alpha, m_alpha.degree
+    return IntPolynomial(f.coefficients[::2])
 
 
 def _weierstrass_discriminant(family_tag):
@@ -690,14 +686,18 @@ def admissible_primes(family_tag, bound):
     admits, with exceptional as congruence_degree reports it.  A model
     tag's levels are decided from its Coxeter number, a Weierstrass tag's
     by Rabin's test."""
+    check_int(bound, "bound")
     if bound < 3:
         raise InvalidArgumentError("bound must be >= 3")
     if bound > MAX_PRIME_BOUND:
         raise CapExceededError(f"bound {bound} exceeds the size cap bound <= {MAX_PRIME_BOUND}")
-    m_alpha, genus = family_alpha_polynomial(family_tag)
-    h = None
-    if _weierstrass_discriminant(family_tag) is None:
-        _, h = capped_surface_tag(family_tag)
+    d = _weierstrass_discriminant(family_tag)
+    if d is None:
+        h = capped_surface_tag(family_tag)[1]
+        m_alpha = coxeter_alpha_polynomial(h)
+    else:
+        h, m_alpha = None, weierstrass_alpha_polynomial(d)
+    genus = m_alpha.degree
     out = []
     for p in filter(is_prime, range(3, bound + 1, 2)):
         try:
@@ -717,6 +717,8 @@ def chern_scatter(d_min, d_max, p, data=None):
     A d_max above MAX_SCATTER_D is refused before the sweep.
     """
     check_odd_prime(p)
+    check_int(d_min, "min D")
+    check_int(d_max, "max D")
     if d_max > MAX_SCATTER_D:
         raise CapExceededError(f"max D = {d_max} exceeds the size cap D <= {MAX_SCATTER_D}")
     data = data if data is not None else CurveDataTable()

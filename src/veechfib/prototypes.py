@@ -45,6 +45,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidDiscriminantError,
     SpinRequiredError,
+    check_int,
 )
 from .exact.polynomials import IntPolynomial, euler_phi, small_divisors
 
@@ -61,6 +62,7 @@ class Prototype(NamedTuple):
 
 
 def _check_discriminant(d):
+    check_int(d, "D")
     if d < 5 or d % 4 not in (0, 1):
         raise InvalidDiscriminantError(f"D = {d} is not a discriminant >= 5")
     r = math.isqrt(d)

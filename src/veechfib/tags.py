@@ -2,7 +2,7 @@
 a request that needs only the tag loads no thurston_veech, numberfield
 or linalg."""
 
-from .errors import CapExceededError, UnsupportedFamilyError
+from .errors import CapExceededError, UnsupportedFamilyError, check_int
 from .exact.finitefield import is_prime
 
 # Largest n whose n-gon model is built: the construction works in a
@@ -37,7 +37,8 @@ def surface_tag(family_tag):
 def check_polygon_n(n):
     """Refuse by UnsupportedFamilyError an n-gon outside the supported
     series: q = n (odd n) or n/2 (even n) a prime > 3, or n >= 8 a power
-    of two."""
+    of two; an n that is not an int raises InvalidArgumentError."""
+    check_int(n, "n")
     q = n if n % 2 else n // 2
     if not (q > 3 and is_prime(q) or n >= 8 and n & (n - 1) == 0):
         raise UnsupportedFamilyError(

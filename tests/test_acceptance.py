@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from alpha_reference import family_alpha_polynomial
 from prototype_reference import brute_force_count
 from veechfib.covers import (
     DEFAULT_CLOSURE_CAP,
@@ -29,7 +30,6 @@ from veechfib.families import (
     admissible_primes,
     chern_scatter,
     elliptic_family,
-    family_alpha_polynomial,
     polygon_family,
     sporadic_family,
     weierstrass_family,

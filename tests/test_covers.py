@@ -561,6 +561,11 @@ def _generator(field, kind, i, j, k):
 @example(q=9, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 4, 0, 0)])
 @example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("general", 6, 0, 0)])
 @example(q=27, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 4, 0, 0)])
+@example(q=4, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 2, 0, 0), ("general", 3, 0, 0)])
+# shears by 1 and x fill Stab(e1) at e1, then a lower shear leaves the
+# Borel subgroup: the orbit is every nonzero vector with no walk past e1
+@example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("lower-shear", 1, 0, 0)])
+@example(q=4, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 2, 0, 0), ("lower-shear", 1, 0, 0)])
 @settings(max_examples=100, deadline=None)
 def test_orbit_stabiliser_matches_bfs(q, draws):
     p, modulus = SMALL_FIELDS[q]
@@ -589,6 +594,31 @@ def test_closure_borel_subgroup_is_q_times_q_minus_one(p, modulus, expected):
         ),
     )
     assert group_closure_order(spec) == q * (q - 1) == expected
+
+
+def test_closure_stops_once_the_stabiliser_fills_outside_the_borel_subgroup(monkeypatch):
+    # once Stab(e1) is all of F_q and a generator has c != 0 the orbit is
+    # every nonzero vector: the walk ends there, reading the addition
+    # table far fewer than q^2 times (a full orbit walk reads it 63 816)
+    reads = 0
+
+    class CountedRows(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(self, i)
+
+    field_tables = covers._field_tables
+
+    def counted_tables(field):
+        mul, add = field_tables(field)
+        return mul, CountedRows(add)
+
+    monkeypatch.setattr(covers, "_field_tables", counted_tables)
+    field = FiniteFieldSpec(5, IntPolynomial([-3, 9, -6, 1]))
+    q = field.order
+    assert group_closure_order(theorem_generator_pair(field)) == q * (q * q - 1)
+    assert 0 < reads < q * q
 
 
 def test_f9_exception_depends_on_residue():

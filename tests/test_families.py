@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import closed_forms_reference
 import prototype_reference as reference
+from alpha_reference import family_alpha_polynomial
 from veechfib.errors import (
     CapExceededError,
     InadmissiblePrimeError,
@@ -35,7 +36,6 @@ from veechfib.families import (
     chern_scatter,
     chern_scatter_csv,
     elliptic_family,
-    family_alpha_polynomial,
     is_fundamental_discriminant,
     polygon_family,
     principal_congruence_index,
@@ -512,6 +512,50 @@ def test_a_level_that_is_not_an_odd_prime_is_refused_by_one_gate(name, p):
         _LEVEL_CALLS[name](p)
 
 
+# every size argument that is not an int: each but the bool D window used
+# to end in a TypeError, and chern_scatter(5, True, 5) returned ([], [])
+_SIZE_CALLS = {
+    "closed_forms_polygon n": lambda: families.closed_forms_polygon(5.0, 3, 60),
+    "admissible_primes bound": lambda: admissible_primes("polygon-7", 30.0),
+    "chern_scatter max D": lambda: chern_scatter(5, 30.0, 5),
+    "chern_scatter min D": lambda: chern_scatter(5.0, 30, 5),
+    "chern_scatter bool max D": lambda: chern_scatter(5, True, 5),
+    "weierstrass_family D": lambda: weierstrass_family(8.0, 3),
+    "elliptic_family m": lambda: elliptic_family(3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZE_CALLS))
+def test_a_size_argument_that_is_not_an_int_is_refused_by_one_gate(name):
+    with pytest.raises(InvalidArgumentError, match=" must be an int, not "):
+        _SIZE_CALLS[name]()
+
+
+def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypatch):
+    # each model path parses its tag once per layer that needs it: the
+    # pipeline's model_spec and build_surface, a sporadic request's check
+    # that the tag is E7 or E8, and admissible_primes once
+    parsed = []
+    surface_tag = thurston_veech.surface_tag
+
+    def counted(tag):
+        parsed.append(tag)
+        return surface_tag(tag)
+
+    for module in ("veechfib.tags", "veechfib.families", "veechfib.thurston_veech"):
+        monkeypatch.setattr(f"{module}.surface_tag", counted)
+
+    def parses(call, *args):
+        build_surface.cache_clear()
+        parsed.clear()
+        call(*args)
+        return len(parsed)
+
+    assert parses(polygon_family, 7, 3) == 2
+    assert parses(sporadic_family, "E7", 5) == 3
+    assert parses(admissible_primes, "polygon-7", 40) == 1
+
+
 def _fractions_made(call, *args):
     """Fractions a call makes: calls of Fraction.__new__, and on Pythons
     whose Fraction arithmetic bypasses it, of Fraction._from_coprime_ints."""
@@ -623,7 +667,8 @@ def test_prime_bound_past_the_size_cap_is_refused_before_any_level(monkeypatch):
     def refuse(*args):
         raise _LevelTested(args)
 
-    monkeypatch.setattr(families, "family_alpha_polynomial", refuse)
+    monkeypatch.setattr(families, "coxeter_alpha_polynomial", refuse)
+    monkeypatch.setattr(families, "weierstrass_alpha_polynomial", refuse)
     monkeypatch.setattr(families, "congruence_degree", refuse)
     assert MAX_PRIME_BOUND == 10**5
     for family in ("polygon-5", "weierstrass-5", "E8"):
@@ -704,7 +749,7 @@ def _supported_tags(bound):
 def test_alpha_polynomial_matches_the_cyclotomic_shift_on_every_tag():
     # alpha = 2 + 2cos(2pi/h), so m_alpha is Psi_h(x - 2), shifted here by
     # Horner's rule: a second route to the parity rule on m_mu that
-    # family_alpha_polynomial applies, on every supported tag, with no model
+    # coxeter_alpha_polynomial applies, on every supported tag, with no model
     x_minus_2 = IntPolynomial([-2, 1])
     tags = list(_supported_tags(256))
     assert len(tags) == 89

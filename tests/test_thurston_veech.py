@@ -6,6 +6,7 @@ import pytest
 import enclosure_reference
 import power_basis_reference
 import root_refine_reference
+from alpha_reference import family_alpha_polynomial
 from enclosure_reference import Embedded, less
 from root_refine_reference import bisect_by_signs, count_roots_in, exact_divide, sturm_chain
 from veechfib import thurston_veech
@@ -27,7 +28,6 @@ from veechfib.exact.polynomials import (
     euler_phi,
     two_cos_bracket,
 )
-from veechfib.families import family_alpha_polynomial
 from veechfib.thurston_veech import (
     HORIZONTAL,
     MAX_POLYGON_N,
