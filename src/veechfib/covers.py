@@ -17,6 +17,8 @@ of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
 fits under a configurable cap.  Transversals stop once the stabiliser
 is all of F_q; the orbit is then every nonzero vector when a generator
 leaves the upper triangular group, and plain reachability otherwise.
+No field table is q x q: sums add digits with no carry through one of
+(2p - 1)^n entries, and products go through logs and antilogs (< 4q).
 
 riemann_hurwitz_cover and cover_twisting are the bookkeeping half, one
 step per class of base cusps that share their data: cusp counts |G|/k
@@ -38,6 +40,7 @@ from .errors import (
     InconsistentCoverError,
     InvalidArgumentError,
     InvalidRootDataError,
+    check_int,
 )
 from .exact.finitefield import FiniteFieldSpec, check_odd_prime, is_irreducible_mod_p
 from .exact.polynomials import IntPolynomial, rational_to_str
@@ -271,6 +274,9 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     and |G| = q(q^2 - 1).  Otherwise G is upper triangular, the orbit lies
     in row 0, and phase 2 counts it by reachability alone.
 
+    Field elements are indices, and a generator entry e is its row
+    j -> code(e j), so that ax + by is one lookup in red (_field_kernel).
+
     The oracle requires |SL(2, q)| = q(q^2 - 1) <= cap and raises
     CapExceededError up front otherwise (check_closure_cap); the
     generated group lies in SL(2, q), so no search can outgrow an
@@ -279,11 +285,13 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     field = spec.field
     p, q = field.p, field.order
     check_closure_cap(p, field.degree, cap)
-    mul, add = _field_tables(field)
-    neg = mul[p - 1]  # the row of -1
+    code, red, log, cexp, nexp = _field_kernel(field)
     idx = field.element_index
-    # a generator as its four multiplication rows: s (x, y) = (ax + by, cx + dy)
-    gens = [tuple(mul[idx(e)] for e in (a, b, c, d)) for (a, b), (c, d) in spec.generators]
+    # a generator as its four rows j -> code(e j): s (x, y) = (ax + by, cx + dy)
+    gens = [
+        tuple([cexp[i + k] for k in log] for i in [log[idx(e)] for e in (a, b, c, d)])
+        for (a, b), (c, d) in spec.generators
+    ]
     # w_v, the second column of u_v, keyed by v = (x, y) as x * q + y;
     # indices: element_index maps 1 -> 1, 0 -> 0, so e1 is key q
     second = [None] * (q * q)
@@ -294,19 +302,19 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     for x, y in walk:  # phase 1
         b, d = second[x * q + y]
         for ma, mb, mc, md in gens:
-            sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]
+            sx, sy = red[ma[x] + mb[y]], red[mc[x] + md[y]]
             w = second[sx * q + sy]
             if w is None:
-                second[sx * q + sy] = (add[ma[b]][mb[d]], add[mc[b]][md[d]])
+                second[sx * q + sy] = (red[ma[b] + mb[d]], red[mc[b] + md[d]])
                 orbit.append((sx, sy))
             else:
                 # t is the top-right entry of u_{sv}^-1 (s u_v)
-                sb, sd = add[ma[b]][mb[d]], add[mc[b]][md[d]]
-                t = add[mul[w[1]][sb]][neg[mul[w[0]][sd]]]
+                sb, sd = red[ma[b] + mb[d]], red[mc[b] + md[d]]
+                t = red[cexp[log[w[1]] + log[sb]] + nexp[log[w[0]] + log[sd]]]
                 if t not in stab:
                     coset = list(stab)
                     for _ in range(p - 1):
-                        coset = [add[r][t] for r in coset]
+                        coset = [red[code[r] + code[t]] for r in coset]
                         stab.update(coset)
         if len(stab) == q:
             break
@@ -314,7 +322,7 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
         return q * (q * q - 1)
     for x, y in walk:  # phase 2, from the first unwalked point
         for ma, mb, mc, md in gens:
-            sx, sy = add[ma[x]][mb[y]], add[mc[x]][md[y]]
+            sx, sy = red[ma[x] + mb[y]], red[mc[x] + md[y]]
             if second[sx * q + sy] is None:
                 second[sx * q + sy] = True
                 orbit.append((sx, sy))
@@ -322,12 +330,13 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
 
 
 def check_closure_cap(p, degree, cap):
-    """Refuse a cap below 1 (InvalidArgumentError) and a closure search
-    over F_q, q = p^degree, whose |SL(2, q)| = q(q^2 - 1) exceeds the cap
-    (CapExceededError), before the field and its irreducibility test.
-    Once q may pass 2^4096 it is written p^degree: q(q^2 - 1) would be
-    slow to form and too long to print, and a cap past 4096 bits is
-    written by its bit length."""
+    """Refuse a cap that is not an int or is below 1 (InvalidArgumentError)
+    and a closure search over F_q, q = p^degree, whose |SL(2, q)| =
+    q(q^2 - 1) exceeds the cap (CapExceededError), before the field and
+    its irreducibility test.  Once q may pass 2^4096 it is written
+    p^degree: q(q^2 - 1) would be slow to form and too long to print, and
+    a cap past 4096 bits is written by its bit length."""
+    check_int(cap, "cap")
     shown = cap
     if cap.bit_length() > 4096:
         shown = f"a {'negative ' * (cap < 0)}{cap.bit_length()}-bit integer"
@@ -345,42 +354,45 @@ def check_closure_cap(p, degree, cap):
     raise CapExceededError(f"{order} exceeds cap = {shown}; raise the cap to search this field")
 
 
-def _field_tables(field):
-    """Multiplication and addition tables of F_q on element indices.
+def _field_kernel(field):
+    """Codes, reduction table, logs and antilogs of F_q: no q x q table.
 
     Index i is the residue whose coefficients are the base-p digits of
-    i (FiniteFieldSpec.element_index).  Sums add digitwise mod p.  A
-    product by a fixed element is F_p-linear, so with s the lowest
-    place value at which i has a nonzero digit, row i is row i - s plus
-    row s, and row s = p^k is row p^(k-1) followed by multiplication by
-    x.  That map shifts the digits up one place and folds the top digit
-    back as that multiple of x^n mod f, the only field value formed.
+    i (FiniteFieldSpec.element_index).  Its code reads those digits in
+    base 2p - 1, so two codes add with no carry, and red, of (2p - 1)^n
+    entries, maps a sum of codes to the index of the sum.  Multiplication
+    by x shifts the digits up one place and folds the top digit back as
+    that multiple of x^n mod f, the only field value formed.  A product
+    by a fixed g is F_p-linear, so its row is built from x's; g is the
+    first element from x (from 1 when n = 1; for n > 1 no scalar is
+    primitive) whose row cycles through all q - 1 units.  cexp[k] and
+    nexp[k] are the codes of g^k and -g^k, and zero's log 2(q - 1) lies
+    past every sum of two logs, where both are padded by zero's code 0:
+    w z - w' z' = red[cexp[log w + log z] + nexp[log w' + log z']].
     """
     p, q, n = field.p, field.order, field.degree
-    # i = i0 + p * i' adds digitwise: (i0 + j0) mod p + p * (i' + j')
-    low = [[(a + b) % p for b in range(p)] for a in range(p)]
-    add = low
-    while len(add) < q:
-        add = [
-            [p * h + lo for h in add[i // p] for lo in low[i % p]]
-            for i in range(len(add) * p)
-        ]
-    xn = field.element_index(field.element([0] * n + [1]))
-    c_xn = [0]  # c_xn[c] = c * (x^n mod f)
-    for _ in range(p - 1):
-        c_xn.append(add[c_xn[-1]][xn])
-    top = q // p
-    times_x = [add[j % top * p][c_xn[j // top]] for j in range(q)]
-    mul = [[0] * q, list(range(q))]
-    for i in range(2, q):
-        s = 1
-        while i // s % p == 0:
-            s *= p
-        if i == s:
-            mul.append([times_x[k] for k in mul[s // p]])
-        else:
-            mul.append([add[a][b] for a, b in zip(mul[i - s], mul[s])])
-    return mul, add
+    code = red = [0]
+    while len(code) < q:  # index i0 + p i' has code i0 + (2p - 1) code(i')
+        code = [(2 * p - 1) * c + i0 for c in code for i0 in range(p)]
+        red = [p * r + u % p for r in red for u in range(2 * p - 1)]
+    top, xn = q // p, code[field.element_index(field.element([0] * n + [1]))]
+    times_x = [p * j for j in range(top)]
+    for j in range(top, q):  # x j = x (j - top) + x^n
+        times_x.append(red[code[times_x[j - top]] + xn])
+    g, powers = p - 1 if n > 1 else 0, ()
+    while len(powers) != q - 1:
+        g += 1
+        row = times_x if g == p else [0, g]
+        for j in range(len(row), q):  # g j = g (j - 1) + g; g (x j') = x (g j')
+            row.append(times_x[row[j // p]] if j % p == 0 else red[code[row[j - 1]] + code[g]])
+        powers = [1]
+        while row[powers[-1]] != 1:
+            powers.append(row[powers[-1]])
+    log = [2 * q - 2] * q
+    for k, v in enumerate(powers):
+        log[v] = k
+    cyc, half, pad = [code[v] for v in powers], log[p - 1], [0] * (2 * q - 1)
+    return code, red, log, cyc * 2 + pad, (cyc[half:] + cyc[:half]) * 2 + pad  # -1 = g^half
 
 
 # ---------------------------------------------------------------------------

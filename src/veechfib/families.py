@@ -144,6 +144,7 @@ def real_quadratic_zeta_minus_one(d):
                      of sigma_1((d - b^2)/4),
     the sigma total of prototypes.divisor_scan, shared with the classes.
     """
+    check_int(d, "D")
     if d < 5:
         raise InvalidArgumentError(f"{d} is not the discriminant of a real quadratic field")
     check_size(d)
@@ -191,6 +192,7 @@ class CurveDataTable:
         return cls(rows)
 
     def chi(self, d):
+        check_int(d, "D")
         if d in self._rows:
             return self._rows[d].chi, "table"
         if d in _BUILTIN_CHI:
@@ -511,10 +513,12 @@ def closed_forms_polygon(n, p, degree):
     For n = 2q the tabulated signature disagrees with the signature
     formula applied to the fiber's zero partition (the tabulated value
     corresponds to doubling kappa); it is reproduced here verbatim so
-    the two code paths can be compared.  p is checked, then n as surface_tag does.
+    the two code paths can be compared.  p is checked, then n as surface_tag
+    does, then that the degree is an int.
     """
     check_odd_prime(p)
     check_polygon_n(n)
+    check_int(degree, "degree")
     d = degree
     if n % 2 == 1:
         # genus = 1 + (d/2)(1/2 - 1/q - 1/p), e = d((q-3)(1/2 - 1/q - 1/p) + (q-1)/2)
@@ -599,6 +603,7 @@ def closed_forms_sporadic(which, p, degree):
 
 def principal_congruence_index(m):
     """Index of the level-m principal congruence subgroup in PSL(2, Z)."""
+    check_int(m, "level m")
     if m < 3:
         raise InvalidArgumentError("level must be >= 3")
     idx = m**3

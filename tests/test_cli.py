@@ -83,6 +83,17 @@ def test_group_order_non_positive_cap_exit_2(capsys, cap):
     assert diagnostic["message"] == f"cap must be a positive integer, not {cap}"
 
 
+@pytest.mark.parametrize("cap", ["10.0", "True"])
+def test_group_order_cap_that_is_not_an_int_exit_2(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "group-order", "--p", "3", "--modulus", "x^2-x-1", "--cap", cap
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert f"argument --cap: invalid int value: '{cap}'" in err
+
+
 def _error_type(stderr):
     """The stderr classes of the golden record: none, argparse usage,
     the JSON diagnostic's error type, or anything else."""

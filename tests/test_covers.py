@@ -140,6 +140,22 @@ def test_closure_cap_past_4096_bits_is_written_by_its_bit_length():
 
 
 
+@pytest.mark.parametrize("cap", [10.0, True, 10**7 + 0.5])
+def test_closure_refuses_a_cap_that_is_not_an_int(cap):
+    # a float cap used to end in an AttributeError (float.bit_length), and
+    # cap=True in "exceeds cap = True"
+    field = FiniteFieldSpec(3, IntPolynomial([-1, -1, 1]))
+    message = f"cap must be an int, not {cap!r}"
+    for refuse in (
+        lambda: group_closure_order(theorem_generator_pair(field), cap=cap),
+        lambda: check_closure_cap(3, 2, cap),
+    ):
+        with pytest.raises(InvalidArgumentError) as refusal:
+            refuse()
+        assert type(refusal.value) is InvalidArgumentError
+        assert str(refusal.value) == message
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_closure_refuses_a_non_positive_cap_before_the_size_check(cap):
     field = FiniteFieldSpec(3, IntPolynomial([-1, -1, 1]))
@@ -475,31 +491,61 @@ def test_dickson_oracle_sl2_125_exhaustive():
     assert group_closure_order(pair) == expected.group_order
 
 
-@pytest.mark.parametrize(
-    "p, modulus",
-    [
-        (2, "x+1"),
-        (2, "x^2+x+1"),
-        (2, "x^3+x+1"),
-        (2, "x^4+x+1"),
-        (3, "x"),
-        (3, "x^2+1"),
-        (3, "2*x^2+x+1"),  # not monic
-        (3, "x^3-x+1"),
-        (3, "x^4+x+2"),
-        (5, "x-2"),
-        (5, "x^2+2"),
-        (5, "3*x^2+1"),  # not monic
-        (7, "x^2+1"),
-        (11, "x^2+1"),
-        (13, "x-3"),
-    ],
-)
-def test_field_tables_match_ffelement_arithmetic(p, modulus):
-    # the oracle's tables, built from multiplication by x, entry by entry
-    # against the reference's, built from FFElement products and sums
+KERNEL_MODULI = [
+    (2, "x+1"),
+    (2, "x^2+x+1"),
+    (2, "x^3+x+1"),
+    (2, "x^4+x+1"),
+    (3, "x"),
+    (3, "x^2+1"),
+    (3, "2*x^2+x+1"),  # not monic
+    (3, "x^3-x+1"),
+    (3, "x^4+x+2"),
+    (5, "x-2"),
+    (5, "x^2+2"),
+    (5, "3*x^2+1"),  # not monic
+    (7, "x^2+1"),
+    (11, "x^2+1"),
+    (13, "x-3"),
+    (3, "x^5-x+1"),  # F_243 and F_343, the closure-oracle workload's cap fields
+    (7, "x^3+2"),
+]
+
+
+@pytest.mark.parametrize("p, modulus", KERNEL_MODULI)
+def test_field_kernel_matches_ffelement_arithmetic(p, modulus):
+    # the oracle's carry-free sums and log/antilog products, built from
+    # multiplication by x, pair by pair against the reference's tables,
+    # built from FFElement products and sums: a + b, a b and -(a b)
     field = FiniteFieldSpec(p, parse_polynomial(modulus))
-    assert covers._field_tables(field) == bfs_oracle._field_tables(field)
+    code, red, log, cexp, nexp = covers._field_kernel(field)
+    mul, add = bfs_oracle._field_tables(field)
+    neg = [row.index(0) for row in add]
+    q = field.order
+    assert [[red[code[a] + code[b]] for b in range(q)] for a in range(q)] == add
+    assert [[red[cexp[log[a] + log[b]]] for b in range(q)] for a in range(q)] == mul
+    assert [[red[nexp[log[a] + log[b]]] for b in range(q)] for a in range(q)] == [
+        [neg[m] for m in row] for row in mul
+    ]
+
+
+def test_field_kernel_moduli_include_a_non_primitive_x():
+    # x^2 + 1 makes x of order 4 over F_9, F_49 and F_121; x^2 = 3 (both
+    # F_25 moduli) and x^3 = -2 (F_343) also keep x's order below q - 1:
+    # on each of these the search for a primitive element must pass x by
+    not_primitive = []
+    for p, modulus in KERNEL_MODULI:
+        field = FiniteFieldSpec(p, parse_polynomial(modulus))
+        if field.degree == 1:  # x is a scalar there, possibly 0
+            continue
+        power, order = field.generator, 1
+        while power != field.one:
+            power, order = power * field.generator, order + 1
+        if order < field.order - 1:
+            not_primitive.append((p, modulus))
+    assert not_primitive == [
+        (3, "x^2+1"), (5, "x^2+2"), (5, "3*x^2+1"), (7, "x^2+1"), (11, "x^2+1"), (7, "x^3+2")
+    ]
 
 
 # q -> (p, modulus coefficients, constant term first)
@@ -598,27 +644,35 @@ def test_closure_borel_subgroup_is_q_times_q_minus_one(p, modulus, expected):
 
 def test_closure_stops_once_the_stabiliser_fills_outside_the_borel_subgroup(monkeypatch):
     # once Stab(e1) is all of F_q and a generator has c != 0 the orbit is
-    # every nonzero vector: the walk ends there, reading the addition
+    # every nonzero vector: the walk ends there, reading the reduction
     # table far fewer than q^2 times (a full orbit walk reads it 63 816)
     reads = 0
 
-    class CountedRows(list):
+    class CountedTable(list):
         def __getitem__(self, i):
             nonlocal reads
             reads += 1
             return list.__getitem__(self, i)
 
-    field_tables = covers._field_tables
+    field_kernel = covers._field_kernel
 
-    def counted_tables(field):
-        mul, add = field_tables(field)
-        return mul, CountedRows(add)
+    def counted_kernel(field):
+        code, red, *products = field_kernel(field)
+        return (code, CountedTable(red), *products)
 
-    monkeypatch.setattr(covers, "_field_tables", counted_tables)
+    monkeypatch.setattr(covers, "_field_kernel", counted_kernel)
     field = FiniteFieldSpec(5, IntPolynomial([-3, 9, -6, 1]))
     q = field.order
     assert group_closure_order(theorem_generator_pair(field)) == q * (q * q - 1)
     assert 0 < reads < q * q
+
+
+def test_field_kernel_tables_are_not_q_by_q():
+    # over F_343 the largest table is the reduction of carry-free code
+    # sums, (2p - 1)^n = 13^3 entries, where a q x q table has 117 649
+    field = FiniteFieldSpec(7, IntPolynomial([2, 0, 0, 1]))
+    tables = covers._field_kernel(field)
+    assert max(len(table) for table in tables) == 13**3 == 2197
 
 
 def test_f9_exception_depends_on_residue():

@@ -531,6 +531,38 @@ def test_a_size_argument_that_is_not_an_int_is_refused_by_one_gate(name):
         _SIZE_CALLS[name]()
 
 
+# the rest of the size arguments: zeta and chi on 5.0 and on a float past
+# the pinned values ended in a TypeError from range, as did a float degree
+# from Fraction, and principal_congruence_index(3.0) returned 12.0
+_MORE_SIZE_REFUSALS = {
+    "real_quadratic_zeta_minus_one D": (
+        lambda: real_quadratic_zeta_minus_one(5.0), "D must be an int, not 5.0"
+    ),
+    "chi D": (lambda: CurveDataTable().chi(5.0), "D must be an int, not 5.0"),
+    "chi D past the pinned values": (
+        lambda: CurveDataTable().chi(12.0), "D must be an int, not 12.0"
+    ),
+    "closed_forms_polygon degree": (
+        lambda: families.closed_forms_polygon(5, 3, 60.0), "degree must be an int, not 60.0"
+    ),
+    "principal_congruence_index m": (
+        lambda: principal_congruence_index(3.0), "level m must be an int, not 3.0"
+    ),
+    "principal_congruence_index bool m": (
+        lambda: principal_congruence_index(True), "level m must be an int, not True"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MORE_SIZE_REFUSALS))
+def test_every_other_size_argument_passes_the_same_gate(name):
+    call, message = _MORE_SIZE_REFUSALS[name]
+    with pytest.raises(InvalidArgumentError) as refusal:
+        call()
+    assert type(refusal.value) is InvalidArgumentError
+    assert str(refusal.value) == message
+
+
 def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypatch):
     # each model path parses its tag once per layer that needs it: the
     # pipeline's model_spec and build_surface, a sporadic request's check
