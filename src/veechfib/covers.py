@@ -14,9 +14,10 @@ degree is q(q^2 - 1) or q(q^2 - 1)/2.
 group_closure_order provides the independent oracle: the exact order
 of the generated matrix group by orbit-stabiliser on F_q^2 (the orbit
 of (1, 0) times its unipotent stabiliser), usable whenever |SL(2, q)|
-fits under a configurable cap.  Transversals stop once the stabiliser
-is all of F_q; the orbit is then every nonzero vector when a generator
-leaves the upper triangular group, and plain reachability otherwise.
+fits under a configurable cap.  The walk stops once the stabiliser is
+all of F_q, and the order is then a closed form: q(q^2 - 1) when a
+generator leaves the upper triangular group, and q times the order of
+the group its diagonal entries generate otherwise.
 No field table is q x q: sums add digits with no carry through one of
 (2p - 1)^n entries, and products go through logs and antilogs (< 4q).
 
@@ -30,6 +31,7 @@ multiplicity * d * twists / root.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -265,14 +267,15 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     generator has determinant 1 these all have the form [[1, t], [0, 1]]:
     Stab(e1) is a subgroup of (F_q, +), kept as the set of its t.  A
     new t joins with its multiples, the cosets stab + t, ...,
-    stab + (p - 1) t.  Phase 1 walks until the set is all of F_q.  Then
-    U = {[[1, t], [0, 1]]} <= G, and the orbit is a union of U-orbits: the
-    rows R_y = {(x, y)}, y != 0, and the points (x, 0).  A generator
-    [[a, b], [c, d]] with c != 0 puts R_c = U (a, c) in the orbit and maps
-    each row R_y onto the line {(by + ax, dy + cx)}, which meets every row,
-    and row 0 at (-y/c, 0); so the orbit is all q^2 - 1 nonzero vectors
-    and |G| = q(q^2 - 1).  Otherwise G is upper triangular, the orbit lies
-    in row 0, and phase 2 counts it by reachability alone.
+    stab + (p - 1) t.  The walk ends with the orbit or once the set is all
+    of F_q.  Then U = {[[1, t], [0, 1]]} <= G, and the orbit is a union of
+    U-orbits: the rows R_y = {(x, y)}, y != 0, and the points (x, 0).  A
+    generator [[a, b], [c, d]] with c != 0 puts R_c = U (a, c) in the orbit
+    and maps each row R_y onto the line {(by + ax, dy + cx)}, which meets
+    every row, and row 0 at (-y/c, 0); so the orbit is all q^2 - 1 nonzero
+    vectors and |G| = q(q^2 - 1).  Otherwise G is upper triangular, g -> a
+    maps it onto <a_1, ..., a_k> <= F_q^* with kernel U, and so |G| =
+    q(q - 1) / gcd(q - 1, log a_1, ..., log a_k), logs to a primitive g.
 
     Field elements are indices, and a generator entry e is its row
     j -> code(e j), so that ax + by is one lookup in red (_field_kernel).
@@ -287,19 +290,16 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
     check_closure_cap(p, field.degree, cap)
     code, red, log, cexp, nexp = _field_kernel(field)
     idx = field.element_index
+    logs = [[log[idx(e)] for e in (a, b, c, d)] for (a, b), (c, d) in spec.generators]
     # a generator as its four rows j -> code(e j): s (x, y) = (ax + by, cx + dy)
-    gens = [
-        tuple([cexp[i + k] for k in log] for i in [log[idx(e)] for e in (a, b, c, d)])
-        for (a, b), (c, d) in spec.generators
-    ]
+    gens = [tuple([cexp[i + k] for k in log] for i in row) for row in logs]
     # w_v, the second column of u_v, keyed by v = (x, y) as x * q + y;
     # indices: element_index maps 1 -> 1, 0 -> 0, so e1 is key q
     second = [None] * (q * q)
     second[q] = (0, 1)
     orbit = [(1, 0)]
     stab = {0}
-    walk = iter(orbit)  # the orbit grows while it is walked
-    for x, y in walk:  # phase 1
+    for x, y in orbit:  # the orbit grows while it is walked
         b, d = second[x * q + y]
         for ma, mb, mc, md in gens:
             sx, sy = red[ma[x] + mb[y]], red[mc[x] + md[y]]
@@ -317,15 +317,9 @@ def group_closure_order(spec, cap=DEFAULT_CLOSURE_CAP):
                         coset = [red[code[r] + code[t]] for r in coset]
                         stab.update(coset)
         if len(stab) == q:
-            break
-    if len(stab) == q and any(mc[1] for _, _, mc, _ in gens):  # c != 0
-        return q * (q * q - 1)
-    for x, y in walk:  # phase 2, from the first unwalked point
-        for ma, mb, mc, md in gens:
-            sx, sy = red[ma[x] + mb[y]], red[mc[x] + md[y]]
-            if second[sx * q + sy] is None:
-                second[sx * q + sy] = True
-                orbit.append((sx, sy))
+            if any(mc[1] for _, _, mc, _ in gens):  # c != 0
+                return q * (q * q - 1)
+            return q * ((q - 1) // math.gcd(q - 1, *[row[0] for row in logs]))
     return len(orbit) * len(stab)
 
 

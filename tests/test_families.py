@@ -1040,6 +1040,20 @@ def test_chi_runs_one_squarefree_test_per_zeta_lookup(monkeypatch):
     )
 
 
+def test_chi_refuses_a_large_negative_d_before_its_squarefree_test(monkeypatch):
+    # below 5 the route can only refuse, but telling a fundamental D from
+    # another trial-divides |D|: past the cap it is refused by size first
+    def unreachable(n):
+        raise AssertionError(f"squarefree test of {n} past the size cap")
+
+    monkeypatch.setattr(families, "_squarefree", unreachable)
+    table = CurveDataTable()
+    for d in (-4 * 1000000000061, -(10**7) - 3, -(10**7) - 4):
+        assert _outcome(table.chi, d) == (
+            CapExceededError, f"D = {-d} exceeds the size cap D <= 10000000"
+        ), d
+
+
 def test_curve_data_table_sources():
     table = CurveDataTable()
     assert table.chi(5) == (Fraction(-3, 10), "builtin")
@@ -1289,6 +1303,27 @@ def test_structural_checks_run_once_per_model(monkeypatch):
     build_surface.cache_clear()
     polygon_family(5, 3)
     assert calls == ["polygon-5", "E7", "polygon-5"]
+
+
+def test_rank_runs_once_per_cold_model(monkeypatch):
+    # the build refuses a genus that is not rank Q, so model_spec states
+    # core_curve_span without ranking Q a second time; a warm model ranks
+    # nothing
+    calls = []
+    rank = thurston_veech.rank
+
+    def counting(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(thurston_veech, "rank", counting)
+    for run in (lambda: polygon_family(5, 3), lambda: sporadic_family("E7", 5)):
+        build_surface.cache_clear()
+        calls.clear()
+        assert run().checks["core_curve_span"] is True
+        assert len(calls) == 1
+        run()
+        assert len(calls) == 1
 
 
 # -- Lyapunov sums -------------------------------------------------------------

@@ -336,6 +336,20 @@ _ORACLE_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "p, modulus", [(2, (1, 1, 1)), (5, (-2, 0, 1)), (13, (-3, 1)), *_ORACLE_FIELDS]
+)
+def test_element_index_is_the_base_p_digit_sum(p, modulus):
+    # one Horner pass over the coefficients, highest first, against the
+    # sum of c * p^i over every element of the field
+    field = FiniteFieldSpec(p, IntPolynomial(modulus))
+    indices = [field.element_index(elem) for elem in field.elements()]
+    assert indices == [
+        sum(c * p**i for i, c in enumerate(elem.coeffs)) for elem in field.elements()
+    ]
+    assert sorted(indices) == list(range(field.order))
+
+
 def _padded(coeffs, n):
     return tuple(coeffs) + (0,) * (n - len(coeffs))
 

@@ -143,7 +143,9 @@ def test_admissible_primes_builds_no_model():
 def test_tracer_sees_each_structural_check_once_per_model_under_its_family():
     """The polygon-levels per-layer metrics read the structural-check
     spans: a cold family run builds its model and runs each check once,
-    inside the families.*_family span."""
+    inside the families.*_family span.  Rank Q is decided by the build
+    alone, which refuses a genus that is not its rank: one exact.rank
+    span under each build_surface, and no core_curve_span_check span."""
     from veechfib import families, thurston_veech
 
     tracer = _load_tracer()
@@ -157,12 +159,19 @@ def test_tracer_sees_each_structural_check_once_per_model_under_its_family():
         t.uninstall()
     names = [span[1] for span in t.spans]
     assert names.count("thurston_veech.build_surface") == 2
-    for check in ("staircase_parity_check", "holonomy_basis_check", "core_curve_span_check"):
+    for check in ("staircase_parity_check", "holonomy_basis_check"):
         spans = [span for span in t.spans if span[1] == f"thurston_veech.{check}"]
         assert [names[span[4]] for span in spans] == [
             "families.polygon_family",
             "families.sporadic_family",
         ], check
+    assert "thurston_veech.core_curve_span_check" not in names
+    builds = [t.spans[span[4]] for span in t.spans if span[1] == "exact.rank"]
+    assert [build[1] for build in builds] == ["thurston_veech.build_surface"] * 2
+    assert [names[build[4]] for build in builds] == [
+        "families.polygon_family",
+        "families.sporadic_family",
+    ]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "veechfib"
@@ -217,9 +226,10 @@ def test_every_functools_cache_in_the_package_is_pinned():
 
 def _kept_bound_names(source):
     """The names a module's source marks (kept bound): each name of a
-    marked import line, and each name of a marked _lazy_exports entry,
-    every entry when the comment above the call carries the marker;
-    with the names the module loads anywhere else."""
+    marked import line, and each name of a _lazy_exports entry whose own
+    line or key line carries the marker, every entry when the comment
+    above the call carries it; with the names the module loads anywhere
+    else."""
     lines = source.splitlines()
     tree = ast.parse(source)
 
@@ -244,8 +254,9 @@ def _kept_bound_names(source):
             exports = call.args[1]
             exports = dicts[exports.id] if isinstance(exports, ast.Name) else exports
             for key, value in zip(exports.keys, exports.values):
-                if whole or marked(key.lineno, value.end_lineno):
-                    names.update(elt.value for elt in value.elts)
+                for elt in value.elts:
+                    if whole or marked(key.lineno, key.lineno) or marked(elt.lineno, elt.lineno):
+                        names.add(elt.value)
     loaded = {
         node.id
         for node in ast.walk(tree)
@@ -273,6 +284,7 @@ def test_every_kept_bound_name_is_a_span_site():
         ("veechfib.thurston_veech", "in_order"),
         ("veechfib.families", "is_irreducible_mod_p"),
         ("veechfib.families", "enumerate_prototypes"),
+        ("veechfib.families", "core_curve_span_check"),
         ("veechfib.families", "element_minimal_polynomial"),
         ("veechfib.exact.numberfield", "isolate_largest_real_root"),
     } | {

@@ -22,7 +22,6 @@ REQUESTS = ("polygon --n 5 --p 3", "weierstrass --D 5 --p 3")
 STRUCTURAL_CHECKS = (
     "thurston_veech.staircase_parity_check",
     "thurston_veech.holonomy_basis_check",
-    "thurston_veech.core_curve_span_check",
 )
 
 # what perfbench/cli_child.py does: import the CLI, install, run, uninstall
@@ -65,6 +64,10 @@ def _assert_one_family_span_per_request(spans):
     for check in STRUCTURAL_CHECKS:
         parents = [span[4] for span in spans if span[1] == check]
         assert parents == [polygon_span], check
+    # rank Q is decided by the build alone, under the polygon's build_surface
+    assert all(span[1] != "thurston_veech.core_curve_span_check" for span in spans)
+    [build] = [spans[span[4]] for span in spans if span[1] == "exact.rank"]
+    assert build[1] == "thurston_veech.build_surface" and build[4] == polygon_span
 
 
 def test_a_fresh_cli_process_records_one_family_span_per_request():
