@@ -48,7 +48,7 @@ def _emit(payload, fmt):
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
     elif fmt == "csv":
-        print(_flat_csv(payload), end="")
+        _write_csv(zip(*_flatten(payload)))
     else:
         for key, value in _flatten(payload):
             print(f"{key:42s} {value}")
@@ -78,11 +78,11 @@ def _flatten(payload, prefix=""):
     return items
 
 
-def _flat_csv(payload):
-    pairs = _flatten(payload)
-    head = ",".join(str(k) for k, _ in pairs)
-    row = ",".join(json.dumps(v) if isinstance(v, str) else str(v) for _, v in pairs)
-    return f"{head}\n{row}\n"
+def _write_csv(rows):
+    """The one CSV writer: RFC 4180 quoting, None as an empty cell."""
+    import csv
+
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _data_table(families, args):
@@ -96,7 +96,10 @@ def _cmd_prototypes(args):
 
     protos = prototypes.enumerate_prototypes(args.D)
     if args.format == "csv":
-        print(prototypes.prototypes_csv(protos), end="")
+        _write_csv(
+            [("D", "w", "h", "t", "e", "twisting")]
+            + [(p.discriminant, *p.as_tuple(), prototypes.prototype_twisting(p)) for p in protos]
+        )
     else:
         payload = {
             "D": args.D,
@@ -164,8 +167,7 @@ def _cmd_family(args):
             result.invariants.euler,
             result.invariants.sigma,
         )
-        print(",".join(_TABLE_COLUMNS))
-        print(",".join(str(x) for x in row))
+        _write_csv([_TABLE_COLUMNS, row])
     else:
         _emit(result.to_json(), args.format)
     return 0
@@ -256,11 +258,25 @@ def _cmd_scatter(args):
     rows, skipped = families.chern_scatter(
         args.min_D, args.max_D, args.p, data=_data_table(families, args)
     )
-    sys.stdout.write(families.chern_scatter_csv(rows))
+    print("# bmy-line: c1sq = 3*c2")
+    print("# noether-line: c1sq = (c2 - 36)/5")
+    _write_csv(
+        [("D", "c2", "c1sq", "c1sq_over_c2")]
+        + [(d, c2, c1sq, _decimal_string(c1sq, c2, 12)) for d, c2, c1sq in rows]
+    )
     if args.verbose_skips:
         for d, reason in skipped:
             print(f"# skipped D={d}: {reason}", file=sys.stderr)
     return 0
+
+
+def _decimal_string(num, den, digits):
+    """num/den truncated to digits decimals, in integers; "0" when den = 0."""
+    if not den:
+        return "0"
+    sign = "-" if num * den < 0 else ""
+    s = str(abs(num) * 10**digits // abs(den)).rjust(digits + 1, "0")
+    return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
 def _cmd_verify(args):

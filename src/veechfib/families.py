@@ -33,7 +33,6 @@ can be diffed; see closed_forms_* below.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import sys
 from fractions import Fraction
@@ -289,13 +288,8 @@ class FamilyResult(NamedTuple):
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return rational_to_str(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    # every checks and closed_forms value is a scalar or a Fraction
+    return rational_to_str(v) if isinstance(v, Fraction) else v
 
 
 def evaluate(spec, level, degree_data, chi_orb, checks, **options):
@@ -752,28 +746,5 @@ def chern_scatter(d_min, d_max, p, data=None):
         except InconsistentCoverError:
             skipped.append((d, "inconsistent-cover"))
             continue
-        except InadmissiblePrimeError:
-            skipped.append((d, "residue"))
-            continue
         rows.append((d, result.invariants.c2, result.invariants.c1_squared))
     return rows, skipped
-
-
-def chern_scatter_csv(rows):
-    """Scatter CSV: exact integers plus a 12-digit decimal ratio."""
-    buf = io.StringIO()
-    buf.write("# bmy-line: c1sq = 3*c2\n")
-    buf.write("# noether-line: c1sq = (c2 - 36)/5\n")
-    buf.write("D,c2,c1sq,c1sq_over_c2\n")
-    for d, c2, c1sq in rows:
-        ratio = _decimal_string(Fraction(c1sq, c2), 12) if c2 else "0"
-        buf.write(f"{d},{c2},{c1sq},{ratio}\n")
-    return buf.getvalue()
-
-
-def _decimal_string(x, digits):
-    sign = "-" if x < 0 else ""
-    x = abs(Fraction(x))
-    scaled = (x * 10**digits).numerator // (x * 10**digits).denominator
-    s = str(scaled).rjust(digits + 1, "0")
-    return f"{sign}{s[:-digits]}.{s[-digits:]}"

@@ -201,14 +201,3 @@ def standard_parameters(d):
     _check_discriminant(d)
     e = -(d % 2)
     return ((d - e * e) // 4, e)
-
-
-def prototypes_csv(protos):
-    """CSV rows D,w,h,t,e,twisting for a prototype list."""
-    lines = ["D,w,h,t,e,twisting"]
-    for p in protos:
-        lines.append(
-            f"{p.discriminant},{p.w},{p.h},{p.t},{p.e},{prototype_twisting(p)}"
-        )
-    return "\n".join(lines) + "\n"
-

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from veechfib.cli import build_parser, main
+from veechfib.cli import _emit, _flatten, build_parser, main
 from veechfib.covers import DEFAULT_CLOSURE_CAP
 from veechfib.thurston_veech import build_surface
 
@@ -200,8 +202,42 @@ def test_elliptic_command(capsys):
 def test_prototypes_csv(capsys):
     code, out, _ = run_cli(capsys, "prototypes", "--D", "8", "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "D,w,h,t,e,twisting"
-    assert len(out.splitlines()) == 3
+    assert out.splitlines() == [
+        "D,w,h,t,e,twisting",
+        "8,1,1,0,-2,2",
+        "8,2,1,0,0,3",
+    ]
+
+
+# one request per command whose --format csv is the flattened JSON payload
+GENERIC_CSV_REQUESTS = [
+    ("cover", "--orbifold-orders", "2,3", "--cusp-image-orders", "4", "--degree", "24"),
+    ("group-order", "--p", "3", "--modulus", "x^2-x-1", "--alpha", "1,1"),
+    ("primes", "--family", "E7", "--bound", "20"),
+    ("tv-build", "--family", "polygon-5"),
+]
+
+
+@pytest.mark.parametrize("argv", GENERIC_CSV_REQUESTS, ids=lambda argv: argv[0])
+def test_generic_csv_reads_back_as_the_flattened_payload(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    pairs = _flatten(json.loads(out))
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        [str(k) for k, _ in pairs],
+        ["" if v is None else str(v) for _, v in pairs],
+    ]
+
+
+def test_generic_csv_cells(capsys):
+    # strings unquoted, a list cell (JSON text) quoted RFC 4180 style,
+    # None an empty cell
+    _emit({"name": "polygon-5", "roots": ["-1", 1], "twisting": None, "genus": 2}, "csv")
+    assert capsys.readouterr().out == (
+        'name,roots,twisting,genus\npolygon-5,"[""-1"", 1]",,2\n'
+    )
 
 
 def test_polygon_command(capsys):

@@ -25,7 +25,7 @@ from veechfib.errors import (
     UnsupportedFamilyError,
     VeechFibError,
 )
-from veechfib import covers, families, prototypes, thurston_veech
+from veechfib import cli, covers, families, prototypes, thurston_veech
 from veechfib.families import (
     MAX_ELLIPTIC_M,
     MAX_PRIME_BOUND,
@@ -34,7 +34,6 @@ from veechfib.families import (
     ExternalCurveData,
     admissible_primes,
     chern_scatter,
-    chern_scatter_csv,
     elliptic_family,
     is_fundamental_discriminant,
     polygon_family,
@@ -49,6 +48,7 @@ from veechfib.exact.finitefield import (
     check_odd_prime, is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 )
 from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, small_divisors
+from veechfib.tags import check_polygon_n
 from veechfib.thurston_veech import build_surface, surface_tag
 
 
@@ -196,6 +196,15 @@ def test_weierstrass_compares_the_residue_route(monkeypatch, d_disc, p):
     monkeypatch.setattr(families, "is_quadratic_nonresidue", lambda d, q: not original(d, q))
     with pytest.raises(InvalidArgumentError, match="^residue test disagrees with irreducibility$"):
         weierstrass_family(d_disc, p)
+
+
+def test_chern_scatter_reports_a_disagreeing_irreducibility_test(monkeypatch):
+    # past the Euler pre-check a wrong Rabin answer on an unramified D is
+    # the disagreement weierstrass_family raises, not a residue to skip
+    original = covers.is_irreducible_mod_p
+    monkeypatch.setattr(covers, "is_irreducible_mod_p", lambda f, q: not original(f, q))
+    with pytest.raises(InvalidArgumentError, match="^residue test disagrees with irreducibility$"):
+        chern_scatter(5, 60, 5)
 
 
 def test_admissible_primes_reads_exceptional_from_the_level_decision(monkeypatch):
@@ -1094,13 +1103,14 @@ def test_derived_e2_values_are_integral():
         assert table.e2(d_disc, cusp_count) == e2
 
 
-def test_chern_scatter_rows_satisfy_strict_bmy():
+def test_chern_scatter_rows_satisfy_strict_bmy(capsys):
     rows, skipped = chern_scatter(5, 60, 5)
     assert [r[0] for r in rows] == [8, 12, 13, 28, 37, 53]
     for _, c2, c1sq in rows:
         assert c1sq < 3 * c2
     assert (17, "spin-filter-required") in skipped
-    csv_text = chern_scatter_csv(rows)
+    assert cli.main(["scatter", "--p", "5", "--min-D", "5", "--max-D", "60"]) == 0
+    csv_text = capsys.readouterr().out
     assert csv_text.startswith("# bmy-line: c1sq = 3*c2\n")
     assert "D,c2,c1sq,c1sq_over_c2" in csv_text
 
@@ -1358,22 +1368,73 @@ def test_lyapunov_sum_is_four_thirds_on_every_scatter_row(p):
         assert lyapunov_sum(inv) == Fraction(4, 3), d
 
 
+def _supported_polygon(n):
+    try:
+        check_polygon_n(n)
+    except UnsupportedFamilyError:
+        return False
+    return True
+
+
+LYAPUNOV_POLYGONS = [n for n in range(5, 65) if _supported_polygon(n)]
+
+# (emitted L, Eskin-Kontsevich-Zorich value) on every even polygon up to
+# 64: the emitted sum misses the doubled middle twist of ROADMAP item 1(c)
+EVEN_LYAPUNOV = {
+    8: (Fraction(10, 9), Fraction(4, 3)),
+    10: (Fraction(31, 24), Fraction(3, 2)),
+    14: (Fraction(65, 36), Fraction(2)),
+    16: (Fraction(44, 21), Fraction(16, 7)),
+    22: (Fraction(169, 60), Fraction(3)),
+    26: (Fraction(239, 72), Fraction(7, 2)),
+    32: (Fraction(184, 45), Fraction(64, 15)),
+    34: (Fraction(415, 96), Fraction(9, 2)),
+    38: (Fraction(521, 108), Fraction(5)),
+    46: (Fraction(769, 132), Fraction(6)),
+    58: (Fraction(1231, 168), Fraction(15, 2)),
+    62: (Fraction(1409, 180), Fraction(8)),
+    64: (Fraction(752, 93), Fraction(256, 31)),
+}
+
+
 @pytest.mark.parametrize(
     "tag",
-    [f"polygon-{n}" for n in (5, 7, 8, 10, 11, 13, 14, 16)]
+    [f"polygon-{n}" for n in LYAPUNOV_POLYGONS]
     + ["E7", "E8"]
     + [f"weierstrass-{d}" for d in (5, 8, 12, 13, 21)],
 )
 def test_lyapunov_sum_is_the_same_at_every_admissible_level(tag):
     # L belongs to the Teichmueller curve, not to the level of its cover
-    sums = set()
-    for p, _ in admissible_primes(tag, 40):
+    sums, corrected, refused = set(), set(), []
+    for p, _ in admissible_primes(tag, 60):
         try:
-            sums.add(lyapunov_sum(_family(tag, p).invariants))
+            result = _family(tag, p)
         except InconsistentCoverError:
-            # the pinned refusal of D = 8 at level 3, which is the octagon
-            assert (tag, p) in {("polygon-8", 3), ("weierstrass-8", 3)}
+            refused.append(p)
+            continue
+        inv = result.invariants
+        sums.add(lyapunov_sum(inv))
+        # with the second twist of c_(n/2): T + d
+        corrected.add(lyapunov_sum(inv._replace(twisting=inv.twisting + result.cover.degree)))
+    # the pinned refusal of D = 8 at level 3, which is the octagon
+    assert refused == ([3] if tag in ("polygon-8", "weierstrass-8") else [])
     assert len(sums) == 1, sums
+    kind, _, number = tag.partition("-")
+    if kind != "polygon":
+        return
+    # Eskin-Kontsevich-Zorich: g^2/(2g - 1) on H^hyp(2g - 2), home of the
+    # odd n and n = 2^k, and (g + 1)/2 on H^hyp(g - 1, g - 1), of n = 2q
+    n, g = int(number), result.spec.fiber_genus
+    theorem = Fraction(g * g, 2 * g - 1) if n % 2 or n & (n - 1) == 0 else Fraction(g + 1, 2)
+    if n % 2:
+        assert sums == {theorem}, n
+    else:
+        assert (sums.pop(), theorem) == EVEN_LYAPUNOV[n]
+        assert corrected == {theorem}, n
+
+
+def test_the_lyapunov_sweep_covers_every_even_polygon_up_to_64():
+    assert sorted(EVEN_LYAPUNOV) == [n for n in LYAPUNOV_POLYGONS if n % 2 == 0]
 
 
 def test_lyapunov_sums_pinned():

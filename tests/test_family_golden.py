@@ -8,7 +8,8 @@ key order, null values and refusal types across every family.
 
 The small Weierstrass discriminants have tiny prototype groups, so the
 sweep also pins a few fundamental D from 10^3 to 10^6 (202684 has 4558
-prototypes with gcd(w, h) > 1), and the CSV and skip list of
+prototypes with gcd(w, h) > 1), the CSV that `veechfib scatter --p 7
+--min-D 5 --max-D 20000` prints, and the skip list of
 chern_scatter(5, 20000, 7).
 
 The file is regenerated only when an output change is intended:
@@ -16,17 +17,19 @@ The file is regenerated only when an output change is intended:
     PYTHONPATH=src python tests/test_family_golden.py --record
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
+from veechfib import cli
 from veechfib.errors import VeechFibError
 from veechfib.exact.finitefield import is_prime
 from veechfib.families import (
     chern_scatter,
-    chern_scatter_csv,
     elliptic_family,
     polygon_family,
     sporadic_family,
@@ -75,9 +78,11 @@ def digest(call):
 
 def replay():
     got = {key: digest(call) for key, call in sweep()}
-    rows, skipped = chern_scatter(5, 20000, 7)
-    got["scatter-5-20000@7.csv"] = _sha256(chern_scatter_csv(rows))
-    got["scatter-5-20000@7.skipped"] = _sha256(json.dumps(skipped))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["scatter", "--p", "7", "--min-D", "5", "--max-D", "20000"])
+    got["scatter-5-20000@7.csv"] = _sha256(out.getvalue())
+    got["scatter-5-20000@7.skipped"] = _sha256(json.dumps(chern_scatter(5, 20000, 7)[1]))
     return got
 
 

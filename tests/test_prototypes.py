@@ -20,7 +20,6 @@ from veechfib.prototypes import (
     enumerate_prototypes,
     prototype_classes,
     prototype_twisting,
-    prototypes_csv,
     standard_parameters,
     weierstrass_alpha,
 )
@@ -103,15 +102,6 @@ def test_standard_parameters_give_valid_prototype():
         proto = Prototype(w, 1, 0, e, d)
         assert reference.Prototype(*proto).validate()
         assert proto in enumerate_prototypes(d)
-
-
-def test_csv_emitter():
-    csv_text = prototypes_csv(enumerate_prototypes(8))
-    assert csv_text.splitlines() == [
-        "D,w,h,t,e,twisting",
-        "8,1,1,0,-2,2",
-        "8,2,1,0,0,3",
-    ]
 
 
 def _discriminants(limit=3000):

@@ -39,16 +39,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == "[]"
 
 
-def _modules_after(code, *argv):
-    """The veechfib modules loaded once code has run, with argv as
-    sys.argv[1:], in a fresh -S interpreter."""
-    code += "; import json; print(json.dumps([m for m in sys.modules if m.startswith('veechfib')]))"
+def _loaded_after(code, *argv):
+    """Every module loaded once code has run, with argv as sys.argv[1:],
+    in a fresh -S interpreter."""
+    code += "; import json; print(json.dumps(list(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
     return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def _modules_after(code, *argv):
+    """The veechfib modules among _loaded_after(code, *argv)."""
+    return {m for m in _loaded_after(code, *argv) if m.startswith("veechfib")}
 
 
 # the CLI run as the console script does, its output discarded
@@ -88,6 +93,16 @@ def test_submodules_resolve_as_package_attributes_on_first_use():
 @pytest.mark.parametrize("argv", ["polygon --n x --p 3", "frobnicate", "group-order --p 3"])
 def test_usage_error_loads_no_arithmetic(argv):
     assert not _modules_after(_RUN_CLI, *argv.split()) & _ARITHMETIC
+
+
+def test_a_usage_error_loads_the_parser_and_nothing_it_does_not_run():
+    # the one CSV writer imports csv when it writes, and the scatter ratio
+    # is computed in integers, so a usage error loads neither
+    loaded = _loaded_after(_RUN_CLI, "frobnicate")
+    assert {m for m in loaded if m.startswith("veechfib")} == {
+        "veechfib", "veechfib.cli", "veechfib.caps", "veechfib.errors",
+    }
+    assert not loaded & {"fractions", "decimal", "csv"}
 
 
 @pytest.mark.parametrize(
