@@ -13,26 +13,25 @@ Four series are orchestrated end to end:
   * elliptic(m): the genus-one series over principal congruence covers
     of the modular curve.
 
-Each family builds its spec, checks the level, and finds the cover
-degree and the base's orbifold Euler characteristic; one shared step,
-evaluate, then runs Riemann-Hurwitz, twisting and the characteristic
-numbers for all of them, and the family adds its own checks.  One
-builder, model_spec, gives the polygon and E7 / E8 specs: each Veech
-group is fixed by the Coxeter number h (Veech 1989; Leininger 2004),
-Delta(2, h, oo) for odd h and Delta(h/2, oo, oo) for even h.  The
-level test needs only h, and congruence_degree takes it from the
-polygon, sporadic and primes paths; m_alpha for alpha = 2 + 2cos(2pi/h),
-which coxeter_alpha_polynomial alone reads off m_mu for mu = 2cos(pi/h),
-fixes the genus and the refusal message.  So admissible_primes builds
-no model, and model_spec reads m_alpha once per model.  All but the
-elliptic family are also evaluated through literal closed-form tables
-(genus, cusps, e, sigma as functions of d, n, p) so the two code paths
-can be diffed; see closed_forms_* below.
+Each family builds its spec, checks the level, finds the cover degree,
+the base's orbifold Euler characteristic, its own checks and its closed
+forms; one shared step, evaluate, then runs Riemann-Hurwitz, twisting,
+the characteristic numbers and the BMY check for all of them and returns
+the finished result.  One builder, model_spec, gives the polygon and
+E7 / E8 specs: each Veech group is fixed by the Coxeter number h (Veech
+1989; Leininger 2004), Delta(2, h, oo) for odd h and Delta(h/2, oo, oo)
+for even h.  The level test needs only h, and congruence_degree takes it
+from the polygon, sporadic and primes paths; m_alpha for
+alpha = 2 + 2cos(2pi/h), which coxeter_alpha_polynomial alone reads off
+m_mu for mu = 2cos(pi/h), fixes the genus and the refusal message.  So
+admissible_primes builds no model, and model_spec reads m_alpha once per
+model.  All but the elliptic family are also evaluated through literal
+closed-form tables (genus, cusps, e, sigma as functions of d, n, p) so
+the two code paths can be diffed; see closed_forms_* below.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from fractions import Fraction
@@ -75,7 +74,7 @@ from .prototypes import (
     standard_parameters,
     weierstrass_alpha,
 )
-from .tags import capped_surface_tag, check_polygon_n, surface_tag
+from .tags import capped_surface_tag, check_polygon_n, check_tag, surface_tag
 
 # The model layer (thurston_veech, and numberfield and linalg under it)
 # is loaded on first use, not at import.  The model path calls it as
@@ -175,6 +174,8 @@ class CurveDataTable:
     def from_csv(cls, path):
         """Rows of a CSV with columns D, chi_num, chi_den and optional e2;
         a file that cannot be read or parsed raises InvalidArgumentError."""
+        import csv  # only a --data request reads CSV
+
         rows = []
         try:
             with open(path, newline="") as fh:
@@ -292,15 +293,22 @@ def _jsonable(v):
     return rational_to_str(v) if isinstance(v, Fraction) else v
 
 
-def evaluate(spec, level, degree_data, chi_orb, checks, **options):
-    """Cover, twisting and invariants: the one pipeline every family runs.
+# the members over a base of genus 0 proven minimal: the double pentagon at level 3
+_PROVEN_MINIMAL = frozenset({("weierstrass-5", 3), ("polygon-5", 3)})
+
+
+def evaluate(spec, level, degree_data, chi_orb, checks, closed_forms=None):
+    """Cover, twisting and invariants: the one pipeline every family runs,
+    returning the finished result with the family's checks and closed forms.
 
     The base has orbifold Euler characteristic chi_orb, the cone points
     of spec.signature_orbifold (the Weierstrass chi_orb carries its own)
     and the cusps of spec.cusp_classes, each of image order the level:
     a cusp generator is unipotent and nontrivial mod the level, of order
-    p at a prime level p and m in SL(2, Z/m).  options go to
-    assemble_invariants; the result has no closed forms.
+    p at a prime level p and m in SL(2, Z/m).  A genus-one fiber's level
+    grades its Kodaira class, _PROVEN_MINIMAL marks the members over a
+    genus-0 base proven minimal, and a fiber of genus >= 2 over a base of
+    genus >= 1 gets checks["bmy_sufficient"].
     """
     sig = spec.signature_orbifold
     orbifold_orders = sig.orbifold_orders if sig is not None else ()
@@ -321,17 +329,19 @@ def evaluate(spec, level, degree_data, chi_orb, checks, **options):
         twist_classes=twist_classes, total_twisting=total_t,
         group_label=degree_data.group_label, exceptional=degree_data.exceptional,
     )
+    genus = spec.fiber_genus
     invariants = assemble_invariants(
-        fiber_genus=spec.fiber_genus,
+        fiber_genus=genus,
         base_genus=cover.base_genus,
         cusp_count=cover.cusp_count,
         twisting=total_t,
         zero_partition=spec.zero_partition,
-        **options,
+        elliptic_level=level if genus == 1 else None,
+        minimality_proven=(spec.tag, level) in _PROVEN_MINIMAL,
     )
-    return FamilyResult(
-        spec=spec, level=level, cover=cover, invariants=invariants, checks=checks
-    )
+    if genus >= 2 and cover.base_genus >= 1:
+        checks["bmy_sufficient"] = bmy_sufficient(genus, cover.cusp_count, total_t)
+    return FamilyResult(spec, level, cover, invariants, checks, closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +390,18 @@ def weierstrass_family(d, p, data=None, spin_filter=None):
         signature_orbifold=None,
         cusp_classes=classes,
     )
-    checks = {"chi_source": chi_source, "chi": chi, "prototype_count": n_orbits}
-    result = evaluate(
-        spec,
-        p,
-        degree_data,
-        chi,
-        checks,
-        # the one base-genus-0 member with a proof
-        minimality_proven=d == 5 and p == 3,
-    )
-    cover = result.cover
-    bmy = bmy_sufficient(2, cover.cusp_count, cover.total_twisting)
-    checks["bmy_sufficient"] = bmy if cover.base_genus >= 1 else None
+    # bmy_sufficient is null over a genus-0 base
+    checks = {
+        "chi_source": chi_source, "chi": chi, "prototype_count": n_orbits, "bmy_sufficient": None
+    }
     e2 = data.e2(d, n_orbits)
     if 8 < d <= 41 and e2 is not None:
         # genus positivity of the cover for every p >= 3:
         # |P|/2 + e2/4 - |P|/(2p) >= 1, times 4p
         checks["genus_positivity"] = 2 * p * n_orbits + p * e2 - 2 * n_orbits >= 4 * p
         checks["e2"] = e2
-    return result._replace(
-        closed_forms=closed_forms_weierstrass(p, degree_data.degree, chi, classes),
-    )
+    closed_forms = closed_forms_weierstrass(p, degree_data.degree, chi, classes)
+    return evaluate(spec, p, degree_data, chi, checks, closed_forms)
 
 
 def closed_forms_weierstrass(p, degree, chi, classes):
@@ -469,36 +469,27 @@ def model_spec(tag):
 
 def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
+    check_int(n, "n")
     return _model_family(f"polygon-{n}", p)
 
 
 def _model_family(tag, p):
     """The polygon and sporadic pipeline over the surface model of the tag:
-    the model's Coxeter number h decides the level, and the closed forms and
-    the one proven minimal member (the pentagon at level 3) follow from the tag."""
+    the model's Coxeter number h decides the level, and the tag picks the
+    closed forms."""
     spec, model, checks = model_spec(tag)
     h, tag = model.coxeter_number, spec.tag
     degree_data = congruence_degree(
         spec.alpha_minimal_polynomial, p, spec.fiber_genus, spec.contains_minus_identity,
         coxeter_number=h,
     )
-    result = evaluate(
-        spec,
-        p,
-        degree_data,
-        spec.signature_orbifold.euler_characteristic,
-        checks,
-        minimality_proven=tag == "polygon-5" and p == 3,
-    )
-    cover = result.cover
-    if cover.base_genus >= 1:
-        checks["bmy_sufficient"] = bmy_sufficient(
-            spec.fiber_genus, cover.cusp_count, cover.total_twisting
-        )
     d = degree_data.degree
     if tag.startswith("polygon-"):
-        return result._replace(closed_forms=closed_forms_polygon(h, p, d))
-    return result._replace(closed_forms=closed_forms_sporadic(tag, p, d))
+        closed_forms = closed_forms_polygon(h, p, d)
+    else:
+        closed_forms = closed_forms_sporadic(tag, p, d)
+    chi_orb = spec.signature_orbifold.euler_characteristic
+    return evaluate(spec, p, degree_data, chi_orb, checks, closed_forms)
 
 
 def closed_forms_polygon(n, p, degree):
@@ -565,6 +556,7 @@ def sporadic_family(which, p):
 
 def closed_forms_sporadic(which, p, degree):
     check_odd_prime(p)
+    check_tag(which)
     d, tag = degree, which.upper()
     if tag not in ("E7", "E8"):
         raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
@@ -636,14 +628,8 @@ def elliptic_family(m):
     )
     smooth_tag = {3: "E(1)", 4: "E(2)", 5: "E(5)"}.get(m)
     checks = {"smooth_4manifold": smooth_tag} if smooth_tag else {}
-    return evaluate(
-        spec,
-        m,
-        CongruenceDegree(degree, 2 * degree, f"PSL(2,Z/{m})", False),
-        sig.euler_characteristic,
-        checks,
-        elliptic_level=m,
-    )
+    degree_data = CongruenceDegree(degree, 2 * degree, f"PSL(2,Z/{m})", False)
+    return evaluate(spec, m, degree_data, sig.euler_characteristic, checks)
 
 
 _X_MINUS_ONE = IntPolynomial([-1, 1])
@@ -671,6 +657,7 @@ def coxeter_alpha_polynomial(h):
 
 def _weierstrass_discriminant(family_tag):
     """D of a weierstrass-<D> tag; None for any other prefix."""
+    check_tag(family_tag)
     prefix, _, number = family_tag.strip().partition("-")
     if prefix.lower() != "weierstrass":
         return None

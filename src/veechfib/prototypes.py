@@ -86,6 +86,7 @@ def check_enumerable(d, spin_filter):
     """Raise unless the prototypes of D can be enumerated: D must be a
     nonsquare discriminant with 5 <= D <= MAX_DISCRIMINANT, and
     D = 1 mod 8 needs a spin_filter."""
+    check_int(d, "D")
     check_size(d)
     _check_discriminant(d)
     if d % 8 == 1 and spin_filter is None:

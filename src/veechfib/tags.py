@@ -20,6 +20,7 @@ def surface_tag(family_tag):
     """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
     18) or E8 (h = 30), E7/E8 in any case.  The n-gon is supported when
     check_polygon_n admits n; other tags raise UnsupportedFamilyError."""
+    check_tag(family_tag)
     tag = family_tag.strip()
     if tag.upper() in _COXETER_NUMBERS:
         return tag.upper(), _COXETER_NUMBERS[tag.upper()]
@@ -32,6 +33,12 @@ def surface_tag(family_tag):
         raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
     check_polygon_n(n)
     return f"polygon-{n}", n
+
+
+def check_tag(family_tag):
+    """Refuse by UnsupportedFamilyError a family tag that is not a str."""
+    if not isinstance(family_tag, str):
+        raise UnsupportedFamilyError(f"family tag must be a str, not {family_tag!r}")
 
 
 def check_polygon_n(n):

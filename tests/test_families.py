@@ -1,4 +1,5 @@
 import fractions
+import inspect
 import math
 import re
 import signal
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import closed_forms_reference
 import prototype_reference as reference
 from alpha_reference import family_alpha_polynomial
+from test_family_golden import sweep
 from veechfib.errors import (
     CapExceededError,
     InadmissiblePrimeError,
@@ -48,7 +50,7 @@ from veechfib.exact.finitefield import (
     check_odd_prime, is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 )
 from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, small_divisors
-from veechfib.tags import check_polygon_n
+from veechfib.tags import capped_surface_tag, check_polygon_n
 from veechfib.thurston_veech import build_surface, surface_tag
 
 
@@ -572,6 +574,65 @@ def test_every_other_size_argument_passes_the_same_gate(name):
     assert str(refusal.value) == message
 
 
+# a tag that is not a str, and an n or a D that is not an int: each used
+# to end in an AttributeError or a TypeError, and polygon_family("5", 3)
+# built the pentagon
+_TYPED_REFUSALS = {
+    "sporadic_family int tag": (
+        lambda: sporadic_family(7, 5), UnsupportedFamilyError, "family tag must be a str, not 7"
+    ),
+    "sporadic_family bytes tag": (
+        lambda: sporadic_family(b"E7", 5),
+        UnsupportedFamilyError,
+        "family tag must be a str, not b'E7'",
+    ),
+    "admissible_primes int tag": (
+        lambda: admissible_primes(7, 10), UnsupportedFamilyError, "family tag must be a str, not 7"
+    ),
+    "build_surface int tag": (
+        lambda: build_surface(8), UnsupportedFamilyError, "family tag must be a str, not 8"
+    ),
+    "model_spec tuple tag": (
+        lambda: families.model_spec(("E7",)),
+        UnsupportedFamilyError,
+        "family tag must be a str, not ('E7',)",
+    ),
+    "capped_surface_tag None": (
+        lambda: capped_surface_tag(None),
+        UnsupportedFamilyError,
+        "family tag must be a str, not None",
+    ),
+    "closed_forms_sporadic int tag": (
+        lambda: families.closed_forms_sporadic(7, 5, 60),
+        UnsupportedFamilyError,
+        "family tag must be a str, not 7",
+    ),
+    "polygon_family float n": (
+        lambda: polygon_family(5.0, 3), InvalidArgumentError, "n must be an int, not 5.0"
+    ),
+    "polygon_family bool n": (
+        lambda: polygon_family(True, 3), InvalidArgumentError, "n must be an int, not True"
+    ),
+    "polygon_family str n": (
+        lambda: polygon_family("5", 3), InvalidArgumentError, "n must be an int, not '5'"
+    ),
+    "enumerate_prototypes str D": (
+        lambda: prototypes.enumerate_prototypes("5"),
+        InvalidArgumentError,
+        "D must be an int, not '5'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED_REFUSALS))
+def test_a_tag_that_is_not_a_str_and_an_n_or_d_that_is_not_an_int_are_refused_typed(name):
+    call, error, message = _TYPED_REFUSALS[name]
+    with pytest.raises(VeechFibError) as refusal:
+        call()
+    assert type(refusal.value) is error
+    assert str(refusal.value) == message
+
+
 def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypatch):
     # each model path parses its tag once per layer that needs it: the
     # pipeline's model_spec and build_surface, a sporadic request's check
@@ -641,6 +702,40 @@ def test_sporadic_family_takes_only_e7_and_e8_in_any_case():
         sporadic_family("polygon-5", 3)
     with pytest.raises(UnsupportedFamilyError, match="unknown family tag: 'E6'"):
         sporadic_family("E6", 3)
+
+
+def test_evaluate_is_the_one_family_tail():
+    # no options: the Kodaira inputs and the BMY rule are evaluate's own
+    params = inspect.signature(families.evaluate).parameters.values()
+    assert inspect.Parameter.VAR_KEYWORD not in {param.kind for param in params}
+    spec, _, checks = families.model_spec("polygon-7")
+    degree_data = covers.congruence_degree(
+        spec.alpha_minimal_polynomial, 3, spec.fiber_genus, spec.contains_minus_identity
+    )
+    forms = {"degree": degree_data.degree}
+    chi_orb = spec.signature_orbifold.euler_characteristic
+    result = families.evaluate(spec, 3, degree_data, chi_orb, checks, forms)
+    assert result.closed_forms is forms and result.checks is checks
+    # over the golden sweep: the proven minimal members over a genus-0 base,
+    # and bmy_sufficient set for genus >= 2 over a base of genus >= 1 only
+    minimal = set()
+    for key, call in sweep():
+        try:
+            row = call()
+        except VeechFibError:
+            continue
+        genus_0 = row.cover.base_genus == 0
+        if genus_0 and row.invariants.kodaira_tag == "minimal-general-type":
+            minimal.add(key)
+        if key.startswith("elliptic-"):
+            assert "bmy_sufficient" not in row.checks, key
+        elif key.startswith("weierstrass-") and genus_0:
+            assert row.checks["bmy_sufficient"] is None, key
+        elif genus_0:
+            assert "bmy_sufficient" not in row.checks, key
+        else:
+            assert isinstance(row.checks["bmy_sufficient"], bool), key
+    assert minimal == {"weierstrass-5@3", "polygon-5@3"}
 
 
 def test_sporadic_e7_level5():

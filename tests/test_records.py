@@ -128,7 +128,10 @@ def test_commands_without_a_surface_skip_the_model_layer(argv):
 
 
 def test_a_polygon_request_loads_the_model_layer():
-    assert _modules_after(_RUN_CLI, "polygon", "--n", "5", "--p", "3") >= _MODEL_LAYER
+    loaded = _loaded_after(_RUN_CLI, "polygon", "--n", "5", "--p", "3")
+    assert loaded >= _MODEL_LAYER
+    # only CurveDataTable.from_csv, behind --data, reads CSV
+    assert "csv" not in loaded
 
 
 def test_a_rebinding_before_the_model_layer_loads_stays_in_force():
