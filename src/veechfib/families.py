@@ -56,7 +56,6 @@ from .errors import (
     InvalidArgumentError,
     MathematicalInconsistencyError,
     MissingCurveDataError,
-    UnsupportedFamilyError,
     check_int,
 )
 from .exact.finitefield import check_odd_prime, is_prime, is_quadratic_nonresidue
@@ -74,7 +73,7 @@ from .prototypes import (
     standard_parameters,
     weierstrass_alpha,
 )
-from .tags import capped_surface_tag, check_polygon_n, check_tag, surface_tag
+from .tags import capped_surface_tag, check_polygon_n, read_tag, sporadic_tag
 
 # The model layer (thurston_veech, and numberfield and linalg under it)
 # is loaded on first use, not at import.  The model path calls it as
@@ -469,7 +468,7 @@ def model_spec(tag):
 
 def polygon_family(n, p):
     """Full pipeline for the regular n-gon surface at level p."""
-    check_int(n, "n")
+    check_polygon_n(n)
     return _model_family(f"polygon-{n}", p)
 
 
@@ -548,19 +547,13 @@ def closed_forms_polygon(n, p, degree):
 
 def sporadic_family(which, p):
     """Full pipeline for the E7 or E8 surface at level p."""
-    tag = surface_tag(which)[0]
-    if tag.startswith("polygon-"):
-        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
-    return _model_family(tag, p)
+    return _model_family(sporadic_tag(which), p)
 
 
 def closed_forms_sporadic(which, p, degree):
     check_odd_prime(p)
-    check_tag(which)
-    d, tag = degree, which.upper()
-    if tag not in ("E7", "E8"):
-        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {which!r}")
-    if tag == "E7":
+    d = degree
+    if sporadic_tag(which) == "E7":
         # genus = 1 + (d/2)(8/9 - 2/p), e = d(95/9 - 8/p), sigma = -(35/9) d
         genus = Fraction(9 * p + d * (4 * p - 9), 9 * p)
         e = Fraction(d * (95 * p - 72), 9 * p)
@@ -655,18 +648,6 @@ def coxeter_alpha_polynomial(h):
     return IntPolynomial(f.coefficients[::2])
 
 
-def _weierstrass_discriminant(family_tag):
-    """D of a weierstrass-<D> tag; None for any other prefix."""
-    check_tag(family_tag)
-    prefix, _, number = family_tag.strip().partition("-")
-    if prefix.lower() != "weierstrass":
-        return None
-    try:
-        return int(number)
-    except ValueError:
-        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}") from None
-
-
 def admissible_primes(family_tag, bound):
     """(p, exceptional) for each odd prime p <= bound that congruence_degree
     admits, with exceptional as congruence_degree reports it.  A model
@@ -677,12 +658,12 @@ def admissible_primes(family_tag, bound):
         raise InvalidArgumentError("bound must be >= 3")
     if bound > MAX_PRIME_BOUND:
         raise CapExceededError(f"bound {bound} exceeds the size cap bound <= {MAX_PRIME_BOUND}")
-    d = _weierstrass_discriminant(family_tag)
-    if d is None:
+    kind, number = read_tag(family_tag)
+    if kind == "weierstrass":
+        h, m_alpha = None, weierstrass_alpha_polynomial(number)
+    else:
         h = capped_surface_tag(family_tag)[1]
         m_alpha = coxeter_alpha_polynomial(h)
-    else:
-        h, m_alpha = None, weierstrass_alpha_polynomial(d)
     genus = m_alpha.degree
     out = []
     for p in filter(is_prime, range(3, bound + 1, 2)):

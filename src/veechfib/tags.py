@@ -1,6 +1,6 @@
-"""Family tags of the surface models, decided apart from the model layer:
-a request that needs only the tag loads no thurston_veech, numberfield
-or linalg."""
+"""Family tags, decided apart from the model layer: read_tag is the one
+tag reader, so a request that needs only the tag loads no thurston_veech,
+numberfield or linalg."""
 
 from .errors import CapExceededError, UnsupportedFamilyError, check_int
 from .exact.finitefield import is_prime
@@ -16,29 +16,45 @@ MAX_POLYGON_N = 256
 _COXETER_NUMBERS = {"E7": 18, "E8": 30}
 
 
-def surface_tag(family_tag):
-    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
-    18) or E8 (h = 30), E7/E8 in any case.  The n-gon is supported when
-    check_polygon_n admits n; other tags raise UnsupportedFamilyError."""
-    check_tag(family_tag)
-    tag = family_tag.strip()
-    if tag.upper() in _COXETER_NUMBERS:
-        return tag.upper(), _COXETER_NUMBERS[tag.upper()]
-    prefix, _, number = tag.partition("-")
-    try:
-        n = int(number)
-    except ValueError:
-        n = None
-    if prefix.lower() != "polygon" or n is None:
-        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
-    check_polygon_n(n)
-    return f"polygon-{n}", n
-
-
-def check_tag(family_tag):
-    """Refuse by UnsupportedFamilyError a family tag that is not a str."""
+def read_tag(family_tag):
+    """(kind, number) of a tag: ("weierstrass", D), ("polygon", n), ("E7",
+    18) or ("E8", 30), stripped, in any case.  A number is ASCII digits,
+    leading zeros allowed; a sign, a space, an underscore or another script's
+    digit makes no tag, and raises UnsupportedFamilyError, as a non-str does."""
     if not isinstance(family_tag, str):
         raise UnsupportedFamilyError(f"family tag must be a str, not {family_tag!r}")
+    tag = family_tag.strip()
+    prefix, _, number = tag.partition("-")
+    kind = prefix.lower()
+    if number.isdigit() and number.isascii() and kind in ("polygon", "weierstrass"):
+        return kind, int(number)
+    kind = tag.upper()
+    if kind in _COXETER_NUMBERS:
+        return kind, _COXETER_NUMBERS[kind]
+    raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+
+
+def surface_tag(family_tag):
+    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
+    18) or E8 (h = 30).  The n-gon is supported when check_polygon_n
+    admits n; other tags raise UnsupportedFamilyError."""
+    kind, h = read_tag(family_tag)
+    if kind == "polygon":
+        check_polygon_n(h)
+        return f"polygon-{h}", h
+    if kind == "weierstrass":
+        raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
+    return kind, h
+
+
+def sporadic_tag(family_tag):
+    """surface_tag's E7 or E8, read only when not canonical; else refused."""
+    if family_tag in ("E7", "E8"):
+        return family_tag
+    tag = surface_tag(family_tag)[0]
+    if tag not in _COXETER_NUMBERS:
+        raise UnsupportedFamilyError(f"sporadic family must be E7 or E8, not {family_tag!r}")
+    return tag
 
 
 def check_polygon_n(n):

@@ -22,13 +22,13 @@ eigenvector, which proves mu dominant.  The build walks each graph
 through its neighbour lists, never a dense adjacency matrix.
 
 Supported families are the path diagrams A(m) and the exceptional E7 /
-E8 diagrams.  veechfib.tags.surface_tag parses a family tag once, into
-its canonical form and Coxeter number h; the model keeps h and has genus
-phi(h)/2.  The n-gon has zero partition (g - 1, g - 1) for n = 2 mod 4,
-else (2g - 2,); E7 and E8 carry theirs in one table.  For even n the
-order-2 rotation of the path diagram is quotiented combinatorially on
-the cylinder list (one cylinder kept per swapped pair, the middle one
-as is), with quotient graph A(n/2).
+E8 diagrams.  This module parses no tag: veechfib.tags gives
+build_surface the canonical tag and Coxeter number h; the model keeps
+h and has genus phi(h)/2.  The n-gon has zero partition (g - 1, g - 1)
+for n = 2 mod 4, else (2g - 2,); E7 and E8 carry theirs in one table.
+For even n the order-2 rotation of the path diagram is quotiented
+combinatorially on the cylinder list (one cylinder kept per swapped
+pair, the middle one as is), with quotient graph A(n/2).
 
 Each model fact is proved once, by the build step that makes it:
 perron_frobenius proves Q h = mu h for the lifts, one residual in Z[x]
@@ -394,10 +394,12 @@ def build_surface(family_tag):
 
     Heights are normalized so the lowest horizontal cylinder has height
     mu (the staircase normalization); horizontal cylinders are the ones
-    whose height lifts are odd polynomials in mu.  An n-gon past the cap
-    is refused first (capped_surface_tag).
+    whose height lifts are odd polynomials in mu.  Any spelling of a tag
+    gets the canonical tag's model; an n-gon past the cap is refused first.
     """
     tag, h = capped_surface_tag(family_tag)
+    if tag != family_tag:
+        return build_surface(tag)
     if tag in _SPORADIC:
         return _build_sporadic(tag, h)
     return _build_polygon(h)

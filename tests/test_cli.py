@@ -387,6 +387,9 @@ def test_invalid_arguments_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "polygon", "--n", "6", "--p", "5")
     assert code == 2
+    code, _, err = run_cli(capsys, "polygon", "--n", "-5", "--p", "3")
+    assert code == 2
+    assert json.loads(err)["message"].startswith("regular -5-gon is not in the supported series")
     code, _, err = run_cli(capsys, "weierstrass", "--D", "5", "--p", "0")
     assert code == 2
     assert json.loads(err) == {"error": "InvalidArgumentError", "message": "0 is not an odd prime"}
@@ -400,6 +403,15 @@ def test_invalid_arguments_exit_2(capsys):
         ("primes", "--family", "weierstrass-x", "--bound", "20"),
         ("tv-build", "--family", "polygon-x"),
         ("tv-build", "--family", "polygon-"),
+        # a tag's number is plain ASCII digits: int() read each of these
+        ("primes", "--family", "weierstrass-+5", "--bound", "20"),
+        ("primes", "--family", "weierstrass- 5", "--bound", "20"),
+        ("primes", "--family", "weierstrass-1_000", "--bound", "20"),
+        ("primes", "--family", "weierstrass-\uff15", "--bound", "20"),
+        ("primes", "--family", "polygon- 7", "--bound", "20"),
+        ("tv-build", "--family", "polygon-\u0667"),
+        ("tv-build", "--family", "polygon- 7"),
+        ("tv-build", "--family", "polygon--5"),
     ],
 )
 def test_malformed_family_tag_exit_2(capsys, argv):

@@ -26,7 +26,7 @@ ALLOWED = {
     ("veechfib.exact.finitefield", "FiniteFieldSpec.elements"):
         "goes once the benchmark change of ROADMAP item 2(d) lands",
     ("veechfib.exact.linalg", "charpoly"):
-        "a tracer span site; ROADMAP item 1(a) gives it a program caller",
+        "a tracer span site; ROADMAP item 17 drops it",
     ("veechfib.exact.numberfield", "element_minimal_polynomial"):
         "a tracer span site; ROADMAP item 17 drops it",
     ("veechfib.exact.numberfield", "in_order"):

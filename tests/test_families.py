@@ -473,15 +473,16 @@ def test_weierstrass_closed_forms_match_the_fraction_reference(p, degree, chi, c
 
 def test_closed_forms_refuse_the_tags_the_pipeline_refuses():
     # E6 used to get E8's forms; n = 9 and n = 12 used to get numbers
-    with pytest.raises(UnsupportedFamilyError, match="must be E7 or E8, not 'E6'"):
+    with pytest.raises(UnsupportedFamilyError, match="^unknown family tag: 'E6'$"):
         families.closed_forms_sporadic("E6", 7, 100)
     for n in (9, 12):
         with pytest.raises(UnsupportedFamilyError, match=f"regular {n}-gon is not in the supported"):
             families.closed_forms_polygon(n, 7, 100)
-    # one rule: the closed forms refuse exactly the n that surface_tag refuses
+    # one rule: the closed forms refuse exactly the n that surface_tag
+    # refuses; a negative n makes no tag, so polygon_family's gate decides it
     for n in range(-2, 300):
         try:
-            surface_tag(f"polygon-{n}")
+            surface_tag(f"polygon-{n}") if n >= 0 else polygon_family(n, 7)
         except UnsupportedFamilyError as exc:
             with pytest.raises(UnsupportedFamilyError, match=f"^{re.escape(str(exc))}$"):
                 families.closed_forms_polygon(n, 7, 100)
@@ -636,7 +637,8 @@ def test_a_tag_that_is_not_a_str_and_an_n_or_d_that_is_not_an_int_are_refused_ty
 def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypatch):
     # each model path parses its tag once per layer that needs it: the
     # pipeline's model_spec and build_surface, a sporadic request's check
-    # that the tag is E7 or E8, and admissible_primes once
+    # that the tag is E7 or E8 when it is not already canonical, and
+    # admissible_primes once
     parsed = []
     surface_tag = thurston_veech.surface_tag
 
@@ -644,7 +646,7 @@ def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypat
         parsed.append(tag)
         return surface_tag(tag)
 
-    for module in ("veechfib.tags", "veechfib.families", "veechfib.thurston_veech"):
+    for module in ("veechfib.tags", "veechfib.thurston_veech"):
         monkeypatch.setattr(f"{module}.surface_tag", counted)
 
     def parses(call, *args):
@@ -654,7 +656,8 @@ def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypat
         return len(parsed)
 
     assert parses(polygon_family, 7, 3) == 2
-    assert parses(sporadic_family, "E7", 5) == 3
+    assert parses(sporadic_family, "E7", 5) == 2
+    assert parses(sporadic_family, " e7 ", 5) == 3
     assert parses(admissible_primes, "polygon-7", 40) == 1
 
 
@@ -698,6 +701,8 @@ def test_a_warm_level_builds_each_rational_once(call, args, made):
 
 def test_sporadic_family_takes_only_e7_and_e8_in_any_case():
     assert sporadic_family(" e8 ", 7).to_json() == sporadic_family("E8", 7).to_json()
+    forms = families.closed_forms_sporadic
+    assert forms(" E7 ", 5, 60) == forms("E7", 5, 60)
     with pytest.raises(UnsupportedFamilyError, match="must be E7 or E8, not 'polygon-5'"):
         sporadic_family("polygon-5", 3)
     with pytest.raises(UnsupportedFamilyError, match="unknown family tag: 'E6'"):

@@ -28,6 +28,7 @@ from veechfib.exact.polynomials import (
     euler_phi,
     two_cos_bracket,
 )
+from veechfib.families import admissible_primes
 from veechfib.thurston_veech import (
     HORIZONTAL,
     MAX_POLYGON_N,
@@ -364,16 +365,29 @@ def test_surface_tag_is_canonical_with_the_coxeter_number():
     assert surface_tag(" e7 ") == ("E7", 18)
     assert surface_tag("E8") == ("E8", 30)
     assert surface_tag("Polygon-05") == ("polygon-5", 5)
+    assert surface_tag("POLYGON-07") == ("polygon-7", 7)
     assert surface_tag("polygon-64") == ("polygon-64", 64)
-    for tag in ("polygon-x", "polygon-1.5", "polygon-", "polygon5", "E9", "weierstrass-5"):
+    assert admissible_primes("Weierstrass-13", 20) == admissible_primes("weierstrass-13", 20)
+    for tag in ("polygon-x", "polygon-1.5", "polygon-", "polygon5", "E9", "weierstrass-5",
+                "polygon--5"):
         with pytest.raises(UnsupportedFamilyError, match="unknown family tag"):
             surface_tag(tag)
-    for n in (-5, 0, 3, 6, 9, 12, 4):
+    # a tag's number is plain ASCII digits: int() read each of these
+    for tag in ("weierstrass-+5", "weierstrass- 5", "weierstrass-1_000", "weierstrass-\uff15",
+                "polygon-\u0667", "polygon- 7", "polygon-+7"):
+        message = f"^unknown family tag: {re.escape(repr(tag))}$"
+        for call in (surface_tag, build_surface, lambda tag: admissible_primes(tag, 20)):
+            with pytest.raises(UnsupportedFamilyError, match=message):
+                call(tag)
+    for n in (0, 3, 6, 9, 12, 4):
         with pytest.raises(UnsupportedFamilyError, match="not in the supported series"):
             surface_tag(f"polygon-{n}")
 
 
 def test_model_invariants_exact():
+    # every spelling of a tag gets the canonical tag's one model
+    assert build_surface("POLYGON-07") is build_surface(" polygon-7") is build_surface("polygon-7")
+    assert build_surface(" e7 ") is build_surface("E7")
     for tag in ("polygon-5", "polygon-8", "polygon-10", "E7", "E8"):
         model = build_surface(tag)
         mu = model.mu
