@@ -45,7 +45,7 @@ from .errors import (
     check_int,
 )
 from .exact.finitefield import FiniteFieldSpec, check_odd_prime, is_irreducible_mod_p
-from .exact.polynomials import IntPolynomial, rational_to_str
+from .exact.polynomials import IntPolynomial, jsonable
 
 
 class _OrbifoldFields(NamedTuple):
@@ -83,8 +83,7 @@ class CoverData(NamedTuple):
     cusp_classes holds (image order, m) for m base cusps, twist_classes
     the (image order, twists, root, m) classes cover_twisting read and
     total_twisting their total; the last two are None until set
-    (_replace).  The per-cusp forms (cusps_per_orbit, ...) are written
-    out only for to_json.
+    (_replace).  The per-cusp lists exist only in to_json.
     """
 
     degree: int
@@ -96,38 +95,27 @@ class CoverData(NamedTuple):
     group_label: str = ""
     exceptional: bool = False
 
-    @property
-    def cusps_per_orbit(self):
-        return expand_classes((self.degree // k, m) for k, m in self.cusp_classes)
-
-    @property
-    def cusp_image_orders(self):
-        return expand_classes(self.cusp_classes)
-
-    @property
-    def per_cusp_twists(self):
-        """Twists around one cusp over each base cusp: order * twists / root."""
-        if self.twist_classes is None:
-            return None
-        return expand_classes((k * t // r, m) for k, t, r, m in self.twist_classes)
-
     def euler_characteristic(self):
         return Fraction(2 - 2 * self.base_genus - self.cusp_count)
 
     def to_json(self):
-        return {
+        """Per base cusp: the cusps over it, its image order, and the
+        twists around one cusp over it (order * twists / root)."""
+        return jsonable({
             "degree": self.degree,
             "base_genus": self.base_genus,
             "cusp_count": self.cusp_count,
-            "cusps_per_orbit": list(self.cusps_per_orbit),
-            "cusp_image_orders": list(self.cusp_image_orders),
-            "per_cusp_twists": list(self.per_cusp_twists or ()),
+            "cusps_per_orbit": expand_classes((self.degree // k, m) for k, m in self.cusp_classes),
+            "cusp_image_orders": expand_classes(self.cusp_classes),
+            "per_cusp_twists": expand_classes(
+                (k * t // r, m) for k, t, r, m in self.twist_classes or ()
+            ),
             "total_twisting": self.total_twisting,
             "group_label": self.group_label,
             "exceptional": self.exceptional,
-            "euler_characteristic": rational_to_str(self.euler_characteristic()),
+            "euler_characteristic": self.euler_characteristic(),
             "formula": "chi(cover) = 2 - 2b - |cusps| = degree * chi_orb(base)",
-        }
+        })
 
 
 def expand_classes(classes):

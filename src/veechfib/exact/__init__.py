@@ -27,6 +27,7 @@ _EXPORTS = {
         "cyclotomic_polynomial",
         "euler_phi",
         "isolate_largest_real_root",
+        "jsonable",
         "parse_polynomial",
         "prime_factors",
         "rational_to_str",

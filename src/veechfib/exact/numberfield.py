@@ -39,7 +39,7 @@ from ..errors import (
 )
 from .linalg import FractionFreeEchelon
 from .polynomials import isolate_largest_real_root  # noqa: F401  (kept bound)
-from .polynomials import IntPolynomial, pseudo_divmod, rational_to_str, scaled_integers
+from .polynomials import IntPolynomial, jsonable, pseudo_divmod, scaled_integers
 
 
 class RealAlgebraicField:
@@ -252,7 +252,7 @@ class NumberFieldElement:
         return IntPolynomial(self.nums)
 
     def to_json(self):
-        return [rational_to_str(c) for c in self.coeffs]
+        return jsonable(self.coeffs)
 
     def __repr__(self):
         terms = []

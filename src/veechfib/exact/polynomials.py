@@ -271,6 +271,21 @@ def rational_to_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def jsonable(value):
+    """The one JSON form of a record value: its own to_json() if it has
+    one, a Fraction as "num/den", a tuple or list item by item, a dict
+    value by value, and anything else as it is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Fraction):
+        return rational_to_str(value)
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: jsonable(v) for k, v in value.items()}
+    return value
+
+
 # ---------------------------------------------------------------------------
 # The certified bracket
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .errors import (
 from .exact.finitefield import check_odd_prime, is_prime, is_quadratic_nonresidue
 from .exact.finitefield import is_irreducible_mod_p  # noqa: F401  (kept bound)
 from .exact.polynomials import (
-    IntPolynomial, cos_two_pi_minpoly, prime_factors, rational_to_str
+    IntPolynomial, cos_two_pi_minpoly, jsonable, prime_factors
 )
 from .invariants import FibrationInvariants, assemble_invariants, bmy_sufficient
 from .prototypes import enumerate_prototypes  # noqa: F401  (kept bound)
@@ -242,27 +242,18 @@ class FamilySpec(NamedTuple):
     signature_orbifold: object  # OrbifoldSignature or None (Weierstrass)
     cusp_classes: tuple
 
-    @property
-    def base_twists(self):
-        """Twist count per base cusp, written out for to_json."""
-        return expand_classes(self.cusp_classes)
-
-    @property
-    def roots(self):
-        """Root index per base cusp: 1 in every family."""
-        return (1,) * sum(map(itemgetter(1), self.cusp_classes))
-
     def to_json(self):
-        return {
+        """Per base cusp: its twist count, and its root index (1 in every family)."""
+        return jsonable({
             "tag": self.tag,
             "fiber_genus": self.fiber_genus,
-            "zero_partition": list(self.zero_partition),
-            "alpha_minimal_polynomial": self.alpha_minimal_polynomial.to_json(),
+            "zero_partition": self.zero_partition,
+            "alpha_minimal_polynomial": self.alpha_minimal_polynomial,
             "contains_minus_identity": self.contains_minus_identity,
-            "base_twists": list(self.base_twists),
-            "roots": list(self.roots),
+            "base_twists": expand_classes(self.cusp_classes),
+            "roots": expand_classes((1, m) for _, m in self.cusp_classes),
             "pi1_criterion": True,  # core curves cross the polygon boundary once
-        }
+        })
 
 
 class FamilyResult(NamedTuple):
@@ -274,22 +265,11 @@ class FamilyResult(NamedTuple):
     closed_forms: dict = None
 
     def to_json(self):
-        out = {
-            "family": self.spec.tag,
-            "level": self.level,
-            "spec": self.spec.to_json(),
-            "cover": self.cover.to_json(),
-            "invariants": self.invariants.to_json(),
-            "checks": {k: _jsonable(v) for k, v in self.checks.items()},
-        }
-        if self.closed_forms is not None:
-            out["closed_forms"] = {k: _jsonable(v) for k, v in self.closed_forms.items()}
-        return out
-
-
-def _jsonable(v):
-    # every checks and closed_forms value is a scalar or a Fraction
-    return rational_to_str(v) if isinstance(v, Fraction) else v
+        # the family tag and the level lead, then the fields in order
+        out = {"family": self.spec.tag, "level": self.level, **self._asdict()}
+        if self.closed_forms is None:
+            del out["closed_forms"]
+        return jsonable(out)
 
 
 # the members over a base of genus 0 proven minimal: the double pentagon at level 3
@@ -597,9 +577,9 @@ MAX_ELLIPTIC_M = 10**12
 # prime, the order of p mod h for a model tag and Rabin's test on the
 # quadratic m_alpha for a Weierstrass tag
 MAX_PRIME_BOUND = 10**5
-# Largest scatter D: chern_scatter(5, 10**5, 7) takes 9.2 to 9.5 s (CPython 3.11,
-# one core of a 2-core x86-64 VM whose speed drifts about 2x over hours, while
-# perfbench/speed.py's fraction_probe read 0.39 to 0.44 ms)
+# Largest scatter D: chern_scatter(5, 10**5, 7) (8 858 rows, 40 826 skips) took 5.8 to
+# 8.5 s in five runs (CPython 3.11, one core of a 2-core x86-64 VM whose speed drifts
+# about 2x over hours; perfbench/speed.py's fraction_probe read 0.38 to 0.92 ms)
 MAX_SCATTER_D = 10**5
 
 

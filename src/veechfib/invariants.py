@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError, MathematicalInconsistencyError
-from .exact.polynomials import rational_to_str
+from .exact.polynomials import jsonable
 
 
 def kappa_mu(partition):
@@ -131,42 +131,21 @@ class FibrationInvariants(NamedTuple):
         return True
 
     def to_json(self):
-        return {
-            "fiber_genus": self.fiber_genus,
-            "base_genus": self.base_genus,
-            "cusp_count": self.cusp_count,
-            "twisting": self.twisting,
-            "zero_partition": list(self.zero_partition),
-            "kappa": rational_to_str(self.kappa),
-            "euler": self.euler,
-            "sigma": self.sigma,
-            "c1_squared": self.c1_squared,
-            "c2": self.c2,
-            "chi_holomorphic": self.chi_holomorphic,
-            "geometric_genus": self.geometric_genus,
-            "b1": self.b1,
-            "b2": self.b2,
-            "b2_plus": self.b2_plus,
-            "b2_minus": self.b2_minus,
-            "bmy_slack": rational_to_str(self.bmy_slack),
-            "bmy_strict": self.bmy_strict,
-            "noether_line": self.noether_line,
-            "kodaira": self.kodaira_tag,
-            "zero_section_self_intersections": [
-                rational_to_str(s) for s in self.zero_section_self_intersections
-            ],
-            "intersection_form_parity": self.intersection_form_parity,
-            "pi1_isomorphic_to_base": self.pi1_isomorphic_to_base,
-            "formulas": {
-                "euler": "e = 4(g-1)(b-1) + T",
-                "sigma": "sigma = -2 kappa chi(B) - (2/3) T",
-                "c1_squared": "c1^2 = -6 kappa chi(B) + 8(g-1)(b-1)",
-                "chi_holomorphic": "chi(O) = (c1^2 + c2)/12",
-                "geometric_genus": "p_g = chi(O) - 1 + b1/2",
-                "zero_section": "S^2 = (2 - 2b - |cusps|) / (2(m+1))",
-                "bmy": "slack = e/3 - sigma",
-            },
-        }
+        out = {"kodaira" if k == "kodaira_tag" else k: v for k, v in self._asdict().items()}
+        out.update(pi1_isomorphic_to_base=self.pi1_isomorphic_to_base, formulas=FORMULAS)
+        return jsonable(out)
+
+
+# the closed forms every FibrationInvariants.to_json states
+FORMULAS = {
+    "euler": "e = 4(g-1)(b-1) + T",
+    "sigma": "sigma = -2 kappa chi(B) - (2/3) T",
+    "c1_squared": "c1^2 = -6 kappa chi(B) + 8(g-1)(b-1)",
+    "chi_holomorphic": "chi(O) = (c1^2 + c2)/12",
+    "geometric_genus": "p_g = chi(O) - 1 + b1/2",
+    "zero_section": "S^2 = (2 - 2b - |cusps|) / (2(m+1))",
+    "bmy": "slack = e/3 - sigma",
+}
 
 
 def assemble_invariants(

@@ -77,7 +77,7 @@ from .exact.linalg import charpoly, rank  # noqa: F401  (kept bound)
 from .exact.numberfield import RealAlgebraicField, in_order  # noqa: F401  (kept bound)
 from .exact.polynomials import (
     IntPolynomial, _chebyshev_lists, _chebyshev_polys, cos_two_pi_minpoly, euler_phi,
-    exact_integer, isolate_largest_real_root, two_cos_bracket,
+    exact_integer, isolate_largest_real_root, jsonable, two_cos_bracket,
 )
 from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
 
@@ -143,7 +143,7 @@ class BipartiteIntersectionGraph:
         return f"BipartiteIntersectionGraph({self.intersections})"
 
     def to_json(self):
-        return [list(row) for row in self.intersections]
+        return jsonable(self.intersections)
 
 
 class _Diagram(NamedTuple):
@@ -329,14 +329,7 @@ class CylinderDatum(NamedTuple):
     height_lift: IntPolynomial
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "direction": self.direction,
-            "height": self.height.to_json(),
-            "circumference": self.circumference.to_json(),
-            "twist_count": self.twist_count,
-            "height_lift": self.height_lift.to_json(),
-        }
+        return jsonable(self._asdict())
 
 
 class _SurfaceFields(NamedTuple):
@@ -375,17 +368,17 @@ class SurfaceModel(_SurfaceFields):
         return self.horizontal + self.vertical
 
     def to_json(self):
-        return {
+        return jsonable({
             "family": self.family_tag,
-            "graph": self.graph.to_json(),
-            "mu_minimal_polynomial": self.mu.field.modulus.to_json(),
-            "heights": [h.to_json() for h in self.heights],
-            "horizontal": [c.to_json() for c in self.horizontal],
-            "vertical": [c.to_json() for c in self.vertical],
+            "graph": self.graph,
+            "mu_minimal_polynomial": self.mu.field.modulus,
+            "heights": self.heights,
+            "horizontal": self.horizontal,
+            "vertical": self.vertical,
             "genus": self.genus,
-            "zero_partition": list(self.zero_partition),
+            "zero_partition": self.zero_partition,
             "core_curves_cross_boundary_once": True,
-        }
+        })
 
 
 @lru_cache(maxsize=None)

@@ -86,8 +86,8 @@ def closed_forms_sporadic(which, p, degree):
 
 def closed_forms_weierstrass(p, degree, chi, base_twists):
     """Tabulated closed forms for the Weierstrass series, from the
-    twist count of each prototype (spec.base_twists, which
-    prototypes.prototype_twists reads off the (w, h) classes: one
+    twist count of each prototype (the spec's to_json "base_twists", which
+    expand prototypes.prototype_classes, the (w, h) classes: one
     (w + h)/gcd(w, h) per prototype, in sorted prototype order).
 
     The twist sum is the table's sum of (1 + h/w) * w/gcd(w, h), which

@@ -307,6 +307,29 @@ def test_cover_command(capsys):
     assert payload["total_twisting"] == 120
 
 
+def test_cover_command_without_twists_writes_the_whole_record(capsys):
+    # no golden covers a cover with unset twisting: no twists per cusp,
+    # a null total, and chi(cover) as a rational
+    code, out, _ = run_cli(
+        capsys, "cover", "--orbifold-orders", "2,3", "--cusp-image-orders", "4", "--degree", "24"
+    )
+    assert code == 0
+    expected = {
+        "degree": 24,
+        "base_genus": 0,
+        "cusp_count": 6,
+        "cusps_per_orbit": [6],
+        "cusp_image_orders": [4],
+        "per_cusp_twists": [],
+        "total_twisting": None,
+        "group_label": "",
+        "exceptional": False,
+        "euler_characteristic": "-4/1",
+        "formula": "chi(cover) = 2 - 2b - |cusps| = degree * chi_orb(base)",
+    }
+    assert list(json.loads(out).items()) == list(expected.items())  # keys in order
+
+
 def test_scatter_command(capsys):
     code, out, _ = run_cli(capsys, "scatter", "--min-D", "5", "--max-D", "6", "--p", "3")
     assert code == 0

@@ -13,6 +13,8 @@ from veechfib.errors import (
     VeechFibError,
 )
 from veechfib.invariants import (
+    FORMULAS,
+    FibrationInvariants,
     assemble_invariants,
     bmy_sufficient,
     kappa_bound_check,
@@ -151,6 +153,16 @@ def test_section_self_intersection():
         assert inv.zero_section_self_intersections == (-2, -2)
     inv = assemble_invariants(*HEADLINE)
     assert inv.intersection_form_parity == "odd"  # S^2 = -3 is odd
+
+
+def test_to_json_writes_the_fields_in_order_then_pi1_and_the_formulas():
+    payload = assemble_invariants(*HEADLINE).to_json()
+    fields = ["kodaira" if k == "kodaira_tag" else k for k in FibrationInvariants._fields]
+    assert list(payload) == fields + ["pi1_isomorphic_to_base", "formulas"]
+    assert payload["kappa"] == "2/9" and payload["zero_partition"] == [2]
+    assert payload["zero_section_self_intersections"] == ["-3/1"]
+    assert payload["pi1_isomorphic_to_base"] is True
+    assert payload["formulas"] == FORMULAS and payload["formulas"] is not FORMULAS
 
 
 def test_kodaira_classification():

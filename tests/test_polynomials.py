@@ -31,6 +31,7 @@ from veechfib.exact.polynomials import (
     euler_phi,
     homogeneous_value,
     isolate_largest_real_root,
+    jsonable,
     parse_polynomial,
     prime_factors,
     rational_to_str,
@@ -184,6 +185,35 @@ def test_json_round_trip():
 
 def test_rational_serialization():
     assert rational_to_str(Fraction(-3, 10)) == "-3/10"
+
+
+def test_jsonable_writes_rationals_as_num_over_den():
+    assert jsonable(Fraction(-3, 10)) == "-3/10"
+    assert jsonable(Fraction(4)) == "4/1"
+
+
+@pytest.mark.parametrize("value", [0, -7, 10**30, True, False, None, "polygon-5"])
+def test_jsonable_returns_scalars_as_they_are(value):
+    assert jsonable(value) is value
+
+
+def test_jsonable_converts_containers_item_by_item():
+    nested = ((1, (Fraction(1, 2), ())), [Fraction(-2)])
+    assert jsonable(nested) == [[1, ["1/2", []]], ["-2/1"]]
+    payload = {"kappa": Fraction(2, 9), "partition": (2,), "inner": {"s": (Fraction(-3),)}}
+    assert jsonable(payload) == {"kappa": "2/9", "partition": [2], "inner": {"s": ["-3/1"]}}
+    assert list(jsonable(payload)) == ["kappa", "partition", "inner"]
+
+
+def test_jsonable_dispatches_to_a_value_own_to_json():
+    class Record(tuple):  # a tuple, but its own JSON form wins
+        def to_json(self):
+            return "own"
+
+    f = IntPolynomial([-1, -1, 1])
+    assert jsonable(f) == ["-1", "-1", "1"] == f.to_json()  # decimal strings, not ints
+    assert jsonable(Record((1, 2))) == "own"
+    assert jsonable({"r": [Record(())]}) == {"r": ["own"]}
 
 
 def test_parity_helpers():
