@@ -440,23 +440,21 @@ def two_cos_bracket(n):
     return Fraction(2 * c - e, s), Fraction(2 * c + e, s)
 
 
-def small_divisors(n):
-    """Divisors a <= sqrt(n) of n >= 0 in ascending order, by one scan up
-    to sqrt(n), over odd a only when n is odd; n = 0 has none."""
-    return [a for a in range(1, math.isqrt(max(n, 0)) + 1, 1 + n % 2) if not n % a]
-
-
 def prime_factors(n):
     """Distinct primes of n in ascending order, by trial division up to
-    sqrt(n); n < 2 has none."""
+    sqrt(n), over 2 and then odd p only; n < 2 has none."""
     primes = []
-    p = 2
+    if n > 1 and n % 2 == 0:
+        primes.append(2)
+        while n % 2 == 0:
+            n //= 2
+    p = 3
     while p * p <= n:
         if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
-        p += 1
+        p += 2
     if n > 1:
         primes.append(n)
     return primes

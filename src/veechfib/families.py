@@ -196,13 +196,11 @@ class CurveDataTable:
             return self._rows[d].chi, "table"
         if d in _BUILTIN_CHI:
             return _BUILTIN_CHI[d], "builtin"
-        check_size(abs(d))  # |D| also bounds the squarefree test of a D < 5
-        if d % 8 != 1 and (d >= 5 or is_fundamental_discriminant(d)):
-            try:  # zeta runs the one squarefree test of a D >= 5
-                return -9 * real_quadratic_zeta_minus_one(d), "zeta-formula"
-            except InvalidArgumentError:
-                if d < 5:  # fundamental, but of no real quadratic field
-                    raise
+        check_size(abs(d))  # |D| also bounds the squarefree test
+        if d % 8 != 1 and is_fundamental_discriminant(d):
+            # zeta refuses a fundamental D < 5; a D >= 5 is checked already
+            zeta = real_quadratic_zeta_minus_one(d) if d < 5 else Fraction(divisor_scan(d)[0], 60)
+            return -9 * zeta, "zeta-formula"
         raise MissingCurveDataError(
             f"no Euler characteristic available for D = {d}; supply a data CSV"
         )
@@ -642,7 +640,7 @@ def admissible_primes(family_tag, bound):
     if kind == "weierstrass":
         h, m_alpha = None, weierstrass_alpha_polynomial(number)
     else:
-        h = capped_surface_tag(family_tag)[1]
+        h = capped_surface_tag(family_tag, (kind, number))[1]
         m_alpha = coxeter_alpha_polynomial(h)
     genus = m_alpha.degree
     out = []

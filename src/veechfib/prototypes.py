@@ -16,11 +16,11 @@ Prototype is a NamedTuple (w, h, t, e, discriminant): it sorts, hashes
 and prints as that tuple.  enumerate_prototypes meets every condition
 above by construction.
 
-divisor_scan(D) is the one divisor scan of D: it reads each pair (a, n/a)
-of divisors of n = (D - e^2)/4, e^2 < D, once, into the sigma_1 total of
-families.real_quadratic_zeta_minus_one and the (w, h) class records that
-enumerate_prototypes expands and prototype_classes counts.  It caches
-the last D only: one families.weierstrass_family call scans once.
+divisor_scan(D) is the one divisor scan of D: one loop per e reads each
+pair (a, n/a) of divisors of n = (D - e^2)/4, e^2 < D, once into the
+sigma_1 total of families.real_quadratic_zeta_minus_one and the (w, h)
+class records that enumerate_prototypes expands and prototype_classes
+counts.  It caches the last D only: one weierstrass_family call scans once.
 
 When D = 1 mod 8 the prototypes split into two spin classes and only
 one class belongs to a given curve; enumeration then requires an
@@ -47,7 +47,7 @@ from .errors import (
     SpinRequiredError,
     check_int,
 )
-from .exact.polynomials import IntPolynomial, euler_phi, small_divisors
+from .exact.polynomials import IntPolynomial, euler_phi
 
 
 class Prototype(NamedTuple):
@@ -70,9 +70,9 @@ def _check_discriminant(d):
         raise InvalidDiscriminantError(f"D = {d} is a square")
 
 
-# Largest enumerable D: divisor_scan makes D/10 to D/5 trial divisions; near
-# 10**7 zeta takes 0.04 s, prototype_classes 0.07 s and a keep-all enumerate
-# at D = 9999961 0.2 s, in process on a 2-core VM with CPython 3.11
+# Largest enumerable D: divisor_scan makes D/10 to D/5 trial divisions; zeta
+# and prototype_classes take 0.05 s each at D = 9999973, a keep-all enumerate
+# 0.23 s at D = 9999961 (in process, 2-core VM, CPython 3.11, fraction_probe 0.43-0.50 ms)
 MAX_DISCRIMINANT = 10**7
 
 
@@ -98,8 +98,9 @@ def check_enumerable(d, spin_filter):
 
 @functools.lru_cache(maxsize=1)
 def divisor_scan(d):
-    """(sigma, records) for a discriminant d, from one small_divisors
-    call per e >= 0, e = d mod 2, e^2 < d, in increasing e.
+    """(sigma, records) for a discriminant d, from one trial division by
+    each a <= sqrt(n), n = (d - e^2)/4, odd a only for an odd n, per e >= 0,
+    e = d mod 2, e^2 < d, in increasing e.
 
     sigma sums sigma_1((d - b^2)/4) over b = d mod 2, b^2 < d.  The sorted
     records (w, h, e, twist, m) are the (w, h) classes of prototypes: m
@@ -107,13 +108,15 @@ def divisor_scan(d):
     and s in -e, then +e if h + e < w.  A pair a <= b = n/a gives (b, a)
     unless a = b and e = 0, and (a, b) if b - a < e.  No input check.
     """
-    gcd, small = math.gcd, small_divisors
+    gcd, isqrt = math.gcd, math.isqrt
     sigma, records = 0, []
     append = records.append
-    for e in range(d % 2, math.isqrt(d - 1) + 1, 2):
+    for e in range(d % 2, isqrt(d - 1) + 1, 2):
         n = (d - e * e) // 4
         row = 0
-        for a in small(n):
+        for a in range(1, isqrt(n) + 1, 1 + n % 2):
+            if n % a:
+                continue
             b = n // a
             g = gcd(a, b)
             if g == 1:

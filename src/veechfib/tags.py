@@ -34,11 +34,12 @@ def read_tag(family_tag):
     raise UnsupportedFamilyError(f"unknown family tag: {family_tag!r}")
 
 
-def surface_tag(family_tag):
-    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h =
-    18) or E8 (h = 30).  The n-gon is supported when check_polygon_n
-    admits n; other tags raise UnsupportedFamilyError."""
-    kind, h = read_tag(family_tag)
+def surface_tag(family_tag, read=None):
+    """Canonical tag and Coxeter number h of polygon-<n> (h = n), E7 (h = 18)
+    or E8 (h = 30), from read = read_tag(family_tag) unless given.  The n-gon
+    is supported when check_polygon_n admits n; other tags raise
+    UnsupportedFamilyError."""
+    kind, h = read or read_tag(family_tag)
     if kind == "polygon":
         check_polygon_n(h)
         return f"polygon-{h}", h
@@ -70,9 +71,9 @@ def check_polygon_n(n):
         )
 
 
-def capped_surface_tag(family_tag):
+def capped_surface_tag(family_tag, read=None):
     """surface_tag, refusing an n-gon past MAX_POLYGON_N by CapExceededError."""
-    tag, h = surface_tag(family_tag)
+    tag, h = surface_tag(family_tag, read)
     if h > MAX_POLYGON_N:
         raise CapExceededError(f"the {h}-gon model exceeds the size cap n <= {MAX_POLYGON_N}")
     return tag, h

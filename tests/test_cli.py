@@ -538,15 +538,14 @@ def test_primes_bound_past_the_size_cap_exit_1(capsys, monkeypatch):
     assert "size cap" in diagnostic["message"]
 
 
-def test_discriminant_and_scatter_past_the_size_cap_exit_1(capsys, monkeypatch):
-    from veechfib import families, prototypes
+def test_discriminant_and_scatter_past_the_size_cap_exit_1(capsys, monkeypatch, divisor_scans):
+    from veechfib import families
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a discriminant was scanned past the size cap")
+        raise AssertionError("a discriminant was tested past the size cap")
 
-    monkeypatch.setattr(prototypes, "small_divisors", refuse)
+    divisor_scans.refuse()
     monkeypatch.setattr(families, "is_quadratic_nonresidue", refuse)
-    prototypes.divisor_scan.cache_clear()
     requests = (
         ("prototypes", "--D", "10000012"),
         ("weierstrass", "--D", "10000012", "--p", "7"),

@@ -49,7 +49,7 @@ from veechfib.prototypes import standard_parameters, weierstrass_alpha
 from veechfib.exact.finitefield import (
     check_odd_prime, is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 )
-from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly, small_divisors
+from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly
 from veechfib.tags import capped_surface_tag, check_polygon_n
 from veechfib.thurston_veech import build_surface, surface_tag
 
@@ -638,27 +638,36 @@ def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypat
     # each model path parses its tag once per layer that needs it: the
     # pipeline's model_spec and build_surface, a sporadic request's check
     # that the tag is E7 or E8 when it is not already canonical, and
-    # admissible_primes once
-    parsed = []
-    surface_tag = thurston_veech.surface_tag
+    # admissible_primes once, which reads the tag once for any kind
+    parsed, reads = [], []
+    surface_tag, read_tag = thurston_veech.surface_tag, families.read_tag
 
-    def counted(tag):
+    def counted(tag, read=None):
         parsed.append(tag)
-        return surface_tag(tag)
+        return surface_tag(tag, read)
+
+    def counted_read(tag):
+        reads.append(tag)
+        return read_tag(tag)
 
     for module in ("veechfib.tags", "veechfib.thurston_veech"):
         monkeypatch.setattr(f"{module}.surface_tag", counted)
+    for module in ("veechfib.tags", "veechfib.families"):
+        monkeypatch.setattr(f"{module}.read_tag", counted_read)
 
     def parses(call, *args):
         build_surface.cache_clear()
         parsed.clear()
+        reads.clear()
         call(*args)
         return len(parsed)
 
     assert parses(polygon_family, 7, 3) == 2
     assert parses(sporadic_family, "E7", 5) == 2
     assert parses(sporadic_family, " e7 ", 5) == 3
-    assert parses(admissible_primes, "polygon-7", 40) == 1
+    for tag, surface_parses in (("polygon-7", 1), ("E8", 1), ("weierstrass-13", 0)):
+        assert parses(admissible_primes, tag, 40) == surface_parses, tag
+        assert reads == [tag], tag
 
 
 def _fractions_made(call, *args):
@@ -999,16 +1008,13 @@ class _Divided(Exception):
     pass
 
 
-def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(monkeypatch):
-    # a scatter row at p = 7 with D = 0 mod 4, found before any patching
+def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(divisor_scans):
+    # a scatter row at p = 7 with D = 0 mod 4, found before any refusal
     rows, _ = chern_scatter(1000, 1100, 7)
     row_d = next(d for d, *_ in rows if d % 2 == 0)
 
-    def refuse(n):
-        raise _Divided(n)
-
-    monkeypatch.setattr(prototypes, "small_divisors", refuse)
-    prototypes.divisor_scan.cache_clear()
+    divisor_scans.cache_clear()
+    divisor_scans.refuse()
     # 20 and 1000: not fundamental, nonresidues mod 7; 8 and 1012: residues mod 7
     for d in (20, 1000):
         with pytest.raises(MissingCurveDataError):
@@ -1017,50 +1023,41 @@ def test_refusals_scan_no_divisors_and_a_row_scans_each_e_once(monkeypatch):
         with pytest.raises(InadmissiblePrimeError):
             weierstrass_family(d, 7)
 
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return small_divisors(n)
-
-    monkeypatch.setattr(prototypes, "small_divisors", counted)
+    # zeta and the classes each ask for the row's scan; it runs once
+    divisor_scans.refuse(False)
     result = weierstrass_family(row_d, 7)
     assert result.checks["chi_source"] == "zeta-formula"
-    assert calls == [(row_d - e * e) // 4 for e in range(0, math.isqrt(row_d - 1) + 1, 2)]
+    assert divisor_scans.requests == [row_d, row_d]
+    assert divisor_scans.misses() == 1
 
 
-def test_zeta_and_the_classes_share_one_scan_in_either_order(monkeypatch):
+def test_zeta_and_the_classes_share_one_scan_in_either_order(divisor_scans):
     # 1005 = 3 5 67 and 1048 = 4 262 are fundamental and not 1 mod 8
     cold = {}
     for d in (1005, 1048):
-        prototypes.divisor_scan.cache_clear()
+        divisor_scans.cache_clear()
         zeta = real_quadratic_zeta_minus_one(d)
-        prototypes.divisor_scan.cache_clear()
+        divisor_scans.cache_clear()
         cold[d] = (zeta, prototypes.prototype_classes(d))
         assert zeta == reference.real_quadratic_zeta_minus_one(d)
         want = [p.as_tuple() for p in reference.enumerate_prototypes(d)]
         assert [p.as_tuple() for p in prototypes.enumerate_prototypes(d)] == want
 
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return small_divisors(n)
-
-    monkeypatch.setattr(prototypes, "small_divisors", counted)
     routes = (
         lambda d: real_quadratic_zeta_minus_one(d) == cold[d][0],
         lambda d: prototypes.prototype_classes(d) == cold[d][1],
     )
-    rows = [(1005 - e * e) // 4 for e in range(1, math.isqrt(1004) + 1, 2)]
     for first, second in (routes, routes[::-1]):
-        prototypes.divisor_scan.cache_clear()
-        calls.clear()
-        assert first(1005) and calls == rows
-        assert second(1005) and calls == rows
-    # with one discriminant cached, alternating two answers as cold calls do
-    for i, d in enumerate((1005, 1048, 1005, 1048, 1048, 1005, 1005, 1048)):
+        divisor_scans.cache_clear()
+        assert first(1005) and divisor_scans.misses() == 1
+        assert second(1005) and divisor_scans.misses() == 1
+    # with one discriminant cached, alternating two answers as cold calls
+    # do, and each change of D scans once
+    order = (1005, 1048, 1005, 1048, 1048, 1005, 1005, 1048)
+    for i, d in enumerate(order):
         assert routes[i % 2](d) and routes[1 - i % 2](d)
+    changes = sum(d != previous for previous, d in zip((1005,) + order, order))
+    assert divisor_scans.misses() == 1 + changes == 6
 
 
 @pytest.mark.parametrize("d", [153, 800, 864, 1440, 1584, 2016])
@@ -1077,15 +1074,16 @@ def test_class_multiplicity_counts_the_reference_prototypes_past_gcd_1(d):
     assert classes == tuple((twist, m) for *_, twist, m in records)
 
 
-def test_chi_and_zeta_past_the_size_cap_are_refused_before_any_divisor(monkeypatch):
+def test_chi_and_zeta_past_the_size_cap_are_refused_before_any_divisor(
+    monkeypatch, divisor_scans
+):
     # a broken guard runs the squarefree test or the divisor scan, which
     # fail at once instead of trial-dividing up to sqrt(D)
     def refuse(n):
         raise _Divided(n)
 
-    monkeypatch.setattr(prototypes, "small_divisors", refuse)
-    prototypes.divisor_scan.cache_clear()
-    with pytest.raises(_Divided):  # at the cap the scan is reached
+    divisor_scans.refuse()
+    with pytest.raises(divisor_scans.Reached):  # at the cap the scan is reached
         CurveDataTable().chi(9_999_973)
     monkeypatch.setattr(families, "is_fundamental_discriminant", refuse)
     for d in (10**7 + 5, 10**7 + 12, 100_000_005, 10_000_019 * 10_000_079):
@@ -1146,6 +1144,58 @@ def test_chi_runs_one_squarefree_test_per_zeta_lookup(monkeypatch):
     assert {InvalidArgumentError, MissingCurveDataError, CapExceededError} < set(sources)
     assert _outcome(table.chi, -3) == (
         InvalidArgumentError, "-3 is not the discriminant of a real quadratic field"
+    )
+
+
+def test_chi_refuses_a_non_fundamental_d_without_asking_zeta(monkeypatch):
+    # fundamentality is decided once, by at most one factorisation (none
+    # for D = 2, 3 mod 4, or D = 4m with m = 0, 1 mod 4); zeta's own
+    # refusal is not raised and caught on the way to MissingCurveDataError
+    factored = []
+
+    def counted(n):
+        factored.append(n)
+        return prime_factors(n)
+
+    def unreachable(d):
+        raise AssertionError(f"zeta asked for D = {d}")
+
+    prime_factors = families.prime_factors
+    monkeypatch.setattr(families, "prime_factors", counted)
+    monkeypatch.setattr(families, "real_quadratic_zeta_minus_one", unreachable)
+    table = CurveDataTable()
+    refused = 0
+    for d in range(5, 3001):
+        if d % 8 == 1 or d in (5, 8):
+            continue
+        factored.clear()
+        squarefree_test = d % 4 == 1 or d % 16 in (8, 12)
+        m = d if d % 4 == 1 else d // 4
+        fundamental = squarefree_test and all(m % (k * k) for k in range(2, math.isqrt(m) + 1))
+        if fundamental:
+            chi, source = table.chi(d)
+            assert chi == -9 * reference.real_quadratic_zeta_minus_one(d), d
+            assert source == "zeta-formula", d
+        else:
+            refused += 1
+            with pytest.raises(MissingCurveDataError) as refusal:
+                table.chi(d)
+            message = f"no Euler characteristic available for D = {d}; supply a data CSV"
+            assert str(refusal.value) == message, d
+        assert len(factored) == squarefree_test, d
+    assert refused > 1500
+    # a fundamental D < 5 is still zeta's to refuse, and zeta called
+    # directly keeps its own refusals
+    monkeypatch.undo()
+    for d in (-3, -4, -8):
+        assert _outcome(table.chi, d) == (
+            InvalidArgumentError, f"{d} is not the discriminant of a real quadratic field"
+        ), d
+    assert _outcome(real_quadratic_zeta_minus_one, 20) == (
+        InvalidArgumentError, "20 is not a fundamental discriminant"
+    )
+    assert _outcome(real_quadratic_zeta_minus_one, 4) == (
+        InvalidArgumentError, "4 is not the discriminant of a real quadratic field"
     )
 
 

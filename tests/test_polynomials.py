@@ -36,7 +36,6 @@ from veechfib.exact.polynomials import (
     prime_factors,
     rational_to_str,
     scaled_integers,
-    small_divisors,
     two_cos_bracket,
 )
 from veechfib.tags import surface_tag
@@ -234,12 +233,24 @@ def _brute_divisors(n):
 
 
 def test_divisors_match_brute_force():
-    assert small_divisors(0) == []
-    assert prime_factors(0) == prime_factors(1) == []
+    for n in (-8, -1, 0, 1):
+        assert prime_factors(n) == []
     for n in range(1, 2001):
         brute = _brute_divisors(n)
-        assert small_divisors(n) == [k for k in brute if k * k <= n]
         assert prime_factors(n) == [k for k in brute if len(_brute_divisors(k)) == 2]
+    # 2 divided out once, then odd candidates only, up to sqrt of what is left
+    for n, primes in (
+        (2, [2]),
+        (3, [3]),
+        (4, [2]),
+        (8, [2]),
+        (9, [3]),
+        (2**40, [2]),
+        (3**25, [3]),
+        (2 * 10007**2, [2, 10007]),
+        (99991 * 99989, [99989, 99991]),
+    ):
+        assert prime_factors(n) == primes, n
     # d = 0, 1 mod 4 is fundamental when no square f^2 > 1 leaves a
     # discriminant d / f^2 = 0, 1 mod 4
     from veechfib.families import is_fundamental_discriminant
@@ -679,11 +690,3 @@ def test_exact_division_matches_fraction_division(f, g, k, extra):
     q, r = fraction_reference.divide(h.coefficients, divisor.coefficients)
     integral = not r and all(c.denominator == 1 for c in q)
     assert reference.exact_divide(h, divisor) == (IntPolynomial(q) if integral else None)
-
-
-def test_divisor_scan_over_odd_candidates_matches_the_full_scan():
-    # an odd n has no even divisor, so the scan steps by 2 there; the
-    # full scan up to sqrt(n) is the reference
-    for n in range(-2, 20000):
-        small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0] if n > 0 else []
-        assert small_divisors(n) == small, n

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -140,24 +141,36 @@ def test_enumeration_matches_dataclass_reference_to_1e5(d):
         assert expand_classes(prototype_classes(d, spin_filter)) == twists, spin_filter
 
 
-class _Divided(Exception):
-    pass
-
-
-def test_discriminant_past_the_size_cap_is_refused_before_any_divisor(monkeypatch):
+def test_discriminant_past_the_size_cap_is_refused_before_any_divisor(divisor_scans):
     # a broken guard reaches the divisor scan and fails at once instead
     # of trial-dividing (D - e^2)/4 for every e
-    def refuse(n):
-        raise _Divided(n)
-
-    monkeypatch.setattr(prototypes, "small_divisors", refuse)
-    prototypes.divisor_scan.cache_clear()
+    divisor_scans.refuse()
     assert MAX_DISCRIMINANT == 10**7
     for d in (10**7 + 1, 10**7 + 12, 10**12 + 5):
         with pytest.raises(CapExceededError, match="size cap"):
             enumerate_prototypes(d, lambda _p: True)
-    with pytest.raises(_Divided):
+    with pytest.raises(divisor_scans.Reached):
         enumerate_prototypes(MAX_DISCRIMINANT)
+
+
+def _scan_matches_the_reference(d):
+    sigma, records = prototypes.divisor_scan(d)
+    assert Fraction(sigma, 60) == reference.real_quadratic_zeta_minus_one(d), d
+    if math.isqrt(d) ** 2 != d:
+        kept = reference.enumerate_prototypes(d, lambda _p: True)
+        counted = Counter((p.w, p.h) for p in kept)
+        assert {(w, h): m for w, h, _, _, m in records} == counted, d
+
+
+def test_divisor_scan_over_odd_candidates_matches_the_full_scan():
+    # the scan steps over odd a only when n = (D - e^2)/4 is odd; the
+    # reference lists every divisor of n, with both parities of n for
+    # each D, and counts the prototypes one by one
+    for d in range(5, 3001):
+        if d % 4 in (0, 1):
+            _scan_matches_the_reference(d)
+    for d in (99_997, 100_001, 100_004, MAX_DISCRIMINANT - 3):
+        _scan_matches_the_reference(d)
 
 
 def test_spin_filter_sees_every_candidate_prototype():
