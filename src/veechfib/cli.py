@@ -20,8 +20,7 @@ import json
 import sys
 
 from . import _lazy_exports
-from .caps import DEFAULT_CLOSURE_CAP
-from .errors import InvalidArgumentError, VeechFibError
+from .errors import DEFAULT_CLOSURE_CAP, InvalidArgumentError, VeechFibError
 
 # Pipeline names that the commands do not call (they call through the
 # home modules) but that perfbench/tracer.py rebinds on this module:

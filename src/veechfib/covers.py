@@ -35,8 +35,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .caps import DEFAULT_CLOSURE_CAP
 from .errors import (
+    DEFAULT_CLOSURE_CAP,
     CapExceededError,
     InadmissiblePrimeError,
     InconsistentCoverError,

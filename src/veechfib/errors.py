@@ -4,7 +4,8 @@ Input-validation failures (bad discriminants, unsupported families,
 inadmissible primes) are distinguished from mathematical inconsistencies
 discovered mid-computation (non-integral cover genus, identity
 violations).  The CLI maps the former to exit code 2 and the latter to
-exit code 1.  check_int is the one type gate for a size argument.
+exit code 1.  check_int is the one type gate for a size argument, and
+DEFAULT_CLOSURE_CAP the group-order oracle's default size cap.
 """
 
 
@@ -21,6 +22,10 @@ def check_int(value, name):
     (a bool or a float such as 5.0 included), as check_odd_prime does."""
     if type(value) is not int:
         raise InvalidArgumentError(f"{name} must be an int, not {value!r}")
+
+
+# Largest |SL(2, q)| that group_closure_order searches unless told otherwise
+DEFAULT_CLOSURE_CAP = 10**7
 
 
 class DivisionByZeroError(VeechFibError, ZeroDivisionError):

@@ -18,15 +18,17 @@ _COXETER_NUMBERS = {"E7": 18, "E8": 30}
 
 def read_tag(family_tag):
     """(kind, number) of a tag: ("weierstrass", D), ("polygon", n), ("E7",
-    18) or ("E8", 30), stripped, in any case.  A number is ASCII digits,
-    leading zeros allowed; a sign, a space, an underscore or another script's
-    digit makes no tag, and raises UnsupportedFamilyError, as a non-str does."""
+    18) or ("E8", 30), stripped, in any case.  A number is up to 4 300 ASCII
+    digits (int()'s limit), leading zeros allowed; a sign, a space, an
+    underscore, another script's digit or a non-str raises UnsupportedFamilyError."""
     if not isinstance(family_tag, str):
         raise UnsupportedFamilyError(f"family tag must be a str, not {family_tag!r}")
     tag = family_tag.strip()
     prefix, _, number = tag.partition("-")
     kind = prefix.lower()
     if number.isdigit() and number.isascii() and kind in ("polygon", "weierstrass"):
+        if len(number) > 4300:
+            raise UnsupportedFamilyError(f"{kind} tag has {len(number)} digits, more than 4300")
         return kind, int(number)
     kind = tag.upper()
     if kind in _COXETER_NUMBERS:

@@ -79,7 +79,7 @@ from .exact.polynomials import (
     IntPolynomial, _chebyshev_lists, _chebyshev_polys, cos_two_pi_minpoly, euler_phi,
     exact_integer, isolate_largest_real_root, jsonable, two_cos_bracket,
 )
-from .tags import MAX_POLYGON_N, capped_surface_tag, surface_tag  # noqa: F401  (re-exported)
+from .tags import capped_surface_tag
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"

@@ -631,6 +631,106 @@ def test_group_order_refuses_digit_runs_past_the_int_limit_exit_2(capsys):
     assert json.loads(err)["error"] == "CapExceededError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "--family", "weierstrass-N", "--bound", "10"),
+        ("primes", "--family", "polygon-N", "--bound", "10"),
+        ("tv-build", "--family", "polygon-N"),
+    ],
+)
+def test_a_tag_number_past_the_int_limit_exit_2(argv):
+    # int() refuses more than 4 300 digits; read_tag refuses them first
+    # and names the count, not the digits
+    out = _console_script(*(a.replace("N", "1" * 5000) for a in argv))
+    assert out.returncode == 2 and out.stdout == ""
+    assert "Traceback" not in out.stderr
+    kind = argv[2].partition("-")[0]
+    assert json.loads(out.stderr) == {
+        "error": "UnsupportedFamilyError",
+        "message": f"{kind} tag has 5000 digits, more than 4300",
+    }
+
+
+def test_int_to_str_crashes_past_the_tag_reader_are_pinned_as_they_stand(capsys):
+    # FOUND (ROADMAP item 11), pinned so that a mend flips these on purpose.
+    # primes takes a D of any size: the refusal's message cannot format
+    # m_alpha once its constant term w(w - e - 1) passes 4 300 digits
+    for digits, fails in ((2000, False), (2200, True)):
+        argv = ["primes", "--family", f"weierstrass-{10**(digits - 1) + 5}", "--bound", "10"]
+        if fails:
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                main(argv)
+        else:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["admissible"] == []
+    # cover's inputs are only int()'s limit: the total twisting of about
+    # 8 600 digits fails json.dumps, and without it the record writes out
+    big = str(3 * 10**4298)
+    argv = ["cover", "--base-genus", "2", "--cusp-image-orders", "3", "--degree", big]
+    assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        main([*argv, "--base-twists", big])
+
+
+# one digit past int()'s int-to-str limit of 4 300
+_BIG = "1" * 4301
+
+# (argv with N for the number, the diagnostic: argparse's usage error or
+# the JSON diagnostic's error type) for every integer-valued argument
+_INT_LIMIT_CASES = [
+    ("prototypes --D N", "usage"),
+    ("weierstrass --D N --p 3", "usage"),
+    ("weierstrass --D 5 --p N", "usage"),
+    ("polygon --n N --p 3", "usage"),
+    ("polygon --n 7 --p N", "usage"),
+    ("sporadic --which E7 --p N", "usage"),
+    ("elliptic --m N", "usage"),
+    ("cover --base-genus N --cusp-image-orders 3 --degree 6", "usage"),
+    ("cover --cusp-image-orders 3 --degree N", "usage"),
+    ("group-order --p N --modulus x^2+1", "usage"),
+    ("group-order --p 3 --modulus x^2+1 --cap N", "usage"),
+    ("primes --family polygon-7 --bound N", "usage"),
+    ("scatter --min-D N --p 3", "usage"),
+    ("scatter --max-D N --p 3", "usage"),
+    ("scatter --p N", "usage"),
+    ("cover --orbifold-orders 2,N --cusp-image-orders 3 --degree 6", "InvalidArgumentError"),
+    ("cover --cusp-image-orders N --degree 6", "InvalidArgumentError"),
+    ("cover --cusp-image-orders 3 --degree 6 --base-twists N", "InvalidArgumentError"),
+    ("cover --cusp-image-orders 3 --degree 6 --base-twists 1 --roots N", "InvalidArgumentError"),
+    ("group-order --p 3 --modulus x^2-x-1 --alpha 1,N", "InvalidArgumentError"),
+    ("group-order --p 3 --modulus x^2+N", "InvalidArgumentError"),
+    ("primes --family weierstrass-N --bound 10", "UnsupportedFamilyError"),
+    ("primes --family polygon-N --bound 10", "UnsupportedFamilyError"),
+    ("tv-build --family polygon-N", "UnsupportedFamilyError"),
+]
+
+
+@pytest.mark.parametrize("argv, error", _INT_LIMIT_CASES)
+def test_every_integer_argument_refuses_a_number_past_the_int_limit_exit_2(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv.replace("N", _BIG).split())
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    if error == "usage":
+        flag = argv.split()[argv.split().index("N") - 1]
+        assert f"error: argument {flag}: invalid int value" in err
+    else:
+        assert json.loads(err)["error"] == error
+
+
+def test_the_int_limit_cases_cover_every_int_option():
+    [commands] = [a.choices for a in build_parser()._actions if a.choices and a.dest == "command"]
+    int_options = {
+        (name, option)
+        for name, cmd in commands.items()
+        for action in cmd._actions
+        if action.type is int
+        for option in action.option_strings
+    }
+    usage = [argv.split() for argv, error in _INT_LIMIT_CASES if error == "usage"]
+    assert {(words[0], words[words.index("N") - 1]) for words in usage} == int_options
+
+
 def test_family_csv_uses_table_columns(capsys):
     code, out, _ = run_cli(capsys, "weierstrass", "--D", "5", "--p", "3", "--format", "csv")
     assert code == 0

@@ -27,7 +27,7 @@ from veechfib.errors import (
     UnsupportedFamilyError,
     VeechFibError,
 )
-from veechfib import cli, covers, families, prototypes, thurston_veech
+from veechfib import cli, covers, families, prototypes, tags, thurston_veech
 from veechfib.families import (
     MAX_ELLIPTIC_M,
     MAX_PRIME_BOUND,
@@ -50,8 +50,8 @@ from veechfib.exact.finitefield import (
     check_odd_prime, is_irreducible_mod_p, is_prime, is_quadratic_nonresidue
 )
 from veechfib.exact.polynomials import IntPolynomial, cos_two_pi_minpoly
-from veechfib.tags import capped_surface_tag, check_polygon_n
-from veechfib.thurston_veech import build_surface, surface_tag
+from veechfib.tags import capped_surface_tag, check_polygon_n, surface_tag
+from veechfib.thurston_veech import build_surface
 
 
 def test_weierstrass_double_pentagon_headline():
@@ -640,7 +640,7 @@ def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypat
     # that the tag is E7 or E8 when it is not already canonical, and
     # admissible_primes once, which reads the tag once for any kind
     parsed, reads = [], []
-    surface_tag, read_tag = thurston_veech.surface_tag, families.read_tag
+    surface_tag, read_tag = tags.surface_tag, families.read_tag
 
     def counted(tag, read=None):
         parsed.append(tag)
@@ -650,8 +650,7 @@ def test_m_alpha_is_read_off_the_coxeter_number_not_a_second_tag_parse(monkeypat
         reads.append(tag)
         return read_tag(tag)
 
-    for module in ("veechfib.tags", "veechfib.thurston_veech"):
-        monkeypatch.setattr(f"{module}.surface_tag", counted)
+    monkeypatch.setattr("veechfib.tags.surface_tag", counted)
     for module in ("veechfib.tags", "veechfib.families"):
         monkeypatch.setattr(f"{module}.read_tag", counted_read)
 

@@ -100,7 +100,7 @@ def test_a_usage_error_loads_the_parser_and_nothing_it_does_not_run():
     # is computed in integers, so a usage error loads neither
     loaded = _loaded_after(_RUN_CLI, "frobnicate")
     assert {m for m in loaded if m.startswith("veechfib")} == {
-        "veechfib", "veechfib.cli", "veechfib.caps", "veechfib.errors",
+        "veechfib", "veechfib.cli", "veechfib.errors",
     }
     assert not loaded & {"fractions", "decimal", "csv"}
 

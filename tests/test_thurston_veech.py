@@ -29,9 +29,9 @@ from veechfib.exact.polynomials import (
     two_cos_bracket,
 )
 from veechfib.families import admissible_primes
+from veechfib.tags import MAX_POLYGON_N, read_tag, surface_tag
 from veechfib.thurston_veech import (
     HORIZONTAL,
-    MAX_POLYGON_N,
     VERTICAL,
     BipartiteIntersectionGraph,
     CylinderDatum,
@@ -46,7 +46,6 @@ from veechfib.thurston_veech import (
     holonomy_basis_check,
     perron_frobenius,
     staircase_parity_check,
-    surface_tag,
 )
 
 SUPPORTED_N = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 10, 14, 22, 26, 34, 38, 8, 16, 32)
@@ -382,6 +381,17 @@ def test_surface_tag_is_canonical_with_the_coxeter_number():
     for n in (0, 3, 6, 9, 12, 4):
         with pytest.raises(UnsupportedFamilyError, match="not in the supported series"):
             surface_tag(f"polygon-{n}")
+
+
+def test_read_tag_reads_a_number_of_up_to_4300_digits():
+    # int() reads at most 4 300 digits, leading zeros counted; read_tag
+    # refuses a longer number before int() sees it
+    for kind in ("polygon", "weierstrass"):
+        assert read_tag(f"{kind}-{'9' * 4300}") == (kind, 10**4300 - 1)
+        assert read_tag(f"{kind}-{'0' * 4299}5") == (kind, 5)
+        for number in ("9" * 4301, "0" * 4300 + "5"):
+            with pytest.raises(UnsupportedFamilyError, match=f"^{kind} tag has 4301 digits, more"):
+                read_tag(f"{kind}-{number}")
 
 
 def test_model_invariants_exact():
@@ -804,7 +814,6 @@ def test_holonomy_basis_check_parses_no_tag(monkeypatch):
     def refuse(tag):
         raise AssertionError(f"tag {tag!r} parsed")
 
-    monkeypatch.setattr(thurston_veech, "surface_tag", refuse)
     monkeypatch.setattr(thurston_veech, "capped_surface_tag", refuse)
     monkeypatch.setattr("veechfib.tags.surface_tag", refuse)
     assert all(holonomy_basis_check(model) is True for model in models)

@@ -3,8 +3,9 @@
 An AST scan lists every name that an import statement under
 src/veechfib binds (the alias, or the first part of a dotted
 ``import a.b``) and that its module never loads as a Name.  An import
-whose source lines carry ``(kept bound)`` or ``(re-exported)`` binds on
-purpose and is exempt, and so is ``from __future__``.
+whose source lines carry ``(kept bound)`` binds on purpose and is
+exempt, and so is ``from __future__``.  No module forwards a name it
+does not use: a caller imports the name from its home module.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "veechfib"
 
-MARKERS = ("(kept bound)", "(re-exported)")
+MARKERS = ("(kept bound)",)
 
 
 def unused_imports(source):
@@ -53,7 +54,7 @@ def test_every_import_is_loaded_or_marked():
 def test_the_scan_sees_an_unused_import_and_honours_the_markers():
     assert unused_imports("import math\nimport os\nmath.pi\n") == [(2, "os")]
     assert unused_imports("from a import (\n    b,  # noqa: F401  (kept bound)\n)\n") == []
-    assert unused_imports("from .tags import tag  # noqa: F401  (re-exported)\n") == []
+    assert unused_imports("from .tags import tag  # noqa: F401  (re-exported)\n") == [(1, "tag")]
     assert unused_imports("from __future__ import annotations\n") == []
     assert unused_imports("import a.b\nimport c.d as e\na.b.f(e)\n") == []
     assert unused_imports("def f():\n    from x import y\n") == [(2, "y")]
