@@ -138,7 +138,8 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=
 
     The one level decision: p must be an odd prime and alpha_minpoly,
     the degree-g minimal polynomial of the congruence parameter, must be
-    irreducible mod p (else InadmissiblePrimeError).  The image is
+    irreducible mod p (else InadmissiblePrimeError, whose message names
+    p and the degree of m_alpha, never its coefficients).  The image is
     SL(2, p^g), of order p^g (p^2g - 1), except for (p, g) = (3, 2)
     where it is the order-120 copy of SL(2, 5) inside SL(2, 9).  The
     returned degree divides out the center when the Veech group
@@ -171,7 +172,7 @@ def congruence_degree(alpha_minpoly, p, genus, contains_minus_i, coxeter_number=
         irreducible = _order_mod_sign(p, coxeter_number, genus) == genus
     if not irreducible:
         raise InadmissiblePrimeError(
-            f"{alpha_minpoly} is reducible mod {p}; level {p} is inadmissible"
+            f"m_alpha of degree {genus} is reducible mod {p}; level {p} is inadmissible"
         )
     if (p, genus) == (3, 2):
         order = 120
@@ -397,6 +398,7 @@ def riemann_hurwitz_cover(chi_orb, degree, orbifold_orders, cusp_classes):
     below 1, or a cone order below 2, is invalid input
     (InvalidArgumentError).
     """
+    check_int(degree, "degree")
     if degree < 1:
         raise InvalidArgumentError("degree must be positive")
     cusp_classes = tuple(cusp_classes)
@@ -440,6 +442,7 @@ def cover_twisting(degree, classes):
     root, is invalid input (InvalidArgumentError), and so is an order or
     multiplicity below 1.
     """
+    check_int(degree, "degree")
     total, fractional = 0, None
     for order, twists, k, m in classes:
         if twists < 1 or k < 1:

@@ -104,11 +104,10 @@ class IntPolynomial:
     """Integer-coefficient polynomial, coefficients ascending by degree.
 
     Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -1.  The text of str() is built on the first call and kept,
-    so a refusal message that names a large polynomial formats it once.
+    degree -1.
     """
 
-    __slots__ = ("coefficients", "_text")
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients=()):
         coeffs = [c if type(c) is int else exact_integer(c) for c in coefficients]
@@ -191,13 +190,6 @@ class IntPolynomial:
         return [str(c) for c in self.coefficients]
 
     def __str__(self):
-        try:
-            return self._text
-        except AttributeError:
-            object.__setattr__(self, "_text", self._format())
-            return self._text
-
-    def _format(self):
         if self.is_zero:
             return "0"
         parts = []

@@ -390,6 +390,7 @@ def closed_forms_weierstrass(p, degree, chi, classes):
     equals (w + h)/gcd(w, h) = prototype_twisting term by term.
     """
     check_odd_prime(p)
+    check_int(degree, "degree")
     d, n, t = degree, sum(map(itemgetter(1), classes)), degree * sum(starmap(mul, classes))
     a, b = chi.numerator, chi.denominator
     # for chi = a/b: cusps = dn/p, genus = 1 - dn/2p - (d/2) chi,
@@ -501,13 +502,12 @@ def closed_forms_polygon(n, p, degree):
         e = Fraction(d * ((q - 3) * s + p * q * q), p * q)
         sigma = Fraction(-d * (q * q + 2 * q + 3), 3 * q)
     else:
-        # genus = 1 + d(1/2 - 1/n - 1/p), e = d((m-4)(1/2 - 1/m - 1/p) + m/2) for m = 2^k <= n
-        m = 1 << (n.bit_length() - 1)
+        # n = 2^k: genus = 1 + d(1/2 - 1/n - 1/p), e = d((n-4)(1/2 - 1/n - 1/p) + n/2)
         genus = Fraction(2 * n * p + d * (n * p - 2 * p - 2 * n), 2 * n * p)
         cusps = Fraction(2 * d, p)
-        twisting = d * m // 2
-        e = Fraction(d * ((m - 4) * (m * p - 2 * p - 2 * m) + m * m * p), 2 * m * p)
-        sigma = Fraction(-d * (3 * m + 4), 12)
+        twisting = d * n // 2
+        e = Fraction(d * ((n - 4) * (n * p - 2 * p - 2 * n) + n * n * p), 2 * n * p)
+        sigma = Fraction(-d * (3 * n + 4), 12)
     return {
         "degree": d,
         "genus": genus,
@@ -530,8 +530,10 @@ def sporadic_family(which, p):
 
 def closed_forms_sporadic(which, p, degree):
     check_odd_prime(p)
+    tag = sporadic_tag(which)
+    check_int(degree, "degree")
     d = degree
-    if sporadic_tag(which) == "E7":
+    if tag == "E7":
         # genus = 1 + (d/2)(8/9 - 2/p), e = d(95/9 - 8/p), sigma = -(35/9) d
         genus = Fraction(9 * p + d * (4 * p - 9), 9 * p)
         e = Fraction(d * (95 * p - 72), 9 * p)

@@ -652,18 +652,21 @@ def test_a_tag_number_past_the_int_limit_exit_2(argv):
     }
 
 
-def test_int_to_str_crashes_past_the_tag_reader_are_pinned_as_they_stand(capsys):
-    # FOUND (ROADMAP item 11), pinned so that a mend flips these on purpose.
-    # primes takes a D of any size: the refusal's message cannot format
-    # m_alpha once its constant term w(w - e - 1) passes 4 300 digits
-    for digits, fails in ((2000, False), (2200, True)):
-        argv = ["primes", "--family", f"weierstrass-{10**(digits - 1) + 5}", "--bound", "10"]
-        if fails:
-            with pytest.raises(ValueError, match="Exceeds the limit"):
-                main(argv)
-        else:
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0 and json.loads(out)["admissible"] == []
+@pytest.mark.parametrize("digits", [2000, 2200, 4300])
+def test_primes_reads_every_weierstrass_d_the_tag_reader_reads(capsys, digits):
+    # a refused level names p and the degree of m_alpha, so a D whose
+    # m_alpha has a constant term w(w - e - 1) past 4 300 digits is read
+    # as any other: the levels are Euler's criterion's, p = 3 exceptional
+    d = 10 ** (digits - 1) + 5
+    code, out, _ = run_cli(capsys, "primes", "--family", f"weierstrass-{d}", "--bound", "60")
+    assert code == 0
+    euler = [p for p in range(3, 61, 2) if all(p % q for q in range(3, p, 2))
+             and d % p and pow(d, (p - 1) // 2, p) == p - 1]
+    assert json.loads(out)["admissible"] == [{"p": p, "exceptional": p == 3} for p in euler]
+
+
+def test_the_int_to_str_crash_of_cover_is_pinned_as_it_stands(capsys):
+    # FOUND (ROADMAP item 11), pinned so that a mend flips it on purpose.
     # cover's inputs are only int()'s limit: the total twisting of about
     # 8 600 digits fails json.dumps, and without it the record writes out
     big = str(3 * 10**4298)
@@ -671,6 +674,15 @@ def test_int_to_str_crashes_past_the_tag_reader_are_pinned_as_they_stand(capsys)
     assert run_cli(capsys, *argv)[0] == 0
     with pytest.raises(ValueError, match="Exceeds the limit"):
         main([*argv, "--base-twists", big])
+
+
+def test_an_inadmissible_level_is_named_by_p_and_the_degree_of_m_alpha(capsys):
+    code, out, err = run_cli(capsys, "polygon", "--n", "251", "--p", "5")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "InadmissiblePrimeError",
+        "message": "m_alpha of degree 125 is reducible mod 5; level 5 is inadmissible",
+    }
 
 
 # one digit past int()'s int-to-str limit of 4 300

@@ -220,6 +220,28 @@ def test_admissible_primes_reads_exceptional_from_the_level_decision(monkeypatch
     assert admissible_primes("polygon-7", 12) == [(3, False), (5, True), (11, False)]
 
 
+def test_no_level_refusal_formats_m_alpha(monkeypatch):
+    # the refusal names p and the degree of m_alpha: refused levels cost
+    # no formatting of m_alpha, whose text runs to thousands of digits
+    def unformattable(self):
+        raise AssertionError("m_alpha was formatted")
+
+    monkeypatch.setattr(IntPolynomial, "__str__", unformattable)
+    for tag, size in (("polygon-251", 243), ("E8", 154), ("weierstrass-13", 152)):
+        assert len(admissible_primes(tag, 2000)) == size
+    refused = (
+        (lambda: polygon_family(251, 5), 125),
+        (lambda: sporadic_family("E8", 5), 4),
+        (lambda: weierstrass_family(20, 5), 2),  # 5 ramifies in D = 20
+    )
+    for call, degree in refused:
+        with pytest.raises(InadmissiblePrimeError) as refusal:
+            call()
+        assert str(refusal.value) == (
+            f"m_alpha of degree {degree} is reducible mod 5; level 5 is inadmissible"
+        )
+
+
 def test_weierstrass_spin_filter_runs_only_after_level_and_chi():
     calls = []
 
@@ -545,7 +567,8 @@ def test_a_size_argument_that_is_not_an_int_is_refused_by_one_gate(name):
 
 # the rest of the size arguments: zeta and chi on 5.0 and on a float past
 # the pinned values ended in a TypeError from range, as did a float degree
-# from Fraction, and principal_congruence_index(3.0) returned 12.0
+# from Fraction or the cover's divisibility test, cover_twisting(60.0, ...)
+# returned 120.0 and principal_congruence_index(3.0) returned 12.0
 _MORE_SIZE_REFUSALS = {
     "real_quadratic_zeta_minus_one D": (
         lambda: real_quadratic_zeta_minus_one(5.0), "D must be an int, not 5.0"
@@ -556,6 +579,20 @@ _MORE_SIZE_REFUSALS = {
     ),
     "closed_forms_polygon degree": (
         lambda: families.closed_forms_polygon(5, 3, 60.0), "degree must be an int, not 60.0"
+    ),
+    "closed_forms_sporadic degree": (
+        lambda: families.closed_forms_sporadic("E7", 5, 60.0), "degree must be an int, not 60.0"
+    ),
+    "closed_forms_weierstrass degree": (
+        lambda: families.closed_forms_weierstrass(3, 60.0, Fraction(-3, 10), ((2, 1),)),
+        "degree must be an int, not 60.0",
+    ),
+    "riemann_hurwitz_cover degree": (
+        lambda: covers.riemann_hurwitz_cover(Fraction(-1, 30), 60.0, (2, 5), [(3, 1)]),
+        "degree must be an int, not 60.0",
+    ),
+    "cover_twisting degree": (
+        lambda: covers.cover_twisting(60.0, [(3, 2, 1, 1)]), "degree must be an int, not 60.0"
     ),
     "principal_congruence_index m": (
         lambda: principal_congruence_index(3.0), "level m must be an int, not 3.0"
